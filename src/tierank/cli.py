@@ -122,8 +122,7 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     if query_ids:
         rankings.extend(
             batch_rerank(
-                channels, query_ids, k_final=k_final, mode=tier3_mode,
-                variant=variant, jobs=args.jobs,
+                channels, query_ids, k_final=k_final, mode=tier3_mode, variant=variant,
             )
         )
     if args.query_vectors:
@@ -262,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k-final", type=int, default=None)
         p.add_argument("--tier3-mode", choices=["query-anchored", "literal"], default=None)
         p.add_argument("--mfr-variant", choices=["sum", "product"], default=None)
-        p.add_argument("--jobs", type=int, default=1)
         p.set_defaults(func=cmd_rerank)
 
     add_rerank("rerank", "re-rank queries over the configured channels")

@@ -3,16 +3,17 @@
 Fusion takes one tier-3 graph per feature channel and merges them by node
 union, edge union, and edge-weight summation. The final list is then grown
 greedily: at every step the candidate with the largest summed affinity to
-all already-selected items is appended. Affinities between two arbitrary
-items are computed on demand by treating one of them as a temporary
-ranking center over the per-channel indexes.
+all already-selected items is appended. The affinities between a query's
+candidates form one C×C matrix, built once per query by treating each
+candidate as a temporary ranking center over the per-channel indexes; the
+sum and the product selection variants read its rows in the same loop.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .errors import (
     QueryMismatchError,
     UnknownItemError,
 )
-from .index import NeighborhoodIndex
+from .index import NeighborhoodIndex, pad_rows
 from .ranking import FinalRanking
 from .rerank import QueryGraph
 
@@ -131,19 +132,17 @@ def correlation_estimate(fused: FusedGraph, item: int) -> CorrelationEstimate:
 
 
 class TieredPairwise:
-    """Fused tier-3 affinity between two arbitrary items.
+    """Fused tier-3 affinities between every pair of a query's candidates.
 
-    ``pairwise(u, i)`` treats u as a temporary ranking center and reads i's
-    weight off u's tiered graph: per channel, the count of i's k2 neighbors
-    inside u's k1 neighborhood, provided i is one of u's k1 candidates at
-    all; a missing edge contributes 0, mirroring fusion's absent-channel
-    rule. ``pairwise(query, i)`` therefore reproduces the fused graph's
-    edge weights exactly.
+    Row u treats u as a temporary ranking center and reads each candidate
+    i's weight off u's tiered graph: per channel, the count of i's k2
+    neighbors inside u's k1 neighborhood, provided i is one of u's k1
+    candidates at all; a missing edge contributes 0, mirroring fusion's
+    absent-channel rule. The query's row therefore reproduces the fused
+    graph's edge weights exactly.
 
-    Instances cache per-center state and are meant to live for a single
-    query; they are not shared across queries. ``batch(u)`` returns the
-    weights from u to every candidate at once and must agree exactly with
-    the scalar call; the greedy selector uses it when available.
+    The C×C matrix is built once, in the constructor; an instance belongs
+    to a single query. ``batch(u)`` returns u's row in candidate_ids order.
     """
 
     def __init__(
@@ -152,180 +151,55 @@ class TieredPairwise:
         candidates: Sequence[int],
         scales: Sequence[float] | None = None,
     ) -> None:
-        self._channels = [(idx, k1, k2) for idx, k1, k2 in channels]
+        channels = list(channels)
         if scales is None:
-            scales = [1.0] * len(self._channels)
-        if len(scales) != len(self._channels):
+            scales = [1.0] * len(channels)
+        if len(scales) != len(channels):
             raise FormatError("one scale per channel required")
-        # channel iteration order must match fusion's accumulation order for
-        # pairwise(query, i) to reproduce fused edge weights bit-for-bit
-        self._scales = [float(s) for s in scales]
         self.candidate_ids: tuple[int, ...] = tuple(sorted(set(int(c) for c in candidates)))
-        self._support_sets: dict[tuple[int, int], frozenset[int]] = {}
-        self._prefix_sets: dict[tuple[int, int], frozenset[int]] = {}
-        self._batch_state: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] | None = None
-
-    def _support(self, ci: int, u: int) -> frozenset[int]:
-        key = (ci, u)
-        found = self._support_sets.get(key)
-        if found is None:
-            idx, k1, _ = self._channels[ci]
-            found = frozenset(idx.neighbor_ids(u, k1).tolist())
-            self._support_sets[key] = found
-        return found
-
-    def _prefix(self, ci: int, i: int) -> frozenset[int]:
-        key = (ci, i)
-        found = self._prefix_sets.get(key)
-        if found is None:
-            idx, _, k2 = self._channels[ci]
-            found = frozenset(idx.neighbor_ids(i, k2).tolist())
-            self._prefix_sets[key] = found
-        return found
-
-    def __call__(self, u: int, i: int) -> float:
-        total = 0.0
-        for ci in range(len(self._channels)):
-            support = self._support(ci, u)
-            if i in support:
-                total += self._scales[ci] * len(self._prefix(ci, i) & support)
-        return total
-
-    def _ensure_batch_state(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        if self._batch_state is not None:
-            return self._batch_state
-        state = []
-        cand_arr = np.asarray(self.candidate_ids, dtype=np.int64)
-        for idx, _, k2 in self._channels:
-            rows = [idx.neighbor_ids(item, k2) for item in self.candidate_ids]
-            lengths = {row.shape[0] for row in rows}
-            if len(lengths) == 1 and rows:
-                flat = np.concatenate(rows)
-                uniq, inverse = np.unique(flat, return_inverse=True)
-                matrix = inverse.reshape(len(rows), -1).astype(np.int64)
-            else:
-                uniq = np.unique(np.concatenate(rows)) if rows else np.empty(0, dtype=np.int64)
-                width = max((row.shape[0] for row in rows), default=0)
-                # the sentinel column indexes a scratch slot that is never marked
-                matrix = np.full((len(rows), max(width, 1)), len(uniq), dtype=np.int64)
-                for r, row in enumerate(rows):
-                    matrix[r, : row.shape[0]] = np.searchsorted(uniq, row)
+        self._row_of = {item: pos for pos, item in enumerate(self.candidate_ids)}
+        cand = np.asarray(self.candidate_ids, dtype=np.int64)
+        weights = np.zeros((cand.shape[0], cand.shape[0]), dtype=np.float64)
+        # channels add up in the caller's order, which must match fusion's
+        # accumulation order for the query's row to equal the fused edges
+        # bit-for-bit under scaling
+        for (idx, k1, k2), scale in zip(channels, scales):
+            nbrs = pad_rows([idx.neighbor_ids(item, max(k1, k2)) for item in self.candidate_ids])
+            uniq, local = np.unique(nbrs, return_inverse=True)
+            local = local.reshape(nbrs.shape)
+            # support[u, v]: id uniq[v] lies in u's k1 neighborhood
+            support = np.zeros((cand.shape[0], uniq.shape[0]), dtype=bool)
+            np.put_along_axis(support, local[:, :k1], True, axis=1)
+            support[:, uniq < 0] = False  # the -1 pad of short rows is no neighbor
+            overlap = np.count_nonzero(support[:, local[:, :k2]], axis=2)
             # every candidate id occurs in uniq: it leads its own neighbor row
-            cand_local = np.searchsorted(uniq, cand_arr)
-            scratch = np.zeros(len(uniq) + 1, dtype=bool)
-            state.append((uniq, matrix, cand_local, scratch))
-        self._batch_state = state
-        return state
+            linked = support[:, np.searchsorted(uniq, cand)]
+            weights += float(scale) * (linked * overlap)
+        weights.setflags(write=False)
+        self._weights = weights
 
     def batch(self, u: int) -> np.ndarray:
         """Weights from center u to every candidate, in candidate_ids order."""
-        state = self._ensure_batch_state()
-        totals = np.zeros(len(self.candidate_ids), dtype=np.float64)
-        for (idx, k1, _), scale, (uniq, matrix, cand_local, scratch) in zip(
-            self._channels, self._scales, state
-        ):
-            support = idx.neighbor_ids(u, k1)
-            pos = np.searchsorted(uniq, support)
-            pos = np.minimum(pos, max(len(uniq) - 1, 0))
-            marks = pos[uniq[pos] == support] if len(uniq) else pos[:0]
-            if marks.shape[0] == 0:
-                continue
-            scratch[marks] = True
-            counts = scratch[matrix].sum(axis=1)
-            counts *= scratch[cand_local]  # no edge for non-candidates of u
-            totals += scale * counts
-            scratch[marks] = False
-        return totals
+        try:
+            return self._weights[self._row_of[u]]
+        except KeyError:
+            raise UnknownItemError(f"center {u} is not a candidate") from None
 
 
-def scaled_pairwise(pairwise: Callable[[int, int], float], factor: float) -> Callable[[int, int], float]:
-    """Wrap a pairwise weight with a positive multiplicative factor."""
-    if factor <= 0:
-        raise ValueError("scale factor must be positive")
-
-    def wrapped(u: int, i: int) -> float:
-        return factor * pairwise(u, i)
-
-    return wrapped
-
-
-def _selection_key(fused: FusedGraph, score: float, item: int) -> tuple:
-    return (-score, -fused.edges.get(item, 0.0), fused.rank_of(item), item)
-
-
-def greedy_select(
-    fused: FusedGraph,
-    pairwise: Callable[[int, int], float],
-    k: int,
-) -> FinalRanking:
+def greedy_select(fused: FusedGraph, pairwise: TieredPairwise, k: int) -> FinalRanking:
     """Grow the final list by repeatedly taking the max-summed-affinity candidate.
 
     Starting from the query alone, each step appends the candidate i
-    maximizing sum(pairwise(u, i) for u in selected); ties break toward the
-    higher fused weight to the query, then the lower original distance
-    rank, then the smaller id. Stops after k additions or when the pool is
-    exhausted.
+    maximizing the sum of its affinities to every selected item; ties break
+    toward the higher fused weight to the query, then the lower original
+    distance rank, then the smaller id. Stops after k additions or when the
+    pool is exhausted. ``pairwise`` is anything with ``candidate_ids`` and
+    ``batch(u)``, such as :class:`TieredPairwise`.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    query = fused.query
-    remaining = sorted(fused.nodes - {query})
-    batch = getattr(pairwise, "batch", None)
-    candidate_ids = getattr(pairwise, "candidate_ids", None)
-    if callable(batch) and candidate_ids is not None and set(remaining) <= set(candidate_ids):
-        return _greedy_select_batched(fused, pairwise, k, remaining)
-
-    selected = [query]
-    scores = [0.0]
-    accum = {item: 0.0 for item in remaining}
-    while remaining and len(selected) < k + 1:
-        new_center = selected[-1]
-        for item in remaining:
-            accum[item] += pairwise(new_center, item)
-        best = min(remaining, key=lambda item: _selection_key(fused, accum[item], item))
-        remaining.remove(best)
-        selected.append(best)
-        scores.append(accum[best])
-
-    return FinalRanking(query=query, items=tuple(selected), scores=tuple(scores))
+    return _select(fused, pairwise, k, product=False)
 
 
-def _greedy_select_batched(
-    fused: FusedGraph,
-    pairwise: "TieredPairwise",
-    k: int,
-    remaining: list[int],
-) -> FinalRanking:
-    """Array implementation of the same selection; must match the generic path."""
-    query = fused.query
-    cand = np.asarray(pairwise.candidate_ids, dtype=np.int64)
-    live = np.isin(cand, np.asarray(remaining, dtype=np.int64))
-    accum = np.zeros(cand.shape[0], dtype=np.float64)
-    fused_w = np.asarray([fused.edges.get(int(i), 0.0) for i in cand], dtype=np.float64)
-    ranks = np.asarray([fused.rank_of(int(i)) for i in cand], dtype=np.int64)
-
-    selected = [query]
-    scores = [0.0]
-    while live.any() and len(selected) < k + 1:
-        accum += pairwise.batch(selected[-1])
-        mask = live & (accum == accum[live].max())
-        if mask.sum() > 1:
-            mask &= fused_w == fused_w[mask].max()
-        if mask.sum() > 1:
-            mask &= ranks == ranks[mask].min()
-        pos = int(np.flatnonzero(mask)[np.argmin(cand[np.flatnonzero(mask)])])
-        live[pos] = False
-        selected.append(int(cand[pos]))
-        scores.append(float(accum[pos]))
-
-    return FinalRanking(query=query, items=tuple(selected), scores=tuple(scores))
-
-
-def greedy_select_product(
-    fused: FusedGraph,
-    pairwise: Callable[[int, int], float],
-    k: int,
-) -> FinalRanking:
+def greedy_select_product(fused: FusedGraph, pairwise: TieredPairwise, k: int) -> FinalRanking:
     """Product-form variant of :func:`greedy_select`.
 
     Maximizes the product of normalized affinities instead of their sum.
@@ -334,27 +208,45 @@ def greedy_select_product(
     that condition raises DegenerateError. Kept for comparison; the sum
     form is the default.
     """
+    return _select(fused, pairwise, k, product=True)
+
+
+def _select(fused: FusedGraph, pairwise: TieredPairwise, k: int, product: bool) -> FinalRanking:
     if k < 1:
         raise ValueError("k must be >= 1")
     query = fused.query
+    cand = pairwise.candidate_ids
+    missing = fused.nodes.difference(cand)
+    if missing:
+        raise UnknownItemError(f"fused nodes {sorted(missing)} are not pairwise candidates")
+    # candidates sorted once by the static tie-break (higher fused weight,
+    # lower distance rank, smaller id): argmax returns the first maximum,
+    # which is then the one that wins the tie
+    order = np.array(
+        sorted(
+            range(len(cand)),
+            key=lambda p: (-fused.edges.get(cand[p], 0.0), fused.rank_of(cand[p]), cand[p]),
+        ),
+        dtype=np.intp,
+    )
+    items = [cand[p] for p in order]
+    live = np.array([item in fused.nodes and item != query for item in items], dtype=bool)
+    acc = np.full(len(items), 1.0 if product else 0.0)
     ceiling = fused.weight_ceiling
-    remaining = sorted(fused.nodes - {query})
+
     selected = [query]
     scores = [0.0]
-    product = {item: 1.0 for item in remaining}
-
-    while remaining and len(selected) < k + 1:
-        new_center = selected[-1]
-        for item in remaining:
-            p_hat = min(1.0, max(0.0, pairwise(new_center, item) / ceiling))
-            product[item] *= p_hat
-        if max(product[item] for item in remaining) == 0.0:
-            raise DegenerateError(
-                f"all candidate products are zero after {len(selected)} selections"
-            )
-        best = min(remaining, key=lambda item: _selection_key(fused, product[item], item))
-        remaining.remove(best)
-        selected.append(best)
-        scores.append(product[best])
+    for _ in range(min(k, int(live.sum()))):
+        row = pairwise.batch(selected[-1])[order]
+        if product:
+            acc *= np.clip(row / ceiling, 0.0, 1.0)
+        else:
+            acc += row
+        pos = int(np.where(live, acc, -np.inf).argmax())
+        if product and acc[pos] == 0.0:
+            raise DegenerateError(f"all candidate products are zero after {len(selected)} selections")
+        live[pos] = False
+        selected.append(items[pos])
+        scores.append(float(acc[pos]))
 
     return FinalRanking(query=query, items=tuple(selected), scores=tuple(scores))

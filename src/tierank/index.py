@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -197,6 +197,18 @@ def distance(a: Iterable[float], b: Iterable[float], metric: Metric = Metric.L1)
         _check_nonzero(va, "first argument")
         _check_nonzero(vb, "second argument")
     return float(cdist(va, vb, metric.cdist_name)[0, 0])
+
+
+def pad_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Stack neighbor-id rows into one int64 matrix, right-padded with -1.
+
+    Rows are shorter than k when n < k or for a virtual entry. Ids are
+    non-negative, so the pad never matches an item.
+    """
+    lengths = np.array([row.shape[0] for row in rows], dtype=np.intp)
+    out = np.full((len(rows), lengths.max(initial=0)), -1, dtype=np.int64)
+    out[np.arange(out.shape[1]) < lengths[:, None]] = np.concatenate(rows)
+    return out
 
 
 def _check_nonzero(block: np.ndarray, what: str) -> None:
@@ -413,6 +425,8 @@ def load_index(path: str | Path) -> NeighborhoodIndex:
             dists = np.asarray([float(p[1]) for p in pairs], dtype=np.float64)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError, IndexError) as exc:
             raise FormatError(f"{path}:{lineno}: malformed index record") from exc
+        if item < 0 or (ids < 0).any():
+            raise FormatError(f"{path}:{lineno}: negative item id")
         ids.setflags(write=False)
         dists.setflags(write=False)
         entries[item] = (ids, dists)

@@ -12,6 +12,7 @@ from typing import Callable, Sequence
 from .errors import SizeError
 from .fusion import FusedGraph
 from .index import FeatureMatrix, Metric, distance
+from .pipeline import Channel
 from .ranking import FinalRanking
 
 _ORACLE_LIMIT = 50
@@ -49,6 +50,26 @@ def brute_force_neighborhood(
         top.sort()
     rest = [(other, d) for d, other in top if other != item]
     return [(item, 0.0)] + rest
+
+
+def oracle_pairwise(channels: Sequence[Channel], u: int, i: int) -> float:
+    """Fused affinity of i to u as a temporary ranking center, from plain sets.
+
+    Per channel, in the given order: when i is one of u's k1 neighbors, add
+    alpha times the number of i's k2 neighbors that are also u's k1
+    neighbors; otherwise add nothing.
+    """
+    total = 0.0
+    for ch in channels:
+        support = set(ch.index.neighbor_ids(u, ch.k1).tolist())
+        if i not in support:
+            continue
+        shared = 0
+        for nbr in ch.index.neighbor_ids(i, ch.k2).tolist():
+            if nbr in support:
+                shared += 1
+        total += ch.alpha * shared
+    return total
 
 
 def oracle_greedy_select(

@@ -8,7 +8,6 @@ as a virtual member of its own candidate set, so no index is rebuilt.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -140,14 +139,6 @@ def batch_rerank(
     k_final: int | None = None,
     mode: str = TIER3_QUERY_ANCHORED,
     variant: str = VARIANT_SUM,
-    jobs: int = 1,
 ) -> list[RankedList]:
     """Re-rank many queries; results come back in input order."""
-
-    def one(query: int) -> RankedList:
-        return rerank_query(channels, query, k_final=k_final, mode=mode, variant=variant)
-
-    if jobs <= 1 or len(queries) <= 1:
-        return [one(q) for q in queries]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(one, queries))
+    return [rerank_query(channels, q, k_final=k_final, mode=mode, variant=variant) for q in queries]

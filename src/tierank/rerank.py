@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import EmptySetError, FormatError
-from .index import NeighborhoodIndex
+from .index import NeighborhoodIndex, pad_rows
 from .ranking import RankedList
 
 TIER3_QUERY_ANCHORED = "query-anchored"
@@ -88,13 +88,9 @@ def _resolve_k(index: NeighborhoodIndex, k1: int | None, k2: int | None) -> tupl
 
 
 def _overlap_counts(rows: list, members: Sequence[int]) -> list[int]:
-    """|row ∩ members| for every neighbor-id row; vectorized when rows align."""
-    member_arr = np.sort(np.asarray(list(members), dtype=np.int64))
-    lengths = {row.shape[0] for row in rows}
-    if len(lengths) == 1 and rows:
-        matrix = np.vstack(rows)
-        return np.isin(matrix, member_arr).sum(axis=1).tolist()
-    return [int(np.isin(row, member_arr).sum()) for row in rows]
+    """|row ∩ members| for every neighbor-id row."""
+    member_arr = np.asarray(list(members), dtype=np.int64)
+    return np.isin(pad_rows(rows), member_arr).sum(axis=1).tolist()
 
 
 def tier1_weights(
@@ -169,22 +165,16 @@ def tier3_weights(
         raise FormatError("tier3_weights expects a tier-2 graph")
     if tier2.query != query:
         raise FormatError("tier-2 graph belongs to a different query")
+    if any(w not in (0.0, 1.0) for w in tier2.edges.values()):
+        raise FormatError("tier-2 weights must be 0 or 1")
     k1, k2 = tier2.k1, tier2.k2
     edges: dict[int, float] = {}
     if mode == TIER3_QUERY_ANCHORED:
-        binary = all(w in (0.0, 1.0) for w in tier2.edges.values())
-        if binary:
-            support = [item for item, w in tier2.edges.items() if w == 1.0]
-            rows = [index.neighbor_ids(item, k2) for item in tier2.order]
-            counts = _overlap_counts(rows, support)
-            for item, count in zip(tier2.order, counts):
-                edges[item] = float(count)
-        else:
-            for item in tier2.order:
-                total = 0.0
-                for nbr in index.neighbor_ids(item, k2).tolist():
-                    total += tier2.edges.get(nbr, 0.0)
-                edges[item] = total
+        support = [item for item, w in tier2.edges.items() if w == 1.0]
+        rows = [index.neighbor_ids(item, k2) for item in tier2.order]
+        counts = _overlap_counts(rows, support)
+        for item, count in zip(tier2.order, counts):
+            edges[item] = float(count)
     elif mode == TIER3_LITERAL:
         for item in tier2.order:
             own_t1 = tier1_weights(index, item, alpha=tier2.alpha, k1=k1, k2=k2)

@@ -274,7 +274,9 @@ def gen_two_manifold_scenario(seed: int = 0) -> TwoManifoldScenario:
     if not (pos2[ids["C"]] < pos2[ids["B"]] and pos2[ids["D"]] < pos2[ids["B"]]):
         raise ScenarioError(f"fused selection does not demote B: {final.items}")
 
-    toward = lambda u, n: pairwise(ids[u], ids[n])  # noqa: E731
+    def toward(u: str, n: str) -> float:
+        return float(pairwise.batch(ids[u])[pairwise.candidate_ids.index(ids[n])])
+
     lhs = toward("D", "C") + toward("D", "A")
     rhs = toward("B", "C") + toward("B", "A")
     if not lhs > rhs:

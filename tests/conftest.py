@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from tierank.fusion import TieredPairwise, fuse_graphs
 from tierank.index import FeatureMatrix, Metric, build_index
 from tierank.pipeline import Channel
@@ -33,3 +35,14 @@ def fused_instance(rng, n, m, k, dim=4):
         candidates=sorted(fused.nodes),
     )
     return channels, fused, pairwise
+
+
+class FunctionPairwise:
+    """A plain ``pairwise(u, i)`` function behind the candidate_ids/batch interface."""
+
+    def __init__(self, fn, fused):
+        self.candidate_ids = tuple(sorted(fused.nodes))
+        self._fn = fn
+
+    def batch(self, u):
+        return np.array([self._fn(u, i) for i in self.candidate_ids], dtype=np.float64)

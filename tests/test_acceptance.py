@@ -7,8 +7,10 @@ inline; exact means exact.
 
 from __future__ import annotations
 
+import statistics
 import time
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,9 +18,9 @@ import pytest
 from conftest import fused_instance
 from tierank.bench import bench_rerank, build_bench_channels, restricted_channels
 from tierank.evaluation import GroundTruth, ns_score, precision_at
-from tierank.fusion import fuse_graphs, greedy_select, scaled_pairwise
+from tierank.fusion import TieredPairwise, fuse_graphs, greedy_select
 from tierank.index import Metric, build_index, load_index, save_index
-from tierank.oracles import oracle_greedy_select
+from tierank.oracles import oracle_greedy_select, oracle_pairwise
 from tierank.pipeline import Channel, rerank_query
 from tierank.ranking import RankedList
 from tierank.rerank import (
@@ -94,9 +96,9 @@ def test_criterion_4_selection_matches_oracle():
         n = int(rng.integers(10, 51))
         m = int(rng.integers(1, 4))
         k = int(rng.choice([3, 5, 8]))
-        _, fused, pairwise = fused_instance(rng, n, m, k)
+        channels, fused, pairwise = fused_instance(rng, n, m, k)
         got = greedy_select(fused, pairwise, k=k)
-        want = oracle_greedy_select(fused, pairwise, k=k)
+        want = oracle_greedy_select(fused, partial(oracle_pairwise, channels), k=k)
         assert got.items == want.items, f"trial {trial}: {got.items} != {want.items}"
         assert got.scores == pytest.approx(want.scores)
         checked += 1
@@ -118,7 +120,12 @@ def test_criterion_5_scale_invariance():
         graphs = [tiered_graph(ch.index, fused.query)[1] for ch in channels]
         fused_scaled = fuse_graphs(graphs, scales=[factor] * len(graphs))
         base = greedy_select(fused, pairwise, k=6)
-        scaled = greedy_select(fused_scaled, scaled_pairwise(pairwise, factor), k=6)
+        pairwise_scaled = TieredPairwise(
+            [(ch.index, ch.k1, ch.k2) for ch in channels],
+            sorted(fused_scaled.nodes),
+            scales=[factor] * m,
+        )
+        scaled = greedy_select(fused_scaled, pairwise_scaled, k=6)
         assert base.items == scaled.items, f"trial {trial}, factor {factor}"
     print("[PASS] criterion 5: 100 instances invariant under weight rescaling, exact")
 
@@ -213,22 +220,28 @@ def test_criterion_9_online_cost_is_collection_size_free():
         rows.append(result)
         assert result.median_ms <= 10.0, f"{label}: {result.median_ms:.2f} ms"
 
-    base = bench_rerank(
-        restricted_channels(channels_10k, k=25, m=3), queries_10k, repetitions=1,
-        k_final=25, label="n10k",
-    )
     channels_20k = build_bench_channels(n=20_000, m=3, k=25, dim=4, seed=12)
     queries_20k = list(range(0, 20_000, 97))[:200]
-    doubled = bench_rerank(
-        restricted_channels(channels_20k, k=25, m=3), queries_20k, repetitions=1,
-        k_final=25, label="n20k",
-    )
-    rel = abs(doubled.median_ms - base.median_ms) / base.median_ms
+    sizes = {
+        "n10k": (restricted_channels(channels_10k, k=25, m=3), queries_10k),
+        "n20k": (restricted_channels(channels_20k, k=25, m=3), queries_20k),
+    }
+    medians: dict[str, list[float]] = {"n10k": [], "n20k": []}
+    # alternating rounds, swapping which size goes first, so that a slow
+    # spell on a busy machine lands on both sizes rather than on one
+    for order in (("n10k", "n20k"), ("n20k", "n10k"), ("n10k", "n20k")):
+        for label in order:
+            chans, queries = sizes[label]
+            result = bench_rerank(chans, queries, repetitions=1, k_final=25, label=label)
+            medians[label].append(result.median_ms)
+    base_ms = statistics.median(medians["n10k"])
+    doubled_ms = statistics.median(medians["n20k"])
+    rel = abs(doubled_ms - base_ms) / base_ms
     assert rel < 0.20, f"n scaling {rel * 100:.1f}%"
     table = "; ".join(f"{r.label} k={r.k} m={r.m}: {r.median_ms:.2f}ms" for r in rows)
     print(
         f"[PASS] criterion 9: {table}; n 10k->20k at k=25,m=3: "
-        f"{base.median_ms:.2f}ms -> {doubled.median_ms:.2f}ms ({rel * 100:.1f}% < 20%)"
+        f"{base_ms:.2f}ms -> {doubled_ms:.2f}ms ({rel * 100:.1f}% < 20%)"
     )
 
 

@@ -67,21 +67,14 @@ def test_rerank_rerun_is_byte_identical(outlier_dirs, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_rerank_batch_order_and_jobs(outlier_dirs, tmp_path):
+def test_rerank_batch_order(outlier_dirs, tmp_path):
     out, idx = outlier_dirs
-    ids = "0,5,2,9,1"
-    serial = tmp_path / "serial.tsv"
-    parallel = tmp_path / "parallel.tsv"
+    path = tmp_path / "batch.tsv"
     assert main([
         "rerank", "--config", str(out / "pipeline.cfg"), "--index-dir", str(idx),
-        "--query-ids", ids, "--out", str(serial),
+        "--query-ids", "0,5,2,9,1", "--out", str(path),
     ]) == 0
-    assert main([
-        "rerank", "--config", str(out / "pipeline.cfg"), "--index-dir", str(idx),
-        "--query-ids", ids, "--jobs", "3", "--out", str(parallel),
-    ]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
-    queries = [r.query for r in read_rankings_tsv(serial)]
+    queries = [r.query for r in read_rankings_tsv(path)]
     assert queries == [0, 5, 2, 9, 1]
 
 

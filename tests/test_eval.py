@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 
-from conftest import fused_instance
+from conftest import FunctionPairwise, fused_instance
 from tierank.errors import ClassSizeError, SizeError, UnknownItemError
 from tierank.evaluation import (
     GroundTruth,
@@ -19,7 +20,7 @@ from tierank.evaluation import (
 )
 from tierank.fusion import greedy_select
 from tierank.index import Metric, build_index
-from tierank.oracles import oracle_greedy_select
+from tierank.oracles import oracle_greedy_select, oracle_pairwise
 from tierank.ranking import RankedList
 from tierank.rerank import tier1_rerank, tier1_weights, tier2_weights, tier3_weights
 from tierank.scenarios import (
@@ -301,7 +302,7 @@ def test_oracle_degenerate_all_zero_weights_falls_back_to_ordering():
     )
     fused = fuse_graphs([g])
     zero = lambda u, i: 0.0  # noqa: E731
-    got = greedy_select(fused, zero, k=3)
+    got = greedy_select(fused, FunctionPairwise(zero, fused), k=3)
     want = oracle_greedy_select(fused, zero, k=3)
     assert got.items == want.items
     # all scores tie at zero: order falls back to distance rank, then id
@@ -313,7 +314,7 @@ def test_oracle_agrees_on_random_instances():
     for _ in range(20):
         n = int(rng.integers(8, 45))
         m = int(rng.integers(1, 4))
-        _, fused, pw = fused_instance(rng, n, m, 5)
+        channels, fused, pw = fused_instance(rng, n, m, 5)
         got = greedy_select(fused, pw, k=5)
-        want = oracle_greedy_select(fused, pw, k=5)
+        want = oracle_greedy_select(fused, partial(oracle_pairwise, channels), k=5)
         assert got.items == want.items

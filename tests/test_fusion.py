@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import fused_instance, random_channels
+from functools import partial
+
+from conftest import FunctionPairwise, fused_instance, random_channels
 from tierank.errors import (
     DegenerateError,
     EmptyChannelListError,
@@ -19,9 +21,8 @@ from tierank.fusion import (
     fuse_graphs,
     greedy_select,
     greedy_select_product,
-    scaled_pairwise,
 )
-from tierank.oracles import oracle_greedy_select
+from tierank.oracles import oracle_greedy_select, oracle_pairwise
 from tierank.rerank import QueryGraph, tier1_weights, tier2_weights, tier3_weights, tiered_graph, tiered_rerank
 
 
@@ -164,7 +165,7 @@ def test_pairwise_matches_tiered_route():
                 t1 = tier1_weights(ch.index, center)
                 t3 = tier3_weights(ch.index, center, tier2_weights(t1))
                 expected += t3.edges.get(item, 0.0)
-            assert pw(center, item) == expected
+            assert pw.batch(center)[pw.candidate_ids.index(item)] == expected
 
 
 def test_pairwise_from_query_reproduces_fused_edges():
@@ -174,8 +175,7 @@ def test_pairwise_from_query_reproduces_fused_edges():
     graphs = [tiered_graph(ch.index, query)[1] for ch in channels]
     fused = fuse_graphs(graphs)
     pw = TieredPairwise([(ch.index, 5, 5) for ch in channels], sorted(fused.nodes))
-    for item in sorted(fused.nodes):
-        assert pw(query, item) == fused.edges[item]
+    assert pw.batch(query).tolist() == [fused.edges[item] for item in pw.candidate_ids]
 
 
 def test_pairwise_batch_equals_scalar():
@@ -187,7 +187,7 @@ def test_pairwise_batch_equals_scalar():
     pw = TieredPairwise([(ch.index, 6, 6) for ch in channels], sorted(fused.nodes))
     for center in sorted(fused.nodes)[:8]:
         got = pw.batch(center)
-        want = [pw(center, item) for item in pw.candidate_ids]
+        want = [oracle_pairwise(channels, center, item) for item in pw.candidate_ids]
         assert got.tolist() == want
 
 
@@ -201,7 +201,7 @@ def test_pairwise_symmetric_for_mutual_neighbors():
     for u in range(30):
         for i in index.neighbor_ids(u, 5).tolist():
             if u in index.neighbor_ids(i, 5).tolist():
-                assert pw(u, i) == pw(i, u)
+                assert pw.batch(u)[i] == pw.batch(i)[u]  # candidate ids equal their rows
 
 
 # --- greedy selection ----------------------------------------------------------
@@ -221,7 +221,7 @@ def test_greedy_first_pick_is_top_fused_candidate():
 def test_greedy_pool_of_one():
     g = _tier3(0, {0: 4.0, 9: 2.0}, (0, 9))
     fused = fuse_graphs([g])
-    final = greedy_select(fused, lambda u, i: fused.edges.get(i, 0.0), k=5)
+    final = greedy_select(fused, FunctionPairwise(lambda u, i: fused.edges.get(i, 0.0), fused), k=5)
     assert final.items == (0, 9)
 
 
@@ -237,21 +237,11 @@ def test_greedy_no_duplicates_query_first():
 def test_greedy_matches_oracle_small():
     rng = np.random.default_rng(9)
     for _ in range(15):
-        _, fused, pw = fused_instance(rng, int(rng.integers(10, 40)), 2, 5)
+        channels, fused, pw = fused_instance(rng, int(rng.integers(10, 40)), 2, 5)
         got = greedy_select(fused, pw, k=6)
-        want = oracle_greedy_select(fused, pw, k=6)
+        want = oracle_greedy_select(fused, partial(oracle_pairwise, channels), k=6)
         assert got.items == want.items
         assert got.scores == pytest.approx(want.scores)
-
-
-def test_greedy_batched_equals_generic_path():
-    rng = np.random.default_rng(10)
-    for _ in range(10):
-        _, fused, pw = fused_instance(rng, 25, 3, 4)
-        batched = greedy_select(fused, pw, k=9)
-        generic = greedy_select(fused, pw.__call__, k=9)  # plain callable: no batch attr
-        assert batched.items == generic.items
-        assert batched.scores == generic.scores
 
 
 def test_greedy_scale_invariance_quick():
@@ -262,7 +252,12 @@ def test_greedy_scale_invariance_quick():
         graphs = [tiered_graph(ch.index, fused.query)[1] for ch in channels]
         scaled_fused = fuse_graphs(graphs, scales=[factor] * len(graphs))
         base = greedy_select(fused, pw, k=7)
-        scaled = greedy_select(scaled_fused, scaled_pairwise(pw, factor), k=7)
+        scaled_pw = TieredPairwise(
+            [(ch.index, ch.k1, ch.k2) for ch in channels],
+            sorted(scaled_fused.nodes),
+            scales=[factor] * len(channels),
+        )
+        scaled = greedy_select(scaled_fused, scaled_pw, k=7)
         assert base.items == scaled.items
 
 
@@ -295,7 +290,7 @@ def test_product_variant_degenerates_on_zero_row():
         return 0.0  # every affinity zero: product collapses immediately
 
     with pytest.raises(DegenerateError):
-        greedy_select_product(fused, pw, k=2)
+        greedy_select_product(fused, FunctionPairwise(pw, fused), k=2)
 
 
 def test_product_variant_equals_sum_on_uniform_weights():
@@ -305,7 +300,8 @@ def test_product_variant_equals_sum_on_uniform_weights():
     def pw(u, i):
         return 2.0
 
-    assert greedy_select(fused, pw, k=3).items == greedy_select_product(fused, pw, k=3).items
+    pairwise = FunctionPairwise(pw, fused)
+    assert greedy_select(fused, pairwise, k=3).items == greedy_select_product(fused, pairwise, k=3).items
 
 
 def test_product_variant_agrees_with_log_sum_oracle():
@@ -325,7 +321,7 @@ def test_product_variant_agrees_with_log_sum_oracle():
                 weights[key] = float(rng.integers(1, 5))  # strictly positive
             return weights[key]
 
-        got = greedy_select_product(fused, pw, k=4)
+        got = greedy_select_product(fused, FunctionPairwise(pw, fused), k=4)
         ceiling = fused.weight_ceiling
         chosen = [query]
         pool = [i for i in order if i != query]

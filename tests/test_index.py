@@ -303,6 +303,18 @@ def test_load_index_wrong_schema(tmp_path):
         load_index(path)
 
 
+def test_load_index_negative_id(tmp_path):
+    # -1 pads short neighbor rows when they are stacked, so no id may be negative
+    path = tmp_path / "bad.index"
+    path.write_text(
+        '{"schema": "tierank.index", "version": 1, "channel": "x", "k": 2, "metric": "l1", "n": 2}\n'
+        '{"id": 0, "neighbors": [[0, 0.0], [-1, 1.0]]}\n'
+        '{"id": -1, "neighbors": [[-1, 0.0], [0, 1.0]]}\n'
+    )
+    with pytest.raises(FormatError):
+        load_index(path)
+
+
 def test_load_index_wrong_version(tmp_path):
     path = tmp_path / "bad.index"
     path.write_text(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_features
-from tierank.errors import EmptySetError, UnknownItemError
+from tierank.errors import EmptySetError, FormatError, UnknownItemError
 from tierank.index import FeatureMatrix, Metric, build_index
 from tierank.rerank import (
     TIER3_LITERAL,
@@ -181,6 +182,15 @@ def test_tier3_matches_double_loop_oracle():
             for nbr in index.neighbor_ids(item, 5).tolist():
                 total += t2.edges.get(nbr, 0.0)
             assert t3.edges[item] == total
+
+
+def test_tier3_rejects_non_binary_tier2():
+    rng = np.random.default_rng(6)
+    index = build_index(random_features(rng, 35, dim=4), k=5)
+    t2 = tier2_weights(tier1_weights(index, 2))
+    hand_built = replace(t2, edges={**t2.edges, t2.order[1]: 0.5})
+    with pytest.raises(FormatError):
+        tier3_weights(index, 2, hand_built)
 
 
 def test_tier3_literal_mode_is_query_independent():
