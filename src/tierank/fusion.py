@@ -24,7 +24,7 @@ from .errors import (
     QueryMismatchError,
     UnknownItemError,
 )
-from .index import NeighborhoodIndex, pad_rows
+from .index import NeighborhoodIndex
 from .ranking import FinalRanking
 from .rerank import QueryGraph
 
@@ -164,7 +164,7 @@ class TieredPairwise:
         # accumulation order for the query's row to equal the fused edges
         # bit-for-bit under scaling
         for (idx, k1, k2), scale in zip(channels, scales):
-            nbrs = pad_rows([idx.neighbor_ids(item, max(k1, k2)) for item in self.candidate_ids])
+            nbrs = idx.rows(cand, max(k1, k2))
             uniq, local = np.unique(nbrs, return_inverse=True)
             local = local.reshape(nbrs.shape)
             # support[u, v]: id uniq[v] lies in u's k1 neighborhood

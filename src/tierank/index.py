@@ -4,12 +4,17 @@ Every indexed item carries its own id as the first entry of its neighbor
 list (distance 0), so a neighborhood of size k means "the item plus its
 k-1 nearest others". Ordering is by (distance, id) with the owner promoted
 to the front, which makes index construction fully deterministic.
+
+An index is three dense arrays: the sorted item ids, an (n, min(k, n))
+neighbor-id table and the matching distance table, one row per item. It is
+built a block of rows at a time and saved as a fixed header followed by the
+raw little-endian arrays (index file v2), which load back without parsing
+and are validated as a whole.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -26,8 +31,14 @@ from .errors import (
 )
 from .ranking import RankedList
 
-_INDEX_SCHEMA = "tierank.index"
-_INDEX_VERSION = 1
+_INDEX_MAGIC = b"TKINDEX\x00"
+_INDEX_VERSION = 2
+# follows the magic; the channel name comes next, zero-padded so that the
+# item ids, the neighbor table and the distance table all start on 8-byte
+# boundaries
+_INDEX_HEADER = np.dtype(
+    [("version", "<u8"), ("metric", "S8"), ("k", "<u8"), ("n", "<u8"), ("width", "<u8"), ("name_bytes", "<u8")]
+)
 _BINARY_MAGIC = b"TKF1"
 _BUILD_BLOCK_ROWS = 128
 
@@ -46,25 +57,35 @@ class Metric(str, Enum):
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """One feature channel: n items, each a finite real vector of fixed dim."""
+    """One feature channel: n items, each a finite real vector of fixed dim.
+
+    ``ids`` may be given as any integer sequence; it is stored as a
+    read-only int64 array in the vectors' row order.
+    """
 
     channel_name: str
-    ids: tuple[int, ...]
+    ids: np.ndarray
     vectors: np.ndarray
 
     def __post_init__(self) -> None:
+        try:
+            ids = np.array(self.ids, dtype=np.int64)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise FormatError("item ids must be 64-bit integers") from exc
         if self.vectors.ndim != 2:
             raise FormatError("feature vectors must form a 2-D array")
-        if len(self.ids) != self.vectors.shape[0]:
+        if ids.ndim != 1 or ids.shape[0] != self.vectors.shape[0]:
             raise FormatError("id count does not match vector count")
-        if len(self.ids) == 0:
+        if ids.shape[0] == 0:
             raise FormatError("feature matrix has zero items")
-        if len(set(self.ids)) != len(self.ids):
+        if np.unique(ids).shape[0] != ids.shape[0]:
             raise FormatError("duplicate item ids in feature matrix")
-        if any(i < 0 for i in self.ids):
+        if (ids < 0).any():
             raise FormatError("item ids must be non-negative")
         if not np.isfinite(self.vectors).all():
             raise FormatError("feature matrix contains NaN or Inf")
+        ids.setflags(write=False)
+        object.__setattr__(self, "ids", ids)
         self.vectors.setflags(write=False)
 
     @property
@@ -76,11 +97,10 @@ class FeatureMatrix:
         return self.vectors.shape[1]
 
     def row(self, item: int) -> np.ndarray:
-        try:
-            pos = self.ids.index(item)
-        except ValueError:
+        pos = np.flatnonzero(self.ids == item)
+        if pos.shape[0] == 0:
             raise UnknownItemError(f"item {item} not in channel {self.channel_name!r}")
-        return self.vectors[pos]
+        return self.vectors[pos[0]]
 
 
 def load_features(path: str | Path, fmt: str = "csv", channel_name: str | None = None) -> FeatureMatrix:
@@ -138,7 +158,7 @@ def _load_csv(path: str | Path, channel_name: str) -> FeatureMatrix:
         raise FormatError(f"{path}: non-finite feature value")
     if any(i < 0 for i in ids):
         raise FormatError(f"{path}: negative item id")
-    return FeatureMatrix(channel_name=channel_name, ids=tuple(ids), vectors=vectors)
+    return FeatureMatrix(channel_name=channel_name, ids=ids, vectors=vectors)
 
 
 def _load_binary(path: str | Path, channel_name: str) -> FeatureMatrix:
@@ -153,15 +173,15 @@ def _load_binary(path: str | Path, channel_name: str) -> FeatureMatrix:
     if len(body) == 0 or len(body) % record.itemsize != 0:
         raise FormatError(f"{path}: truncated binary feature file")
     parsed = np.frombuffer(body, dtype=record)
-    ids = [int(i) for i in parsed["id"]]
+    ids = parsed["id"]
     vectors = parsed["vec"].astype(np.float64)
-    if any(i < 0 for i in ids):
+    if (ids < 0).any():
         raise FormatError(f"{path}: negative item id")
-    if len(set(ids)) != len(ids):
+    if np.unique(ids).shape[0] != ids.shape[0]:
         raise FormatError(f"{path}: duplicate item ids")
     if not np.isfinite(vectors).all():
         raise FormatError(f"{path}: non-finite feature value")
-    return FeatureMatrix(channel_name=channel_name, ids=tuple(ids), vectors=vectors)
+    return FeatureMatrix(channel_name=channel_name, ids=ids, vectors=vectors)
 
 
 def write_features_csv(features: FeatureMatrix, path: str | Path) -> None:
@@ -176,7 +196,7 @@ def write_features_csv(features: FeatureMatrix, path: str | Path) -> None:
 def write_features_binary(features: FeatureMatrix, path: str | Path) -> None:
     record = np.dtype([("id", "<i8"), ("vec", "<f4", (features.dim,))])
     out = np.empty(features.n, dtype=record)
-    out["id"] = np.asarray(features.ids, dtype=np.int64)
+    out["id"] = features.ids
     out["vec"] = features.vectors.astype(np.float32)
     try:
         with open(path, "wb") as fh:
@@ -199,41 +219,32 @@ def distance(a: Iterable[float], b: Iterable[float], metric: Metric = Metric.L1)
     return float(cdist(va, vb, metric.cdist_name)[0, 0])
 
 
-def pad_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
-    """Stack neighbor-id rows into one int64 matrix, right-padded with -1.
-
-    Rows are shorter than k when n < k or for a virtual entry. Ids are
-    non-negative, so the pad never matches an item.
-    """
-    lengths = np.array([row.shape[0] for row in rows], dtype=np.intp)
-    out = np.full((len(rows), lengths.max(initial=0)), -1, dtype=np.int64)
-    out[np.arange(out.shape[1]) < lengths[:, None]] = np.concatenate(rows)
-    return out
-
-
 def _check_nonzero(block: np.ndarray, what: str) -> None:
     norms = np.linalg.norm(block, axis=1)
     if np.any(norms == 0.0):
         raise ZeroVectorError(f"cosine distance undefined for zero vector in {what}")
 
 
-def _top_k_positions(dist_row: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the k nearest entries, ties broken by ascending id."""
-    n = dist_row.shape[0]
-    k = min(k, n)
-    if k == n:
-        chosen = np.arange(n)
-    else:
-        part = np.argpartition(dist_row, k - 1)[:k]
-        boundary = dist_row[part].max()
-        strictly = np.flatnonzero(dist_row < boundary)
-        at_boundary = np.flatnonzero(dist_row == boundary)
-        need = k - strictly.shape[0]
-        # boundary ties resolved toward smaller ids
-        tie_order = at_boundary[np.argsort(ids[at_boundary], kind="stable")]
-        chosen = np.concatenate([strictly, tie_order[:need]])
-    order = np.lexsort((ids[chosen], dist_row[chosen]))
-    return chosen[order]
+def _nearest(dist: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
+    """Per row of ``dist``, the columns of the k nearest entries, by (distance, id).
+
+    Column j belongs to item ``ids[j]``; ties at the k-th distance go to the
+    smallest ids.
+    """
+    part = np.argpartition(dist, min(k, dist.shape[1] - 1), axis=1)
+    cols = part[:, :k]
+    kth = np.take_along_axis(dist, cols, axis=1).max(axis=1, keepdims=True)
+    # rows where an entry left out ties with the k-th nearest: choose again,
+    # taking every entry below the tie and the smallest tied ids
+    over = np.flatnonzero((np.take_along_axis(dist, part[:, k : k + 1], axis=1) == kth).any(axis=1))
+    below = dist[over] < kth[over]
+    tied = dist[over] == kth[over]
+    need = k - np.count_nonzero(below, axis=1)
+    tied_ids = np.sort(np.where(tied, ids, np.iinfo(np.int64).max), axis=1)
+    cutoff = np.take_along_axis(tied_ids, need[:, None] - 1, axis=1)
+    cols[over] = np.nonzero(below | (tied & (ids <= cutoff)))[1].reshape(over.shape[0], k)
+    order = np.lexsort((ids[cols], np.take_along_axis(dist, cols, axis=1)), axis=1)
+    return np.take_along_axis(cols, order, axis=1)
 
 
 def knn_candidates(
@@ -251,10 +262,9 @@ def knn_candidates(
     if metric == Metric.COSINE:
         _check_nonzero(features.vectors, f"channel {features.channel_name!r}")
         _check_nonzero(q[None, :], "query")
-    ids = np.asarray(features.ids, dtype=np.int64)
-    dists = cdist(q[None, :], features.vectors, metric.cdist_name)[0]
-    pos = _top_k_positions(dists, ids, k)
-    return ids[pos], dists[pos]
+    dists = cdist(q[None, :], features.vectors, metric.cdist_name)
+    pos = _nearest(dists, features.ids, min(k, features.n))[0]
+    return features.ids[pos], dists[0, pos]
 
 
 def query_knn(
@@ -269,35 +279,59 @@ def query_knn(
     return RankedList(query=-1, entries=entries, tier="knn", channel=features.channel_name)
 
 
-@dataclass
+
+
+@dataclass(frozen=True, eq=False)
 class NeighborhoodIndex:
     """Per-item, self-inclusive nearest-neighbor lists for one channel.
 
-    The index is immutable after construction; all read accessors are safe
-    to call concurrently. Entries map item id to parallel (ids, distances)
-    arrays of length min(k, n), sorted by (distance, id) with self first.
+    Row r of ``neighbor_table`` lists item ``item_ids[r]`` and its nearest
+    items, min(k, n) in all, sorted by (distance, id) with the item itself
+    first; ``distance_table`` holds the matching distances. ``item_ids`` is
+    sorted, so an id finds its row by binary search. ``virtual`` holds
+    extra rows for out-of-sample queries (see :meth:`with_virtual`), kept
+    apart so that the shared tables are never copied. The index is
+    immutable after construction; all read accessors are safe to call
+    concurrently.
     """
 
     channel_name: str
     k: int
     metric: Metric
-    entries: dict[int, tuple[np.ndarray, np.ndarray]]
+    item_ids: np.ndarray
+    neighbor_table: np.ndarray
+    distance_table: np.ndarray
+    virtual: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for array in (self.item_ids, self.neighbor_table, self.distance_table):
+            array.setflags(write=False)
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return self.item_ids.shape[0] + len(self.virtual)
 
     def __contains__(self, item: int) -> bool:
-        return item in self.entries
+        return self._position(item) >= 0 or item in self.virtual
 
     def items(self) -> Iterator[int]:
-        return iter(self.entries)
+        return iter(self.item_ids.tolist() + list(self.virtual))
+
+    def _position(self, item: int) -> int:
+        """Table row of a stored item, or -1."""
+        pos = int(np.searchsorted(self.item_ids, item))
+        if pos < self.item_ids.shape[0] and self.item_ids[pos] == item:
+            return pos
+        return -1
 
     def _entry(self, item: int) -> tuple[np.ndarray, np.ndarray]:
+        pos = self._position(item)
+        if pos >= 0:
+            return self.neighbor_table[pos], self.distance_table[pos]
         try:
-            return self.entries[item]
+            return self.virtual[item]
         except KeyError:
-            raise UnknownItemError(f"item {item} not in index for channel {self.channel_name!r}")
+            raise UnknownItemError(f"item {item} not in index for channel {self.channel_name!r}") from None
 
     def neighbor_ids(self, item: int, k: int | None = None) -> np.ndarray:
         ids, _ = self._entry(item)
@@ -309,21 +343,42 @@ class NeighborhoodIndex:
             ids, dists = ids[:k], dists[:k]
         return [(int(i), float(d)) for i, d in zip(ids, dists)]
 
+    def rows(self, items: Sequence[int] | np.ndarray, k: int | None = None) -> np.ndarray:
+        """The first k neighbor ids of every item, as one int64 matrix.
+
+        Row j belongs to ``items[j]``. A row shorter than the matrix (when
+        n < k, or for a virtual row) is right-padded with -1; ids are
+        non-negative, so the pad never matches an item.
+        """
+        items = np.asarray(items, dtype=np.int64)
+        stored_width = self.neighbor_table.shape[1]
+        width = max([stored_width] + [ids.shape[0] for ids, _ in self.virtual.values()])
+        width = width if k is None else min(k, width)
+        pos = np.minimum(np.searchsorted(self.item_ids, items), self.item_ids.shape[0] - 1)
+        out = np.full((items.shape[0], width), -1, dtype=np.int64)
+        out[:, : min(width, stored_width)] = self.neighbor_table[pos, :width]
+        for j in np.flatnonzero(self.item_ids[pos] != items).tolist():
+            row = self.neighbor_ids(int(items[j]), width)
+            out[j] = -1
+            out[j, : row.shape[0]] = row
+        return out
+
     def with_virtual(self, item: int, ids: np.ndarray, dists: np.ndarray) -> "NeighborhoodIndex":
-        """A copy of the index extended with a synthetic entry.
+        """This index plus a synthetic row for ``item``, sharing the stored tables.
 
         Used to treat an out-of-sample query as a temporary member of its
-        own candidate set; the stored index is not modified.
+        own candidate set; the stored index is not modified, and nothing of
+        size n is copied.
         """
-        if item in self.entries:
+        if item in self:
             raise FormatError(f"virtual id {item} collides with an indexed item")
-        new_entries = dict(self.entries)
-        ids = np.ascontiguousarray(ids, dtype=np.int64)
-        dists = np.ascontiguousarray(dists, dtype=np.float64)
+        if item < 0:
+            raise FormatError(f"virtual id {item} is negative")
+        ids = np.array(ids, dtype=np.int64)
+        dists = np.array(dists, dtype=np.float64)
         ids.setflags(write=False)
         dists.setflags(write=False)
-        new_entries[item] = (ids, dists)
-        return NeighborhoodIndex(self.channel_name, self.k, self.metric, new_entries)
+        return replace(self, virtual={**self.virtual, item: (ids, dists)})
 
 
 def build_index(features: FeatureMatrix, k: int, metric: Metric = Metric.L1) -> NeighborhoodIndex:
@@ -333,103 +388,89 @@ def build_index(features: FeatureMatrix, k: int, metric: Metric = Metric.L1) -> 
     if metric == Metric.COSINE:
         _check_nonzero(features.vectors, f"channel {features.channel_name!r}")
 
-    ids = np.asarray(features.ids, dtype=np.int64)
-    vectors = features.vectors
-    n = features.n
-    k_eff = min(k, n)
-    entries: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    for start in range(0, n, _BUILD_BLOCK_ROWS):
-        stop = min(start + _BUILD_BLOCK_ROWS, n)
-        block = cdist(vectors[start:stop], vectors, metric.cdist_name)
-        for offset in range(stop - start):
-            row = block[offset]
-            owner = int(ids[start + offset])
-            pos = _top_k_positions(row, ids, k_eff)
-            sel_ids = ids[pos]
-            sel_dists = row[pos]
-            # owner always present and first; zero-distance ties cannot evict it
-            where = np.flatnonzero(sel_ids == owner)
-            if where.shape[0] == 0:
-                sel_ids[-1] = owner
-                sel_dists[-1] = 0.0
-                where = np.asarray([k_eff - 1])
-            at = int(where[0])
-            out_ids = np.concatenate(([owner], np.delete(sel_ids, at)))
-            out_dists = np.concatenate(([0.0], np.delete(sel_dists, at)))
-            out_ids = np.ascontiguousarray(out_ids, dtype=np.int64)
-            out_dists = np.ascontiguousarray(out_dists, dtype=np.float64)
-            out_ids.setflags(write=False)
-            out_dists.setflags(write=False)
-            entries[owner] = (out_ids, out_dists)
-
-    ordered = {i: entries[i] for i in sorted(entries)}
-    return NeighborhoodIndex(channel_name=features.channel_name, k=k, metric=metric, entries=ordered)
+    order = np.argsort(features.ids)
+    k_eff = min(k, features.n)
+    table = np.empty((features.n, k_eff), dtype=np.int64)
+    dists = np.empty((features.n, k_eff), dtype=np.float64)
+    for start in range(0, features.n, _BUILD_BLOCK_ROWS):
+        owners = order[start : start + _BUILD_BLOCK_ROWS]
+        block = cdist(features.vectors[owners], features.vectors, metric.cdist_name)
+        # the owner sorts first, ahead of any zero-distance duplicate (a
+        # cosine self-distance can come out a rounding error above zero)
+        block[np.arange(owners.shape[0]), owners] = -1.0
+        cols = _nearest(block, features.ids, k_eff)
+        done = slice(start, start + owners.shape[0])
+        table[done] = features.ids[cols]
+        dists[done] = np.take_along_axis(block, cols, axis=1)
+    dists[:, 0] = 0.0
+    return NeighborhoodIndex(features.channel_name, k, metric, features.ids[order], table, dists)
 
 
 def save_index(index: NeighborhoodIndex, path: str | Path) -> None:
-    """Persist an index as a self-describing, line-oriented JSON file."""
-    header = {
-        "schema": _INDEX_SCHEMA,
-        "version": _INDEX_VERSION,
-        "channel": index.channel_name,
-        "k": index.k,
-        "metric": index.metric.value,
-        "n": index.n,
-    }
+    """Persist an index as index file v2: a fixed header, then the raw tables."""
+    if index.virtual:
+        raise FormatError("an index with virtual rows cannot be saved")
+    name = index.channel_name.encode("utf-8")
+    header = np.array(
+        [(_INDEX_VERSION, index.metric.value, index.k, index.n, index.neighbor_table.shape[1], len(name))],
+        dtype=_INDEX_HEADER,
+    )
+    parts = [_INDEX_MAGIC, header.tobytes(), name, bytes(-len(name) % 8)]
+    parts += [index.item_ids.astype("<i8").tobytes(), index.neighbor_table.astype("<i8").tobytes()]
+    parts.append(index.distance_table.astype("<f8").tobytes())
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-            for item in sorted(index.entries):
-                ids, dists = index.entries[item]
-                record = {
-                    "id": item,
-                    "neighbors": [[int(i), float(d)] for i, d in zip(ids, dists)],
-                }
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        with open(path, "wb") as fh:
+            fh.writelines(parts)
     except OSError as exc:
         raise FileAccessError(f"cannot write index to {path}: {exc}") from exc
 
 
 def load_index(path: str | Path) -> NeighborhoodIndex:
-    """Load an index saved by :func:`save_index`; round-trip is exact."""
-    text = _read_bytes(path).decode("utf-8")
-    lines = text.splitlines()
-    if not lines:
-        raise FormatError(f"{path}: empty index file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: bad index header") from exc
-    if not isinstance(header, dict) or header.get("schema") != _INDEX_SCHEMA:
-        raise FormatError(f"{path}: not a tierank index file")
-    if header.get("version") != _INDEX_VERSION:
-        raise FormatError(f"{path}: unsupported index version {header.get('version')!r}")
-    try:
-        metric = Metric(header["metric"])
-        k = int(header["k"])
-        channel = str(header["channel"])
-        n = int(header["n"])
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"{path}: malformed index header") from exc
+    """Load an index saved by :func:`save_index`; round-trip is exact.
 
-    entries: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            item = int(record["id"])
-            pairs = record["neighbors"]
-            ids = np.asarray([int(p[0]) for p in pairs], dtype=np.int64)
-            dists = np.asarray([float(p[1]) for p in pairs], dtype=np.float64)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, IndexError) as exc:
-            raise FormatError(f"{path}:{lineno}: malformed index record") from exc
-        if item < 0 or (ids < 0).any():
-            raise FormatError(f"{path}:{lineno}: negative item id")
-        ids.setflags(write=False)
-        dists.setflags(write=False)
-        entries[item] = (ids, dists)
-    if len(entries) != n:
-        raise FormatError(f"{path}: header promises {n} items, found {len(entries)}")
-    return NeighborhoodIndex(channel_name=channel, k=k, metric=metric, entries=entries)
+    The whole file is checked before use: its size against its header, the
+    item ids (sorted, unique, non-negative) and every row (led by its owner
+    at distance 0, then in (distance, id) order, naming indexed items only
+    and none twice).
+    """
+    raw = _read_bytes(path)
+    if raw.startswith(b"{"):
+        raise FormatError(f"{path}: index file v1 (JSON) is no longer supported; re-run `tierank index`")
+    start = len(_INDEX_MAGIC) + _INDEX_HEADER.itemsize
+    if not raw.startswith(_INDEX_MAGIC) or len(raw) < start:
+        raise FormatError(f"{path}: not a tierank index file")
+    header = np.frombuffer(raw, dtype=_INDEX_HEADER, count=1, offset=len(_INDEX_MAGIC))[0]
+    if header["version"] != _INDEX_VERSION:
+        raise FormatError(f"{path}: unsupported index version {int(header['version'])}")
+    k, n, width, name_bytes = (int(header[f]) for f in ("k", "n", "width", "name_bytes"))
+    ids_at = start + name_bytes + (-name_bytes % 8)
+    if len(raw) != ids_at + 8 * n + 16 * n * width:
+        raise FormatError(f"{path}: file size {len(raw)} does not match its header")
+    try:
+        metric = Metric(header["metric"].decode("ascii"))
+        channel = raw[start : start + name_bytes].decode("utf-8")
+    except ValueError as exc:
+        raise FormatError(f"{path}: malformed index header") from exc
+    if n < 1 or k < 1 or width != min(k, n):
+        raise FormatError(f"{path}: malformed index header")
+
+    ids = np.frombuffer(raw, dtype="<i8", count=n, offset=ids_at)
+    table = np.frombuffer(raw, dtype="<i8", count=n * width, offset=ids_at + 8 * n).reshape(n, width)
+    dists = np.frombuffer(raw, dtype="<f8", count=n * width, offset=ids_at + 8 * n * (1 + width))
+    dists = dists.reshape(n, width)
+    if (ids < 0).any():
+        raise FormatError(f"{path}: negative item id")
+    if not (ids[1:] > ids[:-1]).all():
+        raise FormatError(f"{path}: item ids are not sorted and unique")
+    if not ((table[:, 0] == ids).all() and (dists[:, 0] == 0.0).all()):
+        raise FormatError(f"{path}: a row is not led by its owner at distance 0")
+    d, t = dists[:, 1:], table[:, 1:]
+    ordered = (d[:, :-1] < d[:, 1:]) | ((d[:, :-1] == d[:, 1:]) & (t[:, :-1] < t[:, 1:]))
+    if not (np.isfinite(d).all() and ordered.all()):
+        raise FormatError(f"{path}: a row is not in (distance, id) order")
+    if not np.isin(table, ids).all():
+        raise FormatError(f"{path}: a row names an item that is not indexed")
+    ranked = np.sort(table, axis=1)
+    if (ranked[:, 1:] == ranked[:, :-1]).any():
+        raise FormatError(f"{path}: a row names an item twice")
+    return NeighborhoodIndex(channel, k, metric, ids, table, dists)

@@ -36,10 +36,10 @@ class Channel:
 
 
 def virtual_query_id(channels: Sequence[Channel], offset: int = 0) -> int:
-    """An id guaranteed not to collide with any indexed item."""
+    """An id guaranteed not to collide with any stored item."""
     top = -1
     for ch in channels:
-        top = max(top, max(ch.index.entries))
+        top = max(top, int(ch.index.item_ids[-1]))
     return top + 1 + offset
 
 

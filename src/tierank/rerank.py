@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import EmptySetError, FormatError
-from .index import NeighborhoodIndex, pad_rows
+from .index import NeighborhoodIndex
 from .ranking import RankedList
 
 TIER3_QUERY_ANCHORED = "query-anchored"
@@ -87,10 +87,9 @@ def _resolve_k(index: NeighborhoodIndex, k1: int | None, k2: int | None) -> tupl
     return k1, k2
 
 
-def _overlap_counts(rows: list, members: Sequence[int]) -> list[int]:
-    """|row ∩ members| for every neighbor-id row."""
-    member_arr = np.asarray(list(members), dtype=np.int64)
-    return np.isin(pad_rows(rows), member_arr).sum(axis=1).tolist()
+def _overlap_counts(rows: np.ndarray, members: Sequence[int]) -> list[int]:
+    """|row ∩ members| for every row of a -1-padded neighbor-id matrix."""
+    return np.isin(rows, np.asarray(members, dtype=np.int64)).sum(axis=1).tolist()
 
 
 def tier1_weights(
@@ -104,13 +103,15 @@ def tier1_weights(
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     k1, k2 = _resolve_k(index, k1, k2)
-    candidates = tuple(int(i) for i in index.neighbor_ids(query, k1))
-    rows = [index.neighbor_ids(item, k2) for item in candidates]
-    counts = _overlap_counts(rows, candidates)
+    nearest = index.neighbor_ids(query, k1)
+    candidates = tuple(nearest.tolist())
+    rows = index.rows(nearest, k2)
+    counts = _overlap_counts(rows, nearest)
+    lengths = np.count_nonzero(rows >= 0, axis=1).tolist()
     edges: dict[int, float] = {}
     overlap: dict[int, JaccardValue] = {}
-    for item, row, inter in zip(candidates, rows, counts):
-        union = row.shape[0] + len(candidates) - inter
+    for item, length, inter in zip(candidates, lengths, counts):
+        union = length + len(candidates) - inter
         jv = JaccardValue(numerator=inter, denominator=union)
         overlap[item] = jv
         edges[item] = alpha * (jv.numerator / jv.denominator)
@@ -171,8 +172,7 @@ def tier3_weights(
     edges: dict[int, float] = {}
     if mode == TIER3_QUERY_ANCHORED:
         support = [item for item, w in tier2.edges.items() if w == 1.0]
-        rows = [index.neighbor_ids(item, k2) for item in tier2.order]
-        counts = _overlap_counts(rows, support)
+        counts = _overlap_counts(index.rows(tier2.order, k2), support)
         for item, count in zip(tier2.order, counts):
             edges[item] = float(count)
     elif mode == TIER3_LITERAL:

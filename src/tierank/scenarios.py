@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -344,16 +343,7 @@ def gen_correlated_trial(rng: np.random.Generator, k: int, p: float) -> Correlat
     in_members = rng.choice(len(members), size=n_in, replace=False) if n_in else []
     in_class = frozenset(members[int(i)] for i in in_members)
 
-    entries: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def add_entry(owner: int, others: Sequence[int]) -> None:
-        ids = np.asarray([owner] + list(others), dtype=np.int64)
-        dists = np.arange(ids.shape[0], dtype=np.float64)
-        ids.setflags(write=False)
-        dists.setflags(write=False)
-        entries[owner] = (ids, dists)
-
-    add_entry(query, members)
+    rows = [[query, *members]]
     cknns = (query,) + members
     for member in members:
         n_linked = int(rng.binomial(k - 1, p))
@@ -362,9 +352,12 @@ def gen_correlated_trial(rng: np.random.Generator, k: int, p: float) -> Correlat
         linked = [pool[int(i)] for i in picks]
         outside = list(range(next_outside, next_outside + (k - 1 - n_linked)))
         next_outside += len(outside)
-        add_entry(member, linked + outside)
+        rows.append([member, *linked, *outside])
 
-    index = NeighborhoodIndex(channel_name="correlated", k=k, metric=Metric.L1, entries=entries)
+    # rows are in owner order 0..k-1; the outside ids have no row of their own
+    table = np.asarray(rows, dtype=np.int64)
+    dists = np.tile(np.arange(k, dtype=np.float64), (k, 1))
+    index = NeighborhoodIndex("correlated", k, Metric.L1, table[:, 0].copy(), table, dists)
     return CorrelatedTrial(
         index=index, query=query, members=members, in_class=in_class, k=k, p=p
     )

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tierank.cli import main
+from tierank.config import load_config
+from tierank.errors import DegenerateError, TierankError
 from tierank.index import load_index
+from tierank.pipeline import Channel, rerank_query
 from tierank.ranking import read_rankings_tsv
 
 
@@ -183,3 +190,65 @@ def test_bench_smoke(capsys):
     lines = [ln for ln in captured.out.splitlines() if ln.strip()]
     assert lines[0].startswith("label\t")
     assert len(lines) == 2
+
+
+@pytest.fixture(scope="module")
+def corruptible_dirs(tmp_path_factory):
+    base = tmp_path_factory.mktemp("corrupt")
+    out, idx = base / "scen", base / "idx"
+    assert main(["synth", "--scenario", "outlier", "--seed", "0", "--out-dir", str(out)]) == 0
+    assert main(["index", "--config", str(out / "pipeline.cfg"), "--out-dir", str(idx)]) == 0
+    return out, idx, (idx / "plane.index").read_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rerank_on_corrupted_index_exits_3(corruptible_dirs, data):
+    out, idx, good = corruptible_dirs
+    raw = bytearray(good)
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        raw[data.draw(st.integers(0, len(raw) - 1), label="byte")] ^= 1 << data.draw(
+            st.integers(0, 7), label="bit"
+        )
+    (idx / "plane.index").write_bytes(bytes(raw))
+    try:
+        load_index(idx / "plane.index")
+        rejected = False
+    except TierankError:
+        rejected = True
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([
+            "rerank", "--config", str(out / "pipeline.cfg"), "--index-dir", str(idx),
+            "--query-ids", "0",
+        ])
+    if rejected:
+        assert code == 3 and err.getvalue().startswith("error\t")
+    else:
+        # a flip that leaves a valid index (say, in a distance's low bits)
+        # may still rank, or name an unknown query id
+        assert code in (0, 3)
+
+
+def test_product_variant_degenerates_at_full_length(tmp_path, capsys):
+    out, idx = tmp_path / "scen", tmp_path / "idx"
+    assert main(["synth", "--scenario", "two-manifold", "--seed", "0", "--out-dir", str(out)]) == 0
+    assert main(["index", "--config", str(out / "pipeline.cfg"), "--out-dir", str(idx)]) == 0
+    config = load_config(out / "pipeline.cfg")
+    channels = [
+        Channel(name=c.name, index=load_index(idx / f"{c.name}.index"), k1=c.k1, k2=c.k2)
+        for c in config.channels
+    ]
+    k = channels[0].k1
+    with pytest.raises(DegenerateError):
+        rerank_query(channels, 0, k_final=k, variant="product")
+    capsys.readouterr()
+    code = main([
+        "fuse", "--config", str(out / "pipeline.cfg"), "--index-dir", str(idx),
+        "--query-ids", "0", "--k-final", str(k), "--mfr-variant", "product",
+    ])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error\tDegenerateError\tall candidate products are zero")

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +16,7 @@ from tierank.errors import (
     DimensionError,
     FileAccessError,
     FormatError,
+    TierankError,
     UnknownItemError,
     ZeroVectorError,
 )
@@ -65,7 +70,7 @@ def test_load_csv_basic(tmp_path):
     path.write_text("0,1.0,2.0\n1,3.0,4.0\n")
     fm = load_features(path, "csv")
     assert fm.dim == 2 and fm.n == 2
-    assert fm.ids == (0, 1)
+    assert fm.ids.tolist() == [0, 1]
     assert np.array_equal(fm.vectors, [[1.0, 2.0], [3.0, 4.0]])
 
 
@@ -116,7 +121,7 @@ def test_csv_round_trip(tmp_path):
     path = tmp_path / "f.csv"
     write_features_csv(fm, path)
     back = load_features(path, "csv", channel_name=fm.channel_name)
-    assert back.ids == fm.ids
+    assert np.array_equal(back.ids, fm.ids)
     assert np.array_equal(back.vectors, fm.vectors)
 
 
@@ -126,7 +131,7 @@ def test_binary_round_trip(tmp_path):
     path = tmp_path / "f.bin"
     write_features_binary(fm, path)
     back = load_features(path, "binary", channel_name=fm.channel_name)
-    assert back.ids == fm.ids
+    assert np.array_equal(back.ids, fm.ids)
     # stored as 32-bit floats
     assert np.array_equal(back.vectors, fm.vectors.astype(np.float32).astype(np.float64))
 
@@ -248,6 +253,68 @@ def test_index_invariants_property(points, k):
         assert rest == sorted(rest, key=lambda p: (p[1], p[0]))
 
 
+@st.composite
+def _grid_instances(draw):
+    """Integer-grid points (many ties and duplicates) under unsorted, sparse ids."""
+    n = draw(st.integers(1, 24))
+    dim = draw(st.integers(1, 3))
+    metric = draw(st.sampled_from(list(Metric)))
+    low = 1 if metric == Metric.COSINE else 0  # cosine rejects zero vectors
+    coords = draw(st.lists(st.lists(st.integers(low, 3), min_size=dim, max_size=dim), min_size=n, max_size=n))
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
+    fm = FeatureMatrix(channel_name="grid", ids=ids, vectors=np.asarray(coords, dtype=np.float64))
+    return fm, draw(st.integers(1, 30)), metric
+
+
+@settings(max_examples=60, deadline=None)
+@given(_grid_instances())
+def test_build_index_matches_oracle_property(instance):
+    fm, k, metric = instance
+    index = build_index(fm, k=k, metric=metric)
+    assert list(index.items()) == sorted(fm.ids.tolist())
+    for item in fm.ids:
+        assert index.neighbors(item) == brute_force_neighborhood(fm, item, k, metric)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_grid_instances())
+def test_save_load_save_is_byte_identical(instance):
+    fm, k, metric = instance
+    index = build_index(fm, k=k, metric=metric)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.index", Path(tmp) / "b.index"
+        save_index(index, first)
+        back = load_index(first)
+        save_index(back, second)
+        assert first.read_bytes() == second.read_bytes()
+    assert back.k == k and back.metric == metric
+    for item in fm.ids:
+        assert back.neighbors(item) == index.neighbors(item)
+
+
+_SMALL_INDEX = build_index(_line_features([0.0, 1.0, 3.0, 3.0, 7.0]), k=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_corrupted_index_raises_only_tierank_errors(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.index"
+        save_index(_SMALL_INDEX, path)
+        raw = bytearray(path.read_bytes())
+        if data.draw(st.booleans(), label="truncate"):
+            raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+        else:
+            raw[data.draw(st.integers(0, len(raw) - 1), label="byte")] ^= 1 << data.draw(
+                st.integers(0, 7), label="bit"
+            )
+        path.write_bytes(bytes(raw))
+        try:
+            load_index(path)
+        except TierankError:
+            pass
+
+
 # --- query_knn --------------------------------------------------------------
 
 
@@ -296,32 +363,109 @@ def test_save_load_round_trip(tmp_path):
         assert back.neighbors(item) == index.neighbors(item)
 
 
-def test_load_index_wrong_schema(tmp_path):
+def _index_bytes(ids, rows, dists, version=2, magic=b"TKINDEX\x00", name=b"x"):
+    """An index file v2 written field by field: magic, header, padded name, arrays."""
+    rows = np.asarray(rows, dtype="<i8")
+    n, width = rows.shape
+    header = struct.pack("<Q8sQQQQ", version, b"l1", width, n, width, len(name))
+    arrays = np.asarray(ids, dtype="<i8").tobytes() + rows.tobytes()
+    return magic + header + name + bytes(-len(name) % 8) + arrays + np.asarray(dists, dtype="<f8").tobytes()
+
+
+# item 0 at 0.0, item 1 at 1.0 and item 2 at 3.0 on a line, k = 2
+_LINE_IDS = [0, 1, 2]
+_LINE_ROWS = [[0, 1], [1, 0], [2, 1]]
+_LINE_DISTS = [[0.0, 1.0], [0.0, 1.0], [0.0, 2.0]]
+
+
+def _write_index(tmp_path, data):
     path = tmp_path / "bad.index"
-    path.write_text('{"schema": "something-else", "version": 1}\n')
+    path.write_bytes(data)
+    return path
+
+
+def test_index_file_layout(tmp_path):
+    index = build_index(_line_features([0.0, 1.0, 3.0]), k=2)
+    path = tmp_path / "line.index"
+    save_index(index, path)
+    assert path.read_bytes() == _index_bytes(_LINE_IDS, _LINE_ROWS, _LINE_DISTS, name=b"line")
+    back = load_index(path)
+    assert [back.neighbors(i) for i in _LINE_IDS] == [index.neighbors(i) for i in _LINE_IDS]
+
+
+def test_load_index_wrong_schema(tmp_path):
+    data = _index_bytes(_LINE_IDS, _LINE_ROWS, _LINE_DISTS, magic=b"SOMETHIN")
     with pytest.raises(FormatError):
-        load_index(path)
+        load_index(_write_index(tmp_path, data))
 
 
 def test_load_index_negative_id(tmp_path):
     # -1 pads short neighbor rows when they are stacked, so no id may be negative
-    path = tmp_path / "bad.index"
-    path.write_text(
-        '{"schema": "tierank.index", "version": 1, "channel": "x", "k": 2, "metric": "l1", "n": 2}\n'
-        '{"id": 0, "neighbors": [[0, 0.0], [-1, 1.0]]}\n'
-        '{"id": -1, "neighbors": [[-1, 0.0], [0, 1.0]]}\n'
-    )
-    with pytest.raises(FormatError):
-        load_index(path)
+    data = _index_bytes([-1, 0], [[-1, 0], [0, -1]], [[0.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(FormatError, match="negative"):
+        load_index(_write_index(tmp_path, data))
 
 
 def test_load_index_wrong_version(tmp_path):
-    path = tmp_path / "bad.index"
+    data = _index_bytes(_LINE_IDS, _LINE_ROWS, _LINE_DISTS, version=99)
+    with pytest.raises(FormatError, match="version"):
+        load_index(_write_index(tmp_path, data))
+
+
+def test_load_index_v1_json_asks_for_reindex(tmp_path):
+    path = tmp_path / "old.index"
     path.write_text(
-        '{"schema": "tierank.index", "version": 99, "channel": "x", "k": 2, "metric": "l1", "n": 0}\n'
+        '{"channel": "x", "k": 2, "metric": "l1", "n": 1, "schema": "tierank.index", "version": 1}\n'
+        '{"id": 0, "neighbors": [[0, 0.0]]}\n'
     )
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="tierank index"):
         load_index(path)
+
+
+def test_load_index_size_mismatch(tmp_path):
+    data = _index_bytes(_LINE_IDS, _LINE_ROWS, _LINE_DISTS)
+    for bad in (data[:-8], data + bytes(8)):
+        with pytest.raises(FormatError, match="size"):
+            load_index(_write_index(tmp_path, bad))
+
+
+def test_load_index_unsorted_or_duplicate_ids(tmp_path):
+    unsorted = _index_bytes([1, 0], [[1, 0], [0, 1]], [[0.0, 1.0], [0.0, 1.0]])
+    duplicate = _index_bytes([0, 0], [[0, 1], [0, 1]], [[0.0, 1.0], [0.0, 1.0]])
+    for data in (unsorted, duplicate):
+        with pytest.raises(FormatError, match="sorted and unique"):
+            load_index(_write_index(tmp_path, data))
+
+
+def test_load_index_row_not_led_by_owner(tmp_path):
+    wrong_owner = _index_bytes(_LINE_IDS, [[0, 1], [0, 1], [2, 1]], _LINE_DISTS)
+    nonzero_self = _index_bytes(_LINE_IDS, _LINE_ROWS, [[0.0, 1.0], [0.5, 1.0], [0.0, 2.0]])
+    for data in (wrong_owner, nonzero_self):
+        with pytest.raises(FormatError, match="owner"):
+            load_index(_write_index(tmp_path, data))
+
+
+def test_load_index_row_out_of_order(tmp_path):
+    rows = [[0, 1, 2], [1, 0, 2], [2, 1, 0]]
+    by_distance = _index_bytes(_LINE_IDS, rows, [[0.0, 3.0, 1.0], [0.0, 1.0, 2.0], [0.0, 2.0, 3.0]])
+    by_id = _index_bytes(_LINE_IDS, [[0, 2, 1], [1, 0, 2], [2, 1, 0]], [[0.0, 1.0, 1.0]] * 3)
+    not_finite = _index_bytes(_LINE_IDS, _LINE_ROWS, [[0.0, np.nan], [0.0, 1.0], [0.0, 2.0]])
+    for data in (by_distance, by_id, not_finite):
+        with pytest.raises(FormatError, match="order"):
+            load_index(_write_index(tmp_path, data))
+
+
+def test_load_index_neighbor_not_indexed(tmp_path):
+    data = _index_bytes(_LINE_IDS, [[0, 1], [1, 0], [2, 7]], _LINE_DISTS)
+    with pytest.raises(FormatError, match="not indexed"):
+        load_index(_write_index(tmp_path, data))
+
+
+def test_load_index_neighbor_named_twice(tmp_path):
+    rows = [[0, 1, 1], [1, 0, 2], [2, 1, 0]]
+    data = _index_bytes(_LINE_IDS, rows, [[0.0, 1.0, 3.0], [0.0, 1.0, 2.0], [0.0, 2.0, 3.0]])
+    with pytest.raises(FormatError, match="twice"):
+        load_index(_write_index(tmp_path, data))
 
 
 def test_round_trip_preserves_rerank_output(tmp_path):
@@ -333,6 +477,21 @@ def test_round_trip_preserves_rerank_output(tmp_path):
     back = load_index(path)
     for query in (0, 137, 999):
         assert tiered_rerank(index, query).entries == tiered_rerank(back, query).entries
+
+
+def test_with_virtual_is_a_one_row_overlay():
+    index = build_index(_line_features([0.0, 1.0, 3.0]), k=5)  # n < k: stored rows hold 3 ids
+    overlay = index.with_virtual(9, np.asarray([9, 1, 0, 2]), np.asarray([0.0, 0.5, 0.5, 1.5]))
+    assert overlay.neighbor_table is index.neighbor_table and 9 not in index
+    assert overlay.n == 4 and 9 in overlay and list(overlay.items()) == [0, 1, 2, 9]
+    assert overlay.neighbor_ids(9, 2).tolist() == [9, 1]
+    assert overlay.rows([2, 9, 0]).tolist() == [[2, 1, 0, -1], [9, 1, 0, 2], [0, 1, 2, -1]]
+    assert overlay.rows([9, 2], k=2).tolist() == [[9, 1], [2, 1]]
+    with pytest.raises(UnknownItemError):
+        overlay.rows([0, 7])
+    for bad in (1, -1):
+        with pytest.raises(FormatError):
+            index.with_virtual(bad, np.asarray([bad]), np.asarray([0.0]))
 
 
 def test_unknown_item_lookup():
