@@ -142,7 +142,11 @@ class TieredPairwise:
     graph's edge weights exactly.
 
     The C×C matrix is built once, in the constructor; an instance belongs
-    to a single query. ``batch(u)`` returns u's row in candidate_ids order.
+    to a single query. Per channel, a boolean support matrix marks each
+    candidate's k1 neighborhood, and only the linked pairs (u, i), at most
+    C·k1 of the C² entries, are counted: one flat gather of i's k2 row
+    against u's support row. ``batch(u)`` returns u's row in candidate_ids
+    order.
     """
 
     def __init__(
@@ -171,10 +175,16 @@ class TieredPairwise:
             support = np.zeros((cand.shape[0], uniq.shape[0]), dtype=bool)
             np.put_along_axis(support, local[:, :k1], True, axis=1)
             support[:, uniq < 0] = False  # the -1 pad of short rows is no neighbor
-            overlap = np.count_nonzero(support[:, local[:, :k2]], axis=2)
-            # every candidate id occurs in uniq: it leads its own neighbor row
-            linked = support[:, np.searchsorted(uniq, cand)]
-            weights += float(scale) * (linked * overlap)
+            # position[v]: candidate position of id uniq[v], or -1; every
+            # candidate id occurs in uniq, since it leads its own neighbor row
+            position = np.full(uniq.shape[0], -1, dtype=np.intp)
+            position[np.searchsorted(uniq, cand)] = np.arange(cand.shape[0])
+            link = position[local[:, :k1]]
+            u, col = np.nonzero(link >= 0)
+            j = link[u, col]
+            flat = u[:, None] * uniq.shape[0] + local[j, :k2]
+            overlap = np.count_nonzero(support.ravel().take(flat), axis=1)
+            weights[u, j] += float(scale) * overlap
         weights.setflags(write=False)
         self._weights = weights
 

@@ -73,9 +73,6 @@ class QueryGraph:
     alpha: float = 1.0
     overlap: dict[int, JaccardValue] | None = None
 
-    def rank_of(self, item: int) -> int:
-        return self.order.index(item)
-
 
 def _resolve_k(index: NeighborhoodIndex, k1: int | None, k2: int | None) -> tuple[int, int]:
     k1 = index.k if k1 is None else k1
@@ -212,6 +209,21 @@ def tiered_graph(
     return t1, t3
 
 
+def _jaccard_keys(t1: QueryGraph) -> list[float]:
+    """Each candidate's exact tier-1 Jaccard as a float, in ``t1.order``.
+
+    Sorting on these floats gives the exact Fraction order without building
+    a Fraction per candidate. A union never exceeds d = k1 + k2, so two
+    different values a/b and c/e (b, e <= d) differ by at least
+    1/(b·e) >= 1/d², while a correctly rounded quotient in [0, 1] is off by
+    at most 2**-54; distinct values therefore keep their order whenever
+    d² < 2**53, which holds for any k below 4·10**7. Equal fractions are the
+    same real number and round to the same float.
+    """
+    assert t1.overlap is not None
+    return [float(t1.overlap[item]) for item in t1.order]
+
+
 def tier1_rerank(
     index: NeighborhoodIndex,
     query: int,
@@ -221,12 +233,9 @@ def tier1_rerank(
 ) -> RankedList:
     """Candidates sorted by descending tier-1 weight (single-tier re-ranking)."""
     t1 = tier1_weights(index, query, alpha=alpha, k1=k1, k2=k2)
-    assert t1.overlap is not None
-    order = sorted(
-        t1.order,
-        key=lambda item: (-t1.overlap[item].value, t1.rank_of(item), item),
-    )
-    entries = tuple((item, t1.edges[item]) for item in order)
+    jac = _jaccard_keys(t1)
+    order = sorted(range(len(t1.order)), key=lambda pos: (-jac[pos], pos))
+    entries = tuple((t1.order[pos], t1.edges[t1.order[pos]]) for pos in order)
     return RankedList(query=query, entries=entries, tier="1", channel=index.channel_name)
 
 
@@ -241,21 +250,16 @@ def tiered_rerank(
     """Full three-tier re-ranking of the query's candidate set.
 
     Candidates sort by descending tier-3 weight; ties fall back to
-    descending tier-1 weight, then the original distance rank, then
+    descending exact tier-1 Jaccard, then the original distance rank, then
     ascending id. The query itself is always first, and the output is a
     permutation of the candidate set.
     """
     t1, t3 = tiered_graph(index, query, alpha=alpha, k1=k1, k2=k2, mode=mode)
-    assert t1.overlap is not None
-    rest = [item for item in t3.order if item != query]
-    rest.sort(
-        key=lambda item: (
-            -t3.edges[item],
-            -t1.overlap[item].value,
-            t3.rank_of(item),
-            item,
-        )
-    )
-    ordered = [query] + rest
+    jac = _jaccard_keys(t1)
+    # a candidate's distance rank is its position in t3.order; positions are
+    # distinct, so the id, the last tie-break, never has to decide
+    rest = [pos for pos, item in enumerate(t3.order) if item != query]
+    rest.sort(key=lambda pos: (-t3.edges[t3.order[pos]], -jac[pos], pos))
+    ordered = [query] + [t3.order[pos] for pos in rest]
     entries = tuple((item, t3.edges[item]) for item in ordered)
     return RankedList(query=query, entries=entries, tier="3", channel=index.channel_name)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from functools import partial
 
@@ -22,7 +24,9 @@ from tierank.fusion import (
     greedy_select,
     greedy_select_product,
 )
+from tierank.index import FeatureMatrix, build_index
 from tierank.oracles import oracle_greedy_select, oracle_pairwise
+from tierank.pipeline import Channel, attach_virtual_query, fused_graph_for_query, virtual_query_id
 from tierank.rerank import QueryGraph, tier1_weights, tier2_weights, tier3_weights, tiered_graph, tiered_rerank
 
 
@@ -202,6 +206,57 @@ def test_pairwise_symmetric_for_mutual_neighbors():
         for i in index.neighbor_ids(u, 5).tolist():
             if u in index.neighbor_ids(i, 5).tolist():
                 assert pw.batch(u)[i] == pw.batch(i)[u]  # candidate ids equal their rows
+
+
+@st.composite
+def _pairwise_instances(draw):
+    """Channels on shared sparse ids (k1, k2, alpha per channel) and a query.
+
+    Channel names are permuted against input order, n may be below k, and
+    a vector query adds a virtual row, one entry longer than the stored
+    rows when n < k, so those are padded.
+    """
+    n = draw(st.integers(2, 12))
+    m = draw(st.integers(2, 3))
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
+    names = draw(st.permutations([f"c{c}" for c in range(m)]))
+    channels = []
+    for name in names:
+        coords = draw(st.lists(st.lists(st.integers(0, 4), min_size=2, max_size=2), min_size=n, max_size=n))
+        fm = FeatureMatrix(channel_name=name, ids=ids, vectors=np.asarray(coords, dtype=np.float64))
+        k = draw(st.integers(1, 16))
+        channels.append(
+            Channel(
+                name=name,
+                index=build_index(fm, k=k),
+                k1=draw(st.integers(1, k)),
+                k2=draw(st.integers(1, k)),
+                alpha=draw(st.sampled_from([1.0, 0.3, 1.7, 2.5])),
+                features=fm,
+            )
+        )
+    if draw(st.booleans()):
+        query = virtual_query_id(channels)
+        vector = draw(st.lists(st.integers(0, 4), min_size=2, max_size=2))
+        channels = attach_virtual_query(channels, vector, query)
+    else:
+        query = draw(st.sampled_from(ids))
+    return channels, query
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pairwise_instances())
+def test_pairwise_matches_oracle_property(instance):
+    channels, query = instance
+    by_name = sorted(channels, key=lambda ch: ch.name)
+    candidates = sorted(fused_graph_for_query(channels, query).nodes)
+    pw = TieredPairwise(
+        [(ch.index, ch.k1, ch.k2) for ch in by_name],
+        candidates=candidates,
+        scales=[ch.alpha for ch in by_name],
+    )
+    for u in pw.candidate_ids:
+        assert pw.batch(u).tolist() == [oracle_pairwise(by_name, u, i) for i in pw.candidate_ids]
 
 
 # --- greedy selection ----------------------------------------------------------

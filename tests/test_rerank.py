@@ -22,6 +22,7 @@ from tierank.rerank import (
     tier1_weights,
     tier2_weights,
     tier3_weights,
+    tiered_graph,
     tiered_rerank,
 )
 from tierank.scenarios import gen_outlier_scenario
@@ -236,3 +237,27 @@ def test_rerank_tie_break_prefers_distance_rank():
     # B and D tie on both tier-3 and tier-1; B is nearer in the original list
     pos = {item: p for p, item in enumerate(ranked.ids())}
     assert pos[b] < pos[d]
+
+
+def test_rerank_tie_break_order_on_short_virtual_rows():
+    # items 0..9 on a line; virtual item 100 has a row shorter than k2, so
+    # its Jaccard to the virtual query 101 has the numerator of stored item
+    # 3's but a smaller denominator
+    fm = FeatureMatrix(channel_name="line", ids=list(range(10)), vectors=np.arange(10.0)[:, None])
+    index = build_index(fm, k=5)
+    index = index.with_virtual(100, [100, 5], [0.0, 1.0])
+    index = index.with_virtual(101, [101, 4, 5, 3, 100], [0.0, 1.0, 1.0, 2.0, 2.0])
+    t1, t3 = tiered_graph(index, 101, k1=5, k2=4)
+    exact = {item: jv.value for item, jv in t1.overlap.items()}
+    assert t3.edges[3] == t3.edges[100] == 2.0
+    assert (t1.overlap[3].numerator, t1.overlap[100].numerator) == (2, 2)
+    assert exact[3] == Fraction(2, 7) and exact[100] == Fraction(2, 5)
+    assert t3.edges[4] == t3.edges[5] == 3.0 and exact[4] == exact[5]
+
+    rest = sorted(
+        (item for item in t3.order if item != 101),
+        key=lambda item: (-t3.edges[item], -exact[item], t3.order.index(item), item),
+    )
+    assert tiered_rerank(index, 101, k1=5, k2=4).ids() == (101, 4, 5, 100, 3) == (101, *rest)
+    by_jaccard = sorted(t1.order, key=lambda item: (-exact[item], t1.order.index(item), item))
+    assert tier1_rerank(index, 101, k1=5, k2=4).ids() == tuple(by_jaccard)
