@@ -2,7 +2,8 @@
 
 Each ``[channel:<name>]`` section declares one feature channel; a shared
 ``[rerank]`` section holds the re-ranking knobs and ``[run]`` the seed.
-Channel sections keep their file order, which fixes the fusion order.
+Channel sections keep their file order, but fusion and the pairwise
+matrix sum channels in name order, so reordering sections changes no ranking.
 
 Example::
 

@@ -78,7 +78,7 @@ class FeatureMatrix:
             raise FormatError("id count does not match vector count")
         if ids.shape[0] == 0:
             raise FormatError("feature matrix has zero items")
-        if np.unique(ids).shape[0] != ids.shape[0]:
+        if len(set(ids.tolist())) != ids.shape[0]:
             raise FormatError("duplicate item ids in feature matrix")
         if (ids < 0).any():
             raise FormatError("item ids must be non-negative")
@@ -368,7 +368,9 @@ class NeighborhoodIndex:
 
         Used to treat an out-of-sample query as a temporary member of its
         own candidate set; the stored index is not modified, and nothing of
-        size n is copied.
+        size n is copied. The row must meet the identity every stored row
+        meets: led by ``item`` at distance 0, finite distances, no id named
+        twice, and every later id stored or already virtual.
         """
         if item in self:
             raise FormatError(f"virtual id {item} collides with an indexed item")
@@ -376,6 +378,19 @@ class NeighborhoodIndex:
             raise FormatError(f"virtual id {item} is negative")
         ids = np.array(ids, dtype=np.int64)
         dists = np.array(dists, dtype=np.float64)
+        if ids.ndim != 1 or ids.shape != dists.shape:
+            raise FormatError(f"virtual row {item}: ids and distances differ in length")
+        if ids.shape[0] == 0 or ids[0] != item or dists[0] != 0.0:
+            raise FormatError(f"virtual row {item} is not led by its owner at distance 0")
+        if not np.isfinite(dists).all():
+            raise FormatError(f"virtual row {item} has a non-finite distance")
+        if len(set(ids.tolist())) != ids.shape[0]:
+            raise FormatError(f"virtual row {item} names an id twice")
+        later = ids[1:]
+        pos = np.minimum(np.searchsorted(self.item_ids, later), self.item_ids.shape[0] - 1)
+        for other in later[self.item_ids[pos] != later].tolist():
+            if other not in self.virtual:
+                raise FormatError(f"virtual row {item} names {other}, which is neither stored nor virtual")
         ids.setflags(write=False)
         dists.setflags(write=False)
         return replace(self, virtual={**self.virtual, item: (ids, dists)})

@@ -11,9 +11,10 @@ from typing import Callable, Sequence
 
 from .errors import SizeError
 from .fusion import FusedGraph
-from .index import FeatureMatrix, Metric, distance
+from .index import FeatureMatrix, Metric, NeighborhoodIndex, distance
 from .pipeline import Channel
 from .ranking import FinalRanking
+from .rerank import TIER3_LITERAL, TIER3_QUERY_ANCHORED
 
 _ORACLE_LIMIT = 50
 
@@ -70,6 +71,41 @@ def oracle_pairwise(channels: Sequence[Channel], u: int, i: int) -> float:
                 shared += 1
         total += ch.alpha * shared
     return total
+
+
+def oracle_tier3(index: NeighborhoodIndex, query: int, k1: int, k2: int, mode: str) -> dict[int, int]:
+    """Tier-3 count of every candidate of ``query``, from plain sets.
+
+    Tier 1 counts, for each of the center's k1 neighbors x, how many of x's
+    k2 neighbors are also the center's k1 neighbors; tier 2 keeps the x
+    whose count is positive. The query-anchored count of x is the number of
+    x's k2 neighbors in the query's tier-2 support; the literal count is the
+    number in x's own tier-2 support, with x as the center.
+    """
+
+    def support(center: int) -> set[int]:
+        members = set(index.neighbor_ids(center, k1).tolist())
+        gated = set()
+        for x in members:
+            shared = 0
+            for nbr in index.neighbor_ids(x, k2).tolist():
+                if nbr in members:
+                    shared += 1
+            if shared > 0:
+                gated.add(x)
+        return gated
+
+    if mode not in (TIER3_QUERY_ANCHORED, TIER3_LITERAL):
+        raise ValueError(f"unknown tier-3 mode {mode!r}")
+    query_support = support(query)
+    counts = {}
+    for x in index.neighbor_ids(query, k1).tolist():
+        gated = query_support if mode == TIER3_QUERY_ANCHORED else support(x)
+        counts[x] = 0
+        for nbr in index.neighbor_ids(x, k2).tolist():
+            if nbr in gated:
+                counts[x] += 1
+    return counts
 
 
 def oracle_greedy_select(

@@ -3,16 +3,18 @@
 Tier 1 carries Jaccard overlap weights between the query's candidate set
 and each candidate's own neighborhood, tier 2 binarizes tier 1, and tier 3
 counts, for each candidate, how many of its neighbors are tier-2-connected
-to the query. Sorting by the tier-3 counts demotes candidates whose own
-neighborhoods point away from the query's, which is what makes the scheme
-robust to outliers sitting next to the query.
+to the query. Because every neighbor row starts with its owner, tier 3 is
+read off tier 1's overlap counts without touching the index again. Sorting
+by the tier-3 counts demotes candidates whose own neighborhoods point away
+from the query's, which is what makes the scheme robust to outliers sitting
+next to the query.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -59,8 +61,8 @@ class QueryGraph:
     """Weighted edges from one query to its candidate set, at one tier.
 
     ``order`` preserves the candidates' original distance ranking, which
-    later stages use for tie-breaking. Tier-1 graphs additionally carry the
-    exact Jaccard value per edge.
+    later stages use for tie-breaking. Tier-1 and tier-2 graphs additionally
+    carry the exact Jaccard value per edge.
     """
 
     query: int
@@ -84,11 +86,6 @@ def _resolve_k(index: NeighborhoodIndex, k1: int | None, k2: int | None) -> tupl
     return k1, k2
 
 
-def _overlap_counts(rows: np.ndarray, members: Sequence[int]) -> list[int]:
-    """|row ∩ members| for every row of a -1-padded neighbor-id matrix."""
-    return np.isin(rows, np.asarray(members, dtype=np.int64)).sum(axis=1).tolist()
-
-
 def tier1_weights(
     index: NeighborhoodIndex,
     query: int,
@@ -103,7 +100,7 @@ def tier1_weights(
     nearest = index.neighbor_ids(query, k1)
     candidates = tuple(nearest.tolist())
     rows = index.rows(nearest, k2)
-    counts = _overlap_counts(rows, nearest)
+    counts = np.isin(rows, nearest).sum(axis=1).tolist()
     lengths = np.count_nonzero(rows >= 0, axis=1).tolist()
     edges: dict[int, float] = {}
     overlap: dict[int, JaccardValue] = {}
@@ -126,24 +123,14 @@ def tier1_weights(
 
 
 def tier2_weights(tier1: QueryGraph) -> QueryGraph:
-    """Binarize tier 1: weight 1 iff the candidate overlaps the query's set at all."""
+    """Binarize tier 1: weight 1 iff the candidate overlaps the query's set at all.
+
+    Tier 1's exact overlaps pass through unchanged, for tier 3 to count from.
+    """
     if tier1.tier != 1 or tier1.overlap is None:
         raise FormatError("tier2_weights expects a tier-1 graph")
-    members = frozenset(tier1.order)
-    edges = {
-        item: 1.0 if (tier1.overlap[item].numerator > 0 and item in members) else 0.0
-        for item in tier1.order
-    }
-    return QueryGraph(
-        query=tier1.query,
-        tier=2,
-        edges=edges,
-        order=tier1.order,
-        k1=tier1.k1,
-        k2=tier1.k2,
-        channel=tier1.channel,
-        alpha=tier1.alpha,
-    )
+    edges = {item: 1.0 if tier1.overlap[item].numerator > 0 else 0.0 for item in tier1.order}
+    return replace(tier1, tier=2, edges=edges)
 
 
 def tier3_weights(
@@ -154,44 +141,31 @@ def tier3_weights(
 ) -> QueryGraph:
     """Integer edge weights counting tier-2 support inside each candidate's neighborhood.
 
-    The default mode scores candidate x by how many of x's neighbors are
-    tier-2-connected to the query. The "literal" mode instead re-anchors the
-    tier-2 weights at x itself, which is independent of the query and is
-    kept only as a documented comparison switch.
+    The default mode scores candidate x by how many of x's k2 neighbors are
+    tier-2-connected to the query. Every row starts with its owner, so every
+    candidate overlaps the query's set and tier 2 keeps them all; the count
+    is then |N_k2(x) ∩ N_k1(q)|, tier 1's numerator. The "literal" mode
+    instead re-anchors tier 2 at x itself, which is independent of the query
+    and is kept only as a documented comparison switch: x's own candidates
+    all pass x's gate, so it counts |N_k2(x) ∩ N_k1(x)|. Both sets are
+    prefixes of x's row, so that is min(k1, |N_k2(x)|), and tier 1's union
+    gives |N_k2(x)| = denominator - |N_k1(q)| + numerator. Neither mode
+    reads ``index`` again.
     """
-    if tier2.tier != 2:
-        raise FormatError("tier3_weights expects a tier-2 graph")
+    if tier2.tier != 2 or tier2.overlap is None:
+        raise FormatError("tier3_weights expects a tier-2 graph carrying tier 1's overlaps")
     if tier2.query != query:
         raise FormatError("tier-2 graph belongs to a different query")
-    if any(w not in (0.0, 1.0) for w in tier2.edges.values()):
-        raise FormatError("tier-2 weights must be 0 or 1")
-    k1, k2 = tier2.k1, tier2.k2
-    edges: dict[int, float] = {}
-    if mode == TIER3_QUERY_ANCHORED:
-        support = [item for item, w in tier2.edges.items() if w == 1.0]
-        counts = _overlap_counts(index.rows(tier2.order, k2), support)
-        for item, count in zip(tier2.order, counts):
-            edges[item] = float(count)
-    elif mode == TIER3_LITERAL:
-        for item in tier2.order:
-            own_t1 = tier1_weights(index, item, alpha=tier2.alpha, k1=k1, k2=k2)
-            own_t2 = tier2_weights(own_t1)
-            total = 0.0
-            for nbr in index.neighbor_ids(item, k2).tolist():
-                total += own_t2.edges.get(nbr, 0.0)
-            edges[item] = total
-    else:
+    if any(w != 1.0 for w in tier2.edges.values()):
+        raise FormatError("tier-2 weights must all be 1: a row led by its owner gates no candidate out")
+    if mode not in (TIER3_QUERY_ANCHORED, TIER3_LITERAL):
         raise ValueError(f"unknown tier-3 mode {mode!r}")
-    return QueryGraph(
-        query=query,
-        tier=3,
-        edges=edges,
-        order=tier2.order,
-        k1=k1,
-        k2=k2,
-        channel=tier2.channel,
-        alpha=tier2.alpha,
-    )
+    edges: dict[int, float] = {}
+    for item in tier2.order:
+        jv = tier2.overlap[item]
+        row_length = jv.denominator - len(tier2.order) + jv.numerator  # |N_k2(x)|
+        edges[item] = float(jv.numerator if mode == TIER3_QUERY_ANCHORED else min(tier2.k1, row_length))
+    return replace(tier2, tier=3, edges=edges, overlap=None)
 
 
 def tiered_graph(

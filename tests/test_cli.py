@@ -7,14 +7,16 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_features
 from tierank.cli import main
 from tierank.config import load_config
 from tierank.errors import DegenerateError, TierankError
-from tierank.index import load_index
+from tierank.index import load_index, write_features_csv
 from tierank.pipeline import Channel, rerank_query
 from tierank.ranking import read_rankings_tsv
 
@@ -95,6 +97,33 @@ def test_rerank_literal_mode_scores_are_constant(outlier_dirs, tmp_path):
     ranking = read_rankings_tsv(path)[0]
     scores = {score for _, score in ranking.entries}
     assert len(scores) == 1  # query-independent: every candidate scores the same
+
+
+def test_channel_section_order_leaves_rankings_unchanged(tmp_path):
+    # fusion and the pairwise matrix both sum channels in name order; with
+    # three channels at these alphas a different addition order changes
+    # the float sums, so the file order of the sections must not reach them
+    rng = np.random.default_rng(21)
+    sections = []
+    for name, alpha in (("zeta", 0.3), ("alpha", 1.7), ("mid", 2.5)):
+        write_features_csv(random_features(rng, 80, dim=3, channel=name), tmp_path / f"{name}.csv")
+        sections.append(f"[channel:{name}]\nfeatures = {name}.csv\nk1 = 12\nk2 = 7\nalpha = {alpha}\n")
+    vectors = tmp_path / "queries.vec"
+    vectors.write_text("\n".join(" ".join(map(str, v)) for v in rng.normal(size=(5, 3))) + "\n")
+    outputs = {}
+    for label, order in (("given", sections), ("reversed", sections[::-1])):
+        cfg = tmp_path / f"{label}.cfg"
+        cfg.write_text("\n".join(order))
+        assert main(["index", "--config", str(cfg), "--out-dir", str(tmp_path / label)]) == 0
+        for variant, extra in (("sum", []), ("product", ["--k-final", "2"])):
+            path = tmp_path / f"{label}-{variant}.tsv"
+            for queries in (["--query-ids", ",".join(map(str, range(0, 80, 3)))], ["--query-vectors", str(vectors)]):
+                assert main([
+                    "rerank", "--config", str(cfg), "--index-dir", str(tmp_path / label),
+                    *queries, "--mfr-variant", variant, *extra, "--out", str(path),
+                ]) == 0
+                outputs.setdefault(label, []).append(path.read_bytes())
+    assert outputs["given"] == outputs["reversed"]
 
 
 def test_rerank_vector_query_out_of_sample(outlier_dirs, tmp_path):

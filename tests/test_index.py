@@ -494,6 +494,29 @@ def test_with_virtual_is_a_one_row_overlay():
             index.with_virtual(bad, np.asarray([bad]), np.asarray([0.0]))
 
 
+@pytest.mark.parametrize(
+    "ids, dists",
+    [
+        ([9, 1], [0.0]),  # ids and distances differ in length
+        ([], []),  # no owner
+        ([7, 1], [0.0, 1.0]),  # not led by its owner
+        ([9, 1], [0.5, 1.0]),  # owner not at distance 0
+        ([9, 1], [0.0, np.inf]),  # non-finite distance
+        ([9, 1, 1], [0.0, 1.0, 1.0]),  # an id named twice
+        ([9, 9], [0.0, 0.0]),  # the owner named twice
+        ([9, 777], [0.0, 1.0]),  # neither stored nor virtual
+        ([9, 8], [0.0, 1.0]),  # a virtual id not yet attached
+    ],
+)
+def test_with_virtual_rejects_a_malformed_row(ids, dists):
+    index = build_index(_line_features([0.0, 1.0, 3.0]), k=5)
+    with pytest.raises(FormatError):
+        index.with_virtual(9, np.asarray(ids, dtype=np.int64), np.asarray(dists))
+    # a row may name a virtual item attached before it
+    overlay = index.with_virtual(8, [8, 2], [0.0, 1.0]).with_virtual(9, [9, 8, 0], [0.0, 1.0, 2.0])
+    assert overlay.rows([9, 8]).tolist() == [[9, 8, 0], [8, 2, -1]]
+
+
 def test_unknown_item_lookup():
     rng = np.random.default_rng(13)
     fm = random_features(rng, 6, dim=2)

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 from conftest import random_features
 from tierank.errors import EmptySetError, FormatError, UnknownItemError
-from tierank.index import FeatureMatrix, Metric, build_index
+from tierank.index import FeatureMatrix, Metric, build_index, knn_candidates
+from tierank.oracles import oracle_tier3
 from tierank.rerank import (
     TIER3_LITERAL,
+    TIER3_QUERY_ANCHORED,
     JaccardValue,
     QueryGraph,
     jaccard,
@@ -129,8 +131,9 @@ def test_tier2_all_candidates_connected():
     assert set(t2.edges.values()) == {1.0}
 
 
-def test_tier2_zero_overlap_edge_drops():
-    graph = QueryGraph(
+def _zero_overlap_tier1():
+    """A hand-made tier-1 graph whose candidate 5 shares nothing with the query's set."""
+    return QueryGraph(
         query=0,
         tier=1,
         edges={0: 1.0, 5: 0.0},
@@ -139,7 +142,10 @@ def test_tier2_zero_overlap_edge_drops():
         k2=2,
         overlap={0: JaccardValue(2, 2), 5: JaccardValue(0, 4)},
     )
-    t2 = tier2_weights(graph)
+
+
+def test_tier2_zero_overlap_edge_drops():
+    t2 = tier2_weights(_zero_overlap_tier1())
     assert t2.edges == {0: 1.0, 5: 0.0}
 
 
@@ -201,6 +207,52 @@ def test_tier3_literal_mode_is_query_independent():
     t1 = tier1_weights(index, 4)
     t3 = tier3_weights(index, 4, tier2_weights(t1), mode=TIER3_LITERAL)
     assert set(t3.edges.values()) == {6.0}
+
+
+@st.composite
+def _tier3_instances(draw):
+    """(index, query, k1, k2) on a tie-heavy integer grid with sparse unsorted ids.
+
+    n may be below k, k1 and k2 are drawn independently, and half of the
+    queries are virtual rows cut to any length from the owner alone up to
+    min(k, n + 1), one more than the stored width when n < k.
+    """
+    n = draw(st.integers(1, 12))
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
+    coords = draw(st.lists(st.lists(st.integers(0, 3), min_size=2, max_size=2), min_size=n, max_size=n))
+    fm = FeatureMatrix(channel_name="grid", ids=ids, vectors=np.asarray(coords, dtype=np.float64))
+    k = draw(st.integers(1, 16))
+    index = build_index(fm, k=k, metric=draw(st.sampled_from([Metric.L1, Metric.L2])))
+    k1, k2 = draw(st.integers(1, k)), draw(st.integers(1, k))
+    if draw(st.booleans()):
+        query = max(ids) + 1
+        vector = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2))
+        want = draw(st.integers(0, min(k - 1, n)))
+        near, dists = knn_candidates(fm, vector, max(want, 1), index.metric)
+        index = index.with_virtual(query, [query, *near[:want]], [0.0, *dists[:want]])
+    else:
+        query = draw(st.sampled_from(ids))
+    return index, query, k1, k2
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tier3_instances())
+def test_tier3_matches_set_oracle_property(instance):
+    index, query, k1, k2 = instance
+    for mode in (TIER3_QUERY_ANCHORED, TIER3_LITERAL):
+        t1, t3 = tiered_graph(index, query, k1=k1, k2=k2, mode=mode)
+        want = oracle_tier3(index, query, k1, k2, mode)
+        assert t3.order == t1.order == tuple(want)
+        assert t3.edges == {x: float(count) for x, count in want.items()}
+
+
+def test_tier3_rejects_a_gated_out_candidate():
+    # no row led by its owner can produce this tier-2 graph, and the closed
+    # forms would miscount it
+    index = build_index(random_features(np.random.default_rng(6), 6, dim=2), k=2)
+    for mode in (TIER3_QUERY_ANCHORED, TIER3_LITERAL):
+        with pytest.raises(FormatError):
+            tier3_weights(index, 0, tier2_weights(_zero_overlap_tier1()), mode)
 
 
 # --- tiered rerank ----------------------------------------------------------
