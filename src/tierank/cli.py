@@ -112,6 +112,8 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     tier3_mode = args.tier3_mode or config.tier3_mode
     variant = args.mfr_variant or config.variant
+    if args.k_final is not None and args.k_final < 1:
+        raise FormatError(f"k_final must be >= 1, got --k-final {args.k_final}")
     k_final = args.k_final if args.k_final is not None else config.k_final
     index_dir = Path(args.index_dir)
     need_features = bool(args.query_vectors)

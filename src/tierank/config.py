@@ -70,6 +70,8 @@ class PipelineConfig:
             raise FormatError(f"unknown tier3_mode {self.tier3_mode!r}")
         if self.variant not in (VARIANT_SUM, VARIANT_PRODUCT):
             raise FormatError(f"unknown selection variant {self.variant!r}")
+        if self.k_final is not None and self.k_final < 1:
+            raise FormatError(f"k_final must be >= 1, got {self.k_final}")
         for ch in self.channels:
             for k in (ch.k1, ch.k2):
                 if k is not None and k < 1:

@@ -7,6 +7,9 @@ all already-selected items is appended. The affinities between a query's
 candidates form one C×C matrix, built once per query by treating each
 candidate as a temporary ranking center over the per-channel indexes; the
 sum and the product selection variants read its rows in the same loop.
+The matrix's query row is the fused tier-3 weight of every candidate, so
+the pipeline takes its tie-break weights from that row and calls the
+array form of the loop, :func:`select_arrays`, without fusing graphs.
 """
 
 from __future__ import annotations
@@ -138,8 +141,10 @@ class TieredPairwise:
     i's weight off u's tiered graph: per channel, the count of i's k2
     neighbors inside u's k1 neighborhood, provided i is one of u's k1
     candidates at all; a missing edge contributes 0, mirroring fusion's
-    absent-channel rule. The query's row therefore reproduces the fused
-    graph's edge weights exactly.
+    absent-channel rule. The query's row therefore equals the fused
+    graph's edge weights bit for bit when channels come in name order, and
+    the pipeline reads its tie-break weights off that row instead of
+    building per-channel tiered graphs and fusing them.
 
     The C×C matrix is built once, in the constructor; an instance belongs
     to a single query. Per channel, a boolean support matrix marks each
@@ -152,7 +157,7 @@ class TieredPairwise:
     def __init__(
         self,
         channels: Sequence[tuple[NeighborhoodIndex, int, int]],
-        candidates: Sequence[int],
+        candidates: Sequence[int] | np.ndarray,
         scales: Sequence[float] | None = None,
     ) -> None:
         channels = list(channels)
@@ -160,9 +165,9 @@ class TieredPairwise:
             scales = [1.0] * len(channels)
         if len(scales) != len(channels):
             raise FormatError("one scale per channel required")
-        self.candidate_ids: tuple[int, ...] = tuple(sorted(set(int(c) for c in candidates)))
+        cand = np.unique(np.asarray(candidates, dtype=np.int64))
+        self.candidate_ids: tuple[int, ...] = tuple(cand.tolist())
         self._row_of = {item: pos for pos, item in enumerate(self.candidate_ids)}
-        cand = np.asarray(self.candidate_ids, dtype=np.int64)
         weights = np.zeros((cand.shape[0], cand.shape[0]), dtype=np.float64)
         # channels add up in the caller's order, which must match fusion's
         # accumulation order for the query's row to equal the fused edges
@@ -206,7 +211,7 @@ def greedy_select(fused: FusedGraph, pairwise: TieredPairwise, k: int) -> FinalR
     pool is exhausted. ``pairwise`` is anything with ``candidate_ids`` and
     ``batch(u)``, such as :class:`TieredPairwise`.
     """
-    return _select(fused, pairwise, k, product=False)
+    return _select_fused(fused, pairwise, k, product=False)
 
 
 def greedy_select_product(fused: FusedGraph, pairwise: TieredPairwise, k: int) -> FinalRanking:
@@ -218,31 +223,52 @@ def greedy_select_product(fused: FusedGraph, pairwise: TieredPairwise, k: int) -
     that condition raises DegenerateError. Kept for comparison; the sum
     form is the default.
     """
-    return _select(fused, pairwise, k, product=True)
+    return _select_fused(fused, pairwise, k, product=True)
 
 
-def _select(fused: FusedGraph, pairwise: TieredPairwise, k: int, product: bool) -> FinalRanking:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    query = fused.query
+def _select_fused(fused: FusedGraph, pairwise: TieredPairwise, k: int, product: bool) -> FinalRanking:
+    """:func:`select_arrays` with the tie-break keys and the pool read off ``fused``."""
     cand = pairwise.candidate_ids
     missing = fused.nodes.difference(cand)
     if missing:
         raise UnknownItemError(f"fused nodes {sorted(missing)} are not pairwise candidates")
+    weights = np.array([fused.edges.get(item, 0.0) for item in cand], dtype=np.float64)
+    ranks = np.array([fused.rank_of(item) for item in cand], dtype=np.int64)
+    pool = np.array([item in fused.nodes for item in cand], dtype=bool)
+    return select_arrays(fused.query, weights, ranks, fused.weight_ceiling, pairwise, k, product, pool)
+
+
+def select_arrays(
+    query: int,
+    weights: np.ndarray,
+    ranks: np.ndarray,
+    ceiling: float,
+    pairwise: TieredPairwise,
+    k: int,
+    product: bool = False,
+    pool: np.ndarray | None = None,
+) -> FinalRanking:
+    """The greedy selection loop behind :func:`greedy_select`, on arrays.
+
+    ``weights`` (fused weight to the query) and ``ranks`` (distance rank)
+    hold the static tie-break keys, one per entry of
+    ``pairwise.candidate_ids``; ``ceiling`` (the sum of per-channel k2)
+    normalizes the product variant's affinities. ``pool`` marks the
+    candidates that may be selected, by default all of them; the query
+    never is.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    ids = np.asarray(pairwise.candidate_ids, dtype=np.int64)
     # candidates sorted once by the static tie-break (higher fused weight,
     # lower distance rank, smaller id): argmax returns the first maximum,
     # which is then the one that wins the tie
-    order = np.array(
-        sorted(
-            range(len(cand)),
-            key=lambda p: (-fused.edges.get(cand[p], 0.0), fused.rank_of(cand[p]), cand[p]),
-        ),
-        dtype=np.intp,
-    )
-    items = [cand[p] for p in order]
-    live = np.array([item in fused.nodes and item != query for item in items], dtype=bool)
+    order = np.lexsort((ids, ranks, -weights))
+    items = ids[order].tolist()
+    live = ids[order] != query
+    if pool is not None:
+        live &= pool[order]
     acc = np.full(len(items), 1.0 if product else 0.0)
-    ceiling = fused.weight_ceiling
 
     selected = [query]
     scores = [0.0]

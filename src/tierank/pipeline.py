@@ -1,9 +1,12 @@
 """End-to-end per-query re-ranking across one or more feature channels.
 
-Single-channel runs emit the tiered re-ranked candidate list directly;
-multi-channel runs fuse the per-channel tier-3 graphs and grow the final
-list greedily. Out-of-sample queries are supported by injecting the query
-as a virtual member of its own candidate set, so no index is rebuilt.
+Single-channel runs emit the tiered re-ranked candidate list directly.
+Multi-channel runs take the union of the query's per-channel candidates,
+build their fused affinity matrix once, and grow the final list greedily;
+the fused tier-3 weights that break ties are the matrix's query row, so no
+per-channel tiered graph is built. Out-of-sample queries are supported by
+injecting the query as a virtual member of its own candidate set, so no
+index is rebuilt.
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionError, EmptyChannelListError, FormatError
-from .fusion import FusedGraph, TieredPairwise, fuse_graphs, greedy_select, greedy_select_product
+from .fusion import FusedGraph, TieredPairwise, fuse_graphs, select_arrays
 from .index import FeatureMatrix, NeighborhoodIndex, knn_candidates
 from .ranking import RankedList
-from .rerank import TIER3_QUERY_ANCHORED, tiered_graph, tiered_rerank
+from .rerank import TIER3_LITERAL, TIER3_QUERY_ANCHORED, resolve_k, tiered_graph, tiered_rerank
 
 VARIANT_SUM = "sum"
 VARIANT_PRODUCT = "product"
@@ -75,6 +78,7 @@ def fused_graph_for_query(
     query: int,
     mode: str = TIER3_QUERY_ANCHORED,
 ) -> FusedGraph:
+    """Per-channel tier-3 graphs of ``query``, fused; for inspection, not ranking."""
     graphs = []
     scales = []
     for ch in channels:
@@ -82,6 +86,50 @@ def fused_graph_for_query(
         graphs.append(t3)
         scales.append(ch.alpha)
     return fuse_graphs(graphs, scales=scales)
+
+
+def fused_query_arrays(
+    channels: Sequence[Channel],
+    query: int,
+    mode: str = TIER3_QUERY_ANCHORED,
+) -> tuple[TieredPairwise, np.ndarray, np.ndarray]:
+    """(pairwise matrix, fused weights, distance ranks) of a multi-channel query.
+
+    The candidates are the union of every channel's k1 row of the query.
+    Weights and ranks follow ``pairwise.candidate_ids`` and equal the edges
+    and ``distance_rank`` of :func:`fused_graph_for_query`: a candidate's
+    rank is its lowest position over the channels' rows, and its
+    query-anchored weight is the pairwise matrix's query row. The literal
+    weight sums alpha · min(k1, |N_k2(x)|) over the channels whose row
+    holds x. Both sums run in channel-name order, as fusion's do.
+    """
+    rows = []
+    for ch in channels:
+        resolve_k(ch.index, ch.alpha, ch.k1, ch.k2)
+        rows.append(ch.index.neighbor_ids(query, ch.k1))
+    if mode not in (TIER3_QUERY_ANCHORED, TIER3_LITERAL):
+        raise ValueError(f"unknown tier-3 mode {mode!r}")
+    names = [ch.index.channel_name for ch in channels]
+    if len(set(names)) != len(names):
+        raise FormatError(f"duplicate channel names in fusion: {names}")
+    by_name, nearest = zip(*sorted(zip(channels, rows), key=lambda pair: pair[0].name))
+    pairwise = TieredPairwise(
+        [(ch.index, ch.k1, ch.k2) for ch in by_name],
+        candidates=np.concatenate(nearest),
+        scales=[ch.alpha for ch in by_name],
+    )
+    cand = np.asarray(pairwise.candidate_ids, dtype=np.int64)
+    ranks = np.full(cand.shape[0], np.iinfo(np.int64).max)
+    at = [np.searchsorted(cand, row) for row in nearest]
+    for row, pos in zip(nearest, at):
+        ranks[pos] = np.minimum(ranks[pos], np.arange(row.shape[0]))
+    if mode == TIER3_QUERY_ANCHORED:
+        return pairwise, pairwise.batch(query), ranks
+    weights = np.zeros(cand.shape[0])
+    for ch, row, pos in zip(by_name, nearest, at):
+        lengths = np.count_nonzero(ch.index.rows(row, ch.k2) >= 0, axis=1)
+        weights[pos] += ch.alpha * np.minimum(ch.k1, lengths)
+    return pairwise, weights, ranks
 
 
 def rerank_query(
@@ -97,24 +145,14 @@ def rerank_query(
     if len(channels) == 1:
         ch = channels[0]
         return tiered_rerank(ch.index, query, alpha=ch.alpha, k1=ch.k1, k2=ch.k2, mode=mode)
-
-    fused = fused_graph_for_query(channels, query, mode=mode)
-    # name order matches fusion's accumulation order, so pairwise weights
-    # from the query reproduce the fused edges exactly even under scaling
-    by_name = sorted(channels, key=lambda ch: ch.name)
-    pairwise = TieredPairwise(
-        [(ch.index, ch.k1, ch.k2) for ch in by_name],
-        candidates=sorted(fused.nodes),
-        scales=[ch.alpha for ch in by_name],
-    )
+    pairwise, weights, ranks = fused_query_arrays(channels, query, mode=mode)
+    if variant not in (VARIANT_SUM, VARIANT_PRODUCT):
+        raise ValueError(f"unknown selection variant {variant!r}")
     if k_final is None:
         k_final = max(ch.k1 for ch in channels)
-    if variant == VARIANT_SUM:
-        final = greedy_select(fused, pairwise, k_final)
-    elif variant == VARIANT_PRODUCT:
-        final = greedy_select_product(fused, pairwise, k_final)
-    else:
-        raise ValueError(f"unknown selection variant {variant!r}")
+    ceiling = float(sum(ch.k2 for ch in channels))
+    product = variant == VARIANT_PRODUCT
+    final = select_arrays(query, weights, ranks, ceiling, pairwise, k_final, product=product)
     return final.to_ranked_list(tier="mfr")
 
 

@@ -76,7 +76,10 @@ class QueryGraph:
     overlap: dict[int, JaccardValue] | None = None
 
 
-def _resolve_k(index: NeighborhoodIndex, k1: int | None, k2: int | None) -> tuple[int, int]:
+def resolve_k(index: NeighborhoodIndex, alpha: float, k1: int | None, k2: int | None) -> tuple[int, int]:
+    """Check alpha and k1/k2 against the index; an unset k is the index's k."""
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
     k1 = index.k if k1 is None else k1
     k2 = index.k if k2 is None else k2
     if k1 < 1 or k2 < 1:
@@ -94,9 +97,7 @@ def tier1_weights(
     k2: int | None = None,
 ) -> QueryGraph:
     """Jaccard-weighted edges from the query to every candidate, scaled by alpha."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    k1, k2 = _resolve_k(index, k1, k2)
+    k1, k2 = resolve_k(index, alpha, k1, k2)
     nearest = index.neighbor_ids(query, k1)
     candidates = tuple(nearest.tolist())
     rows = index.rows(nearest, k2)

@@ -209,6 +209,37 @@ def test_fuse_alias_two_channels(tmp_path):
     assert ranking.tier == "mfr"
 
 
+@pytest.mark.parametrize("k_final", ["0", "-1"])
+def test_rerank_rejects_k_final_flag_below_one(tmp_path, capsys, k_final):
+    out, idx = tmp_path / "scen", tmp_path / "idx"
+    assert main(["synth", "--scenario", "two-manifold", "--seed", "0", "--out-dir", str(out)]) == 0
+    assert main(["index", "--config", str(out / "pipeline.cfg"), "--out-dir", str(idx)]) == 0
+    capsys.readouterr()
+    code = main([
+        "rerank", "--config", str(out / "pipeline.cfg"), "--index-dir", str(idx),
+        "--query-ids", "0", "--k-final", k_final,
+    ])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error\tFormatError\t") and "k_final" in err
+
+
+@pytest.mark.parametrize("scenario", ["two-manifold", "outlier"])
+def test_rerank_rejects_k_final_key_below_one(tmp_path, capsys, scenario):
+    out, idx = tmp_path / "scen", tmp_path / "idx"
+    assert main(["synth", "--scenario", scenario, "--seed", "0", "--out-dir", str(out)]) == 0
+    assert main(["index", "--config", str(out / "pipeline.cfg"), "--out-dir", str(idx)]) == 0
+    cfg = out / "pipeline.cfg"
+    text = cfg.read_text()
+    assert "k_final" not in text
+    cfg.write_text(text.replace("[rerank]\n", "[rerank]\nk_final = 0\n"))
+    capsys.readouterr()
+    code = main(["rerank", "--config", str(cfg), "--index-dir", str(idx), "--query-ids", "0"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error\tFormatError\t") and "k_final" in err
+
+
 def test_bench_smoke(capsys):
     code = main([
         "bench", "--n", "300", "--k", "5", "--m", "2", "--queries", "100",

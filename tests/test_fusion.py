@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dataclasses import replace
 from functools import partial
 
 from conftest import FunctionPairwise, fused_instance, random_channels
@@ -18,16 +19,34 @@ from tierank.errors import (
     UnknownItemError,
 )
 from tierank.fusion import (
+    FusedGraph,
     TieredPairwise,
     correlation_estimate,
     fuse_graphs,
     greedy_select,
     greedy_select_product,
 )
-from tierank.index import FeatureMatrix, build_index
-from tierank.oracles import oracle_greedy_select, oracle_pairwise
-from tierank.pipeline import Channel, attach_virtual_query, fused_graph_for_query, virtual_query_id
-from tierank.rerank import QueryGraph, tier1_weights, tier2_weights, tier3_weights, tiered_graph, tiered_rerank
+from tierank.index import FeatureMatrix, NeighborhoodIndex, build_index
+from tierank.oracles import brute_force_knn, oracle_greedy_select, oracle_pairwise, oracle_tier3
+from tierank.pipeline import (
+    Channel,
+    attach_virtual_query,
+    fused_graph_for_query,
+    fused_query_arrays,
+    rerank_query,
+    rerank_vector_query,
+    virtual_query_id,
+)
+from tierank.rerank import (
+    TIER3_LITERAL,
+    TIER3_QUERY_ANCHORED,
+    QueryGraph,
+    tier1_weights,
+    tier2_weights,
+    tier3_weights,
+    tiered_graph,
+    tiered_rerank,
+)
 
 
 def _tier3(query, edges, order, k1=4, k2=4, channel="c0"):
@@ -209,12 +228,13 @@ def test_pairwise_symmetric_for_mutual_neighbors():
 
 
 @st.composite
-def _pairwise_instances(draw):
+def _query_instances(draw):
     """Channels on shared sparse ids (k1, k2, alpha per channel) and a query.
 
     Channel names are permuted against input order, n may be below k, and
-    a vector query adds a virtual row, one entry longer than the stored
-    rows when n < k, so those are padded.
+    vectors sit on a small integer grid, so duplicates are common. Returns
+    (channels, query, vector): for a stored-id query the vector is None;
+    otherwise ``query`` is a free virtual id for the vector.
     """
     n = draw(st.integers(2, 12))
     m = draw(st.integers(2, 3))
@@ -236,11 +256,21 @@ def _pairwise_instances(draw):
             )
         )
     if draw(st.booleans()):
-        query = virtual_query_id(channels)
         vector = draw(st.lists(st.integers(0, 4), min_size=2, max_size=2))
+        return channels, virtual_query_id(channels), vector
+    return channels, draw(st.sampled_from(ids)), None
+
+
+@st.composite
+def _pairwise_instances(draw):
+    """A query instance with any vector query attached as a virtual row.
+
+    The virtual row is one entry longer than the stored rows when n < k,
+    so those are padded.
+    """
+    channels, query, vector = draw(_query_instances())
+    if vector is not None:
         channels = attach_virtual_query(channels, vector, query)
-    else:
-        query = draw(st.sampled_from(ids))
     return channels, query
 
 
@@ -257,6 +287,87 @@ def test_pairwise_matches_oracle_property(instance):
     )
     for u in pw.candidate_ids:
         assert pw.batch(u).tolist() == [oracle_pairwise(by_name, u, i) for i in pw.candidate_ids]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pairwise_instances(), st.sampled_from([TIER3_QUERY_ANCHORED, TIER3_LITERAL]))
+def test_fused_query_arrays_match_fused_graph_property(instance, mode):
+    channels, query = instance
+    pairwise, weights, ranks = fused_query_arrays(channels, query, mode=mode)
+    fused = fused_graph_for_query(channels, query, mode=mode)
+    cand = pairwise.candidate_ids
+    assert set(cand) == fused.nodes
+    want = np.array([fused.edges[item] for item in cand], dtype=np.float64)
+    assert weights.dtype == np.float64 and weights.tobytes() == want.tobytes()  # bit for bit
+    assert ranks.tolist() == [fused.distance_rank[item] for item in cand]
+
+
+def _oracle_rerank(channels, query, k_final, mode):
+    """The fused ranking composed from oracles.py alone: weights, ranks and selection."""
+    by_name = sorted(channels, key=lambda ch: ch.name)
+    edges, rank = {}, {}
+    for ch in by_name:
+        for item, count in oracle_tier3(ch.index, query, ch.k1, ch.k2, mode).items():
+            edges[item] = edges.get(item, 0.0) + ch.alpha * count
+        for pos, item in enumerate(ch.index.neighbor_ids(query, ch.k1).tolist()):
+            rank[item] = min(rank.get(item, pos), pos)
+    fused = FusedGraph(
+        query=query,
+        channels=tuple(ch.name for ch in by_name),
+        nodes=frozenset(edges),
+        edges=edges,
+        per_channel={},
+        distance_rank=rank,
+    )
+    k = k_final if k_final is not None else max(ch.k1 for ch in channels)
+    final = oracle_greedy_select(fused, partial(oracle_pairwise, by_name), k)
+    return tuple(zip(final.items, final.scores))
+
+
+def _oracle_overlay(channels, vector, vid):
+    """Channels with the query vector's row, found by brute force, overlaid."""
+    out = []
+    for ch in channels:
+        want = min(ch.index.k - 1, ch.features.n)
+        nearest = brute_force_knn(ch.features, vector, want, ch.index.metric) if want > 0 else []
+        ids = [vid] + [item for item, _ in nearest]
+        dists = [0.0] + [d for _, d in nearest]
+        out.append(replace(ch, index=ch.index.with_virtual(vid, ids, dists)))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _query_instances(),
+    st.sampled_from([TIER3_QUERY_ANCHORED, TIER3_LITERAL]),
+    st.sampled_from([None, 1, 2, 5]),
+)
+def test_rerank_query_matches_oracle_composition_property(instance, mode, k_final):
+    channels, query, vector = instance
+    if vector is None:
+        got = rerank_query(channels, query, k_final=k_final, mode=mode)
+        want = _oracle_rerank(channels, query, k_final, mode)
+    else:
+        got = rerank_vector_query(channels, vector, k_final=k_final, mode=mode, vid=query)
+        want = _oracle_rerank(_oracle_overlay(channels, vector, query), query, k_final, mode)
+    assert got.entries == want
+
+
+def test_fused_query_gathers_rows_once_per_channel(monkeypatch):
+    # the per-channel tiered graphs and fuse_graphs stay off the fused query
+    # path: TieredPairwise's one gather per channel is the only rows call
+    rng = np.random.default_rng(12)
+    channels = random_channels(rng, 80, 3, 6)
+    calls = []
+    rows = NeighborhoodIndex.rows
+
+    def counting_rows(self, items, k=None):
+        calls.append(self.channel_name)
+        return rows(self, items, k)
+
+    monkeypatch.setattr(NeighborhoodIndex, "rows", counting_rows)
+    rerank_query(channels, 17)
+    assert sorted(calls) == ["ch0", "ch1", "ch2"]
 
 
 # --- greedy selection ----------------------------------------------------------
