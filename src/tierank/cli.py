@@ -110,8 +110,6 @@ def _parse_query_vectors(path: str) -> list[np.ndarray]:
 
 def cmd_rerank(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    tier3_mode = args.tier3_mode or config.tier3_mode
-    variant = args.mfr_variant or config.variant
     if args.k_final is not None and args.k_final < 1:
         raise FormatError(f"k_final must be >= 1, got --k-final {args.k_final}")
     k_final = args.k_final if args.k_final is not None else config.k_final
@@ -122,20 +120,11 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     rankings: list[RankedList] = []
     query_ids = _parse_query_ids(args)
     if query_ids:
-        rankings.extend(
-            batch_rerank(
-                channels, query_ids, k_final=k_final, mode=tier3_mode, variant=variant,
-            )
-        )
+        rankings.extend(batch_rerank(channels, query_ids, k_final=k_final))
     if args.query_vectors:
         base_vid = virtual_query_id(channels)
         for offset, vec in enumerate(_parse_query_vectors(args.query_vectors)):
-            rankings.append(
-                rerank_vector_query(
-                    channels, vec, k_final=k_final, mode=tier3_mode,
-                    variant=variant, vid=base_vid + offset,
-                )
-            )
+            rankings.append(rerank_vector_query(channels, vec, k_final=k_final, vid=base_vid + offset))
     if not rankings:
         raise FormatError("no queries given; use --query-ids, --queries-file or --query-vectors")
 
@@ -261,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--query-vectors", help="file with one raw feature vector per line")
         p.add_argument("--out", help="output TSV path (default: stdout)")
         p.add_argument("--k-final", type=int, default=None)
-        p.add_argument("--tier3-mode", choices=["query-anchored", "literal"], default=None)
-        p.add_argument("--mfr-variant", choices=["sum", "product"], default=None)
         p.set_defaults(func=cmd_rerank)
 
     add_rerank("rerank", "re-rank queries over the configured channels")

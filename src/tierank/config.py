@@ -16,12 +16,14 @@ Example::
     alpha = 1.0
 
     [rerank]
-    tier3_mode = query-anchored
     k_final = 10
-    variant = sum
 
     [run]
     seed = 0
+
+Older ``tierank synth`` configs carry ``tier3_mode = query-anchored`` and
+``variant = sum`` under ``[rerank]``. Both keys are retired: those values are
+accepted and change nothing, and any other value is a :class:`FormatError`.
 """
 
 from __future__ import annotations
@@ -32,13 +34,14 @@ from pathlib import Path
 
 from .errors import FileAccessError, FormatError
 from .index import Metric
-from .pipeline import VARIANT_PRODUCT, VARIANT_SUM
-from .rerank import TIER3_LITERAL, TIER3_QUERY_ANCHORED
 
 # item-count heuristic used when a channel does not pin k explicitly
 SMALL_COLLECTION_K = 5
 LARGE_COLLECTION_K = 50
 LARGE_COLLECTION_THRESHOLD = 20_000
+
+# removed [rerank] keys and the one value each may still hold
+RETIRED_RERANK_KEYS = {"tier3_mode": "query-anchored", "variant": "sum"}
 
 
 @dataclass(frozen=True)
@@ -55,9 +58,7 @@ class ChannelConfig:
 @dataclass(frozen=True)
 class PipelineConfig:
     channels: tuple[ChannelConfig, ...]
-    tier3_mode: str = TIER3_QUERY_ANCHORED
     k_final: int | None = None
-    variant: str = VARIANT_SUM
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -66,10 +67,6 @@ class PipelineConfig:
         names = [ch.name for ch in self.channels]
         if len(set(names)) != len(names):
             raise FormatError(f"duplicate channel names: {names}")
-        if self.tier3_mode not in (TIER3_QUERY_ANCHORED, TIER3_LITERAL):
-            raise FormatError(f"unknown tier3_mode {self.tier3_mode!r}")
-        if self.variant not in (VARIANT_SUM, VARIANT_PRODUCT):
-            raise FormatError(f"unknown selection variant {self.variant!r}")
         if self.k_final is not None and self.k_final < 1:
             raise FormatError(f"k_final must be >= 1, got {self.k_final}")
         for ch in self.channels:
@@ -130,6 +127,12 @@ def load_config(path: str | Path) -> PipelineConfig:
 
     rerank_sec = parser["rerank"] if parser.has_section("rerank") else {}
     run_sec = parser["run"] if parser.has_section("run") else {}
+    for key, kept in RETIRED_RERANK_KEYS.items():
+        if key in rerank_sec and rerank_sec[key] != kept:
+            raise FormatError(
+                f"{path}: [rerank] {key} = {rerank_sec[key]!r}: this option was removed; "
+                f"delete the line (only {kept!r} is still accepted)"
+            )
     try:
         k_final = int(rerank_sec["k_final"]) if "k_final" in rerank_sec else None
         seed = int(run_sec.get("seed", 0))
@@ -138,9 +141,7 @@ def load_config(path: str | Path) -> PipelineConfig:
 
     return PipelineConfig(
         channels=tuple(channels),
-        tier3_mode=rerank_sec.get("tier3_mode", TIER3_QUERY_ANCHORED),
         k_final=k_final,
-        variant=rerank_sec.get("variant", VARIANT_SUM),
         seed=seed,
     )
 
@@ -159,10 +160,8 @@ def write_config(config: PipelineConfig, path: str | Path) -> None:
         lines.append(f"alpha = {ch.alpha!r}")
         lines.append("")
     lines.append("[rerank]")
-    lines.append(f"tier3_mode = {config.tier3_mode}")
     if config.k_final is not None:
         lines.append(f"k_final = {config.k_final}")
-    lines.append(f"variant = {config.variant}")
     lines.append("")
     lines.append("[run]")
     lines.append(f"seed = {config.seed}")

@@ -39,10 +39,6 @@ class EmptyChannelListError(TierankError):
     """Fusion was requested with zero channels."""
 
 
-class DegenerateError(TierankError):
-    """The product-form selection collapsed to all-zero scores."""
-
-
 class ClassSizeError(TierankError):
     """A metric requiring fixed class sizes saw a violating class."""
 

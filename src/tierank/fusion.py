@@ -5,33 +5,24 @@ union, edge union, and edge-weight summation. The final list is then grown
 greedily: at every step the candidate with the largest summed affinity to
 all already-selected items is appended. The affinities between a query's
 candidates form one C×C matrix, built once per query by treating each
-candidate as a temporary ranking center over the per-channel indexes; the
-sum and the product selection variants read its rows in the same loop.
-The matrix's query row is the fused tier-3 weight of every candidate, so
-the pipeline takes its tie-break weights from that row and calls the
-array form of the loop, :func:`select_arrays`, without fusing graphs.
+candidate as a temporary ranking center over the per-channel indexes, and
+the selection loop reads one of its rows per step. The matrix's query row
+is the fused tier-3 weight of every candidate, so the pipeline takes its
+tie-break weights from that row and calls the array form of the loop,
+:func:`select_arrays`, without fusing graphs.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateError,
-    EmptyChannelListError,
-    FormatError,
-    QueryMismatchError,
-    UnknownItemError,
-)
+from .errors import EmptyChannelListError, FormatError, QueryMismatchError, UnknownItemError
 from .index import NeighborhoodIndex
 from .ranking import FinalRanking
 from .rerank import QueryGraph
-
-logger = logging.getLogger(__name__)
 
 _NO_RANK = 1 << 40
 
@@ -44,29 +35,14 @@ class FusedGraph:
     channels: tuple[str, ...]
     nodes: frozenset[int]
     edges: dict[int, float]
-    per_channel: dict[str, QueryGraph]
     distance_rank: dict[int, int]
 
     @property
     def m(self) -> int:
         return len(self.channels)
 
-    @property
-    def weight_ceiling(self) -> float:
-        """Largest fused weight a node can carry: sum of per-channel k2."""
-        return float(sum(g.k2 for g in self.per_channel.values()))
-
     def rank_of(self, item: int) -> int:
         return self.distance_rank.get(item, _NO_RANK)
-
-
-@dataclass(frozen=True)
-class CorrelationEstimate:
-    """Fused weight rescaled to [0, 1]; monotone in the fused weight."""
-
-    item: int
-    p_hat: float
-    clamped: bool = False
 
 
 def fuse_graphs(
@@ -117,21 +93,8 @@ def fuse_graphs(
         channels=tuple(names),
         nodes=frozenset(nodes),
         edges=edges,
-        per_channel=by_name,
         distance_rank=rank,
     )
-
-
-def correlation_estimate(fused: FusedGraph, item: int) -> CorrelationEstimate:
-    """Normalize an item's fused weight by the fused weight ceiling."""
-    if item not in fused.nodes:
-        raise UnknownItemError(f"item {item} not in fused graph")
-    ceiling = fused.weight_ceiling
-    raw = fused.edges.get(item, 0.0) / ceiling
-    clamped = raw < 0.0 or raw > 1.0
-    if clamped:
-        logger.warning("correlation estimate %.6f for item %d clamped to [0, 1]", raw, item)
-    return CorrelationEstimate(item=item, p_hat=min(1.0, max(0.0, raw)), clamped=clamped)
 
 
 class TieredPairwise:
@@ -211,23 +174,6 @@ def greedy_select(fused: FusedGraph, pairwise: TieredPairwise, k: int) -> FinalR
     pool is exhausted. ``pairwise`` is anything with ``candidate_ids`` and
     ``batch(u)``, such as :class:`TieredPairwise`.
     """
-    return _select_fused(fused, pairwise, k, product=False)
-
-
-def greedy_select_product(fused: FusedGraph, pairwise: TieredPairwise, k: int) -> FinalRanking:
-    """Product-form variant of :func:`greedy_select`.
-
-    Maximizes the product of normalized affinities instead of their sum.
-    A single zero affinity from any selected item nulls a candidate, so
-    the step degenerates as soon as every candidate's product is zero;
-    that condition raises DegenerateError. Kept for comparison; the sum
-    form is the default.
-    """
-    return _select_fused(fused, pairwise, k, product=True)
-
-
-def _select_fused(fused: FusedGraph, pairwise: TieredPairwise, k: int, product: bool) -> FinalRanking:
-    """:func:`select_arrays` with the tie-break keys and the pool read off ``fused``."""
     cand = pairwise.candidate_ids
     missing = fused.nodes.difference(cand)
     if missing:
@@ -235,27 +181,23 @@ def _select_fused(fused: FusedGraph, pairwise: TieredPairwise, k: int, product: 
     weights = np.array([fused.edges.get(item, 0.0) for item in cand], dtype=np.float64)
     ranks = np.array([fused.rank_of(item) for item in cand], dtype=np.int64)
     pool = np.array([item in fused.nodes for item in cand], dtype=bool)
-    return select_arrays(fused.query, weights, ranks, fused.weight_ceiling, pairwise, k, product, pool)
+    return select_arrays(fused.query, weights, ranks, pairwise, k, pool)
 
 
 def select_arrays(
     query: int,
     weights: np.ndarray,
     ranks: np.ndarray,
-    ceiling: float,
     pairwise: TieredPairwise,
     k: int,
-    product: bool = False,
     pool: np.ndarray | None = None,
 ) -> FinalRanking:
     """The greedy selection loop behind :func:`greedy_select`, on arrays.
 
     ``weights`` (fused weight to the query) and ``ranks`` (distance rank)
     hold the static tie-break keys, one per entry of
-    ``pairwise.candidate_ids``; ``ceiling`` (the sum of per-channel k2)
-    normalizes the product variant's affinities. ``pool`` marks the
-    candidates that may be selected, by default all of them; the query
-    never is.
+    ``pairwise.candidate_ids``. ``pool`` marks the candidates that may be
+    selected, by default all of them; the query never is.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -268,19 +210,13 @@ def select_arrays(
     live = ids[order] != query
     if pool is not None:
         live &= pool[order]
-    acc = np.full(len(items), 1.0 if product else 0.0)
+    acc = np.zeros(len(items))
 
     selected = [query]
     scores = [0.0]
     for _ in range(min(k, int(live.sum()))):
-        row = pairwise.batch(selected[-1])[order]
-        if product:
-            acc *= np.clip(row / ceiling, 0.0, 1.0)
-        else:
-            acc += row
+        acc += pairwise.batch(selected[-1])[order]
         pos = int(np.where(live, acc, -np.inf).argmax())
-        if product and acc[pos] == 0.0:
-            raise DegenerateError(f"all candidate products are zero after {len(selected)} selections")
         live[pos] = False
         selected.append(items[pos])
         scores.append(float(acc[pos]))

@@ -20,10 +20,7 @@ from .errors import DimensionError, EmptyChannelListError, FormatError
 from .fusion import FusedGraph, TieredPairwise, fuse_graphs, select_arrays
 from .index import FeatureMatrix, NeighborhoodIndex, knn_candidates
 from .ranking import RankedList
-from .rerank import TIER3_LITERAL, TIER3_QUERY_ANCHORED, resolve_k, tiered_graph, tiered_rerank
-
-VARIANT_SUM = "sum"
-VARIANT_PRODUCT = "product"
+from .rerank import resolve_k, tiered_graph, tiered_rerank
 
 
 @dataclass(frozen=True)
@@ -73,42 +70,33 @@ def attach_virtual_query(channels: Sequence[Channel], vector: Iterable[float], v
     return out
 
 
-def fused_graph_for_query(
-    channels: Sequence[Channel],
-    query: int,
-    mode: str = TIER3_QUERY_ANCHORED,
-) -> FusedGraph:
+def fused_graph_for_query(channels: Sequence[Channel], query: int) -> FusedGraph:
     """Per-channel tier-3 graphs of ``query``, fused; for inspection, not ranking."""
     graphs = []
     scales = []
     for ch in channels:
-        _, t3 = tiered_graph(ch.index, query, alpha=ch.alpha, k1=ch.k1, k2=ch.k2, mode=mode)
+        _, t3 = tiered_graph(ch.index, query, alpha=ch.alpha, k1=ch.k1, k2=ch.k2)
         graphs.append(t3)
         scales.append(ch.alpha)
     return fuse_graphs(graphs, scales=scales)
 
 
 def fused_query_arrays(
-    channels: Sequence[Channel],
-    query: int,
-    mode: str = TIER3_QUERY_ANCHORED,
+    channels: Sequence[Channel], query: int
 ) -> tuple[TieredPairwise, np.ndarray, np.ndarray]:
     """(pairwise matrix, fused weights, distance ranks) of a multi-channel query.
 
     The candidates are the union of every channel's k1 row of the query.
     Weights and ranks follow ``pairwise.candidate_ids`` and equal the edges
     and ``distance_rank`` of :func:`fused_graph_for_query`: a candidate's
-    rank is its lowest position over the channels' rows, and its
-    query-anchored weight is the pairwise matrix's query row. The literal
-    weight sums alpha · min(k1, |N_k2(x)|) over the channels whose row
-    holds x. Both sums run in channel-name order, as fusion's do.
+    rank is its lowest position over the channels' rows, and its weight is
+    the pairwise matrix's query row, summed in channel-name order, as
+    fusion's is.
     """
     rows = []
     for ch in channels:
         resolve_k(ch.index, ch.alpha, ch.k1, ch.k2)
         rows.append(ch.index.neighbor_ids(query, ch.k1))
-    if mode not in (TIER3_QUERY_ANCHORED, TIER3_LITERAL):
-        raise ValueError(f"unknown tier-3 mode {mode!r}")
     names = [ch.index.channel_name for ch in channels]
     if len(set(names)) != len(names):
         raise FormatError(f"duplicate channel names in fusion: {names}")
@@ -120,39 +108,27 @@ def fused_query_arrays(
     )
     cand = np.asarray(pairwise.candidate_ids, dtype=np.int64)
     ranks = np.full(cand.shape[0], np.iinfo(np.int64).max)
-    at = [np.searchsorted(cand, row) for row in nearest]
-    for row, pos in zip(nearest, at):
+    for row in nearest:
+        pos = np.searchsorted(cand, row)
         ranks[pos] = np.minimum(ranks[pos], np.arange(row.shape[0]))
-    if mode == TIER3_QUERY_ANCHORED:
-        return pairwise, pairwise.batch(query), ranks
-    weights = np.zeros(cand.shape[0])
-    for ch, row, pos in zip(by_name, nearest, at):
-        lengths = np.count_nonzero(ch.index.rows(row, ch.k2) >= 0, axis=1)
-        weights[pos] += ch.alpha * np.minimum(ch.k1, lengths)
-    return pairwise, weights, ranks
+    return pairwise, pairwise.batch(query), ranks
 
 
 def rerank_query(
     channels: Sequence[Channel],
     query: int,
     k_final: int | None = None,
-    mode: str = TIER3_QUERY_ANCHORED,
-    variant: str = VARIANT_SUM,
 ) -> RankedList:
     """Re-rank one query; fuses channels when more than one is configured."""
     if len(channels) == 0:
         raise EmptyChannelListError("at least one channel required")
     if len(channels) == 1:
         ch = channels[0]
-        return tiered_rerank(ch.index, query, alpha=ch.alpha, k1=ch.k1, k2=ch.k2, mode=mode)
-    pairwise, weights, ranks = fused_query_arrays(channels, query, mode=mode)
-    if variant not in (VARIANT_SUM, VARIANT_PRODUCT):
-        raise ValueError(f"unknown selection variant {variant!r}")
+        return tiered_rerank(ch.index, query, alpha=ch.alpha, k1=ch.k1, k2=ch.k2)
+    pairwise, weights, ranks = fused_query_arrays(channels, query)
     if k_final is None:
         k_final = max(ch.k1 for ch in channels)
-    ceiling = float(sum(ch.k2 for ch in channels))
-    product = variant == VARIANT_PRODUCT
-    final = select_arrays(query, weights, ranks, ceiling, pairwise, k_final, product=product)
+    final = select_arrays(query, weights, ranks, pairwise, k_final)
     return final.to_ranked_list(tier="mfr")
 
 
@@ -160,23 +136,19 @@ def rerank_vector_query(
     channels: Sequence[Channel],
     vector: Iterable[float],
     k_final: int | None = None,
-    mode: str = TIER3_QUERY_ANCHORED,
-    variant: str = VARIANT_SUM,
     vid: int | None = None,
 ) -> RankedList:
     """Re-rank an out-of-sample query given as a raw vector."""
     if vid is None:
         vid = virtual_query_id(channels)
     extended = attach_virtual_query(channels, vector, vid)
-    return rerank_query(extended, vid, k_final=k_final, mode=mode, variant=variant)
+    return rerank_query(extended, vid, k_final=k_final)
 
 
 def batch_rerank(
     channels: Sequence[Channel],
     queries: Sequence[int],
     k_final: int | None = None,
-    mode: str = TIER3_QUERY_ANCHORED,
-    variant: str = VARIANT_SUM,
 ) -> list[RankedList]:
     """Re-rank many queries; results come back in input order."""
-    return [rerank_query(channels, q, k_final=k_final, mode=mode, variant=variant) for q in queries]
+    return [rerank_query(channels, q, k_final=k_final) for q in queries]

@@ -22,9 +22,6 @@ from .errors import EmptySetError, FormatError
 from .index import NeighborhoodIndex
 from .ranking import RankedList
 
-TIER3_QUERY_ANCHORED = "query-anchored"
-TIER3_LITERAL = "literal"
-
 
 @dataclass(frozen=True)
 class JaccardValue:
@@ -134,24 +131,14 @@ def tier2_weights(tier1: QueryGraph) -> QueryGraph:
     return replace(tier1, tier=2, edges=edges)
 
 
-def tier3_weights(
-    index: NeighborhoodIndex,
-    query: int,
-    tier2: QueryGraph,
-    mode: str = TIER3_QUERY_ANCHORED,
-) -> QueryGraph:
+def tier3_weights(index: NeighborhoodIndex, query: int, tier2: QueryGraph) -> QueryGraph:
     """Integer edge weights counting tier-2 support inside each candidate's neighborhood.
 
-    The default mode scores candidate x by how many of x's k2 neighbors are
-    tier-2-connected to the query. Every row starts with its owner, so every
-    candidate overlaps the query's set and tier 2 keeps them all; the count
-    is then |N_k2(x) ∩ N_k1(q)|, tier 1's numerator. The "literal" mode
-    instead re-anchors tier 2 at x itself, which is independent of the query
-    and is kept only as a documented comparison switch: x's own candidates
-    all pass x's gate, so it counts |N_k2(x) ∩ N_k1(x)|. Both sets are
-    prefixes of x's row, so that is min(k1, |N_k2(x)|), and tier 1's union
-    gives |N_k2(x)| = denominator - |N_k1(q)| + numerator. Neither mode
-    reads ``index`` again.
+    Candidate x scores how many of its k2 neighbors are tier-2-connected to
+    the query. Every row starts with its owner, so every candidate overlaps
+    the query's set and tier 2 keeps them all; the count is then
+    |N_k2(x) ∩ N_k1(q)|, tier 1's numerator, and ``index`` is not read
+    again.
     """
     if tier2.tier != 2 or tier2.overlap is None:
         raise FormatError("tier3_weights expects a tier-2 graph carrying tier 1's overlaps")
@@ -159,13 +146,7 @@ def tier3_weights(
         raise FormatError("tier-2 graph belongs to a different query")
     if any(w != 1.0 for w in tier2.edges.values()):
         raise FormatError("tier-2 weights must all be 1: a row led by its owner gates no candidate out")
-    if mode not in (TIER3_QUERY_ANCHORED, TIER3_LITERAL):
-        raise ValueError(f"unknown tier-3 mode {mode!r}")
-    edges: dict[int, float] = {}
-    for item in tier2.order:
-        jv = tier2.overlap[item]
-        row_length = jv.denominator - len(tier2.order) + jv.numerator  # |N_k2(x)|
-        edges[item] = float(jv.numerator if mode == TIER3_QUERY_ANCHORED else min(tier2.k1, row_length))
+    edges = {item: float(tier2.overlap[item].numerator) for item in tier2.order}
     return replace(tier2, tier=3, edges=edges, overlap=None)
 
 
@@ -175,12 +156,11 @@ def tiered_graph(
     alpha: float = 1.0,
     k1: int | None = None,
     k2: int | None = None,
-    mode: str = TIER3_QUERY_ANCHORED,
 ) -> tuple[QueryGraph, QueryGraph]:
     """Convenience: (tier-1 graph, tier-3 graph) for one query on one channel."""
     t1 = tier1_weights(index, query, alpha=alpha, k1=k1, k2=k2)
     t2 = tier2_weights(t1)
-    t3 = tier3_weights(index, query, t2, mode=mode)
+    t3 = tier3_weights(index, query, t2)
     return t1, t3
 
 
@@ -220,7 +200,6 @@ def tiered_rerank(
     alpha: float = 1.0,
     k1: int | None = None,
     k2: int | None = None,
-    mode: str = TIER3_QUERY_ANCHORED,
 ) -> RankedList:
     """Full three-tier re-ranking of the query's candidate set.
 
@@ -229,7 +208,7 @@ def tiered_rerank(
     ascending id. The query itself is always first, and the output is a
     permutation of the candidate set.
     """
-    t1, t3 = tiered_graph(index, query, alpha=alpha, k1=k1, k2=k2, mode=mode)
+    t1, t3 = tiered_graph(index, query, alpha=alpha, k1=k1, k2=k2)
     jac = _jaccard_keys(t1)
     # a candidate's distance rank is its position in t3.order; positions are
     # distinct, so the id, the last tie-break, never has to decide

@@ -1,0 +1,36 @@
+"""The package's public names: all resolve, and removed ones stay gone."""
+
+from __future__ import annotations
+
+import importlib
+
+import tierank
+
+# (module, name) pairs removed with the literal tier-3 mode, the product
+# selection variant and its normalised-weight helpers
+REMOVED = [
+    ("tierank.errors", "DegenerateError"),
+    ("tierank.fusion", "CorrelationEstimate"),
+    ("tierank.fusion", "correlation_estimate"),
+    ("tierank.fusion", "greedy_select_product"),
+    ("tierank.rerank", "TIER3_LITERAL"),
+    ("tierank.rerank", "TIER3_QUERY_ANCHORED"),
+    ("tierank.pipeline", "VARIANT_SUM"),
+    ("tierank.pipeline", "VARIANT_PRODUCT"),
+]
+
+
+def test_every_public_name_resolves():
+    assert len(set(tierank.__all__)) == len(tierank.__all__)
+    for name in tierank.__all__:
+        getattr(tierank, name)  # raises AttributeError on a dangling entry
+
+
+def test_removed_names_are_gone():
+    for module, name in REMOVED:
+        assert name not in tierank.__all__
+        assert not hasattr(tierank, name)
+        assert not hasattr(importlib.import_module(module), name), f"{module}.{name}"
+    assert not hasattr(tierank.FusedGraph, "weight_ceiling")
+    fields = importlib.import_module("tierank.config").PipelineConfig.__dataclass_fields__
+    assert "tier3_mode" not in fields and "variant" not in fields

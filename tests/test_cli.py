@@ -6,6 +6,8 @@ import contextlib
 import hashlib
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +17,8 @@ from hypothesis import strategies as st
 from conftest import random_features
 from tierank.cli import main
 from tierank.config import load_config
-from tierank.errors import DegenerateError, TierankError
-from tierank.index import load_index, write_features_csv
-from tierank.pipeline import Channel, rerank_query
+from tierank.errors import TierankError
+from tierank.index import Metric, load_index, write_features_csv
 from tierank.ranking import read_rankings_tsv
 
 
@@ -87,18 +88,6 @@ def test_rerank_batch_order(outlier_dirs, tmp_path):
     assert queries == [0, 5, 2, 9, 1]
 
 
-def test_rerank_literal_mode_scores_are_constant(outlier_dirs, tmp_path):
-    out, idx = outlier_dirs
-    path = tmp_path / "lit.tsv"
-    assert main([
-        "rerank", "--config", str(out / "pipeline.cfg"), "--index-dir", str(idx),
-        "--query-ids", "0", "--tier3-mode", "literal", "--out", str(path),
-    ]) == 0
-    ranking = read_rankings_tsv(path)[0]
-    scores = {score for _, score in ranking.entries}
-    assert len(scores) == 1  # query-independent: every candidate scores the same
-
-
 def test_channel_section_order_leaves_rankings_unchanged(tmp_path):
     # fusion and the pairwise matrix both sum channels in name order; with
     # three channels at these alphas a different addition order changes
@@ -115,14 +104,13 @@ def test_channel_section_order_leaves_rankings_unchanged(tmp_path):
         cfg = tmp_path / f"{label}.cfg"
         cfg.write_text("\n".join(order))
         assert main(["index", "--config", str(cfg), "--out-dir", str(tmp_path / label)]) == 0
-        for variant, extra in (("sum", []), ("product", ["--k-final", "2"])):
-            path = tmp_path / f"{label}-{variant}.tsv"
-            for queries in (["--query-ids", ",".join(map(str, range(0, 80, 3)))], ["--query-vectors", str(vectors)]):
-                assert main([
-                    "rerank", "--config", str(cfg), "--index-dir", str(tmp_path / label),
-                    *queries, "--mfr-variant", variant, *extra, "--out", str(path),
-                ]) == 0
-                outputs.setdefault(label, []).append(path.read_bytes())
+        path = tmp_path / f"{label}.tsv"
+        for queries in (["--query-ids", ",".join(map(str, range(0, 80, 3)))], ["--query-vectors", str(vectors)]):
+            assert main([
+                "rerank", "--config", str(cfg), "--index-dir", str(tmp_path / label),
+                *queries, "--out", str(path),
+            ]) == 0
+            outputs.setdefault(label, []).append(path.read_bytes())
     assert outputs["given"] == outputs["reversed"]
 
 
@@ -189,6 +177,74 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["rerank"])  # missing required arguments
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["rerank", "fuse"])
+@pytest.mark.parametrize("flag", [
+    ["--tier3-mode", "literal"], ["--tier3-mode", "query-anchored"],
+    ["--mfr-variant", "product"], ["--mfr-variant", "sum"],
+])
+def test_removed_rerank_flags_are_usage_errors(tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([
+            command, "--config", str(tmp_path / "pipeline.cfg"), "--index-dir", str(tmp_path),
+            "--query-ids", "0", *flag,
+        ])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["tier3_mode = literal", "variant = product", "variant = Sum"])
+def test_removed_rerank_config_values_are_data_errors(outlier_dirs, capsys, line):
+    out, idx = outlier_dirs
+    cfg = out / "pipeline.cfg"
+    cfg.write_text(cfg.read_text().replace("[rerank]\n", f"[rerank]\n{line}\n"))
+    capsys.readouterr()
+    for argv in (["index", "--out-dir", str(idx)], ["rerank", "--index-dir", str(idx), "--query-ids", "0"]):
+        assert main([argv[0], "--config", str(cfg), *argv[1:]]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error\tFormatError\t")
+        assert line.split(" = ")[0] in err and "removed" in err
+
+
+@pytest.mark.parametrize("scenario", ["two-manifold", "outlier"])
+def test_older_synth_config_keys_still_load(tmp_path, scenario):
+    # earlier `synth` runs wrote the two retired keys with their one kept value
+    out, idx = tmp_path / "scen", tmp_path / "idx"
+    assert main(["synth", "--scenario", scenario, "--seed", "0", "--out-dir", str(out)]) == 0
+    assert main(["index", "--config", str(out / "pipeline.cfg"), "--out-dir", str(idx)]) == 0
+    text = (out / "pipeline.cfg").read_text()
+    assert "tier3_mode" not in text and "variant" not in text
+    older = out / "older.cfg"
+    older.write_text(text.replace("[rerank]\n", "[rerank]\ntier3_mode = query-anchored\nvariant = sum\n"))
+    tsv = {}
+    for cfg in (out / "pipeline.cfg", older):
+        tsv[cfg] = tmp_path / f"{cfg.stem}.tsv"
+        assert main([
+            "rerank", "--config", str(cfg), "--index-dir", str(idx),
+            "--query-ids", "0,1,2,3", "--out", str(tsv[cfg]),
+        ]) == 0
+    assert tsv[older].read_bytes() == tsv[out / "pipeline.cfg"].read_bytes()
+
+
+def test_readme_config_example_loads_and_runs(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Configuration file\n.*?```ini\n(.*?)```", readme, re.S).group(1)
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text(block)
+    config = load_config(cfg)
+    assert [(ch.name, ch.fmt, ch.metric, ch.k1, ch.k2, ch.alpha) for ch in config.channels] == [
+        ("color", "csv", Metric.L1, 5, 5, 1.0)
+    ]
+    assert (config.k_final, config.seed) == (10, 0)
+    rng = np.random.default_rng(5)
+    for ch in config.channels:
+        write_features_csv(random_features(rng, 30, dim=3, channel=ch.name), ch.feature_path)
+    assert main(["index", "--config", str(cfg), "--out-dir", str(tmp_path / "idx")]) == 0
+    assert main([
+        "rerank", "--config", str(cfg), "--index-dir", str(tmp_path / "idx"),
+        "--query-ids", "0", "--out", str(tmp_path / "ranked.tsv"),
+    ]) == 0
 
 
 def test_fuse_alias_two_channels(tmp_path):
@@ -291,24 +347,3 @@ def test_rerank_on_corrupted_index_exits_3(corruptible_dirs, data):
         # may still rank, or name an unknown query id
         assert code in (0, 3)
 
-
-def test_product_variant_degenerates_at_full_length(tmp_path, capsys):
-    out, idx = tmp_path / "scen", tmp_path / "idx"
-    assert main(["synth", "--scenario", "two-manifold", "--seed", "0", "--out-dir", str(out)]) == 0
-    assert main(["index", "--config", str(out / "pipeline.cfg"), "--out-dir", str(idx)]) == 0
-    config = load_config(out / "pipeline.cfg")
-    channels = [
-        Channel(name=c.name, index=load_index(idx / f"{c.name}.index"), k1=c.k1, k2=c.k2)
-        for c in config.channels
-    ]
-    k = channels[0].k1
-    with pytest.raises(DegenerateError):
-        rerank_query(channels, 0, k_final=k, variant="product")
-    capsys.readouterr()
-    code = main([
-        "fuse", "--config", str(out / "pipeline.cfg"), "--index-dir", str(idx),
-        "--query-ids", "0", "--k-final", str(k), "--mfr-variant", "product",
-    ])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert err.startswith("error\tDegenerateError\tall candidate products are zero")

@@ -1,4 +1,4 @@
-"""Graph fusion, correlation estimates, and greedy list selection."""
+"""Graph fusion, the pairwise affinity matrix, and greedy list selection."""
 
 from __future__ import annotations
 
@@ -11,21 +11,8 @@ from dataclasses import replace
 from functools import partial
 
 from conftest import FunctionPairwise, fused_instance, random_channels
-from tierank.errors import (
-    DegenerateError,
-    EmptyChannelListError,
-    FormatError,
-    QueryMismatchError,
-    UnknownItemError,
-)
-from tierank.fusion import (
-    FusedGraph,
-    TieredPairwise,
-    correlation_estimate,
-    fuse_graphs,
-    greedy_select,
-    greedy_select_product,
-)
+from tierank.errors import EmptyChannelListError, FormatError, QueryMismatchError
+from tierank.fusion import FusedGraph, TieredPairwise, fuse_graphs, greedy_select
 from tierank.index import FeatureMatrix, NeighborhoodIndex, build_index
 from tierank.oracles import brute_force_knn, oracle_greedy_select, oracle_pairwise, oracle_tier3
 from tierank.pipeline import (
@@ -38,8 +25,6 @@ from tierank.pipeline import (
     virtual_query_id,
 )
 from tierank.rerank import (
-    TIER3_LITERAL,
-    TIER3_QUERY_ANCHORED,
     QueryGraph,
     tier1_weights,
     tier2_weights,
@@ -111,40 +96,10 @@ def test_fuse_scales_apply_per_channel():
     assert fused.edges[1] == 2.0 * 2.0 + 0.5 * 1.0
 
 
-# --- correlation estimate -----------------------------------------------------
-
-
-def test_correlation_estimate_bounds():
-    g1 = _tier3(0, {0: 4.0, 1: 0.0}, (0, 1), channel="a", k2=4)
-    g2 = _tier3(0, {0: 4.0, 1: 4.0}, (0, 1), channel="b", k2=4)
-    fused = fuse_graphs([g1, g2])
-    assert correlation_estimate(fused, 0).p_hat == 1.0  # saturated on both channels
-    assert fuse_graphs([g1]).edges[1] == 0.0
-    assert correlation_estimate(fuse_graphs([g1]), 1).p_hat == 0.0
-
-
-def test_correlation_estimate_monotone_in_weight():
-    rng = np.random.default_rng(2)
-    _, fused, _ = fused_instance(rng, 40, 2, 5)
-    items = sorted(fused.nodes, key=lambda i: fused.edges.get(i, 0.0))
-    estimates = [correlation_estimate(fused, i).p_hat for i in items]
-    assert estimates == sorted(estimates)
-
-
-def test_correlation_estimate_unknown_item():
-    g = _tier3(0, {0: 1.0}, (0,))
-    with pytest.raises(UnknownItemError):
-        correlation_estimate(fuse_graphs([g]), 404)
-
-
-def test_correlation_estimate_clamps_and_flags_excess_weight():
-    # defensive path: a malformed graph carrying more weight than its ceiling
-    g = _tier3(0, {0: 4.0, 1: 99.0}, (0, 1), k2=4)
-    est = correlation_estimate(fuse_graphs([g]), 1)
-    assert est.p_hat == 1.0 and est.clamped
-
-
 def test_correlation_separates_classes_monte_carlo():
+    # in-class candidates carry more fused tier-3 weight to the query; every
+    # query here has the same weight ceiling (k2 summed over the channels),
+    # so rescaling the weights to [0, 1] would change no comparison
     rng = np.random.default_rng(3)
     in_class, out_class = [], []
     for _ in range(60):
@@ -164,8 +119,8 @@ def test_correlation_separates_classes_monte_carlo():
         for node in fused.nodes:
             if node == query:
                 continue
-            p = correlation_estimate(fused, node).p_hat
-            (in_class if labels[node] == labels[query] else out_class).append(p)
+            weight = fused.edges[node]
+            (in_class if labels[node] == labels[query] else out_class).append(weight)
     assert np.mean(in_class) > np.mean(out_class)
 
 
@@ -290,11 +245,11 @@ def test_pairwise_matches_oracle_property(instance):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_pairwise_instances(), st.sampled_from([TIER3_QUERY_ANCHORED, TIER3_LITERAL]))
-def test_fused_query_arrays_match_fused_graph_property(instance, mode):
+@given(_pairwise_instances())
+def test_fused_query_arrays_match_fused_graph_property(instance):
     channels, query = instance
-    pairwise, weights, ranks = fused_query_arrays(channels, query, mode=mode)
-    fused = fused_graph_for_query(channels, query, mode=mode)
+    pairwise, weights, ranks = fused_query_arrays(channels, query)
+    fused = fused_graph_for_query(channels, query)
     cand = pairwise.candidate_ids
     assert set(cand) == fused.nodes
     want = np.array([fused.edges[item] for item in cand], dtype=np.float64)
@@ -302,12 +257,12 @@ def test_fused_query_arrays_match_fused_graph_property(instance, mode):
     assert ranks.tolist() == [fused.distance_rank[item] for item in cand]
 
 
-def _oracle_rerank(channels, query, k_final, mode):
+def _oracle_rerank(channels, query, k_final):
     """The fused ranking composed from oracles.py alone: weights, ranks and selection."""
     by_name = sorted(channels, key=lambda ch: ch.name)
     edges, rank = {}, {}
     for ch in by_name:
-        for item, count in oracle_tier3(ch.index, query, ch.k1, ch.k2, mode).items():
+        for item, count in oracle_tier3(ch.index, query, ch.k1, ch.k2).items():
             edges[item] = edges.get(item, 0.0) + ch.alpha * count
         for pos, item in enumerate(ch.index.neighbor_ids(query, ch.k1).tolist()):
             rank[item] = min(rank.get(item, pos), pos)
@@ -316,7 +271,6 @@ def _oracle_rerank(channels, query, k_final, mode):
         channels=tuple(ch.name for ch in by_name),
         nodes=frozenset(edges),
         edges=edges,
-        per_channel={},
         distance_rank=rank,
     )
     k = k_final if k_final is not None else max(ch.k1 for ch in channels)
@@ -337,19 +291,15 @@ def _oracle_overlay(channels, vector, vid):
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    _query_instances(),
-    st.sampled_from([TIER3_QUERY_ANCHORED, TIER3_LITERAL]),
-    st.sampled_from([None, 1, 2, 5]),
-)
-def test_rerank_query_matches_oracle_composition_property(instance, mode, k_final):
+@given(_query_instances(), st.sampled_from([None, 1, 2, 5]))
+def test_rerank_query_matches_oracle_composition_property(instance, k_final):
     channels, query, vector = instance
     if vector is None:
-        got = rerank_query(channels, query, k_final=k_final, mode=mode)
-        want = _oracle_rerank(channels, query, k_final, mode)
+        got = rerank_query(channels, query, k_final=k_final)
+        want = _oracle_rerank(channels, query, k_final)
     else:
-        got = rerank_vector_query(channels, vector, k_final=k_final, mode=mode, vid=query)
-        want = _oracle_rerank(_oracle_overlay(channels, vector, query), query, k_final, mode)
+        got = rerank_vector_query(channels, vector, k_final=k_final, vid=query)
+        want = _oracle_rerank(_oracle_overlay(channels, vector, query), query, k_final)
     assert got.entries == want
 
 
@@ -444,63 +394,3 @@ def test_single_channel_first_pick_consistent_with_tiered_list():
         if len({t3.edges[i] for i in t3.order if i != query}) == len(t3.order) - 1:
             assert final.items[1] == tiered.ids()[1]
 
-
-# --- product variant -----------------------------------------------------------
-
-
-def test_product_variant_degenerates_on_zero_row():
-    g = _tier3(0, {0: 4.0, 1: 0.0, 2: 0.0}, (0, 1, 2))
-    fused = fuse_graphs([g])
-
-    def pw(u, i):
-        return 0.0  # every affinity zero: product collapses immediately
-
-    with pytest.raises(DegenerateError):
-        greedy_select_product(fused, FunctionPairwise(pw, fused), k=2)
-
-
-def test_product_variant_equals_sum_on_uniform_weights():
-    g = _tier3(0, {0: 4.0, 1: 2.0, 2: 2.0, 3: 2.0}, (0, 1, 2, 3))
-    fused = fuse_graphs([g])
-
-    def pw(u, i):
-        return 2.0
-
-    pairwise = FunctionPairwise(pw, fused)
-    assert greedy_select(fused, pairwise, k=3).items == greedy_select_product(fused, pairwise, k=3).items
-
-
-def test_product_variant_agrees_with_log_sum_oracle():
-    rng = np.random.default_rng(13)
-    for _ in range(10):
-        n = int(rng.integers(8, 20))
-        query = 0
-        order = tuple(range(n))
-        edges = {i: float(rng.integers(1, 5)) for i in order}
-        edges[query] = 4.0
-        fused = fuse_graphs([_tier3(query, edges, order)])
-        weights = {}
-
-        def pw(u, i):
-            key = (min(u, i), max(u, i))
-            if key not in weights:
-                weights[key] = float(rng.integers(1, 5))  # strictly positive
-            return weights[key]
-
-        got = greedy_select_product(fused, FunctionPairwise(pw, fused), k=4)
-        ceiling = fused.weight_ceiling
-        chosen = [query]
-        pool = [i for i in order if i != query]
-        for _ in range(4):
-            best = min(
-                pool,
-                key=lambda i: (
-                    -sum(np.log(pw(u, i) / ceiling) for u in chosen),
-                    -fused.edges.get(i, 0.0),
-                    fused.rank_of(i),
-                    i,
-                ),
-            )
-            chosen.append(best)
-            pool.remove(best)
-        assert list(got.items) == chosen

@@ -15,8 +15,6 @@ from tierank.errors import EmptySetError, FormatError, UnknownItemError
 from tierank.index import FeatureMatrix, Metric, build_index, knn_candidates
 from tierank.oracles import oracle_tier3
 from tierank.rerank import (
-    TIER3_LITERAL,
-    TIER3_QUERY_ANCHORED,
     JaccardValue,
     QueryGraph,
     jaccard,
@@ -200,15 +198,6 @@ def test_tier3_rejects_non_binary_tier2():
         tier3_weights(index, 2, hand_built)
 
 
-def test_tier3_literal_mode_is_query_independent():
-    rng = np.random.default_rng(7)
-    fm = random_features(rng, 30, dim=3)
-    index = build_index(fm, k=6)
-    t1 = tier1_weights(index, 4)
-    t3 = tier3_weights(index, 4, tier2_weights(t1), mode=TIER3_LITERAL)
-    assert set(t3.edges.values()) == {6.0}
-
-
 @st.composite
 def _tier3_instances(draw):
     """(index, query, k1, k2) on a tie-heavy integer grid with sparse unsorted ids.
@@ -239,20 +228,18 @@ def _tier3_instances(draw):
 @given(_tier3_instances())
 def test_tier3_matches_set_oracle_property(instance):
     index, query, k1, k2 = instance
-    for mode in (TIER3_QUERY_ANCHORED, TIER3_LITERAL):
-        t1, t3 = tiered_graph(index, query, k1=k1, k2=k2, mode=mode)
-        want = oracle_tier3(index, query, k1, k2, mode)
-        assert t3.order == t1.order == tuple(want)
-        assert t3.edges == {x: float(count) for x, count in want.items()}
+    t1, t3 = tiered_graph(index, query, k1=k1, k2=k2)
+    want = oracle_tier3(index, query, k1, k2)
+    assert t3.order == t1.order == tuple(want)
+    assert t3.edges == {x: float(count) for x, count in want.items()}
 
 
 def test_tier3_rejects_a_gated_out_candidate():
     # no row led by its owner can produce this tier-2 graph, and the closed
-    # forms would miscount it
+    # form would miscount it
     index = build_index(random_features(np.random.default_rng(6), 6, dim=2), k=2)
-    for mode in (TIER3_QUERY_ANCHORED, TIER3_LITERAL):
-        with pytest.raises(FormatError):
-            tier3_weights(index, 0, tier2_weights(_zero_overlap_tier1()), mode)
+    with pytest.raises(FormatError):
+        tier3_weights(index, 0, tier2_weights(_zero_overlap_tier1()))
 
 
 # --- tiered rerank ----------------------------------------------------------
