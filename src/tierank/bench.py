@@ -1,10 +1,10 @@
 """Wall-clock benchmarking of the per-query re-ranking path.
 
-Index construction happens offline and is excluded from the timings; what
-is measured is the full online step per query: the candidate union of the
-channels' neighbor rows, the fused affinity matrix, and greedy selection.
-Times are reported per query in milliseconds, from warmed caches, over at
-least 100 samples.
+Index construction is offline and excluded; what is timed is the online
+step per query, :func:`rerank_query`: with several channels, the candidate
+union of their neighbor rows, the fused affinity matrix and greedy
+selection; with one, the tiered re-ranking of the query's row. Times are
+per query in milliseconds, from warmed caches, over at least 100 samples.
 """
 
 from __future__ import annotations

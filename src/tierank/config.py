@@ -21,9 +21,11 @@ Example::
     [run]
     seed = 0
 
-Older ``tierank synth`` configs carry ``tier3_mode = query-anchored`` and
-``variant = sum`` under ``[rerank]``. Both keys are retired: those values are
-accepted and change nothing, and any other value is a :class:`FormatError`.
+Any other section or key is a :class:`FormatError` naming it, so a misspelt
+key cannot silently leave its default in place. Older ``tierank synth``
+configs carry ``tier3_mode = query-anchored`` and ``variant = sum`` under
+``[rerank]``. Both keys are retired: those values are accepted and change
+nothing, and any other value is a :class:`FormatError`.
 """
 
 from __future__ import annotations
@@ -42,6 +44,13 @@ LARGE_COLLECTION_THRESHOLD = 20_000
 
 # removed [rerank] keys and the one value each may still hold
 RETIRED_RERANK_KEYS = {"tier3_mode": "query-anchored", "variant": "sum"}
+
+# the keys of each section; "channel" stands for every [channel:<name>]
+_KNOWN_KEYS = {
+    "channel": {"features", "format", "metric", "k1", "k2", "alpha"},
+    "rerank": {"k_final", *RETIRED_RERANK_KEYS},
+    "run": {"seed"},
+}
 
 
 @dataclass(frozen=True)
@@ -95,12 +104,18 @@ def load_config(path: str | Path) -> PipelineConfig:
     base = Path(path).parent
     channels = []
     for section in parser.sections():
+        sec = parser[section]
+        known = _KNOWN_KEYS.get("channel" if section.startswith("channel:") else section)
+        if known is None:
+            raise FormatError(f"{path}: unknown section [{section}]; use [channel:<name>], [rerank] or [run]")
+        unknown = sorted(set(sec) - known)
+        if unknown:
+            raise FormatError(f"{path}: [{section}] has unknown key(s) {', '.join(unknown)}")
         if not section.startswith("channel:"):
             continue
         name = section.split(":", 1)[1].strip()
         if not name:
             raise FormatError(f"{path}: empty channel name in [{section}]")
-        sec = parser[section]
         if "features" not in sec:
             raise FormatError(f"{path}: [{section}] is missing `features`")
         feature_path = sec["features"]
@@ -139,11 +154,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
-    return PipelineConfig(
-        channels=tuple(channels),
-        k_final=k_final,
-        seed=seed,
-    )
+    return PipelineConfig(channels=tuple(channels), k_final=k_final, seed=seed)
 
 
 def write_config(config: PipelineConfig, path: str | Path) -> None:

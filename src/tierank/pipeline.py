@@ -72,13 +72,8 @@ def attach_virtual_query(channels: Sequence[Channel], vector: Iterable[float], v
 
 def fused_graph_for_query(channels: Sequence[Channel], query: int) -> FusedGraph:
     """Per-channel tier-3 graphs of ``query``, fused; for inspection, not ranking."""
-    graphs = []
-    scales = []
-    for ch in channels:
-        _, t3 = tiered_graph(ch.index, query, alpha=ch.alpha, k1=ch.k1, k2=ch.k2)
-        graphs.append(t3)
-        scales.append(ch.alpha)
-    return fuse_graphs(graphs, scales=scales)
+    graphs = [tiered_graph(ch.index, query, alpha=ch.alpha, k1=ch.k1, k2=ch.k2)[1] for ch in channels]
+    return fuse_graphs(graphs, scales=[ch.alpha for ch in channels])
 
 
 def fused_query_arrays(

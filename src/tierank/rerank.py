@@ -3,11 +3,13 @@
 Tier 1 carries Jaccard overlap weights between the query's candidate set
 and each candidate's own neighborhood, tier 2 binarizes tier 1, and tier 3
 counts, for each candidate, how many of its neighbors are tier-2-connected
-to the query. Because every neighbor row starts with its owner, tier 3 is
-read off tier 1's overlap counts without touching the index again. Sorting
-by the tier-3 counts demotes candidates whose own neighborhoods point away
-from the query's, which is what makes the scheme robust to outliers sitting
-next to the query.
+to the query. Every neighbor row starts with its owner, so tier 3 is tier
+1's overlap count: one array kernel gives each candidate's overlap with the
+query's set and their union size, the rankings sort those arrays, and the
+:class:`QueryGraph` views of ``tier*_weights`` and :func:`tiered_graph` are
+built from them for inspection only. Sorting by tier 3 demotes candidates
+whose own neighborhoods point away from the query's, which makes the scheme
+robust to outliers sitting next to the query.
 """
 
 from __future__ import annotations
@@ -86,6 +88,25 @@ def resolve_k(index: NeighborhoodIndex, alpha: float, k1: int | None, k2: int | 
     return k1, k2
 
 
+def _overlaps(index: NeighborhoodIndex, query: int, k1: int, k2: int) -> tuple[np.ndarray, ...]:
+    """(candidates, overlaps, unions, Jaccard) of one query, one entry per candidate.
+
+    The candidates are the query's k1 row in distance order; candidate x's
+    overlap is |N_k2(x) ∩ N_k1(q)| and its union |N_k2(x) ∪ N_k1(q)|.
+    """
+    nearest = index.neighbor_ids(query, k1)
+    rows = index.rows(nearest, k2)
+    overlaps = np.isin(rows, nearest).sum(axis=1)
+    unions = np.count_nonzero(rows >= 0, axis=1) + nearest.shape[0] - overlaps
+    # Sorting on these floats gives the exact Fraction order. A union never
+    # exceeds d = k1 + k2, so two different values a/b and c/e (b, e <= d)
+    # differ by at least 1/(b·e) >= 1/d², while a correctly rounded quotient
+    # in [0, 1] is off by at most 2**-54; distinct values therefore keep
+    # their order whenever d² < 2**53, which holds for any k below 4·10**7.
+    # Equal fractions are the same real number and round to the same float.
+    return nearest, overlaps, unions, overlaps / unions
+
+
 def tier1_weights(
     index: NeighborhoodIndex,
     query: int,
@@ -95,28 +116,16 @@ def tier1_weights(
 ) -> QueryGraph:
     """Jaccard-weighted edges from the query to every candidate, scaled by alpha."""
     k1, k2 = resolve_k(index, alpha, k1, k2)
-    nearest = index.neighbor_ids(query, k1)
+    nearest, overlaps, unions, jac = _overlaps(index, query, k1, k2)
     candidates = tuple(nearest.tolist())
-    rows = index.rows(nearest, k2)
-    counts = np.isin(rows, nearest).sum(axis=1).tolist()
-    lengths = np.count_nonzero(rows >= 0, axis=1).tolist()
-    edges: dict[int, float] = {}
-    overlap: dict[int, JaccardValue] = {}
-    for item, length, inter in zip(candidates, lengths, counts):
-        union = length + len(candidates) - inter
-        jv = JaccardValue(numerator=inter, denominator=union)
-        overlap[item] = jv
-        edges[item] = alpha * (jv.numerator / jv.denominator)
+    overlap = {
+        item: JaccardValue(numerator=num, denominator=den)
+        for item, num, den in zip(candidates, overlaps.tolist(), unions.tolist())
+    }
+    edges = dict(zip(candidates, (alpha * jac).tolist()))
     return QueryGraph(
-        query=query,
-        tier=1,
-        edges=edges,
-        order=candidates,
-        k1=k1,
-        k2=k2,
-        channel=index.channel_name,
-        alpha=alpha,
-        overlap=overlap,
+        query=query, tier=1, edges=edges, order=candidates, k1=k1, k2=k2,
+        channel=index.channel_name, alpha=alpha, overlap=overlap,
     )
 
 
@@ -159,24 +168,7 @@ def tiered_graph(
 ) -> tuple[QueryGraph, QueryGraph]:
     """Convenience: (tier-1 graph, tier-3 graph) for one query on one channel."""
     t1 = tier1_weights(index, query, alpha=alpha, k1=k1, k2=k2)
-    t2 = tier2_weights(t1)
-    t3 = tier3_weights(index, query, t2)
-    return t1, t3
-
-
-def _jaccard_keys(t1: QueryGraph) -> list[float]:
-    """Each candidate's exact tier-1 Jaccard as a float, in ``t1.order``.
-
-    Sorting on these floats gives the exact Fraction order without building
-    a Fraction per candidate. A union never exceeds d = k1 + k2, so two
-    different values a/b and c/e (b, e <= d) differ by at least
-    1/(b·e) >= 1/d², while a correctly rounded quotient in [0, 1] is off by
-    at most 2**-54; distinct values therefore keep their order whenever
-    d² < 2**53, which holds for any k below 4·10**7. Equal fractions are the
-    same real number and round to the same float.
-    """
-    assert t1.overlap is not None
-    return [float(t1.overlap[item]) for item in t1.order]
+    return t1, tier3_weights(index, query, tier2_weights(t1))
 
 
 def tier1_rerank(
@@ -186,11 +178,10 @@ def tier1_rerank(
     k1: int | None = None,
     k2: int | None = None,
 ) -> RankedList:
-    """Candidates sorted by descending tier-1 weight (single-tier re-ranking)."""
-    t1 = tier1_weights(index, query, alpha=alpha, k1=k1, k2=k2)
-    jac = _jaccard_keys(t1)
-    order = sorted(range(len(t1.order)), key=lambda pos: (-jac[pos], pos))
-    entries = tuple((t1.order[pos], t1.edges[t1.order[pos]]) for pos in order)
+    """Candidates by descending tier-1 weight, ties in distance order (single-tier re-ranking)."""
+    nearest, _, _, jac = _overlaps(index, query, *resolve_k(index, alpha, k1, k2))
+    order = np.argsort(-jac, kind="stable")
+    entries = tuple(zip(nearest[order].tolist(), (alpha * jac[order]).tolist()))
     return RankedList(query=query, entries=entries, tier="1", channel=index.channel_name)
 
 
@@ -204,16 +195,17 @@ def tiered_rerank(
     """Full three-tier re-ranking of the query's candidate set.
 
     Candidates sort by descending tier-3 weight; ties fall back to
-    descending exact tier-1 Jaccard, then the original distance rank, then
-    ascending id. The query itself is always first, and the output is a
-    permutation of the candidate set.
+    descending exact tier-1 Jaccard, then the original distance rank. The
+    query itself is always first, and the output is a permutation of the
+    candidate set.
     """
-    t1, t3 = tiered_graph(index, query, alpha=alpha, k1=k1, k2=k2)
-    jac = _jaccard_keys(t1)
-    # a candidate's distance rank is its position in t3.order; positions are
-    # distinct, so the id, the last tie-break, never has to decide
-    rest = [pos for pos, item in enumerate(t3.order) if item != query]
-    rest.sort(key=lambda pos: (-t3.edges[t3.order[pos]], -jac[pos], pos))
-    ordered = [query] + [t3.order[pos] for pos in rest]
-    entries = tuple((item, t3.edges[item]) for item in ordered)
+    nearest, overlaps, _, jac = _overlaps(index, query, *resolve_k(index, alpha, k1, k2))
+    if not overlaps.all():
+        raise FormatError("a candidate row shares nothing with the query's: it is not led by its owner")
+    # lexsort is stable and its last key decides first: the query, then
+    # tier 3, then tier-1 Jaccard, then the distance rank (row position)
+    order = np.lexsort((-jac, -overlaps, nearest != query))
+    if nearest[order[0]] != query:
+        raise FormatError(f"query {query} is not in its own neighbor row")
+    entries = tuple(zip(nearest[order].tolist(), overlaps[order].astype(np.float64).tolist()))
     return RankedList(query=query, entries=entries, tier="3", channel=index.channel_name)

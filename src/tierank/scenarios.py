@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import ScenarioError
 from .evaluation import GroundTruth
-from .fusion import TieredPairwise, fuse_graphs, greedy_select
 from .index import FeatureMatrix, Metric, NeighborhoodIndex, build_index
-from .rerank import tier1_weights, tiered_graph, tiered_rerank
+from .pipeline import Channel, fused_query_arrays, rerank_query
+from .rerank import tier1_weights, tiered_rerank
 
 # ---------------------------------------------------------------------------
 # Outlier-next-to-the-query scenario
@@ -255,23 +255,21 @@ def gen_two_manifold_scenario(seed: int = 0) -> TwoManifoldScenario:
         if got != want:
             raise ScenarioError(f"channel-2 set for {name} is {got}, wanted {want}")
 
-    _, t3_ch1 = tiered_graph(idx1, query)
-    w = {n: t3_ch1.edges[ids[n]] for n in ("B", "C", "D")}
+    single = tiered_rerank(idx1, query)
+    score = dict(single.entries)
+    w = {n: score[ids[n]] for n in ("B", "C", "D")}
     if not (w["C"] > w["B"] > w["D"]):
         raise ScenarioError(f"channel-1 boundary weights out of order: {w}")
-
-    single = tiered_rerank(idx1, query)
     pos1 = {item: p for p, item in enumerate(single.ids())}
     if pos1[ids["B"]] >= pos1[ids["D"]]:
         raise ScenarioError("single-channel list does not rank B above D")
 
-    _, t3_ch2 = tiered_graph(idx2, query)
-    fused = fuse_graphs([t3_ch1, t3_ch2])
-    pairwise = TieredPairwise([(idx1, k, k), (idx2, k, k)], candidates=sorted(fused.nodes))
-    final = greedy_select(fused, pairwise, k=len(fused.nodes) - 1)
-    pos2 = {item: p for p, item in enumerate(final.items)}
+    channels = [Channel(name=ix.channel_name, index=ix, k1=k, k2=k) for ix in (idx1, idx2)]
+    pairwise, _, _ = fused_query_arrays(channels, query)
+    final = rerank_query(channels, query, k_final=len(pairwise.candidate_ids) - 1)
+    pos2 = {item: p for p, item in enumerate(final.ids())}
     if not (pos2[ids["C"]] < pos2[ids["B"]] and pos2[ids["D"]] < pos2[ids["B"]]):
-        raise ScenarioError(f"fused selection does not demote B: {final.items}")
+        raise ScenarioError(f"fused selection does not demote B: {final.ids()}")
 
     def toward(u: str, n: str) -> float:
         return float(pairwise.batch(ids[u])[pairwise.candidate_ids.index(ids[n])])
@@ -294,7 +292,7 @@ def gen_two_manifold_scenario(seed: int = 0) -> TwoManifoldScenario:
         "channel_2_sets": {n: sorted(_MANIFOLD_CH2_SETS[n]) for n in _MANIFOLD_CH2_SETS},
         "channel_1_weights_vs_query": w,
         "single_channel_order": [int(i) for i in single.ids()],
-        "fused_order": [int(i) for i in final.items],
+        "fused_order": [int(i) for i in final.ids()],
         "fused_pair_sums": {"from_D": lhs, "from_B": rhs},
     }
     return TwoManifoldScenario(

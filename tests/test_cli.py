@@ -207,6 +207,27 @@ def test_removed_rerank_config_values_are_data_errors(outlier_dirs, capsys, line
         assert line.split(" = ")[0] in err and "removed" in err
 
 
+@pytest.mark.parametrize("section, line, named", [
+    ("[channel:plane]", "metrc = cosine", "metrc"),
+    ("[rerank]", "kfinal = 3", "kfinal"),
+    ("[run]", "sed = 1", "sed"),
+    ("[rerank]", "[rerank2]\nk_final = 3", "[rerank2]"),
+])
+def test_unknown_config_keys_are_data_errors(outlier_dirs, capsys, section, line, named):
+    # a misspelt key used to load silently: `metrc = cosine` built an L1 index
+    out, idx = outlier_dirs
+    cfg = out / "pipeline.cfg"
+    text = cfg.read_text()
+    assert section in text
+    cfg.write_text(text.replace(f"{section}\n", f"{section}\n{line}\n"))
+    capsys.readouterr()
+    for argv in (["index", "--out-dir", str(idx)], ["rerank", "--index-dir", str(idx), "--query-ids", "0"]):
+        assert main([argv[0], "--config", str(cfg), *argv[1:]]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error\tFormatError\t")
+        assert named in err and (named.startswith("[") or section in err)
+
+
 @pytest.mark.parametrize("scenario", ["two-manifold", "outlier"])
 def test_older_synth_config_keys_still_load(tmp_path, scenario):
     # earlier `synth` runs wrote the two retired keys with their one kept value

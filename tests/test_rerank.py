@@ -7,12 +7,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_features
 from tierank.errors import EmptySetError, FormatError, UnknownItemError
-from tierank.index import FeatureMatrix, Metric, build_index, knn_candidates
+from tierank.index import FeatureMatrix, Metric, NeighborhoodIndex, build_index, knn_candidates
 from tierank.oracles import oracle_tier3
 from tierank.rerank import (
     JaccardValue,
@@ -204,7 +204,10 @@ def _tier3_instances(draw):
 
     n may be below k, k1 and k2 are drawn independently, and half of the
     queries are virtual rows cut to any length from the owner alone up to
-    min(k, n + 1), one more than the stored width when n < k.
+    min(k, n + 1), one more than the stored width when n < k. Half of
+    those name a second virtual item whose short row is drawn from the
+    query's, so candidates' rows differ in length and tier 3 and tier-1
+    Jaccard can order two candidates differently.
     """
     n = draw(st.integers(1, 12))
     ids = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
@@ -218,20 +221,57 @@ def _tier3_instances(draw):
         vector = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2))
         want = draw(st.integers(0, min(k - 1, n)))
         near, dists = knn_candidates(fm, vector, max(want, 1), index.metric)
-        index = index.with_virtual(query, [query, *near[:want]], [0.0, *dists[:want]])
+        row, row_dists = [query, *near[:want].tolist()], [0.0, *dists[:want].tolist()]
+        if draw(st.booleans()):
+            other = query + 1
+            own = draw(st.lists(st.sampled_from(row[1:] or ids), unique=True, max_size=k - 1))
+            index = index.with_virtual(other, [other, *own], [0.0] * (len(own) + 1))
+            at = draw(st.integers(1, len(row)))
+            row.insert(at, other)
+            row_dists.insert(at, row_dists[at - 1])
+        index = index.with_virtual(query, row[:k], row_dists[:k])
     else:
         query = draw(st.sampled_from(ids))
     return index, query, k1, k2
 
 
+def _count_and_jaccard_disagree():
+    """(index, query, k1, k2) on which tier 3 and tier-1 Jaccard disagree.
+
+    Items 0..9 on a line, with two virtual rows: candidate 100's row is
+    itself alone, so it beats 4 and 5 on tier-1 Jaccard (1/4 against 2/10)
+    while they beat it on tier 3 (2 against 1).
+    """
+    fm = FeatureMatrix(channel_name="line", ids=list(range(10)), vectors=np.arange(10.0)[:, None])
+    index = build_index(fm, k=8).with_virtual(100, [100], [0.0])
+    return index.with_virtual(101, [101, 4, 5, 100], [0.0, 1.0, 1.0, 2.0]), 101, 4, 8
+
+
 @settings(max_examples=200, deadline=None)
 @given(_tier3_instances())
+@example(_count_and_jaccard_disagree())
 def test_tier3_matches_set_oracle_property(instance):
     index, query, k1, k2 = instance
     t1, t3 = tiered_graph(index, query, k1=k1, k2=k2)
     want = oracle_tier3(index, query, k1, k2)
     assert t3.order == t1.order == tuple(want)
     assert t3.edges == {x: float(count) for x, count in want.items()}
+
+    # both rankings, rebuilt from the oracle's counts, plain-set Fractions
+    # and row positions alone
+    members = index.neighbor_ids(query, k1).tolist()
+    exact = {}
+    for x in members:
+        own = set(index.neighbor_ids(x, k2).tolist())
+        exact[x] = Fraction(len(own & set(members)), len(own | set(members)))
+    rest = sorted((x for x in members if x != query), key=lambda x: (-want[x], -exact[x], members.index(x)))
+    assert tiered_rerank(index, query, k1=k1, k2=k2).entries == tuple(
+        (x, float(want[x])) for x in [query, *rest]
+    )
+    by_jaccard = sorted(members, key=lambda x: (-exact[x], members.index(x)))
+    assert tier1_rerank(index, query, k1=k1, k2=k2).entries == tuple(
+        (x, float(exact[x])) for x in by_jaccard
+    )
 
 
 def test_tier3_rejects_a_gated_out_candidate():
@@ -240,6 +280,20 @@ def test_tier3_rejects_a_gated_out_candidate():
     index = build_index(random_features(np.random.default_rng(6), 6, dim=2), k=2)
     with pytest.raises(FormatError):
         tier3_weights(index, 0, tier2_weights(_zero_overlap_tier1()))
+
+
+@pytest.mark.parametrize("table", [
+    # item 2's row leaves it out and shares nothing with the query's row
+    # {0, 2}, so tier 2 would gate 2 out and the closed form would miscount it
+    [[0, 2], [1, 3], [3, 1], [3, 1]],
+    # the query's row leaves the query out, so it cannot be put first
+    [[1, 2], [1, 2], [2, 1], [3, 1]],
+])
+def test_tiered_rerank_rejects_a_row_not_led_by_its_owner(table):
+    table = np.asarray(table, dtype=np.int64)
+    index = NeighborhoodIndex("bad", 2, Metric.L1, np.arange(4), table, np.zeros((4, 2)))
+    with pytest.raises(FormatError):
+        tiered_rerank(index, 0)
 
 
 # --- tiered rerank ----------------------------------------------------------
