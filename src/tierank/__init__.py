@@ -4,7 +4,6 @@ from .errors import (
     ClassSizeError,
     DimensionError,
     EmptyChannelListError,
-    EmptySetError,
     FileAccessError,
     FormatError,
     QueryMismatchError,
@@ -32,11 +31,8 @@ from .ranking import FinalRanking, RankedList, read_rankings_tsv, write_rankings
 from .rerank import (
     JaccardValue,
     QueryGraph,
-    jaccard,
     tier1_rerank,
-    tier1_weights,
-    tier2_weights,
-    tier3_weights,
+    tiered_graph,
     tiered_rerank,
 )
 
@@ -47,7 +43,6 @@ __all__ = [
     "ClassSizeError",
     "DimensionError",
     "EmptyChannelListError",
-    "EmptySetError",
     "FeatureMatrix",
     "FileAccessError",
     "FinalRanking",
@@ -72,7 +67,6 @@ __all__ = [
     "distance",
     "fuse_graphs",
     "greedy_select",
-    "jaccard",
     "load_features",
     "load_index",
     "ns_score",
@@ -84,9 +78,7 @@ __all__ = [
     "rerank_vector_query",
     "save_index",
     "tier1_rerank",
-    "tier1_weights",
-    "tier2_weights",
-    "tier3_weights",
+    "tiered_graph",
     "tiered_rerank",
     "write_rankings_tsv",
 ]

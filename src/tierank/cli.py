@@ -137,6 +137,17 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_counts(text: str, flag: str) -> list[int]:
+    """A comma-separated list of integers >= 1, as --r, --n and --k take it."""
+    try:
+        values = [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise FormatError(f"bad {flag} value {text!r}: want comma-separated integers") from None
+    if min(values) < 1:
+        raise FormatError(f"bad {flag} value {text!r}: every value must be >= 1")
+    return values
+
+
 _METRIC_BUILDERS = {
     "ns": lambda rankings, truth, r, excl: ns_score(rankings, truth, exclude_query=excl),
     "precision": lambda rankings, truth, r, excl: precision_at(rankings, truth, r, exclude_query=excl),
@@ -148,7 +159,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     rankings = read_rankings_tsv(args.rankings)
     truth = load_ground_truth(args.truth)
     names = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    cutoffs = [int(r) for r in args.r.split(",")] if args.r else [4]
+    cutoffs = _parse_counts(args.r, "--r") if args.r else [4]
     unknown = [m for m in names if m not in _METRIC_BUILDERS]
     if unknown:
         raise FormatError(f"unknown metrics {unknown}; choose from {sorted(_METRIC_BUILDERS)}")
@@ -211,8 +222,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         m = m if m is not None else len(config.channels)
     if m is None:
         m = 3
-    n_values = [int(v) for v in args.n.split(",")]
-    k_values = [int(v) for v in args.k.split(",")]
+    n_values = _parse_counts(args.n, "--n")
+    k_values = _parse_counts(args.k, "--k")
+    if min(args.queries, args.reps) < 1 or args.queries * args.reps < 100:
+        raise FormatError(f"need >= 100 timed samples, got --queries {args.queries} x --reps {args.reps}")
+    if args.queries > min(n_values):
+        raise FormatError(f"--queries {args.queries} exceeds the collection size --n {min(n_values)}")
     print("label\tn\tm\tk\tmean_ms\tmedian_ms\tsamples")
     rng = np.random.default_rng(args.seed)
     for n in n_values:

@@ -27,10 +27,6 @@ class UnknownItemError(TierankError):
     """An item id is not present in the index or collection."""
 
 
-class EmptySetError(TierankError):
-    """A set operation received an empty set."""
-
-
 class QueryMismatchError(TierankError):
     """Graphs for different queries were fused together."""
 

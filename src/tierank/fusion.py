@@ -172,16 +172,16 @@ def greedy_select(fused: FusedGraph, pairwise: TieredPairwise, k: int) -> FinalR
     toward the higher fused weight to the query, then the lower original
     distance rank, then the smaller id. Stops after k additions or when the
     pool is exhausted. ``pairwise`` is anything with ``candidate_ids`` and
-    ``batch(u)``, such as :class:`TieredPairwise`.
+    ``batch(u)``, such as :class:`TieredPairwise`; its candidates must be
+    the fused graph's nodes.
     """
     cand = pairwise.candidate_ids
-    missing = fused.nodes.difference(cand)
-    if missing:
-        raise UnknownItemError(f"fused nodes {sorted(missing)} are not pairwise candidates")
+    if fused.nodes != frozenset(cand):
+        diff = sorted(fused.nodes.symmetric_difference(cand))
+        raise UnknownItemError(f"fused nodes and pairwise candidates differ on {diff}")
     weights = np.array([fused.edges.get(item, 0.0) for item in cand], dtype=np.float64)
     ranks = np.array([fused.rank_of(item) for item in cand], dtype=np.int64)
-    pool = np.array([item in fused.nodes for item in cand], dtype=bool)
-    return select_arrays(fused.query, weights, ranks, pairwise, k, pool)
+    return select_arrays(fused.query, weights, ranks, pairwise, k)
 
 
 def select_arrays(
@@ -190,14 +190,13 @@ def select_arrays(
     ranks: np.ndarray,
     pairwise: TieredPairwise,
     k: int,
-    pool: np.ndarray | None = None,
 ) -> FinalRanking:
     """The greedy selection loop behind :func:`greedy_select`, on arrays.
 
     ``weights`` (fused weight to the query) and ``ranks`` (distance rank)
     hold the static tie-break keys, one per entry of
-    ``pairwise.candidate_ids``. ``pool`` marks the candidates that may be
-    selected, by default all of them; the query never is.
+    ``pairwise.candidate_ids``. Every candidate but the query may be
+    selected.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -208,8 +207,6 @@ def select_arrays(
     order = np.lexsort((ids, ranks, -weights))
     items = ids[order].tolist()
     live = ids[order] != query
-    if pool is not None:
-        live &= pool[order]
     acc = np.zeros(len(items))
 
     selected = [query]

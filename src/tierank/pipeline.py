@@ -17,10 +17,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionError, EmptyChannelListError, FormatError
-from .fusion import FusedGraph, TieredPairwise, fuse_graphs, select_arrays
+from .fusion import TieredPairwise, select_arrays
 from .index import FeatureMatrix, NeighborhoodIndex, knn_candidates
 from .ranking import RankedList
-from .rerank import resolve_k, tiered_graph, tiered_rerank
+from .rerank import resolve_k, tiered_rerank
 
 
 @dataclass(frozen=True)
@@ -70,12 +70,6 @@ def attach_virtual_query(channels: Sequence[Channel], vector: Iterable[float], v
     return out
 
 
-def fused_graph_for_query(channels: Sequence[Channel], query: int) -> FusedGraph:
-    """Per-channel tier-3 graphs of ``query``, fused; for inspection, not ranking."""
-    graphs = [tiered_graph(ch.index, query, alpha=ch.alpha, k1=ch.k1, k2=ch.k2)[1] for ch in channels]
-    return fuse_graphs(graphs, scales=[ch.alpha for ch in channels])
-
-
 def fused_query_arrays(
     channels: Sequence[Channel], query: int
 ) -> tuple[TieredPairwise, np.ndarray, np.ndarray]:
@@ -83,10 +77,10 @@ def fused_query_arrays(
 
     The candidates are the union of every channel's k1 row of the query.
     Weights and ranks follow ``pairwise.candidate_ids`` and equal the edges
-    and ``distance_rank`` of :func:`fused_graph_for_query`: a candidate's
-    rank is its lowest position over the channels' rows, and its weight is
-    the pairwise matrix's query row, summed in channel-name order, as
-    fusion's is.
+    and ``distance_rank`` of :func:`~tierank.fusion.fuse_graphs` over the
+    channels' tier-3 graphs: a candidate's rank is its lowest position over
+    the channels' rows, and its weight is the pairwise matrix's query row,
+    summed in channel-name order, as fusion's is.
     """
     rows = []
     for ch in channels:

@@ -3,24 +3,24 @@
 Tier 1 carries Jaccard overlap weights between the query's candidate set
 and each candidate's own neighborhood, tier 2 binarizes tier 1, and tier 3
 counts, for each candidate, how many of its neighbors are tier-2-connected
-to the query. Every neighbor row starts with its owner, so tier 3 is tier
-1's overlap count: one array kernel gives each candidate's overlap with the
-query's set and their union size, the rankings sort those arrays, and the
-:class:`QueryGraph` views of ``tier*_weights`` and :func:`tiered_graph` are
-built from them for inspection only. Sorting by tier 3 demotes candidates
-whose own neighborhoods point away from the query's, which makes the scheme
-robust to outliers sitting next to the query.
+to the query. Every neighbor row starts with its owner, so tier 2 keeps
+every candidate and tier 3 is tier 1's overlap count: one array kernel
+gives each candidate's overlap with the query's set and their union size,
+the rankings sort those arrays, and :func:`tiered_graph` builds the tier-1
+and tier-3 :class:`QueryGraph` views from them for inspection only. Sorting
+by tier 3 demotes candidates whose own neighborhoods point away from the
+query's, which makes the scheme robust to outliers sitting next to the
+query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
-from .errors import EmptySetError, FormatError
+from .errors import FormatError
 from .index import NeighborhoodIndex
 from .ranking import RankedList
 
@@ -44,24 +44,13 @@ class JaccardValue:
         return self.numerator / self.denominator
 
 
-def jaccard(a: Iterable[int], b: Iterable[int]) -> JaccardValue:
-    """|a ∩ b| / |a ∪ b| for two non-empty id sets."""
-    sa = frozenset(a)
-    sb = frozenset(b)
-    if not sa or not sb:
-        raise EmptySetError("jaccard requires two non-empty sets")
-    inter = len(sa & sb)
-    union = len(sa) + len(sb) - inter
-    return JaccardValue(numerator=inter, denominator=union)
-
-
 @dataclass(frozen=True)
 class QueryGraph:
     """Weighted edges from one query to its candidate set, at one tier.
 
     ``order`` preserves the candidates' original distance ranking, which
-    later stages use for tie-breaking. Tier-1 and tier-2 graphs additionally
-    carry the exact Jaccard value per edge.
+    later stages use for tie-breaking. A tier-1 graph additionally carries
+    the exact Jaccard value per edge.
     """
 
     query: int
@@ -92,11 +81,18 @@ def _overlaps(index: NeighborhoodIndex, query: int, k1: int, k2: int) -> tuple[n
     """(candidates, overlaps, unions, Jaccard) of one query, one entry per candidate.
 
     The candidates are the query's k1 row in distance order; candidate x's
-    overlap is |N_k2(x) ∩ N_k1(q)| and its union |N_k2(x) ∪ N_k1(q)|.
+    overlap is |N_k2(x) ∩ N_k1(q)| and its union |N_k2(x) ∪ N_k1(q)|. The
+    closed form of tier 3 holds only for rows led by their owner, which
+    every library-built row is; a hand-built row that breaks it is a
+    FormatError.
     """
     nearest = index.neighbor_ids(query, k1)
+    if nearest[:1].tolist() != [query]:
+        raise FormatError(f"query {query} does not lead its own neighbor row")
     rows = index.rows(nearest, k2)
     overlaps = np.isin(rows, nearest).sum(axis=1)
+    if not overlaps.all():
+        raise FormatError("a candidate row shares nothing with the query's: it is not led by its owner")
     unions = np.count_nonzero(rows >= 0, axis=1) + nearest.shape[0] - overlaps
     # Sorting on these floats gives the exact Fraction order. A union never
     # exceeds d = k1 + k2, so two different values a/b and c/e (b, e <= d)
@@ -107,58 +103,6 @@ def _overlaps(index: NeighborhoodIndex, query: int, k1: int, k2: int) -> tuple[n
     return nearest, overlaps, unions, overlaps / unions
 
 
-def tier1_weights(
-    index: NeighborhoodIndex,
-    query: int,
-    alpha: float = 1.0,
-    k1: int | None = None,
-    k2: int | None = None,
-) -> QueryGraph:
-    """Jaccard-weighted edges from the query to every candidate, scaled by alpha."""
-    k1, k2 = resolve_k(index, alpha, k1, k2)
-    nearest, overlaps, unions, jac = _overlaps(index, query, k1, k2)
-    candidates = tuple(nearest.tolist())
-    overlap = {
-        item: JaccardValue(numerator=num, denominator=den)
-        for item, num, den in zip(candidates, overlaps.tolist(), unions.tolist())
-    }
-    edges = dict(zip(candidates, (alpha * jac).tolist()))
-    return QueryGraph(
-        query=query, tier=1, edges=edges, order=candidates, k1=k1, k2=k2,
-        channel=index.channel_name, alpha=alpha, overlap=overlap,
-    )
-
-
-def tier2_weights(tier1: QueryGraph) -> QueryGraph:
-    """Binarize tier 1: weight 1 iff the candidate overlaps the query's set at all.
-
-    Tier 1's exact overlaps pass through unchanged, for tier 3 to count from.
-    """
-    if tier1.tier != 1 or tier1.overlap is None:
-        raise FormatError("tier2_weights expects a tier-1 graph")
-    edges = {item: 1.0 if tier1.overlap[item].numerator > 0 else 0.0 for item in tier1.order}
-    return replace(tier1, tier=2, edges=edges)
-
-
-def tier3_weights(index: NeighborhoodIndex, query: int, tier2: QueryGraph) -> QueryGraph:
-    """Integer edge weights counting tier-2 support inside each candidate's neighborhood.
-
-    Candidate x scores how many of its k2 neighbors are tier-2-connected to
-    the query. Every row starts with its owner, so every candidate overlaps
-    the query's set and tier 2 keeps them all; the count is then
-    |N_k2(x) ∩ N_k1(q)|, tier 1's numerator, and ``index`` is not read
-    again.
-    """
-    if tier2.tier != 2 or tier2.overlap is None:
-        raise FormatError("tier3_weights expects a tier-2 graph carrying tier 1's overlaps")
-    if tier2.query != query:
-        raise FormatError("tier-2 graph belongs to a different query")
-    if any(w != 1.0 for w in tier2.edges.values()):
-        raise FormatError("tier-2 weights must all be 1: a row led by its owner gates no candidate out")
-    edges = {item: float(tier2.overlap[item].numerator) for item in tier2.order}
-    return replace(tier2, tier=3, edges=edges, overlap=None)
-
-
 def tiered_graph(
     index: NeighborhoodIndex,
     query: int,
@@ -166,9 +110,21 @@ def tiered_graph(
     k1: int | None = None,
     k2: int | None = None,
 ) -> tuple[QueryGraph, QueryGraph]:
-    """Convenience: (tier-1 graph, tier-3 graph) for one query on one channel."""
-    t1 = tier1_weights(index, query, alpha=alpha, k1=k1, k2=k2)
-    return t1, tier3_weights(index, query, tier2_weights(t1))
+    """(tier-1 graph, tier-3 graph) for one query on one channel, for inspection.
+
+    Tier 1 weighs each candidate by alpha times its exact Jaccard, kept in
+    ``overlap``; tier 3 by its overlap count, tier 1's numerator.
+    """
+    k1, k2 = resolve_k(index, alpha, k1, k2)
+    nearest, overlaps, unions, jac = _overlaps(index, query, k1, k2)
+    order = tuple(nearest.tolist())
+    counts = overlaps.tolist()
+    tier1 = QueryGraph(
+        query=query, tier=1, edges=dict(zip(order, (alpha * jac).tolist())), order=order,
+        k1=k1, k2=k2, channel=index.channel_name, alpha=alpha,
+        overlap={item: JaccardValue(num, den) for item, num, den in zip(order, counts, unions.tolist())},
+    )
+    return tier1, replace(tier1, tier=3, edges=dict(zip(order, map(float, counts))), overlap=None)
 
 
 def tier1_rerank(
@@ -200,12 +156,8 @@ def tiered_rerank(
     candidate set.
     """
     nearest, overlaps, _, jac = _overlaps(index, query, *resolve_k(index, alpha, k1, k2))
-    if not overlaps.all():
-        raise FormatError("a candidate row shares nothing with the query's: it is not led by its owner")
     # lexsort is stable and its last key decides first: the query, then
     # tier 3, then tier-1 Jaccard, then the distance rank (row position)
     order = np.lexsort((-jac, -overlaps, nearest != query))
-    if nearest[order[0]] != query:
-        raise FormatError(f"query {query} is not in its own neighbor row")
     entries = tuple(zip(nearest[order].tolist(), overlaps[order].astype(np.float64).tolist()))
     return RankedList(query=query, entries=entries, tier="3", channel=index.channel_name)

@@ -18,7 +18,7 @@ from .errors import ScenarioError
 from .evaluation import GroundTruth
 from .index import FeatureMatrix, Metric, NeighborhoodIndex, build_index
 from .pipeline import Channel, fused_query_arrays, rerank_query
-from .rerank import tier1_weights, tiered_rerank
+from .rerank import tiered_graph, tiered_rerank
 
 # ---------------------------------------------------------------------------
 # Outlier-next-to-the-query scenario
@@ -106,8 +106,15 @@ def _jittered_matrix(
     return FeatureMatrix(channel_name=channel, ids=tuple(labels[n] for n in names), vectors=base)
 
 
-def _neighbor_set(index: NeighborhoodIndex, item: int, k: int) -> frozenset[int]:
-    return frozenset(index.neighbor_ids(item, k).tolist())
+def _check_sets(
+    index: NeighborhoodIndex, ids: dict[str, int], targets: dict[str, set[str]], k: int, what: str
+) -> None:
+    """Raise ScenarioError unless each named item's k-row holds exactly its target set."""
+    for name, target in targets.items():
+        got = frozenset(index.neighbor_ids(ids[name], k).tolist())
+        want = frozenset(ids[n] for n in target)
+        if got != want:
+            raise ScenarioError(f"{what} for {name} is {got}, wanted {want}")
 
 
 def gen_outlier_scenario(seed: int = 0) -> OutlierScenario:
@@ -121,19 +128,10 @@ def gen_outlier_scenario(seed: int = 0) -> OutlierScenario:
 
     index = build_index(features, k=_OUTLIER_K1, metric=Metric.L1)
 
-    for name, target in _OUTLIER_TARGET_SETS.items():
-        got = _neighbor_set(index, ids[name], _OUTLIER_K1)
-        want = frozenset(ids[n] for n in target)
-        if got != want:
-            raise ScenarioError(f"planted {_OUTLIER_K1}-set for {name} is {got}, wanted {want}")
-    for name, target in _OUTLIER_TARGET_PREFIXES.items():
-        got = _neighbor_set(index, ids[name], _OUTLIER_K2)
-        want = frozenset(ids[n] for n in target)
-        if got != want:
-            raise ScenarioError(f"planted {_OUTLIER_K2}-prefix for {name} is {got}, wanted {want}")
+    _check_sets(index, ids, _OUTLIER_TARGET_SETS, _OUTLIER_K1, f"planted {_OUTLIER_K1}-set")
+    _check_sets(index, ids, _OUTLIER_TARGET_PREFIXES, _OUTLIER_K2, f"planted {_OUTLIER_K2}-prefix")
 
-    t1 = tier1_weights(index, query)
-    assert t1.overlap is not None
+    t1 = tiered_graph(index, query)[0]
     for name, (num, den) in _OUTLIER_TARGET_JACCARD.items():
         got = t1.overlap[ids[name]]
         if got.value != Fraction(num, den) or (got.numerator, got.denominator) != (num, den):
@@ -244,16 +242,8 @@ def gen_two_manifold_scenario(seed: int = 0) -> TwoManifoldScenario:
 
     idx1 = build_index(ch1, k=k, metric=Metric.L1)
     idx2 = build_index(ch2, k=k, metric=Metric.L1)
-    for name, target in _MANIFOLD_CH1_SETS.items():
-        got = _neighbor_set(idx1, ids[name], k)
-        want = frozenset(ids[n] for n in target)
-        if got != want:
-            raise ScenarioError(f"channel-1 set for {name} is {got}, wanted {want}")
-    for name, target in _MANIFOLD_CH2_SETS.items():
-        got = _neighbor_set(idx2, ids[name], k)
-        want = frozenset(ids[n] for n in target)
-        if got != want:
-            raise ScenarioError(f"channel-2 set for {name} is {got}, wanted {want}")
+    _check_sets(idx1, ids, _MANIFOLD_CH1_SETS, k, "channel-1 set")
+    _check_sets(idx2, ids, _MANIFOLD_CH2_SETS, k, "channel-2 set")
 
     single = tiered_rerank(idx1, query)
     score = dict(single.entries)

@@ -23,13 +23,7 @@ from tierank.index import Metric, build_index, load_index, save_index
 from tierank.oracles import oracle_greedy_select, oracle_pairwise
 from tierank.pipeline import Channel, rerank_query
 from tierank.ranking import RankedList
-from tierank.rerank import (
-    tier1_rerank,
-    tier1_weights,
-    tier2_weights,
-    tier3_weights,
-    tiered_rerank,
-)
+from tierank.rerank import tier1_rerank, tiered_graph, tiered_rerank
 from tierank.scenarios import (
     gen_correlated_trial,
     gen_outlier_scenario,
@@ -42,8 +36,7 @@ def test_criterion_1_planted_overlap_arithmetic():
     """Exact rational overlap values on the generated outlier scenario."""
     scenario = gen_outlier_scenario(seed=0)
     index = build_index(scenario.features, k=scenario.k1, metric=Metric.L1)
-    t1 = tier1_weights(index, scenario.query, k1=5, k2=5)
-    assert t1.overlap is not None
+    t1 = tiered_graph(index, scenario.query, k1=5, k2=5)[0]
     expected = {"O": (3, 7), "B": (3, 7), "C": (2, 8), "D": (3, 7)}
     for name, (num, den) in expected.items():
         jv = t1.overlap[scenario.ids[name]]
@@ -63,8 +56,7 @@ def test_criterion_2_outlier_demotion_vs_single_tier():
     for name in ("B", "C", "D"):
         assert pos[o] > pos[scenario.ids[name]]
 
-    t1 = tier1_weights(index, scenario.query, k1=5, k2=5)
-    assert t1.overlap is not None
+    t1 = tiered_graph(index, scenario.query, k1=5, k2=5)[0]
     assert t1.overlap[o].value == t1.overlap[scenario.ids["B"]].value
     single = tier1_rerank(index, scenario.query, k1=5, k2=5)
     spos = {item: p for p, item in enumerate(single.ids())}
@@ -138,7 +130,7 @@ def test_criterion_6_expectation_of_tier3_weight():
     w_means, p_fracs = [], []
     for _ in range(1000):
         t = gen_correlated_trial(rng, k=k, p=p)
-        t3 = tier3_weights(t.index, t.query, tier2_weights(tier1_weights(t.index, t.query)))
+        t3 = tiered_graph(t.index, t.query)[1]
         members_in = [m for m in t.members if m in t.in_class]
         p_fracs.append((1 + len(members_in)) / k)
         if members_in:

@@ -7,9 +7,16 @@ import importlib
 import tierank
 
 # (module, name) pairs removed with the literal tier-3 mode, the product
-# selection variant and its normalised-weight helpers
+# selection variant and its normalised-weight helpers, then with the
+# per-tier graph builders that tiered_graph replaced
 REMOVED = [
     ("tierank.errors", "DegenerateError"),
+    ("tierank.errors", "EmptySetError"),
+    ("tierank.rerank", "jaccard"),
+    ("tierank.rerank", "tier1_weights"),
+    ("tierank.rerank", "tier2_weights"),
+    ("tierank.rerank", "tier3_weights"),
+    ("tierank.pipeline", "fused_graph_for_query"),
     ("tierank.fusion", "CorrelationEstimate"),
     ("tierank.fusion", "correlation_estimate"),
     ("tierank.fusion", "greedy_select_product"),

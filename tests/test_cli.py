@@ -164,6 +164,21 @@ def test_eval_ns_wrong_class_sizes_is_data_error(outlier_dirs, tmp_path, capsys)
     assert "ClassSizeError" in captured.err
 
 
+@pytest.mark.parametrize("cutoffs", ["x", "0", "-1", "4,"])
+def test_eval_rejects_bad_cutoffs(outlier_dirs, tmp_path, capsys, cutoffs):
+    out, idx = outlier_dirs
+    rank_path = tmp_path / "ranked.tsv"
+    assert main([
+        "rerank", "--config", str(out / "pipeline.cfg"), "--index-dir", str(idx),
+        "--query-ids", "0", "--out", str(rank_path),
+    ]) == 0
+    capsys.readouterr()
+    code = main(["eval", "--rankings", str(rank_path), "--truth", str(out / "truth.csv"), "--r", cutoffs])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error\tFormatError\t") and "--r" in err and len(err.splitlines()) == 1
+
+
 def test_missing_feature_file_reports_channel(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[channel:ghost]\nfeatures = missing.csv\n")
@@ -327,6 +342,20 @@ def test_bench_smoke(capsys):
     lines = [ln for ln in captured.out.splitlines() if ln.strip()]
     assert lines[0].startswith("label\t")
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "abc"],
+    ["--k", "abc"],
+    ["--n", "0"],
+    ["--n", "50", "--queries", "10"],
+    ["--n", "50", "--queries", "100"],
+])
+def test_bench_rejects_malformed_options(capsys, argv):
+    code = main(["bench", "--m", "1", *argv])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error\tFormatError\t") and len(err.splitlines()) == 1
 
 
 @pytest.fixture(scope="module")

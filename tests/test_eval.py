@@ -22,7 +22,7 @@ from tierank.fusion import greedy_select
 from tierank.index import Metric, build_index
 from tierank.oracles import oracle_greedy_select, oracle_pairwise
 from tierank.ranking import RankedList
-from tierank.rerank import tier1_rerank, tier1_weights, tier2_weights, tier3_weights
+from tierank.rerank import tier1_rerank, tiered_graph
 from tierank.scenarios import (
     gen_correlated_trial,
     gen_outlier_scenario,
@@ -197,8 +197,7 @@ def test_outlier_scenario_deterministic_per_seed():
 def test_outlier_scenario_relations():
     s = gen_outlier_scenario(seed=0)
     index = build_index(s.features, k=s.k1, metric=Metric.L1)
-    t1 = tier1_weights(index, s.query)
-    assert t1.overlap is not None
+    t1 = tiered_graph(index, s.query)[0]
     assert t1.overlap[s.ids["O"]].value == Fraction(3, 7)
     assert t1.overlap[s.ids["C"]].value == Fraction(2, 8)
     single = tier1_rerank(index, s.query)
@@ -220,7 +219,6 @@ def test_two_manifold_scenario_relations():
 
 def test_two_manifold_fusion_linearity():
     from tierank.fusion import fuse_graphs
-    from tierank.rerank import tiered_graph
 
     s = gen_two_manifold_scenario(seed=1)
     idx1 = build_index(s.channels[0], k=s.k1)
@@ -241,7 +239,7 @@ def test_correlated_trial_expectation_small():
     w_means, p_fracs = [], []
     for _ in range(300):
         t = gen_correlated_trial(rng, k=k, p=p)
-        t3 = tier3_weights(t.index, t.query, tier2_weights(tier1_weights(t.index, t.query)))
+        t3 = tiered_graph(t.index, t.query)[1]
         members_in = [m for m in t.members if m in t.in_class]
         p_fracs.append((1 + len(members_in)) / k)
         if members_in:

@@ -11,27 +11,19 @@ from dataclasses import replace
 from functools import partial
 
 from conftest import FunctionPairwise, fused_instance, random_channels
-from tierank.errors import EmptyChannelListError, FormatError, QueryMismatchError
+from tierank.errors import EmptyChannelListError, FormatError, QueryMismatchError, UnknownItemError
 from tierank.fusion import FusedGraph, TieredPairwise, fuse_graphs, greedy_select
 from tierank.index import FeatureMatrix, NeighborhoodIndex, build_index
 from tierank.oracles import brute_force_knn, oracle_greedy_select, oracle_pairwise, oracle_tier3
 from tierank.pipeline import (
     Channel,
     attach_virtual_query,
-    fused_graph_for_query,
     fused_query_arrays,
     rerank_query,
     rerank_vector_query,
     virtual_query_id,
 )
-from tierank.rerank import (
-    QueryGraph,
-    tier1_weights,
-    tier2_weights,
-    tier3_weights,
-    tiered_graph,
-    tiered_rerank,
-)
+from tierank.rerank import QueryGraph, tiered_graph, tiered_rerank
 
 
 def _tier3(query, edges, order, k1=4, k2=4, channel="c0"):
@@ -140,9 +132,7 @@ def test_pairwise_matches_tiered_route():
         for item in sorted(fused.nodes):
             expected = 0.0
             for ch in channels:
-                t1 = tier1_weights(ch.index, center)
-                t3 = tier3_weights(ch.index, center, tier2_weights(t1))
-                expected += t3.edges.get(item, 0.0)
+                expected += tiered_graph(ch.index, center)[1].edges.get(item, 0.0)
             assert pw.batch(center)[pw.candidate_ids.index(item)] == expected
 
 
@@ -229,12 +219,18 @@ def _pairwise_instances(draw):
     return channels, query
 
 
+def _fused_graph(channels, query):
+    """Every channel's tier-3 graph of the query, fused."""
+    graphs = [tiered_graph(ch.index, query, alpha=ch.alpha, k1=ch.k1, k2=ch.k2)[1] for ch in channels]
+    return fuse_graphs(graphs, scales=[ch.alpha for ch in channels])
+
+
 @settings(max_examples=150, deadline=None)
 @given(_pairwise_instances())
 def test_pairwise_matches_oracle_property(instance):
     channels, query = instance
     by_name = sorted(channels, key=lambda ch: ch.name)
-    candidates = sorted(fused_graph_for_query(channels, query).nodes)
+    candidates = sorted(_fused_graph(channels, query).nodes)
     pw = TieredPairwise(
         [(ch.index, ch.k1, ch.k2) for ch in by_name],
         candidates=candidates,
@@ -249,7 +245,7 @@ def test_pairwise_matches_oracle_property(instance):
 def test_fused_query_arrays_match_fused_graph_property(instance):
     channels, query = instance
     pairwise, weights, ranks = fused_query_arrays(channels, query)
-    fused = fused_graph_for_query(channels, query)
+    fused = _fused_graph(channels, query)
     cand = pairwise.candidate_ids
     assert set(cand) == fused.nodes
     want = np.array([fused.edges[item] for item in cand], dtype=np.float64)
@@ -339,6 +335,16 @@ def test_greedy_pool_of_one():
     fused = fuse_graphs([g])
     final = greedy_select(fused, FunctionPairwise(lambda u, i: fused.edges.get(i, 0.0), fused), k=5)
     assert final.items == (0, 9)
+
+
+@pytest.mark.parametrize("candidates", [(0, 5, 9), (0,)])
+def test_greedy_rejects_candidates_other_than_the_fused_nodes(candidates):
+    # an extra candidate (5), or a fused node (9) the pairwise lacks
+    fused = fuse_graphs([_tier3(0, {0: 4.0, 9: 2.0}, (0, 9))])
+    pairwise = FunctionPairwise(lambda u, i: 1.0, fused)
+    pairwise.candidate_ids = candidates
+    with pytest.raises(UnknownItemError):
+        greedy_select(fused, pairwise, k=5)
 
 
 def test_greedy_no_duplicates_query_first():

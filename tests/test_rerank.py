@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,20 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_features
-from tierank.errors import EmptySetError, FormatError, UnknownItemError
+from tierank.errors import FormatError, UnknownItemError
 from tierank.index import FeatureMatrix, Metric, NeighborhoodIndex, build_index, knn_candidates
 from tierank.oracles import oracle_tier3
-from tierank.rerank import (
-    JaccardValue,
-    QueryGraph,
-    jaccard,
-    tier1_rerank,
-    tier1_weights,
-    tier2_weights,
-    tier3_weights,
-    tiered_graph,
-    tiered_rerank,
-)
+from tierank.rerank import JaccardValue, tier1_rerank, tiered_graph, tiered_rerank
 from tierank.scenarios import gen_outlier_scenario
 
 
@@ -32,46 +21,28 @@ from tierank.scenarios import gen_outlier_scenario
 
 
 def test_jaccard_planted_outlier_sets():
-    # self-inclusive 5-sets from the planted scenario, spelled out by hand
+    # self-inclusive 5-rows from the planted scenario, spelled out by hand;
+    # the rows of items outside the query's row are never read
     A, B, C, D, O, O1, O2, E, F, G, H, I = range(12)
-    n_a = {A, O, B, C, D}
-    assert jaccard(n_a, {O, A, B, O1, O2}) == JaccardValue(3, 7)
-    assert jaccard(n_a, {B, A, O, E, F}) == JaccardValue(3, 7)
-    assert jaccard(n_a, {C, A, F, H, G}) == JaccardValue(2, 8)
-    assert jaccard(n_a, {D, A, C, H, I}) == JaccardValue(3, 7)
-
-
-def test_jaccard_identical_sets():
-    assert jaccard({1, 2, 3}, {1, 2, 3}).value == 1
-
-
-def test_jaccard_disjoint_sets():
-    assert jaccard({1, 2}, {3, 4}).value == 0
-
-
-def test_jaccard_empty_set_rejected():
-    with pytest.raises(EmptySetError):
-        jaccard(set(), {1})
+    rows = {
+        A: [A, O, B, C, D],
+        O: [O, A, B, O1, O2],
+        B: [B, A, O, E, F],
+        C: [C, A, F, H, G],
+        D: [D, A, C, H, I],
+    }
+    table = np.asarray([rows.get(x, [x, *[y for y in range(12) if y != x][:4]]) for x in range(12)])
+    index = NeighborhoodIndex("plane", 5, Metric.L1, np.arange(12), table, np.zeros((12, 5)))
+    overlap = tiered_graph(index, A)[0].overlap
+    assert overlap[O] == overlap[B] == overlap[D] == JaccardValue(3, 7)
+    assert overlap[C] == JaccardValue(2, 8)
 
 
 def test_jaccard_keeps_raw_counts():
-    jv = jaccard({0, 1}, {0, 1, 2, 3, 4, 5, 6, 7})
+    jv = JaccardValue(2, 8)
     assert (jv.numerator, jv.denominator) == (2, 8)
     assert jv.value == Fraction(1, 4)
     assert float(jv) == 0.25
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.frozensets(st.integers(0, 40), min_size=1, max_size=12),
-    st.frozensets(st.integers(0, 40), min_size=1, max_size=12),
-)
-def test_jaccard_symmetry_and_range(a, b):
-    ab = jaccard(a, b)
-    ba = jaccard(b, a)
-    assert ab == ba
-    assert 0 <= ab.value <= 1
-    assert (ab.value == 1) == (a == b)
 
 
 # --- tier 1 -----------------------------------------------------------------
@@ -81,7 +52,7 @@ def test_tier1_query_edge_is_one():
     rng = np.random.default_rng(0)
     fm = random_features(rng, 15, dim=3)
     index = build_index(fm, k=4)
-    t1 = tier1_weights(index, 7, alpha=1.0)
+    t1 = tiered_graph(index, 7, alpha=1.0)[0]
     assert t1.edges[7] == 1.0
 
 
@@ -91,7 +62,7 @@ def test_tier1_matches_set_arithmetic_oracle():
     index = build_index(fm, k=6)
     alpha = 0.9
     for query in (0, 11, 39):
-        t1 = tier1_weights(index, query, alpha=alpha)
+        t1 = tiered_graph(index, query, alpha=alpha)[0]
         members = set(index.neighbor_ids(query, 6).tolist())
         for item in t1.order:
             own = set(index.neighbor_ids(item, 6).tolist())
@@ -114,7 +85,7 @@ def test_tier1_unknown_query():
     fm = random_features(rng, 10, dim=2)
     index = build_index(fm, k=3)
     with pytest.raises(UnknownItemError):
-        tier1_weights(index, 999)
+        tiered_graph(index, 999)
 
 
 # --- tier 2 -----------------------------------------------------------------
@@ -125,26 +96,8 @@ def test_tier2_all_candidates_connected():
     rng = np.random.default_rng(4)
     fm = random_features(rng, 25, dim=3)
     index = build_index(fm, k=5)
-    t2 = tier2_weights(tier1_weights(index, 6))
-    assert set(t2.edges.values()) == {1.0}
-
-
-def _zero_overlap_tier1():
-    """A hand-made tier-1 graph whose candidate 5 shares nothing with the query's set."""
-    return QueryGraph(
-        query=0,
-        tier=1,
-        edges={0: 1.0, 5: 0.0},
-        order=(0, 5),
-        k1=2,
-        k2=2,
-        overlap={0: JaccardValue(2, 2), 5: JaccardValue(0, 4)},
-    )
-
-
-def test_tier2_zero_overlap_edge_drops():
-    t2 = tier2_weights(_zero_overlap_tier1())
-    assert t2.edges == {0: 1.0, 5: 0.0}
+    t1 = tiered_graph(index, 6)[0]
+    assert all(jv.numerator > 0 for jv in t1.overlap.values())
 
 
 # --- tier 3 -----------------------------------------------------------------
@@ -155,8 +108,7 @@ def test_tier3_saturated_candidate_scores_k2():
     fm = random_features(rng, 20, dim=3)
     index = build_index(fm, k=4)
     for query in range(20):
-        t1 = tier1_weights(index, query)
-        t3 = tier3_weights(index, query, tier2_weights(t1))
+        _, t3 = tiered_graph(index, query)
         # the query's own neighborhood lies fully inside the support
         assert t3.edges[query] == 4.0
         for item, w in t3.edges.items():
@@ -166,8 +118,7 @@ def test_tier3_saturated_candidate_scores_k2():
 def test_tier3_outlier_weight_bounded():
     scenario = gen_outlier_scenario(seed=0)
     index = build_index(scenario.features, k=scenario.k1, metric=Metric.L1)
-    t1 = tier1_weights(index, scenario.query, k1=5, k2=3)
-    t3 = tier3_weights(index, scenario.query, tier2_weights(t1))
+    _, t3 = tiered_graph(index, scenario.query, k1=5, k2=3)
     outlier = scenario.ids["O"]
     on_cluster = [scenario.ids[n] for n in ("B", "C", "D")]
     assert t3.edges[outlier] <= 2
@@ -179,23 +130,14 @@ def test_tier3_matches_double_loop_oracle():
     fm = random_features(rng, 35, dim=4)
     index = build_index(fm, k=5)
     for query in (2, 17, 30):
-        t1 = tier1_weights(index, query)
-        t2 = tier2_weights(t1)
-        t3 = tier3_weights(index, query, t2)
+        t1, t3 = tiered_graph(index, query)
+        # tier 2 binarizes tier 1
+        tier2 = {item: float(jv.numerator > 0) for item, jv in t1.overlap.items()}
         for item in t3.order:
             total = 0.0
             for nbr in index.neighbor_ids(item, 5).tolist():
-                total += t2.edges.get(nbr, 0.0)
+                total += tier2.get(nbr, 0.0)
             assert t3.edges[item] == total
-
-
-def test_tier3_rejects_non_binary_tier2():
-    rng = np.random.default_rng(6)
-    index = build_index(random_features(rng, 35, dim=4), k=5)
-    t2 = tier2_weights(tier1_weights(index, 2))
-    hand_built = replace(t2, edges={**t2.edges, t2.order[1]: 0.5})
-    with pytest.raises(FormatError):
-        tier3_weights(index, 2, hand_built)
 
 
 @st.composite
@@ -275,11 +217,13 @@ def test_tier3_matches_set_oracle_property(instance):
 
 
 def test_tier3_rejects_a_gated_out_candidate():
-    # no row led by its owner can produce this tier-2 graph, and the closed
-    # form would miscount it
-    index = build_index(random_features(np.random.default_rng(6), 6, dim=2), k=2)
+    # item 2's row leaves it out and shares nothing with the query's row
+    # {0, 2}: tier 2 would gate 2 out and tier 3's count would miscount it,
+    # so building the tiers refuses the table
+    table = np.asarray([[0, 2], [1, 3], [3, 1], [3, 1]], dtype=np.int64)
+    index = NeighborhoodIndex("bad", 2, Metric.L1, np.arange(4), table, np.zeros((4, 2)))
     with pytest.raises(FormatError):
-        tier3_weights(index, 0, tier2_weights(_zero_overlap_tier1()))
+        tiered_graph(index, 0)
 
 
 @pytest.mark.parametrize("table", [
@@ -290,10 +234,12 @@ def test_tier3_rejects_a_gated_out_candidate():
     [[1, 2], [1, 2], [2, 1], [3, 1]],
 ])
 def test_tiered_rerank_rejects_a_row_not_led_by_its_owner(table):
+    # the check sits in the counting kernel, so every view of the tiers makes it
     table = np.asarray(table, dtype=np.int64)
     index = NeighborhoodIndex("bad", 2, Metric.L1, np.arange(4), table, np.zeros((4, 2)))
-    with pytest.raises(FormatError):
-        tiered_rerank(index, 0)
+    for view in (tiered_rerank, tiered_graph, tier1_rerank):
+        with pytest.raises(FormatError):
+            view(index, 0)
 
 
 # --- tiered rerank ----------------------------------------------------------
