@@ -183,7 +183,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise FormatError(f"bad --seed value {seed}: must be >= 0")
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
+    _check_seed(args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.scenario == "outlier":
@@ -228,6 +234,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise FormatError(f"need >= 100 timed samples, got --queries {args.queries} x --reps {args.reps}")
     if args.queries > min(n_values):
         raise FormatError(f"--queries {args.queries} exceeds the collection size --n {min(n_values)}")
+    if args.dim < 1:
+        raise FormatError(f"bad --dim value {args.dim}: must be >= 1")
+    _check_seed(args.seed)
     print("label\tn\tm\tk\tmean_ms\tmedian_ms\tsamples")
     rng = np.random.default_rng(args.seed)
     for n in n_values:

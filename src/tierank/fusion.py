@@ -109,12 +109,15 @@ class TieredPairwise:
     the pipeline reads its tie-break weights off that row instead of
     building per-channel tiered graphs and fusing them.
 
-    The C×C matrix is built once, in the constructor; an instance belongs
-    to a single query. Per channel, a boolean support matrix marks each
-    candidate's k1 neighborhood, and only the linked pairs (u, i), at most
-    C·k1 of the C² entries, are counted: one flat gather of i's k2 row
-    against u's support row. ``batch(u)`` returns u's row in candidate_ids
-    order.
+    The C×C ``matrix`` is built once, in the constructor, in candidate_ids
+    order; an instance belongs to a single query. Per channel, the
+    candidates' neighbor rows come as row positions, and a scratch indexed
+    by position gives every neighbor a local column (only the entries the
+    query touches are written, so nothing is sorted and nothing of size n
+    cleared). A boolean support matrix marks each candidate's k1
+    neighborhood in those columns, and only the linked pairs (u, i), at
+    most C·k1 of the C² entries, are counted: one flat gather of i's k2 row
+    against u's support row. ``batch(u)`` returns u's row.
     """
 
     def __init__(
@@ -131,35 +134,43 @@ class TieredPairwise:
         cand = np.unique(np.asarray(candidates, dtype=np.int64))
         self.candidate_ids: tuple[int, ...] = tuple(cand.tolist())
         self._row_of = {item: pos for pos, item in enumerate(self.candidate_ids)}
-        weights = np.zeros((cand.shape[0], cand.shape[0]), dtype=np.float64)
+        c = cand.shape[0]
+        weights = np.zeros((c, c), dtype=np.float64)
         # channels add up in the caller's order, which must match fusion's
         # accumulation order for the query's row to equal the fused edges
         # bit-for-bit under scaling
         for (idx, k1, k2), scale in zip(channels, scales):
-            nbrs = idx.rows(cand, max(k1, k2))
-            uniq, local = np.unique(nbrs, return_inverse=True)
-            local = local.reshape(nbrs.shape)
-            # support[u, v]: id uniq[v] lies in u's k1 neighborhood
-            support = np.zeros((cand.shape[0], uniq.shape[0]), dtype=bool)
-            np.put_along_axis(support, local[:, :k1], True, axis=1)
-            support[:, uniq < 0] = False  # the -1 pad of short rows is no neighbor
-            # position[v]: candidate position of id uniq[v], or -1; every
-            # candidate id occurs in uniq, since it leads its own neighbor row
-            position = np.full(uniq.shape[0], -1, dtype=np.intp)
-            position[np.searchsorted(uniq, cand)] = np.arange(cand.shape[0])
-            link = position[local[:, :k1]]
-            u, col = np.nonzero(link >= 0)
-            j = link[u, col]
-            flat = u[:, None] * uniq.shape[0] + local[j, :k2]
-            overlap = np.count_nonzero(support.ravel().take(flat), axis=1)
+            pos = idx.positions(cand)
+            nbrs = idx.position_rows(pos, max(k1, k2))
+            # local column of every neighbor position, read off a scratch
+            # of which only the entries this query touches are written:
+            # candidate j's is j, any other position's one of its flat
+            # indices in nbrs (past C), and the -1 pad's (the scratch's
+            # last entry) the last column
+            width = c + nbrs.size + 1
+            scratch = np.empty(idx.n + 1, dtype=np.int64)
+            scratch[nbrs] = np.arange(c, width - 1).reshape(nbrs.shape)
+            scratch[pos] = np.arange(c)
+            scratch[-1] = width - 1
+            local = scratch[nbrs]
+            near = local[:, :k1]
+            # support[u, v]: column v lies in u's k1 neighborhood; row u
+            # starts at offsets[u] of the flat matrix
+            support = np.zeros((c, width), dtype=bool)
+            offsets = np.arange(0, c * width, width)[:, None]
+            support.ravel()[offsets + near] = True
+            support[:, -1] = False  # the pad is no neighbor
+            u, col = np.nonzero(near < c)
+            j = near[u, col]
+            overlap = np.count_nonzero(support.ravel()[offsets[u] + local[j, :k2]], axis=1)
             weights[u, j] += float(scale) * overlap
         weights.setflags(write=False)
-        self._weights = weights
+        self.matrix = weights
 
     def batch(self, u: int) -> np.ndarray:
         """Weights from center u to every candidate, in candidate_ids order."""
         try:
-            return self._weights[self._row_of[u]]
+            return self.matrix[self._row_of[u]]
         except KeyError:
             raise UnknownItemError(f"center {u} is not a candidate") from None
 
@@ -172,8 +183,8 @@ def greedy_select(fused: FusedGraph, pairwise: TieredPairwise, k: int) -> FinalR
     toward the higher fused weight to the query, then the lower original
     distance rank, then the smaller id. Stops after k additions or when the
     pool is exhausted. ``pairwise`` is anything with ``candidate_ids`` and
-    ``batch(u)``, such as :class:`TieredPairwise`; its candidates must be
-    the fused graph's nodes.
+    the C×C ``matrix`` of affinities in that order, such as
+    :class:`TieredPairwise`; its candidates must be the fused graph's nodes.
     """
     cand = pairwise.candidate_ids
     if fused.nodes != frozenset(cand):
@@ -196,7 +207,8 @@ def select_arrays(
     ``weights`` (fused weight to the query) and ``ranks`` (distance rank)
     hold the static tie-break keys, one per entry of
     ``pairwise.candidate_ids``. Every candidate but the query may be
-    selected.
+    selected. The matrix is permuted once into tie-break order, so each
+    step adds one of its rows and masks the taken entries with -inf.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -205,16 +217,20 @@ def select_arrays(
     # lower distance rank, smaller id): argmax returns the first maximum,
     # which is then the one that wins the tie
     order = np.lexsort((ids, ranks, -weights))
+    matrix = pairwise.matrix[np.ix_(order, order)]
     items = ids[order].tolist()
-    live = ids[order] != query
+    try:
+        pos = items.index(query)
+    except ValueError:
+        raise UnknownItemError(f"center {query} is not a candidate") from None
     acc = np.zeros(len(items))
 
     selected = [query]
     scores = [0.0]
-    for _ in range(min(k, int(live.sum()))):
-        acc += pairwise.batch(selected[-1])[order]
-        pos = int(np.where(live, acc, -np.inf).argmax())
-        live[pos] = False
+    for _ in range(min(k, len(items) - 1)):
+        acc += matrix[pos]
+        acc[pos] = -np.inf  # taken, and it stays so: every weight is finite
+        pos = int(acc.argmax())
         selected.append(items[pos])
         scores.append(float(acc[pos]))
 

@@ -6,15 +6,19 @@ k-1 nearest others". Ordering is by (distance, id) with the owner promoted
 to the front, which makes index construction fully deterministic.
 
 An index is three dense arrays: the sorted item ids, an (n, min(k, n))
-neighbor-id table and the matching distance table, one row per item. It is
-built a block of rows at a time and saved as a fixed header followed by the
-raw little-endian arrays (index file v2), which load back without parsing
-and are validated as a whole.
+neighbor table and the matching distance table, one row per item. In
+memory the neighbor table holds row positions into the sorted ids, so the
+query kernels count neighborhood overlaps as marks over positions instead
+of set operations on ids; on disk it holds ids. An index is built a block
+of rows at a time and saved as a fixed header followed by the raw
+little-endian arrays (index file v2), which load back without parsing, are
+validated as a whole, and have their ids turned into positions in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -281,18 +285,43 @@ def query_knn(
 
 
 
+def _row_positions(item_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The row of every id in the sorted ``item_ids``, or -1 for an id with no row.
+
+    When the stored ids span fewer values than there are lookups, one
+    lookup table over the span answers them all (as when a whole neighbor
+    table is loaded); otherwise each id takes a binary search, so that a
+    handful of lookups never pays for a table of size n.
+    """
+    lo, hi = int(item_ids[0]), int(item_ids[-1])
+    if hi - lo < ids.size:
+        # one slot per id of the span, plus a first and a last slot that
+        # answer every id below and above it
+        table = np.full(hi - lo + 3, -1, dtype=np.int64)
+        table[item_ids - (lo - 1)] = np.arange(item_ids.shape[0])
+        return table.take(ids - (lo - 1), mode="clip")
+    pos = np.searchsorted(item_ids, ids)
+    pos[item_ids.take(pos, mode="clip") != ids] = -1
+    return pos
+
+
 @dataclass(frozen=True, eq=False)
 class NeighborhoodIndex:
     """Per-item, self-inclusive nearest-neighbor lists for one channel.
 
+    ``item_ids`` is sorted, and an item's row position is its place in it.
     Row r of ``neighbor_table`` lists item ``item_ids[r]`` and its nearest
     items, min(k, n) in all, sorted by (distance, id) with the item itself
-    first; ``distance_table`` holds the matching distances. ``item_ids`` is
-    sorted, so an id finds its row by binary search. ``virtual`` holds
-    extra rows for out-of-sample queries (see :meth:`with_virtual`), kept
-    apart so that the shared tables are never copied. The index is
-    immutable after construction; all read accessors are safe to call
-    concurrently.
+    first, each given by its row position; ``distance_table`` holds the
+    matching distances. An entry that is no row position (an id with no row
+    of its own, when the tables are built by hand) is a FormatError.
+    ``virtual`` holds extra rows for out-of-sample queries (see
+    :meth:`with_virtual`), kept apart so that the shared tables are never
+    copied; they take positions n, n+1, ... in the order they were added.
+    The kernels read positions (:meth:`positions`, :meth:`neighbor_positions`,
+    :meth:`position_rows`); every other accessor takes and returns ids. The
+    index is immutable after construction; all read accessors are safe to
+    call concurrently.
     """
 
     channel_name: str
@@ -306,42 +335,91 @@ class NeighborhoodIndex:
     def __post_init__(self) -> None:
         for array in (self.item_ids, self.neighbor_table, self.distance_table):
             array.setflags(write=False)
+        table = self.neighbor_table
+        if table.size and (table.min() < 0 or table.max() >= self.item_ids.shape[0]):
+            raise FormatError(f"channel {self.channel_name!r}: a row names an item with no row of its own")
 
     @property
     def n(self) -> int:
         return self.item_ids.shape[0] + len(self.virtual)
 
     def __contains__(self, item: int) -> bool:
-        return self._position(item) >= 0 or item in self.virtual
+        return self._position(item) >= 0
 
     def items(self) -> Iterator[int]:
         return iter(self.item_ids.tolist() + list(self.virtual))
 
     def _position(self, item: int) -> int:
-        """Table row of a stored item, or -1."""
+        """Row position of a stored or virtual item, or -1."""
+        stored = self.item_ids.shape[0]
         pos = int(np.searchsorted(self.item_ids, item))
-        if pos < self.item_ids.shape[0] and self.item_ids[pos] == item:
+        if pos < stored and self.item_ids[pos] == item:
             return pos
+        if item in self.virtual:
+            return stored + list(self.virtual).index(item)
         return -1
 
+    def positions(self, items: Sequence[int] | np.ndarray) -> np.ndarray:
+        """The row position of every item, stored or virtual."""
+        items = np.asarray(items, dtype=np.int64)
+        pos = _row_positions(self.item_ids, items)
+        if pos.min(initial=0) < 0:  # a virtual item, or an unknown one
+            for j in np.flatnonzero(pos < 0).tolist():
+                pos[j] = self._position(int(items[j]))
+                if pos[j] < 0:
+                    raise UnknownItemError(f"item {items[j]} not in index for channel {self.channel_name!r}")
+        return pos
+
+    def ids_at(self, positions: np.ndarray) -> np.ndarray:
+        """The item id at every row position."""
+        stored = self.item_ids.shape[0]
+        ids = self.item_ids.take(positions, mode="clip")
+        if self.virtual:
+            beyond = positions >= stored
+            virtual_ids = np.fromiter(self.virtual, dtype=np.int64, count=len(self.virtual))
+            ids[beyond] = virtual_ids[positions[beyond] - stored]
+        return ids
+
     def _entry(self, item: int) -> tuple[np.ndarray, np.ndarray]:
+        """(neighbor positions, distances) of an item's row."""
         pos = self._position(item)
-        if pos >= 0:
+        if pos < 0:
+            raise UnknownItemError(f"item {item} not in index for channel {self.channel_name!r}")
+        if pos < self.item_ids.shape[0]:
             return self.neighbor_table[pos], self.distance_table[pos]
-        try:
-            return self.virtual[item]
-        except KeyError:
-            raise UnknownItemError(f"item {item} not in index for channel {self.channel_name!r}") from None
+        return self.virtual[item]
+
+    def neighbor_positions(self, item: int, k: int | None = None) -> np.ndarray:
+        """The first k entries of an item's row, as row positions."""
+        return self._entry(item)[0][:k]
 
     def neighbor_ids(self, item: int, k: int | None = None) -> np.ndarray:
-        ids, _ = self._entry(item)
-        return ids if k is None else ids[:k]
+        return self.ids_at(self.neighbor_positions(item, k))
 
     def neighbors(self, item: int, k: int | None = None) -> list[tuple[int, float]]:
-        ids, dists = self._entry(item)
-        if k is not None:
-            ids, dists = ids[:k], dists[:k]
-        return [(int(i), float(d)) for i, d in zip(ids, dists)]
+        row, dists = self._entry(item)
+        return [(int(i), float(d)) for i, d in zip(self.ids_at(row[:k]), dists[:k])]
+
+    def position_rows(self, positions: np.ndarray, k: int | None = None) -> np.ndarray:
+        """The first k neighbor positions of every row in ``positions``, as one int64 matrix.
+
+        Row j belongs to ``positions[j]``. A row shorter than the matrix
+        (when n < k, or for a virtual row) is right-padded with -1, which is
+        no position.
+        """
+        stored, stored_width = self.neighbor_table.shape
+        width = max([stored_width] + [row.shape[0] for row, _ in self.virtual.values()])
+        width = width if k is None else min(k, width)
+        out = self.neighbor_table.take(positions, axis=0, mode="clip")[:, :width]
+        if self.virtual:  # only a virtual row can be wider than the stored ones
+            pad = np.full((out.shape[0], width - out.shape[1]), -1, dtype=np.int64)
+            out = np.concatenate((out, pad), axis=1)
+            rows = [row for row, _ in self.virtual.values()]
+            for j in np.flatnonzero(positions >= stored).tolist():
+                row = rows[positions[j] - stored][:width]
+                out[j] = -1
+                out[j, : row.shape[0]] = row
+        return out
 
     def rows(self, items: Sequence[int] | np.ndarray, k: int | None = None) -> np.ndarray:
         """The first k neighbor ids of every item, as one int64 matrix.
@@ -350,27 +428,18 @@ class NeighborhoodIndex:
         n < k, or for a virtual row) is right-padded with -1; ids are
         non-negative, so the pad never matches an item.
         """
-        items = np.asarray(items, dtype=np.int64)
-        stored_width = self.neighbor_table.shape[1]
-        width = max([stored_width] + [ids.shape[0] for ids, _ in self.virtual.values()])
-        width = width if k is None else min(k, width)
-        pos = np.minimum(np.searchsorted(self.item_ids, items), self.item_ids.shape[0] - 1)
-        out = np.full((items.shape[0], width), -1, dtype=np.int64)
-        out[:, : min(width, stored_width)] = self.neighbor_table[pos, :width]
-        for j in np.flatnonzero(self.item_ids[pos] != items).tolist():
-            row = self.neighbor_ids(int(items[j]), width)
-            out[j] = -1
-            out[j, : row.shape[0]] = row
-        return out
+        rows = self.position_rows(self.positions(items), k)
+        return np.where(rows < 0, -1, self.ids_at(rows))
 
     def with_virtual(self, item: int, ids: np.ndarray, dists: np.ndarray) -> "NeighborhoodIndex":
         """This index plus a synthetic row for ``item``, sharing the stored tables.
 
         Used to treat an out-of-sample query as a temporary member of its
         own candidate set; the stored index is not modified, and nothing of
-        size n is copied. The row must meet the identity every stored row
-        meets: led by ``item`` at distance 0, finite distances, no id named
-        twice, and every later id stored or already virtual.
+        size n is copied. The row, given in ids, must meet the identity
+        every stored row meets: led by ``item`` at distance 0, finite
+        distances, no id named twice, and every later id stored or already
+        virtual. ``item`` takes the next row position, :attr:`n`.
         """
         if item in self:
             raise FormatError(f"virtual id {item} collides with an indexed item")
@@ -386,14 +455,16 @@ class NeighborhoodIndex:
             raise FormatError(f"virtual row {item} has a non-finite distance")
         if len(set(ids.tolist())) != ids.shape[0]:
             raise FormatError(f"virtual row {item} names an id twice")
-        later = ids[1:]
-        pos = np.minimum(np.searchsorted(self.item_ids, later), self.item_ids.shape[0] - 1)
-        for other in later[self.item_ids[pos] != later].tolist():
-            if other not in self.virtual:
-                raise FormatError(f"virtual row {item} names {other}, which is neither stored nor virtual")
-        ids.setflags(write=False)
+        try:
+            row = np.concatenate(([self.n], self.positions(ids[1:])))
+        except UnknownItemError as exc:
+            raise FormatError(f"virtual row {item} names an item neither stored nor virtual: {exc}") from None
+        row.setflags(write=False)
         dists.setflags(write=False)
-        return replace(self, virtual={**self.virtual, item: (ids, dists)})
+        # a shallow copy shares the tables, which were checked when they were made
+        overlay = copy.copy(self)
+        object.__setattr__(overlay, "virtual", {**self.virtual, item: (row, dists)})
+        return overlay
 
 
 def build_index(features: FeatureMatrix, k: int, metric: Metric = Metric.L1) -> NeighborhoodIndex:
@@ -404,6 +475,8 @@ def build_index(features: FeatureMatrix, k: int, metric: Metric = Metric.L1) -> 
         _check_nonzero(features.vectors, f"channel {features.channel_name!r}")
 
     order = np.argsort(features.ids)
+    position = np.empty(features.n, dtype=np.int64)  # row position of every feature row
+    position[order] = np.arange(features.n)
     k_eff = min(k, features.n)
     table = np.empty((features.n, k_eff), dtype=np.int64)
     dists = np.empty((features.n, k_eff), dtype=np.float64)
@@ -415,14 +488,14 @@ def build_index(features: FeatureMatrix, k: int, metric: Metric = Metric.L1) -> 
         block[np.arange(owners.shape[0]), owners] = -1.0
         cols = _nearest(block, features.ids, k_eff)
         done = slice(start, start + owners.shape[0])
-        table[done] = features.ids[cols]
+        table[done] = position[cols]
         dists[done] = np.take_along_axis(block, cols, axis=1)
     dists[:, 0] = 0.0
     return NeighborhoodIndex(features.channel_name, k, metric, features.ids[order], table, dists)
 
 
 def save_index(index: NeighborhoodIndex, path: str | Path) -> None:
-    """Persist an index as index file v2: a fixed header, then the raw tables."""
+    """Persist an index as index file v2: a fixed header, then the raw tables, neighbors as ids."""
     if index.virtual:
         raise FormatError("an index with virtual rows cannot be saved")
     name = index.channel_name.encode("utf-8")
@@ -431,7 +504,8 @@ def save_index(index: NeighborhoodIndex, path: str | Path) -> None:
         dtype=_INDEX_HEADER,
     )
     parts = [_INDEX_MAGIC, header.tobytes(), name, bytes(-len(name) % 8)]
-    parts += [index.item_ids.astype("<i8").tobytes(), index.neighbor_table.astype("<i8").tobytes()]
+    neighbor_ids = index.item_ids.take(index.neighbor_table)
+    parts += [index.item_ids.astype("<i8").tobytes(), neighbor_ids.astype("<i8", copy=False).tobytes()]
     parts.append(index.distance_table.astype("<f8").tobytes())
     try:
         with open(path, "wb") as fh:
@@ -446,15 +520,20 @@ def load_index(path: str | Path) -> NeighborhoodIndex:
     The whole file is checked before use: its size against its header, the
     item ids (sorted, unique, non-negative) and every row (led by its owner
     at distance 0, then in (distance, id) order, naming indexed items only
-    and none twice).
+    and none twice). The neighbor ids then become row positions in place, in
+    the buffer the file was read into.
     """
-    raw = _read_bytes(path)
-    if raw.startswith(b"{"):
-        raise FormatError(f"{path}: index file v1 (JSON) is no longer supported; re-run `tierank index`")
+    try:
+        raw = np.fromfile(path, dtype=np.uint8)
+    except OSError as exc:
+        raise FileAccessError(f"cannot read {path}: {exc}") from exc
     start = len(_INDEX_MAGIC) + _INDEX_HEADER.itemsize
-    if not raw.startswith(_INDEX_MAGIC) or len(raw) < start:
+    head = raw[:start].tobytes()
+    if head.startswith(b"{"):
+        raise FormatError(f"{path}: index file v1 (JSON) is no longer supported; re-run `tierank index`")
+    if not head.startswith(_INDEX_MAGIC) or len(head) < start:
         raise FormatError(f"{path}: not a tierank index file")
-    header = np.frombuffer(raw, dtype=_INDEX_HEADER, count=1, offset=len(_INDEX_MAGIC))[0]
+    header = np.frombuffer(head, dtype=_INDEX_HEADER, count=1, offset=len(_INDEX_MAGIC))[0]
     if header["version"] != _INDEX_VERSION:
         raise FormatError(f"{path}: unsupported index version {int(header['version'])}")
     k, n, width, name_bytes = (int(header[f]) for f in ("k", "n", "width", "name_bytes"))
@@ -463,7 +542,7 @@ def load_index(path: str | Path) -> NeighborhoodIndex:
         raise FormatError(f"{path}: file size {len(raw)} does not match its header")
     try:
         metric = Metric(header["metric"].decode("ascii"))
-        channel = raw[start : start + name_bytes].decode("utf-8")
+        channel = raw[start : start + name_bytes].tobytes().decode("utf-8")
     except ValueError as exc:
         raise FormatError(f"{path}: malformed index header") from exc
     if n < 1 or k < 1 or width != min(k, n):
@@ -483,9 +562,11 @@ def load_index(path: str | Path) -> NeighborhoodIndex:
     ordered = (d[:, :-1] < d[:, 1:]) | ((d[:, :-1] == d[:, 1:]) & (t[:, :-1] < t[:, 1:]))
     if not (np.isfinite(d).all() and ordered.all()):
         raise FormatError(f"{path}: a row is not in (distance, id) order")
-    if not np.isin(table, ids).all():
+    positions = _row_positions(ids, table)
+    if (positions < 0).any():
         raise FormatError(f"{path}: a row names an item that is not indexed")
-    ranked = np.sort(table, axis=1)
+    ranked = np.sort(positions, axis=1)
     if (ranked[:, 1:] == ranked[:, :-1]).any():
         raise FormatError(f"{path}: a row names an item twice")
+    table[...] = positions
     return NeighborhoodIndex(channel, k, metric, ids, table, dists)

@@ -84,13 +84,18 @@ def _overlaps(index: NeighborhoodIndex, query: int, k1: int, k2: int) -> tuple[n
     overlap is |N_k2(x) ∩ N_k1(q)| and its union |N_k2(x) ∪ N_k1(q)|. The
     closed form of tier 3 holds only for rows led by their owner, which
     every library-built row is; a hand-built row that breaks it is a
-    FormatError.
+    FormatError. Membership is a mark per row position, in a scratch of
+    which only the entries this query reads are written.
     """
-    nearest = index.neighbor_ids(query, k1)
-    if nearest[:1].tolist() != [query]:
+    nearest = index.neighbor_positions(query, k1)
+    candidates = index.ids_at(nearest)
+    if candidates[:1].tolist() != [query]:
         raise FormatError(f"query {query} does not lead its own neighbor row")
-    rows = index.rows(nearest, k2)
-    overlaps = np.isin(rows, nearest).sum(axis=1)
+    rows = index.position_rows(nearest, k2)
+    marks = np.empty(index.n + 1, dtype=bool)  # the last entry is the -1 pad's
+    marks[rows] = False
+    marks[nearest] = True
+    overlaps = np.count_nonzero(marks[rows], axis=1)
     if not overlaps.all():
         raise FormatError("a candidate row shares nothing with the query's: it is not led by its owner")
     unions = np.count_nonzero(rows >= 0, axis=1) + nearest.shape[0] - overlaps
@@ -100,7 +105,7 @@ def _overlaps(index: NeighborhoodIndex, query: int, k1: int, k2: int) -> tuple[n
     # in [0, 1] is off by at most 2**-54; distinct values therefore keep
     # their order whenever d² < 2**53, which holds for any k below 4·10**7.
     # Equal fractions are the same real number and round to the same float.
-    return nearest, overlaps, unions, overlaps / unions
+    return candidates, overlaps, unions, overlaps / unions
 
 
 def tiered_graph(

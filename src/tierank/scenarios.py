@@ -342,9 +342,11 @@ def gen_correlated_trial(rng: np.random.Generator, k: int, p: float) -> Correlat
         next_outside += len(outside)
         rows.append([member, *linked, *outside])
 
-    # rows are in owner order 0..k-1; the outside ids have no row of their own
+    # rows in owner order: 0..k-1, then a self-led row for every outside id,
+    # never read (no outside id is a candidate) but owed by every neighbor
+    rows += [[item, *range(k - 1)] for item in range(k, next_outside)]
     table = np.asarray(rows, dtype=np.int64)
-    dists = np.tile(np.arange(k, dtype=np.float64), (k, 1))
+    dists = np.tile(np.arange(k, dtype=np.float64), (next_outside, 1))
     index = NeighborhoodIndex("correlated", k, Metric.L1, table[:, 0].copy(), table, dists)
     return CorrelatedTrial(
         index=index, query=query, members=members, in_class=in_class, k=k, p=p

@@ -38,7 +38,7 @@ def fused_instance(rng, n, m, k, dim=4):
 
 
 class FunctionPairwise:
-    """A plain ``pairwise(u, i)`` function behind the candidate_ids/batch interface."""
+    """A plain ``pairwise(u, i)`` function behind the candidate_ids/matrix interface."""
 
     def __init__(self, fn, fused):
         self.candidate_ids = tuple(sorted(fused.nodes))
@@ -46,3 +46,7 @@ class FunctionPairwise:
 
     def batch(self, u):
         return np.array([self._fn(u, i) for i in self.candidate_ids], dtype=np.float64)
+
+    @property
+    def matrix(self):
+        return np.array([self.batch(u) for u in self.candidate_ids])

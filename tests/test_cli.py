@@ -6,7 +6,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tierank
 from conftest import random_features
 from tierank.cli import main
 from tierank.config import load_config
@@ -350,12 +354,32 @@ def test_bench_smoke(capsys):
     ["--n", "0"],
     ["--n", "50", "--queries", "10"],
     ["--n", "50", "--queries", "100"],
+    ["--seed", "-1"],
+    ["--dim", "-1"],
+    ["--dim", "0"],
 ])
 def test_bench_rejects_malformed_options(capsys, argv):
     code = main(["bench", "--m", "1", *argv])
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error\tFormatError\t") and len(err.splitlines()) == 1
+
+
+def test_synth_rejects_a_negative_seed_before_writing(capsys, tmp_path):
+    out = tmp_path / "scen"
+    code = main(["synth", "--scenario", "outlier", "--seed", "-1", "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error\tFormatError\t") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(tierank.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "tierank", "--help"], capture_output=True, text=True, env=env)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: tierank") and "rerank" in done.stdout
 
 
 @pytest.fixture(scope="module")

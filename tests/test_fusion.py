@@ -179,7 +179,9 @@ def _query_instances(draw):
     Channel names are permuted against input order, n may be below k, and
     vectors sit on a small integer grid, so duplicates are common. Returns
     (channels, query, vector): for a stored-id query the vector is None;
-    otherwise ``query`` is a free virtual id for the vector.
+    otherwise ``query`` is a free virtual id for the vector, above every
+    stored id as the CLI numbers them or below the largest, where its row
+    position and its id sort differently.
     """
     n = draw(st.integers(2, 12))
     m = draw(st.integers(2, 3))
@@ -202,7 +204,10 @@ def _query_instances(draw):
         )
     if draw(st.booleans()):
         vector = draw(st.lists(st.integers(0, 4), min_size=2, max_size=2))
-        return channels, virtual_query_id(channels), vector
+        vid = draw(st.one_of(st.just(virtual_query_id(channels)), st.integers(0, max(ids))))
+        while vid in ids:  # the next free id: below the largest stored one unless none is free
+            vid += 1
+        return channels, vid, vector
     return channels, draw(st.sampled_from(ids)), None
 
 
@@ -301,17 +306,22 @@ def test_rerank_query_matches_oracle_composition_property(instance, k_final):
 
 def test_fused_query_gathers_rows_once_per_channel(monkeypatch):
     # the per-channel tiered graphs and fuse_graphs stay off the fused query
-    # path: TieredPairwise's one gather per channel is the only rows call
+    # path: TieredPairwise's one gather per channel is the only row gather,
+    # of positions, and no id rows are gathered at all
     rng = np.random.default_rng(12)
     channels = random_channels(rng, 80, 3, 6)
     calls = []
-    rows = NeighborhoodIndex.rows
+    position_rows = NeighborhoodIndex.position_rows
 
-    def counting_rows(self, items, k=None):
+    def counting_rows(self, positions, k=None):
         calls.append(self.channel_name)
-        return rows(self, items, k)
+        return position_rows(self, positions, k)
 
-    monkeypatch.setattr(NeighborhoodIndex, "rows", counting_rows)
+    def no_rows(self, items, k=None):
+        raise AssertionError("id rows gathered on the fused query path")
+
+    monkeypatch.setattr(NeighborhoodIndex, "position_rows", counting_rows)
+    monkeypatch.setattr(NeighborhoodIndex, "rows", no_rows)
     rerank_query(channels, 17)
     assert sorted(calls) == ["ch0", "ch1", "ch2"]
 

@@ -1,4 +1,4 @@
-"""Golden rankings: `tierank index` then `tierank rerank` against committed TSVs.
+"""Golden outputs: `tierank index` then `tierank rerank` against committed files.
 
 The feature files come from integer arithmetic alone (no random stream), so
 the inputs are the same on every machine and numpy version. The grids are
@@ -8,12 +8,17 @@ has a single channel with k2 < k1; the other has three channels with alphas
 k_final and at --k-final 2. Queries are stored ids from --queries-file plus
 out-of-sample vectors from --query-vectors.
 
-An intended change of rankings regenerates the files with
-``PYTHONPATH=src python tests/test_golden.py``.
+The index files `tierank index` writes are checked against the SHA-256
+digests in ``golden/index.sha256``, so the on-disk format stays byte for
+byte what it was whatever the in-memory representation of an index.
+
+An intended change of rankings or index files regenerates the golden files
+with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import sys
 import tempfile
 from pathlib import Path
@@ -23,6 +28,7 @@ import pytest
 from tierank.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+DIGESTS = GOLDEN / "index.sha256"
 
 _N = 48
 # (name, metric, k1, k2, alpha, salt), in the file order of their sections
@@ -62,7 +68,10 @@ def _config(channels) -> str:
 
 
 def golden_outputs(work: Path) -> dict[str, bytes]:
-    """Write the inputs under ``work``, run the CLI, return each TSV's bytes."""
+    """Write the inputs under ``work``, run the CLI, return each TSV's bytes.
+
+    The index files the runs read are left under ``work / "idx"``.
+    """
     for channels, cfg in ((_SINGLE, "single.cfg"), (_MULTI, "multi.cfg")):
         for name, *_, salt in channels:
             (work / f"{name}.csv").write_text(_feature_csv(salt))
@@ -82,14 +91,31 @@ def golden_outputs(work: Path) -> dict[str, bytes]:
     return outputs
 
 
+def index_digests(work: Path) -> str:
+    """``sha256sum``-style lines for every index file under ``work / "idx"``."""
+    return "".join(
+        f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n"
+        for path in sorted((work / "idx").glob("*.index"))
+    )
+
+
 @pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
-    return golden_outputs(tmp_path_factory.mktemp("golden"))
+def work(tmp_path_factory):
+    return tmp_path_factory.mktemp("golden")
+
+
+@pytest.fixture(scope="module")
+def outputs(work):
+    return golden_outputs(work)
 
 
 @pytest.mark.parametrize("name", sorted(_RUNS))
 def test_cli_rankings_match_golden_files(outputs, name):
     assert outputs[name] == (GOLDEN / name).read_bytes()
+
+
+def test_index_files_match_golden_digests(outputs, work):
+    assert index_digests(work) == DIGESTS.read_text()
 
 
 if __name__ == "__main__":
@@ -98,3 +124,5 @@ if __name__ == "__main__":
         for name, data in golden_outputs(Path(tmp)).items():
             (GOLDEN / name).write_bytes(data)
             print(f"wrote {GOLDEN / name}", file=sys.stderr)
+        DIGESTS.write_text(index_digests(Path(tmp)))
+        print(f"wrote {DIGESTS}", file=sys.stderr)

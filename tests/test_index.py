@@ -23,6 +23,7 @@ from tierank.errors import (
 from tierank.index import (
     FeatureMatrix,
     Metric,
+    NeighborhoodIndex,
     build_index,
     distance,
     load_features,
@@ -523,3 +524,29 @@ def test_unknown_item_lookup():
     index = build_index(fm, k=2)
     with pytest.raises(UnknownItemError):
         index.neighbors(1234)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_positions_find_every_row_whichever_the_id_spread(data):
+    # dense ids go through a lookup table, sparse ones through binary
+    # search: both must give every stored id its row and refuse the rest
+    top = data.draw(st.sampled_from([40, 10**12]), label="top")
+    ids = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=30, unique=True), label="ids")
+    index = build_index(FeatureMatrix(channel_name="p", ids=ids, vectors=np.zeros((len(ids), 1))), k=2)
+    row = {item: pos for pos, item in enumerate(sorted(ids))}
+    stored = data.draw(st.lists(st.sampled_from(ids), max_size=200), label="stored")
+    assert index.positions(stored).tolist() == [row[item] for item in stored]
+    assert index.ids_at(index.positions(stored)).tolist() == stored
+    absent = data.draw(st.integers(-5, top + 5).filter(lambda item: item not in row), label="absent")
+    with pytest.raises(UnknownItemError):
+        index.positions(stored + [absent])
+
+
+@pytest.mark.parametrize("bad", [2, -1])
+def test_hand_built_index_rejects_an_item_with_no_row(bad):
+    # the table holds row positions: one past the last row, or below the
+    # first, names an item that has no row of its own
+    table = np.asarray([[0, 1], [1, bad]])
+    with pytest.raises(FormatError, match="no row of its own"):
+        NeighborhoodIndex("bad", 2, Metric.L1, np.asarray([0, 1]), table, np.zeros((2, 2)))
