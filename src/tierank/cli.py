@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .config import ChannelConfig, PipelineConfig, default_k, load_config, write_config
-from .errors import FileAccessError, FormatError, TierankError
+from .errors import FileAccessError, FormatError, TierankError, read_text
 from .evaluation import load_ground_truth, ns_score, precision_at, recall_at, write_ground_truth
 from .index import Metric, build_index, load_features, load_index, save_index, write_features_csv
 from .pipeline import Channel, batch_rerank, rerank_vector_query, virtual_query_id
@@ -75,11 +75,7 @@ def _parse_query_ids(args: argparse.Namespace) -> list[int]:
         except ValueError:
             raise FormatError(f"bad --query-ids value {args.query_ids!r}")
     if args.queries_file:
-        try:
-            text = Path(args.queries_file).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise FileAccessError(f"cannot read {args.queries_file}: {exc}") from exc
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(read_text(args.queries_file).splitlines(), start=1):
             if not line.strip():
                 continue
             try:
@@ -90,12 +86,8 @@ def _parse_query_ids(args: argparse.Namespace) -> list[int]:
 
 
 def _parse_query_vectors(path: str) -> list[np.ndarray]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FileAccessError(f"cannot read {path}: {exc}") from exc
     vectors = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         toks = line.replace(",", " ").split()

@@ -34,7 +34,7 @@ import configparser
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import FileAccessError, FormatError
+from .errors import FileAccessError, FormatError, read_text
 from .index import Metric
 
 # item-count heuristic used when a channel does not pin k explicitly
@@ -93,11 +93,9 @@ def default_k(n_items: int) -> int:
 
 def load_config(path: str | Path) -> PipelineConfig:
     parser = configparser.ConfigParser()
+    text = read_text(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except OSError as exc:
-        raise FileAccessError(f"cannot read config {path}: {exc}") from exc
+        parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise FormatError(f"bad config {path}: {exc}") from exc
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .errors import ClassSizeError, FileAccessError, FormatError, UnknownItemError
+from .errors import ClassSizeError, FileAccessError, FormatError, UnknownItemError, read_text
 from .ranking import RankedList
 
 
@@ -56,12 +56,8 @@ class MetricReport:
 
 def load_ground_truth(path: str | Path) -> GroundTruth:
     """Read `<id>,<class_id>` CSV labels."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FileAccessError(f"cannot read ground truth {path}: {exc}") from exc
     labels: dict[int, int] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         parts = [p.strip() for p in line.split(",")]

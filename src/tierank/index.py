@@ -18,7 +18,7 @@ validated as a whole, and have their ids turned into positions in place.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -32,6 +32,8 @@ from .errors import (
     FormatError,
     UnknownItemError,
     ZeroVectorError,
+    read_bytes,
+    read_text,
 )
 from .ranking import RankedList
 
@@ -111,22 +113,19 @@ def load_features(path: str | Path, fmt: str = "csv", channel_name: str | None =
     """Load a feature matrix from a CSV or binary file."""
     name = channel_name if channel_name is not None else Path(path).stem
     if fmt == "csv":
-        return _load_csv(path, name)
-    if fmt == "binary":
-        return _load_binary(path, name)
-    raise FormatError(f"unknown feature format {fmt!r}")
-
-
-def _read_bytes(path: str | Path) -> bytes:
+        ids, vectors = _load_csv(path)
+    elif fmt == "binary":
+        ids, vectors = _load_binary(path)
+    else:
+        raise FormatError(f"unknown feature format {fmt!r}")
     try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise FileAccessError(f"cannot read {path}: {exc}") from exc
+        return FeatureMatrix(channel_name=name, ids=ids, vectors=vectors)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
-def _load_csv(path: str | Path, channel_name: str) -> FeatureMatrix:
-    text = _read_bytes(path).decode("utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+def _load_csv(path: str | Path) -> tuple[list[int], np.ndarray]:
+    lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
     if lines:
         first = lines[0].split(",")[0].strip()
         try:
@@ -154,38 +153,23 @@ def _load_csv(path: str | Path, channel_name: str) -> FeatureMatrix:
             raise FormatError(f"{path}:{lineno}: expected {dim} features, got {len(values)}")
         ids.append(item)
         rows.append(values)
-
-    vectors = np.asarray(rows, dtype=np.float64)
-    if len(set(ids)) != len(ids):
-        raise FormatError(f"{path}: duplicate item ids")
-    if not np.isfinite(vectors).all():
-        raise FormatError(f"{path}: non-finite feature value")
-    if any(i < 0 for i in ids):
-        raise FormatError(f"{path}: negative item id")
-    return FeatureMatrix(channel_name=channel_name, ids=ids, vectors=vectors)
+    return ids, np.asarray(rows, dtype=np.float64)
 
 
-def _load_binary(path: str | Path, channel_name: str) -> FeatureMatrix:
-    raw = _read_bytes(path)
+def _load_binary(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    raw = read_bytes(path)
     if len(raw) < 8 or raw[:4] != _BINARY_MAGIC:
         raise FormatError(f"{path}: bad magic bytes for binary feature file")
     dim = int(np.frombuffer(raw, dtype="<u4", count=1, offset=4)[0])
-    if dim == 0:
-        raise FormatError(f"{path}: zero feature dimension")
+    # numpy cannot describe a record of 2**31 bytes or more
+    if dim == 0 or 8 + 4 * dim >= 2**31:
+        raise FormatError(f"{path}: feature dimension {dim} out of range")
     body = raw[8:]
     record = np.dtype([("id", "<i8"), ("vec", "<f4", (dim,))])
     if len(body) == 0 or len(body) % record.itemsize != 0:
         raise FormatError(f"{path}: truncated binary feature file")
     parsed = np.frombuffer(body, dtype=record)
-    ids = parsed["id"]
-    vectors = parsed["vec"].astype(np.float64)
-    if (ids < 0).any():
-        raise FormatError(f"{path}: negative item id")
-    if np.unique(ids).shape[0] != ids.shape[0]:
-        raise FormatError(f"{path}: duplicate item ids")
-    if not np.isfinite(vectors).all():
-        raise FormatError(f"{path}: non-finite feature value")
-    return FeatureMatrix(channel_name=channel_name, ids=ids, vectors=vectors)
+    return parsed["id"], parsed["vec"].astype(np.float64)
 
 
 def write_features_csv(features: FeatureMatrix, path: str | Path) -> None:
@@ -315,13 +299,13 @@ class NeighborhoodIndex:
     first, each given by its row position; ``distance_table`` holds the
     matching distances. An entry that is no row position (an id with no row
     of its own, when the tables are built by hand) is a FormatError.
-    ``virtual`` holds extra rows for out-of-sample queries (see
-    :meth:`with_virtual`), kept apart so that the shared tables are never
-    copied; they take positions n, n+1, ... in the order they were added.
-    The kernels read positions (:meth:`positions`, :meth:`neighbor_positions`,
-    :meth:`position_rows`); every other accessor takes and returns ids. The
-    index is immutable after construction; all read accessors are safe to
-    call concurrently.
+    ``virtual`` is None, or the one extra row of an out-of-sample query as
+    (id, row positions, distances) (see :meth:`with_virtual`), kept apart so
+    that the shared tables are never copied; it takes position n, one past
+    the stored rows. The kernels read positions (:meth:`positions`,
+    :meth:`neighbor_positions`, :meth:`position_rows`); every other accessor
+    takes and returns ids. The index is immutable after construction; all
+    read accessors are safe to call concurrently.
     """
 
     channel_name: str
@@ -330,7 +314,7 @@ class NeighborhoodIndex:
     item_ids: np.ndarray
     neighbor_table: np.ndarray
     distance_table: np.ndarray
-    virtual: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    virtual: tuple[int, np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         for array in (self.item_ids, self.neighbor_table, self.distance_table):
@@ -341,13 +325,13 @@ class NeighborhoodIndex:
 
     @property
     def n(self) -> int:
-        return self.item_ids.shape[0] + len(self.virtual)
+        return self.item_ids.shape[0] + (self.virtual is not None)
 
     def __contains__(self, item: int) -> bool:
         return self._position(item) >= 0
 
     def items(self) -> Iterator[int]:
-        return iter(self.item_ids.tolist() + list(self.virtual))
+        return iter(self.item_ids.tolist() + ([] if self.virtual is None else [self.virtual[0]]))
 
     def _position(self, item: int) -> int:
         """Row position of a stored or virtual item, or -1."""
@@ -355,29 +339,25 @@ class NeighborhoodIndex:
         pos = int(np.searchsorted(self.item_ids, item))
         if pos < stored and self.item_ids[pos] == item:
             return pos
-        if item in self.virtual:
-            return stored + list(self.virtual).index(item)
+        if self.virtual is not None and item == self.virtual[0]:
+            return stored
         return -1
 
     def positions(self, items: Sequence[int] | np.ndarray) -> np.ndarray:
         """The row position of every item, stored or virtual."""
         items = np.asarray(items, dtype=np.int64)
         pos = _row_positions(self.item_ids, items)
-        if pos.min(initial=0) < 0:  # a virtual item, or an unknown one
-            for j in np.flatnonzero(pos < 0).tolist():
-                pos[j] = self._position(int(items[j]))
-                if pos[j] < 0:
-                    raise UnknownItemError(f"item {items[j]} not in index for channel {self.channel_name!r}")
+        if self.virtual is not None:
+            pos[items == self.virtual[0]] = self.item_ids.shape[0]
+        if pos.min(initial=0) < 0:
+            raise UnknownItemError(f"item {items[pos.argmin()]} not in index for channel {self.channel_name!r}")
         return pos
 
     def ids_at(self, positions: np.ndarray) -> np.ndarray:
         """The item id at every row position."""
-        stored = self.item_ids.shape[0]
         ids = self.item_ids.take(positions, mode="clip")
-        if self.virtual:
-            beyond = positions >= stored
-            virtual_ids = np.fromiter(self.virtual, dtype=np.int64, count=len(self.virtual))
-            ids[beyond] = virtual_ids[positions[beyond] - stored]
+        if self.virtual is not None:
+            ids[positions == self.item_ids.shape[0]] = self.virtual[0]
         return ids
 
     def _entry(self, item: int) -> tuple[np.ndarray, np.ndarray]:
@@ -387,7 +367,7 @@ class NeighborhoodIndex:
             raise UnknownItemError(f"item {item} not in index for channel {self.channel_name!r}")
         if pos < self.item_ids.shape[0]:
             return self.neighbor_table[pos], self.distance_table[pos]
-        return self.virtual[item]
+        return self.virtual[1], self.virtual[2]
 
     def neighbor_positions(self, item: int, k: int | None = None) -> np.ndarray:
         """The first k entries of an item's row, as row positions."""
@@ -404,43 +384,35 @@ class NeighborhoodIndex:
         """The first k neighbor positions of every row in ``positions``, as one int64 matrix.
 
         Row j belongs to ``positions[j]``. A row shorter than the matrix
-        (when n < k, or for a virtual row) is right-padded with -1, which is
-        no position.
+        (when n < k, or for the virtual row) is right-padded with -1, which
+        is no position; only the virtual row can be wider than the stored
+        ones, by one entry when n < k.
         """
-        stored, stored_width = self.neighbor_table.shape
-        width = max([stored_width] + [row.shape[0] for row, _ in self.virtual.values()])
-        width = width if k is None else min(k, width)
-        out = self.neighbor_table.take(positions, axis=0, mode="clip")[:, :width]
-        if self.virtual:  # only a virtual row can be wider than the stored ones
-            pad = np.full((out.shape[0], width - out.shape[1]), -1, dtype=np.int64)
+        out = self.neighbor_table.take(positions, axis=0, mode="clip")[:, :k]
+        if self.virtual is None:
+            return out
+        row = self.virtual[1][:k]
+        if row.shape[0] > out.shape[1]:
+            pad = np.full((out.shape[0], row.shape[0] - out.shape[1]), -1, dtype=np.int64)
             out = np.concatenate((out, pad), axis=1)
-            rows = [row for row, _ in self.virtual.values()]
-            for j in np.flatnonzero(positions >= stored).tolist():
-                row = rows[positions[j] - stored][:width]
-                out[j] = -1
-                out[j, : row.shape[0]] = row
+        hit = positions == self.item_ids.shape[0]
+        out[hit, : row.shape[0]] = row
+        out[hit, row.shape[0] :] = -1
         return out
 
-    def rows(self, items: Sequence[int] | np.ndarray, k: int | None = None) -> np.ndarray:
-        """The first k neighbor ids of every item, as one int64 matrix.
-
-        Row j belongs to ``items[j]``. A row shorter than the matrix (when
-        n < k, or for a virtual row) is right-padded with -1; ids are
-        non-negative, so the pad never matches an item.
-        """
-        rows = self.position_rows(self.positions(items), k)
-        return np.where(rows < 0, -1, self.ids_at(rows))
-
     def with_virtual(self, item: int, ids: np.ndarray, dists: np.ndarray) -> "NeighborhoodIndex":
-        """This index plus a synthetic row for ``item``, sharing the stored tables.
+        """This index plus the one synthetic row of an out-of-sample query ``item``.
 
-        Used to treat an out-of-sample query as a temporary member of its
-        own candidate set; the stored index is not modified, and nothing of
-        size n is copied. The row, given in ids, must meet the identity
-        every stored row meets: led by ``item`` at distance 0, finite
-        distances, no id named twice, and every later id stored or already
-        virtual. ``item`` takes the next row position, :attr:`n`.
+        Used to treat the query as a temporary member of its own candidate
+        set; the stored index is not modified, and nothing of size n is
+        copied. The row, given in ids, must meet the identity every stored
+        row meets: led by ``item`` at distance 0, finite distances, and every
+        later id stored and named once. ``item`` takes row position n, one
+        past the stored rows. An index holds one virtual row at most, so
+        overlaying an overlay is a FormatError.
         """
+        if self.virtual is not None:
+            raise FormatError(f"virtual id {item}: the index already holds virtual row {self.virtual[0]}")
         if item in self:
             raise FormatError(f"virtual id {item} collides with an indexed item")
         if item < 0:
@@ -453,17 +425,20 @@ class NeighborhoodIndex:
             raise FormatError(f"virtual row {item} is not led by its owner at distance 0")
         if not np.isfinite(dists).all():
             raise FormatError(f"virtual row {item} has a non-finite distance")
-        if len(set(ids.tolist())) != ids.shape[0]:
+        # one sort finds both faults: an id with no stored row (-1, which
+        # sorts first) and an id named twice (equal neighbors)
+        stored = _row_positions(self.item_ids, ids[1:])
+        ranked = np.sort(stored)
+        if ranked.size and ranked[0] < 0:
+            raise FormatError(f"virtual row {item} names item {ids[1:][stored < 0][0]}, which is not stored")
+        if (ranked[1:] == ranked[:-1]).any():
             raise FormatError(f"virtual row {item} names an id twice")
-        try:
-            row = np.concatenate(([self.n], self.positions(ids[1:])))
-        except UnknownItemError as exc:
-            raise FormatError(f"virtual row {item} names an item neither stored nor virtual: {exc}") from None
+        row = np.concatenate(([self.item_ids.shape[0]], stored))
         row.setflags(write=False)
         dists.setflags(write=False)
         # a shallow copy shares the tables, which were checked when they were made
         overlay = copy.copy(self)
-        object.__setattr__(overlay, "virtual", {**self.virtual, item: (row, dists)})
+        object.__setattr__(overlay, "virtual", (item, row, dists))
         return overlay
 
 
@@ -496,8 +471,8 @@ def build_index(features: FeatureMatrix, k: int, metric: Metric = Metric.L1) -> 
 
 def save_index(index: NeighborhoodIndex, path: str | Path) -> None:
     """Persist an index as index file v2: a fixed header, then the raw tables, neighbors as ids."""
-    if index.virtual:
-        raise FormatError("an index with virtual rows cannot be saved")
+    if index.virtual is not None:
+        raise FormatError("an index with a virtual row cannot be saved")
     name = index.channel_name.encode("utf-8")
     header = np.array(
         [(_INDEX_VERSION, index.metric.value, index.k, index.n, index.neighbor_table.shape[1], len(name))],

@@ -35,12 +35,12 @@ class Channel:
     features: FeatureMatrix | None = None
 
 
-def virtual_query_id(channels: Sequence[Channel], offset: int = 0) -> int:
+def virtual_query_id(channels: Sequence[Channel]) -> int:
     """An id guaranteed not to collide with any stored item."""
     top = -1
     for ch in channels:
         top = max(top, int(ch.index.item_ids[-1]))
-    return top + 1 + offset
+    return top + 1
 
 
 def attach_virtual_query(channels: Sequence[Channel], vector: Iterable[float], vid: int) -> list[Channel]:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import FileAccessError, FormatError
+from .errors import FileAccessError, FormatError, read_text
 
 
 @dataclass(frozen=True)
@@ -65,12 +65,7 @@ def write_rankings_tsv(rankings: Iterable[RankedList], path: str | Path) -> None
 
 def read_rankings_tsv(path: str | Path) -> list[RankedList]:
     """Read rankings back, grouped by query in file order."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise FileAccessError(f"cannot read rankings from {path}: {exc}") from exc
-
+    lines = read_text(path).splitlines()
     rankings: list[RankedList] = []
     current_query: int | None = None
     current_tier = ""

@@ -155,14 +155,16 @@ def tiered_rerank(
 ) -> RankedList:
     """Full three-tier re-ranking of the query's candidate set.
 
-    Candidates sort by descending tier-3 weight; ties fall back to
-    descending exact tier-1 Jaccard, then the original distance rank. The
-    query itself is always first, and the output is a permutation of the
-    candidate set.
+    Candidates sort by descending tier-3 weight; ties fall back to the
+    original distance rank. The query itself is always first, and the output
+    is a permutation of the candidate set.
     """
-    nearest, overlaps, _, jac = _overlaps(index, query, *resolve_k(index, alpha, k1, k2))
+    nearest, overlaps, _, _ = _overlaps(index, query, *resolve_k(index, alpha, k1, k2))
     # lexsort is stable and its last key decides first: the query, then
-    # tier 3, then tier-1 Jaccard, then the distance rank (row position)
-    order = np.lexsort((-jac, -overlaps, nearest != query))
+    # tier 3, then the distance rank (row position). Tier-1 Jaccard
+    # c/(len + k1 - c) needs no key of its own: every candidate but the
+    # query has a stored row, so all share one length, and the Jaccard then
+    # rises with the count c, ordering them as tier 3 does.
+    order = np.lexsort((-overlaps, nearest != query))
     entries = tuple(zip(nearest[order].tolist(), overlaps[order].astype(np.float64).tolist()))
     return RankedList(query=query, entries=entries, tier="3", channel=index.channel_name)

@@ -218,16 +218,21 @@ def test_criterion_9_online_cost_is_collection_size_free():
         "n10k": (restricted_channels(channels_10k, k=25, m=3), queries_10k),
         "n20k": (restricted_channels(channels_20k, k=25, m=3), queries_20k),
     }
-    medians: dict[str, list[float]] = {"n10k": [], "n20k": []}
-    # alternating rounds, swapping which size goes first, so that a slow
-    # spell on a busy machine lands on both sizes rather than on one
-    for order in (("n10k", "n20k"), ("n20k", "n10k"), ("n10k", "n20k")):
-        for label in order:
+    for chans, queries in sizes.values():  # warm-up
+        for q in queries:
+            rerank_query(chans, q, k_final=25)
+    times: dict[str, list[float]] = {"n10k": [], "n20k": []}
+    # one query of each size in turn, swapping which size goes first, so
+    # that a slow spell on a busy machine lands on both sizes rather than on
+    # one; 600 samples per size
+    for step in range(600):
+        for label in ("n10k", "n20k") if step % 2 == 0 else ("n20k", "n10k"):
             chans, queries = sizes[label]
-            result = bench_rerank(chans, queries, repetitions=1, k_final=25, label=label)
-            medians[label].append(result.median_ms)
-    base_ms = statistics.median(medians["n10k"])
-    doubled_ms = statistics.median(medians["n20k"])
+            start = time.perf_counter()
+            rerank_query(chans, queries[step % len(queries)], k_final=25)
+            times[label].append((time.perf_counter() - start) * 1e3)
+    base_ms = statistics.median(times["n10k"])
+    doubled_ms = statistics.median(times["n20k"])
     rel = abs(doubled_ms - base_ms) / base_ms
     assert rel < 0.20, f"n scaling {rel * 100:.1f}%"
     table = "; ".join(f"{r.label} k={r.k} m={r.m}: {r.median_ms:.2f}ms" for r in rows)

@@ -192,6 +192,33 @@ def test_missing_feature_file_reports_channel(tmp_path, capsys):
     assert "ghost" in captured.err
 
 
+@pytest.mark.parametrize("target", ["features", "config", "rankings", "truth", "queries", "vectors"])
+def test_non_utf8_text_input_is_a_data_error(outlier_dirs, tmp_path, capsys, target):
+    # one byte that is no UTF-8 in any of the six text inputs exits 3
+    out, idx = outlier_dirs
+    cfg, truth, ranked = out / "pipeline.cfg", out / "truth.csv", tmp_path / "ranked.tsv"
+    queries, vectors = tmp_path / "queries.txt", tmp_path / "vectors.txt"
+    rerank = ["rerank", "--config", str(cfg), "--index-dir", str(idx)]
+    assert main([*rerank, "--query-ids", "0", "--out", str(ranked)]) == 0
+    queries.write_text("0\n")
+    vectors.write_text("0.0 0.0\n")
+    index = ["index", "--config", str(cfg), "--out-dir", str(tmp_path / "idx")]
+    evaluate = ["eval", "--rankings", str(ranked), "--truth", str(truth)]
+    path, argv = {
+        "features": (out / "plane.csv", index),
+        "config": (cfg, index),
+        "rankings": (ranked, evaluate),
+        "truth": (truth, evaluate),
+        "queries": (queries, [*rerank, "--queries-file", str(queries)]),
+        "vectors": (vectors, [*rerank, "--query-vectors", str(vectors)]),
+    }[target]
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error\tFormatError\t") and "UTF-8" in err and len(err.splitlines()) == 1
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["rerank"])  # missing required arguments

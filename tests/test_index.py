@@ -155,6 +155,36 @@ def test_binary_truncated(tmp_path):
         load_features(path, "binary")
 
 
+@pytest.mark.parametrize("dim", [0, 2**29, 2**31, 2**32 - 1])
+def test_binary_dimension_out_of_range(tmp_path, dim):
+    # from 2**29 up, one record would take 2**31 bytes or more, which numpy
+    # cannot describe
+    path = tmp_path / "f.bin"
+    path.write_bytes(b"TKF1" + struct.pack("<I", dim) + bytes(24))
+    with pytest.raises(FormatError, match="dimension"):
+        load_features(path, "binary")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "binary"])
+@pytest.mark.parametrize("ids, value, match", [
+    ([0, 0], 1.0, "duplicate"),
+    ([0, -1], 1.0, "non-negative"),
+    ([0, 1], np.inf, "NaN or Inf"),
+])
+def test_feature_checks_name_the_file(tmp_path, fmt, ids, value, match):
+    # FeatureMatrix makes the checks and load_features names the file
+    path = tmp_path / f"f.{fmt}"
+    if fmt == "csv":
+        path.write_text("".join(f"{item},{value}\n" for item in ids))
+    else:
+        record = np.dtype([("id", "<i8"), ("vec", "<f4", (1,))])
+        body = np.array([(item, [value]) for item in ids], dtype=record)
+        path.write_bytes(b"TKF1" + struct.pack("<I", 1) + body.tobytes())
+    with pytest.raises(FormatError, match=match) as exc:
+        load_features(path, fmt)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
 # --- build_index ------------------------------------------------------------
 
 
@@ -401,7 +431,7 @@ def test_load_index_wrong_schema(tmp_path):
 
 
 def test_load_index_negative_id(tmp_path):
-    # -1 pads short neighbor rows when they are stacked, so no id may be negative
+    # item ids are non-negative, as every feature matrix requires
     data = _index_bytes([-1, 0], [[-1, 0], [0, -1]], [[0.0, 1.0], [0.0, 1.0]])
     with pytest.raises(FormatError, match="negative"):
         load_index(_write_index(tmp_path, data))
@@ -486,13 +516,22 @@ def test_with_virtual_is_a_one_row_overlay():
     assert overlay.neighbor_table is index.neighbor_table and 9 not in index
     assert overlay.n == 4 and 9 in overlay and list(overlay.items()) == [0, 1, 2, 9]
     assert overlay.neighbor_ids(9, 2).tolist() == [9, 1]
-    assert overlay.rows([2, 9, 0]).tolist() == [[2, 1, 0, -1], [9, 1, 0, 2], [0, 1, 2, -1]]
-    assert overlay.rows([9, 2], k=2).tolist() == [[9, 1], [2, 1]]
+    assert overlay.neighbor_ids(9).tolist() == [9, 1, 0, 2] and overlay.neighbor_ids(2).tolist() == [2, 1, 0]
+    # item 9 takes position 3, one past the stored rows, and its row is the
+    # one entry wider than theirs: they are padded with -1
+    assert overlay.positions([2, 9, 0]).tolist() == [2, 3, 0]
+    assert overlay.ids_at(np.asarray([3, 0, 3])).tolist() == [9, 0, 9]
+    rows = overlay.position_rows(overlay.positions([2, 9, 0]))
+    assert rows.tolist() == [[2, 1, 0, -1], [3, 1, 0, 2], [0, 1, 2, -1]]
+    assert overlay.position_rows(overlay.positions([9, 2]), k=2).tolist() == [[3, 1], [2, 1]]
     with pytest.raises(UnknownItemError):
-        overlay.rows([0, 7])
+        overlay.positions([0, 7])
     for bad in (1, -1):
         with pytest.raises(FormatError):
             index.with_virtual(bad, np.asarray([bad]), np.asarray([0.0]))
+    # a virtual row shorter than the stored ones is padded instead
+    short = index.with_virtual(5, [5, 2], [0.0, 0.5])
+    assert short.position_rows(np.asarray([3, 1])).tolist() == [[3, 2, -1], [1, 0, 2]]
 
 
 @pytest.mark.parametrize(
@@ -505,17 +544,18 @@ def test_with_virtual_is_a_one_row_overlay():
         ([9, 1], [0.0, np.inf]),  # non-finite distance
         ([9, 1, 1], [0.0, 1.0, 1.0]),  # an id named twice
         ([9, 9], [0.0, 0.0]),  # the owner named twice
-        ([9, 777], [0.0, 1.0]),  # neither stored nor virtual
-        ([9, 8], [0.0, 1.0]),  # a virtual id not yet attached
+        ([9, 777], [0.0, 1.0]),  # an id with no stored row
+        ([9, 8], [0.0, 1.0]),  # a virtual id, which has no stored row either
     ],
 )
 def test_with_virtual_rejects_a_malformed_row(ids, dists):
     index = build_index(_line_features([0.0, 1.0, 3.0]), k=5)
     with pytest.raises(FormatError):
         index.with_virtual(9, np.asarray(ids, dtype=np.int64), np.asarray(dists))
-    # a row may name a virtual item attached before it
-    overlay = index.with_virtual(8, [8, 2], [0.0, 1.0]).with_virtual(9, [9, 8, 0], [0.0, 1.0, 2.0])
-    assert overlay.rows([9, 8]).tolist() == [[9, 8, 0], [8, 2, -1]]
+    # an index holds one virtual row, so no row can name another virtual item
+    overlay = index.with_virtual(8, [8, 2], [0.0, 1.0])
+    with pytest.raises(FormatError, match="already holds"):
+        overlay.with_virtual(9, [9, 8, 0], [0.0, 1.0, 2.0])
 
 
 def test_unknown_item_lookup():
@@ -541,6 +581,15 @@ def test_positions_find_every_row_whichever_the_id_spread(data):
     absent = data.draw(st.integers(-5, top + 5).filter(lambda item: item not in row), label="absent")
     with pytest.raises(UnknownItemError):
         index.positions(stored + [absent])
+    # a virtual id, above the stored ones or between them, takes position n
+    vid = data.draw(st.integers(0, top + 5).filter(lambda item: item not in row and item != absent), label="virtual")
+    overlay = index.with_virtual(vid, [vid], [0.0])
+    mixed = data.draw(st.permutations(stored + [vid]), label="mixed")
+    want = [len(ids) if item == vid else row[item] for item in mixed]
+    assert overlay.positions(mixed).tolist() == want
+    assert overlay.ids_at(np.asarray(want, dtype=np.int64)).tolist() == mixed
+    with pytest.raises(UnknownItemError):
+        overlay.positions(mixed + [absent])
 
 
 @pytest.mark.parametrize("bad", [2, -1])
