@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by the whole package."""
+"""Exception hierarchy shared by the whole package, and the input readers that raise it."""
 
 from __future__ import annotations
 
@@ -69,3 +69,24 @@ def read_text(path: str | Path) -> str:
         raise FileAccessError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
+def csv_lines(path: str | Path) -> list[tuple[int, str]]:
+    """The non-blank lines of a CSV text input, with their line numbers, less a header.
+
+    The first non-blank line is a header only when none of its fields is a
+    number. A first line with a numeric field is data, so a malformed first
+    row is an error like any later one instead of being dropped.
+    """
+    lines = [(lineno, line) for lineno, line in enumerate(read_text(path).splitlines(), start=1) if line.strip()]
+    if lines and not any(_is_number(text) for text in lines[0][1].split(",")):
+        return lines[1:]
+    return lines
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True

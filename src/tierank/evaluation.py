@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .errors import ClassSizeError, FileAccessError, FormatError, UnknownItemError, read_text
+from .errors import ClassSizeError, FileAccessError, FormatError, UnknownItemError, csv_lines
 from .ranking import RankedList
 
 
@@ -57,17 +57,13 @@ class MetricReport:
 def load_ground_truth(path: str | Path) -> GroundTruth:
     """Read `<id>,<class_id>` CSV labels."""
     labels: dict[int, int] = {}
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, line in csv_lines(path):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2:
             raise FormatError(f"{path}:{lineno}: expected `<id>,<class_id>`")
         try:
             item, cls = int(parts[0]), int(parts[1])
         except ValueError:
-            if lineno == 1:
-                continue  # header line
             raise FormatError(f"{path}:{lineno}: non-integer id or class")
         if item in labels:
             raise FormatError(f"{path}:{lineno}: duplicate item id {item}")

@@ -110,14 +110,17 @@ class TieredPairwise:
     building per-channel tiered graphs and fusing them.
 
     The C×C ``matrix`` is built once, in the constructor, in candidate_ids
-    order; an instance belongs to a single query. Per channel, the
-    candidates' neighbor rows come as row positions, and a scratch indexed
-    by position gives every neighbor a local column (only the entries the
+    order; an instance belongs to a single query. Per channel, a stored
+    center's counts are its row of the index's overlap table
+    (:meth:`~tierank.index.NeighborhoodIndex.overlap_table`, built on the
+    first fused query at that (k1, k2) and cached), and only a virtual
+    center's row is counted, by the kernel that builds the table. A scratch
+    indexed by row position gives every candidate its local column and
+    every other neighbor a spare one past the last (only the entries the
     query touches are written, so nothing is sorted and nothing of size n
-    cleared). A boolean support matrix marks each candidate's k1
-    neighborhood in those columns, and only the linked pairs (u, i), at
-    most C·k1 of the C² entries, are counted: one flat gather of i's k2 row
-    against u's support row. ``batch(u)`` returns u's row.
+    cleared). One ``bincount`` then sums every channel's counts into their
+    cells, in channel order, and the spare column is dropped. ``batch(u)``
+    returns u's row.
     """
 
     def __init__(
@@ -131,48 +134,45 @@ class TieredPairwise:
             scales = [1.0] * len(channels)
         if len(scales) != len(channels):
             raise FormatError("one scale per channel required")
-        cand = np.unique(np.asarray(candidates, dtype=np.int64))
+        self._ids = cand = np.unique(np.asarray(candidates, dtype=np.int64))
         self.candidate_ids: tuple[int, ...] = tuple(cand.tolist())
-        self._row_of = {item: pos for pos, item in enumerate(self.candidate_ids)}
         c = cand.shape[0]
-        weights = np.zeros((c, c), dtype=np.float64)
-        # channels add up in the caller's order, which must match fusion's
-        # accumulation order for the query's row to equal the fused edges
-        # bit-for-bit under scaling
+        row_starts = np.arange(0, c * (c + 1), c + 1)[:, None]  # flat cell (u, 0) of a (C, C+1) matrix
+        cells, values = [np.empty(0, dtype=np.int64)], [np.empty(0)]
         for (idx, k1, k2), scale in zip(channels, scales):
             pos = idx.positions(cand)
-            nbrs = idx.position_rows(pos, max(k1, k2))
-            # local column of every neighbor position, read off a scratch
-            # of which only the entries this query touches are written:
-            # candidate j's is j, any other position's one of its flat
-            # indices in nbrs (past C), and the -1 pad's (the scratch's
-            # last entry) the last column
-            width = c + nbrs.size + 1
+            near = idx.position_rows(pos, k1)
+            counts = idx.overlap_table(k1, k2).take(pos, axis=0, mode="clip")
+            if idx.virtual is not None:
+                # a virtual center's row is counted here, and may be one
+                # entry wider than the table
+                virtual = pos == idx.item_ids.shape[0]
+                wide = np.zeros(near.shape, dtype=counts.dtype)
+                wide[:, : counts.shape[1]] = counts
+                wide[virtual] = idx.overlap_counts(near[virtual], k2)[1]
+                counts = wide
+            # local column of every neighbor: candidate j's is j, any other
+            # position's (and the -1 pad's, the scratch's last entry) c
             scratch = np.empty(idx.n + 1, dtype=np.int64)
-            scratch[nbrs] = np.arange(c, width - 1).reshape(nbrs.shape)
+            scratch[near] = c
             scratch[pos] = np.arange(c)
-            scratch[-1] = width - 1
-            local = scratch[nbrs]
-            near = local[:, :k1]
-            # support[u, v]: column v lies in u's k1 neighborhood; row u
-            # starts at offsets[u] of the flat matrix
-            support = np.zeros((c, width), dtype=bool)
-            offsets = np.arange(0, c * width, width)[:, None]
-            support.ravel()[offsets + near] = True
-            support[:, -1] = False  # the pad is no neighbor
-            u, col = np.nonzero(near < c)
-            j = near[u, col]
-            overlap = np.count_nonzero(support.ravel()[offsets[u] + local[j, :k2]], axis=1)
-            weights[u, j] += float(scale) * overlap
-        weights.setflags(write=False)
-        self.matrix = weights
+            cells.append((row_starts + scratch[near]).ravel())
+            values.append(np.multiply(counts, float(scale), dtype=np.float64).ravel())
+        # a candidate's cell appears once per channel, and bincount adds in
+        # input order: channel by channel in the caller's order, which must
+        # match fusion's accumulation order for the query's row to equal the
+        # fused edges bit for bit under scaling
+        weights = np.bincount(np.concatenate(cells), np.concatenate(values), minlength=c * (c + 1))
+        matrix = weights.reshape(c, c + 1)[:, :c]
+        matrix.setflags(write=False)
+        self.matrix = matrix
 
     def batch(self, u: int) -> np.ndarray:
         """Weights from center u to every candidate, in candidate_ids order."""
-        try:
-            return self.matrix[self._row_of[u]]
-        except KeyError:
-            raise UnknownItemError(f"center {u} is not a candidate") from None
+        row = int(np.searchsorted(self._ids, u))
+        if row == self._ids.shape[0] or self._ids[row] != u:
+            raise UnknownItemError(f"center {u} is not a candidate")
+        return self.matrix[row]
 
 
 def greedy_select(fused: FusedGraph, pairwise: TieredPairwise, k: int) -> FinalRanking:

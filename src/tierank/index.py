@@ -18,7 +18,7 @@ validated as a whole, and have their ids turned into positions in place.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -32,8 +32,8 @@ from .errors import (
     FormatError,
     UnknownItemError,
     ZeroVectorError,
+    csv_lines,
     read_bytes,
-    read_text,
 )
 from .ranking import RankedList
 
@@ -47,6 +47,7 @@ _INDEX_HEADER = np.dtype(
 )
 _BINARY_MAGIC = b"TKF1"
 _BUILD_BLOCK_ROWS = 128
+_TABLE_BLOCK_ROWS = 16
 
 
 class Metric(str, Enum):
@@ -125,20 +126,14 @@ def load_features(path: str | Path, fmt: str = "csv", channel_name: str | None =
 
 
 def _load_csv(path: str | Path) -> tuple[list[int], np.ndarray]:
-    lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
-    if lines:
-        first = lines[0].split(",")[0].strip()
-        try:
-            float(first)
-        except ValueError:
-            lines = lines[1:]  # header row, detected by non-numeric first token
+    lines = csv_lines(path)
     if not lines:
         raise FormatError(f"{path}: no feature rows")
 
     ids: list[int] = []
     rows: list[list[float]] = []
     dim: int | None = None
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in lines:
         fields = [f.strip() for f in line.split(",")]
         if len(fields) < 2:
             raise FormatError(f"{path}:{lineno}: need an id and at least one feature")
@@ -304,8 +299,14 @@ class NeighborhoodIndex:
     that the shared tables are never copied; it takes position n, one past
     the stored rows. The kernels read positions (:meth:`positions`,
     :meth:`neighbor_positions`, :meth:`position_rows`); every other accessor
-    takes and returns ids. The index is immutable after construction; all
-    read accessors are safe to call concurrently.
+    takes and returns ids. Every row must be led by its owner; one that is
+    not is a FormatError.
+
+    The index is immutable after construction; all read accessors are safe
+    to call concurrently. The one derived state is the cache of tier-3
+    overlap tables (:meth:`overlap_table`), one per (k1, k2), built on first
+    use, shared with every overlay and never saved. Building is idempotent:
+    two threads that both miss the cache build equal tables and keep one.
     """
 
     channel_name: str
@@ -315,6 +316,7 @@ class NeighborhoodIndex:
     neighbor_table: np.ndarray
     distance_table: np.ndarray
     virtual: tuple[int, np.ndarray, np.ndarray] | None = None
+    _tables: dict[tuple[int, int], np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         for array in (self.item_ids, self.neighbor_table, self.distance_table):
@@ -322,6 +324,8 @@ class NeighborhoodIndex:
         table = self.neighbor_table
         if table.size and (table.min() < 0 or table.max() >= self.item_ids.shape[0]):
             raise FormatError(f"channel {self.channel_name!r}: a row names an item with no row of its own")
+        if table.size and (table[:, 0] != np.arange(table.shape[0])).any():
+            raise FormatError(f"channel {self.channel_name!r}: a row is not led by its owner")
 
     @property
     def n(self) -> int:
@@ -399,6 +403,65 @@ class NeighborhoodIndex:
         out[hit, : row.shape[0]] = row
         out[hit, row.shape[0] :] = -1
         return out
+
+    def overlap_counts(
+        self, near: np.ndarray, k2: int, marks: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The tier-3 counting kernel, over a block of B neighbor rows: (rows, counts).
+
+        ``near`` is a (B, width) block of row positions, each row an owner's
+        k1 neighbors (as :meth:`position_rows` gives them). ``rows`` holds
+        the k2 rows of its entries, shape (B, width, k2 width), and
+        ``counts[b, c]`` is |N_k2(j) ∩ near[b]| for j = ``near[b, c]``: how
+        many of j's k2 neighbors lie in row b. A -1 pad's count is
+        meaningless. Membership is a mark per (row, position) in ``marks``,
+        a flat boolean scratch of at least B·(n + 1) entries, all False; the
+        kernel leaves it so, which lets one buffer serve every block of a
+        table build. Without one, a scratch is allocated.
+        """
+        rows = self.position_rows(near.ravel(), k2)
+        rows = rows.reshape(*near.shape, rows.shape[1])
+        stride = self.n + 1  # a slot per position, then the pad's
+        if marks is None:
+            marks = np.zeros(near.shape[0] * stride, dtype=bool)
+        marks = marks[: near.shape[0] * stride]
+        # row b's slots start at b·stride, so a -1 pad lands on the slot
+        # before, the pad slot of row b - 1 (of the last row for b = 0),
+        # which stays False
+        start = np.arange(0, marks.size, stride)[:, None]
+        marked = start + near
+        marks[marked] = True
+        marks[stride - 1 :: stride] = False
+        # a count never exceeds either row's length, so the sum's dtype holds it
+        dtype = np.min_scalar_type(min(near.shape[1], rows.shape[2]))
+        counts = marks[start[:, :, None] + rows].sum(axis=2, dtype=dtype)
+        marks[marked] = False
+        return rows, counts
+
+    def overlap_table(self, k1: int, k2: int) -> np.ndarray:
+        """The tier-3 counts of every stored row at (k1, k2), built once and cached.
+
+        Entry (u, c), of shape (stored n, min(k1, width)), is
+        :meth:`overlap_counts`' count for stored row u's c-th neighbor. A
+        stored row never names a virtual item, so an overlay's table is its
+        stored index's, and the two share the cache. The table is built a
+        block of rows at a time through one scratch, in the smallest
+        unsigned dtype that holds min(k1, k2), and is never saved.
+        """
+        table = self._tables.get((k1, k2))
+        if table is None:
+            table = self._tables.setdefault((k1, k2), self._build_overlap_table(k1, k2))
+        return table
+
+    def _build_overlap_table(self, k1: int, k2: int) -> np.ndarray:
+        stored, width = self.neighbor_table.shape
+        table = np.empty((stored, min(k1, width)), dtype=np.min_scalar_type(min(k1, k2)))
+        marks = np.zeros(_TABLE_BLOCK_ROWS * (self.n + 1), dtype=bool)
+        for start in range(0, stored, _TABLE_BLOCK_ROWS):
+            block = slice(start, start + _TABLE_BLOCK_ROWS)
+            table[block] = self.overlap_counts(self.neighbor_table[block, :k1], k2, marks)[1]
+        table.setflags(write=False)
+        return table
 
     def with_virtual(self, item: int, ids: np.ndarray, dists: np.ndarray) -> "NeighborhoodIndex":
         """This index plus the one synthetic row of an out-of-sample query ``item``.

@@ -4,8 +4,9 @@ Tier 1 carries Jaccard overlap weights between the query's candidate set
 and each candidate's own neighborhood, tier 2 binarizes tier 1, and tier 3
 counts, for each candidate, how many of its neighbors are tier-2-connected
 to the query. Every neighbor row starts with its owner, so tier 2 keeps
-every candidate and tier 3 is tier 1's overlap count: one array kernel
-gives each candidate's overlap with the query's set and their union size,
+every candidate and tier 3 is tier 1's overlap count: the index's counting
+kernel, run on the query's row, gives each candidate's overlap with the
+query's set and their union size,
 the rankings sort those arrays, and :func:`tiered_graph` builds the tier-1
 and tier-3 :class:`QueryGraph` views from them for inspection only. Sorting
 by tier 3 demotes candidates whose own neighborhoods point away from the
@@ -20,7 +21,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import FormatError
 from .index import NeighborhoodIndex
 from .ranking import RankedList
 
@@ -82,30 +82,21 @@ def _overlaps(index: NeighborhoodIndex, query: int, k1: int, k2: int) -> tuple[n
 
     The candidates are the query's k1 row in distance order; candidate x's
     overlap is |N_k2(x) ∩ N_k1(q)| and its union |N_k2(x) ∪ N_k1(q)|. The
-    closed form of tier 3 holds only for rows led by their owner, which
-    every library-built row is; a hand-built row that breaks it is a
-    FormatError. Membership is a mark per row position, in a scratch of
-    which only the entries this query reads are written.
+    overlaps are the index's counting kernel run on the query's one row, so
+    a single-channel query never builds an overlap table. Every row is led
+    by its owner (the index checks it), which makes tier 3 this overlap.
     """
     nearest = index.neighbor_positions(query, k1)
-    candidates = index.ids_at(nearest)
-    if candidates[:1].tolist() != [query]:
-        raise FormatError(f"query {query} does not lead its own neighbor row")
-    rows = index.position_rows(nearest, k2)
-    marks = np.empty(index.n + 1, dtype=bool)  # the last entry is the -1 pad's
-    marks[rows] = False
-    marks[nearest] = True
-    overlaps = np.count_nonzero(marks[rows], axis=1)
-    if not overlaps.all():
-        raise FormatError("a candidate row shares nothing with the query's: it is not led by its owner")
-    unions = np.count_nonzero(rows >= 0, axis=1) + nearest.shape[0] - overlaps
+    rows, counts = index.overlap_counts(nearest[None, :], k2)
+    overlaps = counts[0].astype(np.int64)
+    unions = np.count_nonzero(rows[0] >= 0, axis=1) + nearest.shape[0] - overlaps
     # Sorting on these floats gives the exact Fraction order. A union never
     # exceeds d = k1 + k2, so two different values a/b and c/e (b, e <= d)
     # differ by at least 1/(b·e) >= 1/d², while a correctly rounded quotient
     # in [0, 1] is off by at most 2**-54; distinct values therefore keep
     # their order whenever d² < 2**53, which holds for any k below 4·10**7.
     # Equal fractions are the same real number and round to the same float.
-    return candidates, overlaps, unions, overlaps / unions
+    return index.ids_at(nearest), overlaps, unions, overlaps / unions
 
 
 def tiered_graph(

@@ -192,6 +192,25 @@ def test_missing_feature_file_reports_channel(tmp_path, capsys):
     assert "ghost" in captured.err
 
 
+@pytest.mark.parametrize("target", ["features", "truth"])
+def test_malformed_first_row_is_a_data_error(outlier_dirs, tmp_path, capsys, target):
+    # a malformed first row of a feature or truth CSV exits 3 instead of
+    # being dropped as a header
+    out, idx = outlier_dirs
+    cfg, truth, ranked = out / "pipeline.cfg", out / "truth.csv", tmp_path / "ranked.tsv"
+    assert main(["rerank", "--config", str(cfg), "--index-dir", str(idx), "--query-ids", "0",
+                 "--out", str(ranked)]) == 0
+    path, argv = {
+        "features": (out / "plane.csv", ["index", "--config", str(cfg), "--out-dir", str(tmp_path / "idx")]),
+        "truth": (truth, ["eval", "--rankings", str(ranked), "--truth", str(truth)]),
+    }[target]
+    path.write_text("x" + path.read_text())
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error\tFormatError\t") and ":1: " in err and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("target", ["features", "config", "rankings", "truth", "queries", "vectors"])
 def test_non_utf8_text_input_is_a_data_error(outlier_dirs, tmp_path, capsys, target):
     # one byte that is no UTF-8 in any of the six text inputs exits 3

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import FunctionPairwise, fused_instance
-from tierank.errors import ClassSizeError, SizeError, UnknownItemError
+from tierank.errors import ClassSizeError, FormatError, SizeError, UnknownItemError
 from tierank.evaluation import (
     GroundTruth,
     load_ground_truth,
@@ -175,6 +175,26 @@ def test_ground_truth_round_trip(tmp_path):
     back = load_ground_truth(path)
     assert back.labels == truth.labels
     assert back.class_sizes == truth.class_sizes
+
+
+@pytest.mark.parametrize("first", ["5,x", "x7,1", "5,1.5"])
+def test_truth_malformed_first_line_is_an_error(tmp_path, first):
+    # a first line with any numeric field is data, not a header: it used to
+    # be dropped, losing that item's label
+    path = tmp_path / "truth.csv"
+    path.write_text(f"{first}\n1,2\n")
+    with pytest.raises(FormatError, match=r"truth\.csv:1: "):
+        load_ground_truth(path)
+
+
+def test_truth_header_still_loads(tmp_path):
+    # the header is the first non-blank line, as in a feature CSV
+    path = tmp_path / "truth.csv"
+    path.write_text("\nid,class\n0,1\n\n1,2\n")
+    assert load_ground_truth(path).labels == {0: 1, 1: 2}
+    path.write_text("\nid,class\n0,1\n\n1,x\n")
+    with pytest.raises(FormatError, match=r"truth\.csv:5: non-integer"):
+        load_ground_truth(path)
 
 
 def test_unlabeled_item_rejected():

@@ -7,23 +7,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sys
+import threading
 from dataclasses import replace
 from functools import partial
 
 from conftest import FunctionPairwise, fused_instance, random_channels
+from tierank.bench import restricted_channels
 from tierank.errors import EmptyChannelListError, FormatError, QueryMismatchError, UnknownItemError
 from tierank.fusion import FusedGraph, TieredPairwise, fuse_graphs, greedy_select
-from tierank.index import FeatureMatrix, NeighborhoodIndex, build_index
+from tierank.index import FeatureMatrix, NeighborhoodIndex, build_index, knn_candidates
 from tierank.oracles import brute_force_knn, oracle_greedy_select, oracle_pairwise, oracle_tier3
 from tierank.pipeline import (
     Channel,
     attach_virtual_query,
+    batch_rerank,
     fused_query_arrays,
     rerank_query,
     rerank_vector_query,
     virtual_query_id,
 )
-from tierank.rerank import QueryGraph, tiered_graph, tiered_rerank
+from tierank.rerank import QueryGraph, tier1_rerank, tiered_graph, tiered_rerank
 
 
 def _tier3(query, edges, order, k1=4, k2=4, channel="c0"):
@@ -230,6 +234,25 @@ def _fused_graph(channels, query):
     return fuse_graphs(graphs, scales=[ch.alpha for ch in channels])
 
 
+@pytest.mark.parametrize("length", [1, 2, 5, 6])
+@pytest.mark.parametrize("with_virtual", [True, False])
+def test_pairwise_on_a_hand_cut_virtual_row(length, with_virtual):
+    # a virtual row shorter than the stored rows is padded with -1 in the
+    # counted block, and one of n + 1 = 6 entries is wider than them; the
+    # virtual item need not be a candidate at all
+    rng = np.random.default_rng(60 + length)
+    channels = random_channels(rng, 5, 2, 6)
+    overlaid = []
+    for ch in channels:
+        ids, dists = knn_candidates(ch.features, rng.normal(size=4), 5, ch.index.metric)
+        row, row_dists = [9, *ids[: length - 1].tolist()], [0.0, *dists[: length - 1].tolist()]
+        overlaid.append(replace(ch, index=ch.index.with_virtual(9, row, row_dists)))
+    candidates = [0, 2, 3, 9] if with_virtual else [0, 2, 3]
+    pw = TieredPairwise([(ch.index, 6, 6) for ch in overlaid], candidates)
+    for u in pw.candidate_ids:
+        assert pw.batch(u).tolist() == [oracle_pairwise(overlaid, u, i) for i in pw.candidate_ids]
+
+
 @settings(max_examples=150, deadline=None)
 @given(_pairwise_instances())
 def test_pairwise_matches_oracle_property(instance):
@@ -306,10 +329,11 @@ def test_rerank_query_matches_oracle_composition_property(instance, k_final):
 
 def test_fused_query_gathers_rows_once_per_channel(monkeypatch):
     # the per-channel tiered graphs and fuse_graphs stay off the fused query
-    # path: TieredPairwise's one gather of positions per channel is the only
-    # row gather
+    # path: once the overlap tables exist, TieredPairwise's one gather of
+    # positions per channel is the only row gather
     rng = np.random.default_rng(12)
     channels = random_channels(rng, 80, 3, 6)
+    rerank_query(channels, 17)  # builds the tables
     calls = []
     position_rows = NeighborhoodIndex.position_rows
 
@@ -320,6 +344,143 @@ def test_fused_query_gathers_rows_once_per_channel(monkeypatch):
     monkeypatch.setattr(NeighborhoodIndex, "position_rows", counting_rows)
     rerank_query(channels, 17)
     assert sorted(calls) == ["ch0", "ch1", "ch2"]
+
+
+# --- overlap table ---------------------------------------------------------------
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """(channel name, k1, k2) of every overlap table built while the test runs."""
+    builds = []
+    build = NeighborhoodIndex._build_overlap_table
+
+    def counting_build(self, k1, k2):
+        builds.append((self.channel_name, k1, k2))
+        return build(self, k1, k2)
+
+    monkeypatch.setattr(NeighborhoodIndex, "_build_overlap_table", counting_build)
+    return builds
+
+
+def test_overlap_table_is_built_once_per_index_and_k(table_builds):
+    # the first fused query, here a vector query on overlays, builds each
+    # channel's table; every later query, overlay or batch reads it
+    rng = np.random.default_rng(50)
+    channels = random_channels(rng, 120, 3, 6)
+    queries = rng.choice(120, size=30, replace=False).tolist()
+    vid = virtual_query_id(channels)
+    for j, query in enumerate(queries):
+        rerank_vector_query(channels, rng.normal(size=4), vid=vid + j)
+        rerank_query(channels, query)
+    batch_rerank(channels, queries)
+    assert sorted(table_builds) == [("ch0", 6, 6), ("ch1", 6, 6), ("ch2", 6, 6)]
+
+
+@pytest.mark.parametrize(("n", "k1", "k2"), [(40, 8, 8), (40, 3, 8), (40, 8, 3), (5, 8, 8), (5, 2, 8)])
+def test_overlays_share_the_table(table_builds, n, k1, k2):
+    # with n = 5 < k = 8 the virtual row is one entry wider than the stored
+    # rows; a table built through an overlay is still the stored index's
+    rng = np.random.default_rng(51)
+    channel = random_channels(rng, n, 1, 8)[0]
+    overlay = attach_virtual_query([channel], rng.normal(size=4), n)[0].index
+    table = overlay.overlap_table(k1, k2)
+    assert channel.index.overlap_table(k1, k2) is table
+    assert not table.flags.writeable and table.shape == (n, min(k1, n))
+    fresh = build_index(channel.features, k=8).overlap_table(k1, k2)
+    assert fresh.dtype == table.dtype and np.array_equal(fresh, table)
+    assert table_builds == [("ch0", k1, k2)] * 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(_query_instances())
+def test_overlap_table_matches_oracle_property(instance):
+    channels, _, _ = instance
+    for ch in channels:
+        table = ch.index.overlap_table(ch.k1, ch.k2)
+        plain = [replace(ch, alpha=1.0)]
+        for u in ch.index.items():
+            want = [oracle_pairwise(plain, u, j) for j in ch.index.neighbor_ids(u, ch.k1).tolist()]
+            assert table[ch.index.positions([u])[0]].tolist() == want
+
+
+def test_restricted_channels_get_their_own_table(table_builds):
+    # one table per (k1, k2): restricting k, or k2 alone, ranks as a fresh index does
+    rng = np.random.default_rng(52)
+    channels = random_channels(rng, 150, 2, 10)
+    vector = rng.normal(size=4)
+    for k1, k2 in ((4, 4), (4, 10)):
+        narrow = [replace(ch, k2=k2) for ch in restricted_channels(channels, k=k1, m=2)]
+        fresh = [replace(ch, index=build_index(ch.features, k=k2), k1=k1, k2=k2) for ch in channels]
+        for query in range(0, 150, 7):
+            rerank_query(channels, query)
+            assert rerank_query(narrow, query) == rerank_query(fresh, query)
+        assert rerank_vector_query(narrow, vector) == rerank_vector_query(fresh, vector)
+        for ch, other in zip(channels, fresh):
+            assert np.array_equal(ch.index.overlap_table(k1, k2), other.index.overlap_table(k1, k2))
+    assert channels[0].index.overlap_table(10, 10).shape == (150, 10)
+    built = [("ch0", 10, 10), ("ch1", 10, 10)] + [("ch0", 4, 4), ("ch1", 4, 4), ("ch0", 4, 10), ("ch1", 4, 10)] * 2
+    assert sorted(table_builds) == sorted(built)
+
+
+def test_single_channel_and_vector_only_runs_build_no_table(table_builds):
+    rng = np.random.default_rng(53)
+    channels = random_channels(rng, 60, 1, 6)
+    index = channels[0].index
+    for query in range(0, 60, 5):
+        rerank_query(channels, query)
+        tiered_graph(index, query)
+        tier1_rerank(index, query)
+    for _ in range(10):
+        rerank_vector_query(channels, rng.normal(size=4))
+    batch_rerank(channels, range(60))
+    assert table_builds == []
+
+
+def test_threads_racing_on_a_cold_table_cache_agree():
+    # six threads (more than the cores) start fused queries on cold
+    # indexes; whichever builds first, every thread reads one table per
+    # channel and ranks as a serial run does
+    rng = np.random.default_rng(54)
+    channels = random_channels(rng, 200, 3, 8)
+    queries = list(range(0, 200, 9))
+    want = [rerank_query(random_channels(np.random.default_rng(54), 200, 3, 8), q) for q in queries]
+    got, tables = {}, {}
+
+    def work(worker):
+        got[worker] = [rerank_query(channels, q) for q in queries]
+        tables[worker] = [ch.index.overlap_table(8, 8) for ch in channels]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(got[w] == want for w in range(6))
+    assert all(a is b for w in range(6) for a, b in zip(tables[w], tables[0]))
+
+
+@pytest.mark.parametrize(("k1", "k2", "dtype"), [
+    (255, 260, np.uint8), (256, 260, np.uint16), (260, 260, np.uint16), (260, 256, np.uint16),
+])
+def test_overlap_counts_never_wrap(k1, k2, dtype):
+    # at k = n = 260 every row holds every item, so each count is min(k1, k2),
+    # which a uint8 table would wrap from 256 up
+    n = 260
+    channels = []
+    for c in range(2):
+        fm = FeatureMatrix(f"c{c}", range(n), np.arange(n, dtype=np.float64)[:, None] * (c + 1))
+        channels.append(Channel(f"c{c}", build_index(fm, k=n), k1, k2))
+    table = channels[0].index.overlap_table(k1, k2)
+    assert table.dtype == dtype and (table == min(k1, k2)).all()
+    _, weights, _ = fused_query_arrays(channels, 0)
+    assert weights.shape == (k1,) and (weights == 2.0 * min(k1, k2)).all()
 
 
 # --- greedy selection ----------------------------------------------------------

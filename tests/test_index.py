@@ -82,6 +82,26 @@ def test_load_csv_header_detected(tmp_path):
     assert fm.n == 1
 
 
+@pytest.mark.parametrize("first", ["x7,1.0", "7,x", "7,1.0,", "id,1.0"])
+def test_load_csv_malformed_first_row_is_an_error(tmp_path, first):
+    # a first line with any numeric field is data, not a header: it used to
+    # be dropped, loading the file one item short
+    path = tmp_path / "f.csv"
+    path.write_text(f"{first}\n0,2.0\n1,3.0\n")
+    with pytest.raises(FormatError, match=r"f\.csv:1: "):
+        load_features(path, "csv")
+
+
+def test_load_csv_header_after_blank_lines(tmp_path):
+    # the header is the first non-blank line; errors name lines as the file numbers them
+    path = tmp_path / "f.csv"
+    path.write_text("\nid, x\n0,1.0\n\n1,3.0\n")
+    assert load_features(path, "csv").ids.tolist() == [0, 1]
+    path.write_text("\nid, x\n0,1.0\n\n1,y\n")
+    with pytest.raises(FormatError, match=r"f\.csv:5: malformed row"):
+        load_features(path, "csv")
+
+
 def test_load_csv_dim_mismatch(tmp_path):
     path = tmp_path / "f.csv"
     path.write_text("0,1.0,2.0\n1,3.0,4.0,5.0\n")

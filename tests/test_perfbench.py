@@ -2,7 +2,9 @@
 
 ``perfbench/workloads.py`` calls library functions by name; running its
 traced query here makes a renamed or removed name fail in the tests rather
-than in a benchmark run.
+than in a benchmark run. With three channels the traced ``TieredPairwise``
+reads the overlap tables, and with n below k a vector query's virtual row
+is one entry wider than the stored rows, in tier 1 and in the fused matrix.
 """
 
 from __future__ import annotations
@@ -16,13 +18,22 @@ from perfbench.workloads import traced_query
 from tierank.pipeline import rerank_query, rerank_vector_query, virtual_query_id
 
 
-@pytest.mark.parametrize("m", [1, 2])
-def test_traced_query_equals_the_library(m):
-    rng = np.random.default_rng(20 + m)
-    channels = random_channels(rng, 30, m, 5)
+def _check_traced(rng, channels, query):
     tracer = Tracer()
-    assert traced_query(tracer, channels, 4, (7, None)) == rerank_query(channels, 7, k_final=4)
+    assert traced_query(tracer, channels, 4, (query, None)) == rerank_query(channels, query, k_final=4)
     vid, vector = virtual_query_id(channels), rng.normal(size=4)
     want = rerank_vector_query(channels, vector, k_final=4, vid=vid)
     assert traced_query(tracer, channels, 4, (vid, vector)) == want
     assert tracer.spans
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_traced_query_equals_the_library(m):
+    rng = np.random.default_rng(20 + m)
+    _check_traced(rng, random_channels(rng, 30, m, 5), 7)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_traced_query_equals_the_library_below_k(m):
+    rng = np.random.default_rng(40 + m)
+    _check_traced(rng, random_channels(rng, 4, m, 5), 2)

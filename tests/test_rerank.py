@@ -13,6 +13,7 @@ from conftest import random_features
 from tierank.errors import FormatError, UnknownItemError
 from tierank.index import FeatureMatrix, Metric, NeighborhoodIndex, build_index, knn_candidates
 from tierank.oracles import oracle_tier3
+from tierank.pipeline import Channel, rerank_query
 from tierank.rerank import JaccardValue, tier1_rerank, tiered_graph, tiered_rerank
 from tierank.scenarios import gen_outlier_scenario
 
@@ -198,27 +199,41 @@ def test_tier3_matches_set_oracle_property(instance):
 def test_tier3_rejects_a_gated_out_candidate():
     # item 2's row leaves it out and shares nothing with the query's row
     # {0, 2}: tier 2 would gate 2 out and tier 3's count would miscount it,
-    # so building the tiers refuses the table
+    # so the index refuses the table when it is made
     table = np.asarray([[0, 2], [1, 3], [3, 1], [3, 1]], dtype=np.int64)
-    index = NeighborhoodIndex("bad", 2, Metric.L1, np.arange(4), table, np.zeros((4, 2)))
-    with pytest.raises(FormatError):
-        tiered_graph(index, 0)
+    with pytest.raises(FormatError, match="not led by its owner"):
+        NeighborhoodIndex("bad", 2, Metric.L1, np.arange(4), table, np.zeros((4, 2)))
 
 
-@pytest.mark.parametrize("table", [
+_NOT_OWNER_LED = [
     # item 2's row leaves it out and shares nothing with the query's row
     # {0, 2}, so tier 2 would gate 2 out and the closed form would miscount it
     [[0, 2], [1, 3], [3, 1], [3, 1]],
     # the query's row leaves the query out, so it cannot be put first
     [[1, 2], [1, 2], [2, 1], [3, 1]],
-])
+]
+
+
+@pytest.mark.parametrize("table", _NOT_OWNER_LED)
 def test_tiered_rerank_rejects_a_row_not_led_by_its_owner(table):
-    # the check sits in the counting kernel, so every view of the tiers makes it
+    # the check sits in the index, so no view of the tiers ever reads such a row
     table = np.asarray(table, dtype=np.int64)
-    index = NeighborhoodIndex("bad", 2, Metric.L1, np.arange(4), table, np.zeros((4, 2)))
-    for view in (tiered_rerank, tiered_graph, tier1_rerank):
-        with pytest.raises(FormatError):
-            view(index, 0)
+    with pytest.raises(FormatError, match="not led by its owner"):
+        NeighborhoodIndex("bad", 2, Metric.L1, np.arange(4), table, np.zeros((4, 2)))
+
+
+@pytest.mark.parametrize("table", _NOT_OWNER_LED)
+def test_fused_query_rejects_a_row_not_led_by_its_owner(table):
+    # a fused query beside a good channel never reaches the bad rows either:
+    # it used to rank them silently, the query first or not at all
+    good = build_index(FeatureMatrix("good", range(4), np.arange(8.0).reshape(4, 2)), k=2)
+
+    def fused_query():
+        bad = NeighborhoodIndex("bad", 2, Metric.L1, np.arange(4), np.asarray(table), np.zeros((4, 2)))
+        return rerank_query([Channel("bad", bad, 2, 2), Channel("good", good, 2, 2)], 0)
+
+    with pytest.raises(FormatError, match="not led by its owner"):
+        fused_query()
 
 
 # --- tiered rerank ----------------------------------------------------------
