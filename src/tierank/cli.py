@@ -92,9 +92,12 @@ def _parse_query_vectors(path: str) -> list[np.ndarray]:
             continue
         toks = line.replace(",", " ").split()
         try:
-            vectors.append(np.asarray([float(t) for t in toks], dtype=np.float64))
+            vector = np.asarray([float(t) for t in toks], dtype=np.float64)
         except ValueError:
             raise FormatError(f"{path}:{lineno}: bad vector line")
+        if not np.isfinite(vector).all():
+            raise FormatError(f"{path}:{lineno}: query vector contains NaN or Inf")
+        vectors.append(vector)
     if not vectors:
         raise FormatError(f"{path}: no query vectors")
     return vectors

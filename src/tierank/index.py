@@ -10,14 +10,18 @@ neighbor table and the matching distance table, one row per item. In
 memory the neighbor table holds row positions into the sorted ids, so the
 query kernels count neighborhood overlaps as marks over positions instead
 of set operations on ids; on disk it holds ids. An index is built a block
-of rows at a time and saved as a fixed header followed by the raw
-little-endian arrays (index file v2), which load back without parsing, are
-validated as a whole, and have their ids turned into positions in place.
+of rows at a time, the blocks spread over one worker thread per usable core
+(there is no option for it, and the result does not depend on it), and
+saved as a fixed header followed by the raw little-endian arrays (index
+file v2), which load back without parsing, are validated as a whole, and
+have their ids turned into positions in place.
 """
 
 from __future__ import annotations
 
 import copy
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -46,7 +50,8 @@ _INDEX_HEADER = np.dtype(
     [("version", "<u8"), ("metric", "S8"), ("k", "<u8"), ("n", "<u8"), ("width", "<u8"), ("name_bytes", "<u8")]
 )
 _BINARY_MAGIC = b"TKF1"
-_BUILD_BLOCK_ROWS = 128
+_BUILD_BUFFER_ROWS = 128  # distance rows a build holds at once, over all its workers
+_BUILD_MIN_BLOCK_ROWS = 16
 _TABLE_BLOCK_ROWS = 16
 
 
@@ -208,26 +213,50 @@ def _check_nonzero(block: np.ndarray, what: str) -> None:
         raise ZeroVectorError(f"cosine distance undefined for zero vector in {what}")
 
 
-def _nearest(dist: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
-    """Per row of ``dist``, the columns of the k nearest entries, by (distance, id).
+class _Selector:
+    """Chooses the k nearest entries per row of distances, in buffers made once.
 
-    Column j belongs to item ``ids[j]``; ties at the k-th distance go to the
-    smallest ids.
+    For up to ``rows`` rows of ``n`` entries it holds a float64 copy of the
+    distances, partitioned in place, a bool mark per entry, and two int64
+    rows for re-selecting, one row at a time, a row where a tie crosses the
+    k-th distance. Beyond them a row takes O(k) memory, so a worker thread
+    handed a selector allocates nothing of size n.
     """
-    part = np.argpartition(dist, min(k, dist.shape[1] - 1), axis=1)
-    cols = part[:, :k]
-    kth = np.take_along_axis(dist, cols, axis=1).max(axis=1, keepdims=True)
-    # rows where an entry left out ties with the k-th nearest: choose again,
-    # taking every entry below the tie and the smallest tied ids
-    over = np.flatnonzero((np.take_along_axis(dist, part[:, k : k + 1], axis=1) == kth).any(axis=1))
-    below = dist[over] < kth[over]
-    tied = dist[over] == kth[over]
-    need = k - np.count_nonzero(below, axis=1)
-    tied_ids = np.sort(np.where(tied, ids, np.iinfo(np.int64).max), axis=1)
-    cutoff = np.take_along_axis(tied_ids, need[:, None] - 1, axis=1)
-    cols[over] = np.nonzero(below | (tied & (ids <= cutoff)))[1].reshape(over.shape[0], k)
-    order = np.lexsort((ids[cols], np.take_along_axis(dist, cols, axis=1)), axis=1)
-    return np.take_along_axis(cols, order, axis=1)
+
+    def __init__(self, rows: int, n: int) -> None:
+        self.values = np.empty((rows, n))
+        self.marks = np.empty((rows, n), dtype=bool)
+        self.keys = np.empty((2, n), dtype=np.int64)
+
+    def nearest(self, dist: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
+        """Per row of ``dist``, the columns of the k nearest entries, by (distance, id).
+
+        Column j belongs to item ``ids[j]`` (non-negative); ties at the k-th
+        distance go to the smallest ids.
+        """
+        rows, n = dist.shape
+        values, marks = self.values[:rows], self.marks[:rows]
+        np.copyto(values, dist)
+        values.partition(k - 1, axis=1)
+        kth = values[:, k - 1].copy()
+        np.less_equal(dist, kth[:, None], out=marks)
+        if np.count_nonzero(marks) > rows * k:
+            # rows where an entry left out ties with the k-th nearest: rank
+            # every entry below the tie first (-1), then the tied ones by id,
+            # and keep the k first. At least k entries rank below the maximum
+            # key, so it never marks an entry farther than the tie.
+            key, ranked = self.keys
+            for row in np.flatnonzero(np.count_nonzero(marks, axis=1) > k):
+                key.fill(np.iinfo(np.int64).max)
+                np.copyto(key, ids, where=marks[row])
+                np.less(dist[row], kth[row], out=marks[row])
+                np.copyto(key, -1, where=marks[row])
+                np.copyto(ranked, key)
+                ranked.partition(k - 1)
+                np.less_equal(key, ranked[k - 1], out=marks[row])
+        cols = np.flatnonzero(marks).reshape(rows, k) % n
+        order = np.lexsort((ids[cols], np.take_along_axis(dist, cols, axis=1)), axis=1)
+        return np.take_along_axis(cols, order, axis=1)
 
 
 def knn_candidates(
@@ -236,17 +265,22 @@ def knn_candidates(
     k: int,
     metric: Metric = Metric.L1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact top-k (ids, distances) for an arbitrary query vector."""
+    """Exact top-k (ids, distances) for an arbitrary query vector.
+
+    A query vector with a NaN or Inf is a FormatError, raised before the scan.
+    """
     q = np.asarray(query_vector, dtype=np.float64)
     if q.ndim != 1 or q.shape[0] != features.dim:
         raise DimensionError(f"query has dim {q.shape}, collection has dim {features.dim}")
+    if not np.isfinite(q).all():
+        raise FormatError("query vector contains NaN or Inf")
     if k < 1:
         raise ValueError("k must be >= 1")
     if metric == Metric.COSINE:
         _check_nonzero(features.vectors, f"channel {features.channel_name!r}")
         _check_nonzero(q[None, :], "query")
     dists = cdist(q[None, :], features.vectors, metric.cdist_name)
-    pos = _nearest(dists, features.ids, min(k, features.n))[0]
+    pos = _Selector(1, features.n).nearest(dists, features.ids, min(k, features.n))[0]
     return features.ids[pos], dists[0, pos]
 
 
@@ -505,8 +539,29 @@ class NeighborhoodIndex:
         return overlay
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
 def build_index(features: FeatureMatrix, k: int, metric: Metric = Metric.L1) -> NeighborhoodIndex:
-    """Build the exact self-inclusive KNN index for one channel."""
+    """Build the exact self-inclusive KNN index for one channel.
+
+    Rows are computed in blocks of owners, each one distance matrix against
+    the whole channel. The blocks are spread over one worker thread per
+    usable core, at most ``_BUILD_BUFFER_ROWS // _BUILD_MIN_BLOCK_ROWS`` and
+    at most one per block: worker w takes every w-th block, reuses one
+    distance buffer and one selector, and writes its own rows of the tables.
+    A block has ``_BUILD_BUFFER_ROWS // workers`` rows, so the buffers take
+    about ``_BUILD_BUFFER_ROWS * n * 17`` bytes whatever the core count.
+    ``cdist`` and the selection release the interpreter lock, so the
+    workers run in parallel. The build has no option, and the tables do not
+    depend on the worker count. An exception in a worker is raised here
+    unchanged, once every worker has stopped.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     if metric == Metric.COSINE:
@@ -518,16 +573,34 @@ def build_index(features: FeatureMatrix, k: int, metric: Metric = Metric.L1) -> 
     k_eff = min(k, features.n)
     table = np.empty((features.n, k_eff), dtype=np.int64)
     dists = np.empty((features.n, k_eff), dtype=np.float64)
-    for start in range(0, features.n, _BUILD_BLOCK_ROWS):
-        owners = order[start : start + _BUILD_BLOCK_ROWS]
-        block = cdist(features.vectors[owners], features.vectors, metric.cdist_name)
-        # the owner sorts first, ahead of any zero-distance duplicate (a
-        # cosine self-distance can come out a rounding error above zero)
-        block[np.arange(owners.shape[0]), owners] = -1.0
-        cols = _nearest(block, features.ids, k_eff)
-        done = slice(start, start + owners.shape[0])
-        table[done] = position[cols]
-        dists[done] = np.take_along_axis(block, cols, axis=1)
+    workers = min(_usable_cores(), _BUILD_BUFFER_ROWS // _BUILD_MIN_BLOCK_ROWS)
+    block_rows = _BUILD_BUFFER_ROWS // workers
+    starts = range(0, features.n, block_rows)
+    workers = min(workers, len(starts))
+    shape = (min(block_rows, features.n), features.n)
+    # the buffers are made here, in the calling thread, and the workers
+    # allocate nothing of size n: glibc keeps what a thread frees in that
+    # thread's own malloc arena, where the caller's later allocations cannot
+    # reuse it, so every worker would add its buffers to peak memory
+    buffers = [(np.empty(shape), _Selector(*shape)) for _ in range(workers)]
+
+    def work(first: int) -> None:
+        buffer, selector = buffers[first]
+        for start in starts[first::workers]:
+            owners = order[start : start + block_rows]
+            rows = owners.shape[0]
+            block = buffer[:rows]
+            cdist(features.vectors[owners], features.vectors, metric.cdist_name, out=block)
+            # the owner sorts first, ahead of any zero-distance duplicate (a
+            # cosine self-distance can come out a rounding error above zero)
+            block[np.arange(rows), owners] = -1.0
+            cols = selector.nearest(block, features.ids, k_eff)
+            done = slice(start, start + rows)
+            table[done] = position[cols]
+            dists[done] = np.take_along_axis(block, cols, axis=1)
+
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(work, range(workers)))
     dists[:, 0] = 0.0
     return NeighborhoodIndex(features.channel_name, k, metric, features.ids[order], table, dists)
 

@@ -238,6 +238,19 @@ def test_non_utf8_text_input_is_a_data_error(outlier_dirs, tmp_path, capsys, tar
     assert err.startswith("error\tFormatError\t") and "UTF-8" in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_query_vector_line_is_a_data_error(outlier_dirs, tmp_path, capsys, bad):
+    out, idx = outlier_dirs
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text(f"0.0 0.0\n\n{bad} 0.0\n")
+    capsys.readouterr()
+    assert main([
+        "rerank", "--config", str(out / "pipeline.cfg"), "--index-dir", str(idx), "--query-vectors", str(vectors),
+    ]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error\tFormatError\t{vectors}:3: query vector contains NaN or Inf\n"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["rerank"])  # missing required arguments

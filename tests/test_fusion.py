@@ -327,6 +327,15 @@ def test_rerank_query_matches_oracle_composition_property(instance, k_final):
     assert got.entries == want
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("m", [1, 2])
+def test_non_finite_query_vector_is_named_before_the_scan(bad, m):
+    # not the virtual row's non-finite distance, which the scan would make
+    channels = random_channels(np.random.default_rng(13), 30, m, 5)
+    with pytest.raises(FormatError, match="query vector contains NaN or Inf"):
+        rerank_vector_query(channels, [bad, 0.0, 0.0, 0.0])
+
+
 def test_fused_query_gathers_rows_once_per_channel(monkeypatch):
     # the per-channel tiered graphs and fuse_graphs stay off the fused query
     # path: once the overlap tables exist, TieredPairwise's one gather of

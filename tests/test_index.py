@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import struct
+import sys
 import tempfile
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_features
+from tierank import index as index_module
 from tierank.errors import (
     DimensionError,
     FileAccessError,
@@ -26,6 +30,7 @@ from tierank.index import (
     NeighborhoodIndex,
     build_index,
     distance,
+    knn_candidates,
     load_features,
     load_index,
     query_knn,
@@ -343,6 +348,127 @@ def test_save_load_save_is_byte_identical(instance):
         assert back.neighbors(item) == index.neighbors(item)
 
 
+def _grid_channel(rng, n, metric):
+    """Integer-grid points (ties at every distance, duplicate vectors) under sparse, unsorted ids."""
+    low = 1 if metric == Metric.COSINE else 0  # cosine rejects zero vectors
+    vectors = rng.integers(low, 4, size=(n, 3)).astype(np.float64)
+    vectors[n // 2 :: 5] = vectors[1]
+    ids = rng.choice(10**6, size=n, replace=False)
+    return FeatureMatrix(channel_name="grid", ids=ids, vectors=vectors)
+
+
+def _same_tables(a, b):
+    fields = ("item_ids", "neighbor_table", "distance_table")
+    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in fields)
+
+
+# one worker builds in 128-row blocks, two in 64-row ones, three in 42-row
+# ones and eight (the most, whatever the core count) in 16-row ones. The sizes
+# give one block, ragged and full, several blocks with a ragged last one, and
+# one size in the thousands; k > n where the tables stay small.
+@pytest.mark.parametrize("n, k", [(63, 70), (64, 100), (3 * 64 + 5, 9), (3 * 64 + 5, 200), (2500, 20)])
+@pytest.mark.parametrize("metric", list(Metric))
+def test_build_across_blocks_and_workers(monkeypatch, n, k, metric):
+    rng = np.random.default_rng(n + k)
+    fm = _grid_channel(rng, n, metric)
+    monkeypatch.setattr(index_module, "_usable_cores", lambda: 1)
+    index = build_index(fm, k=k, metric=metric)
+    for cores in (2, 3, 64):
+        monkeypatch.setattr(index_module, "_usable_cores", lambda: cores)
+        assert _same_tables(build_index(fm, k=k, metric=metric), index)
+    for item in rng.choice(fm.ids, size=6, replace=False):
+        assert index.neighbors(item) == brute_force_neighborhood(fm, item, k, metric)
+
+
+def _traced_peak(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_memory_does_not_grow_with_the_core_count(monkeypatch):
+    # the blocks shrink as the workers grow, so the distance rows held at
+    # once stay _BUILD_BUFFER_ROWS: at n = 3,000 that is ~6.5 MB in buffers,
+    # where 64 workers of the one-worker block size would hold ~3.3 GB
+    fm = random_features(np.random.default_rng(73), 3000, dim=4)
+    peaks = {}
+    for cores in (1, 64):
+        monkeypatch.setattr(index_module, "_usable_cores", lambda: cores)
+        peaks[cores] = _traced_peak(lambda: build_index(fm, k=10))
+    assert peaks[64] <= 1.1 * peaks[1]
+
+
+def test_ties_at_the_kth_distance_allocate_nothing_of_size_n(monkeypatch):
+    # an integer grid ties at the k-th distance in nearly every row; those rows
+    # are chosen again one at a time in the selector's own buffers
+    n = 3000
+    grid = _grid_channel(np.random.default_rng(74), n, Metric.L1)
+    distinct = random_features(np.random.default_rng(74), n, dim=3)
+    monkeypatch.setattr(index_module, "_usable_cores", lambda: 2)
+    assert _traced_peak(lambda: build_index(grid, k=50)) <= 1.1 * _traced_peak(lambda: build_index(distinct, k=50))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_nearest_matches_a_full_sort(data):
+    # few distinct distances, so ties cross the k-th distance in most rows
+    rows, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 40))
+    k = data.draw(st.integers(1, n))
+    dist = np.asarray(data.draw(st.lists(st.integers(-1, 3), min_size=rows * n, max_size=rows * n)), dtype=float)
+    dist = dist.reshape(rows, n)
+    # the largest id a FeatureMatrix allows is the selector's sentinel too
+    id_values = st.integers(0, 10**6) | st.just(np.iinfo(np.int64).max)
+    ids = np.asarray(data.draw(st.lists(id_values, min_size=n, max_size=n, unique=True)), dtype=np.int64)
+    got = index_module._Selector(rows, n).nearest(dist, ids, k)
+    assert got.tolist() == [np.lexsort((ids, row))[:k].tolist() for row in dist]
+
+
+def test_concurrent_builds_on_one_matrix_agree(monkeypatch):
+    fm = _grid_channel(np.random.default_rng(71), 3 * 64 + 5, Metric.L2)
+    monkeypatch.setattr(index_module, "_usable_cores", lambda: 3)
+    want = build_index(fm, k=9, metric=Metric.L2)
+    got = [None] * 4
+
+    def build(slot):
+        got[slot] = build_index(fm, k=9, metric=Metric.L2)
+
+    threads = [threading.Thread(target=build, args=(slot,)) for slot in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(index is not None and _same_tables(index, want) for index in got)
+
+
+def test_worker_exception_propagates_and_every_worker_ends(monkeypatch):
+    class Boom(Exception):
+        pass
+
+    real_cdist = index_module.cdist
+
+    def cdist(xa, xb, metric, **kwargs):
+        if xa.shape[0] == 29:  # three workers: 42-row blocks, and only the ragged last one fails
+            raise Boom("ragged block")
+        return real_cdist(xa, xb, metric, **kwargs)
+
+    fm = _grid_channel(np.random.default_rng(72), 3 * 64 + 5, Metric.L1)
+    monkeypatch.setattr(index_module, "cdist", cdist)
+    monkeypatch.setattr(index_module, "_usable_cores", lambda: 3)
+    threads = threading.active_count()
+    with pytest.raises(Boom, match="ragged block"):
+        build_index(fm, k=9)
+    assert threading.active_count() == threads
+
+
 _SMALL_INDEX = build_index(_line_features([0.0, 1.0, 3.0, 3.0, 7.0]), k=3)
 
 
@@ -396,6 +522,14 @@ def test_query_knn_dimension_error():
     fm = random_features(rng, 5, dim=3)
     with pytest.raises(DimensionError):
         query_knn(fm, [1.0, 2.0], k=2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_query_vector_is_a_format_error(bad):
+    fm = random_features(np.random.default_rng(12), 8, dim=3)
+    for search in (knn_candidates, query_knn):
+        with pytest.raises(FormatError, match="query vector contains NaN or Inf"):
+            search(fm, [bad, 0.0, 0.0], k=3)
 
 
 # --- persistence ------------------------------------------------------------
