@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from .config import ChannelConfig, PipelineConfig, default_k, load_config, write_config
-from .errors import FileAccessError, FormatError, TierankError, read_text
+from .config import ChannelConfig, PipelineConfig, load_config, write_config
+from .errors import FileAccessError, FormatError, TierankError, make_dir, read_text, write_text
 from .evaluation import load_ground_truth, ns_score, precision_at, recall_at, write_ground_truth
 from .index import Metric, build_index, load_features, load_index, save_index, write_features_csv
 from .pipeline import Channel, batch_rerank, rerank_vector_query, virtual_query_id
@@ -36,15 +36,10 @@ def _index_path(index_dir: Path, name: str) -> Path:
 
 def cmd_index(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_dir(args.out_dir)
     for cfg in config.channels:
         features = _load_channel_features(cfg)
-        k_cap = max(
-            cfg.k1 if cfg.k1 is not None else default_k(features.n),
-            cfg.k2 if cfg.k2 is not None else default_k(features.n),
-        )
-        index = build_index(features, k=k_cap, metric=cfg.metric)
+        index = build_index(features, k=max(cfg.ks(features.n)), metric=cfg.metric)
         save_index(index, _index_path(out_dir, cfg.name))
         print(f"indexed channel {cfg.name}: n={index.n} k={index.k} metric={cfg.metric.value}")
     return 0
@@ -55,8 +50,7 @@ def _assemble_channels(config: PipelineConfig, index_dir: Path, need_features: b
     for cfg in config.channels:
         index = load_index(_index_path(index_dir, cfg.name))
         features = _load_channel_features(cfg) if need_features else None
-        k1 = cfg.k1 if cfg.k1 is not None else index.k
-        k2 = cfg.k2 if cfg.k2 is not None else index.k
+        k1, k2 = cfg.ks(index.n)
         if k1 > index.k or k2 > index.k:
             raise FormatError(
                 f"channel {cfg.name!r}: k1/k2 exceed the stored index k={index.k}; re-run index"
@@ -185,8 +179,7 @@ def _check_seed(seed: int) -> None:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     _check_seed(args.seed)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_dir(args.out_dir)
     if args.scenario == "outlier":
         scenario = gen_outlier_scenario(seed=args.seed)
         channel_files = {"plane": scenario.features}
@@ -207,9 +200,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             )
         )
     write_ground_truth(scenario.truth, out_dir / "truth.csv")
-    (out_dir / "manifest.json").write_text(
-        json.dumps(scenario.manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_text(out_dir / "manifest.json", [json.dumps(scenario.manifest, indent=2, sort_keys=True) + "\n"])
     config = PipelineConfig(channels=tuple(channel_configs), seed=args.seed)
     write_config(config, out_dir / "pipeline.cfg")
     print(f"wrote {args.scenario} scenario to {out_dir} (query={scenario.query})")
@@ -309,7 +300,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except TierankError as exc:
-        print(f"error\t{type(exc).__name__}\t{exc}", file=sys.stderr)
+        message = " ".join(str(exc).splitlines())  # one line, whatever the message quotes
+        print(f"error\t{type(exc).__name__}\t{message}", file=sys.stderr)
         return 3
 
 

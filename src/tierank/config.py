@@ -34,7 +34,7 @@ import configparser
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import FileAccessError, FormatError, read_text
+from .errors import FormatError, read_text, write_text
 from .index import Metric
 
 # item-count heuristic used when a channel does not pin k explicitly
@@ -63,6 +63,11 @@ class ChannelConfig:
     k2: int | None = None
     alpha: float = 1.0
 
+    def ks(self, n_items: int) -> tuple[int, int]:
+        """(k1, k2) over n_items items; index and rerank both read an unset k by this one rule."""
+        unset = SMALL_COLLECTION_K if n_items < LARGE_COLLECTION_THRESHOLD else LARGE_COLLECTION_K
+        return (self.k1 if self.k1 is not None else unset, self.k2 if self.k2 is not None else unset)
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -84,11 +89,6 @@ class PipelineConfig:
                     raise FormatError(f"channel {ch.name!r}: k must be >= 1")
             if ch.alpha <= 0:
                 raise FormatError(f"channel {ch.name!r}: alpha must be positive")
-
-
-def default_k(n_items: int) -> int:
-    """Collection-size heuristic for unset k."""
-    return SMALL_COLLECTION_K if n_items < LARGE_COLLECTION_THRESHOLD else LARGE_COLLECTION_K
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -174,7 +174,4 @@ def write_config(config: PipelineConfig, path: str | Path) -> None:
     lines.append("")
     lines.append("[run]")
     lines.append(f"seed = {config.seed}")
-    try:
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise FileAccessError(f"cannot write config {path}: {exc}") from exc
+    write_text(path, (line + "\n" for line in lines))

@@ -1,8 +1,15 @@
-"""Exception hierarchy shared by the whole package, and the input readers that raise it."""
+"""Exception hierarchy shared by the whole package, and the file boundary that raises it.
+
+Every file read or written and every directory made goes through here, so a
+path that cannot be used is a FileAccessError, never a traceback.
+"""
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Iterable
+
+import numpy as np
 
 
 class TierankError(Exception):
@@ -49,26 +56,49 @@ class ScenarioError(TierankError):
     """A synthetic scenario failed to realize its planted relations."""
 
 
-def read_bytes(path: str | Path) -> bytes:
-    """A file's contents; a file that cannot be read is a FileAccessError."""
+def read_bytes(path: str | Path) -> np.ndarray:
+    """A binary file's contents as a writable uint8 array, which a reader may reuse in place."""
     try:
-        return Path(path).read_bytes()
-    except OSError as exc:
+        return np.fromfile(path, dtype=np.uint8)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise FileAccessError(f"cannot read {path}: {exc}") from exc
 
 
 def read_text(path: str | Path) -> str:
-    """A UTF-8 text file's contents, newlines read as text mode reads them.
-
-    Every text input goes through here, so that a file that cannot be read
-    is a FileAccessError and one that is not UTF-8 a FormatError.
-    """
+    """A UTF-8 text file's contents, newlines read as text mode reads them; other bytes are a FormatError."""
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FileAccessError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    except (OSError, ValueError) as exc:
+        raise FileAccessError(f"cannot read {path}: {exc}") from exc
+
+
+def write_text(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write text chunks to a file as UTF-8, one at a time, so that no whole-file string is built."""
+    _write(path, chunks, "w", "utf-8")
+
+
+def write_bytes(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write byte chunks to a file, one at a time."""
+    _write(path, chunks, "wb", None)
+
+
+def _write(path: str | Path, chunks: Iterable, mode: str, encoding: str | None) -> None:
+    try:
+        with open(path, mode, encoding=encoding) as fh:
+            fh.writelines(chunks)
+    except OSError as exc:  # a missing directory is not made
+        raise FileAccessError(f"cannot write {path}: {exc}") from exc
+
+
+def make_dir(path: str | Path) -> Path:
+    """An output directory, made with its parents if missing."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise FileAccessError(f"cannot make directory {path}: {exc}") from exc
+    return Path(path)
 
 
 def csv_lines(path: str | Path) -> list[tuple[int, str]]:

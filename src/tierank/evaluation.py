@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .errors import ClassSizeError, FileAccessError, FormatError, UnknownItemError, csv_lines
+from .errors import ClassSizeError, FormatError, UnknownItemError, csv_lines, write_text
 from .ranking import RankedList
 
 
@@ -74,12 +74,7 @@ def load_ground_truth(path: str | Path) -> GroundTruth:
 
 
 def write_ground_truth(truth: GroundTruth, path: str | Path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for item in sorted(truth.labels):
-                fh.write(f"{item},{truth.labels[item]}\n")
-    except OSError as exc:
-        raise FileAccessError(f"cannot write ground truth {path}: {exc}") from exc
+    write_text(path, (f"{item},{truth.labels[item]}\n" for item in sorted(truth.labels)))
 
 
 def _top_hits(

@@ -32,12 +32,13 @@ from scipy.spatial.distance import cdist
 
 from .errors import (
     DimensionError,
-    FileAccessError,
     FormatError,
     UnknownItemError,
     ZeroVectorError,
     csv_lines,
     read_bytes,
+    write_bytes,
+    write_text,
 )
 from .ranking import RankedList
 
@@ -158,7 +159,7 @@ def _load_csv(path: str | Path) -> tuple[list[int], np.ndarray]:
 
 def _load_binary(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     raw = read_bytes(path)
-    if len(raw) < 8 or raw[:4] != _BINARY_MAGIC:
+    if len(raw) < 8 or raw[:4].tobytes() != _BINARY_MAGIC:
         raise FormatError(f"{path}: bad magic bytes for binary feature file")
     dim = int(np.frombuffer(raw, dtype="<u4", count=1, offset=4)[0])
     # numpy cannot describe a record of 2**31 bytes or more
@@ -173,12 +174,8 @@ def _load_binary(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_features_csv(features: FeatureMatrix, path: str | Path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for item, vec in zip(features.ids, features.vectors):
-                fh.write(str(item) + "," + ",".join(repr(float(v)) for v in vec) + "\n")
-    except OSError as exc:
-        raise FileAccessError(f"cannot write {path}: {exc}") from exc
+    rows = zip(features.ids, features.vectors)
+    write_text(path, (str(item) + "," + ",".join(repr(float(v)) for v in vec) + "\n" for item, vec in rows))
 
 
 def write_features_binary(features: FeatureMatrix, path: str | Path) -> None:
@@ -186,13 +183,7 @@ def write_features_binary(features: FeatureMatrix, path: str | Path) -> None:
     out = np.empty(features.n, dtype=record)
     out["id"] = features.ids
     out["vec"] = features.vectors.astype(np.float32)
-    try:
-        with open(path, "wb") as fh:
-            fh.write(_BINARY_MAGIC)
-            fh.write(np.asarray([features.dim], dtype="<u4").tobytes())
-            fh.write(out.tobytes())
-    except OSError as exc:
-        raise FileAccessError(f"cannot write {path}: {exc}") from exc
+    write_bytes(path, [_BINARY_MAGIC, np.asarray([features.dim], dtype="<u4").tobytes(), out.tobytes()])
 
 
 def distance(a: Iterable[float], b: Iterable[float], metric: Metric = Metric.L1) -> float:
@@ -618,11 +609,7 @@ def save_index(index: NeighborhoodIndex, path: str | Path) -> None:
     neighbor_ids = index.item_ids.take(index.neighbor_table)
     parts += [index.item_ids.astype("<i8").tobytes(), neighbor_ids.astype("<i8", copy=False).tobytes()]
     parts.append(index.distance_table.astype("<f8").tobytes())
-    try:
-        with open(path, "wb") as fh:
-            fh.writelines(parts)
-    except OSError as exc:
-        raise FileAccessError(f"cannot write index to {path}: {exc}") from exc
+    write_bytes(path, parts)
 
 
 def load_index(path: str | Path) -> NeighborhoodIndex:
@@ -634,10 +621,7 @@ def load_index(path: str | Path) -> NeighborhoodIndex:
     and none twice). The neighbor ids then become row positions in place, in
     the buffer the file was read into.
     """
-    try:
-        raw = np.fromfile(path, dtype=np.uint8)
-    except OSError as exc:
-        raise FileAccessError(f"cannot read {path}: {exc}") from exc
+    raw = read_bytes(path)
     start = len(_INDEX_MAGIC) + _INDEX_HEADER.itemsize
     head = raw[:start].tobytes()
     if head.startswith(b"{"):

@@ -25,7 +25,7 @@ from .rerank import resolve_k, tiered_rerank
 
 @dataclass(frozen=True)
 class Channel:
-    """One feature channel ready for re-ranking."""
+    """One feature channel ready for re-ranking; its name is its index's channel name."""
 
     name: str
     index: NeighborhoodIndex
@@ -33,6 +33,10 @@ class Channel:
     k2: int
     alpha: float = 1.0
     features: FeatureMatrix | None = None
+
+    def __post_init__(self) -> None:
+        if self.name != self.index.channel_name:
+            raise FormatError(f"channel {self.name!r} holds the index of channel {self.index.channel_name!r}")
 
 
 def virtual_query_id(channels: Sequence[Channel]) -> int:
@@ -86,7 +90,7 @@ def fused_query_arrays(
     for ch in channels:
         resolve_k(ch.index, ch.alpha, ch.k1, ch.k2)
         rows.append(ch.index.neighbor_ids(query, ch.k1))
-    names = [ch.index.channel_name for ch in channels]
+    names = [ch.name for ch in channels]
     if len(set(names)) != len(names):
         raise FormatError(f"duplicate channel names in fusion: {names}")
     by_name, nearest = zip(*sorted(zip(channels, rows), key=lambda pair: pair[0].name))

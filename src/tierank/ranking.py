@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import FileAccessError, FormatError, read_text
+from .errors import FormatError, read_text, write_text
 
 
 @dataclass(frozen=True)
@@ -54,13 +54,7 @@ class FinalRanking:
 
 
 def write_rankings_tsv(rankings: Iterable[RankedList], path: str | Path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for ranking in rankings:
-                for line in ranking.tsv_lines():
-                    fh.write(line + "\n")
-    except OSError as exc:
-        raise FileAccessError(f"cannot write rankings to {path}: {exc}") from exc
+    write_text(path, (line + "\n" for ranking in rankings for line in ranking.tsv_lines()))
 
 
 def read_rankings_tsv(path: str | Path) -> list[RankedList]:

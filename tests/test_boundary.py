@@ -1,0 +1,247 @@
+"""The file boundary: every read, write and directory the package makes goes through errors.py.
+
+A file that cannot be read or written is a FileAccessError, and malformed
+bytes in any input are a TierankError: the loaders raise nothing else, and
+the command line exits 3 with one ``error\t`` line instead of a traceback.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tierank.cli import main
+from tierank.config import ChannelConfig, PipelineConfig, load_config, write_config
+from tierank.errors import FileAccessError, TierankError, read_bytes
+from tierank.evaluation import GroundTruth, load_ground_truth, write_ground_truth
+from tierank.index import (
+    FeatureMatrix,
+    build_index,
+    load_features,
+    save_index,
+    write_features_binary,
+    write_features_csv,
+)
+from tierank.ranking import RankedList, read_rankings_tsv, write_rankings_tsv
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "tierank"
+# opening a file, reading or writing one whole, or making a directory; a
+# call through the errors module itself is the boundary, not a way round it
+_FILE_ACCESS = re.compile(
+    r"open\(|fromfile\(|tofile\(|makedirs\(|(?<!errors)\.(read_text|write_text|read_bytes|write_bytes|mkdir)\("
+)
+
+
+@pytest.mark.parametrize("line", [
+    'with open(path, "w") as fh:', "np.fromfile(path)", "table.tofile(path)", "os.makedirs(path)",
+    "Path(p).read_text()", "p.write_text(s)", "p.read_bytes()", "p.write_bytes(b)", "out.mkdir()",
+])
+def test_the_boundary_lint_sees_each_kind_of_access(line):
+    assert _FILE_ACCESS.search(line)
+
+
+def test_only_errors_py_touches_files():
+    offenders = [
+        f"{path.name}:{lineno}: {line.strip()}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "errors.py"
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if _FILE_ACCESS.search(line)
+    ]
+    assert offenders == []
+
+
+# --- every writer: an OSError is a FileAccessError ---------------------------
+
+def _writers():
+    features = FeatureMatrix("plane", range(6), np.arange(12, dtype=np.float64).reshape(6, 2))
+    ranking = RankedList(query=0, entries=((0, 3.0), (1, 2.0)), tier="3")
+    config = PipelineConfig(channels=(ChannelConfig(name="plane", feature_path="plane.csv"),))
+    return {
+        "write_features_csv": lambda path: write_features_csv(features, path),
+        "write_features_binary": lambda path: write_features_binary(features, path),
+        "save_index": lambda path: save_index(build_index(features, k=3), path),
+        "write_rankings_tsv": lambda path: write_rankings_tsv([ranking], path),
+        "write_ground_truth": lambda path: write_ground_truth(GroundTruth({0: 1, 1: 1}), path),
+        "write_config": lambda path: write_config(config, path),
+    }
+
+
+@pytest.mark.parametrize("writer", sorted(_writers()))
+@pytest.mark.parametrize("target", ["missing directory", "directory", "under a file"])
+def test_a_writer_that_cannot_write_raises_file_access_error(tmp_path, writer, target):
+    (tmp_path / "file").write_text("")
+    path = {
+        "missing directory": tmp_path / "missing" / "out",
+        "directory": tmp_path,
+        "under a file": tmp_path / "file" / "out",
+    }[target]
+    with pytest.raises(FileAccessError, match=re.escape(f"cannot write {path}")) as info:
+        _writers()[writer](path)
+    assert isinstance(info.value.__cause__, OSError)
+    assert not (tmp_path / "missing").exists()  # no writer makes a directory
+
+
+def test_read_bytes_is_a_writable_uint8_array(tmp_path):
+    path = tmp_path / "blob"
+    path.write_bytes(b"\x00\x01\xff")
+    raw = read_bytes(path)
+    assert raw.dtype == np.uint8 and raw.flags.writeable and raw.tobytes() == b"\x00\x01\xff"
+    for bad in (tmp_path, tmp_path / "missing", f"{path}\x00"):
+        with pytest.raises(FileAccessError, match="cannot read"):
+            read_bytes(bad)
+
+
+# --- the command line: no traceback from a path it cannot use -----------------
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def scenario(tmp_path_factory):
+    base = tmp_path_factory.mktemp("boundary")
+    out, idx = base / "scen", base / "idx"
+    assert _run(["synth", "--scenario", "outlier", "--seed", "0", "--out-dir", str(out)])[0] == 0
+    assert _run(["index", "--config", str(out / "pipeline.cfg"), "--out-dir", str(idx)])[0] == 0
+    ranked = base / "ranked.tsv"
+    rerank = ["rerank", "--config", str(out / "pipeline.cfg"), "--index-dir", str(idx)]
+    assert _run([*rerank, "--query-ids", "0,3,5", "--out", str(ranked)])[0] == 0
+    features = load_features(out / "plane.csv")
+    write_features_binary(features, base / "plane.bin")
+    (base / "binary.cfg").write_text("[channel:plane]\nfeatures = plane.bin\nformat = binary\nk1 = 5\nk2 = 3\n")
+    (base / "queries.txt").write_text("0\n3\n\n5\n")
+    (base / "vectors.txt").write_text("0.5 0.25\n1.0,2.0\n")
+    return base, out, idx, rerank
+
+
+def _one_error_line(err, cls=None):
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error\t{cls or ''}"), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["index", "synth"])
+def test_out_dir_under_a_regular_file_is_a_data_error(scenario, tmp_path, command):
+    _, out, _, _ = scenario
+    (tmp_path / "F").write_text("")
+    target = str(tmp_path / "F" / "sub")
+    argv = {
+        "index": ["index", "--config", str(out / "pipeline.cfg"), "--out-dir", target],
+        "synth": ["synth", "--scenario", "outlier", "--out-dir", target],
+    }[command]
+    code, _, err = _run(argv)
+    assert code == 3
+    _one_error_line(err, "FileAccessError\tcannot make directory ")
+
+
+def test_synth_manifest_that_is_a_directory_is_a_data_error(tmp_path):
+    (tmp_path / "manifest.json").mkdir()
+    code, _, err = _run(["synth", "--scenario", "outlier", "--out-dir", str(tmp_path)])
+    assert code == 3
+    _one_error_line(err, f"FileAccessError\tcannot write {tmp_path / 'manifest.json'}")
+
+
+def test_rerank_out_into_a_missing_directory_is_a_data_error(scenario, tmp_path):
+    _, _, _, rerank = scenario
+    code, _, err = _run([*rerank, "--query-ids", "0", "--out", str(tmp_path / "missing" / "x.tsv")])
+    assert code == 3
+    _one_error_line(err, "FileAccessError\tcannot write ")
+    assert not (tmp_path / "missing").exists()
+
+
+def test_a_nul_in_a_feature_path_is_a_data_error(tmp_path):
+    cfg = tmp_path / "nul.cfg"
+    cfg.write_text("[channel:plane]\nfeatures = pla\x00ne.csv\n")
+    code, _, err = _run(["index", "--config", str(cfg), "--out-dir", str(tmp_path / "idx")])
+    assert code == 3
+    _one_error_line(err, "FileAccessError\tchannel 'plane': cannot read ")
+
+
+# --- fuzzing every input -------------------------------------------------------
+
+# fragments that sit near the edges of what each reader accepts
+_TOKENS = [
+    b"\n", b"\r\n", b"\r", b",", b"\t", b" ", b"0", b"7", b"-1", b"1e308", b"1e400", b"nan", b"-inf",
+    b"9" * 20, b"1_0", b"0x1", b"\x00", b"\xff", b"\xc3\xa9", b"\xe2\x80\xa8", b"=", b"[", b"]",
+    b"[channel:plane]", b"[rerank]", b"k1 = 0", b"k2 = 99", b"alpha = -1", b"format = binary",
+    b"metric = cosine", b"k_final = 0", b"TKF1", b"\x00\x00\x00\x80", b"\xff" * 8, b"\x00\x00\xc0\x7f",
+]
+
+
+@st.composite
+def _mutated(draw, valid: bytes) -> bytes:
+    """The valid bytes with up to four short spans replaced, cut or inserted."""
+    data = bytearray(valid)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        end = draw(st.integers(at, min(len(data), at + 12)))
+        data[at:end] = draw(st.sampled_from(_TOKENS) | st.binary(max_size=8))
+    if draw(st.booleans()):
+        data = data[: draw(st.integers(0, len(data)))]
+    return bytes(data)
+
+
+def _inputs(valid: bytes):
+    return st.one_of(st.binary(max_size=48), _mutated(valid))
+
+
+# (input, the file the fuzzed bytes replace, its loader, the command that reads it)
+_CASES = {
+    "feature csv": ("scen/plane.csv", lambda p: load_features(p, "csv"),
+                    lambda b: ["index", "--config", str(b / "scen" / "pipeline.cfg"), "--out-dir", str(b / "fz")]),
+    "feature binary": ("plane.bin", lambda p: load_features(p, "binary"),
+                       lambda b: ["index", "--config", str(b / "binary.cfg"), "--out-dir", str(b / "fz")]),
+    "config": ("scen/pipeline.cfg", load_config,
+               lambda b: ["rerank", "--config", str(b / "scen" / "pipeline.cfg"), "--index-dir", str(b / "idx"),
+                          "--query-ids", "0"]),
+    "rankings": ("ranked.tsv", read_rankings_tsv,
+                 lambda b: ["eval", "--rankings", str(b / "ranked.tsv"), "--truth", str(b / "scen" / "truth.csv"),
+                            "--metrics", "ns,precision,recall", "--r", "1,4"]),
+    "truth": ("scen/truth.csv", load_ground_truth,
+              lambda b: ["eval", "--rankings", str(b / "ranked.tsv"), "--truth", str(b / "scen" / "truth.csv"),
+                         "--metrics", "ns,precision,recall", "--r", "1,4"]),
+    "queries file": ("queries.txt", None,
+                     lambda b: ["rerank", "--config", str(b / "scen" / "pipeline.cfg"), "--index-dir",
+                                str(b / "idx"), "--queries-file", str(b / "queries.txt")]),
+    "query vectors": ("vectors.txt", None,
+                      lambda b: ["rerank", "--config", str(b / "scen" / "pipeline.cfg"), "--index-dir",
+                                 str(b / "idx"), "--query-vectors", str(b / "vectors.txt")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzzed_input_is_a_data_error_or_runs(scenario, case, data):
+    # the loader raises only TierankError, and main exits 0 or 3 with one
+    # error line, never a traceback
+    base = scenario[0]
+    name, load, argv = _CASES[case]
+    path = base / name
+    valid = path.read_bytes()
+    try:
+        path.write_bytes(data.draw(_inputs(valid), label="bytes"))
+        try:
+            if load is not None:
+                load(path)
+            loaded = True
+        except TierankError:
+            loaded = False
+        code, _, err = _run(argv(base))
+    finally:
+        path.write_bytes(valid)
+    if code == 0:
+        assert loaded and err == ""
+    else:
+        assert code == 3
+        _one_error_line(err)

@@ -24,6 +24,7 @@ from tierank.config import load_config
 from tierank.errors import TierankError
 from tierank.index import Metric, load_index, write_features_csv
 from tierank.ranking import read_rankings_tsv
+from tierank.rerank import tiered_rerank
 
 
 def _sha(path):
@@ -431,6 +432,24 @@ def test_synth_rejects_a_negative_seed_before_writing(capsys, tmp_path):
     assert code == 3
     assert err.startswith("error\tFormatError\t") and len(err.splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(("line", "k1", "k2"), [("k1 = 10", 10, 5), ("k2 = 10", 5, 10)])
+def test_an_unset_k_is_the_collection_size_default(tmp_path, line, k1, k2):
+    # index and rerank read an unset k alike: 5 below 20k items, whatever the
+    # other k or the stored index's k (rerank used to read the index's k)
+    fm = random_features(np.random.default_rng(14), 300, dim=3, channel="solo")
+    write_features_csv(fm, tmp_path / "solo.csv")
+    cfg, idx, out = tmp_path / "solo.cfg", tmp_path / "idx", tmp_path / "ranked.tsv"
+    cfg.write_text(f"[channel:solo]\nfeatures = solo.csv\n{line}\n")
+    assert main(["index", "--config", str(cfg), "--out-dir", str(idx)]) == 0
+    index = load_index(idx / "solo.index")
+    assert index.k == 10
+    queries = list(range(0, 300, 10))
+    assert main(["rerank", "--config", str(cfg), "--index-dir", str(idx),
+                 "--query-ids", ",".join(map(str, queries)), "--out", str(out)]) == 0
+    want = [row for q in queries for row in tiered_rerank(index, q, k1=k1, k2=k2).tsv_lines()]
+    assert out.read_text().splitlines() == want
 
 
 def test_python_dash_m_runs_the_cli():

@@ -336,6 +336,21 @@ def test_non_finite_query_vector_is_named_before_the_scan(bad, m):
         rerank_vector_query(channels, [bad, 0.0, 0.0, 0.0])
 
 
+def test_a_channel_is_named_after_its_index():
+    # a channel has one name: one index under two names used to fail only at
+    # query time as "duplicate channel names", and names listed out of their
+    # indexes' order summed W's query row in another order than fuse_graphs
+    rng = np.random.default_rng(14)
+    a, b, c = random_channels(rng, 20, 3, 4)
+    with pytest.raises(FormatError, match="channel 'x' holds the index of channel 'ch0'"):
+        Channel("x", a.index, 4, 4)
+    with pytest.raises(FormatError):
+        [Channel(name, ch.index, 4, 4) for name, ch in zip(("ch2", "ch0", "ch1"), (a, b, c))]
+    overlay = attach_virtual_query([a], rng.normal(size=4), 99)[0]  # replace() checks again
+    with pytest.raises(FormatError):
+        replace(overlay, name="ch1")
+
+
 def test_fused_query_gathers_rows_once_per_channel(monkeypatch):
     # the per-channel tiered graphs and fuse_graphs stay off the fused query
     # path: once the overlap tables exist, TieredPairwise's one gather of
