@@ -22,10 +22,13 @@ Example::
     seed = 0
 
 Any other section or key is a :class:`FormatError` naming it, so a misspelt
-key cannot silently leave its default in place. Older ``tierank synth``
-configs carry ``tier3_mode = query-anchored`` and ``variant = sum`` under
-``[rerank]``. Both keys are retired: those values are accepted and change
-nothing, and any other value is a :class:`FormatError`.
+key cannot silently leave its default in place. A channel name names its
+index file, so one that is not a plain file name (``.``, ``..``, or one
+that holds ``/``, ``\\`` or NUL) is a :class:`FormatError` too. Older
+``tierank synth`` configs carry ``tier3_mode = query-anchored`` and
+``variant = sum`` under ``[rerank]``. Both keys are retired: those values
+are accepted and change nothing, and any other value is a
+:class:`FormatError`.
 """
 
 from __future__ import annotations
@@ -114,6 +117,9 @@ def load_config(path: str | Path) -> PipelineConfig:
         name = section.split(":", 1)[1].strip()
         if not name:
             raise FormatError(f"{path}: empty channel name in [{section}]")
+        # the name is the stem of the channel's index file under --out-dir / --index-dir
+        if name in (".", "..") or any(c in name for c in "/\\\0"):
+            raise FormatError(f"{path}: channel name {name!r} in [{section}] is not a file name")
         if "features" not in sec:
             raise FormatError(f"{path}: [{section}] is missing `features`")
         feature_path = sec["features"]

@@ -11,19 +11,24 @@ memory the neighbor table holds row positions into the sorted ids, so the
 query kernels count neighborhood overlaps as marks over positions instead
 of set operations on ids; on disk it holds ids. An index is built a block
 of rows at a time, the blocks spread over one worker thread per usable core
-(there is no option for it, and the result does not depend on it), and
-saved as a fixed header followed by the raw little-endian arrays (index
-file v2), which load back without parsing, are validated as a whole, and
-have their ids turned into positions in place.
+(there is no option for it, and the result does not depend on it). Each
+block's k nearest per row come from one selection kernel, which bounds the
+k-th distance by chunk minima and sorts only the entries under the bound;
+out-of-sample queries use the same kernel. An index is saved as a fixed
+header followed by the raw little-endian arrays (index file v2), which load
+back without parsing, are validated as a whole, and have their ids turned
+into positions in place.
 """
 
 from __future__ import annotations
 
 import copy
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -33,10 +38,12 @@ from scipy.spatial.distance import cdist
 from .errors import (
     DimensionError,
     FormatError,
+    TierankError,
     UnknownItemError,
     ZeroVectorError,
     csv_lines,
     read_bytes,
+    read_text,
     write_bytes,
     write_text,
 )
@@ -54,6 +61,10 @@ _BINARY_MAGIC = b"TKF1"
 _BUILD_BUFFER_ROWS = 128  # distance rows a build holds at once, over all its workers
 _BUILD_MIN_BLOCK_ROWS = 16
 _TABLE_BLOCK_ROWS = 16
+# entries a row's bound may mark, in units of k, once a block's bounds mark
+# more than that a row on average; a row over it is chosen on its own
+_SELECT_CAP = 4
+_CPU_MAX = "/sys/fs/cgroup/cpu.max"  # cgroup v2: "<quota> <period>", or "max <period>" for none
 
 
 class Metric(str, Enum):
@@ -73,7 +84,9 @@ class FeatureMatrix:
     """One feature channel: n items, each a finite real vector of fixed dim.
 
     ``ids`` may be given as any integer sequence; it is stored as a
-    read-only int64 array in the vectors' row order.
+    read-only int64 array in the vectors' row order. Whether the channel
+    holds a zero vector, which the cosine metric refuses, is found once, on
+    first use.
     """
 
     channel_name: str
@@ -108,6 +121,15 @@ class FeatureMatrix:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
+
+    @cached_property
+    def has_zero_vector(self) -> bool:
+        return _has_zero_row(self.vectors)
+
+    def check_nonzero(self) -> None:
+        """Raise ZeroVectorError if the channel holds a zero vector."""
+        if self.has_zero_vector:
+            _check_nonzero(self.vectors, f"channel {self.channel_name!r}")
 
     def row(self, item: int) -> np.ndarray:
         pos = np.flatnonzero(self.ids == item)
@@ -198,56 +220,102 @@ def distance(a: Iterable[float], b: Iterable[float], metric: Metric = Metric.L1)
     return float(cdist(va, vb, metric.cdist_name)[0, 0])
 
 
+def _has_zero_row(block: np.ndarray) -> bool:
+    return bool(np.any(np.linalg.norm(block, axis=1) == 0.0))
+
+
 def _check_nonzero(block: np.ndarray, what: str) -> None:
-    norms = np.linalg.norm(block, axis=1)
-    if np.any(norms == 0.0):
+    if _has_zero_row(block):
         raise ZeroVectorError(f"cosine distance undefined for zero vector in {what}")
 
 
 class _Selector:
     """Chooses the k nearest entries per row of distances, in buffers made once.
 
-    For up to ``rows`` rows of ``n`` entries it holds a float64 copy of the
-    distances, partitioned in place, a bool mark per entry, and two int64
-    rows for re-selecting, one row at a time, a row where a tie crosses the
-    k-th distance. Beyond them a row takes O(k) memory, so a worker thread
-    handed a selector allocates nothing of size n.
+    For up to ``rows`` rows of ``n`` entries it holds a bool mark per entry.
+    A row whose bound marks too many entries is chosen on its own in
+    ``spare``, one uint64 row of scratch and the lock that guards it, which
+    the selectors of one build share: only degenerate input reaches it, so
+    on other input no worker waits for it. Beyond them a call takes
+    O(rows·k) memory, so a worker thread handed a selector allocates nothing
+    of size n.
     """
 
-    def __init__(self, rows: int, n: int) -> None:
-        self.values = np.empty((rows, n))
+    def __init__(self, rows: int, n: int, spare: tuple[np.ndarray, threading.Lock] | None = None) -> None:
         self.marks = np.empty((rows, n), dtype=bool)
-        self.keys = np.empty((2, n), dtype=np.int64)
+        self.spare = spare or _spare_row(n)
 
     def nearest(self, dist: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
         """Per row of ``dist``, the columns of the k nearest entries, by (distance, id).
 
         Column j belongs to item ``ids[j]`` (non-negative); ties at the k-th
-        distance go to the smallest ids.
+        distance go to the smallest ids. Each row is cut into c >= k chunks
+        of w = max(1, n // 2k) columns, and tau, the k-th smallest chunk
+        minimum, bounds the k-th distance: the k chunks whose minima are at
+        most tau hold k entries at most tau. The entries at most tau, about
+        1.4·k a row on unordered distances, are marked, gathered and put in
+        (row, distance, id) order by one sort on id and one ``np.lexsort``
+        on (row, distance); the first k of each row are the answer.
+        When a block marks more than ``_SELECT_CAP``·k entries a row on
+        average, every row over that is chosen on its own
+        (:meth:`_choose_alone`), which keeps the gathered entries O(rows·k).
+        ``dist`` is C-contiguous, as ``cdist`` writes it, so that its chunks
+        and gathers copy nothing of size n.
         """
         rows, n = dist.shape
-        values, marks = self.values[:rows], self.marks[:rows]
-        np.copyto(values, dist)
-        values.partition(k - 1, axis=1)
-        kth = values[:, k - 1].copy()
-        np.less_equal(dist, kth[:, None], out=marks)
-        if np.count_nonzero(marks) > rows * k:
-            # rows where an entry left out ties with the k-th nearest: rank
-            # every entry below the tie first (-1), then the tied ones by id,
-            # and keep the k first. At least k entries rank below the maximum
-            # key, so it never marks an entry farther than the tie.
-            key, ranked = self.keys
-            for row in np.flatnonzero(np.count_nonzero(marks, axis=1) > k):
-                key.fill(np.iinfo(np.int64).max)
-                np.copyto(key, ids, where=marks[row])
-                np.less(dist[row], kth[row], out=marks[row])
-                np.copyto(key, -1, where=marks[row])
-                np.copyto(ranked, key)
-                ranked.partition(k - 1)
-                np.less_equal(key, ranked[k - 1], out=marks[row])
-        cols = np.flatnonzero(marks).reshape(rows, k) % n
-        order = np.lexsort((ids[cols], np.take_along_axis(dist, cols, axis=1)), axis=1)
-        return np.take_along_axis(cols, order, axis=1)
+        marks = self.marks[:rows]
+        width = max(1, n // (2 * k))
+        chunks = n // width
+        minima = dist[:, : chunks * width].reshape(rows, chunks, width).min(axis=2)
+        minima.partition(k - 1, axis=1)
+        np.less_equal(dist, minima[:, k - 1 : k], out=marks)
+        del minima  # before the gather, the call's other peak
+        cap = _SELECT_CAP * k
+        if np.count_nonzero(marks) > cap * rows:
+            for full in np.flatnonzero(np.count_nonzero(marks, axis=1) > cap):
+                self._choose_alone(dist[full], ids, k, marks[full])
+        # the marked entries in row order, and where each row begins among them
+        flat = np.flatnonzero(marks)
+        first = np.searchsorted(flat, np.arange(rows) * n)
+        # by id, then stably by (row, distance): each row's entries end in
+        # (distance, id) order. The first sort need not be stable, since an
+        # id appears once a row; the row key fits the smallest unsigned
+        # type, which numpy sorts by radix.
+        flat = flat[np.argsort(ids.take(flat % n))]
+        flat = flat[np.lexsort((dist.take(flat), (flat // n).astype(np.min_scalar_type(rows))))]
+        return flat[first[:, None] + np.arange(k)] % n
+
+    def _choose_alone(self, dist: np.ndarray, ids: np.ndarray, k: int, marks: np.ndarray) -> None:
+        """Marks exactly the k nearest entries of one row, in the spare uint64 row.
+
+        The scratch, viewed as float64, finds the k-th distance by
+        partitioning a copy in place. It then ranks every entry below that
+        distance first (0), the tied ones by id (id + 1, which a uint64
+        holds for every int64 id) and the rest last, and is partitioned
+        again for the k-th rank: the entries below, and the tied ones whose
+        id is below that rank, are the k nearest.
+        """
+        scratch, lock = self.spare
+        ids = ids.view(np.uint64)
+        with lock:
+            values = scratch.view(np.float64)
+            np.copyto(values, dist)
+            values.partition(k - 1)
+            kth = values[k - 1]
+            scratch.fill(np.iinfo(np.uint64).max)
+            np.equal(dist, kth, out=marks)
+            np.add(ids, 1, out=scratch, where=marks)
+            np.less(dist, kth, out=marks)  # the entries below, which stay marked
+            np.copyto(scratch, 0, where=marks)
+            scratch.partition(k - 1)
+            rank = scratch[k - 1]
+            tied = scratch.view(bool)[: dist.shape[0]]
+            np.equal(dist, kth, out=tied)
+            np.less(ids, rank, out=marks, where=tied)
+
+
+def _spare_row(n: int) -> tuple[np.ndarray, threading.Lock]:
+    return np.empty(n, dtype=np.uint64), threading.Lock()
 
 
 def knn_candidates(
@@ -258,7 +326,10 @@ def knn_candidates(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k (ids, distances) for an arbitrary query vector.
 
-    A query vector with a NaN or Inf is a FormatError, raised before the scan.
+    One row of distances through the selection kernel the build uses. A
+    query vector with a NaN or Inf is a FormatError, raised before the scan.
+    Under the cosine metric the query is checked for a zero vector on every
+    call and the channel once (:attr:`FeatureMatrix.has_zero_vector`).
     """
     q = np.asarray(query_vector, dtype=np.float64)
     if q.ndim != 1 or q.shape[0] != features.dim:
@@ -268,7 +339,7 @@ def knn_candidates(
     if k < 1:
         raise ValueError("k must be >= 1")
     if metric == Metric.COSINE:
-        _check_nonzero(features.vectors, f"channel {features.channel_name!r}")
+        features.check_nonzero()
         _check_nonzero(q[None, :], "query")
     dists = cdist(q[None, :], features.vectors, metric.cdist_name)
     pos = _Selector(1, features.n).nearest(dists, features.ids, min(k, features.n))[0]
@@ -531,11 +602,16 @@ class NeighborhoodIndex:
 
 
 def _usable_cores() -> int:
-    """The cores this process may run on."""
+    """The cores this process may run on: its affinity mask, capped by its cgroup's CPU quota."""
     try:
-        return len(os.sched_getaffinity(0))
+        cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
+        cores = os.cpu_count() or 1
+    try:  # ceil(quota / period) cores
+        quota, period = read_text(_CPU_MAX).split()
+        return min(cores, max(1, -(-int(quota) // int(period))))
+    except (TierankError, ValueError, ZeroDivisionError):  # no file, a quota of "max" or a malformed one
+        return cores
 
 
 def build_index(features: FeatureMatrix, k: int, metric: Metric = Metric.L1) -> NeighborhoodIndex:
@@ -545,9 +621,11 @@ def build_index(features: FeatureMatrix, k: int, metric: Metric = Metric.L1) -> 
     the whole channel. The blocks are spread over one worker thread per
     usable core, at most ``_BUILD_BUFFER_ROWS // _BUILD_MIN_BLOCK_ROWS`` and
     at most one per block: worker w takes every w-th block, reuses one
-    distance buffer and one selector, and writes its own rows of the tables.
-    A block has ``_BUILD_BUFFER_ROWS // workers`` rows, so the buffers take
-    about ``_BUILD_BUFFER_ROWS * n * 17`` bytes whatever the core count.
+    distance buffer and one selector (the selectors share one spare row),
+    and writes its own rows of the tables. A block has
+    ``_BUILD_BUFFER_ROWS // workers`` rows, so the buffers, a float64
+    distance and a bool mark per entry, take about
+    ``_BUILD_BUFFER_ROWS * n * 9`` bytes whatever the core count.
     ``cdist`` and the selection release the interpreter lock, so the
     workers run in parallel. The build has no option, and the tables do not
     depend on the worker count. An exception in a worker is raised here
@@ -556,7 +634,7 @@ def build_index(features: FeatureMatrix, k: int, metric: Metric = Metric.L1) -> 
     if k < 1:
         raise ValueError("k must be >= 1")
     if metric == Metric.COSINE:
-        _check_nonzero(features.vectors, f"channel {features.channel_name!r}")
+        features.check_nonzero()
 
     order = np.argsort(features.ids)
     position = np.empty(features.n, dtype=np.int64)  # row position of every feature row
@@ -573,7 +651,8 @@ def build_index(features: FeatureMatrix, k: int, metric: Metric = Metric.L1) -> 
     # allocate nothing of size n: glibc keeps what a thread frees in that
     # thread's own malloc arena, where the caller's later allocations cannot
     # reuse it, so every worker would add its buffers to peak memory
-    buffers = [(np.empty(shape), _Selector(*shape)) for _ in range(workers)]
+    spare = _spare_row(features.n)
+    buffers = [(np.empty(shape), _Selector(*shape, spare)) for _ in range(workers)]
 
     def work(first: int) -> None:
         buffer, selector = buffers[first]

@@ -425,6 +425,21 @@ def test_bench_rejects_malformed_options(capsys, argv):
     assert err.startswith("error\tFormatError\t") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("name", ["../escaped", "sub/dir", "back\\slash", ".", "..", "nul\x00byte"])
+def test_a_channel_name_that_is_no_file_name_is_a_data_error(tmp_path, capsys, name):
+    # the name is the stem of the index file: `../escaped` would write
+    # escaped.index beside --out-dir instead of inside it
+    features = tmp_path / "plane.csv"
+    write_features_csv(random_features(np.random.default_rng(0), 12, dim=2), features)
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text(f"[channel:{name}]\nfeatures = {features}\n")
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["index", "--config", str(cfg), "--out-dir", str(tmp_path / "work" / "idx")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error\tFormatError\t") and "is not a file name" in err and len(err.splitlines()) == 1
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_synth_rejects_a_negative_seed_before_writing(capsys, tmp_path):
     out = tmp_path / "scen"
     code = main(["synth", "--scenario", "outlier", "--seed", "-1", "--out-dir", str(out)])

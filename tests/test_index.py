@@ -68,6 +68,29 @@ def test_cosine_zero_vector_rejected():
         distance([0.0, 0.0], [1.0, 0.0], Metric.COSINE)
 
 
+def test_a_cosine_query_checks_the_channel_for_zero_vectors_once(monkeypatch):
+    rng = np.random.default_rng(77)
+    fm = random_features(rng, 50, dim=3)
+    checked = []
+    real = index_module._has_zero_row
+    monkeypatch.setattr(index_module, "_has_zero_row", lambda block: checked.append(len(block)) or real(block))
+    for q in rng.normal(size=(4, 3)):
+        knn_candidates(fm, q, 5, Metric.COSINE)
+    assert checked == [50, 1, 1, 1, 1]  # the channel once, the query on every call
+    with pytest.raises(ZeroVectorError, match="zero vector in query"):
+        knn_candidates(fm, [0.0, 0.0, 0.0], 5, Metric.COSINE)
+
+
+def test_a_zero_vector_in_the_channel_refuses_every_cosine_use():
+    fm = FeatureMatrix(channel_name="z", ids=range(3), vectors=np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
+    for _ in range(2):
+        with pytest.raises(ZeroVectorError, match="cosine distance undefined for zero vector in channel 'z'"):
+            knn_candidates(fm, [1.0, 1.0], 2, Metric.COSINE)
+    with pytest.raises(ZeroVectorError, match="in channel 'z'"):
+        build_index(fm, k=2, metric=Metric.COSINE)
+    assert knn_candidates(fm, [1.0, 1.0], 2, Metric.L1)[0].tolist() == [0, 2]
+
+
 # --- feature files ----------------------------------------------------------
 
 
@@ -424,6 +447,99 @@ def test_nearest_matches_a_full_sort(data):
     ids = np.asarray(data.draw(st.lists(id_values, min_size=n, max_size=n, unique=True)), dtype=np.int64)
     got = index_module._Selector(rows, n).nearest(dist, ids, k)
     assert got.tolist() == [np.lexsort((ids, row))[:k].tolist() for row in dist]
+
+
+def test_build_holds_nine_bytes_per_buffered_distance(monkeypatch):
+    # a float64 distance and a bool mark for each entry of the 128 buffered
+    # rows, beside the tables; a selection that copied the rows would hold 17
+    n, k = 4000, 10
+    fm = random_features(np.random.default_rng(76), n, dim=4)
+    monkeypatch.setattr(index_module, "_usable_cores", lambda: 1)
+    peak = _traced_peak(lambda: build_index(fm, k=k))
+    per_entry = (peak - 2 * n * k * 8) / (index_module._BUILD_BUFFER_ROWS * n)
+    assert 9.0 <= per_entry <= 10.0
+
+
+def test_an_all_identical_channel_allocates_nothing_of_size_n(monkeypatch):
+    # every distance ties, so every row's bound marks all n entries and each
+    # row is chosen on its own in the one spare row the build's workers share
+    n = 3000
+    same = FeatureMatrix(channel_name="same", ids=range(n), vectors=np.ones((n, 3)))
+    distinct = random_features(np.random.default_rng(75), n, dim=3)
+    monkeypatch.setattr(index_module, "_usable_cores", lambda: 2)
+    index = build_index(same, k=50)
+    assert index.neighbors(7) == brute_force_neighborhood(same, 7, 50, Metric.L1)
+    assert _traced_peak(lambda: build_index(same, k=50)) <= 1.1 * _traced_peak(lambda: build_index(distinct, k=50))
+
+
+_LAYOUTS = ("random", "ascending", "descending", "run of k", "tail", "all equal", "few values")
+
+
+@st.composite
+def _selection_cases(draw):
+    """(dist, ids, k) whose rows defeat the chunk bound in every way the kernel meets.
+
+    Sorted rows put the chunk minima in order; a run of k small entries puts
+    the k nearest in one chunk (in as few as the chunk width allows), and
+    the tail ones in the columns past the last whole chunk; equal and
+    few-valued rows tie across the bound. Each row draws its own layout, so
+    a block mixes rows over and under the cap.
+    """
+    n = draw(st.integers(1, 2000))
+    k = draw(st.sampled_from([1, n, max(1, n // 2), n // 2 + 1]) | st.integers(1, min(n, 60)))
+    rows = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dist = np.empty((rows, n))
+    for row in dist:
+        layout = draw(st.sampled_from(_LAYOUTS))
+        row[:] = rng.random(n) + 1.0
+        if layout in ("ascending", "descending"):
+            row.sort()
+            if layout == "descending":
+                row[:] = row[::-1]
+        elif layout in ("run of k", "tail"):
+            start = n - k if layout == "tail" else int(rng.integers(0, n - k + 1))
+            row[start : start + k] = rng.random(k)
+        elif layout == "all equal":
+            row.fill(2.0)
+        elif layout == "few values":
+            row[:] = rng.integers(0, 3, size=n)
+        if draw(st.booleans()):  # the build sorts a row's owner first at -1
+            row[rng.integers(0, n)] = -1.0
+    ids = rng.choice(10**9, size=n, replace=False).astype(np.int64)
+    if draw(st.booleans()):  # the largest id a FeatureMatrix allows
+        ids[rng.integers(0, n)] = np.iinfo(np.int64).max
+    return dist, ids, k
+
+
+@settings(max_examples=200, deadline=None)
+@given(_selection_cases())
+def test_nearest_matches_a_full_sort_on_every_layout(case):
+    dist, ids, k = case
+    got = index_module._Selector(*dist.shape).nearest(dist, ids, k)
+    assert got.tolist() == [np.lexsort((ids, row))[:k].tolist() for row in dist]
+
+
+@pytest.mark.parametrize("cpu_max, cores", [
+    ("150000 100000\n", 2), ("100000 100000\n", 1), ("50000 100000\n", 1), ("1600000 100000\n", 8),
+    ("max 100000\n", 8), ("", 8), ("150000\n", 8), ("150000 0\n", 8),
+])
+def test_usable_cores_follow_the_cgroup_cpu_quota(monkeypatch, cpu_max, cores):
+    read = []
+    monkeypatch.setattr(index_module.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(index_module, "read_text", lambda path: read.append(path) or cpu_max)
+    assert index_module._usable_cores() == cores
+    assert read == ["/sys/fs/cgroup/cpu.max"]
+
+
+@pytest.mark.parametrize("error", [FileAccessError, FormatError])
+def test_an_unreadable_cpu_max_is_no_quota(monkeypatch, error):
+    def unreadable(path):
+        raise error(f"cannot read {path}")
+
+    monkeypatch.setattr(index_module.os, "sched_getaffinity", lambda pid: set(range(3)), raising=False)
+    monkeypatch.setattr(index_module, "read_text", unreadable)
+    assert index_module._usable_cores() == 3
 
 
 def test_concurrent_builds_on_one_matrix_agree(monkeypatch):
