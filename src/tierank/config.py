@@ -99,6 +99,8 @@ def load_config(path: str | Path) -> PipelineConfig:
     text = read_text(path)
     try:
         parser.read_string(text, source=str(path))
+        for section in parser.sections():
+            parser.items(section)  # a value's '%' interpolation fails only when it is read
     except configparser.Error as exc:
         raise FormatError(f"bad config {path}: {exc}") from exc
 

@@ -6,7 +6,9 @@ build their fused affinity matrix once, and grow the final list greedily;
 the fused tier-3 weights that break ties are the matrix's query row, so no
 per-channel tiered graph is built. Out-of-sample queries are supported by
 injecting the query as a virtual member of its own candidate set, so no
-index is rebuilt.
+index is rebuilt. A batch of stored-id queries on two or more channels runs
+in blocks: one union, one affinity-matrix build and one greedy selection in
+lockstep per block, with the same rankings as the single-query path.
 """
 
 from __future__ import annotations
@@ -16,11 +18,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, EmptyChannelListError, FormatError
+from .errors import DimensionError, EmptyChannelListError, FormatError, TierankError
 from .fusion import TieredPairwise, select_arrays
 from .index import FeatureMatrix, NeighborhoodIndex, knn_candidates
-from .ranking import RankedList
+from .ranking import FinalRanking, RankedList
 from .rerank import resolve_k, tiered_rerank
+
+# Stored-id queries of a fused batch go through the block kernel this many
+# at a time at most (see batch_rerank).
+_BLOCK_QUERIES = 8
 
 
 @dataclass(frozen=True)
@@ -143,5 +149,141 @@ def batch_rerank(
     queries: Sequence[int],
     k_final: int | None = None,
 ) -> list[RankedList]:
-    """Re-rank many queries; results come back in input order."""
-    return [rerank_query(channels, q, k_final=k_final) for q in queries]
+    """Re-rank many query ids; results come back in input order.
+
+    On two or more channels (none holding a virtual row), a batch of two
+    or more queries is cut into near-equal blocks of at most
+    ``_BLOCK_QUERIES``, and each block runs through one kernel: one
+    candidate union, one affinity-matrix build and one greedy selection in
+    lockstep for all its queries (:func:`_rerank_block`). Any other batch
+    is the loop over :func:`rerank_query`; for a single query the kernel
+    would be the slower. Both give the same rankings bit for bit, and the
+    same error: a block whose lookups fail is re-run through the loop.
+    """
+    queries = list(queries)
+    if len(channels) < 2 or len(queries) < 2 or any(ch.index.virtual is not None for ch in channels):
+        return [rerank_query(channels, q, k_final=k_final) for q in queries]
+    blocks = -(-len(queries) // _BLOCK_QUERIES)
+    bounds = [len(queries) * b // blocks for b in range(blocks + 1)]
+    out: list[RankedList] = []
+    for start, stop in zip(bounds, bounds[1:]):
+        out += _rerank_block(channels, queries[start:stop], k_final)
+    return out
+
+
+def _block_lookup(channels: Sequence[Channel], queries: list[int]) -> tuple | None:
+    """Step 1 of :func:`_rerank_block`, or None where the per-query path raises.
+
+    Returns the channels in name order, their queries' k1 rows (positions,
+    one row per query) and, for the candidates of every query side by side,
+    each one's id, query and distance rank, then the candidate behind every
+    entry of the queries' rows (channels side by side, in name order) and
+    every channel's row positions of the candidates.
+    """
+    try:
+        for ch in channels:
+            resolve_k(ch.index, ch.alpha, ch.k1, ch.k2)
+        if len({ch.name for ch in channels}) != len(channels):
+            return None
+        by_name = sorted(channels, key=lambda ch: ch.name)
+        qrows = [ch.index.position_rows(ch.index.positions(queries), ch.k1) for ch in by_name]
+        ids = np.concatenate([ch.index.ids_at(rows) for ch, rows in zip(by_name, qrows)], axis=1)
+        ranks = np.concatenate([np.arange(rows.shape[1]) for rows in qrows])
+        # each query's entries by id: an id's first entry is its candidate
+        order = ids.argsort(axis=1)
+        ranked = np.take_along_axis(ids, order, axis=1)
+        first = np.ones(ids.shape, dtype=bool)
+        first[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+        starts = np.flatnonzero(first)
+        cand = ranked.ravel()[starts]
+        owner = np.repeat(np.arange(len(queries)), first.sum(axis=1))
+        rank = np.minimum.reduceat(ranks[order].ravel(), starts)  # lowest over the channels
+        entry = np.empty(ids.shape, dtype=np.int64)
+        np.put_along_axis(entry, order, (np.cumsum(first) - 1).reshape(ids.shape), axis=1)
+        cpos = [ch.index.positions(cand) for ch in by_name]
+    except (TierankError, ValueError):
+        return None
+    return by_name, qrows, cand, owner, rank, entry, cpos
+
+
+def _rerank_block(channels: Sequence[Channel], queries: list[int], k_final: int | None) -> list[RankedList]:
+    """:func:`rerank_query` for a block of B stored-id queries on two or more channels.
+
+    Steps, each over the whole block:
+
+    1. every query's k1 row per channel and its candidate union
+       (:func:`_block_lookup`);
+    2. every candidate's fused weight, W's query row, summed from the
+       queries' overlap-table rows by one ``bincount`` with the channels in
+       name order, as :class:`~tierank.fusion.TieredPairwise` sums it; then
+       one ``lexsort`` puts each query's candidates in tie-break order
+       (higher weight, lower distance rank, smaller id);
+    3. every query's W, rows and columns in tie-break order, as one stack
+       of B padded (Cmax + 1, Cmax + 1) blocks, from one table gather per
+       channel, one scratch of B·(n + 1) slots and one ``bincount``; every
+       neighbor that is no candidate lands in the spare last column;
+    4. the loop of :func:`~tierank.fusion.select_arrays` for every query
+       at once: per step a row gather, the taken entry masked and a
+       row-wise ``argmax``. Padding starts at -inf, argmax returns the
+       first maximum, and query b stops after min(k_final, C_b - 1) picks,
+       so every pick and score is the per-query one.
+
+    Falls back to the per-query loop, which raises, when a lookup fails
+    or k_final is below 1.
+    """
+    if k_final is None:
+        k_final = max(ch.k1 for ch in channels)
+    lookup = _block_lookup(channels, queries) if k_final >= 1 else None
+    if lookup is None:
+        return [rerank_query(channels, q, k_final=k_final) for q in queries]
+    by_name, qrows, cand, owner, rank, entry, cpos = lookup
+    b, total = len(queries), cand.shape[0]
+    sizes = np.bincount(owner, minlength=b)
+
+    tables = [ch.index.overlap_table(ch.k1, ch.k2) for ch in by_name]
+    scales = [float(ch.alpha) for ch in by_name]
+    own = [  # the queries' rows of the tables, scaled
+        np.multiply(table.take(rows[:, 0], axis=0), scale, dtype=np.float64)
+        for table, rows, scale in zip(tables, qrows, scales)
+    ]
+    weights = np.bincount(entry.ravel(), np.concatenate(own, axis=1).ravel(), minlength=total)
+    order = np.lexsort((cand, rank, -weights, owner))
+    col = np.empty(total, dtype=np.int64)  # every candidate's place in its query's order
+    col[order] = np.arange(total) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+
+    width = int(sizes.max()) + 1  # a column per candidate, then the spare one
+    lane = owner * width + col  # a candidate's row of the stack, and its entry of acc
+    scratch = np.empty(b * max(ch.index.n + 1 for ch in by_name), dtype=np.int64)
+    spans = np.cumsum([0] + [rows.shape[1] for rows in qrows]) * total
+    cells, values = np.empty(spans[-1], dtype=np.int64), np.empty(spans[-1])
+    row_starts = (lane * width)[:, None]
+    for ch, table, scale, pos, lo, hi in zip(by_name, tables, scales, cpos, spans, spans[1:]):
+        base = owner * (ch.index.n + 1)  # query b's slots of the scratch start at b·(n + 1)
+        slots = base[:, None] + ch.index.position_rows(pos, ch.k1)
+        scratch[slots] = width - 1
+        scratch[base + pos] = col
+        np.add(row_starts, scratch[slots], out=cells[lo:hi].reshape(slots.shape))
+        np.multiply(table.take(pos, axis=0), scale, out=values[lo:hi].reshape(slots.shape), dtype=np.float64)
+    # a cell comes once per channel at most, in channel-name order
+    matrix = np.bincount(cells, values, minlength=b * width * width).reshape(b * width, width)
+
+    steps = [min(k_final, size - 1) for size in sizes.tolist()]
+    acc = np.where(np.arange(width) < sizes[:, None], 0.0, -np.inf)
+    flat = acc.ravel()
+    lanes = np.arange(0, b * width, width)
+    at = lane[entry[:, 0]]  # every query's own lane
+    picks = np.empty((max(steps), b), dtype=np.int64)
+    scores = np.empty((max(steps), b))
+    for step in range(max(steps)):
+        acc += matrix.take(at, axis=0)
+        flat[at] = -np.inf
+        at = lanes + acc.argmax(axis=1)
+        picks[step] = at
+        scores[step] = flat[at]
+    ids = np.zeros(b * width, dtype=np.int64)
+    ids[lane] = cand
+    items, scores = ids[picks].T.tolist(), scores.T.tolist()
+    return [
+        FinalRanking(query=q, items=(q, *items[j][:s]), scores=(0.0, *scores[j][:s])).to_ranked_list(tier="mfr")
+        for j, (q, s) in enumerate(zip(queries, steps))
+    ]

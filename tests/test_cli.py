@@ -286,6 +286,20 @@ def test_removed_rerank_config_values_are_data_errors(outlier_dirs, capsys, line
         assert line.split(" = ")[0] in err and "removed" in err
 
 
+@pytest.mark.parametrize("line", ["features = % plane.csv", "alpha = %(missing)s"])
+def test_a_bad_percent_in_a_config_value_is_a_data_error(outlier_dirs, capsys, line):
+    # configparser interpolates '%' only when a value is read, which used to
+    # end in a traceback
+    out, idx = outlier_dirs
+    cfg = out / "pipeline.cfg"
+    cfg.write_text(cfg.read_text().replace("[channel:plane]\n", f"[channel:plane]\n{line}\n", 1).replace(
+        "features = plane.csv\n", "" if line.startswith("features") else "features = plane.csv\n"))
+    capsys.readouterr()
+    assert main(["rerank", "--config", str(cfg), "--index-dir", str(idx), "--query-ids", "0"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error\tFormatError\tbad config ") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("section, line, named", [
     ("[channel:plane]", "metrc = cosine", "metrc"),
     ("[rerank]", "kfinal = 3", "kfinal"),
@@ -378,6 +392,23 @@ def test_rerank_rejects_k_final_flag_below_one(tmp_path, capsys, k_final):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error\tFormatError\t") and "k_final" in err
+
+
+def test_rerank_unknown_id_mid_queries_file_exits_3(tmp_path, capsys):
+    # fused ids go through batch_rerank in blocks; an unknown id in the
+    # second block still ends the run with the per-query path's error line
+    out, idx = tmp_path / "scen", tmp_path / "idx"
+    assert main(["synth", "--scenario", "two-manifold", "--seed", "0", "--out-dir", str(out)]) == 0
+    assert main(["index", "--config", str(out / "pipeline.cfg"), "--out-dir", str(idx)]) == 0
+    queries = tmp_path / "queries.txt"
+    queries.write_text("".join(f"{q}\n" for q in [*range(9), 12345, *range(9)]))
+    capsys.readouterr()
+    code = main([
+        "rerank", "--config", str(out / "pipeline.cfg"), "--index-dir", str(idx),
+        "--queries-file", str(queries), "--out", str(tmp_path / "ranked.tsv"),
+    ])
+    assert code == 3
+    assert capsys.readouterr().err == "error\tUnknownItemError\titem 12345 not in index for channel 'boundary'\n"
 
 
 @pytest.mark.parametrize("scenario", ["two-manifold", "outlier"])

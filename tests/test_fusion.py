@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
@@ -19,6 +20,7 @@ from tierank.fusion import FusedGraph, TieredPairwise, fuse_graphs, greedy_selec
 from tierank.index import FeatureMatrix, NeighborhoodIndex, build_index, knn_candidates
 from tierank.oracles import brute_force_knn, oracle_greedy_select, oracle_pairwise, oracle_tier3
 from tierank.pipeline import (
+    _BLOCK_QUERIES,
     Channel,
     attach_virtual_query,
     batch_rerank,
@@ -368,6 +370,111 @@ def test_fused_query_gathers_rows_once_per_channel(monkeypatch):
     monkeypatch.setattr(NeighborhoodIndex, "position_rows", counting_rows)
     rerank_query(channels, 17)
     assert sorted(calls) == ["ch0", "ch1", "ch2"]
+
+
+# --- batches ----------------------------------------------------------------
+
+
+def _exact(rankings):
+    """Rankings with every score as its exact bits."""
+    return [(r.query, r.tier, r.channel, [(i, float(s).hex()) for i, s in r.entries]) for r in rankings]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_query_instances(), st.sampled_from([None, 1, 2, 5]), st.data())
+def test_batch_rerank_matches_rerank_query_property(instance, k_final, data):
+    # batches of one, with repeated ids, and across a block boundary; with
+    # n < k and k1 = 1 a query's union is often smaller than k_final + 1
+    channels = instance[0]
+    ids = channels[0].index.item_ids.tolist()
+    queries = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=2 * _BLOCK_QUERIES + 3))
+    got = batch_rerank(channels, queries, k_final)
+    want = [rerank_query(channels, q, k_final) for q in queries]
+    assert got == want and _exact(got) == _exact(want)
+
+
+def test_batch_rerank_matches_rerank_query_on_the_edges():
+    # a block boundary crossed by 2·_BLOCK_QUERIES + 1 queries, a pool of
+    # one candidate (k1 = 1 on every channel), and pools smaller than k_final
+    rng = np.random.default_rng(15)
+    channels = random_channels(rng, 40, 3, 6)
+    narrow = [replace(ch, k1=1) for ch in channels]
+    queries = rng.choice(40, size=2 * _BLOCK_QUERIES + 1).tolist()
+    for chans, k_final in ((channels, None), (channels, 30), (narrow, 3), (channels, 1)):
+        got = batch_rerank(chans, queries, k_final)
+        assert _exact(got) == _exact([rerank_query(chans, q, k_final) for q in queries])
+    assert [len(r) for r in batch_rerank(narrow, queries[:3])] == [1, 1, 1]
+
+
+def _raised(call):
+    """(class, message) of the error ``call`` raises."""
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001 - any class, compared below
+        return type(exc), str(exc)
+    pytest.fail("no error raised")
+
+
+def test_batch_errors_match_the_per_query_loop():
+    rng = np.random.default_rng(16)
+    channels = random_channels(rng, 60, 3, 6)
+    # a third channel that lacks item 59, which query 59's first channel row names
+    fm = channels[2].features
+    short = FeatureMatrix("ch2", fm.ids[:59], fm.vectors[:59])
+    lacking = [*channels[:2], Channel("ch2", build_index(short, k=6), 6, 6)]
+    near = [q for q in range(59) if 59 in channels[0].index.neighbor_ids(q, 6).tolist()]
+    cases = [
+        (channels, list(range(10)) + [1000] + list(range(10, 20)), None),  # unknown id mid-batch
+        (lacking, list(range(10)) + near[:1] + [0], None),  # a candidate another channel lacks
+        (channels, list(range(12)), 0),
+        ([replace(channels[0], alpha=0.0), *channels[1:]], [0, 1, 2], None),
+        ([channels[0], channels[0], channels[1]], [0, 1, 2], None),  # one channel twice
+    ]
+    assert near
+    for chans, queries, k_final in cases:
+        want = _raised(lambda: [rerank_query(chans, q, k_final) for q in queries])
+        assert _raised(lambda: batch_rerank(chans, queries, k_final)) == want
+
+
+@pytest.mark.parametrize("size", [2, 5, _BLOCK_QUERIES])
+def test_a_block_gathers_rows_a_fixed_number_of_times_per_channel(monkeypatch, size):
+    # one gather of the queries' rows and one of their candidates' rows per
+    # channel, whatever the block's size; the per-query loop makes one per query
+    rng = np.random.default_rng(17)
+    channels = random_channels(rng, 80, 3, 6)
+    batch_rerank(channels, [0, 1])  # builds the tables
+    calls = []
+    position_rows = NeighborhoodIndex.position_rows
+
+    def counting_rows(self, positions, k=None):
+        calls.append(self.channel_name)
+        return position_rows(self, positions, k)
+
+    monkeypatch.setattr(NeighborhoodIndex, "position_rows", counting_rows)
+    batch_rerank(channels, rng.choice(80, size=size).tolist())
+    assert sorted(calls) == ["ch0", "ch0", "ch1", "ch1", "ch2", "ch2"]
+
+
+def test_batch_memory_is_bounded_by_the_block():
+    # beyond the rankings it returns, a batch of 240 ids holds no more
+    # memory than its largest block does alone
+    rng = np.random.default_rng(18)
+    channels = random_channels(rng, 3000, 3, 20)
+    queries = rng.choice(3000, size=240).tolist()
+    batch_rerank(channels, queries[:2])  # builds the tables
+
+    def working_peak(batch):
+        tracemalloc.start()
+        try:
+            kept = batch_rerank(channels, batch)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == len(batch)
+        return peak - current
+
+    blocks = [queries[i : i + _BLOCK_QUERIES] for i in range(0, 240, _BLOCK_QUERIES)]
+    assert working_peak(queries) <= 1.1 * max(working_peak(block) for block in blocks)
 
 
 # --- overlap table ---------------------------------------------------------------
