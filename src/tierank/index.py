@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -64,6 +64,7 @@ _TABLE_BLOCK_ROWS = 16
 # entries a row's bound may mark, in units of k, once a block's bounds mark
 # more than that a row on average; a row over it is chosen on its own
 _SELECT_CAP = 4
+_INT64 = np.iinfo(np.int64)
 _CPU_MAX = "/sys/fs/cgroup/cpu.max"  # cgroup v2: "<quota> <period>", or "max <period>" for none
 
 
@@ -445,7 +446,11 @@ class NeighborhoodIndex:
 
     def positions(self, items: Sequence[int] | np.ndarray) -> np.ndarray:
         """The row position of every item, stored or virtual."""
-        items = np.asarray(items, dtype=np.int64)
+        try:
+            items = np.asarray(items, dtype=np.int64)
+        except OverflowError:  # an id outside int64 is stored nowhere
+            item = next(i for i in items if not _INT64.min <= i <= _INT64.max)
+            raise UnknownItemError(f"item {item} not in index for channel {self.channel_name!r}") from None
         pos = _row_positions(self.item_ids, items)
         if self.virtual is not None:
             pos[items == self.virtual[0]] = self.item_ids.shape[0]
@@ -541,8 +546,9 @@ class NeighborhoodIndex:
         :meth:`overlap_counts`' count for stored row u's c-th neighbor. A
         stored row never names a virtual item, so an overlay's table is its
         stored index's, and the two share the cache. The table is built a
-        block of rows at a time through one scratch, in the smallest
-        unsigned dtype that holds min(k1, k2), and is never saved.
+        block of rows at a time, the blocks spread over the usable cores,
+        each worker with its own scratch, in the smallest unsigned dtype
+        that holds min(k1, k2), and is never saved.
         """
         table = self._tables.get((k1, k2))
         if table is None:
@@ -552,10 +558,13 @@ class NeighborhoodIndex:
     def _build_overlap_table(self, k1: int, k2: int) -> np.ndarray:
         stored, width = self.neighbor_table.shape
         table = np.empty((stored, min(k1, width)), dtype=np.min_scalar_type(min(k1, k2)))
-        marks = np.zeros(_TABLE_BLOCK_ROWS * (self.n + 1), dtype=bool)
-        for start in range(0, stored, _TABLE_BLOCK_ROWS):
+
+        def work(start: int, marks: np.ndarray) -> None:
             block = slice(start, start + _TABLE_BLOCK_ROWS)
             table[block] = self.overlap_counts(self.neighbor_table[block, :k1], k2, marks)[1]
+
+        marks = _TABLE_BLOCK_ROWS * (self.n + 1)  # a worker's flat mark scratch, all False
+        _spread(range(0, stored, _TABLE_BLOCK_ROWS), _usable_cores(), lambda: np.zeros(marks, dtype=bool), work)
         table.setflags(write=False)
         return table
 
@@ -614,6 +623,31 @@ def _usable_cores() -> int:
         return cores
 
 
+def _spread(starts: range, workers: int, make: Callable[[], Any], work: Callable[[int, Any], None]) -> None:
+    """Call ``work(start, scratch)`` for every start, over at most ``workers`` threads.
+
+    Worker w takes every w-th start and reuses one scratch from ``make``,
+    called here, in the calling thread: glibc keeps what a thread frees in
+    that thread's own malloc arena, where the caller's later allocations
+    cannot reuse it, so scratch a worker made would add to peak memory. An
+    exception in a worker is raised here unchanged, once every worker has
+    stopped.
+    """
+    workers = max(1, min(workers, len(starts)))
+    scratches = [make() for _ in range(workers)]
+
+    def run(first: int) -> None:
+        for start in starts[first::workers]:
+            work(start, scratches[first])
+
+    if workers == 1:
+        return run(0)
+    with ThreadPoolExecutor(workers - 1) as pool:  # the calling thread is worker 0
+        rest = pool.map(run, range(1, workers))
+        run(0)
+        list(rest)
+
+
 def build_index(features: FeatureMatrix, k: int, metric: Metric = Metric.L1) -> NeighborhoodIndex:
     """Build the exact self-inclusive KNN index for one channel.
 
@@ -644,33 +678,25 @@ def build_index(features: FeatureMatrix, k: int, metric: Metric = Metric.L1) -> 
     dists = np.empty((features.n, k_eff), dtype=np.float64)
     workers = min(_usable_cores(), _BUILD_BUFFER_ROWS // _BUILD_MIN_BLOCK_ROWS)
     block_rows = _BUILD_BUFFER_ROWS // workers
-    starts = range(0, features.n, block_rows)
-    workers = min(workers, len(starts))
     shape = (min(block_rows, features.n), features.n)
-    # the buffers are made here, in the calling thread, and the workers
-    # allocate nothing of size n: glibc keeps what a thread frees in that
-    # thread's own malloc arena, where the caller's later allocations cannot
-    # reuse it, so every worker would add its buffers to peak memory
-    spare = _spare_row(features.n)
-    buffers = [(np.empty(shape), _Selector(*shape, spare)) for _ in range(workers)]
+    spare = _spare_row(features.n)  # the workers allocate nothing of size n
 
-    def work(first: int) -> None:
-        buffer, selector = buffers[first]
-        for start in starts[first::workers]:
-            owners = order[start : start + block_rows]
-            rows = owners.shape[0]
-            block = buffer[:rows]
-            cdist(features.vectors[owners], features.vectors, metric.cdist_name, out=block)
-            # the owner sorts first, ahead of any zero-distance duplicate (a
-            # cosine self-distance can come out a rounding error above zero)
-            block[np.arange(rows), owners] = -1.0
-            cols = selector.nearest(block, features.ids, k_eff)
-            done = slice(start, start + rows)
-            table[done] = position[cols]
-            dists[done] = np.take_along_axis(block, cols, axis=1)
+    def work(start: int, buffers: tuple[np.ndarray, _Selector]) -> None:
+        buffer, selector = buffers
+        owners = order[start : start + block_rows]
+        rows = owners.shape[0]
+        block = buffer[:rows]
+        cdist(features.vectors[owners], features.vectors, metric.cdist_name, out=block)
+        # the owner sorts first, ahead of any zero-distance duplicate (a
+        # cosine self-distance can come out a rounding error above zero)
+        block[np.arange(rows), owners] = -1.0
+        cols = selector.nearest(block, features.ids, k_eff)
+        done = slice(start, start + rows)
+        table[done] = position[cols]
+        dists[done] = np.take_along_axis(block, cols, axis=1)
 
-    with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(work, range(workers)))
+    starts = range(0, features.n, block_rows)
+    _spread(starts, workers, lambda: (np.empty(shape), _Selector(*shape, spare)), work)
     dists[:, 0] = 0.0
     return NeighborhoodIndex(features.channel_name, k, metric, features.ids[order], table, dists)
 

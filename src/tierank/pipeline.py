@@ -24,9 +24,7 @@ from .index import FeatureMatrix, NeighborhoodIndex, knn_candidates
 from .ranking import FinalRanking, RankedList
 from .rerank import resolve_k, tiered_rerank
 
-# Stored-id queries of a fused batch go through the block kernel this many
-# at a time at most (see batch_rerank).
-_BLOCK_QUERIES = 8
+_BLOCK_BUDGET, _BLOCK_CAP = 9 * 2**19, 32  # the bytes and queries of a fused batch's block, at most
 
 
 @dataclass(frozen=True)
@@ -153,22 +151,40 @@ def batch_rerank(
 
     On two or more channels (none holding a virtual row), a batch of two
     or more queries is cut into near-equal blocks of at most
-    ``_BLOCK_QUERIES``, and each block runs through one kernel: one
+    :func:`_block_queries`, as many as fit 4.5 MiB of working memory by its
+    estimate (32 at most), and each block runs through one kernel: one
     candidate union, one affinity-matrix build and one greedy selection in
-    lockstep for all its queries (:func:`_rerank_block`). Any other batch
-    is the loop over :func:`rerank_query`; for a single query the kernel
-    would be the slower. Both give the same rankings bit for bit, and the
-    same error: a block whose lookups fail is re-run through the loop.
+    lockstep for all its queries (:func:`_rerank_block`). The blocks share
+    one scratch of B·(n + 1) slots, each the smallest integer that holds a
+    column. Any other batch is the loop over :func:`rerank_query`; for a
+    single query the kernel would be the slower. Both give the same
+    rankings bit for bit, and the same error: a block whose lookups fail is
+    re-run through the loop.
     """
     queries = list(queries)
     if len(channels) < 2 or len(queries) < 2 or any(ch.index.virtual is not None for ch in channels):
         return [rerank_query(channels, q, k_final=k_final) for q in queries]
-    blocks = -(-len(queries) // _BLOCK_QUERIES)
+    k1s, n = [ch.k1 for ch in channels], max(ch.index.n for ch in channels)
+    blocks = -(-len(queries) // _block_queries(k1s, n))
     bounds = [len(queries) * b // blocks for b in range(blocks + 1)]
+    scratch = np.empty(-(-len(queries) // blocks) * (n + 1), dtype=np.min_scalar_type(sum(k1s)))
     out: list[RankedList] = []
     for start, stop in zip(bounds, bounds[1:]):
-        out += _rerank_block(channels, queries[start:stop], k_final)
+        out += _rerank_block(channels, queries[start:stop], k_final, scratch)
     return out
+
+
+def _block_queries(k1s: Sequence[int], n: int) -> int:
+    """Queries per block on channels of these k1 and at most n items: as many as fit the budget.
+
+    A query has C ≤ S = Σk1 candidates, so it holds at most (S + 1)²
+    float64 cells of W; per channel, C·max(k1) int64 cells, float64 values
+    and two byte gathers; a dozen int64 arrays of C; and n + 1 slots.
+    """
+    s, k = sum(k1s), max(k1s)
+    slot = np.min_scalar_type(s).itemsize  # a slot holds a column, S at most
+    per_query = 8 * (s + 1) ** 2 + 18 * s * k + 8 * s * (len(k1s) + 10) + slot * (n + 1)
+    return max(1, min(_BLOCK_CAP, _BLOCK_BUDGET // per_query))
 
 
 def _block_lookup(channels: Sequence[Channel], queries: list[int]) -> tuple | None:
@@ -200,13 +216,20 @@ def _block_lookup(channels: Sequence[Channel], queries: list[int]) -> tuple | No
         rank = np.minimum.reduceat(ranks[order].ravel(), starts)  # lowest over the channels
         entry = np.empty(ids.shape, dtype=np.int64)
         np.put_along_axis(entry, order, (np.cumsum(first) - 1).reshape(ids.shape), axis=1)
-        cpos = [ch.index.positions(cand) for ch in by_name]
+        # a candidate's position in the row that named it, searched for where a channel's ids differ
+        known = np.take_along_axis(np.concatenate(qrows, axis=1), order, axis=1).ravel()[starts]
+        cpos = [np.minimum(known, ch.index.item_ids.shape[0] - 1) for ch in by_name]
+        for ch, pos in zip(by_name, cpos):
+            miss = ch.index.item_ids[pos] != cand
+            pos[miss] = ch.index.positions(cand[miss])
     except (TierankError, ValueError):
         return None
     return by_name, qrows, cand, owner, rank, entry, cpos
 
 
-def _rerank_block(channels: Sequence[Channel], queries: list[int], k_final: int | None) -> list[RankedList]:
+def _rerank_block(
+    channels: Sequence[Channel], queries: list[int], k_final: int | None, scratch: np.ndarray
+) -> list[RankedList]:
     """:func:`rerank_query` for a block of B stored-id queries on two or more channels.
 
     Steps, each over the whole block:
@@ -216,12 +239,15 @@ def _rerank_block(channels: Sequence[Channel], queries: list[int], k_final: int 
     2. every candidate's fused weight, W's query row, summed from the
        queries' overlap-table rows by one ``bincount`` with the channels in
        name order, as :class:`~tierank.fusion.TieredPairwise` sums it; then
-       one ``lexsort`` puts each query's candidates in tie-break order
-       (higher weight, lower distance rank, smaller id);
+       one stable ``argsort`` of an integer (query, weight rank, distance
+       rank) key puts each query's candidates, which come by id, in
+       tie-break order (higher weight, lower distance rank, smaller id);
     3. every query's W, rows and columns in tie-break order, as one stack
-       of B padded (Cmax + 1, Cmax + 1) blocks, from one table gather per
-       channel, one scratch of B·(n + 1) slots and one ``bincount``; every
-       neighbor that is no candidate lands in the spare last column;
+       of B padded (Cmax + 1, Cmax + 1) blocks, summed one channel at a
+       time in name order, so a cell is ((0 + a) + b) + c: a table gather,
+       columns looked up in ``scratch`` (query b's slot b·(n + 1) + j holds
+       the column of row position j; every neighbor that is no candidate
+       takes the spare last one), and one ``np.add.at`` into the stack;
     4. the loop of :func:`~tierank.fusion.select_arrays` for every query
        at once: per step a row gather, the taken entry masked and a
        row-wise ``argmax``. Padding starts at -inf, argmax returns the
@@ -247,25 +273,23 @@ def _rerank_block(channels: Sequence[Channel], queries: list[int], k_final: int 
         for table, rows, scale in zip(tables, qrows, scales)
     ]
     weights = np.bincount(entry.ravel(), np.concatenate(own, axis=1).ravel(), minlength=total)
-    order = np.lexsort((cand, rank, -weights, owner))
+    levels, heavier = np.unique(-weights, return_inverse=True)
+    order = np.argsort((owner * levels.shape[0] + heavier) * (int(rank.max()) + 1) + rank, kind="stable")
     col = np.empty(total, dtype=np.int64)  # every candidate's place in its query's order
     col[order] = np.arange(total) - np.repeat(np.cumsum(sizes) - sizes, sizes)
 
     width = int(sizes.max()) + 1  # a column per candidate, then the spare one
     lane = owner * width + col  # a candidate's row of the stack, and its entry of acc
-    scratch = np.empty(b * max(ch.index.n + 1 for ch in by_name), dtype=np.int64)
-    spans = np.cumsum([0] + [rows.shape[1] for rows in qrows]) * total
-    cells, values = np.empty(spans[-1], dtype=np.int64), np.empty(spans[-1])
     row_starts = (lane * width)[:, None]
-    for ch, table, scale, pos, lo, hi in zip(by_name, tables, scales, cpos, spans, spans[1:]):
+    matrix = np.zeros((b * width, width))
+    for ch, table, scale, pos in zip(by_name, tables, scales, cpos):
         base = owner * (ch.index.n + 1)  # query b's slots of the scratch start at b·(n + 1)
-        slots = base[:, None] + ch.index.position_rows(pos, ch.k1)
-        scratch[slots] = width - 1
+        cells = ch.index.position_rows(pos, ch.k1)
+        cells += base[:, None]
+        scratch[cells] = width - 1
         scratch[base + pos] = col
-        np.add(row_starts, scratch[slots], out=cells[lo:hi].reshape(slots.shape))
-        np.multiply(table.take(pos, axis=0), scale, out=values[lo:hi].reshape(slots.shape), dtype=np.float64)
-    # a cell comes once per channel at most, in channel-name order
-    matrix = np.bincount(cells, values, minlength=b * width * width).reshape(b * width, width)
+        np.add(row_starts, scratch[cells], out=cells)
+        np.add.at(matrix.reshape(-1), cells.ravel(), np.multiply(table.take(pos, axis=0), scale).ravel())
 
     steps = [min(k_final, size - 1) for size in sizes.tolist()]
     acc = np.where(np.arange(width) < sizes[:, None], 0.0, -np.inf)

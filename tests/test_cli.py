@@ -411,6 +411,24 @@ def test_rerank_unknown_id_mid_queries_file_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err == "error\tUnknownItemError\titem 12345 not in index for channel 'boundary'\n"
 
 
+def test_rerank_id_beyond_int64_in_queries_file_exits_3(tmp_path, capsys):
+    # in a fused batch or alone, an id no int64 holds is an unknown item
+    out, idx = tmp_path / "scen", tmp_path / "idx"
+    assert main(["synth", "--scenario", "two-manifold", "--seed", "0", "--out-dir", str(out)]) == 0
+    assert main(["index", "--config", str(out / "pipeline.cfg"), "--out-dir", str(idx)]) == 0
+    huge = "99999999999999999999999"
+    for lines in (["1", huge], [huge]):
+        queries = tmp_path / "queries.txt"
+        queries.write_text("".join(f"{line}\n" for line in lines))
+        capsys.readouterr()
+        code = main([
+            "rerank", "--config", str(out / "pipeline.cfg"), "--index-dir", str(idx),
+            "--queries-file", str(queries), "--out", str(tmp_path / "ranked.tsv"),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == f"error\tUnknownItemError\titem {huge} not in index for channel 'boundary'\n"
+
+
 @pytest.mark.parametrize("scenario", ["two-manifold", "outlier"])
 def test_rerank_rejects_k_final_key_below_one(tmp_path, capsys, scenario):
     out, idx = tmp_path / "scen", tmp_path / "idx"

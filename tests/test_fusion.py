@@ -20,7 +20,9 @@ from tierank.fusion import FusedGraph, TieredPairwise, fuse_graphs, greedy_selec
 from tierank.index import FeatureMatrix, NeighborhoodIndex, build_index, knn_candidates
 from tierank.oracles import brute_force_knn, oracle_greedy_select, oracle_pairwise, oracle_tier3
 from tierank.pipeline import (
-    _BLOCK_QUERIES,
+    _BLOCK_BUDGET,
+    _BLOCK_CAP,
+    _block_queries,
     Channel,
     attach_virtual_query,
     batch_rerank,
@@ -380,30 +382,89 @@ def _exact(rankings):
     return [(r.query, r.tier, r.channel, [(i, float(s).hex()) for i, s in r.entries]) for r in rankings]
 
 
+def _block_size(channels):
+    """The queries per block that batch_rerank takes on these channels."""
+    return _block_queries([ch.k1 for ch in channels], max(ch.index.n for ch in channels))
+
+
+def _with_extra_ids(channel, extra):
+    """The channel, with far-away items of the ids ``extra`` stored between its own.
+
+    Every shared id then sits at another row position in this channel, and
+    no row of a shared item within its first n entries names an extra one.
+    """
+    fm = channel.features
+    far = np.full((len(extra), fm.dim), 100.0) + np.arange(len(extra))[:, None]
+    both = FeatureMatrix(fm.channel_name, [*fm.ids.tolist(), *extra], np.concatenate((fm.vectors, far)))
+    index = build_index(both, k=channel.index.k)
+    return replace(channel, index=index, k1=min(channel.k1, fm.n), features=both)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_query_instances(), st.sampled_from([None, 1, 2, 5]), st.data())
 def test_batch_rerank_matches_rerank_query_property(instance, k_final, data):
     # batches of one, with repeated ids, and across a block boundary; with
-    # n < k and k1 = 1 a query's union is often smaller than k_final + 1
+    # n < k and k1 = 1 a query's union is often smaller than k_final + 1.
+    # A channel may also store ids the others lack, so that a candidate's
+    # row position differs between channels
     channels = instance[0]
     ids = channels[0].index.item_ids.tolist()
-    queries = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=2 * _BLOCK_QUERIES + 3))
+    if data.draw(st.booleans()):
+        extra = sorted({i + 1 for i in ids} - set(ids))[:3]
+        channels = [*channels[:-1], _with_extra_ids(channels[-1], extra)]
+    size = _block_size(channels)
+    queries = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=2 * size + 3))
     got = batch_rerank(channels, queries, k_final)
     want = [rerank_query(channels, q, k_final) for q in queries]
     assert got == want and _exact(got) == _exact(want)
 
 
 def test_batch_rerank_matches_rerank_query_on_the_edges():
-    # a block boundary crossed by 2·_BLOCK_QUERIES + 1 queries, a pool of
-    # one candidate (k1 = 1 on every channel), and pools smaller than k_final
+    # a block boundary crossed by 2·B + 3 queries with repeats, a pool of
+    # one candidate (k1 = 1 on every channel), pools smaller than k_final,
+    # and a channel that also stores odd ids between the even ones all store
     rng = np.random.default_rng(15)
     channels = random_channels(rng, 40, 3, 6)
     narrow = [replace(ch, k1=1) for ch in channels]
-    queries = rng.choice(40, size=2 * _BLOCK_QUERIES + 1).tolist()
-    for chans, k_final in ((channels, None), (channels, 30), (narrow, 3), (channels, 1)):
-        got = batch_rerank(chans, queries, k_final)
-        assert _exact(got) == _exact([rerank_query(chans, q, k_final) for q in queries])
+    evens = []
+    for ch in channels:
+        fm = FeatureMatrix(ch.name, 2 * ch.features.ids, ch.features.vectors)
+        evens.append(replace(ch, index=build_index(fm, k=6), features=fm))
+    shifted = [evens[0], _with_extra_ids(evens[1], [1, 3, 5]), evens[2]]
+    size = _block_size(channels)
+    queries = rng.choice(40, size=2 * size + 3).tolist()
+    assert len(set(queries)) < len(queries)
+    for chans, k_final in ((channels, None), (channels, 30), (narrow, 3), (channels, 1), (shifted, None)):
+        batch = [2 * q for q in queries] if chans is shifted else queries
+        got = batch_rerank(chans, batch, k_final)
+        assert _exact(got) == _exact([rerank_query(chans, q, k_final) for q in batch])
     assert [len(r) for r in batch_rerank(narrow, queries[:3])] == [1, 1, 1]
+
+
+def test_a_block_fits_the_rule_at_the_benchmark_shapes():
+    # 25 or more stored-id queries a block at the fused-ids shape, m = 3
+    # channels of k1 = 25 over n = 10,000 items
+    assert _block_queries([25] * 3, 10_000) >= 25
+    assert 1 <= _block_queries([10_000] * 3, 10**9) <= _block_queries([50] * 2, 5_000) <= _BLOCK_CAP
+
+
+@pytest.mark.parametrize(("m", "k"), [(3, 25), (2, 50)])
+def test_one_block_works_within_the_budget(m, k):
+    # the benchmark shapes (fused-ids, cli-mixed) at a smaller n; independent
+    # random channels give unions near Σk1, the rule's worst case
+    rng = np.random.default_rng(19)
+    channels = random_channels(rng, 2000, m, k)
+    batch_rerank(channels, [0, 1])  # builds the tables
+    size = _block_size(channels)
+    queries = rng.choice(2000, size=size, replace=False).tolist()
+    tracemalloc.start()
+    try:
+        kept = batch_rerank(channels, queries)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == size
+    assert peak - current <= _BLOCK_BUDGET
 
 
 def _raised(call):
@@ -436,7 +497,22 @@ def test_batch_errors_match_the_per_query_loop():
         assert _raised(lambda: batch_rerank(chans, queries, k_final)) == want
 
 
-@pytest.mark.parametrize("size", [2, 5, _BLOCK_QUERIES])
+def test_an_id_beyond_int64_in_a_batch_is_an_unknown_item():
+    # an id no int64 holds is stored nowhere: its block falls back to the
+    # per-query loop, which raises the per-query error
+    rng = np.random.default_rng(20)
+    channels = random_channels(rng, 30, 2, 5)
+    for huge in (10**23, 2**63, -(2**63) - 1):
+        for queries in ([1, huge], [1, 2, huge, 3], [huge]):
+            want = _raised(lambda: [rerank_query(channels, q) for q in queries])
+            assert want == (UnknownItemError, f"item {huge} not in index for channel 'ch0'")
+            assert _raised(lambda: batch_rerank(channels, queries)) == want
+        assert _raised(lambda: channels[1].index.positions([0, huge])) == (
+            UnknownItemError, f"item {huge} not in index for channel 'ch1'"
+        )
+
+
+@pytest.mark.parametrize("size", [2, 5, 8, _block_queries([6] * 3, 80)])
 def test_a_block_gathers_rows_a_fixed_number_of_times_per_channel(monkeypatch, size):
     # one gather of the queries' rows and one of their candidates' rows per
     # channel, whatever the block's size; the per-query loop makes one per query
@@ -473,7 +549,8 @@ def test_batch_memory_is_bounded_by_the_block():
         assert len(kept) == len(batch)
         return peak - current
 
-    blocks = [queries[i : i + _BLOCK_QUERIES] for i in range(0, 240, _BLOCK_QUERIES)]
+    size = _block_size(channels)
+    blocks = [queries[i : i + size] for i in range(0, 240, size)]
     assert working_peak(queries) <= 1.1 * max(working_peak(block) for block in blocks)
 
 

@@ -403,6 +403,35 @@ def test_build_across_blocks_and_workers(monkeypatch, n, k, metric):
         assert index.neighbors(item) == brute_force_neighborhood(fm, item, k, metric)
 
 
+# 16-row blocks: one ragged block, one full one, a full and a ragged one, seven
+@pytest.mark.parametrize("n", [7, 16, 17, 100])
+def test_overlap_table_does_not_depend_on_the_worker_count(monkeypatch, n):
+    fm = random_features(np.random.default_rng(n), n)
+    spread = index_module._spread
+    workers = []
+
+    def counting_spread(starts, count, make, work):
+        workers.append(count)
+        return spread(starts, count, make, work)
+
+    monkeypatch.setattr(index_module, "_spread", counting_spread)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the four workers (more than the cores) interleave finely
+    try:
+        for k1, k2 in ((8, 8), (3, 8), (8, 3)):
+            tables = []
+            for cores in (1, 4):
+                monkeypatch.setattr(index_module, "_usable_cores", lambda: cores)
+                index = build_index(fm, k=8)
+                workers.clear()
+                tables.append(index.overlap_table(k1, k2))
+                assert workers == [cores]
+            assert tables[0].dtype == tables[1].dtype and np.array_equal(tables[0], tables[1])
+            assert tables[0].shape == (n, min(k1, n))
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def _traced_peak(build):
     tracemalloc.start()
     try:
