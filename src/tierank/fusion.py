@@ -97,6 +97,28 @@ def fuse_graphs(
     )
 
 
+def add_counts(
+    matrix: np.ndarray, index: NeighborhoodIndex, pos: np.ndarray, k1: int, k2: int, scale: float,
+    starts: np.ndarray, slots: np.ndarray | None, col: np.ndarray, scratch: np.ndarray,
+) -> None:
+    """Add one channel's scaled tier-3 counts into ``matrix``, a stack of per-query W blocks.
+
+    Candidate j (row position ``pos[j]``) centers the row of flat cell
+    ``starts[j, 0]`` and has column ``col[j]``. Its query's scratch slots,
+    a slot per row position and a pad slot, start at ``slots[j, 0]`` (0 if
+    None); a neighbor's column read there is a candidate's own, else the
+    spare last one, as for a -1 pad. One ``np.add.at`` adds the index's
+    ``center_counts``, so a call per channel sums W in channel order.
+    """
+    cells = index.position_rows(pos, k1)
+    if slots is not None:
+        cells += slots
+    scratch[cells] = matrix.shape[1] - 1
+    scratch[pos if slots is None else pos + slots[:, 0]] = col
+    np.add(starts, scratch[cells], out=cells)
+    np.add.at(matrix.reshape(-1), cells.ravel(), np.multiply(index.center_counts(pos, k1, k2), scale).ravel())
+
+
 class TieredPairwise:
     """Fused tier-3 affinities between every pair of a query's candidates.
 
@@ -110,17 +132,12 @@ class TieredPairwise:
     building per-channel tiered graphs and fusing them.
 
     The C×C ``matrix`` is built once, in the constructor, in candidate_ids
-    order; an instance belongs to a single query. Per channel, a stored
-    center's counts are its row of the index's overlap table
-    (:meth:`~tierank.index.NeighborhoodIndex.overlap_table`, built on the
-    first fused query at that (k1, k2) and cached), and only a virtual
-    center's row is counted, by the kernel that builds the table. A scratch
-    indexed by row position gives every candidate its local column and
-    every other neighbor a spare one past the last (only the entries the
-    query touches are written, so nothing is sorted and nothing of size n
-    cleared). One ``bincount`` then sums every channel's counts into their
-    cells, in channel order, and the spare column is dropped. ``batch(u)``
-    returns u's row.
+    order; an instance belongs to a single query. :func:`add_counts`, the
+    one W builder, fills a (C, C + 1) block, columns in id order, once per
+    channel in the caller's order, with counts the index gives (an
+    out-of-sample query's are counted), and the spare column is dropped.
+    One int64 scratch of n + 1 slots, n the largest channel's, serves every
+    channel. ``batch(u)`` returns u's row.
     """
 
     def __init__(
@@ -130,42 +147,20 @@ class TieredPairwise:
         scales: Sequence[float] | None = None,
     ) -> None:
         channels = list(channels)
-        if scales is None:
-            scales = [1.0] * len(channels)
+        scales = [1.0] * len(channels) if scales is None else scales
         if len(scales) != len(channels):
             raise FormatError("one scale per channel required")
         self._ids = cand = np.unique(np.asarray(candidates, dtype=np.int64))
         self.candidate_ids: tuple[int, ...] = tuple(cand.tolist())
         c = cand.shape[0]
-        row_starts = np.arange(0, c * (c + 1), c + 1)[:, None]  # flat cell (u, 0) of a (C, C+1) matrix
-        cells, values = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+        col = np.arange(c)
+        starts = (col * (c + 1))[:, None]  # flat cell (u, 0) of a (C, C + 1) matrix
+        scratch = np.empty(max((idx.n for idx, _, _ in channels), default=0) + 1, dtype=np.int64)
+        matrix = np.zeros((c, c + 1))
         for (idx, k1, k2), scale in zip(channels, scales):
-            pos = idx.positions(cand)
-            near = idx.position_rows(pos, k1)
-            counts = idx.overlap_table(k1, k2).take(pos, axis=0, mode="clip")
-            if idx.virtual is not None:
-                # a virtual center's row is counted here, and may be one
-                # entry wider than the table
-                virtual = pos == idx.item_ids.shape[0]
-                wide = np.zeros(near.shape, dtype=counts.dtype)
-                wide[:, : counts.shape[1]] = counts
-                wide[virtual] = idx.overlap_counts(near[virtual], k2)[1]
-                counts = wide
-            # local column of every neighbor: candidate j's is j, any other
-            # position's (and the -1 pad's, the scratch's last entry) c
-            scratch = np.empty(idx.n + 1, dtype=np.int64)
-            scratch[near] = c
-            scratch[pos] = np.arange(c)
-            cells.append((row_starts + scratch[near]).ravel())
-            values.append(np.multiply(counts, float(scale), dtype=np.float64).ravel())
-        # a candidate's cell appears once per channel, and bincount adds in
-        # input order: channel by channel in the caller's order, which must
-        # match fusion's accumulation order for the query's row to equal the
-        # fused edges bit for bit under scaling
-        weights = np.bincount(np.concatenate(cells), np.concatenate(values), minlength=c * (c + 1))
-        matrix = weights.reshape(c, c + 1)[:, :c]
-        matrix.setflags(write=False)
-        self.matrix = matrix
+            add_counts(matrix, idx, idx.positions(cand), k1, k2, float(scale), starts, None, col, scratch)
+        self.matrix = matrix[:, :c]
+        self.matrix.setflags(write=False)
 
     def batch(self, u: int) -> np.ndarray:
         """Weights from center u to every candidate, in candidate_ids order."""

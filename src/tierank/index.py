@@ -555,6 +555,23 @@ class NeighborhoodIndex:
             table = self._tables.setdefault((k1, k2), self._build_overlap_table(k1, k2))
         return table
 
+    def center_counts(self, positions: np.ndarray, k1: int, k2: int) -> np.ndarray:
+        """The tier-3 counts of the rows in ``positions``, shaped as :meth:`position_rows` gives them.
+
+        A stored row's are its row of :meth:`overlap_table`; the virtual
+        row's are counted by :meth:`overlap_counts`; a -1 pad's are 0.
+        """
+        counts = self.overlap_table(k1, k2).take(positions, axis=0, mode="clip")
+        if self.virtual is None:
+            return counts
+        row = self.virtual[1][None, :k1]  # one entry wider than a stored row when n < k
+        wide = np.zeros((positions.shape[0], max(counts.shape[1], row.shape[1])), dtype=counts.dtype)
+        wide[:, : counts.shape[1]] = counts
+        hit = positions == self.item_ids.shape[0]
+        wide[hit] = 0
+        wide[hit, : row.shape[1]] = self.overlap_counts(row, k2)[1]
+        return wide
+
     def _build_overlap_table(self, k1: int, k2: int) -> np.ndarray:
         stored, width = self.neighbor_table.shape
         table = np.empty((stored, min(k1, width)), dtype=np.min_scalar_type(min(k1, k2)))

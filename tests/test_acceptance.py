@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import fused_instance
+from conftest import fused_instance, gen_correlated_trial, gen_trend_channels
 from tierank.bench import bench_rerank, build_bench_channels, restricted_channels
 from tierank.evaluation import GroundTruth, ns_score, precision_at
 from tierank.fusion import TieredPairwise, fuse_graphs, greedy_select
@@ -24,12 +24,7 @@ from tierank.oracles import oracle_greedy_select, oracle_pairwise
 from tierank.pipeline import Channel, rerank_query
 from tierank.ranking import RankedList
 from tierank.rerank import tier1_rerank, tiered_graph, tiered_rerank
-from tierank.scenarios import (
-    gen_correlated_trial,
-    gen_outlier_scenario,
-    gen_trend_channels,
-    gen_two_manifold_scenario,
-)
+from tierank.scenarios import gen_outlier_scenario, gen_two_manifold_scenario
 
 
 def test_criterion_1_planted_overlap_arithmetic():

@@ -57,6 +57,19 @@ def test_only_errors_py_touches_files():
     assert offenders == []
 
 
+def test_only_the_index_reads_its_overlap_tables():
+    # a center's tier-3 counts come through NeighborhoodIndex.center_counts,
+    # which alone reads the tables and the overlay's virtual row: fusion's
+    # one W builder names neither
+    offenders = [
+        f"{path.name}:{lineno}: {line.strip()}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "index.py"
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if "overlap_table(" in line or (path.name == "fusion.py" and "virtual" in line)
+    ]
+    assert offenders == []
+
+
 # --- every writer: an OSError is a FileAccessError ---------------------------
 
 def _writers():

@@ -153,6 +153,26 @@ def test_eval_end_to_end(outlier_dirs, tmp_path):
     assert code == 0
 
 
+def test_eval_prints_a_table_by_default(outlier_dirs, tmp_path, capsys):
+    # one line per metric and cutoff, holding the values the tsv format prints
+    out, idx = outlier_dirs
+    rank_path = tmp_path / "ranked.tsv"
+    assert main([
+        "rerank", "--config", str(out / "pipeline.cfg"), "--index-dir", str(idx),
+        "--query-ids", ",".join(str(i) for i in range(12)), "--out", str(rank_path),
+    ]) == 0
+    argv = ["eval", "--rankings", str(rank_path), "--truth", str(out / "truth.csv"), "--metrics", "precision,recall"]
+    capsys.readouterr()
+    assert main([*argv, "--r", "3,5", "--format", "tsv"]) == 0
+    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert main([*argv, "--r", "3,5"]) == 0
+    width = max(len(name) for name, *_ in rows)
+    assert capsys.readouterr().out.splitlines() == [
+        f"{name:<{width}}  @{r:<4} {float(value):10.4f}   ({count} queries)" for name, r, value, count in rows
+    ]
+    assert len(rows) == 4 and all(count == "12" for *_, count in rows)
+
+
 def test_eval_ns_wrong_class_sizes_is_data_error(outlier_dirs, tmp_path, capsys):
     out, idx = outlier_dirs
     rank_path = tmp_path / "ranked.tsv"
@@ -377,6 +397,29 @@ def test_fuse_alias_two_channels(tmp_path):
     ids = ranking.ids()
     assert ids.index(c) < ids.index(b) and ids.index(d) < ids.index(b)
     assert ranking.tier == "mfr"
+
+
+def test_rerank_bad_query_ids_exits_3(outlier_dirs, capsys):
+    out, idx = outlier_dirs
+    capsys.readouterr()
+    code = main(["rerank", "--config", str(out / "pipeline.cfg"), "--index-dir", str(idx), "--query-ids", "1,x"])
+    assert code == 3
+    assert capsys.readouterr().err == "error\tFormatError\tbad --query-ids value '1,x'\n"
+
+
+def test_rerank_with_a_k_above_the_stored_index_exits_3(tmp_path, capsys):
+    # the index was built at k = 4; a config raised to k1 = 6 afterwards
+    # asks for more neighbors than are stored
+    out, idx = tmp_path / "scen", tmp_path / "idx"
+    assert main(["synth", "--scenario", "two-manifold", "--seed", "0", "--out-dir", str(out)]) == 0
+    assert main(["index", "--config", str(out / "pipeline.cfg"), "--out-dir", str(idx)]) == 0
+    cfg = out / "pipeline.cfg"
+    cfg.write_text(cfg.read_text().replace("k1 = 4\n", "k1 = 6\n", 1))
+    capsys.readouterr()
+    assert main(["rerank", "--config", str(cfg), "--index-dir", str(idx), "--query-ids", "0"]) == 3
+    assert capsys.readouterr().err == (
+        "error\tFormatError\tchannel 'boundary': k1/k2 exceed the stored index k=4; re-run index\n"
+    )
 
 
 @pytest.mark.parametrize("k_final", ["0", "-1"])

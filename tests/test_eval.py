@@ -8,7 +8,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import FunctionPairwise, fused_instance
+from conftest import FunctionPairwise, fused_instance, gen_correlated_trial, gen_trend_channels
 from tierank.errors import ClassSizeError, FormatError, SizeError, UnknownItemError
 from tierank.evaluation import (
     GroundTruth,
@@ -23,12 +23,7 @@ from tierank.index import Metric, build_index
 from tierank.oracles import oracle_greedy_select, oracle_pairwise
 from tierank.ranking import RankedList
 from tierank.rerank import tier1_rerank, tiered_graph
-from tierank.scenarios import (
-    gen_correlated_trial,
-    gen_outlier_scenario,
-    gen_trend_channels,
-    gen_two_manifold_scenario,
-)
+from tierank.scenarios import gen_outlier_scenario, gen_two_manifold_scenario
 
 
 def _ranking(query, items, tier="3"):

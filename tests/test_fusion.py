@@ -14,6 +14,7 @@ from dataclasses import replace
 from functools import partial
 
 from conftest import FunctionPairwise, fused_instance, random_channels
+from tierank import pipeline
 from tierank.bench import restricted_channels
 from tierank.errors import EmptyChannelListError, FormatError, QueryMismatchError, UnknownItemError
 from tierank.fusion import FusedGraph, TieredPairwise, fuse_graphs, greedy_select
@@ -510,6 +511,52 @@ def test_an_id_beyond_int64_in_a_batch_is_an_unknown_item():
         assert _raised(lambda: channels[1].index.positions([0, huge])) == (
             UnknownItemError, f"item {huge} not in index for channel 'ch1'"
         )
+
+
+def test_bad_ks_and_alpha_raise_the_same_error_alone_and_in_a_batch():
+    # resolve_k's checks, reached by a single query and by a batch's blocks,
+    # on one channel and on two
+    rng = np.random.default_rng(23)
+    channels = random_channels(rng, 40, 2, 5)
+    cases = [
+        (replace(channels[0], k1=6), "k1/k2 cannot exceed the index k=5"),
+        (replace(channels[0], k2=6), "k1/k2 cannot exceed the index k=5"),
+        (replace(channels[0], k2=0), "k1 and k2 must be >= 1"),
+        (replace(channels[0], k1=0), "k1 and k2 must be >= 1"),
+        (replace(channels[0], alpha=0.0), "alpha must be positive"),
+    ]
+    for bad, message in cases:
+        for chans in ([bad], [bad, channels[1]], [channels[1], bad]):
+            assert _raised(lambda: rerank_query(chans, 3)) == (ValueError, message)
+            assert _raised(lambda: batch_rerank(chans, [3, 4, 5])) == (ValueError, message)
+    # k1 of 0 and -1 over 95 items make the block rule's estimate 0 bytes a query
+    chans = [replace(ch, k1=k1) for ch, k1 in zip(random_channels(rng, 95, 2, 5), (0, -1))]
+    for call in (lambda: rerank_query(chans, 3), lambda: batch_rerank(chans, [3, 4, 5])):
+        assert _raised(call) == (ValueError, "k1 and k2 must be >= 1")
+
+
+def test_a_vector_query_on_a_channel_without_features_is_a_format_error():
+    rng = np.random.default_rng(24)
+    channels = random_channels(rng, 30, 2, 5)
+    bare = [channels[0], replace(channels[1], features=None)]
+    assert _raised(lambda: rerank_vector_query(bare, rng.normal(size=4))) == (
+        FormatError, "channel 'ch1' has no feature matrix for vector queries"
+    )
+
+
+def test_a_rule_of_one_query_a_block_takes_the_per_query_loop(monkeypatch):
+    # when one query's estimate fills the budget, a block would hold one
+    # query, and the block kernel is the slower for one: the batch runs the
+    # per-query loop instead. Two channels of k1 = 200 over 10,000 items do
+    assert _block_queries([200, 200], 10_000) == 1
+    rng = np.random.default_rng(21)
+    channels = random_channels(rng, 60, 2, 6)
+    assert _block_size(channels) > 1
+    monkeypatch.setattr(pipeline, "_BLOCK_BUDGET", 1)
+    assert _block_size(channels) == 1
+    monkeypatch.setattr(pipeline, "_rerank_block", lambda *args: pytest.fail("a block of one ran"))
+    queries = [3, 7, 7, 40, 12]
+    assert _exact(batch_rerank(channels, queries)) == _exact([rerank_query(channels, q) for q in queries])
 
 
 @pytest.mark.parametrize("size", [2, 5, 8, _block_queries([6] * 3, 80)])

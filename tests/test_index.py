@@ -833,6 +833,40 @@ def test_with_virtual_is_a_one_row_overlay():
     assert short.position_rows(np.asarray([3, 1])).tolist() == [[3, 2, -1], [1, 0, 2]]
 
 
+def _counted(index, positions, k1, k2):
+    """|N_k2(j) ∩ N_k1(u)| for every entry j of every row u, 0 for a -1 pad, by sets."""
+    return [
+        [0 if j < 0 else len((set(index.position_rows(np.asarray([j]), k2)[0].tolist()) & set(row)) - {-1})
+         for j in row]
+        for row in index.position_rows(positions, k1).tolist()
+    ]
+
+
+def test_center_counts_come_in_the_shape_of_position_rows():
+    # stored rows read the overlap table; the virtual row, one entry wider
+    # than the stored rows (n < k) or padded when cut short, is counted
+    index = build_index(_line_features([0.0, 1.0, 3.0]), k=5)
+    overlay = index.with_virtual(9, np.asarray([9, 1, 0, 2]), np.asarray([0.0, 0.5, 0.5, 1.5]))
+    short = index.with_virtual(5, [5, 2], [0.0, 0.5])
+    assert overlay.center_counts(np.asarray([2, 3, 0]), 5, 5).tolist() == [[3, 3, 3, 0], [4, 3, 3, 3], [3, 3, 3, 0]]
+    assert short.center_counts(np.asarray([3, 1]), 5, 5).tolist() == [[2, 1, 0], [3, 3, 3]]
+    for idx, positions in ((index, [2, 0, 1]), (overlay, [2, 3, 0, 3]), (short, [3, 1])):
+        positions = np.asarray(positions)
+        for k1, k2 in ((5, 5), (4, 2), (2, 4), (1, 1)):
+            got = idx.center_counts(positions, k1, k2)
+            assert got.shape == idx.position_rows(positions, k1).shape
+            assert got.tolist() == _counted(idx, positions, k1, k2)
+            stored = positions < 3
+            assert np.array_equal(got[stored][:, : min(k1, 3)], index.overlap_table(k1, k2)[positions[stored]])
+
+
+def test_an_overlay_cannot_be_saved(tmp_path):
+    overlay = build_index(_line_features([0.0, 1.0, 3.0]), k=5).with_virtual(9, [9, 1], [0.0, 0.5])
+    with pytest.raises(FormatError, match="an index with a virtual row cannot be saved"):
+        save_index(overlay, tmp_path / "overlay.index")
+    assert not (tmp_path / "overlay.index").exists()
+
+
 @pytest.mark.parametrize(
     "ids, dists",
     [
