@@ -4,12 +4,12 @@ Fusion takes one tier-3 graph per feature channel and merges them by node
 union, edge union, and edge-weight summation. The final list is then grown
 greedily: at every step the candidate with the largest summed affinity to
 all already-selected items is appended. The affinities between a query's
-candidates form one C×C matrix, built once per query by treating each
-candidate as a temporary ranking center over the per-channel indexes, and
-the selection loop reads one of its rows per step. The matrix's query row
-is the fused tier-3 weight of every candidate, so the pipeline takes its
-tie-break weights from that row and calls the array form of the loop,
-:func:`select_arrays`, without fusing graphs.
+candidates form one C×C matrix W, built by :func:`add_counts` by treating
+each candidate as a temporary ranking center, and :func:`greedy_loop`
+reads one of its rows per step. The pipeline builds W in tie-break order
+with tie-break weights from its query row, so no ranking uses
+:func:`fuse_graphs`, :class:`TieredPairwise` or :func:`greedy_select`:
+they are an inspection view of the same arithmetic.
 """
 
 from __future__ import annotations
@@ -98,17 +98,18 @@ def fuse_graphs(
 
 
 def add_counts(
-    matrix: np.ndarray, index: NeighborhoodIndex, pos: np.ndarray, k1: int, k2: int, scale: float,
+    matrix: np.ndarray, index: NeighborhoodIndex, pos: np.ndarray, k1: int, counts: np.ndarray, scale: float,
     starts: np.ndarray, slots: np.ndarray | None, col: np.ndarray, scratch: np.ndarray,
 ) -> None:
     """Add one channel's scaled tier-3 counts into ``matrix``, a stack of per-query W blocks.
 
     Candidate j (row position ``pos[j]``) centers the row of flat cell
-    ``starts[j, 0]`` and has column ``col[j]``. Its query's scratch slots,
-    a slot per row position and a pad slot, start at ``slots[j, 0]`` (0 if
-    None); a neighbor's column read there is a candidate's own, else the
-    spare last one, as for a -1 pad. One ``np.add.at`` adds the index's
-    ``center_counts``, so a call per channel sums W in channel order.
+    ``starts[j, 0]``, has column ``col[j]`` and its row's ``counts[j]``
+    (``center_counts``). Its query's scratch slots, a slot per row position
+    and a pad slot, start at ``slots[j, 0]`` (0 if None); a neighbor's
+    column read there is a candidate's own, else the spare last one, as for
+    a -1 pad. One ``np.add.at`` adds the scaled counts, so a call per
+    channel sums W in channel order.
     """
     cells = index.position_rows(pos, k1)
     if slots is not None:
@@ -116,7 +117,7 @@ def add_counts(
     scratch[cells] = matrix.shape[1] - 1
     scratch[pos if slots is None else pos + slots[:, 0]] = col
     np.add(starts, scratch[cells], out=cells)
-    np.add.at(matrix.reshape(-1), cells.ravel(), np.multiply(index.center_counts(pos, k1, k2), scale).ravel())
+    np.add.at(matrix.reshape(-1), cells.ravel(), np.multiply(counts, scale).ravel())
 
 
 class TieredPairwise:
@@ -127,17 +128,16 @@ class TieredPairwise:
     neighbors inside u's k1 neighborhood, provided i is one of u's k1
     candidates at all; a missing edge contributes 0, mirroring fusion's
     absent-channel rule. The query's row therefore equals the fused
-    graph's edge weights bit for bit when channels come in name order, and
-    the pipeline reads its tie-break weights off that row instead of
-    building per-channel tiered graphs and fusing them.
+    graph's edge weights bit for bit when channels come in name order.
+    No ranking builds one: the pipeline calls :func:`add_counts` itself.
 
     The C×C ``matrix`` is built once, in the constructor, in candidate_ids
-    order; an instance belongs to a single query. :func:`add_counts`, the
-    one W builder, fills a (C, C + 1) block, columns in id order, once per
-    channel in the caller's order, with counts the index gives (an
-    out-of-sample query's are counted), and the spare column is dropped.
-    One int64 scratch of n + 1 slots, n the largest channel's, serves every
-    channel. ``batch(u)`` returns u's row.
+    order; an instance belongs to a single query. :func:`add_counts` fills
+    a (C, C + 1) block, columns in id order, once per channel in the
+    caller's order, with the counts the index gives (an out-of-sample
+    query's are counted), and the spare column is dropped. One int64
+    scratch of n + 1 slots, n the largest channel's, serves every channel.
+    ``batch(u)`` returns u's row.
     """
 
     def __init__(
@@ -158,7 +158,8 @@ class TieredPairwise:
         scratch = np.empty(max((idx.n for idx, _, _ in channels), default=0) + 1, dtype=np.int64)
         matrix = np.zeros((c, c + 1))
         for (idx, k1, k2), scale in zip(channels, scales):
-            add_counts(matrix, idx, idx.positions(cand), k1, k2, float(scale), starts, None, col, scratch)
+            pos = idx.positions(cand)
+            add_counts(matrix, idx, pos, k1, idx.center_counts(pos, k1, k2), float(scale), starts, None, col, scratch)
         self.matrix = matrix[:, :c]
         self.matrix.setflags(write=False)
 
@@ -185,41 +186,29 @@ def greedy_select(fused: FusedGraph, pairwise: TieredPairwise, k: int) -> FinalR
     if fused.nodes != frozenset(cand):
         diff = sorted(fused.nodes.symmetric_difference(cand))
         raise UnknownItemError(f"fused nodes and pairwise candidates differ on {diff}")
-    weights = np.array([fused.edges.get(item, 0.0) for item in cand], dtype=np.float64)
-    ranks = np.array([fused.rank_of(item) for item in cand], dtype=np.int64)
-    return select_arrays(fused.query, weights, ranks, pairwise, k)
-
-
-def select_arrays(
-    query: int,
-    weights: np.ndarray,
-    ranks: np.ndarray,
-    pairwise: TieredPairwise,
-    k: int,
-) -> FinalRanking:
-    """The greedy selection loop behind :func:`greedy_select`, on arrays.
-
-    ``weights`` (fused weight to the query) and ``ranks`` (distance rank)
-    hold the static tie-break keys, one per entry of
-    ``pairwise.candidate_ids``. Every candidate but the query may be
-    selected. The matrix is permuted once into tie-break order, so each
-    step adds one of its rows and masks the taken entries with -inf.
-    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    ids = np.asarray(pairwise.candidate_ids, dtype=np.int64)
-    # candidates sorted once by the static tie-break (higher fused weight,
-    # lower distance rank, smaller id): argmax returns the first maximum,
-    # which is then the one that wins the tie
+    ids = np.asarray(cand, dtype=np.int64)
+    weights = np.array([fused.edges.get(item, 0.0) for item in cand], dtype=np.float64)
+    ranks = np.array([fused.rank_of(item) for item in cand], dtype=np.int64)
     order = np.lexsort((ids, ranks, -weights))
-    matrix = pairwise.matrix[np.ix_(order, order)]
     items = ids[order].tolist()
     try:
-        pos = items.index(query)
+        pos = items.index(fused.query)
     except ValueError:
-        raise UnknownItemError(f"center {query} is not a candidate") from None
-    acc = np.zeros(len(items))
+        raise UnknownItemError(f"center {fused.query} is not a candidate") from None
+    return greedy_loop(fused.query, pairwise.matrix[np.ix_(order, order)], items, pos, k)
 
+
+def greedy_loop(query: int, matrix: np.ndarray, items: list, pos: int, k: int) -> FinalRanking:
+    """The greedy selection loop on W, a C×C matrix whose row and column j are ``items[j]``'s.
+
+    W comes in tie-break order (higher fused weight, lower distance rank,
+    smaller id), so argmax, which returns the first maximum, picks the
+    winner of a tie. From the query's row ``pos``, each step adds a row to
+    the running sums and masks the taken entries with -inf.
+    """
+    acc = np.zeros(len(items))
     selected = [query]
     scores = [0.0]
     for _ in range(min(k, len(items) - 1)):
@@ -228,5 +217,4 @@ def select_arrays(
         pos = int(acc.argmax())
         selected.append(items[pos])
         scores.append(float(acc[pos]))
-
     return FinalRanking(query=query, items=tuple(selected), scores=tuple(scores))

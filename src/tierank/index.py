@@ -64,7 +64,6 @@ _TABLE_BLOCK_ROWS = 16
 # entries a row's bound may mark, in units of k, once a block's bounds mark
 # more than that a row on average; a row over it is chosen on its own
 _SELECT_CAP = 4
-_INT64 = np.iinfo(np.int64)
 _CPU_MAX = "/sys/fs/cgroup/cpu.max"  # cgroup v2: "<quota> <period>", or "max <period>" for none
 
 
@@ -445,15 +444,19 @@ class NeighborhoodIndex:
         return -1
 
     def positions(self, items: Sequence[int] | np.ndarray) -> np.ndarray:
-        """The row position of every item, stored or virtual."""
-        try:
-            items = np.asarray(items, dtype=np.int64)
-        except OverflowError:  # an id outside int64 is stored nowhere
-            item = next(i for i in items if not _INT64.min <= i <= _INT64.max)
-            raise UnknownItemError(f"item {item} not in index for channel {self.channel_name!r}") from None
-        pos = _row_positions(self.item_ids, items)
-        if self.virtual is not None:
-            pos[items == self.virtual[0]] = self.item_ids.shape[0]
+        """The row position of every item, stored or virtual.
+
+        An item is one only if it equals a stored or the virtual id, as in
+        :meth:`_position` (3.0 is item 3; 3.5 and '3' are none), which looks
+        up any item that is not in a 1-D signed integer array.
+        """
+        ids = np.asarray(items)
+        if ids.dtype.kind == "i" and ids.ndim == 1:
+            pos = _row_positions(self.item_ids, ids)
+            if self.virtual is not None:
+                pos[ids == self.virtual[0]] = self.item_ids.shape[0]
+        else:
+            pos = np.array([self._position(item) for item in items], dtype=np.int64)
         if pos.min(initial=0) < 0:
             raise UnknownItemError(f"item {items[pos.argmin()]} not in index for channel {self.channel_name!r}")
         return pos

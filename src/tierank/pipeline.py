@@ -6,9 +6,9 @@ build their fused affinity matrix once, and grow the final list greedily;
 the fused tier-3 weights that break ties are the matrix's query row, so no
 per-channel tiered graph is built. Out-of-sample queries are supported by
 injecting the query as a virtual member of its own candidate set, so no
-index is rebuilt. A batch of stored-id queries on two or more channels runs
-in blocks: one union, one affinity-matrix build and one greedy selection in
-lockstep per block, with the same rankings as the single-query path.
+index is rebuilt. A batch runs in blocks: one union, one affinity-matrix
+build and one greedy selection in lockstep per block, on the single
+query's front end (:func:`_candidates`) and with its rankings.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionError, EmptyChannelListError, FormatError, TierankError
-from .fusion import TieredPairwise, add_counts, select_arrays
+from .fusion import add_counts, greedy_loop
 from .index import FeatureMatrix, NeighborhoodIndex, knn_candidates
 from .ranking import FinalRanking, RankedList
 from .rerank import resolve_k, tiered_rerank
@@ -63,6 +63,8 @@ def attach_virtual_query(channels: Sequence[Channel], vector: Iterable[float], v
             raise DimensionError(
                 f"query dim {vec.shape[0]} != channel {ch.name!r} dim {ch.features.dim}"
             )
+        if not np.isfinite(vec).all():  # checked here, as a k = 1 channel runs no scan
+            raise FormatError("query vector contains NaN or Inf")
         want = min(ch.index.k - 1, ch.features.n)
         if want > 0:
             ids, dists = knn_candidates(ch.features, vec, want, ch.index.metric)
@@ -73,39 +75,6 @@ def attach_virtual_query(channels: Sequence[Channel], vector: Iterable[float], v
         v_dists = np.concatenate(([0.0], dists))
         out.append(replace(ch, index=ch.index.with_virtual(vid, v_ids, v_dists)))
     return out
-
-
-def fused_query_arrays(
-    channels: Sequence[Channel], query: int
-) -> tuple[TieredPairwise, np.ndarray, np.ndarray]:
-    """(pairwise matrix, fused weights, distance ranks) of a multi-channel query.
-
-    The candidates are the union of every channel's k1 row of the query.
-    Weights and ranks follow ``pairwise.candidate_ids`` and equal the edges
-    and ``distance_rank`` of :func:`~tierank.fusion.fuse_graphs` over the
-    channels' tier-3 graphs: a candidate's rank is its lowest position over
-    the channels' rows, and its weight is the pairwise matrix's query row,
-    summed in channel-name order, as fusion's is.
-    """
-    rows = []
-    for ch in channels:
-        resolve_k(ch.index, ch.alpha, ch.k1, ch.k2)
-        rows.append(ch.index.neighbor_ids(query, ch.k1))
-    names = [ch.name for ch in channels]
-    if len(set(names)) != len(names):
-        raise FormatError(f"duplicate channel names in fusion: {names}")
-    by_name, nearest = zip(*sorted(zip(channels, rows), key=lambda pair: pair[0].name))
-    pairwise = TieredPairwise(
-        [(ch.index, ch.k1, ch.k2) for ch in by_name],
-        candidates=np.concatenate(nearest),
-        scales=[ch.alpha for ch in by_name],
-    )
-    cand = np.asarray(pairwise.candidate_ids, dtype=np.int64)
-    ranks = np.full(cand.shape[0], np.iinfo(np.int64).max)
-    for row in nearest:
-        pos = np.searchsorted(cand, row)
-        ranks[pos] = np.minimum(ranks[pos], np.arange(row.shape[0]))
-    return pairwise, pairwise.batch(query), ranks
 
 
 def rerank_query(
@@ -119,10 +88,19 @@ def rerank_query(
     if len(channels) == 1:
         ch = channels[0]
         return tiered_rerank(ch.index, query, alpha=ch.alpha, k1=ch.k1, k2=ch.k2)
-    # its own loop: as a block of one, _rerank_block took 547 µs against 390 (fused-ids shape, 2-core VM)
-    pairwise, weights, ranks = fused_query_arrays(channels, query)
+    cand, _, rank, weights, own, lookups = _candidates(channels, [query])
     k_final = max(ch.k1 for ch in channels) if k_final is None else k_final
-    final = select_arrays(query, weights, ranks, pairwise, k_final)
+    if k_final < 1:
+        raise ValueError("k must be >= 1")
+    # W in tie-break order (higher weight, lower distance rank, then smaller id, as candidates come by id)
+    order = np.lexsort((rank, -weights))
+    c, col = cand.shape[0], np.argsort(order)  # col: every candidate's row and column of W
+    starts = (col * (c + 1))[:, None]  # flat cell (col, 0) of a (C, C + 1) W with a spare column
+    matrix = np.zeros((c, c + 1))
+    scratch = np.empty(max(ch.index.n for ch in channels) + 1, dtype=np.int64)
+    for ch, pos, counts in lookups:
+        add_counts(matrix, ch.index, pos, ch.k1, counts, float(ch.alpha), starts, None, col, scratch)
+    final = greedy_loop(query, matrix[:, :c], cand[order].tolist(), int(col[own[0]]), k_final)
     return final.to_ranked_list(tier="mfr")
 
 
@@ -146,21 +124,21 @@ def batch_rerank(
 ) -> list[RankedList]:
     """Re-rank many query ids; results come back in input order.
 
-    On two or more channels (none holding a virtual row), a batch is cut
-    into near-equal blocks of at most :func:`_block_queries`, as many as
-    fit 4.5 MiB of working memory by its estimate (32 at most), and each
-    block runs through one kernel: one candidate union, one affinity-matrix
-    build and one greedy selection in lockstep for all its queries
-    (:func:`_rerank_block`). The blocks share one scratch of B·(n + 1)
-    slots, each the smallest integer that holds a column. A single query,
-    a rule that allows one query a block and any other batch take the loop
-    over :func:`rerank_query`, as a block of one would be the slower. Both
-    give the same rankings bit for bit, and the same error: a block whose
-    lookups fail is re-run through the loop.
+    On two or more channels, a batch is cut into near-equal blocks of at
+    most :func:`_block_queries`, as many as fit 4.5 MiB of working memory
+    by its estimate (32 at most), and each block runs through one kernel:
+    one candidate union, one affinity-matrix build and one greedy selection
+    in lockstep for all its queries (:func:`_rerank_block`). The blocks
+    share one scratch of B·(n + 1) slots, each the smallest integer that
+    holds a column. A single query, a single channel and a rule of one
+    query a block take the loop over :func:`rerank_query`, whose 1-D greedy
+    loop is the faster for one query. Both give the same rankings bit for
+    bit, on overlays too, and the same error: a block whose lookups fail
+    is re-run through the loop.
     """
     queries, k1s = list(queries), [ch.k1 for ch in channels]
     n = max((ch.index.n for ch in channels), default=0)
-    per = _block_queries(k1s, n) if len(channels) > 1 and all(ch.index.virtual is None for ch in channels) else 1
+    per = _block_queries(k1s, n) if len(channels) > 1 else 1
     if len(queries) < 2 or per < 2:  # a block of one would be slower than rerank_query
         return [rerank_query(channels, q, k_final=k_final) for q in queries]
     blocks = -(-len(queries) // per)
@@ -185,86 +163,90 @@ def _block_queries(k1s: Sequence[int], n: int) -> int:
     return max(1, min(_BLOCK_CAP, _BLOCK_BUDGET // per_query)) if min(k1s) > 0 else 1
 
 
-def _block_lookup(channels: Sequence[Channel], queries: list[int]) -> tuple | None:
-    """Step 1 of :func:`_rerank_block`, or None where the per-query path raises.
+def _candidates(channels: Sequence[Channel], queries: list[int]) -> tuple:
+    """The front end of fused ranking, for B queries: their candidates and all that ranks them.
 
-    Returns the channels in name order, their queries' k1 rows (positions,
-    one row per query) and, for the candidates of every query side by side,
-    each one's id, query and distance rank, then the candidate behind every
-    entry of the queries' rows (channels side by side, in name order) and
-    every channel's row positions of the candidates.
+    Channels are checked and give their k1 rows in input order, then
+    duplicate names are refused; the first fault raises. Returns, for every
+    query's candidates side by side, by id: their ids, queries, distance
+    ranks and fused weights (W's query row, the query's own counts summed
+    in channel-name order); every query's own candidate; and per channel,
+    in name order, (channel, the candidates' row positions, their counts).
     """
-    try:
-        for ch in channels:
-            resolve_k(ch.index, ch.alpha, ch.k1, ch.k2)
-        if len({ch.name for ch in channels}) != len(channels):
-            return None
-        by_name = sorted(channels, key=lambda ch: ch.name)
-        qrows = [ch.index.position_rows(ch.index.positions(queries), ch.k1) for ch in by_name]
-        ids = np.concatenate([ch.index.ids_at(rows) for ch, rows in zip(by_name, qrows)], axis=1)
-        ranks = np.concatenate([np.arange(rows.shape[1]) for rows in qrows])
-        # each query's entries by id: an id's first entry is its candidate
-        order = ids.argsort(axis=1)
-        ranked = np.take_along_axis(ids, order, axis=1)
-        first = np.ones(ids.shape, dtype=bool)
-        first[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-        starts = np.flatnonzero(first)
-        cand = ranked.ravel()[starts]
-        owner = np.repeat(np.arange(len(queries)), first.sum(axis=1))
-        rank = np.minimum.reduceat(ranks[order].ravel(), starts)  # lowest over the channels
-        entry = np.empty(ids.shape, dtype=np.int64)
-        np.put_along_axis(entry, order, (np.cumsum(first) - 1).reshape(ids.shape), axis=1)
-        # a candidate's position in the row that named it, searched for where a channel's ids differ
-        known = np.take_along_axis(np.concatenate(qrows, axis=1), order, axis=1).ravel()[starts]
-        cpos = [np.minimum(known, ch.index.item_ids.shape[0] - 1) for ch in by_name]
-        for ch, pos in zip(by_name, cpos):
-            miss = ch.index.item_ids[pos] != cand
+    qrows = []
+    for ch in channels:
+        resolve_k(ch.index, ch.alpha, ch.k1, ch.k2)
+        qrows.append(ch.index.position_rows(ch.index.positions(queries), ch.k1))
+    names = [ch.name for ch in channels]
+    if len(set(names)) != len(names):
+        raise FormatError(f"duplicate channel names in fusion: {names}")
+    by_name, qrows = zip(*sorted(zip(channels, qrows), key=lambda pair: pair[0].name))
+    rows = np.concatenate(qrows, axis=1)
+    ids = np.concatenate([ch.index.ids_at(r) for ch, r in zip(by_name, qrows)], axis=1)
+    if rows.min() < 0:  # a -1 pad, in a row narrower than another channel's, stands for the query
+        ids = np.where(rows < 0, ids[:, :1], ids)
+    ranks = np.concatenate([np.arange(r.shape[1]) for r in qrows])
+    # each query's entries by id (``flat`` indexes the raveled rows): an
+    # id's first entry, never a pad, is its candidate
+    order = ids.argsort(axis=1, kind="stable")
+    flat = (order + np.arange(0, ids.size, ids.shape[1])[:, None]).ravel()
+    ranked = ids.take(flat).reshape(ids.shape)
+    first = np.ones(ids.shape, dtype=bool)
+    first[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    starts = np.flatnonzero(first)
+    cand = ranked.ravel()[starts]
+    owner = np.repeat(np.arange(len(queries)), first.sum(axis=1))
+    rank = np.minimum.reduceat(ranks[order].ravel(), starts)
+    entry = np.empty(ids.size, dtype=np.int64)  # the candidate behind every entry
+    entry[flat] = np.cumsum(first) - 1
+    # a candidate's position in the row that named it, searched for where a channel's ids differ
+    known = rows.take(flat[starts])
+    lookups = []
+    for ch in by_name:
+        pos = np.minimum(known, ch.index.item_ids.shape[0] - 1)
+        miss = ch.index.item_ids[pos] != cand
+        if miss.any():
             pos[miss] = ch.index.positions(cand[miss])
-    except (TierankError, ValueError):
-        return None
-    return by_name, qrows, cand, owner, rank, entry, cpos
+        lookups.append((ch, pos, ch.index.center_counts(pos, ch.k1, ch.k2)))
+    own = entry[:: ids.shape[1]]
+    scaled = [np.multiply(counts[own], float(ch.alpha), dtype=np.float64) for ch, _, counts in lookups]
+    weights = np.bincount(entry, np.concatenate(scaled, axis=1).ravel(), minlength=cand.shape[0])
+    return cand, owner, rank, weights, own, lookups
 
 
 def _rerank_block(
     channels: Sequence[Channel], queries: list[int], k_final: int | None, scratch: np.ndarray
 ) -> list[RankedList]:
-    """:func:`rerank_query` for a block of B stored-id queries on two or more channels.
+    """:func:`rerank_query` for a block of B queries on two or more channels.
 
     Steps, each over the whole block:
 
-    1. every query's k1 row per channel and its candidate union
-       (:func:`_block_lookup`);
-    2. every candidate's fused weight, W's query row, summed from the
-       queries' own counts by one ``bincount`` in channel-name order; one
-       stable ``argsort`` of an integer (query, weight rank, distance rank)
-       key then puts each query's candidates, which come by id, in
-       tie-break order (higher weight, lower distance rank, smaller id);
-    3. every query's W, rows and columns in tie-break order, as one stack
+    1. the single query's front end (:func:`_candidates`); one stable
+       ``argsort`` of an integer (query, weight rank, distance rank) key
+       then puts each query's candidates, which come by id, in tie-break
+       order (higher weight, lower distance rank, smaller id);
+    2. every query's W, rows and columns in tie-break order, as one stack
        of B padded (Cmax + 1, Cmax + 1) blocks: one call of the W builder
        :func:`~tierank.fusion.add_counts` a channel, in name order, query
        b's slots of ``scratch`` starting at b·(n + 1);
-    4. the loop of :func:`~tierank.fusion.select_arrays` for every query
-       at once: per step a row gather, the taken entry masked and a
-       row-wise ``argmax``. Padding starts at -inf, argmax returns the
-       first maximum, and query b stops after min(k_final, C_b - 1) picks,
-       so every pick and score is the per-query one.
+    3. the loop of :func:`~tierank.fusion.greedy_loop` for every query at
+       once: per step a row gather, the taken entry masked and a row-wise
+       ``argmax``. Padding starts at -inf, argmax returns the first
+       maximum, and query b stops after min(k_final, C_b - 1) picks, so
+       every pick and score is the per-query one.
 
-    Falls back to the per-query loop, which raises, when a lookup fails
-    or k_final is below 1.
+    Falls back to the per-query loop, which raises the per-query error,
+    when step 1 fails or k_final is below 1.
     """
     k_final = max(ch.k1 for ch in channels) if k_final is None else k_final
-    lookup = _block_lookup(channels, queries) if k_final >= 1 else None
-    if lookup is None:
+    try:
+        cand, owner, rank, weights, own, lookups = _candidates(channels, queries)
+    except (TierankError, ValueError):
+        cand = None
+    if cand is None or k_final < 1:
         return [rerank_query(channels, q, k_final=k_final) for q in queries]
-    by_name, qrows, cand, owner, rank, entry, cpos = lookup
     b, total = len(queries), cand.shape[0]
     sizes = np.bincount(owner, minlength=b)
-
-    own = [  # the queries' own counts, scaled
-        np.multiply(ch.index.center_counts(rows[:, 0], ch.k1, ch.k2), float(ch.alpha), dtype=np.float64)
-        for ch, rows in zip(by_name, qrows)
-    ]
-    weights = np.bincount(entry.ravel(), np.concatenate(own, axis=1).ravel(), minlength=total)
     levels, heavier = np.unique(-weights, return_inverse=True)
     order = np.argsort((owner * levels.shape[0] + heavier) * (int(rank.max()) + 1) + rank, kind="stable")
     col = np.empty(total, dtype=np.int64)  # every candidate's place in its query's order
@@ -274,15 +256,15 @@ def _rerank_block(
     lane = owner * width + col  # a candidate's row of the stack, and its entry of acc
     starts = (lane * width)[:, None]
     matrix = np.zeros((b * width, width))
-    for ch, pos in zip(by_name, cpos):
+    for ch, pos, counts in lookups:
         slots = (owner * (ch.index.n + 1))[:, None]  # query b's slots of the scratch start at b·(n + 1)
-        add_counts(matrix, ch.index, pos, ch.k1, ch.k2, float(ch.alpha), starts, slots, col, scratch)
+        add_counts(matrix, ch.index, pos, ch.k1, counts, float(ch.alpha), starts, slots, col, scratch)
 
     steps = [min(k_final, size - 1) for size in sizes.tolist()]
     acc = np.where(np.arange(width) < sizes[:, None], 0.0, -np.inf)
     flat = acc.ravel()
     lanes = np.arange(0, b * width, width)
-    at = lane[entry[:, 0]]  # every query's own lane
+    at = lane[own]  # every query's own lane
     picks = np.empty((max(steps), b), dtype=np.int64)
     scores = np.empty((max(steps), b))
     for step in range(max(steps)):

@@ -17,7 +17,8 @@ import numpy as np
 from .errors import ScenarioError
 from .evaluation import GroundTruth
 from .index import FeatureMatrix, Metric, NeighborhoodIndex, build_index
-from .pipeline import Channel, fused_query_arrays, rerank_query
+from .fusion import TieredPairwise
+from .pipeline import Channel, rerank_query
 from .rerank import tiered_graph, tiered_rerank
 
 # ---------------------------------------------------------------------------
@@ -255,7 +256,8 @@ def gen_two_manifold_scenario(seed: int = 0) -> TwoManifoldScenario:
         raise ScenarioError("single-channel list does not rank B above D")
 
     channels = [Channel(name=ix.channel_name, index=ix, k1=k, k2=k) for ix in (idx1, idx2)]
-    pairwise, _, _ = fused_query_arrays(channels, query)
+    both = (idx1, idx2)
+    pairwise = TieredPairwise([(ix, k, k) for ix in both], np.concatenate([ix.neighbor_ids(query, k) for ix in both]))
     final = rerank_query(channels, query, k_final=len(pairwise.candidate_ids) - 1)
     pos2 = {item: p for p, item in enumerate(final.ids())}
     if not (pos2[ids["C"]] < pos2[ids["B"]] and pos2[ids["D"]] < pos2[ids["B"]]):

@@ -8,7 +8,8 @@ import tierank
 
 # (module, name) pairs removed with the literal tier-3 mode, the product
 # selection variant and its normalised-weight helpers, then with the
-# per-tier graph builders that tiered_graph replaced
+# per-tier graph builders that tiered_graph replaced, then with the single
+# fused query's own front end and selection entry point
 REMOVED = [
     ("tierank.errors", "DegenerateError"),
     ("tierank.errors", "EmptySetError"),
@@ -24,6 +25,8 @@ REMOVED = [
     ("tierank.rerank", "TIER3_QUERY_ANCHORED"),
     ("tierank.pipeline", "VARIANT_SUM"),
     ("tierank.pipeline", "VARIANT_PRODUCT"),
+    ("tierank.pipeline", "fused_query_arrays"),
+    ("tierank.fusion", "select_arrays"),
 ]
 
 

@@ -7,6 +7,7 @@ the command line exits 3 with one ``error\t`` line instead of a traceback.
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import re
@@ -68,6 +69,15 @@ def test_only_the_index_reads_its_overlap_tables():
         if "overlap_table(" in line or (path.name == "fusion.py" and "virtual" in line)
     ]
     assert offenders == []
+
+
+def test_the_pipeline_ranks_without_the_graph_objects():
+    # rankings run on arrays: pipeline.py imports none of the inspection
+    # layer, and leaves an overlay's virtual row to the index
+    tree = ast.parse((SRC / "pipeline.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported.isdisjoint({"TieredPairwise", "greedy_select", "FusedGraph"})
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "virtual"] == []
 
 
 # --- every writer: an OSError is a FileAccessError ---------------------------

@@ -27,7 +27,6 @@ from tierank.pipeline import (
     Channel,
     attach_virtual_query,
     batch_rerank,
-    fused_query_arrays,
     rerank_query,
     rerank_vector_query,
     virtual_query_id,
@@ -256,6 +255,11 @@ def test_pairwise_on_a_hand_cut_virtual_row(length, with_virtual):
     pw = TieredPairwise([(ch.index, 6, 6) for ch in overlaid], candidates)
     for u in pw.candidate_ids:
         assert pw.batch(u).tolist() == [oracle_pairwise(overlaid, u, i) for i in pw.candidate_ids]
+    # the ranking pads the shorter rows with -1, which names no candidate
+    queries = [9, 0, 9, 4] if with_virtual else [0, 4]
+    got = batch_rerank(overlaid, queries)
+    assert _exact(got) == _exact([rerank_query(overlaid, q) for q in queries])
+    assert [r.entries for r in got] == [_oracle_rerank(overlaid, q, None) for q in queries]
 
 
 @settings(max_examples=150, deadline=None)
@@ -275,12 +279,13 @@ def test_pairwise_matches_oracle_property(instance):
 
 @settings(max_examples=150, deadline=None)
 @given(_pairwise_instances())
-def test_fused_query_arrays_match_fused_graph_property(instance):
+def test_fused_weights_and_ranks_match_fused_graph_property(instance):
+    # the front end that rerank_query and a batch's blocks share
     channels, query = instance
-    pairwise, weights, ranks = fused_query_arrays(channels, query)
+    cand, _, ranks, weights, _, _ = pipeline._candidates(channels, [query])
     fused = _fused_graph(channels, query)
-    cand = pairwise.candidate_ids
-    assert set(cand) == fused.nodes
+    cand = cand.tolist()
+    assert len(cand) == len(fused.nodes) and set(cand) == fused.nodes
     want = np.array([fused.edges[item] for item in cand], dtype=np.float64)
     assert weights.dtype == np.float64 and weights.tobytes() == want.tobytes()  # bit for bit
     assert ranks.tolist() == [fused.distance_rank[item] for item in cand]
@@ -335,10 +340,12 @@ def test_rerank_query_matches_oracle_composition_property(instance, k_final):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("m", [1, 2])
 def test_non_finite_query_vector_is_named_before_the_scan(bad, m):
-    # not the virtual row's non-finite distance, which the scan would make
-    channels = random_channels(np.random.default_rng(13), 30, m, 5)
-    with pytest.raises(FormatError, match="query vector contains NaN or Inf"):
-        rerank_vector_query(channels, [bad, 0.0, 0.0, 0.0])
+    # not the virtual row's non-finite distance, which the scan would make;
+    # at k = 1 no scan runs, and the vector is checked all the same
+    for k in (5, 1):
+        channels = random_channels(np.random.default_rng(13), 30, m, k)
+        with pytest.raises(FormatError, match="query vector contains NaN or Inf"):
+            rerank_vector_query(channels, [bad, 0.0, 0.0, 0.0])
 
 
 def test_a_channel_is_named_after_its_index():
@@ -354,25 +361,6 @@ def test_a_channel_is_named_after_its_index():
     overlay = attach_virtual_query([a], rng.normal(size=4), 99)[0]  # replace() checks again
     with pytest.raises(FormatError):
         replace(overlay, name="ch1")
-
-
-def test_fused_query_gathers_rows_once_per_channel(monkeypatch):
-    # the per-channel tiered graphs and fuse_graphs stay off the fused query
-    # path: once the overlap tables exist, TieredPairwise's one gather of
-    # positions per channel is the only row gather
-    rng = np.random.default_rng(12)
-    channels = random_channels(rng, 80, 3, 6)
-    rerank_query(channels, 17)  # builds the tables
-    calls = []
-    position_rows = NeighborhoodIndex.position_rows
-
-    def counting_rows(self, positions, k=None):
-        calls.append(self.channel_name)
-        return position_rows(self, positions, k)
-
-    monkeypatch.setattr(NeighborhoodIndex, "position_rows", counting_rows)
-    rerank_query(channels, 17)
-    assert sorted(calls) == ["ch0", "ch1", "ch2"]
 
 
 # --- batches ----------------------------------------------------------------
@@ -407,10 +395,14 @@ def test_batch_rerank_matches_rerank_query_property(instance, k_final, data):
     # batches of one, with repeated ids, and across a block boundary; with
     # n < k and k1 = 1 a query's union is often smaller than k_final + 1.
     # A channel may also store ids the others lack, so that a candidate's
-    # row position differs between channels
-    channels = instance[0]
+    # row position differs between channels. With a vector, the channels
+    # are overlaid and the virtual id is one more query
+    channels, vid, vector = instance
     ids = channels[0].index.item_ids.tolist()
-    if data.draw(st.booleans()):
+    if vector is not None:
+        channels = attach_virtual_query(channels, vector, vid)
+        ids.append(vid)
+    elif data.draw(st.booleans()):
         extra = sorted({i + 1 for i in ids} - set(ids))[:3]
         channels = [*channels[:-1], _with_extra_ids(channels[-1], extra)]
     size = _block_size(channels)
@@ -440,6 +432,27 @@ def test_batch_rerank_matches_rerank_query_on_the_edges():
         got = batch_rerank(chans, batch, k_final)
         assert _exact(got) == _exact([rerank_query(chans, q, k_final) for q in batch])
     assert [len(r) for r in batch_rerank(narrow, queries[:3])] == [1, 1, 1]
+
+
+@pytest.mark.parametrize(("n", "k"), [(5, 8), (40, 6)])
+def test_batch_rerank_on_overlays_matches_rerank_query(n, k):
+    # overlaid channels run in blocks; with n < k the virtual row is one
+    # entry wider than the stored rows, and stored queries' rows are padded.
+    # The stored ids are even, so a virtual id can sit below the largest
+    rng = np.random.default_rng(26)
+    channels = []
+    for ch in random_channels(rng, n, 3, k):
+        fm = FeatureMatrix(ch.name, 2 * ch.features.ids, ch.features.vectors)
+        channels.append(replace(ch, index=build_index(fm, k=k), features=fm))
+    for k1s in ((k, k, k), (k, 3, 1)):
+        narrow = [replace(ch, k1=k1) for ch, k1 in zip(channels, k1s)]
+        for vid in (3, 2 * n + 1):
+            overlaid = attach_virtual_query(narrow, rng.normal(size=4), vid)
+            queries = [vid, *range(0, 2 * n, 2), vid]
+            assert _block_size(overlaid) > 1
+            for k_final in (None, 2):
+                got = batch_rerank(overlaid, queries, k_final)
+                assert _exact(got) == _exact([rerank_query(overlaid, q, k_final) for q in queries])
 
 
 def test_a_block_fits_the_rule_at_the_benchmark_shapes():
@@ -513,6 +526,23 @@ def test_an_id_beyond_int64_in_a_batch_is_an_unknown_item():
         )
 
 
+def test_an_id_equal_to_no_stored_id_is_an_unknown_item():
+    # an int64 cast would make 3.5 item 3 and '4' item 4; only an id equal
+    # to a stored one is found, as 3.0 is item 3
+    rng = np.random.default_rng(25)
+    channels = random_channels(rng, 30, 2, 5)
+    for queries, bad in (([3.5, 4], 3.5), ([4, "4"], "4")):
+        want = _raised(lambda: [rerank_query(channels, q) for q in queries])
+        assert want == (UnknownItemError, f"item {bad} not in index for channel 'ch0'")
+        assert _raised(lambda: batch_rerank(channels, queries)) == want
+        assert _raised(lambda: channels[1].index.positions(queries)) == (
+            UnknownItemError, f"item {bad} not in index for channel 'ch1'"
+        )
+    got = batch_rerank(channels, [3.0, 4])
+    assert _exact(got) == _exact([rerank_query(channels, q) for q in (3.0, 4)])
+    assert got[0].entries[1:] == rerank_query(channels, 3).entries[1:]
+
+
 def test_bad_ks_and_alpha_raise_the_same_error_alone_and_in_a_batch():
     # resolve_k's checks, reached by a single query and by a batch's blocks,
     # on one channel and on two
@@ -559,23 +589,31 @@ def test_a_rule_of_one_query_a_block_takes_the_per_query_loop(monkeypatch):
     assert _exact(batch_rerank(channels, queries)) == _exact([rerank_query(channels, q) for q in queries])
 
 
-@pytest.mark.parametrize("size", [2, 5, 8, _block_queries([6] * 3, 80)])
+@pytest.mark.parametrize("size", [1, 2, 5, 8, _block_queries([6] * 3, 80)])
 def test_a_block_gathers_rows_a_fixed_number_of_times_per_channel(monkeypatch, size):
     # one gather of the queries' rows and one of their candidates' rows per
-    # channel, whatever the block's size; the per-query loop makes one per query
+    # channel, and one read of the candidates' counts, whatever the block's
+    # size; a single query (size 1, which runs rerank_query) makes as many.
+    # The per-channel tiered graphs and fuse_graphs stay off both paths
     rng = np.random.default_rng(17)
     channels = random_channels(rng, 80, 3, 6)
     batch_rerank(channels, [0, 1])  # builds the tables
-    calls = []
-    position_rows = NeighborhoodIndex.position_rows
+    rows, counts = [], []
+    position_rows, center_counts = NeighborhoodIndex.position_rows, NeighborhoodIndex.center_counts
 
     def counting_rows(self, positions, k=None):
-        calls.append(self.channel_name)
+        rows.append(self.channel_name)
         return position_rows(self, positions, k)
 
+    def counting_counts(self, positions, k1, k2):
+        counts.append(self.channel_name)
+        return center_counts(self, positions, k1, k2)
+
     monkeypatch.setattr(NeighborhoodIndex, "position_rows", counting_rows)
+    monkeypatch.setattr(NeighborhoodIndex, "center_counts", counting_counts)
     batch_rerank(channels, rng.choice(80, size=size).tolist())
-    assert sorted(calls) == ["ch0", "ch0", "ch1", "ch1", "ch2", "ch2"]
+    assert sorted(rows) == ["ch0", "ch0", "ch1", "ch1", "ch2", "ch2"]
+    assert sorted(counts) == ["ch0", "ch1", "ch2"]
 
 
 def test_batch_memory_is_bounded_by_the_block():
@@ -734,7 +772,7 @@ def test_overlap_counts_never_wrap(k1, k2, dtype):
         channels.append(Channel(f"c{c}", build_index(fm, k=n), k1, k2))
     table = channels[0].index.overlap_table(k1, k2)
     assert table.dtype == dtype and (table == min(k1, k2)).all()
-    _, weights, _ = fused_query_arrays(channels, 0)
+    weights = pipeline._candidates(channels, [0])[3]
     assert weights.shape == (k1,) and (weights == 2.0 * min(k1, k2)).all()
 
 
