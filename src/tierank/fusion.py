@@ -5,11 +5,13 @@ union, edge union, and edge-weight summation. The final list is then grown
 greedily: at every step the candidate with the largest summed affinity to
 all already-selected items is appended. The affinities between a query's
 candidates form one C×C matrix W, built by :func:`add_counts` by treating
-each candidate as a temporary ranking center, and :func:`greedy_loop`
-reads one of its rows per step. The pipeline builds W in tie-break order
-with tie-break weights from its query row, so no ranking uses
+each candidate as a temporary ranking center (for one query, inside
+:func:`query_matrix`), and :func:`greedy_loop` reads one of its rows per
+step. The pipeline builds W in tie-break order with tie-break weights
+from its query row, so no ranking uses :class:`FusedGraph`,
 :func:`fuse_graphs`, :class:`TieredPairwise` or :func:`greedy_select`:
-they are an inspection view of the same arithmetic.
+they are an inspection view of the same arithmetic, which only the tests
+and the benchmark harness use.
 """
 
 from __future__ import annotations
@@ -36,10 +38,6 @@ class FusedGraph:
     nodes: frozenset[int]
     edges: dict[int, float]
     distance_rank: dict[int, int]
-
-    @property
-    def m(self) -> int:
-        return len(self.channels)
 
     def rank_of(self, item: int) -> int:
         return self.distance_rank.get(item, _NO_RANK)
@@ -120,6 +118,23 @@ def add_counts(
     np.add.at(matrix.reshape(-1), cells.ravel(), np.multiply(counts, scale).ravel())
 
 
+def query_matrix(parts: Sequence[tuple], col: np.ndarray) -> np.ndarray:
+    """One query's C×C W: candidate j's row and column are ``col[j]``.
+
+    ``parts`` holds, per channel in summing order, (index, the candidates'
+    row positions, k1, their counts, scale). :func:`add_counts` fills a
+    (C, C + 1) block, the spare column dropped after, with one int64
+    scratch of n + 1 slots, n the largest channel's.
+    """
+    c = col.shape[0]
+    starts = (col * (c + 1))[:, None]  # flat cell (col, 0) of the (C, C + 1) block
+    scratch = np.empty(max((index.n for index, *_ in parts), default=0) + 1, dtype=np.int64)
+    matrix = np.zeros((c, c + 1))
+    for index, pos, k1, counts, scale in parts:
+        add_counts(matrix, index, pos, k1, counts, float(scale), starts, None, col, scratch)
+    return matrix[:, :c]
+
+
 class TieredPairwise:
     """Fused tier-3 affinities between every pair of a query's candidates.
 
@@ -129,15 +144,10 @@ class TieredPairwise:
     candidates at all; a missing edge contributes 0, mirroring fusion's
     absent-channel rule. The query's row therefore equals the fused
     graph's edge weights bit for bit when channels come in name order.
-    No ranking builds one: the pipeline calls :func:`add_counts` itself.
 
-    The C×C ``matrix`` is built once, in the constructor, in candidate_ids
-    order; an instance belongs to a single query. :func:`add_counts` fills
-    a (C, C + 1) block, columns in id order, once per channel in the
-    caller's order, with the counts the index gives (an out-of-sample
-    query's are counted), and the spare column is dropped. One int64
-    scratch of n + 1 slots, n the largest channel's, serves every channel.
-    ``batch(u)`` returns u's row.
+    ``matrix`` is :func:`query_matrix` with rows and columns in
+    candidate_ids order, the channels summed in the caller's order from
+    the counts the index gives (an out-of-sample query's are counted).
     """
 
     def __init__(
@@ -150,25 +160,14 @@ class TieredPairwise:
         scales = [1.0] * len(channels) if scales is None else scales
         if len(scales) != len(channels):
             raise FormatError("one scale per channel required")
-        self._ids = cand = np.unique(np.asarray(candidates, dtype=np.int64))
+        cand = np.unique(np.asarray(candidates, dtype=np.int64))
         self.candidate_ids: tuple[int, ...] = tuple(cand.tolist())
-        c = cand.shape[0]
-        col = np.arange(c)
-        starts = (col * (c + 1))[:, None]  # flat cell (u, 0) of a (C, C + 1) matrix
-        scratch = np.empty(max((idx.n for idx, _, _ in channels), default=0) + 1, dtype=np.int64)
-        matrix = np.zeros((c, c + 1))
+        parts = []
         for (idx, k1, k2), scale in zip(channels, scales):
             pos = idx.positions(cand)
-            add_counts(matrix, idx, pos, k1, idx.center_counts(pos, k1, k2), float(scale), starts, None, col, scratch)
-        self.matrix = matrix[:, :c]
+            parts.append((idx, pos, k1, idx.center_counts(pos, k1, k2), scale))
+        self.matrix = query_matrix(parts, np.arange(cand.shape[0]))
         self.matrix.setflags(write=False)
-
-    def batch(self, u: int) -> np.ndarray:
-        """Weights from center u to every candidate, in candidate_ids order."""
-        row = int(np.searchsorted(self._ids, u))
-        if row == self._ids.shape[0] or self._ids[row] != u:
-            raise UnknownItemError(f"center {u} is not a candidate")
-        return self.matrix[row]
 
 
 def greedy_select(fused: FusedGraph, pairwise: TieredPairwise, k: int) -> FinalRanking:
@@ -197,18 +196,20 @@ def greedy_select(fused: FusedGraph, pairwise: TieredPairwise, k: int) -> FinalR
         pos = items.index(fused.query)
     except ValueError:
         raise UnknownItemError(f"center {fused.query} is not a candidate") from None
-    return greedy_loop(fused.query, pairwise.matrix[np.ix_(order, order)], items, pos, k)
+    return greedy_loop(pairwise.matrix[np.ix_(order, order)], items, pos, k)
 
 
-def greedy_loop(query: int, matrix: np.ndarray, items: list, pos: int, k: int) -> FinalRanking:
+def greedy_loop(matrix: np.ndarray, items: list, pos: int, k: int) -> FinalRanking:
     """The greedy selection loop on W, a C×C matrix whose row and column j are ``items[j]``'s.
 
     W comes in tie-break order (higher fused weight, lower distance rank,
     smaller id), so argmax, which returns the first maximum, picks the
     winner of a tie. From the query's row ``pos``, each step adds a row to
-    the running sums and masks the taken entries with -inf.
+    the running sums and masks the taken entries with -inf. The ranking
+    names the query ``items[pos]``.
     """
     acc = np.zeros(len(items))
+    query = items[pos]
     selected = [query]
     scores = [0.0]
     for _ in range(min(k, len(items) - 1)):

@@ -1,8 +1,9 @@
 """Independent brute-force reference implementations, used only for checking.
 
 These deliberately avoid the production code paths: plain Python loops,
-no incremental accumulation, no caching. They exist so that tests can
-compare two routes to the same answer.
+no incremental accumulation, no caching, no import from the code they
+check (``fusion``, ``rerank``). They exist so that tests and the scenario
+generators can compare two routes to the same answer.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .errors import SizeError
-from .fusion import FusedGraph
 from .index import FeatureMatrix, Metric, NeighborhoodIndex, distance
 from .pipeline import Channel
 from .ranking import FinalRanking
@@ -98,16 +98,15 @@ def oracle_tier3(index: NeighborhoodIndex, query: int, k1: int, k2: int) -> dict
     return counts
 
 
-def oracle_greedy_select(
-    fused: FusedGraph,
-    pairwise: Callable[[int, int], float],
-    k: int,
-) -> FinalRanking:
+def oracle_greedy_select(fused, pairwise: Callable[[int, int], float], k: int) -> FinalRanking:
     """Step-by-step full re-enumeration of the greedy max-sum selection.
 
-    At every step the summed affinity of every remaining candidate to the
-    whole selected prefix is recomputed from scratch. Instances are capped
-    at 50 nodes; this is a test oracle, not a production path.
+    ``fused`` is anything with the query's ``query``, its candidate
+    ``nodes``, their fused weights ``edges`` and their distance ranks
+    ``rank_of(item)``. At every step the summed affinity of every remaining
+    candidate to the whole selected prefix is recomputed from scratch.
+    Instances are capped at 50 nodes; this is a test oracle, not a
+    production path.
     """
     if len(fused.nodes) > _ORACLE_LIMIT:
         raise SizeError(f"oracle limited to {_ORACLE_LIMIT} nodes, got {len(fused.nodes)}")

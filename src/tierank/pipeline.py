@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionError, EmptyChannelListError, FormatError, TierankError
-from .fusion import add_counts, greedy_loop
+from .fusion import add_counts, greedy_loop, query_matrix
 from .index import FeatureMatrix, NeighborhoodIndex, knn_candidates
 from .ranking import FinalRanking, RankedList
 from .rerank import resolve_k, tiered_rerank
@@ -94,13 +94,9 @@ def rerank_query(
         raise ValueError("k must be >= 1")
     # W in tie-break order (higher weight, lower distance rank, then smaller id, as candidates come by id)
     order = np.lexsort((rank, -weights))
-    c, col = cand.shape[0], np.argsort(order)  # col: every candidate's row and column of W
-    starts = (col * (c + 1))[:, None]  # flat cell (col, 0) of a (C, C + 1) W with a spare column
-    matrix = np.zeros((c, c + 1))
-    scratch = np.empty(max(ch.index.n for ch in channels) + 1, dtype=np.int64)
-    for ch, pos, counts in lookups:
-        add_counts(matrix, ch.index, pos, ch.k1, counts, float(ch.alpha), starts, None, col, scratch)
-    final = greedy_loop(query, matrix[:, :c], cand[order].tolist(), int(col[own[0]]), k_final)
+    col = np.argsort(order)  # every candidate's row and column of W
+    matrix = query_matrix([(ch.index, pos, ch.k1, counts, ch.alpha) for ch, pos, counts in lookups], col)
+    final = greedy_loop(matrix, cand[order].tolist(), int(col[own[0]]), k_final)
     return final.to_ranked_list(tier="mfr")
 
 
@@ -278,5 +274,5 @@ def _rerank_block(
     items, scores = ids[picks].T.tolist(), scores.T.tolist()
     return [
         FinalRanking(query=q, items=(q, *items[j][:s]), scores=(0.0, *scores[j][:s])).to_ranked_list(tier="mfr")
-        for j, (q, s) in enumerate(zip(queries, steps))
+        for j, (q, s) in enumerate(zip(cand[own].tolist(), steps))
     ]

@@ -60,7 +60,6 @@ class QueryGraph:
     k1: int
     k2: int
     channel: str = ""
-    alpha: float = 1.0
     overlap: dict[int, JaccardValue] | None = None
 
 
@@ -117,7 +116,7 @@ def tiered_graph(
     counts = overlaps.tolist()
     tier1 = QueryGraph(
         query=query, tier=1, edges=dict(zip(order, (alpha * jac).tolist())), order=order,
-        k1=k1, k2=k2, channel=index.channel_name, alpha=alpha,
+        k1=k1, k2=k2, channel=index.channel_name,
         overlap={item: JaccardValue(num, den) for item, num, den in zip(order, counts, unions.tolist())},
     )
     return tier1, replace(tier1, tier=3, edges=dict(zip(order, map(float, counts))), overlap=None)
@@ -134,7 +133,7 @@ def tier1_rerank(
     nearest, _, _, jac = _overlaps(index, query, *resolve_k(index, alpha, k1, k2))
     order = np.argsort(-jac, kind="stable")
     entries = tuple(zip(nearest[order].tolist(), (alpha * jac[order]).tolist()))
-    return RankedList(query=query, entries=entries, tier="1", channel=index.channel_name)
+    return RankedList(query=int(nearest[0]), entries=entries, tier="1", channel=index.channel_name)
 
 
 def tiered_rerank(
@@ -147,8 +146,8 @@ def tiered_rerank(
     """Full three-tier re-ranking of the query's candidate set.
 
     Candidates sort by descending tier-3 weight; ties fall back to the
-    original distance rank. The query itself is always first, and the output
-    is a permutation of the candidate set.
+    original distance rank. The query itself, named by its stored id, is
+    always first, and the output is a permutation of the candidate set.
     """
     nearest, overlaps, _, _ = _overlaps(index, query, *resolve_k(index, alpha, k1, k2))
     # lexsort is stable and its last key decides first: the query, then
@@ -158,4 +157,4 @@ def tiered_rerank(
     # rises with the count c, ordering them as tier 3 does.
     order = np.lexsort((-overlaps, nearest != query))
     entries = tuple(zip(nearest[order].tolist(), overlaps[order].astype(np.float64).tolist()))
-    return RankedList(query=query, entries=entries, tier="3", channel=index.channel_name)
+    return RankedList(query=int(nearest[0]), entries=entries, tier="3", channel=index.channel_name)

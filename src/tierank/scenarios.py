@@ -3,23 +3,24 @@
 Each generator lays out a small point cloud whose exact-KNN structure is
 known in advance, applies a seeded jitter that is small enough to keep
 every planted distance ordering intact, then rebuilds the index and
-verifies every planted relation before returning. A failed verification
-raises ScenarioError rather than silently handing back a broken fixture.
+verifies every planted relation before returning, with plain sets over
+the index rows, the oracles and the rankings themselves. A failed
+verification raises ScenarioError rather than silently handing back a
+broken fixture.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import ScenarioError
 from .evaluation import GroundTruth
 from .index import FeatureMatrix, Metric, NeighborhoodIndex, build_index
-from .fusion import TieredPairwise
+from .oracles import oracle_pairwise
 from .pipeline import Channel, rerank_query
-from .rerank import tiered_graph, tiered_rerank
+from .rerank import tiered_rerank
 
 # ---------------------------------------------------------------------------
 # Outlier-next-to-the-query scenario
@@ -132,13 +133,12 @@ def gen_outlier_scenario(seed: int = 0) -> OutlierScenario:
     _check_sets(index, ids, _OUTLIER_TARGET_SETS, _OUTLIER_K1, f"planted {_OUTLIER_K1}-set")
     _check_sets(index, ids, _OUTLIER_TARGET_PREFIXES, _OUTLIER_K2, f"planted {_OUTLIER_K2}-prefix")
 
-    t1 = tiered_graph(index, query)[0]
+    members = set(index.neighbor_ids(query, _OUTLIER_K1).tolist())
     for name, (num, den) in _OUTLIER_TARGET_JACCARD.items():
-        got = t1.overlap[ids[name]]
-        if got.value != Fraction(num, den) or (got.numerator, got.denominator) != (num, den):
-            raise ScenarioError(
-                f"overlap for {name} is {got.numerator}/{got.denominator}, wanted {num}/{den}"
-            )
+        row = set(index.neighbor_ids(ids[name], _OUTLIER_K1).tolist())
+        got = (len(row & members), len(row | members))
+        if got != (num, den):
+            raise ScenarioError(f"overlap for {name} is {got[0]}/{got[1]}, wanted {num}/{den}")
 
     ranked = tiered_rerank(index, query, k1=_OUTLIER_K1, k2=_OUTLIER_K2)
     pos = {item: p for p, item in enumerate(ranked.ids())}
@@ -256,15 +256,14 @@ def gen_two_manifold_scenario(seed: int = 0) -> TwoManifoldScenario:
         raise ScenarioError("single-channel list does not rank B above D")
 
     channels = [Channel(name=ix.channel_name, index=ix, k1=k, k2=k) for ix in (idx1, idx2)]
-    both = (idx1, idx2)
-    pairwise = TieredPairwise([(ix, k, k) for ix in both], np.concatenate([ix.neighbor_ids(query, k) for ix in both]))
-    final = rerank_query(channels, query, k_final=len(pairwise.candidate_ids) - 1)
+    union = set(idx1.neighbor_ids(query, k).tolist()) | set(idx2.neighbor_ids(query, k).tolist())
+    final = rerank_query(channels, query, k_final=len(union) - 1)
     pos2 = {item: p for p, item in enumerate(final.ids())}
     if not (pos2[ids["C"]] < pos2[ids["B"]] and pos2[ids["D"]] < pos2[ids["B"]]):
         raise ScenarioError(f"fused selection does not demote B: {final.ids()}")
 
     def toward(u: str, n: str) -> float:
-        return float(pairwise.batch(ids[u])[pairwise.candidate_ids.index(ids[n])])
+        return oracle_pairwise(channels, ids[u], ids[n])
 
     lhs = toward("D", "C") + toward("D", "A")
     rhs = toward("B", "C") + toward("B", "A")

@@ -44,15 +44,8 @@ class FunctionPairwise:
     """A plain ``pairwise(u, i)`` function behind the candidate_ids/matrix interface."""
 
     def __init__(self, fn, fused):
-        self.candidate_ids = tuple(sorted(fused.nodes))
-        self._fn = fn
-
-    def batch(self, u):
-        return np.array([self._fn(u, i) for i in self.candidate_ids], dtype=np.float64)
-
-    @property
-    def matrix(self):
-        return np.array([self.batch(u) for u in self.candidate_ids])
+        ids = self.candidate_ids = tuple(sorted(fused.nodes))
+        self.matrix = np.array([[fn(u, i) for i in ids] for u in ids], dtype=np.float64)
 
 
 # --- statistical fixtures ------------------------------------------------------

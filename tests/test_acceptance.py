@@ -9,19 +9,20 @@ from __future__ import annotations
 
 import statistics
 import time
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
 import numpy as np
 import pytest
 
-from conftest import fused_instance, gen_correlated_trial, gen_trend_channels
+from conftest import fused_instance, gen_correlated_trial, gen_trend_channels, random_channels
 from tierank.bench import bench_rerank, build_bench_channels, restricted_channels
 from tierank.evaluation import GroundTruth, ns_score, precision_at
 from tierank.fusion import TieredPairwise, fuse_graphs, greedy_select
 from tierank.index import Metric, build_index, load_index, save_index
 from tierank.oracles import oracle_greedy_select, oracle_pairwise
-from tierank.pipeline import Channel, rerank_query
+from tierank.pipeline import Channel, batch_rerank, rerank_query
 from tierank.ranking import RankedList
 from tierank.rerank import tier1_rerank, tiered_graph, tiered_rerank
 from tierank.scenarios import gen_outlier_scenario, gen_two_manifold_scenario
@@ -115,6 +116,24 @@ def test_criterion_5_scale_invariance():
         scaled = greedy_select(fused_scaled, pairwise_scaled, k=6)
         assert base.items == scaled.items, f"trial {trial}, factor {factor}"
     print("[PASS] criterion 5: 100 instances invariant under weight rescaling, exact")
+
+
+def test_criterion_5_on_the_rankings_users_get():
+    """Every channel's alpha times 2^j: the same items, every score times exactly 2^j."""
+    rng = np.random.default_rng(78)
+    for trial in range(12):
+        n = int(rng.integers(10, 41))
+        m = int(rng.integers(2, 4))
+        channels = [replace(ch, alpha=float(rng.choice([1.0, 0.3, 1.7]))) for ch in random_channels(rng, n, m, 5)]
+        queries = rng.choice(n, size=3).tolist()
+        base = [rerank_query(channels, q) for q in queries]
+        for j in range(-12, 20):
+            factor = 2.0**j
+            scaled = [replace(ch, alpha=ch.alpha * factor) for ch in channels]
+            want = [tuple((item, score * factor) for item, score in r.entries) for r in base]
+            assert [rerank_query(scaled, q).entries for q in queries] == want, f"trial {trial}, 2^{j}"
+            assert [r.entries for r in batch_rerank(scaled, queries)] == want, f"trial {trial}, 2^{j}"
+    print("[PASS] criterion 5: 12 multi-channel instances, rankings scale exactly for alpha times 2^-12..2^19")
 
 
 def test_criterion_6_expectation_of_tier3_weight():

@@ -42,5 +42,8 @@ def test_removed_names_are_gone():
         assert not hasattr(tierank, name)
         assert not hasattr(importlib.import_module(module), name), f"{module}.{name}"
     assert not hasattr(tierank.FusedGraph, "weight_ceiling")
+    # members of the inspection layer that nothing read
+    assert not hasattr(tierank.FusedGraph, "m") and not hasattr(tierank.TieredPairwise, "batch")
+    assert "alpha" not in tierank.QueryGraph.__dataclass_fields__
     fields = importlib.import_module("tierank.config").PipelineConfig.__dataclass_fields__
     assert "tier3_mode" not in fields and "variant" not in fields

@@ -71,13 +71,58 @@ def test_only_the_index_reads_its_overlap_tables():
     assert offenders == []
 
 
-def test_the_pipeline_ranks_without_the_graph_objects():
-    # rankings run on arrays: pipeline.py imports none of the inspection
-    # layer, and leaves an overlay's virtual row to the index
-    tree = ast.parse((SRC / "pipeline.py").read_text(encoding="utf-8"))
-    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert imported.isdisjoint({"TieredPairwise", "greedy_select", "FusedGraph"})
-    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "virtual"] == []
+# the inspection layer: graph objects that no ranking builds
+_GRAPH_OBJECTS = {"QueryGraph", "JaccardValue", "tiered_graph", "FusedGraph", "fuse_graphs", "TieredPairwise",
+                  "greedy_select"}
+
+
+def _uses(source):
+    """(modules, names) that ``source`` imports or reads as an attribute; ``from . import x`` imports module x."""
+    modules, names = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rpartition(".")[2]
+            modules.add(module)
+            for alias in node.names:
+                names.add(alias.name)
+                if not module:
+                    modules.add(alias.name)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name.rpartition(".")[2] for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return modules, names
+
+
+@pytest.mark.parametrize(("source", "module", "name"), [
+    ("from .fusion import TieredPairwise", "fusion", "TieredPairwise"),
+    ("from tierank.rerank import tiered_graph as tg", "rerank", "tiered_graph"),
+    ("from . import fusion\nfusion.fuse_graphs([])", "fusion", "fuse_graphs"),
+    ("import tierank.rerank\ntierank.rerank.QueryGraph", "rerank", "QueryGraph"),
+])
+def test_the_layer_lint_sees_each_kind_of_use(source, module, name):
+    modules, names = _uses(source)
+    assert module in modules and name in names
+
+
+def test_only_the_layer_uses_the_graph_objects():
+    # rankings, scenarios and oracles run on arrays and plain sets: outside
+    # fusion.py and rerank.py, which define the inspection layer, and the
+    # package's exports, no module names it
+    offenders = {
+        path.name: sorted(names & _GRAPH_OBJECTS)
+        for path in sorted(SRC.glob("*.py")) if path.name not in {"fusion.py", "rerank.py", "__init__.py"}
+        for names in [_uses(path.read_text(encoding="utf-8"))[1]] if names & _GRAPH_OBJECTS
+    }
+    assert offenders == {}
+
+
+def test_the_pipeline_leaves_the_virtual_row_to_the_index():
+    assert "virtual" not in _uses((SRC / "pipeline.py").read_text(encoding="utf-8"))[1]
+
+
+def test_the_oracles_import_nothing_they_check():
+    assert _uses((SRC / "oracles.py").read_text(encoding="utf-8"))[0].isdisjoint({"fusion", "rerank"})
 
 
 # --- every writer: an OSError is a FileAccessError ---------------------------

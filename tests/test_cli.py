@@ -204,6 +204,30 @@ def test_eval_rejects_bad_cutoffs(outlier_dirs, tmp_path, capsys, cutoffs):
     assert err.startswith("error\tFormatError\t") and "--r" in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("case, message", [
+    ("unknown metric", "unknown metrics ['foo']"),
+    ("repeated truth id", ":13: duplicate item id 0"),
+    ("skipped rank", ":2: rank column out of order"),
+])
+def test_malformed_eval_input_is_a_data_error(outlier_dirs, tmp_path, capsys, case, message):
+    out, idx = outlier_dirs
+    truth, ranked = out / "truth.csv", tmp_path / "ranked.tsv"
+    assert main([
+        "rerank", "--config", str(out / "pipeline.cfg"), "--index-dir", str(idx),
+        "--query-ids", "0", "--out", str(ranked),
+    ]) == 0
+    if case == "repeated truth id":
+        truth.write_text(truth.read_text() + "0,1\n")
+    if case == "skipped rank":  # ranks 1, 3, 4, ...
+        lines = ranked.read_text().splitlines(keepends=True)
+        ranked.write_text(lines[0] + "".join(lines[2:]))
+    capsys.readouterr()
+    metrics = "foo" if case == "unknown metric" else "precision"
+    assert main(["eval", "--rankings", str(ranked), "--truth", str(truth), "--metrics", metrics]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error\tFormatError\t") and message in err and len(err.splitlines()) == 1
+
+
 def test_missing_feature_file_reports_channel(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[channel:ghost]\nfeatures = missing.csv\n")
@@ -339,6 +363,24 @@ def test_unknown_config_keys_are_data_errors(outlier_dirs, capsys, section, line
         err = capsys.readouterr().err
         assert err.startswith("error\tFormatError\t")
         assert named in err and (named.startswith("[") or section in err)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("[channel:plane]", "[channel: ]", "empty channel name in [channel: ]"),
+    ("features = plane.csv\n", "", "[channel:plane] is missing `features`"),
+    ("metric = l1", "metric = l3", "[channel:plane] has unknown metric 'l3'"),
+])
+def test_a_malformed_channel_section_is_a_data_error(outlier_dirs, capsys, old, new, message):
+    out, idx = outlier_dirs
+    cfg = out / "pipeline.cfg"
+    text = cfg.read_text()
+    assert old in text
+    cfg.write_text(text.replace(old, new, 1))
+    capsys.readouterr()
+    for argv in (["index", "--out-dir", str(idx)], ["rerank", "--index-dir", str(idx), "--query-ids", "0"]):
+        assert main([argv[0], "--config", str(cfg), *argv[1:]]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error\tFormatError\t") and message in err and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("scenario", ["two-manifold", "outlier"])

@@ -12,12 +12,13 @@ import threading
 import tracemalloc
 from dataclasses import replace
 from functools import partial
+from types import SimpleNamespace
 
 from conftest import FunctionPairwise, fused_instance, random_channels
 from tierank import pipeline
 from tierank.bench import restricted_channels
 from tierank.errors import EmptyChannelListError, FormatError, QueryMismatchError, UnknownItemError
-from tierank.fusion import FusedGraph, TieredPairwise, fuse_graphs, greedy_select
+from tierank.fusion import TieredPairwise, fuse_graphs, greedy_select
 from tierank.index import FeatureMatrix, NeighborhoodIndex, build_index, knn_candidates
 from tierank.oracles import brute_force_knn, oracle_greedy_select, oracle_pairwise, oracle_tier3
 from tierank.pipeline import (
@@ -31,6 +32,7 @@ from tierank.pipeline import (
     rerank_vector_query,
     virtual_query_id,
 )
+from tierank.ranking import write_rankings_tsv
 from tierank.rerank import QueryGraph, tier1_rerank, tiered_graph, tiered_rerank
 
 
@@ -46,7 +48,7 @@ def test_fuse_single_channel_identity():
     fused = fuse_graphs([g])
     assert fused.nodes == frozenset({0, 1, 2})
     assert fused.edges == g.edges
-    assert fused.m == 1
+    assert fused.channels == ("c0",)
 
 
 def test_fuse_disjoint_channels():
@@ -127,6 +129,11 @@ def test_correlation_separates_classes_monte_carlo():
 # --- pairwise ----------------------------------------------------------------
 
 
+def _row(pw, u):
+    """Center u's weights to every candidate, in candidate_ids order."""
+    return pw.matrix[pw.candidate_ids.index(u)]
+
+
 def test_pairwise_matches_tiered_route():
     # the affinity between two arbitrary items is read off the tiered graph
     # built with one of them as a temporary center; absent edges are 0
@@ -141,7 +148,7 @@ def test_pairwise_matches_tiered_route():
             expected = 0.0
             for ch in channels:
                 expected += tiered_graph(ch.index, center)[1].edges.get(item, 0.0)
-            assert pw.batch(center)[pw.candidate_ids.index(item)] == expected
+            assert _row(pw, center)[pw.candidate_ids.index(item)] == expected
 
 
 def test_pairwise_from_query_reproduces_fused_edges():
@@ -151,7 +158,7 @@ def test_pairwise_from_query_reproduces_fused_edges():
     graphs = [tiered_graph(ch.index, query)[1] for ch in channels]
     fused = fuse_graphs(graphs)
     pw = TieredPairwise([(ch.index, 5, 5) for ch in channels], sorted(fused.nodes))
-    assert pw.batch(query).tolist() == [fused.edges[item] for item in pw.candidate_ids]
+    assert _row(pw, query).tolist() == [fused.edges[item] for item in pw.candidate_ids]
 
 
 def test_pairwise_batch_equals_scalar():
@@ -162,7 +169,7 @@ def test_pairwise_batch_equals_scalar():
     fused = fuse_graphs(graphs)
     pw = TieredPairwise([(ch.index, 6, 6) for ch in channels], sorted(fused.nodes))
     for center in sorted(fused.nodes)[:8]:
-        got = pw.batch(center)
+        got = _row(pw, center)
         want = [oracle_pairwise(channels, center, item) for item in pw.candidate_ids]
         assert got.tolist() == want
 
@@ -177,7 +184,7 @@ def test_pairwise_symmetric_for_mutual_neighbors():
     for u in range(30):
         for i in index.neighbor_ids(u, 5).tolist():
             if u in index.neighbor_ids(i, 5).tolist():
-                assert pw.batch(u)[i] == pw.batch(i)[u]  # candidate ids equal their rows
+                assert pw.matrix[u, i] == pw.matrix[i, u]  # candidate ids equal their rows
 
 
 @st.composite
@@ -254,7 +261,7 @@ def test_pairwise_on_a_hand_cut_virtual_row(length, with_virtual):
     candidates = [0, 2, 3, 9] if with_virtual else [0, 2, 3]
     pw = TieredPairwise([(ch.index, 6, 6) for ch in overlaid], candidates)
     for u in pw.candidate_ids:
-        assert pw.batch(u).tolist() == [oracle_pairwise(overlaid, u, i) for i in pw.candidate_ids]
+        assert _row(pw, u).tolist() == [oracle_pairwise(overlaid, u, i) for i in pw.candidate_ids]
     # the ranking pads the shorter rows with -1, which names no candidate
     queries = [9, 0, 9, 4] if with_virtual else [0, 4]
     got = batch_rerank(overlaid, queries)
@@ -274,7 +281,7 @@ def test_pairwise_matches_oracle_property(instance):
         scales=[ch.alpha for ch in by_name],
     )
     for u in pw.candidate_ids:
-        assert pw.batch(u).tolist() == [oracle_pairwise(by_name, u, i) for i in pw.candidate_ids]
+        assert _row(pw, u).tolist() == [oracle_pairwise(by_name, u, i) for i in pw.candidate_ids]
 
 
 @settings(max_examples=150, deadline=None)
@@ -300,13 +307,7 @@ def _oracle_rerank(channels, query, k_final):
             edges[item] = edges.get(item, 0.0) + ch.alpha * count
         for pos, item in enumerate(ch.index.neighbor_ids(query, ch.k1).tolist()):
             rank[item] = min(rank.get(item, pos), pos)
-    fused = FusedGraph(
-        query=query,
-        channels=tuple(ch.name for ch in by_name),
-        nodes=frozenset(edges),
-        edges=edges,
-        distance_rank=rank,
-    )
+    fused = SimpleNamespace(query=query, nodes=frozenset(edges), edges=edges, rank_of=rank.__getitem__)
     k = k_final if k_final is not None else max(ch.k1 for ch in channels)
     final = oracle_greedy_select(fused, partial(oracle_pairwise, by_name), k)
     return tuple(zip(final.items, final.scores))
@@ -504,11 +505,13 @@ def test_batch_errors_match_the_per_query_loop():
         (channels, list(range(12)), 0),
         ([replace(channels[0], alpha=0.0), *channels[1:]], [0, 1, 2], None),
         ([channels[0], channels[0], channels[1]], [0, 1, 2], None),  # one channel twice
+        ([], [0, 1, 2], None),
     ]
     assert near
     for chans, queries, k_final in cases:
         want = _raised(lambda: [rerank_query(chans, q, k_final) for q in queries])
         assert _raised(lambda: batch_rerank(chans, queries, k_final)) == want
+    assert want == (EmptyChannelListError, "at least one channel required")
 
 
 def test_an_id_beyond_int64_in_a_batch_is_an_unknown_item():
@@ -541,6 +544,24 @@ def test_an_id_equal_to_no_stored_id_is_an_unknown_item():
     got = batch_rerank(channels, [3.0, 4])
     assert _exact(got) == _exact([rerank_query(channels, q) for q in (3.0, 4)])
     assert got[0].entries[1:] == rerank_query(channels, 3).entries[1:]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_a_query_id_of_another_type_is_named_by_its_stored_id(tmp_path, m):
+    # 3.0, np.float64(3) and np.int64(3) are item 3: the ranking, single or
+    # batched (and tier 1's), names the query and its first entry by the
+    # stored int, and the TSV reads 3, not 3.0
+    channels = random_channels(np.random.default_rng(27), 30, m, 5)
+    want = [rerank_query(channels, q) for q in (3, 4, 3)]
+    write_rankings_tsv(want, tmp_path / "want.tsv")
+    for q in (3.0, np.float64(3), np.int64(3)):
+        got = [rerank_query(channels, q), *batch_rerank(channels, [q, 4, q])]
+        assert _exact(got) == _exact(want[:1] + want)
+        assert all(type(r.query) is int and type(r.entries[0][0]) is int for r in got)
+        assert type(tier1_rerank(channels[0].index, q).query) is int
+        write_rankings_tsv(got[1:], tmp_path / "got.tsv")
+        assert (tmp_path / "got.tsv").read_text() == (tmp_path / "want.tsv").read_text()
+    assert (tmp_path / "want.tsv").read_text().startswith("3\t1\t3\t")
 
 
 def test_bad_ks_and_alpha_raise_the_same_error_alone_and_in_a_batch():
