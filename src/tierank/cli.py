@@ -15,9 +15,11 @@ import numpy as np
 
 from . import bench as bench_mod
 from .config import ChannelConfig, PipelineConfig, load_config, write_config
-from .errors import FileAccessError, FormatError, TierankError, make_dir, read_text, write_text
+from .errors import FileAccessError, FormatError, TierankError, make_dir, parse_number, read_text, write_text
 from .evaluation import load_ground_truth, ns_score, precision_at, recall_at, write_ground_truth
-from .index import Metric, build_index, load_features, load_index, save_index, write_features_csv
+from .index import (
+    Metric, build_index, load_features, load_index, load_tier3, save_index, save_tier3, write_features_csv,
+)
 from .pipeline import Channel, batch_rerank, rerank_vector_query, virtual_query_id
 from .ranking import RankedList, read_rankings_tsv, write_rankings_tsv
 from .scenarios import gen_outlier_scenario, gen_two_manifold_scenario
@@ -34,13 +36,21 @@ def _index_path(index_dir: Path, name: str) -> Path:
     return index_dir / f"{name}.index"
 
 
+def _tier3_path(index_dir: Path, name: str, k1: int, k2: int) -> Path:
+    return index_dir / f"{name}.{k1}-{k2}.tier3"
+
+
 def cmd_index(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     out_dir = make_dir(args.out_dir)
+    fused = len(config.channels) > 1  # one channel ranks by its own counts and reads no table
     for cfg in config.channels:
         features = _load_channel_features(cfg)
-        index = build_index(features, k=max(cfg.ks(features.n)), metric=cfg.metric)
+        k1, k2 = cfg.ks(features.n)
+        index = build_index(features, k=max(k1, k2), metric=cfg.metric)
         save_index(index, _index_path(out_dir, cfg.name))
+        if fused:
+            save_tier3(index, k1, k2, _tier3_path(out_dir, cfg.name, k1, k2))
         print(f"indexed channel {cfg.name}: n={index.n} k={index.k} metric={cfg.metric.value}")
     return 0
 
@@ -55,6 +65,7 @@ def _assemble_channels(config: PipelineConfig, index_dir: Path, need_features: b
             raise FormatError(
                 f"channel {cfg.name!r}: k1/k2 exceed the stored index k={index.k}; re-run index"
             )
+        load_tier3(index, k1, k2, _tier3_path(index_dir, cfg.name, k1, k2))
         channels.append(
             Channel(name=cfg.name, index=index, k1=k1, k2=k2, alpha=cfg.alpha, features=features)
         )
@@ -65,7 +76,7 @@ def _parse_query_ids(args: argparse.Namespace) -> list[int]:
     ids: list[int] = []
     if args.query_ids:
         try:
-            ids.extend(int(tok) for tok in args.query_ids.split(",") if tok.strip())
+            ids.extend(parse_number(tok, int) for tok in args.query_ids.split(",") if tok.strip())
         except ValueError:
             raise FormatError(f"bad --query-ids value {args.query_ids!r}")
     if args.queries_file:
@@ -73,7 +84,7 @@ def _parse_query_ids(args: argparse.Namespace) -> list[int]:
             if not line.strip():
                 continue
             try:
-                ids.append(int(line.strip()))
+                ids.append(parse_number(line, int))
             except ValueError:
                 raise FormatError(f"{args.queries_file}:{lineno}: bad query id")
     return ids
@@ -86,7 +97,7 @@ def _parse_query_vectors(path: str) -> list[np.ndarray]:
             continue
         toks = line.replace(",", " ").split()
         try:
-            vector = np.asarray([float(t) for t in toks], dtype=np.float64)
+            vector = np.asarray([parse_number(t) for t in toks], dtype=np.float64)
         except ValueError:
             raise FormatError(f"{path}:{lineno}: bad vector line")
         if not np.isfinite(vector).all():
@@ -246,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_index = sub.add_parser("index", help="build and persist per-channel KNN indexes")
+    p_index = sub.add_parser("index", help="build and persist per-channel KNN indexes and, on two or more "
+                             "channels, their tier-3 overlap tables (<name>.<k1>-<k2>.tier3)")
     p_index.add_argument("--config", required=True)
     p_index.add_argument("--out-dir", required=True)
     p_index.set_defaults(func=cmd_index)

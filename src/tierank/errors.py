@@ -1,11 +1,14 @@
-"""Exception hierarchy shared by the whole package, and the file boundary that raises it.
+"""Exception hierarchy shared by the whole package, the file boundary that raises it, and the number grammar.
 
 Every file read or written and every directory made goes through here, so a
-path that cannot be used is a FileAccessError, never a traceback.
+path that cannot be used is a FileAccessError, never a traceback. Every id
+and number a text input holds is read by one ASCII grammar
+(:func:`parse_number`).
 """
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from typing import Iterable
 
@@ -56,11 +59,16 @@ class ScenarioError(TierankError):
     """A synthetic scenario failed to realize its planted relations."""
 
 
-def read_bytes(path: str | Path) -> np.ndarray:
-    """A binary file's contents as a writable uint8 array, which a reader may reuse in place."""
+def read_bytes(path: str | Path, missing_ok: bool = False) -> np.ndarray | None:
+    """A binary file's contents as a writable uint8 array, which a reader may reuse in place.
+
+    With ``missing_ok``, a file that does not exist is None.
+    """
     try:
         return np.fromfile(path, dtype=np.uint8)
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        if missing_ok and isinstance(exc, FileNotFoundError):
+            return None
         raise FileAccessError(f"cannot read {path}: {exc}") from exc
 
 
@@ -115,8 +123,32 @@ def csv_lines(path: str | Path) -> list[tuple[int, str]]:
 
 
 def _is_number(text: str) -> bool:
+    # float() also takes underscores and non-ASCII digits: a first row of
+    # them is data, which parse_number then refuses, rather than a header
     try:
         float(text)
     except ValueError:
         return False
     return True
+
+
+# ids are an optional sign and ASCII digits; reals are decimal or exponent
+# syntax, or inf, infinity or nan in any case, which the readers refuse later
+# with their own messages. int() and float() alone would also take PEP 515
+# underscores (1_0 is 10) and any Unicode decimal digit (U+FF11 is 1).
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_REAL = re.compile(
+    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf|infinity|nan)", re.ASCII | re.IGNORECASE
+)
+
+
+def parse_number(text: str, kind: type = float) -> int | float:
+    """``text`` as an int or a float (``kind``) in the one ASCII grammar of every text input.
+
+    Surrounding whitespace is ignored; anything else outside the grammar is
+    a ValueError. It is the grammar ``np.loadtxt`` reads a feature CSV by.
+    """
+    token = text.strip()
+    if not (_INTEGER if kind is int else _REAL).fullmatch(token):
+        raise ValueError(f"not an ASCII {kind.__name__}: {text!r}")
+    return kind(token)

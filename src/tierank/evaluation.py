@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .errors import ClassSizeError, FormatError, UnknownItemError, csv_lines, write_text
+from .errors import ClassSizeError, FormatError, UnknownItemError, csv_lines, parse_number, write_text
 from .ranking import RankedList
 
 
@@ -62,7 +62,7 @@ def load_ground_truth(path: str | Path) -> GroundTruth:
         if len(parts) != 2:
             raise FormatError(f"{path}:{lineno}: expected `<id>,<class_id>`")
         try:
-            item, cls = int(parts[0]), int(parts[1])
+            item, cls = parse_number(parts[0], int), parse_number(parts[1], int)
         except ValueError:
             raise FormatError(f"{path}:{lineno}: non-integer id or class")
         if item in labels:

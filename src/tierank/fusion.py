@@ -160,7 +160,12 @@ class TieredPairwise:
         scales = [1.0] * len(channels) if scales is None else scales
         if len(scales) != len(channels):
             raise FormatError("one scale per channel required")
-        cand = np.unique(np.asarray(candidates, dtype=np.int64))
+        given = np.asarray(candidates)
+        with np.errstate(invalid="ignore"):  # a NaN or an id no int64 holds casts to garbage
+            cand = given.astype(np.int64) if given.dtype.kind in "iuf" else given
+        if cand.dtype != np.int64 or (cand != given).any():  # 3.0 is item 3; 3.5 and '7' are none
+            raise FormatError("candidate ids must be 64-bit integers")
+        cand = np.unique(cand)
         self.candidate_ids: tuple[int, ...] = tuple(cand.tolist())
         parts = []
         for (idx, k1, k2), scale in zip(channels, scales):

@@ -17,12 +17,16 @@ k-th distance by chunk minima and sorts only the entries under the bound;
 out-of-sample queries use the same kernel. An index is saved as a fixed
 header followed by the raw little-endian arrays (index file v2), which load
 back without parsing, are validated as a whole, and have their ids turned
-into positions in place.
+into positions in place. A tier-3 overlap table is saved beside its index
+(tier-3 table file v1), keyed by a digest of the neighbor table it was
+counted from, and read back in place of a build while that digest holds.
+A feature CSV is parsed in one ``np.loadtxt`` pass.
 """
 
 from __future__ import annotations
 
 import copy
+import hashlib
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -42,6 +46,7 @@ from .errors import (
     UnknownItemError,
     ZeroVectorError,
     csv_lines,
+    parse_number,
     read_bytes,
     read_text,
     write_bytes,
@@ -58,6 +63,11 @@ _INDEX_HEADER = np.dtype(
     [("version", "<u8"), ("metric", "S8"), ("k", "<u8"), ("n", "<u8"), ("width", "<u8"), ("name_bytes", "<u8")]
 )
 _BINARY_MAGIC = b"TKF1"
+_TIER3_MAGIC = b"TKTIER3\x00"
+_TIER3_VERSION = 1
+# the magic, then version, k1 and k2 as little-endian uint64, the SHA-256 of
+# the neighbor table the counts were taken from, and the SHA-256 of the counts
+_TIER3_HEADER_BYTES = len(_TIER3_MAGIC) + 3 * 8 + 2 * 32
 _BUILD_BUFFER_ROWS = 128  # distance rows a build holds at once, over all its workers
 _BUILD_MIN_BLOCK_ROWS = 16
 _TABLE_BLOCK_ROWS = 16
@@ -153,30 +163,44 @@ def load_features(path: str | Path, fmt: str = "csv", channel_name: str | None =
         raise FormatError(f"{path}: {exc}") from None
 
 
-def _load_csv(path: str | Path) -> tuple[list[int], np.ndarray]:
+def _load_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """The ids and vectors of a feature CSV, every row parsed in one ``np.loadtxt`` pass.
+
+    The width is the first row's. Ids are read as int64, never through a
+    float, and values as float64, both in the grammar of
+    :func:`errors.parse_number`. A file the pass refuses is scanned again
+    for its first bad row, which the error names.
+    """
     lines = csv_lines(path)
     if not lines:
         raise FormatError(f"{path}: no feature rows")
+    dim = lines[0][1].count(",")
+    record = np.dtype([("id", "<i8"), ("v", "<f8", (dim,))])
+    try:
+        rows = np.loadtxt([line for _, line in lines], dtype=record, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        rows = None
+    if rows is None or dim == 0:
+        raise _first_bad_row(path, lines, dim)
+    return rows["id"], np.ascontiguousarray(rows["v"])
 
-    ids: list[int] = []
-    rows: list[list[float]] = []
-    dim: int | None = None
+
+def _first_bad_row(path: str | Path, lines: list[tuple[int, str]], dim: int) -> FormatError:
+    """The error for the first row of a feature CSV that is not an id and ``dim`` values, checks in that order."""
     for lineno, line in lines:
-        fields = [f.strip() for f in line.split(",")]
+        fields = line.split(",")
         if len(fields) < 2:
-            raise FormatError(f"{path}:{lineno}: need an id and at least one feature")
+            return FormatError(f"{path}:{lineno}: need an id and at least one feature")
         try:
-            item = int(fields[0])
-            values = [float(f) for f in fields[1:]]
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: malformed row") from exc
-        if dim is None:
-            dim = len(values)
-        elif len(values) != dim:
-            raise FormatError(f"{path}:{lineno}: expected {dim} features, got {len(values)}")
-        ids.append(item)
-        rows.append(values)
-    return ids, np.asarray(rows, dtype=np.float64)
+            parse_number(fields[0], int)
+            for field in fields[1:]:
+                parse_number(field)
+        except ValueError:
+            return FormatError(f"{path}:{lineno}: malformed row")
+        if len(fields) - 1 != dim:
+            return FormatError(f"{path}:{lineno}: expected {dim} features, got {len(fields) - 1}")
+    # every row is in the grammar and of the width, so the pass refused an id no int64 holds
+    return FormatError(f"{path}: item ids must be 64-bit integers")
 
 
 def _load_binary(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
@@ -358,8 +382,6 @@ def query_knn(
     return RankedList(query=-1, entries=entries, tier="knn", channel=features.channel_name)
 
 
-
-
 def _row_positions(item_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """The row of every id in the sorted ``item_ids``, or -1 for an id with no row.
 
@@ -400,9 +422,11 @@ class NeighborhoodIndex:
 
     The index is immutable after construction; all read accessors are safe
     to call concurrently. The one derived state is the cache of tier-3
-    overlap tables (:meth:`overlap_table`), one per (k1, k2), built on first
-    use, shared with every overlay and never saved. Building is idempotent:
-    two threads that both miss the cache build equal tables and keep one.
+    overlap tables (:meth:`overlap_table`), one per (k1, k2), shared with
+    every overlay. A table is read from the file ``tierank index`` wrote
+    (:func:`save_tier3`, :func:`load_tier3`) or else built on first use.
+    Building is idempotent: two threads that both miss the cache build
+    equal tables and keep one.
     """
 
     channel_name: str
@@ -551,7 +575,8 @@ class NeighborhoodIndex:
         stored index's, and the two share the cache. The table is built a
         block of rows at a time, the blocks spread over the usable cores,
         each worker with its own scratch, in the smallest unsigned dtype
-        that holds min(k1, k2), and is never saved.
+        that holds min(k1, k2), unless :func:`load_tier3` put the table that
+        :func:`save_tier3` wrote in the cache first.
         """
         table = self._tables.get((k1, k2))
         if table is None:
@@ -790,3 +815,54 @@ def load_index(path: str | Path) -> NeighborhoodIndex:
         raise FormatError(f"{path}: a row names an item twice")
     table[...] = positions
     return NeighborhoodIndex(channel, k, metric, ids, table, dists)
+
+
+def _neighbor_digest(index: NeighborhoodIndex) -> bytes:
+    """SHA-256 of the neighbor table as little-endian int64 row positions, all a tier-3 table is counted from."""
+    return hashlib.sha256(np.ascontiguousarray(index.neighbor_table, dtype="<i8")).digest()
+
+
+def save_tier3(index: NeighborhoodIndex, k1: int, k2: int, path: str | Path) -> None:
+    """Write the index's tier-3 table at (k1, k2), counted now unless cached, for :func:`load_tier3`.
+
+    The file is a fixed header (magic, version, k1, k2, the digest of the
+    neighbor table and the digest of the counts), then the raw counts,
+    row-major, in the table's dtype, little-endian.
+    """
+    table = index.overlap_table(k1, k2)
+    body = table.astype(table.dtype.newbyteorder("<"), copy=False).tobytes()
+    keys = np.array([_TIER3_VERSION, k1, k2], dtype="<u8").tobytes()
+    write_bytes(path, [_TIER3_MAGIC, keys, _neighbor_digest(index), hashlib.sha256(body).digest(), body])
+
+
+def load_tier3(index: NeighborhoodIndex, k1: int, k2: int, path: str | Path) -> None:
+    """Cache the index's tier-3 table at (k1, k2) from the file :func:`save_tier3` wrote, if it is current.
+
+    A missing file, or one of another version, (k1, k2) or neighbor table,
+    is stale and left alone: the table is then built on first use. A file
+    that is too short for its header or has no magic, or whose header
+    matches but whose counts are of the wrong size, fail their digest or
+    exceed min(k1, k2), is a FormatError. The table read is read-only.
+    """
+    raw = read_bytes(path, missing_ok=True)
+    if raw is None:
+        return
+    if len(raw) < _TIER3_HEADER_BYTES or raw[: len(_TIER3_MAGIC)].tobytes() != _TIER3_MAGIC:
+        raise FormatError(f"{path}: not a tierank tier-3 table file")
+    header = np.frombuffer(raw, dtype="<u8", count=3, offset=len(_TIER3_MAGIC)).tolist()
+    digests = raw[_TIER3_HEADER_BYTES - 64 : _TIER3_HEADER_BYTES].tobytes()
+    if header != [_TIER3_VERSION, k1, k2] or digests[:32] != _neighbor_digest(index):
+        return
+    stored, width = index.neighbor_table.shape
+    shape = (stored, min(k1, width))
+    dtype = np.dtype(np.min_scalar_type(min(k1, k2))).newbyteorder("<")
+    body = raw[_TIER3_HEADER_BYTES:]
+    if body.size != shape[0] * shape[1] * dtype.itemsize:
+        raise FormatError(f"{path}: file size {len(raw)} does not match its header")
+    if hashlib.sha256(body).digest() != digests[32:]:
+        raise FormatError(f"{path}: the counts do not match their digest")
+    table = body.view(dtype).reshape(shape)
+    if table.max(initial=0) > min(k1, k2):
+        raise FormatError(f"{path}: a count exceeds min(k1, k2) = {min(k1, k2)}")
+    table.setflags(write=False)
+    index._tables.setdefault((k1, k2), table)

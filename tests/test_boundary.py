@@ -313,3 +313,60 @@ def test_fuzzed_input_is_a_data_error_or_runs(scenario, case, data):
     else:
         assert code == 3
         _one_error_line(err)
+
+
+# --- one ASCII number grammar --------------------------------------------------
+
+# the same digit in other scripts, each of which int() and float() read as
+# that digit: full-width, Arabic-Indic, Devanagari, Thai, mathematical bold
+_OTHER_DIGITS = [0xFF10, 0x0660, 0x0966, 0x0E50, 0x1D7CE]
+
+
+def _number_inputs(base):
+    """Every input that holds numbers: its text, its path (None for a flag) and the argv that reads it."""
+    scen = base / "scen"
+    rerank = ["rerank", "--config", str(scen / "pipeline.cfg"), "--index-dir", str(base / "idx")]
+    return {
+        "feature csv": ((scen / "plane.csv").read_text(), scen / "plane.csv",
+                        ["index", "--config", str(scen / "pipeline.cfg"), "--out-dir", str(base / "fz")]),
+        "truth csv": ((scen / "truth.csv").read_text(), scen / "truth.csv",
+                      ["eval", "--rankings", str(base / "ranked.tsv"), "--truth", str(scen / "truth.csv")]),
+        "queries file": ("10\n3\n\n11\n", base / "queries.txt", [*rerank, "--queries-file", str(base / "queries.txt")]),
+        "query vectors": ("0.5 0.25\n1.0,20.0\n", base / "vectors.txt",
+                          [*rerank, "--query-vectors", str(base / "vectors.txt")]),
+        "query ids": ("0,10,3,11", None, [*rerank, "--query-ids"]),
+    }
+
+
+@pytest.mark.parametrize("name", ["feature csv", "truth csv", "queries file", "query vectors", "query ids"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_underscores_and_other_digits_in_a_number_are_a_data_error(scenario, name, data):
+    # int() and float() would read 1_0 as 10 and a full-width 1 as 1, and
+    # rank or score another item without a word
+    text, path, argv = _number_inputs(scenario[0])[name]
+    runs = list(re.finditer(r"[0-9]+", text))
+    underscore = data.draw(st.booleans(), label="underscore")
+    if underscore:
+        runs = [m for m in runs if len(m.group()) > 1]
+    run = data.draw(st.sampled_from(runs), label="digits")
+    at = data.draw(st.integers(run.start() + underscore, run.end() - 1), label="at")
+    if underscore:
+        bad = text[:at] + "_" + text[at:]
+    else:
+        bad = text[:at] + chr(data.draw(st.sampled_from(_OTHER_DIGITS)) + int(text[at])) + text[at + 1 :]
+    lineno = text[:at].count("\n") + 1
+    if path is None:
+        code, _, err = _run([*argv, bad])
+        expected = f"error\tFormatError\tbad --query-ids value {bad!r}"
+    else:
+        valid = path.read_bytes()
+        try:
+            path.write_text(bad, encoding="utf-8")
+            code, _, err = _run(argv)
+        finally:
+            path.write_bytes(valid)
+        expected = f"error\tFormatError\t{path}:{lineno}: "
+    assert code == 3, name
+    _one_error_line(err)
+    assert err.startswith(expected), err

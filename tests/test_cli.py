@@ -648,3 +648,129 @@ def test_rerank_on_corrupted_index_exits_3(corruptible_dirs, data):
         # may still rank, or name an unknown query id
         assert code in (0, 3)
 
+
+
+# --- the tier-3 table files `tierank index` writes ------------------------------
+
+
+def _fused_inputs(base):
+    """Two random channels of 60 items at k1 = 9, k2 = 6, and the argv of a rerank of 30 ids and 5 vectors."""
+    rng = np.random.default_rng(13)
+    for name in ("a", "b"):
+        write_features_csv(random_features(rng, 60, dim=3, channel=name), base / f"{name}.csv")
+    (base / "fused.cfg").write_text("".join(f"[channel:{n}]\nfeatures = {n}.csv\nk1 = 9\nk2 = 6\n" for n in "ab"))
+    (base / "queries.vec").write_text("\n".join(" ".join(map(repr, v)) for v in rng.normal(size=(5, 3)).tolist()))
+    return ["rerank", "--config", str(base / "fused.cfg"), "--query-ids", ",".join(map(str, range(0, 60, 2))),
+            "--query-vectors", str(base / "queries.vec")]
+
+
+def _index(cfg, idx):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["index", "--config", str(cfg), "--out-dir", str(idx)]) == 0
+
+
+def _ranked(rerank, idx):
+    """(exit code, stdout, stderr) of the rerank on the index directory ``idx``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*rerank, "--index-dir", str(idx)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_index_writes_one_table_file_per_fused_channel_byte_identically(outlier_dirs, tmp_path):
+    rerank = _fused_inputs(tmp_path)
+    idx = tmp_path / "fused"
+    _index(tmp_path / "fused.cfg", idx)
+    names = ["a.9-6.tier3", "a.index", "b.9-6.tier3", "b.index"]
+    assert sorted(p.name for p in idx.iterdir()) == names
+    first = {name: (idx / name).read_bytes() for name in names}
+    _index(tmp_path / "fused.cfg", idx)
+    assert {name: (idx / name).read_bytes() for name in names} == first
+    assert _ranked(rerank, idx)[0] == 0
+    # a single channel ranks by its own counts: it neither writes nor needs a table
+    assert sorted(p.name for p in outlier_dirs[1].iterdir()) == ["plane.index"]
+
+
+def test_rerank_output_is_the_same_with_the_table_file_present_missing_or_stale(tmp_path):
+    rerank = _fused_inputs(tmp_path)
+    idx = tmp_path / "idx"
+    _index(tmp_path / "fused.cfg", idx)
+    tables = {name: (idx / f"{name}.9-6.tier3").read_bytes() for name in "ab"}
+    code, present, err = _ranked(rerank, idx)
+    assert code == 0 and err == "" and present
+    for name in "ab":
+        (idx / f"{name}.9-6.tier3").unlink()
+    assert _ranked(rerank, idx) == (0, present, "")
+
+    # stale: the index rebuilt at another k, its old tables left beside it
+    wide = tmp_path / "wide"
+    (tmp_path / "wide.cfg").write_text((tmp_path / "fused.cfg").read_text().replace("k1 = 9", "k1 = 12"))
+    _index(tmp_path / "wide.cfg", wide)
+    missing = _ranked(rerank, wide)
+    for name, data in tables.items():
+        (wide / f"{name}.9-6.tier3").write_bytes(data)
+    assert _ranked(rerank, wide) == missing
+
+    # stale: the features edited and re-indexed at the same k, the old
+    # tables put back; their header matches in all but the index digest
+    csv = tmp_path / "a.csv"
+    rows = csv.read_text().splitlines()
+    csv.write_text("\n".join(rows[:1] + [row.split(",")[0] + ",0.0,0.0,0.0" for row in rows[1:12]] + rows[12:]))
+    _index(tmp_path / "fused.cfg", idx)
+    fresh = (idx / "a.9-6.tier3").read_bytes()
+    assert fresh[:32] == tables["a"][:32] and fresh[96:] != tables["a"][96:]
+    code, edited, _ = _ranked(rerank, idx)
+    assert code == 0 and edited != present
+    (idx / "a.9-6.tier3").write_bytes(tables["a"])
+    assert _ranked(rerank, idx) == (0, edited, "")
+
+
+@pytest.mark.parametrize("case", ["truncated", "a flipped count", "a count above min(k1, k2)"])
+def test_rerank_on_a_malformed_table_file_exits_3(tmp_path, case):
+    rerank = _fused_inputs(tmp_path)
+    idx = tmp_path / "idx"
+    _index(tmp_path / "fused.cfg", idx)
+    path = idx / "b.9-6.tier3"
+    good = path.read_bytes()
+    body = bytearray(good[96:])
+    body[5] ^= 1
+    if case == "a count above min(k1, k2)":
+        body[5] = 7
+    path.write_bytes({
+        "truncated": good[:-3],
+        "a flipped count": good[:96] + bytes(body),
+        "a count above min(k1, k2)": good[:64] + hashlib.sha256(bytes(body)).digest() + bytes(body),
+    }[case])
+    code, out, err = _ranked(rerank, idx)
+    assert code == 3 and out == ""
+    assert err.startswith(f"error\tFormatError\t{path}: ") and len(err.splitlines()) == 1
+
+
+@pytest.fixture(scope="module")
+def fused_dirs(tmp_path_factory):
+    base = tmp_path_factory.mktemp("tier3")
+    rerank = _fused_inputs(base)
+    _index(base / "fused.cfg", base / "idx")
+    return base / "idx", rerank, (base / "idx" / "a.9-6.tier3").read_bytes(), _ranked(rerank, base / "idx")
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rerank_on_a_corrupted_table_file_ranks_the_same_or_exits_3(fused_dirs, data):
+    # a flip in the header's version, k1, k2 or index digest makes the file
+    # stale; any other flip or cut is refused
+    idx, rerank, good, want = fused_dirs
+    raw = bytearray(good)
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        raw[data.draw(st.integers(0, len(raw) - 1), label="byte")] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+    (idx / "a.9-6.tier3").write_bytes(bytes(raw))
+    try:
+        code, out, err = _ranked(rerank, idx)
+    finally:
+        (idx / "a.9-6.tier3").write_bytes(good)
+    if code == 0:
+        assert (code, out, err) == want
+    else:
+        assert code == 3 and out == "" and err.startswith("error\tFormatError\t") and len(err.splitlines()) == 1

@@ -187,6 +187,19 @@ def test_pairwise_symmetric_for_mutual_neighbors():
                 assert pw.matrix[u, i] == pw.matrix[i, u]  # candidate ids equal their rows
 
 
+def test_pairwise_refuses_a_candidate_that_is_no_integer():
+    # a cast would truncate 3.5 to 3 and read '7' as 7; 3.0 is item 3
+    index = random_channels(np.random.default_rng(6), 30, 1, 5)[0].index
+    for candidates in ([3.5, 4.9, "7"], [3, 4.5], ["7"], [np.nan], [2.0**63], np.array([2**64 - 1], dtype=np.uint64)):
+        with pytest.raises(FormatError, match="candidate ids must be 64-bit integers"):
+            TieredPairwise([(index, 5, 5)], candidates)
+    as_floats = TieredPairwise([(index, 5, 5)], [7.0, 3.0, 4.0])
+    as_ints = TieredPairwise([(index, 5, 5)], np.array([3, 4, 7], dtype=np.uint8))
+    assert as_floats.candidate_ids == as_ints.candidate_ids == (3, 4, 7)
+    assert all(type(c) is int for c in as_floats.candidate_ids)
+    assert np.array_equal(as_floats.matrix, as_ints.matrix)
+
+
 @st.composite
 def _query_instances(draw):
     """Channels on shared sparse ids (k1, k2, alpha per channel) and a query.

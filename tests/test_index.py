@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import struct
 import sys
 import tempfile
@@ -23,6 +24,7 @@ from tierank.errors import (
     TierankError,
     UnknownItemError,
     ZeroVectorError,
+    parse_number,
 )
 from tierank.index import (
     FeatureMatrix,
@@ -33,8 +35,10 @@ from tierank.index import (
     knn_candidates,
     load_features,
     load_index,
+    load_tier3,
     query_knn,
     save_index,
+    save_tier3,
     write_features_binary,
     write_features_csv,
 )
@@ -932,3 +936,172 @@ def test_hand_built_index_rejects_an_item_with_no_row(bad):
     table = np.asarray([[0, 1], [1, bad]])
     with pytest.raises(FormatError, match="no row of its own"):
         NeighborhoodIndex("bad", 2, Metric.L1, np.asarray([0, 1]), table, np.zeros((2, 2)))
+
+
+# --- the feature CSV's one-pass parse -------------------------------------------
+
+
+def test_the_one_pass_parse_reads_numbers_as_int_and_float_do(tmp_path):
+    rng = np.random.default_rng(21)
+    values = rng.choice([-1.0, 1.0], size=10_000) * 10.0 ** rng.uniform(-300, 300, size=10_000)
+    texts = [repr(float(v)) for v in values]
+    # ids near 2**63, and above 2**53, where a float64 would round them
+    ids = [2**63 - 1, 2**63 - 2, 2**63 - 1025, 2**53 + 1, 2**53 + 3, *range(995)]
+    path = tmp_path / "f.csv"
+    path.write_text("".join(f"{item}," + ",".join(texts[10 * r : 10 * r + 10]) + "\n" for r, item in enumerate(ids)))
+    features = load_features(path)
+    assert features.ids.tolist() == ids
+    want = np.array([float(t) for t in texts]).reshape(1000, 10)
+    assert features.vectors.tobytes() == want.tobytes()
+    assert features.vectors.flags.c_contiguous
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0,1.0,2.0\n1,3.0\n", "f.csv:2: expected 2 features, got 1"),
+    ("0,1.0\n1,3.0,4.0\n", "f.csv:2: expected 1 features, got 2"),
+    ("0,1.0\n\n1,\n", "f.csv:3: malformed row"),
+    ("0,1.0,2.0\n1,2.0,\n", "f.csv:2: malformed row"),
+    ("1,2#x\n", "f.csv:1: malformed row"),
+    ("0,1.0\n7\n", "f.csv:2: need an id and at least one feature"),
+    ("id,x,y\n", "f.csv: no feature rows"),
+    ("0,1.0\n9223372036854775808,2.0\n", "f.csv: item ids must be 64-bit integers"),
+    ("0,1.0\n-9223372036854775809,2.0\n", "f.csv: item ids must be 64-bit integers"),
+    # the first fault in the file is named, whatever its kind
+    ("0,1.0\n1,2.0,3.0\n2,x\n", "f.csv:2: expected 1 features, got 2"),
+    ("0,1.0\n1,x,3.0\n2,2.0\n", "f.csv:2: malformed row"),
+    # int() and float() would take these: 10, 1 and 3
+    ("0,1_0\n", "f.csv:1: malformed row"),
+    ("\uff11,2.0\n", "f.csv:1: malformed row"),
+    ("0,\u0663\n", "f.csv:1: malformed row"),
+])
+def test_a_feature_csv_error_names_its_first_bad_line(tmp_path, text, message):
+    path = tmp_path / "f.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError) as exc:
+        load_features(path)
+    assert str(exc.value) == f"{tmp_path}/{message}"
+
+
+_NUMBER_TEXT = st.text(
+    st.sampled_from([*"0123456789+-.eEinfatyINFATY_ \t\x1f\xa0\u2028x#", "\uff11", "\u0663"]), max_size=8
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_NUMBER_TEXT)
+def test_parse_number_reads_what_the_one_pass_parse_reads(text):
+    # the grammar the CLI reads ids and numbers by is the one np.loadtxt
+    # reads a feature CSV by: both take a token or both refuse it, and agree
+    for kind, dtype in ((int, "<i8"), (float, "<f8")):
+        record = np.dtype([("token", dtype), ("next", "<i8")])  # a row is never blank
+        try:
+            row = np.loadtxt([f"{text},0"], dtype=record, delimiter=",", comments=None, ndmin=1)
+            want = row["token"][0].item()
+        except ValueError:
+            want = None
+        try:
+            got = parse_number(text, kind)
+        except ValueError:
+            got = None
+        if want is not None and got is not None and kind is int and not -(2**63) <= got < 2**63:
+            continue  # in the grammar, but no int64 holds it
+        assert (got is None) == (want is None), (kind, text)
+        if got is not None:
+            assert type(got) is kind and np.array_equal(np.float64(got), np.float64(want), equal_nan=True)
+
+
+# --- the tier-3 table file ------------------------------------------------------
+
+
+def _tier3_bytes(index, k1, k2, body, version=1):
+    """A tier-3 table file written field by field: magic, version, k1, k2, the two digests, the counts."""
+    positions = hashlib.sha256(np.ascontiguousarray(index.neighbor_table, dtype="<i8")).digest()
+    header = struct.pack("<QQQ", version, k1, k2) + positions + hashlib.sha256(body).digest()
+    return b"TKTIER3\x00" + header + body
+
+
+@pytest.mark.parametrize("n, k, k1, k2", [
+    (60, 9, 9, 6), (60, 9, 6, 9), (60, 9, 3, 3), (5, 9, 9, 6), (300, 260, 260, 257),
+])
+def test_a_table_read_from_its_file_equals_the_built_one(tmp_path, monkeypatch, n, k, k1, k2):
+    # a count above 255 takes two bytes, little-endian on disk
+    index = build_index(random_features(np.random.default_rng(n), n, dim=3), k=k)
+    save_index(index, tmp_path / "ch.index")
+    save_tier3(index, k1, k2, tmp_path / "ch.tier3")
+    built = index._build_overlap_table(k1, k2)
+    body = built.astype(built.dtype.newbyteorder("<")).tobytes()
+    assert (tmp_path / "ch.tier3").read_bytes() == _tier3_bytes(index, k1, k2, body)
+    back = load_index(tmp_path / "ch.index")
+    load_tier3(back, k1, k2, tmp_path / "ch.tier3")
+
+    def no_build(*args):
+        raise AssertionError("the table was built, not read")
+
+    monkeypatch.setattr(NeighborhoodIndex, "_build_overlap_table", no_build)
+    table = back.overlap_table(k1, k2)
+    assert not table.flags.writeable
+    assert table.dtype == built.dtype and table.shape == built.shape and np.array_equal(table, built)
+
+
+def test_a_missing_or_stale_table_file_is_left_alone(tmp_path):
+    rng = np.random.default_rng(5)
+    index = build_index(random_features(rng, 40, dim=3), k=8)
+    other = build_index(random_features(rng, 40, dim=3), k=8)
+    save_index(index, tmp_path / "ch.index")
+    save_tier3(index, 8, 5, tmp_path / "ch.tier3")
+    good = (tmp_path / "ch.tier3").read_bytes()
+    stale = {
+        "another index": _tier3_bytes(other, 8, 5, good[96:]),
+        "another version": _tier3_bytes(index, 8, 5, good[96:], version=2),
+    }
+    cases = [("missing", 8, 5, None), ("another k1", 7, 5, good), ("another k2", 8, 4, good)]
+    cases += [(name, 8, 5, data) for name, data in stale.items()]
+    for name, k1, k2, data in cases:
+        path = tmp_path / f"{name}.tier3"
+        if data is not None:
+            path.write_bytes(data)
+        back = load_index(tmp_path / "ch.index")
+        load_tier3(back, k1, k2, path)
+        assert back._tables == {}, name
+    back = load_index(tmp_path / "ch.index")
+    load_tier3(back, 8, 5, tmp_path / "ch.tier3")
+    assert list(back._tables) == [(8, 5)]
+
+
+def _recount(data, body):
+    """``data`` with its counts replaced by ``body`` and their digest made to match."""
+    return data[:64] + hashlib.sha256(body).digest() + body
+
+
+@pytest.mark.parametrize("case, message", [
+    ("empty", "not a tierank tier-3 table file"),
+    ("cut in the header", "not a tierank tier-3 table file"),
+    ("another magic", "not a tierank tier-3 table file"),
+    ("cut in the counts", "does not match its header"),
+    ("one byte more", "does not match its header"),
+    ("a flipped count", "the counts do not match their digest"),
+    ("a flipped count digest", "the counts do not match their digest"),
+    ("a count above min(k1, k2)", "a count exceeds min(k1, k2) = 5"),
+])
+def test_a_malformed_table_file_is_a_format_error(tmp_path, case, message):
+    index = build_index(random_features(np.random.default_rng(3), 40, dim=3), k=8)
+    path = tmp_path / "ch.tier3"
+    save_tier3(index, 8, 5, path)
+    good = path.read_bytes()
+    above = bytearray(good[96:])
+    above[17] = 6
+    path.write_bytes({
+        "empty": b"",
+        "cut in the header": good[:95],
+        "another magic": b"TKTIER4\x00" + good[8:],
+        "cut in the counts": good[:-1],
+        "one byte more": good + b"\x00",
+        "a flipped count": good[:-7] + bytes([good[-7] ^ 1]) + good[-6:],
+        "a flipped count digest": good[:70] + bytes([good[70] ^ 0x80]) + good[71:],
+        "a count above min(k1, k2)": _recount(good, bytes(above)),
+    }[case])
+    back = build_index(random_features(np.random.default_rng(3), 40, dim=3), k=8)
+    with pytest.raises(FormatError) as exc:
+        load_tier3(back, 8, 5, path)
+    assert str(exc.value).startswith(f"{path}: ") and message in str(exc.value)
+    assert back._tables == {}
