@@ -23,7 +23,6 @@ from .index import (
     distance,
     load_features,
     load_index,
-    query_knn,
     save_index,
 )
 from .pipeline import Channel, batch_rerank, rerank_query, rerank_vector_query
@@ -71,7 +70,6 @@ __all__ = [
     "load_index",
     "ns_score",
     "precision_at",
-    "query_knn",
     "read_rankings_tsv",
     "recall_at",
     "rerank_query",

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -15,7 +16,9 @@ import numpy as np
 
 from . import bench as bench_mod
 from .config import ChannelConfig, PipelineConfig, load_config, write_config
-from .errors import FileAccessError, FormatError, TierankError, make_dir, parse_number, read_text, write_text
+from .errors import (
+    FileAccessError, FormatError, TierankError, make_dir, parse_number, read_text, remove_files, write_text,
+)
 from .evaluation import load_ground_truth, ns_score, precision_at, recall_at, write_ground_truth
 from .index import (
     Metric, build_index, load_features, load_index, load_tier3, save_index, save_tier3, write_features_csv,
@@ -49,8 +52,11 @@ def cmd_index(args: argparse.Namespace) -> int:
         k1, k2 = cfg.ks(features.n)
         index = build_index(features, k=max(k1, k2), metric=cfg.metric)
         save_index(index, _index_path(out_dir, cfg.name))
+        table = _tier3_path(out_dir, cfg.name, k1, k2)
         if fused:
-            save_tier3(index, k1, k2, _tier3_path(out_dir, cfg.name, k1, k2))
+            save_tier3(index, k1, k2, table)
+        stale = re.compile(re.escape(cfg.name) + r"\.[0-9]+-[0-9]+\.tier3")  # its tables at any (k1, k2)
+        remove_files(out_dir, stale, keep=table.name if fused else None)
         print(f"indexed channel {cfg.name}: n={index.n} k={index.k} metric={cfg.metric.value}")
     return 0
 
@@ -140,7 +146,7 @@ def cmd_rerank(args: argparse.Namespace) -> int:
 def _parse_counts(text: str, flag: str) -> list[int]:
     """A comma-separated list of integers >= 1, as --r, --n and --k take it."""
     try:
-        values = [int(tok) for tok in text.split(",")]
+        values = [parse_number(tok, int) for tok in text.split(",")]
     except ValueError:
         raise FormatError(f"bad {flag} value {text!r}: want comma-separated integers") from None
     if min(values) < 1:

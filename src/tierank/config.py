@@ -21,7 +21,9 @@ Example::
     [run]
     seed = 0
 
-Any other section or key is a :class:`FormatError` naming it, so a misspelt
+Numbers are read in :func:`errors.parse_number`'s grammar, so ``k1 = 1_0``
+is a :class:`FormatError` rather than 10. Any other section or key is a
+:class:`FormatError` naming it, so a misspelt
 key cannot silently leave its default in place. A channel name names its
 index file, so one that is not a plain file name (``.``, ``..``, or one
 that holds ``/``, ``\\`` or NUL) is a :class:`FormatError` too. Older
@@ -37,7 +39,7 @@ import configparser
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import FormatError, read_text, write_text
+from .errors import FormatError, parse_number, read_text, write_text
 from .index import Metric
 
 # item-count heuristic used when a channel does not pin k explicitly
@@ -138,9 +140,9 @@ def load_config(path: str | Path) -> PipelineConfig:
                     feature_path=feature_path,
                     fmt=sec.get("format", "csv"),
                     metric=metric,
-                    k1=sec.getint("k1") if "k1" in sec else None,
-                    k2=sec.getint("k2") if "k2" in sec else None,
-                    alpha=sec.getfloat("alpha", 1.0),
+                    k1=_number(sec, "k1", int),
+                    k2=_number(sec, "k2", int),
+                    alpha=_number(sec, "alpha", float, 1.0),
                 )
             )
         except ValueError as exc:
@@ -155,12 +157,17 @@ def load_config(path: str | Path) -> PipelineConfig:
                 f"delete the line (only {kept!r} is still accepted)"
             )
     try:
-        k_final = int(rerank_sec["k_final"]) if "k_final" in rerank_sec else None
-        seed = int(run_sec.get("seed", 0))
+        k_final = _number(rerank_sec, "k_final", int)
+        seed = _number(run_sec, "seed", int, 0)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
     return PipelineConfig(channels=tuple(channels), k_final=k_final, seed=seed)
+
+
+def _number(section, key: str, kind: type, default: int | float | None = None) -> int | float | None:
+    """A key's value in :func:`errors.parse_number`'s grammar, or ``default`` when the key is absent."""
+    return parse_number(section[key], kind) if key in section else default
 
 
 def write_config(config: PipelineConfig, path: str | Path) -> None:

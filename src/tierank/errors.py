@@ -1,8 +1,8 @@
 """Exception hierarchy shared by the whole package, the file boundary that raises it, and the number grammar.
 
-Every file read or written and every directory made goes through here, so a
-path that cannot be used is a FileAccessError, never a traceback. Every id
-and number a text input holds is read by one ASCII grammar
+Every file read, written or removed and every directory made goes through
+here, so a path that cannot be used is a FileAccessError, never a traceback.
+Every id and number a text input holds is read by one ASCII grammar
 (:func:`parse_number`).
 """
 
@@ -107,6 +107,16 @@ def make_dir(path: str | Path) -> Path:
     except OSError as exc:
         raise FileAccessError(f"cannot make directory {path}: {exc}") from exc
     return Path(path)
+
+
+def remove_files(directory: str | Path, pattern: re.Pattern, keep: str | None = None) -> None:
+    """Delete every file in ``directory`` whose name ``pattern`` fully matches, but ``keep``."""
+    try:
+        for path in Path(directory).iterdir():
+            if path.name != keep and pattern.fullmatch(path.name) and path.is_file():
+                path.unlink()
+    except OSError as exc:
+        raise FileAccessError(f"cannot remove files in {directory}: {exc}") from exc
 
 
 def csv_lines(path: str | Path) -> list[tuple[int, str]]:

@@ -98,6 +98,7 @@ def fuse_graphs(
 def add_counts(
     matrix: np.ndarray, index: NeighborhoodIndex, pos: np.ndarray, k1: int, counts: np.ndarray, scale: float,
     starts: np.ndarray, slots: np.ndarray | None, col: np.ndarray, scratch: np.ndarray,
+    query_row: np.ndarray | None = None,
 ) -> None:
     """Add one channel's scaled tier-3 counts into ``matrix``, a stack of per-query W blocks.
 
@@ -106,10 +107,11 @@ def add_counts(
     (``center_counts``). Its query's scratch slots, a slot per row position
     and a pad slot, start at ``slots[j, 0]`` (0 if None); a neighbor's
     column read there is a candidate's own, else the spare last one, as for
-    a -1 pad. One ``np.add.at`` adds the scaled counts, so a call per
+    a -1 pad. A candidate at slot n, an out-of-sample query, centers
+    ``query_row``. One ``np.add.at`` adds the scaled counts, so a call per
     channel sums W in channel order.
     """
-    cells = index.position_rows(pos, k1)
+    cells = index.position_rows(pos, k1, query_row)
     if slots is not None:
         cells += slots
     scratch[cells] = matrix.shape[1] - 1
@@ -122,16 +124,16 @@ def query_matrix(parts: Sequence[tuple], col: np.ndarray) -> np.ndarray:
     """One query's C×C W: candidate j's row and column are ``col[j]``.
 
     ``parts`` holds, per channel in summing order, (index, the candidates'
-    row positions, k1, their counts, scale). :func:`add_counts` fills a
-    (C, C + 1) block, the spare column dropped after, with one int64
-    scratch of n + 1 slots, n the largest channel's.
+    row positions, k1, their counts, scale, slot n's query row or None).
+    :func:`add_counts` fills a (C, C + 1) block, the spare column dropped
+    after, with one int64 scratch of the largest channel's slots.
     """
     c = col.shape[0]
     starts = (col * (c + 1))[:, None]  # flat cell (col, 0) of the (C, C + 1) block
-    scratch = np.empty(max((index.n for index, *_ in parts), default=0) + 1, dtype=np.int64)
+    scratch = np.empty(max((index.slots for index, *_ in parts), default=0), dtype=np.int64)
     matrix = np.zeros((c, c + 1))
-    for index, pos, k1, counts, scale in parts:
-        add_counts(matrix, index, pos, k1, counts, float(scale), starts, None, col, scratch)
+    for index, pos, k1, counts, scale, row in parts:
+        add_counts(matrix, index, pos, k1, counts, float(scale), starts, None, col, scratch, row)
     return matrix[:, :c]
 
 
@@ -170,7 +172,7 @@ class TieredPairwise:
         parts = []
         for (idx, k1, k2), scale in zip(channels, scales):
             pos = idx.positions(cand)
-            parts.append((idx, pos, k1, idx.center_counts(pos, k1, k2), scale))
+            parts.append((idx, pos, k1, idx.center_counts(pos, k1, k2), scale, None))
         self.matrix = query_matrix(parts, np.arange(cand.shape[0]))
         self.matrix.setflags(write=False)
 

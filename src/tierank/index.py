@@ -342,18 +342,19 @@ def _spare_row(n: int) -> tuple[np.ndarray, threading.Lock]:
     return np.empty(n, dtype=np.uint64), threading.Lock()
 
 
-def knn_candidates(
+def knn_columns(
     features: FeatureMatrix,
     query_vector: Iterable[float],
     k: int,
     metric: Metric = Metric.L1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact top-k (ids, distances) for an arbitrary query vector.
+    """Exact top-k (feature-row columns, distances) for an arbitrary query vector.
 
-    One row of distances through the selection kernel the build uses. A
-    query vector with a NaN or Inf is a FormatError, raised before the scan.
-    Under the cosine metric the query is checked for a zero vector on every
-    call and the channel once (:attr:`FeatureMatrix.has_zero_vector`).
+    One row of distances through the selection kernel the build uses, so no
+    column comes twice. A query vector with a NaN or Inf is a FormatError,
+    raised before the scan. Under the cosine metric the query is checked
+    for a zero vector on every call and the channel once
+    (:attr:`FeatureMatrix.has_zero_vector`).
     """
     q = np.asarray(query_vector, dtype=np.float64)
     if q.ndim != 1 or q.shape[0] != features.dim:
@@ -366,8 +367,19 @@ def knn_candidates(
         features.check_nonzero()
         _check_nonzero(q[None, :], "query")
     dists = cdist(q[None, :], features.vectors, metric.cdist_name)
-    pos = _Selector(1, features.n).nearest(dists, features.ids, min(k, features.n))[0]
-    return features.ids[pos], dists[0, pos]
+    cols = _Selector(1, features.n).nearest(dists, features.ids, min(k, features.n))[0]
+    return cols, dists[0, cols]
+
+
+def knn_candidates(
+    features: FeatureMatrix,
+    query_vector: Iterable[float],
+    k: int,
+    metric: Metric = Metric.L1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-k (ids, distances) for an arbitrary query vector: :func:`knn_columns` by id."""
+    cols, dists = knn_columns(features, query_vector, k, metric)
+    return features.ids[cols], dists
 
 
 def query_knn(
@@ -412,10 +424,14 @@ class NeighborhoodIndex:
     first, each given by its row position; ``distance_table`` holds the
     matching distances. An entry that is no row position (an id with no row
     of its own, when the tables are built by hand) is a FormatError.
-    ``virtual`` is None, or the one extra row of an out-of-sample query as
-    (id, row positions, distances) (see :meth:`with_virtual`), kept apart so
-    that the shared tables are never copied; it takes position n, one past
-    the stored rows. The kernels read positions (:meth:`positions`,
+    Position n, one past the stored rows, is an out-of-sample query's slot.
+    The ranking kernels (:meth:`position_rows`, :meth:`overlap_counts`,
+    :meth:`center_counts`) read its row from their ``query_row`` argument,
+    which :meth:`query_row` makes; the index is neither copied nor changed.
+    ``virtual`` is None, or an overlay's one extra row as (id, row
+    positions, distances) (see :meth:`with_virtual`), which the kernels
+    read in place of a missing ``query_row`` and every id accessor names.
+    The kernels read positions (:meth:`positions`,
     :meth:`neighbor_positions`, :meth:`position_rows`); every other accessor
     takes and returns ids. Every row must be led by its owner; one that is
     not is a FormatError.
@@ -450,6 +466,17 @@ class NeighborhoodIndex:
     @property
     def n(self) -> int:
         return self.item_ids.shape[0] + (self.virtual is not None)
+
+    @property
+    def slots(self) -> int:
+        """The mark or scratch slots a kernel takes per row: a stored row's each, slot n's and a -1 pad's."""
+        return self.item_ids.shape[0] + 2
+
+    def _slot_row(self, query_row: np.ndarray | None) -> np.ndarray | None:
+        """Slot n's row: ``query_row``, else an overlay's virtual row, else None."""
+        if query_row is None and self.virtual is not None:
+            return self.virtual[1]
+        return query_row
 
     def __contains__(self, item: int) -> bool:
         return self._position(item) >= 0
@@ -512,18 +539,21 @@ class NeighborhoodIndex:
         row, dists = self._entry(item)
         return [(int(i), float(d)) for i, d in zip(self.ids_at(row[:k]), dists[:k])]
 
-    def position_rows(self, positions: np.ndarray, k: int | None = None) -> np.ndarray:
+    def position_rows(
+        self, positions: np.ndarray, k: int | None = None, query_row: np.ndarray | None = None
+    ) -> np.ndarray:
         """The first k neighbor positions of every row in ``positions``, as one int64 matrix.
 
-        Row j belongs to ``positions[j]``. A row shorter than the matrix
-        (when n < k, or for the virtual row) is right-padded with -1, which
-        is no position; only the virtual row can be wider than the stored
-        ones, by one entry when n < k.
+        Row j belongs to ``positions[j]``; slot n's row is ``query_row`` (see
+        :meth:`_slot_row`). A row shorter than the matrix (when n < k, or for
+        slot n's) is right-padded with -1, which is no position; only slot
+        n's row can be wider than the stored ones, by one entry when n < k.
         """
         out = self.neighbor_table.take(positions, axis=0, mode="clip")[:, :k]
-        if self.virtual is None:
+        row = self._slot_row(query_row)
+        if row is None:
             return out
-        row = self.virtual[1][:k]
+        row = row[:k]
         if row.shape[0] > out.shape[1]:
             pad = np.full((out.shape[0], row.shape[0] - out.shape[1]), -1, dtype=np.int64)
             out = np.concatenate((out, pad), axis=1)
@@ -533,7 +563,7 @@ class NeighborhoodIndex:
         return out
 
     def overlap_counts(
-        self, near: np.ndarray, k2: int, marks: np.ndarray | None = None
+        self, near: np.ndarray, k2: int, marks: np.ndarray | None = None, query_row: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """The tier-3 counting kernel, over a block of B neighbor rows: (rows, counts).
 
@@ -542,14 +572,15 @@ class NeighborhoodIndex:
         the k2 rows of its entries, shape (B, width, k2 width), and
         ``counts[b, c]`` is |N_k2(j) ∩ near[b]| for j = ``near[b, c]``: how
         many of j's k2 neighbors lie in row b. A -1 pad's count is
-        meaningless. Membership is a mark per (row, position) in ``marks``,
-        a flat boolean scratch of at least B·(n + 1) entries, all False; the
-        kernel leaves it so, which lets one buffer serve every block of a
-        table build. Without one, a scratch is allocated.
+        meaningless. Slot n's row, when ``near`` names it, is ``query_row``.
+        Membership is a mark per (row, position) in ``marks``, a flat boolean
+        scratch of at least B·:attr:`slots` entries, all False; the kernel
+        leaves it so, which lets one buffer serve every block of a table
+        build. Without one, a scratch is allocated.
         """
-        rows = self.position_rows(near.ravel(), k2)
+        rows = self.position_rows(near.ravel(), k2, query_row)
         rows = rows.reshape(*near.shape, rows.shape[1])
-        stride = self.n + 1  # a slot per position, then the pad's
+        stride = self.slots
         if marks is None:
             marks = np.zeros(near.shape[0] * stride, dtype=bool)
         marks = marks[: near.shape[0] * stride]
@@ -583,21 +614,25 @@ class NeighborhoodIndex:
             table = self._tables.setdefault((k1, k2), self._build_overlap_table(k1, k2))
         return table
 
-    def center_counts(self, positions: np.ndarray, k1: int, k2: int) -> np.ndarray:
+    def center_counts(
+        self, positions: np.ndarray, k1: int, k2: int, query_row: np.ndarray | None = None
+    ) -> np.ndarray:
         """The tier-3 counts of the rows in ``positions``, shaped as :meth:`position_rows` gives them.
 
-        A stored row's are its row of :meth:`overlap_table`; the virtual
-        row's are counted by :meth:`overlap_counts`; a -1 pad's are 0.
+        A stored row's are its row of :meth:`overlap_table`; slot n's row
+        (``query_row``, see :meth:`_slot_row`) is counted by
+        :meth:`overlap_counts`; a -1 pad's are 0.
         """
         counts = self.overlap_table(k1, k2).take(positions, axis=0, mode="clip")
-        if self.virtual is None:
+        row = self._slot_row(query_row)
+        if row is None:
             return counts
-        row = self.virtual[1][None, :k1]  # one entry wider than a stored row when n < k
-        wide = np.zeros((positions.shape[0], max(counts.shape[1], row.shape[1])), dtype=counts.dtype)
+        near = row[None, :k1]  # one entry wider than a stored row when n < k
+        wide = np.zeros((positions.shape[0], max(counts.shape[1], near.shape[1])), dtype=counts.dtype)
         wide[:, : counts.shape[1]] = counts
         hit = positions == self.item_ids.shape[0]
         wide[hit] = 0
-        wide[hit, : row.shape[1]] = self.overlap_counts(row, k2)[1]
+        wide[hit, : near.shape[1]] = self.overlap_counts(near, k2, query_row=row)[1]
         return wide
 
     def _build_overlap_table(self, k1: int, k2: int) -> np.ndarray:
@@ -608,45 +643,65 @@ class NeighborhoodIndex:
             block = slice(start, start + _TABLE_BLOCK_ROWS)
             table[block] = self.overlap_counts(self.neighbor_table[block, :k1], k2, marks)[1]
 
-        marks = _TABLE_BLOCK_ROWS * (self.n + 1)  # a worker's flat mark scratch, all False
+        marks = _TABLE_BLOCK_ROWS * self.slots  # a worker's flat mark scratch, all False
         _spread(range(0, stored, _TABLE_BLOCK_ROWS), _usable_cores(), lambda: np.zeros(marks, dtype=bool), work)
         table.setflags(write=False)
         return table
 
-    def with_virtual(self, item: int, ids: np.ndarray, dists: np.ndarray) -> "NeighborhoodIndex":
-        """This index plus the one synthetic row of an out-of-sample query ``item``.
-
-        Used to treat the query as a temporary member of its own candidate
-        set; the stored index is not modified, and nothing of size n is
-        copied. The row, given in ids, must meet the identity every stored
-        row meets: led by ``item`` at distance 0, finite distances, and every
-        later id stored and named once. ``item`` takes row position n, one
-        past the stored rows. An index holds one virtual row at most, so
-        overlaying an overlay is a FormatError.
-        """
+    def _check_query_id(self, item: int) -> None:
+        """Refuse ``item`` as slot n's id: on an overlay, and when it is stored or negative."""
         if self.virtual is not None:
             raise FormatError(f"virtual id {item}: the index already holds virtual row {self.virtual[0]}")
         if item in self:
             raise FormatError(f"virtual id {item} collides with an indexed item")
         if item < 0:
             raise FormatError(f"virtual id {item} is negative")
+
+    def query_row(self, item: int, positions: np.ndarray, dists: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """Slot n's row for the out-of-sample query ``item``: n, then ``positions``.
+
+        ``positions`` are the row positions of the query's nearest items
+        ``ids`` at ``dists``, as the kNN kernel gives them (in (distance, id)
+        order and none twice), -1 for an id with no row. The ranking kernels
+        take the row as their ``query_row``. It is refused as
+        :meth:`with_virtual` refuses a row: on an overlay, for an ``item``
+        that is stored, negative or no int64, for a non-finite distance, and
+        for an id with no row.
+        """
+        row = np.concatenate(([item], positions)).astype(np.int64)
+        self._check_query_id(item)
+        if row[0] != item:
+            raise FormatError(f"virtual row {item} is not led by its owner at distance 0")
+        if not np.isfinite(dists).all():
+            raise FormatError(f"virtual row {item} has a non-finite distance")
+        if row.min() < 0:
+            raise FormatError(f"virtual row {item} names item {ids[positions < 0][0]}, which is not stored")
+        row[0] = self.item_ids.shape[0]
+        return row
+
+    def with_virtual(self, item: int, ids: np.ndarray, dists: np.ndarray) -> "NeighborhoodIndex":
+        """This index plus the one synthetic row of an out-of-sample query ``item``, as an overlay.
+
+        The stored index is not modified, and nothing of size n is copied.
+        The row, given in ids, must meet the identity every stored row
+        meets: led by ``item`` at distance 0, finite distances, and every
+        later id stored and named once (:meth:`query_row` checks the rest).
+        ``item`` takes row position n, one past the stored rows. An index
+        holds one virtual row at most, so overlaying an overlay is a
+        FormatError. No ranking builds an overlay: it is an inspection view
+        of :meth:`query_row`.
+        """
+        self._check_query_id(item)
         ids = np.array(ids, dtype=np.int64)
         dists = np.array(dists, dtype=np.float64)
         if ids.ndim != 1 or ids.shape != dists.shape:
             raise FormatError(f"virtual row {item}: ids and distances differ in length")
         if ids.shape[0] == 0 or ids[0] != item or dists[0] != 0.0:
             raise FormatError(f"virtual row {item} is not led by its owner at distance 0")
-        if not np.isfinite(dists).all():
-            raise FormatError(f"virtual row {item} has a non-finite distance")
-        # one sort finds both faults: an id with no stored row (-1, which
-        # sorts first) and an id named twice (equal neighbors)
         stored = _row_positions(self.item_ids, ids[1:])
-        ranked = np.sort(stored)
-        if ranked.size and ranked[0] < 0:
-            raise FormatError(f"virtual row {item} names item {ids[1:][stored < 0][0]}, which is not stored")
-        if (ranked[1:] == ranked[:-1]).any():
+        row = self.query_row(item, stored, dists[1:], ids[1:])
+        if np.unique(stored).shape[0] < stored.shape[0]:
             raise FormatError(f"virtual row {item} names an id twice")
-        row = np.concatenate(([self.item_ids.shape[0]], stored))
         row.setflags(write=False)
         dists.setflags(write=False)
         # a shallow copy shares the tables, which were checked when they were made

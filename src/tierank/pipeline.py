@@ -4,23 +4,27 @@ Single-channel runs emit the tiered re-ranked candidate list directly.
 Multi-channel runs take the union of the query's per-channel candidates,
 build their fused affinity matrix once, and grow the final list greedily;
 the fused tier-3 weights that break ties are the matrix's query row, so no
-per-channel tiered graph is built. Out-of-sample queries are supported by
-injecting the query as a virtual member of its own candidate set, so no
-index is rebuilt. A batch runs in blocks: one union, one affinity-matrix
+per-channel tiered graph is built. An out-of-sample query ranks as a stored
+one does, from its own row of row positions per channel: the slot one past
+the stored rows, then its nearest stored items by the kNN kernel
+(:meth:`Channel.query_row`). The ranking kernels read that row where a
+stored query's comes from the neighbor table, so no index is rebuilt,
+copied or changed. A batch runs in blocks: one union, one affinity-matrix
 build and one greedy selection in lockstep per block, on the single
 query's front end (:func:`_candidates`) and with its rankings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DimensionError, EmptyChannelListError, FormatError, TierankError
 from .fusion import add_counts, greedy_loop, query_matrix
-from .index import FeatureMatrix, NeighborhoodIndex, knn_candidates
+from .index import FeatureMatrix, NeighborhoodIndex, _row_positions, knn_columns
 from .ranking import FinalRanking, RankedList
 from .rerank import resolve_k, tiered_rerank
 
@@ -42,39 +46,39 @@ class Channel:
         if self.name != self.index.channel_name:
             raise FormatError(f"channel {self.name!r} holds the index of channel {self.index.channel_name!r}")
 
+    @cached_property
+    def _feature_rows(self) -> np.ndarray:
+        """The index row position of every feature row, -1 for an id the index does not hold."""
+        return _row_positions(self.index.item_ids, self.features.ids)
+
+    def query_row(self, vector: np.ndarray, vid: int) -> np.ndarray:
+        """The row of the out-of-sample query ``vid`` at ``vector``: its slot, then its nearest stored items.
+
+        The nearest k - 1 feature rows come from the kNN kernel
+        (:func:`~tierank.index.knn_columns`) and become row positions by one
+        ``take`` through :attr:`_feature_rows`;
+        :meth:`NeighborhoodIndex.query_row` checks ``vid`` and the row. A
+        channel with no features, a vector of another dimension and one
+        with a NaN or Inf are refused first, the last also when k = 1 and
+        no scan runs.
+        """
+        if self.features is None:
+            raise FormatError(f"channel {self.name!r} has no feature matrix for vector queries")
+        if vector.shape[0] != self.features.dim:
+            raise DimensionError(f"query dim {vector.shape[0]} != channel {self.name!r} dim {self.features.dim}")
+        if not np.isfinite(vector).all():
+            raise FormatError("query vector contains NaN or Inf")
+        want = min(self.index.k - 1, self.features.n)
+        if want > 0:
+            cols, dists = knn_columns(self.features, vector, want, self.index.metric)
+        else:
+            cols, dists = np.empty(0, dtype=np.int64), np.empty(0)
+        return self.index.query_row(vid, self._feature_rows.take(cols), dists, self.features.ids.take(cols))
+
 
 def virtual_query_id(channels: Sequence[Channel]) -> int:
     """An id guaranteed not to collide with any stored item."""
     return max((int(ch.index.item_ids[-1]) for ch in channels), default=-1) + 1
-
-
-def attach_virtual_query(channels: Sequence[Channel], vector: Iterable[float], vid: int) -> list[Channel]:
-    """Insert an out-of-sample query vector as a virtual item on every channel.
-
-    The virtual entry's neighbor list is the query itself at distance 0
-    followed by its nearest stored items, mirroring a stored entry.
-    """
-    vec = np.asarray(vector, dtype=np.float64)
-    out = []
-    for ch in channels:
-        if ch.features is None:
-            raise FormatError(f"channel {ch.name!r} has no feature matrix for vector queries")
-        if vec.shape[0] != ch.features.dim:
-            raise DimensionError(
-                f"query dim {vec.shape[0]} != channel {ch.name!r} dim {ch.features.dim}"
-            )
-        if not np.isfinite(vec).all():  # checked here, as a k = 1 channel runs no scan
-            raise FormatError("query vector contains NaN or Inf")
-        want = min(ch.index.k - 1, ch.features.n)
-        if want > 0:
-            ids, dists = knn_candidates(ch.features, vec, want, ch.index.metric)
-        else:
-            ids = np.empty(0, dtype=np.int64)
-            dists = np.empty(0, dtype=np.float64)
-        v_ids = np.concatenate(([vid], ids)).astype(np.int64)
-        v_dists = np.concatenate(([0.0], dists))
-        out.append(replace(ch, index=ch.index.with_virtual(vid, v_ids, v_dists)))
-    return out
 
 
 def rerank_query(
@@ -83,19 +87,26 @@ def rerank_query(
     k_final: int | None = None,
 ) -> RankedList:
     """Re-rank one query; fuses channels when more than one is configured."""
+    return _rerank(channels, query, k_final, None)
+
+
+def _rerank(
+    channels: Sequence[Channel], query: int, k_final: int | None, query_rows: list[np.ndarray] | None
+) -> RankedList:
+    """:func:`rerank_query`; with ``query_rows``, of the out-of-sample query ``query`` with these rows per channel."""
     if len(channels) == 0:
         raise EmptyChannelListError("at least one channel required")
     if len(channels) == 1:
-        ch = channels[0]
-        return tiered_rerank(ch.index, query, alpha=ch.alpha, k1=ch.k1, k2=ch.k2)
-    cand, _, rank, weights, own, lookups = _candidates(channels, [query])
+        ch, row = channels[0], None if query_rows is None else query_rows[0]
+        return tiered_rerank(ch.index, query, alpha=ch.alpha, k1=ch.k1, k2=ch.k2, query_row=row)
+    cand, _, rank, weights, own, lookups = _candidates(channels, [query], query_rows)
     k_final = max(ch.k1 for ch in channels) if k_final is None else k_final
     if k_final < 1:
         raise ValueError("k must be >= 1")
     # W in tie-break order (higher weight, lower distance rank, then smaller id, as candidates come by id)
     order = np.lexsort((rank, -weights))
     col = np.argsort(order)  # every candidate's row and column of W
-    matrix = query_matrix([(ch.index, pos, ch.k1, counts, ch.alpha) for ch, pos, counts in lookups], col)
+    matrix = query_matrix([(ch.index, pos, ch.k1, counts, ch.alpha, row) for ch, pos, counts, row in lookups], col)
     final = greedy_loop(matrix, cand[order].tolist(), int(col[own[0]]), k_final)
     return final.to_ranked_list(tier="mfr")
 
@@ -106,11 +117,18 @@ def rerank_vector_query(
     k_final: int | None = None,
     vid: int | None = None,
 ) -> RankedList:
-    """Re-rank an out-of-sample query given as a raw vector."""
+    """Re-rank an out-of-sample query given as a raw vector, named ``vid``.
+
+    Every channel, in input order, gives the query's row
+    (:meth:`Channel.query_row`), and the ranking runs as
+    :func:`rerank_query`'s on those rows, so it equals the ranking of an
+    index holding the query as an item. ``vid`` defaults to one past the
+    largest stored id (:func:`virtual_query_id`).
+    """
     if vid is None:
         vid = virtual_query_id(channels)
-    extended = attach_virtual_query(channels, vector, vid)
-    return rerank_query(extended, vid, k_final=k_final)
+    vec = np.asarray(vector, dtype=np.float64)
+    return _rerank(channels, vid, k_final, [ch.query_row(vec, vid) for ch in channels])
 
 
 def batch_rerank(
@@ -125,7 +143,7 @@ def batch_rerank(
     by its estimate (32 at most), and each block runs through one kernel:
     one candidate union, one affinity-matrix build and one greedy selection
     in lockstep for all its queries (:func:`_rerank_block`). The blocks
-    share one scratch of B·(n + 1) slots, each the smallest integer that
+    share one scratch of B·(n + 2) slots, each the smallest integer that
     holds a column. A single query, a single channel and a rule of one
     query a block take the loop over :func:`rerank_query`, whose 1-D greedy
     loop is the faster for one query. Both give the same rankings bit for
@@ -139,7 +157,8 @@ def batch_rerank(
         return [rerank_query(channels, q, k_final=k_final) for q in queries]
     blocks = -(-len(queries) // per)
     bounds = [len(queries) * b // blocks for b in range(blocks + 1)]
-    scratch = np.empty(-(-len(queries) // blocks) * (n + 1), dtype=np.min_scalar_type(sum(k1s)))
+    slots = max(ch.index.slots for ch in channels)
+    scratch = np.empty(-(-len(queries) // blocks) * slots, dtype=np.min_scalar_type(sum(k1s)))
     out: list[RankedList] = []
     for start, stop in zip(bounds, bounds[1:]):
         out += _rerank_block(channels, queries[start:stop], k_final, scratch)
@@ -159,29 +178,38 @@ def _block_queries(k1s: Sequence[int], n: int) -> int:
     return max(1, min(_BLOCK_CAP, _BLOCK_BUDGET // per_query)) if min(k1s) > 0 else 1
 
 
-def _candidates(channels: Sequence[Channel], queries: list[int]) -> tuple:
+def _candidates(
+    channels: Sequence[Channel], queries: list[int], query_rows: Sequence[np.ndarray] | None = None
+) -> tuple:
     """The front end of fused ranking, for B queries: their candidates and all that ranks them.
 
     Channels are checked and give their k1 rows in input order, then
-    duplicate names are refused; the first fault raises. Returns, for every
-    query's candidates side by side, by id: their ids, queries, distance
-    ranks and fused weights (W's query row, the query's own counts summed
-    in channel-name order); every query's own candidate; and per channel,
-    in name order, (channel, the candidates' row positions, their counts).
+    duplicate names are refused; the first fault raises. With
+    ``query_rows``, B is 1 and the query is out of sample: its row on every
+    channel, in input order, is given (:meth:`Channel.query_row`), led by
+    its slot. Returns, for every query's candidates side by side, by id:
+    their ids, queries, distance ranks and fused weights (W's query row,
+    the query's own counts summed in channel-name order); every query's own
+    candidate; and per channel, in name order, (channel, the candidates'
+    row positions, their counts, the given query row or None).
     """
+    query_rows = [None] * len(channels) if query_rows is None else query_rows
     qrows = []
-    for ch in channels:
+    for ch, row in zip(channels, query_rows):
         resolve_k(ch.index, ch.alpha, ch.k1, ch.k2)
-        qrows.append(ch.index.position_rows(ch.index.positions(queries), ch.k1))
+        at = ch.index.positions(queries) if row is None else row[:1]  # a row is led by its owner
+        qrows.append(ch.index.position_rows(at, ch.k1, row))
     names = [ch.name for ch in channels]
     if len(set(names)) != len(names):
         raise FormatError(f"duplicate channel names in fusion: {names}")
-    by_name, qrows = zip(*sorted(zip(channels, qrows), key=lambda pair: pair[0].name))
+    by_name, qrows, query_rows = zip(*sorted(zip(channels, qrows, query_rows), key=lambda t: t[0].name))
     rows = np.concatenate(qrows, axis=1)
+    ranks = np.concatenate([np.arange(r.shape[1]) for r in qrows])
     ids = np.concatenate([ch.index.ids_at(r) for ch, r in zip(by_name, qrows)], axis=1)
+    if query_rows[0] is not None:  # the slot that leads each row names the query
+        ids[:, ranks == 0] = queries
     if rows.min() < 0:  # a -1 pad, in a row narrower than another channel's, stands for the query
         ids = np.where(rows < 0, ids[:, :1], ids)
-    ranks = np.concatenate([np.arange(r.shape[1]) for r in qrows])
     # each query's entries by id (``flat`` indexes the raveled rows): an
     # id's first entry, never a pad, is its candidate
     order = ids.argsort(axis=1, kind="stable")
@@ -197,15 +225,18 @@ def _candidates(channels: Sequence[Channel], queries: list[int]) -> tuple:
     entry[flat] = np.cumsum(first) - 1
     # a candidate's position in the row that named it, searched for where a channel's ids differ
     known = rows.take(flat[starts])
+    own = entry[:: ids.shape[1]]
     lookups = []
-    for ch in by_name:
+    for ch, r, row in zip(by_name, qrows, query_rows):
         pos = np.minimum(known, ch.index.item_ids.shape[0] - 1)
         miss = ch.index.item_ids[pos] != cand
+        if row is not None:  # the query's candidate is its slot, on every channel
+            miss[own] = False
+            pos[own] = r[:, 0]
         if miss.any():
             pos[miss] = ch.index.positions(cand[miss])
-        lookups.append((ch, pos, ch.index.center_counts(pos, ch.k1, ch.k2)))
-    own = entry[:: ids.shape[1]]
-    scaled = [np.multiply(counts[own], float(ch.alpha), dtype=np.float64) for ch, _, counts in lookups]
+        lookups.append((ch, pos, ch.index.center_counts(pos, ch.k1, ch.k2, row), row))
+    scaled = [np.multiply(counts[own], float(ch.alpha), dtype=np.float64) for ch, _, counts, _ in lookups]
     weights = np.bincount(entry, np.concatenate(scaled, axis=1).ravel(), minlength=cand.shape[0])
     return cand, owner, rank, weights, own, lookups
 
@@ -224,7 +255,7 @@ def _rerank_block(
     2. every query's W, rows and columns in tie-break order, as one stack
        of B padded (Cmax + 1, Cmax + 1) blocks: one call of the W builder
        :func:`~tierank.fusion.add_counts` a channel, in name order, query
-       b's slots of ``scratch`` starting at b·(n + 1);
+       b's slots of ``scratch`` starting at b·(n + 2);
     3. the loop of :func:`~tierank.fusion.greedy_loop` for every query at
        once: per step a row gather, the taken entry masked and a row-wise
        ``argmax``. Padding starts at -inf, argmax returns the first
@@ -252,8 +283,8 @@ def _rerank_block(
     lane = owner * width + col  # a candidate's row of the stack, and its entry of acc
     starts = (lane * width)[:, None]
     matrix = np.zeros((b * width, width))
-    for ch, pos, counts in lookups:
-        slots = (owner * (ch.index.n + 1))[:, None]  # query b's slots of the scratch start at b·(n + 1)
+    for ch, pos, counts, _ in lookups:
+        slots = (owner * ch.index.slots)[:, None]  # query b's slots of the scratch start at b·(n + 2)
         add_counts(matrix, ch.index, pos, ch.k1, counts, float(ch.alpha), starts, slots, col, scratch)
 
     steps = [min(k_final, size - 1) for size in sizes.tolist()]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import FormatError, read_text, write_text
+from .errors import FormatError, parse_number, read_text, write_text
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ def write_rankings_tsv(rankings: Iterable[RankedList], path: str | Path) -> None
 
 
 def read_rankings_tsv(path: str | Path) -> list[RankedList]:
-    """Read rankings back, grouped by query in file order."""
+    """Read rankings back, grouped by query in file order; numbers in :func:`errors.parse_number`'s grammar."""
     lines = read_text(path).splitlines()
     rankings: list[RankedList] = []
     current_query: int | None = None
@@ -78,10 +78,8 @@ def read_rankings_tsv(path: str | Path) -> list[RankedList]:
         if len(parts) != 5:
             raise FormatError(f"{path}:{lineno}: expected 5 tab-separated fields")
         try:
-            query = int(parts[0])
-            rank = int(parts[1])
-            item = int(parts[2])
-            score = float(parts[3])
+            query, rank, item = (parse_number(text, int) for text in parts[:3])
+            score = parse_number(parts[3])
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: malformed ranking row") from exc
         tier = parts[4]

@@ -6,8 +6,8 @@ counts, for each candidate, how many of its neighbors are tier-2-connected
 to the query. Every neighbor row starts with its owner, so tier 2 keeps
 every candidate and tier 3 is tier 1's overlap count: the index's counting
 kernel, run on the query's row, gives each candidate's overlap with the
-query's set and their union size,
-the rankings sort those arrays, and :func:`tiered_graph` builds the tier-1
+query's set (and, for tier 1, their union size), the rankings sort those
+arrays, and :func:`tiered_graph` builds the tier-1
 and tier-3 :class:`QueryGraph` views from them for inspection only. Sorting
 by tier 3 demotes candidates whose own neighborhoods point away from the
 query's, which makes the scheme robust to outliers sitting next to the
@@ -76,26 +76,36 @@ def resolve_k(index: NeighborhoodIndex, alpha: float, k1: int | None, k2: int | 
     return k1, k2
 
 
-def _overlaps(index: NeighborhoodIndex, query: int, k1: int, k2: int) -> tuple[np.ndarray, ...]:
-    """(candidates, overlaps, unions, Jaccard) of one query, one entry per candidate.
+def _overlaps(
+    index: NeighborhoodIndex, query: int, k1: int, k2: int, query_row: np.ndarray | None = None
+) -> tuple[np.ndarray, ...]:
+    """(candidates, overlaps, their k2 rows) of one query, one entry per candidate.
 
-    The candidates are the query's k1 row in distance order; candidate x's
-    overlap is |N_k2(x) ∩ N_k1(q)| and its union |N_k2(x) ∪ N_k1(q)|. The
+    The candidates are the query's k1 row in distance order: its row of
+    the table, or ``query_row`` for an out-of-sample query, whose slot n
+    it names ``query``. Candidate x's overlap is |N_k2(x) ∩ N_k1(q)|. The
     overlaps are the index's counting kernel run on the query's one row, so
     a single-channel query never builds an overlap table. Every row is led
     by its owner (the index checks it), which makes tier 3 this overlap.
     """
-    nearest = index.neighbor_positions(query, k1)
-    rows, counts = index.overlap_counts(nearest[None, :], k2)
-    overlaps = counts[0].astype(np.int64)
-    unions = np.count_nonzero(rows[0] >= 0, axis=1) + nearest.shape[0] - overlaps
+    nearest = index.neighbor_positions(query, k1) if query_row is None else query_row[:k1]
+    rows, counts = index.overlap_counts(nearest[None, :], k2, query_row=query_row)
+    ids = index.ids_at(nearest)
+    if query_row is not None:
+        ids[0] = query
+    return ids, counts[0].astype(np.int64), rows[0]
+
+
+def _jaccard(overlaps: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(unions, Jaccard) of the candidates :func:`_overlaps` gives: |N_k2(x) ∪ N_k1(q)| and overlap / union."""
+    unions = np.count_nonzero(rows >= 0, axis=1) + rows.shape[0] - overlaps
     # Sorting on these floats gives the exact Fraction order. A union never
     # exceeds d = k1 + k2, so two different values a/b and c/e (b, e <= d)
     # differ by at least 1/(b·e) >= 1/d², while a correctly rounded quotient
     # in [0, 1] is off by at most 2**-54; distinct values therefore keep
     # their order whenever d² < 2**53, which holds for any k below 4·10**7.
     # Equal fractions are the same real number and round to the same float.
-    return index.ids_at(nearest), overlaps, unions, overlaps / unions
+    return unions, overlaps / unions
 
 
 def tiered_graph(
@@ -111,7 +121,8 @@ def tiered_graph(
     ``overlap``; tier 3 by its overlap count, tier 1's numerator.
     """
     k1, k2 = resolve_k(index, alpha, k1, k2)
-    nearest, overlaps, unions, jac = _overlaps(index, query, k1, k2)
+    nearest, overlaps, rows = _overlaps(index, query, k1, k2)
+    unions, jac = _jaccard(overlaps, rows)
     order = tuple(nearest.tolist())
     counts = overlaps.tolist()
     tier1 = QueryGraph(
@@ -130,7 +141,8 @@ def tier1_rerank(
     k2: int | None = None,
 ) -> RankedList:
     """Candidates by descending tier-1 weight, ties in distance order (single-tier re-ranking)."""
-    nearest, _, _, jac = _overlaps(index, query, *resolve_k(index, alpha, k1, k2))
+    nearest, overlaps, rows = _overlaps(index, query, *resolve_k(index, alpha, k1, k2))
+    _, jac = _jaccard(overlaps, rows)
     order = np.argsort(-jac, kind="stable")
     entries = tuple(zip(nearest[order].tolist(), (alpha * jac[order]).tolist()))
     return RankedList(query=int(nearest[0]), entries=entries, tier="1", channel=index.channel_name)
@@ -142,14 +154,17 @@ def tiered_rerank(
     alpha: float = 1.0,
     k1: int | None = None,
     k2: int | None = None,
+    query_row: np.ndarray | None = None,
 ) -> RankedList:
     """Full three-tier re-ranking of the query's candidate set.
 
     Candidates sort by descending tier-3 weight; ties fall back to the
     original distance rank. The query itself, named by its stored id, is
     always first, and the output is a permutation of the candidate set.
+    With ``query_row`` (:meth:`NeighborhoodIndex.query_row`), ``query`` is
+    an out-of-sample query with that row at slot n.
     """
-    nearest, overlaps, _, _ = _overlaps(index, query, *resolve_k(index, alpha, k1, k2))
+    nearest, overlaps, _ = _overlaps(index, query, *resolve_k(index, alpha, k1, k2), query_row)
     # lexsort is stable and its last key decides first: the query, then
     # tier 3, then the distance rank (row position). Tier-1 Jaccard
     # c/(len + k1 - c) needs no key of its own: every candidate but the

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from tierank.evaluation import GroundTruth
 from tierank.fusion import TieredPairwise, fuse_graphs
-from tierank.index import FeatureMatrix, Metric, NeighborhoodIndex, build_index
+from tierank.index import FeatureMatrix, Metric, NeighborhoodIndex, build_index, knn_candidates
 from tierank.pipeline import Channel
 from tierank.rerank import tiered_graph
 
@@ -25,6 +25,20 @@ def random_channels(rng, n, m, k, dim=4, metric=Metric.L1):
         index = build_index(fm, k=k, metric=metric)
         channels.append(Channel(name=f"ch{c}", index=index, k1=k, k2=k, features=fm))
     return channels
+
+
+def overlay_query(channels, vector, vid):
+    """The channels with an out-of-sample query overlaid: its kNN row, led by ``vid``, through ``with_virtual``.
+
+    The composition ``rerank_vector_query`` once ran, which the tests hold
+    its rankings and errors to.
+    """
+    out = []
+    for ch in channels:
+        want = min(ch.index.k - 1, ch.features.n)
+        ids, dists = knn_candidates(ch.features, vector, want, ch.index.metric) if want > 0 else ([], [])
+        out.append(replace(ch, index=ch.index.with_virtual(vid, [vid, *ids], [0.0, *dists])))
+    return out
 
 
 def fused_instance(rng, n, m, k, dim=4):

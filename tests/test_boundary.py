@@ -335,10 +335,16 @@ def _number_inputs(base):
         "query vectors": ("0.5 0.25\n1.0,20.0\n", base / "vectors.txt",
                           [*rerank, "--query-vectors", str(base / "vectors.txt")]),
         "query ids": ("0,10,3,11", None, [*rerank, "--query-ids"]),
+        "rankings tsv": ("0\t1\t0\t12.0\tmfr\n0\t2\t10\t3.25\tmfr\n\n3\t1\t3\t0.0\tmfr\n", base / "ranked.tsv",
+                         ["eval", "--rankings", str(base / "ranked.tsv"), "--truth", str(scen / "truth.csv")]),
+        "config": ("[channel:plane]\nfeatures = plane.csv\nk1 = 5\nk2 = 3\nalpha = 1.25\n\n[rerank]\nk_final = 10\n"
+                   "\n[run]\nseed = 0\n", scen / "pipeline.cfg", [*rerank, "--query-ids", "0"]),
     }
 
 
-@pytest.mark.parametrize("name", ["feature csv", "truth csv", "queries file", "query vectors", "query ids"])
+@pytest.mark.parametrize(
+    "name", ["feature csv", "truth csv", "queries file", "query vectors", "query ids", "rankings tsv", "config"]
+)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_underscores_and_other_digits_in_a_number_are_a_data_error(scenario, name, data):
@@ -366,7 +372,21 @@ def test_underscores_and_other_digits_in_a_number_are_a_data_error(scenario, nam
             code, _, err = _run(argv)
         finally:
             path.write_bytes(valid)
-        expected = f"error\tFormatError\t{path}:{lineno}: "
+        # a config value is named by its section, not its line
+        expected = f"error\tFormatError\t{path}:" + (" " if name == "config" else f"{lineno}: ")
     assert code == 3, name
     _one_error_line(err)
     assert err.startswith(expected), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--rankings", "{base}/ranked.tsv", "--truth", "{base}/scen/truth.csv", "--r", "{bad}"],
+    ["bench", "--n", "{bad}", "--queries", "100"],
+    ["bench", "--k", "{bad}"],
+])
+@pytest.mark.parametrize("bad", ["1_0", "1,1_0", "\uff11", "1,\u0663"])
+def test_underscores_and_other_digits_in_a_count_flag_are_a_data_error(scenario, argv, bad):
+    code, out, err = _run([arg.format(base=scenario[0], bad=bad) for arg in argv])
+    flag = next(arg for arg in argv if arg.startswith("--") and "{bad}" in argv[argv.index(arg) + 1])
+    assert code == 3 and out == ""
+    _one_error_line(err, f"FormatError\tbad {flag} value {bad!r}: want comma-separated integers")

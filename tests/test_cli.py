@@ -725,6 +725,25 @@ def test_rerank_output_is_the_same_with_the_table_file_present_missing_or_stale(
     assert _ranked(rerank, idx) == (0, edited, "")
 
 
+def test_index_removes_the_tables_of_another_k(tmp_path):
+    # indexing at k1 = 9 and then at k1 = 12 into one directory leaves one
+    # table per channel, the current one; a single-channel config then
+    # removes its channel's table, and no other channel's file is touched
+    rerank = _fused_inputs(tmp_path)
+    idx = tmp_path / "idx"
+    _index(tmp_path / "fused.cfg", idx)
+    (idx / "a.b.9-6.tier3").write_bytes(b"another channel's")  # channel "a.b", not "a"
+    (tmp_path / "wide.cfg").write_text((tmp_path / "fused.cfg").read_text().replace("k1 = 9", "k1 = 12"))
+    _index(tmp_path / "wide.cfg", idx)
+    assert sorted(p.name for p in idx.iterdir()) == ["a.12-6.tier3", "a.b.9-6.tier3", "a.index", "b.12-6.tier3",
+                                                     "b.index"]
+    code, ranked, _ = _ranked([*rerank[:2], str(tmp_path / "wide.cfg"), *rerank[3:]], idx)
+    assert code == 0 and ranked
+    (tmp_path / "single.cfg").write_text("[channel:a]\nfeatures = a.csv\nk1 = 12\nk2 = 6\n")
+    _index(tmp_path / "single.cfg", idx)
+    assert sorted(p.name for p in idx.iterdir()) == ["a.b.9-6.tier3", "a.index", "b.12-6.tier3", "b.index"]
+
+
 @pytest.mark.parametrize("case", ["truncated", "a flipped count", "a count above min(k1, k2)"])
 def test_rerank_on_a_malformed_table_file_exits_3(tmp_path, case):
     rerank = _fused_inputs(tmp_path)

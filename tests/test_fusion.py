@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import contextlib
+import io
 import sys
 import threading
 import tracemalloc
@@ -14,19 +16,22 @@ from dataclasses import replace
 from functools import partial
 from types import SimpleNamespace
 
-from conftest import FunctionPairwise, fused_instance, random_channels
+from conftest import FunctionPairwise, fused_instance, overlay_query, random_channels
 from tierank import pipeline
 from tierank.bench import restricted_channels
-from tierank.errors import EmptyChannelListError, FormatError, QueryMismatchError, UnknownItemError
+from tierank.cli import main
+from tierank.errors import (
+    DimensionError, EmptyChannelListError, FormatError, QueryMismatchError, UnknownItemError, ZeroVectorError,
+)
 from tierank.fusion import TieredPairwise, fuse_graphs, greedy_select
-from tierank.index import FeatureMatrix, NeighborhoodIndex, build_index, knn_candidates
+from tierank.index import FeatureMatrix, Metric, NeighborhoodIndex, build_index, knn_candidates, write_features_csv
 from tierank.oracles import brute_force_knn, oracle_greedy_select, oracle_pairwise, oracle_tier3
+from tierank.index import _row_positions
 from tierank.pipeline import (
     _BLOCK_BUDGET,
     _BLOCK_CAP,
     _block_queries,
     Channel,
-    attach_virtual_query,
     batch_rerank,
     rerank_query,
     rerank_vector_query,
@@ -248,7 +253,7 @@ def _pairwise_instances(draw):
     """
     channels, query, vector = draw(_query_instances())
     if vector is not None:
-        channels = attach_virtual_query(channels, vector, query)
+        channels = overlay_query(channels, vector, query)
     return channels, query
 
 
@@ -372,7 +377,7 @@ def test_a_channel_is_named_after_its_index():
         Channel("x", a.index, 4, 4)
     with pytest.raises(FormatError):
         [Channel(name, ch.index, 4, 4) for name, ch in zip(("ch2", "ch0", "ch1"), (a, b, c))]
-    overlay = attach_virtual_query([a], rng.normal(size=4), 99)[0]  # replace() checks again
+    overlay = overlay_query([a], rng.normal(size=4), 99)[0]  # replace() checks again
     with pytest.raises(FormatError):
         replace(overlay, name="ch1")
 
@@ -414,7 +419,7 @@ def test_batch_rerank_matches_rerank_query_property(instance, k_final, data):
     channels, vid, vector = instance
     ids = channels[0].index.item_ids.tolist()
     if vector is not None:
-        channels = attach_virtual_query(channels, vector, vid)
+        channels = overlay_query(channels, vector, vid)
         ids.append(vid)
     elif data.draw(st.booleans()):
         extra = sorted({i + 1 for i in ids} - set(ids))[:3]
@@ -461,7 +466,7 @@ def test_batch_rerank_on_overlays_matches_rerank_query(n, k):
     for k1s in ((k, k, k), (k, 3, 1)):
         narrow = [replace(ch, k1=k1) for ch, k1 in zip(channels, k1s)]
         for vid in (3, 2 * n + 1):
-            overlaid = attach_virtual_query(narrow, rng.normal(size=4), vid)
+            overlaid = overlay_query(narrow, rng.normal(size=4), vid)
             queries = [vid, *range(0, 2 * n, 2), vid]
             assert _block_size(overlaid) > 1
             for k_final in (None, 2):
@@ -635,13 +640,13 @@ def test_a_block_gathers_rows_a_fixed_number_of_times_per_channel(monkeypatch, s
     rows, counts = [], []
     position_rows, center_counts = NeighborhoodIndex.position_rows, NeighborhoodIndex.center_counts
 
-    def counting_rows(self, positions, k=None):
+    def counting_rows(self, *args):
         rows.append(self.channel_name)
-        return position_rows(self, positions, k)
+        return position_rows(self, *args)
 
-    def counting_counts(self, positions, k1, k2):
+    def counting_counts(self, *args):
         counts.append(self.channel_name)
-        return center_counts(self, positions, k1, k2)
+        return center_counts(self, *args)
 
     monkeypatch.setattr(NeighborhoodIndex, "position_rows", counting_rows)
     monkeypatch.setattr(NeighborhoodIndex, "center_counts", counting_counts)
@@ -710,7 +715,7 @@ def test_overlays_share_the_table(table_builds, n, k1, k2):
     # rows; a table built through an overlay is still the stored index's
     rng = np.random.default_rng(51)
     channel = random_channels(rng, n, 1, 8)[0]
-    overlay = attach_virtual_query([channel], rng.normal(size=4), n)[0].index
+    overlay = overlay_query([channel], rng.normal(size=4), n)[0].index
     table = overlay.overlap_table(k1, k2)
     assert channel.index.overlap_table(k1, k2) is table
     assert not table.flags.writeable and table.shape == (n, min(k1, n))
@@ -894,3 +899,115 @@ def test_single_channel_first_pick_consistent_with_tiered_list():
         if len({t3.edges[i] for i in t3.order if i != query}) == len(t3.order) - 1:
             assert final.items[1] == tiered.ids()[1]
 
+
+
+# --- out-of-sample queries: the query's row at slot n --------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(_query_instances(), st.sampled_from([None, 1, 2, 5]))
+def test_a_vector_query_ranks_as_its_overlay_does_property(instance, k_final):
+    # the kernels read the query's row from their argument; an overlay
+    # holds the same row as the index's one virtual row. Both rank the
+    # same, bit for bit, on n < k, k1 = 1, unequal k1/k2 and tied grids
+    channels, vid, vector = instance
+    assume(vector is not None)
+    got = rerank_vector_query(channels, vector, k_final=k_final, vid=vid)
+    want = rerank_query(overlay_query(channels, vector, vid), vid, k_final=k_final)
+    assert _exact([got]) == _exact([want])
+
+
+def _sparse_channels(rng, n, k, k1s, k2s, metric):
+    """Channels on ids 3i + 2 of one tied grid, shifted per channel, at these k1 and k2."""
+    ids = 3 * np.arange(n) + 2  # free ids below the first, between them and above the last
+    grid = rng.integers(1, 4, size=(n, 3)).astype(np.float64)  # repeated vectors, no zero one
+    channels = []
+    for c, (k1, k2) in enumerate(zip(k1s, k2s)):
+        fm = FeatureMatrix(f"c{c}", ids, grid + c)
+        channels.append(Channel(f"c{c}", build_index(fm, k=k, metric=metric), k1, k2, 1.0 + 0.7 * c, fm))
+    return channels, grid
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_a_vector_query_ranks_as_its_overlay_does(metric, m):
+    rng = np.random.default_rng(70 + m)
+    shapes = [(30, 6, (6, 3, 1), (6, 6, 2)), (5, 8, (8, 6, 8), (8, 3, 1)), (12, 1, (1, 1, 1), (1, 1, 1))]
+    for n, k, k1s, k2s in shapes:  # n < k makes the query's row one wider than a stored row
+        channels, grid = _sparse_channels(rng, n, k, k1s[:m], k2s[:m], metric)
+        for vid in (0, 4, 3 * n + 2, 10**6):
+            for vector in (grid[0], grid[1] + 0.5, rng.normal(size=3)):
+                for k_final in (None, 1, 4):
+                    got = rerank_vector_query(channels, vector, k_final=k_final, vid=vid)
+                    want = rerank_query(overlay_query(channels, vector, vid), vid, k_final=k_final)
+                    assert _exact([got]) == _exact([want])
+
+
+def test_a_vector_query_builds_no_overlay_and_its_map_once(monkeypatch, tmp_path):
+    # the library and the command line alike: with_virtual is never
+    # called, and each channel maps feature rows to row positions once
+    rng = np.random.default_rng(71)
+    channels = random_channels(rng, 40, 2, 6)
+    monkeypatch.setattr(NeighborhoodIndex, "with_virtual", lambda *args: pytest.fail("an overlay was built"))
+    maps = []
+    monkeypatch.setattr(pipeline, "_row_positions", lambda *args: maps.append(1) or _row_positions(*args))
+    for j in range(5):
+        for chans in (channels[:1], channels):
+            rerank_vector_query(chans, rng.normal(size=4), vid=100 + j)
+    assert len(maps) == 2
+    for ch in channels:
+        write_features_csv(ch.features, tmp_path / f"{ch.name}.csv")
+    (tmp_path / "p.cfg").write_text("".join(f"[channel:{c}]\nfeatures = {c}.csv\nk1 = 6\n" for c in ("ch0", "ch1")))
+    (tmp_path / "v.txt").write_text("0.1 0.2 0.3 0.4\n-1 0 1 2\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["index", "--config", str(tmp_path / "p.cfg"), "--out-dir", str(tmp_path / "idx")]) == 0
+        assert main(["rerank", "--config", str(tmp_path / "p.cfg"), "--index-dir", str(tmp_path / "idx"),
+                     "--query-vectors", str(tmp_path / "v.txt")]) == 0
+
+
+def _extra_features(channel, rows):
+    """The channel's features plus rows of ids 500, 501, ... that its index does not hold."""
+    fm = channel.features
+    extra = np.asarray(rows, dtype=np.float64)
+    ids = [*fm.ids.tolist(), *range(500, 500 + len(rows))]
+    return replace(channel, features=FeatureMatrix(fm.channel_name, ids, np.concatenate((fm.vectors, extra))))
+
+
+def test_a_vector_query_keeps_every_error():
+    # each error of the overlay path, with its class and message: pinned
+    # here, and equal to the overlay composition's where that raises it
+    rng = np.random.default_rng(72)
+    a, b = random_channels(rng, 30, 2, 5)
+    cos = random_channels(rng, 30, 2, 5, metric=Metric.COSINE)
+    zeros = np.vstack(([0.0] * 4, cos[0].features.vectors[1:]))
+    zero = replace(cos[0], features=FeatureMatrix("ch0", range(30), zeros))
+    vector = rng.normal(size=4)
+    near = _extra_features(a, [vector + 1e-9])  # id 500 is the vector's nearest feature row
+    far = _extra_features(a, [vector + 1e3])
+    huge = FeatureMatrix("ch0", range(3), np.asarray([[1e308] * 4, [0.0] * 4, [1.0] * 4]))
+    overflow = Channel("ch0", build_index(huge, k=3), 3, 3, features=huge)  # an L1 distance of inf
+    cases = [  # channels, vector, vid, error
+        ([a, replace(b, features=None)], vector, None,
+         (FormatError, "channel 'ch1' has no feature matrix for vector queries")),
+        ([a, b], [0.0] * 3, None, (DimensionError, "query dim 3 != channel 'ch0' dim 4")),
+        (random_channels(rng, 30, 2, 1), [0.0, np.inf, 0.0, 0.0], None,
+         (FormatError, "query vector contains NaN or Inf")),
+        ([cos[0], b], [0.0] * 4, None, (ZeroVectorError, "cosine distance undefined for zero vector in query")),
+        ([zero, b], vector, None, (ZeroVectorError, "cosine distance undefined for zero vector in channel 'ch0'")),
+        ([a, b], vector, -1, (FormatError, "virtual id -1 is negative")),
+        ([a, _with_extra_ids(b, [31])], vector, 31, (FormatError, "virtual id 31 collides with an indexed item")),
+        ([a, b], vector, 30.5, (FormatError, "virtual row 30.5 is not led by its owner at distance 0")),
+        ([near, b], vector, None, (FormatError, "virtual row 30 names item 500, which is not stored")),
+        ([near], vector, None, (FormatError, "virtual row 30 names item 500, which is not stored")),
+        ([overflow], [-1e308] * 4, None, (FormatError, "virtual row 3 has a non-finite distance")),
+    ]
+    for chans, vec, vid, error in cases:
+        assert _raised(lambda: rerank_vector_query(chans, vec, vid=vid)) == error
+        if error[0] is not DimensionError and chans[-1].features is not None and np.isfinite(vec).all():
+            vid = virtual_query_id(chans) if vid is None else vid
+            assert _raised(lambda: rerank_query(overlay_query(chans, vec, vid), vid)) == error
+    # a feature row the index lacks, which the vector's nearest rows leave out, changes nothing
+    for chans in ([far], [far, b]):
+        got = rerank_vector_query(chans, vector)
+        assert _exact([got]) == _exact([rerank_vector_query([a, b][: len(chans)], vector)])
+        assert _exact([got]) == _exact([rerank_query(overlay_query(chans, vector, 30), 30)])

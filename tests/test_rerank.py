@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_features
+from conftest import overlay_query, random_features
 from tierank.errors import FormatError, UnknownItemError
 from tierank.index import FeatureMatrix, Metric, NeighborhoodIndex, build_index, knn_candidates
 from tierank.oracles import oracle_tier3
-from tierank.pipeline import Channel, rerank_query
+from tierank.pipeline import Channel, rerank_query, rerank_vector_query, virtual_query_id
 from tierank.rerank import JaccardValue, tier1_rerank, tiered_graph, tiered_rerank
 from tierank.scenarios import gen_outlier_scenario
 
@@ -270,3 +270,49 @@ def test_rerank_tie_break_prefers_distance_rank():
     # B and D tie on both tier-3 and tier-1; B is nearer in the original list
     pos = {item: p for p, item in enumerate(ranked.ids())}
     assert pos[b] < pos[d]
+
+
+# --- out-of-sample queries ----------------------------------------------------
+
+
+def _exact(ranking):
+    return ranking.query, ranking.tier, ranking.channel, [(i, float(s).hex()) for i, s in ranking.entries]
+
+
+@st.composite
+def _vector_instances(draw):
+    """(channel, vector, vid) on a tie-heavy grid with sparse unsorted ids, under any metric.
+
+    n may be below k (the query's row is then one wider than a stored row),
+    k may be 1 (the row is the query alone), k1 and k2 are drawn apart, the
+    vector may repeat a stored one, and the vid sits below or above the
+    largest stored id.
+    """
+    n = draw(st.integers(1, 12))
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
+    coords = draw(st.lists(st.lists(st.integers(1, 3), min_size=2, max_size=2), min_size=n, max_size=n))
+    fm = FeatureMatrix(channel_name="grid", ids=ids, vectors=np.asarray(coords, dtype=np.float64))
+    k = draw(st.integers(1, 16))
+    index = build_index(fm, k=k, metric=draw(st.sampled_from(list(Metric))))
+    channel = Channel("grid", index, draw(st.integers(1, k)), draw(st.integers(1, k)), features=fm)
+    vector = draw(st.sampled_from(coords) | st.lists(st.integers(1, 3), min_size=2, max_size=2))
+    vid = draw(st.one_of(st.just(virtual_query_id([channel])), st.integers(0, max(ids))))
+    while vid in ids:
+        vid += 1
+    return channel, vector, vid
+
+
+@settings(max_examples=200, deadline=None)
+@given(_vector_instances())
+def test_a_vector_query_ranks_as_its_overlay_does_on_one_channel(instance):
+    # the query's row at slot n, handed to the kernels, against the same
+    # row held by an overlay: bit for bit, with the query named by its vid
+    channel, vector, vid = instance
+    got = rerank_vector_query([channel], vector, vid=vid)
+    overlay = overlay_query([channel], vector, vid)
+    assert _exact(got) == _exact(rerank_query(overlay, vid))
+    # and the counts are the plain-set oracle's, which shares no kernel with either
+    counts = oracle_tier3(overlay[0].index, vid, channel.k1, channel.k2)
+    assert dict(got.entries) == {x: float(c) for x, c in counts.items()}
+    assert got.query == vid and got.entries[0][0] == vid
+    assert len(got) == min(channel.k1, channel.index.k, channel.features.n + 1)
