@@ -7,6 +7,7 @@ print one machine-parsable line to stderr: ``error\t<Class>\t<message>``.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import re
 import sys
@@ -17,20 +18,25 @@ import numpy as np
 from . import bench as bench_mod
 from .config import ChannelConfig, PipelineConfig, load_config, write_config
 from .errors import (
-    FileAccessError, FormatError, TierankError, make_dir, parse_number, read_text, remove_files, write_text,
+    FileAccessError, FormatError, TierankError, make_dir, parse_number, read_bytes, read_text, remove_files,
+    write_text,
 )
 from .evaluation import load_ground_truth, ns_score, precision_at, recall_at, write_ground_truth
 from .index import (
-    Metric, build_index, load_features, load_index, load_tier3, save_index, save_tier3, write_features_csv,
+    FeatureMatrix, Metric, build_index, load_features, load_index, load_parsed_features, load_tier3, save_index,
+    save_parsed_features, save_tier3, write_features_csv,
 )
 from .pipeline import Channel, batch_rerank, rerank_vector_query, virtual_query_id
 from .ranking import RankedList, read_rankings_tsv, write_rankings_tsv
 from .scenarios import gen_outlier_scenario, gen_two_manifold_scenario
 
 
-def _load_channel_features(cfg: ChannelConfig):
+def _load_channel_features(cfg: ChannelConfig, parsed: Path | None = None) -> tuple[FeatureMatrix, bytes | None]:
+    """A channel's features and, for a CSV, its bytes' SHA-256, taken before the parse that ``parsed`` may spare."""
     try:
-        return load_features(cfg.feature_path, fmt=cfg.fmt, channel_name=cfg.name)
+        digest = hashlib.sha256(read_bytes(cfg.feature_path)).digest() if cfg.fmt == "csv" else None
+        features = load_parsed_features(parsed, digest, cfg.name) if parsed and digest else None
+        return features or load_features(cfg.feature_path, fmt=cfg.fmt, channel_name=cfg.name), digest
     except FileAccessError as exc:
         raise FileAccessError(f"channel {cfg.name!r}: {exc}") from exc
 
@@ -48,15 +54,17 @@ def cmd_index(args: argparse.Namespace) -> int:
     out_dir = make_dir(args.out_dir)
     fused = len(config.channels) > 1  # one channel ranks by its own counts and reads no table
     for cfg in config.channels:
-        features = _load_channel_features(cfg)
+        features, digest = _load_channel_features(cfg)
         k1, k2 = cfg.ks(features.n)
         index = build_index(features, k=max(k1, k2), metric=cfg.metric)
         save_index(index, _index_path(out_dir, cfg.name))
-        table = _tier3_path(out_dir, cfg.name, k1, k2)
+        table, parsed = _tier3_path(out_dir, cfg.name, k1, k2), out_dir / f"{cfg.name}.features"
         if fused:
             save_tier3(index, k1, k2, table)
-        stale = re.compile(re.escape(cfg.name) + r"\.[0-9]+-[0-9]+\.tier3")  # its tables at any (k1, k2)
-        remove_files(out_dir, stale, keep=table.name if fused else None)
+        if digest is not None:
+            save_parsed_features(features, digest, parsed)
+        stale = re.compile(re.escape(cfg.name) + r"\.([0-9]+-[0-9]+\.tier3|features)")  # its tables and features
+        remove_files(out_dir, stale, keep={table.name if fused else "", parsed.name if digest else ""})
         print(f"indexed channel {cfg.name}: n={index.n} k={index.k} metric={cfg.metric.value}")
     return 0
 
@@ -65,7 +73,7 @@ def _assemble_channels(config: PipelineConfig, index_dir: Path, need_features: b
     channels = []
     for cfg in config.channels:
         index = load_index(_index_path(index_dir, cfg.name))
-        features = _load_channel_features(cfg) if need_features else None
+        features = _load_channel_features(cfg, index_dir / f"{cfg.name}.features")[0] if need_features else None
         k1, k2 = cfg.ks(index.n)
         if k1 > index.k or k2 > index.k:
             raise FormatError(
@@ -256,6 +264,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def integer(text: str) -> int:
+    """An integer flag's value, in the number grammar of every input; argparse refuses a ValueError (exit 2)."""
+    return parse_number(text, int)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tierank",
@@ -263,8 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_index = sub.add_parser("index", help="build and persist per-channel KNN indexes and, on two or more "
-                             "channels, their tier-3 overlap tables (<name>.<k1>-<k2>.tier3)")
+    p_index = sub.add_parser("index", help="build and persist per-channel KNN indexes", description=(
+        "Build and persist each channel's KNN index (<name>.index); on two or more channels, its tier-3 overlap "
+        "table (<name>.<k1>-<k2>.tier3); and for a CSV channel, the features it parsed to (<name>.features), "
+        "which rerank reads instead of the CSV while the CSV's SHA-256 is the one they were parsed from."))
     p_index.add_argument("--config", required=True)
     p_index.add_argument("--out-dir", required=True)
     p_index.set_defaults(func=cmd_index)
@@ -277,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--queries-file", help="file with one query id per line")
         p.add_argument("--query-vectors", help="file with one raw feature vector per line")
         p.add_argument("--out", help="output TSV path (default: stdout)")
-        p.add_argument("--k-final", type=int, default=None)
+        p.add_argument("--k-final", type=integer, default=None)
         p.set_defaults(func=cmd_rerank)
 
     add_rerank("rerank", "re-rank queries over the configured channels")
@@ -294,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="write a synthetic scenario to disk")
     p_synth.add_argument("--scenario", choices=["outlier", "two-manifold"], required=True)
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--seed", type=integer, default=0)
     p_synth.add_argument("--out-dir", required=True)
     p_synth.set_defaults(func=cmd_synth)
 
@@ -302,11 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--config", help="optional; channel count defaults to the config's")
     p_bench.add_argument("--n", default="2000")
     p_bench.add_argument("--k", default="25")
-    p_bench.add_argument("--m", type=int, default=None)
-    p_bench.add_argument("--dim", type=int, default=4)
-    p_bench.add_argument("--queries", type=int, default=100)
-    p_bench.add_argument("--reps", type=int, default=1)
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--m", type=integer, default=None)
+    p_bench.add_argument("--dim", type=integer, default=4)
+    p_bench.add_argument("--queries", type=integer, default=100)
+    p_bench.add_argument("--reps", type=integer, default=1)
+    p_bench.add_argument("--seed", type=integer, default=0)
     p_bench.set_defaults(func=cmd_bench)
 
     return parser

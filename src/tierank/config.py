@@ -92,8 +92,8 @@ class PipelineConfig:
             for k in (ch.k1, ch.k2):
                 if k is not None and k < 1:
                     raise FormatError(f"channel {ch.name!r}: k must be >= 1")
-            if ch.alpha <= 0:
-                raise FormatError(f"channel {ch.name!r}: alpha must be positive")
+            if not 0 < ch.alpha < float("inf"):  # NaN fails both
+                raise FormatError(f"channel {ch.name!r}: alpha must be positive and finite, got {ch.alpha!r}")
 
 
 def load_config(path: str | Path) -> PipelineConfig:

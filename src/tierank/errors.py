@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import Iterable
+from typing import Container, Iterable
 
 import numpy as np
 
@@ -109,11 +109,11 @@ def make_dir(path: str | Path) -> Path:
     return Path(path)
 
 
-def remove_files(directory: str | Path, pattern: re.Pattern, keep: str | None = None) -> None:
-    """Delete every file in ``directory`` whose name ``pattern`` fully matches, but ``keep``."""
+def remove_files(directory: str | Path, pattern: re.Pattern, keep: Container[str] = ()) -> None:
+    """Delete every file in ``directory`` whose name ``pattern`` fully matches, but those named in ``keep``."""
     try:
         for path in Path(directory).iterdir():
-            if path.name != keep and pattern.fullmatch(path.name) and path.is_file():
+            if path.name not in keep and pattern.fullmatch(path.name) and path.is_file():
                 path.unlink()
     except OSError as exc:
         raise FileAccessError(f"cannot remove files in {directory}: {exc}") from exc
@@ -155,8 +155,8 @@ _REAL = re.compile(
 def parse_number(text: str, kind: type = float) -> int | float:
     """``text`` as an int or a float (``kind``) in the one ASCII grammar of every text input.
 
-    Surrounding whitespace is ignored; anything else outside the grammar is
-    a ValueError. It is the grammar ``np.loadtxt`` reads a feature CSV by.
+    Surrounding whitespace is ignored; anything else outside the grammar is a ValueError. It is
+    the grammar ``np.loadtxt`` reads a feature CSV by, but for some non-ASCII characters in an id.
     """
     token = text.strip()
     if not (_INTEGER if kind is int else _REAL).fullmatch(token):

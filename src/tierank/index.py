@@ -20,7 +20,9 @@ back without parsing, are validated as a whole, and have their ids turned
 into positions in place. A tier-3 overlap table is saved beside its index
 (tier-3 table file v1), keyed by a digest of the neighbor table it was
 counted from, and read back in place of a build while that digest holds.
-A feature CSV is parsed in one ``np.loadtxt`` pass.
+A feature CSV is parsed in one ``np.loadtxt`` pass; what it parsed to is
+saved the same way (parsed features file v1), keyed by a digest of the
+CSV's bytes, and read back in place of the parse.
 """
 
 from __future__ import annotations
@@ -63,11 +65,13 @@ _INDEX_HEADER = np.dtype(
     [("version", "<u8"), ("metric", "S8"), ("k", "<u8"), ("n", "<u8"), ("width", "<u8"), ("name_bytes", "<u8")]
 )
 _BINARY_MAGIC = b"TKF1"
-_TIER3_MAGIC = b"TKTIER3\x00"
+# a keyed file is an 8-byte magic, three little-endian uint64 words (a version first), the
+# SHA-256 of what its body was derived from, the SHA-256 of the body, and the body
+_KEYED_HEADER_BYTES = 8 + 3 * 8 + 2 * 32
+_TIER3_MAGIC = b"TKTIER3\x00"  # words: version 1, k1, k2; keyed by the neighbor table
 _TIER3_VERSION = 1
-# the magic, then version, k1 and k2 as little-endian uint64, the SHA-256 of
-# the neighbor table the counts were taken from, and the SHA-256 of the counts
-_TIER3_HEADER_BYTES = len(_TIER3_MAGIC) + 3 * 8 + 2 * 32
+_PARSED_MAGIC = b"TKFEAT\x00\x00"  # words: version 1, n, d; keyed by the CSV's bytes
+_PARSED_VERSION = 1
 _BUILD_BUFFER_ROWS = 128  # distance rows a build holds at once, over all its workers
 _BUILD_MIN_BLOCK_ROWS = 16
 _TABLE_BLOCK_ROWS = 16
@@ -180,13 +184,16 @@ def _load_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
         rows = np.loadtxt([line for _, line in lines], dtype=record, delimiter=",", comments=None, ndmin=1)
     except ValueError:
         rows = None
-    if rows is None or dim == 0:
-        raise _first_bad_row(path, lines, dim)
+    # numpy reads some non-ASCII characters in an int field as digits (U+0968 as 2360), so such rows are scanned too
+    failed = rows is None or dim == 0
+    error = _first_bad_row(path, lines if failed else [row for row in lines if not row[1].isascii()], dim)
+    if error or failed:  # with no bad row, the pass refused an id no int64 holds
+        raise error or FormatError(f"{path}: item ids must be 64-bit integers")
     return rows["id"], np.ascontiguousarray(rows["v"])
 
 
-def _first_bad_row(path: str | Path, lines: list[tuple[int, str]], dim: int) -> FormatError:
-    """The error for the first row of a feature CSV that is not an id and ``dim`` values, checks in that order."""
+def _first_bad_row(path: str | Path, lines: list[tuple[int, str]], dim: int) -> FormatError | None:
+    """The error for the first of ``lines`` that is not an id and ``dim`` values, checks in that order; None if none."""
     for lineno, line in lines:
         fields = line.split(",")
         if len(fields) < 2:
@@ -199,8 +206,7 @@ def _first_bad_row(path: str | Path, lines: list[tuple[int, str]], dim: int) -> 
             return FormatError(f"{path}:{lineno}: malformed row")
         if len(fields) - 1 != dim:
             return FormatError(f"{path}:{lineno}: expected {dim} features, got {len(fields) - 1}")
-    # every row is in the grammar and of the width, so the pass refused an id no int64 holds
-    return FormatError(f"{path}: item ids must be 64-bit integers")
+    return None
 
 
 def _load_binary(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
@@ -872,6 +878,60 @@ def load_index(path: str | Path) -> NeighborhoodIndex:
     return NeighborhoodIndex(channel, k, metric, ids, table, dists)
 
 
+def _save_keyed(path: str | Path, magic: bytes, words: Sequence[int], key: bytes, body: bytes) -> None:
+    write_bytes(path, [magic, np.array(words, dtype="<u8").tobytes(), key, hashlib.sha256(body).digest(), body])
+
+
+def _load_keyed(
+    path: str | Path, magic: bytes, what: tuple[str, str], words: list[int], key: Callable[[], bytes],
+    size: Callable[[list], int],
+) -> tuple[list[int], np.ndarray] | None:
+    """The header words and body of a keyed file; None if it is missing, or stale by its leading words or ``key()``.
+
+    A file too short for its header or without ``magic``, or a current one whose body is not
+    ``size(words)`` bytes or fails its digest, is a FormatError naming ``what``: the file's kind and its body's.
+    """
+    raw = read_bytes(path, missing_ok=True)
+    if raw is None:
+        return None
+    if len(raw) < _KEYED_HEADER_BYTES or raw[: len(magic)].tobytes() != magic:
+        raise FormatError(f"{path}: not a tierank {what[0]} file")
+    header = np.frombuffer(raw, dtype="<u8", count=3, offset=len(magic)).tolist()
+    digests = raw[_KEYED_HEADER_BYTES - 64 : _KEYED_HEADER_BYTES].tobytes()
+    if header[: len(words)] != words or digests[:32] != key():
+        return None
+    body = raw[_KEYED_HEADER_BYTES:]
+    if body.size != size(header):
+        raise FormatError(f"{path}: file size {len(raw)} does not match its header")
+    if hashlib.sha256(body).digest() != digests[32:]:
+        raise FormatError(f"{path}: the {what[1]} do not match their digest")
+    return header, body
+
+
+def save_parsed_features(features: FeatureMatrix, source_digest: bytes, path: str | Path) -> None:
+    """Write a feature file's parse, keyed by its bytes' SHA-256: ids as int64, then vectors as float64."""
+    body = features.ids.astype("<i8").tobytes() + features.vectors.astype("<f8").tobytes()
+    _save_keyed(path, _PARSED_MAGIC, [_PARSED_VERSION, features.n, features.dim], source_digest, body)
+
+
+def load_parsed_features(path: str | Path, source_digest: bytes, channel_name: str) -> FeatureMatrix | None:
+    """The features :func:`save_parsed_features` wrote, bit for bit; None if missing or stale.
+
+    Another version or ``source_digest`` is stale: the feature file changed
+    and is to be parsed again. A malformed file is a FormatError, and the
+    features pass every :class:`FeatureMatrix` check.
+    """
+    found = _load_keyed(path, _PARSED_MAGIC, ("parsed features", "features"), [_PARSED_VERSION],
+                        lambda: source_digest, lambda words: 8 * words[1] * (1 + words[2]))
+    if found is None:
+        return None
+    (_, n, dim), body = found
+    try:
+        return FeatureMatrix(channel_name, body[: 8 * n].view("<i8"), body[8 * n :].view("<f8").reshape(n, dim))
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
 def _neighbor_digest(index: NeighborhoodIndex) -> bytes:
     """SHA-256 of the neighbor table as little-endian int64 row positions, all a tier-3 table is counted from."""
     return hashlib.sha256(np.ascontiguousarray(index.neighbor_table, dtype="<i8")).digest()
@@ -880,43 +940,28 @@ def _neighbor_digest(index: NeighborhoodIndex) -> bytes:
 def save_tier3(index: NeighborhoodIndex, k1: int, k2: int, path: str | Path) -> None:
     """Write the index's tier-3 table at (k1, k2), counted now unless cached, for :func:`load_tier3`.
 
-    The file is a fixed header (magic, version, k1, k2, the digest of the
-    neighbor table and the digest of the counts), then the raw counts,
-    row-major, in the table's dtype, little-endian.
+    Its body is the raw counts, row-major, in the table's dtype, little-endian.
     """
     table = index.overlap_table(k1, k2)
     body = table.astype(table.dtype.newbyteorder("<"), copy=False).tobytes()
-    keys = np.array([_TIER3_VERSION, k1, k2], dtype="<u8").tobytes()
-    write_bytes(path, [_TIER3_MAGIC, keys, _neighbor_digest(index), hashlib.sha256(body).digest(), body])
+    _save_keyed(path, _TIER3_MAGIC, [_TIER3_VERSION, k1, k2], _neighbor_digest(index), body)
 
 
 def load_tier3(index: NeighborhoodIndex, k1: int, k2: int, path: str | Path) -> None:
     """Cache the index's tier-3 table at (k1, k2) from the file :func:`save_tier3` wrote, if it is current.
 
-    A missing file, or one of another version, (k1, k2) or neighbor table,
-    is stale and left alone: the table is then built on first use. A file
-    that is too short for its header or has no magic, or whose header
-    matches but whose counts are of the wrong size, fail their digest or
-    exceed min(k1, k2), is a FormatError. The table read is read-only.
+    A missing or stale file (another version, (k1, k2) or neighbor table) is
+    left alone: the table is then built on first use. A malformed file, or a
+    count over min(k1, k2), is a FormatError. The table read is read-only.
     """
-    raw = read_bytes(path, missing_ok=True)
-    if raw is None:
-        return
-    if len(raw) < _TIER3_HEADER_BYTES or raw[: len(_TIER3_MAGIC)].tobytes() != _TIER3_MAGIC:
-        raise FormatError(f"{path}: not a tierank tier-3 table file")
-    header = np.frombuffer(raw, dtype="<u8", count=3, offset=len(_TIER3_MAGIC)).tolist()
-    digests = raw[_TIER3_HEADER_BYTES - 64 : _TIER3_HEADER_BYTES].tobytes()
-    if header != [_TIER3_VERSION, k1, k2] or digests[:32] != _neighbor_digest(index):
-        return
     stored, width = index.neighbor_table.shape
     shape = (stored, min(k1, width))
     dtype = np.dtype(np.min_scalar_type(min(k1, k2))).newbyteorder("<")
-    body = raw[_TIER3_HEADER_BYTES:]
-    if body.size != shape[0] * shape[1] * dtype.itemsize:
-        raise FormatError(f"{path}: file size {len(raw)} does not match its header")
-    if hashlib.sha256(body).digest() != digests[32:]:
-        raise FormatError(f"{path}: the counts do not match their digest")
-    table = body.view(dtype).reshape(shape)
+    found = _load_keyed(path, _TIER3_MAGIC, ("tier-3 table", "counts"), [_TIER3_VERSION, k1, k2],
+                        lambda: _neighbor_digest(index), lambda _: shape[0] * shape[1] * dtype.itemsize)
+    if found is None:
+        return
+    table = found[1].view(dtype).reshape(shape)
     if table.max(initial=0) > min(k1, k2):
         raise FormatError(f"{path}: a count exceeds min(k1, k2) = {min(k1, k2)}")
     table.setflags(write=False)

@@ -65,8 +65,8 @@ class QueryGraph:
 
 def resolve_k(index: NeighborhoodIndex, alpha: float, k1: int | None, k2: int | None) -> tuple[int, int]:
     """Check alpha and k1/k2 against the index; an unset k is the index's k."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < float("inf"):  # NaN fails both
+        raise ValueError("alpha must be positive" + ("" if alpha <= 0 else f" and finite, got {alpha!r}"))
     k1 = index.k if k1 is None else k1
     k2 = index.k if k2 is None else k2
     if k1 < 1 or k2 < 1:

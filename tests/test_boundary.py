@@ -390,3 +390,18 @@ def test_underscores_and_other_digits_in_a_count_flag_are_a_data_error(scenario,
     flag = next(arg for arg in argv if arg.startswith("--") and "{bad}" in argv[argv.index(arg) + 1])
     assert code == 3 and out == ""
     _one_error_line(err, f"FormatError\tbad {flag} value {bad!r}: want comma-separated integers")
+
+
+@pytest.mark.parametrize("argv", [
+    ["rerank", "--config", "{base}/scen/pipeline.cfg", "--index-dir", "{base}/idx", "--query-ids", "0",
+     "--k-final", "{bad}"],
+    ["synth", "--scenario", "outlier", "--out-dir", "{base}/never", "--seed", "{bad}"],
+    *(["bench", flag, "{bad}"] for flag in ("--m", "--dim", "--queries", "--reps", "--seed")),
+])
+@pytest.mark.parametrize("bad", ["1_0", "\uff11", "1\u0663"])
+def test_underscores_and_other_digits_in_an_integer_flag_are_a_usage_error(scenario, argv, bad):
+    # int() would read these as 10, 1 and 13
+    with pytest.raises(SystemExit) as exc:
+        _run([arg.format(base=scenario[0], bad=bad) for arg in argv])
+    assert exc.value.code == 2
+    assert not (scenario[0] / "never").exists()

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -18,11 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tierank
+import tierank.cli
 from conftest import random_features
 from tierank.cli import main
 from tierank.config import load_config
 from tierank.errors import TierankError
-from tierank.index import Metric, load_index, write_features_csv
+from tierank.index import Metric, load_features, load_index, write_features_binary, write_features_csv
 from tierank.ranking import read_rankings_tsv
 from tierank.rerank import tiered_rerank
 
@@ -514,6 +516,24 @@ def test_rerank_id_beyond_int64_in_queries_file_exits_3(tmp_path, capsys):
         assert capsys.readouterr().err == f"error\tUnknownItemError\titem {huge} not in index for channel 'boundary'\n"
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "0.0", "NaN", "infinity"])
+@pytest.mark.parametrize("scenario", ["two-manifold", "outlier"])
+def test_rerank_rejects_an_alpha_that_is_not_positive_and_finite(tmp_path, capsys, scenario, alpha):
+    out = tmp_path / "scen"
+    assert main(["synth", "--scenario", scenario, "--out-dir", str(out)]) == 0
+    cfg = out / "pipeline.cfg"
+    assert main(["index", "--config", str(cfg), "--out-dir", str(tmp_path / "idx")]) == 0
+    cfg.write_text(cfg.read_text().replace("alpha = 1.0", f"alpha = {alpha}", 1))
+    capsys.readouterr()
+    code = main(["rerank", "--config", str(cfg), "--index-dir", str(tmp_path / "idx"), "--query-ids", "0,1"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    name = re.search(r"\[channel:(.*)\]", cfg.read_text()).group(1)
+    assert captured.err == (
+        f"error\tFormatError\tchannel {name!r}: alpha must be positive and finite, got {float(alpha)!r}\n"
+    )
+
+
 @pytest.mark.parametrize("scenario", ["two-manifold", "outlier"])
 def test_rerank_rejects_k_final_key_below_one(tmp_path, capsys, scenario):
     out, idx = tmp_path / "scen", tmp_path / "idx"
@@ -681,14 +701,14 @@ def test_index_writes_one_table_file_per_fused_channel_byte_identically(outlier_
     rerank = _fused_inputs(tmp_path)
     idx = tmp_path / "fused"
     _index(tmp_path / "fused.cfg", idx)
-    names = ["a.9-6.tier3", "a.index", "b.9-6.tier3", "b.index"]
+    names = ["a.9-6.tier3", "a.features", "a.index", "b.9-6.tier3", "b.features", "b.index"]
     assert sorted(p.name for p in idx.iterdir()) == names
     first = {name: (idx / name).read_bytes() for name in names}
     _index(tmp_path / "fused.cfg", idx)
     assert {name: (idx / name).read_bytes() for name in names} == first
     assert _ranked(rerank, idx)[0] == 0
     # a single channel ranks by its own counts: it neither writes nor needs a table
-    assert sorted(p.name for p in outlier_dirs[1].iterdir()) == ["plane.index"]
+    assert sorted(p.name for p in outlier_dirs[1].iterdir()) == ["plane.features", "plane.index"]
 
 
 def test_rerank_output_is_the_same_with_the_table_file_present_missing_or_stale(tmp_path):
@@ -735,13 +755,14 @@ def test_index_removes_the_tables_of_another_k(tmp_path):
     (idx / "a.b.9-6.tier3").write_bytes(b"another channel's")  # channel "a.b", not "a"
     (tmp_path / "wide.cfg").write_text((tmp_path / "fused.cfg").read_text().replace("k1 = 9", "k1 = 12"))
     _index(tmp_path / "wide.cfg", idx)
-    assert sorted(p.name for p in idx.iterdir()) == ["a.12-6.tier3", "a.b.9-6.tier3", "a.index", "b.12-6.tier3",
-                                                     "b.index"]
+    assert sorted(p.name for p in idx.iterdir()) == ["a.12-6.tier3", "a.b.9-6.tier3", "a.features", "a.index",
+                                                     "b.12-6.tier3", "b.features", "b.index"]
     code, ranked, _ = _ranked([*rerank[:2], str(tmp_path / "wide.cfg"), *rerank[3:]], idx)
     assert code == 0 and ranked
     (tmp_path / "single.cfg").write_text("[channel:a]\nfeatures = a.csv\nk1 = 12\nk2 = 6\n")
     _index(tmp_path / "single.cfg", idx)
-    assert sorted(p.name for p in idx.iterdir()) == ["a.b.9-6.tier3", "a.index", "b.12-6.tier3", "b.index"]
+    assert sorted(p.name for p in idx.iterdir()) == ["a.b.9-6.tier3", "a.features", "a.index", "b.12-6.tier3",
+                                                     "b.features", "b.index"]
 
 
 @pytest.mark.parametrize("case", ["truncated", "a flipped count", "a count above min(k1, k2)"])
@@ -789,6 +810,143 @@ def test_rerank_on_a_corrupted_table_file_ranks_the_same_or_exits_3(fused_dirs, 
         code, out, err = _ranked(rerank, idx)
     finally:
         (idx / "a.9-6.tier3").write_bytes(good)
+    if code == 0:
+        assert (code, out, err) == want
+    else:
+        assert code == 3 and out == "" and err.startswith("error\tFormatError\t") and len(err.splitlines()) == 1
+
+
+# --- the parsed features files `tierank index` writes ----------------------------
+
+
+@pytest.fixture()
+def parses(monkeypatch):
+    """The feature files the CLI parses, by path, in call order."""
+    calls = []
+
+    def spy(path, *args, **kwargs):
+        calls.append(Path(path).name)
+        return load_features(path, *args, **kwargs)
+
+    monkeypatch.setattr(tierank.cli, "load_features", spy)
+    return calls
+
+
+def test_rerank_reads_the_parsed_features_bit_for_bit(tmp_path, parses):
+    # the largest double, the smallest subnormal, -0.0 and the largest id
+    rows = [[9223372036854775807, 1.7976931348623157e308, 0.0], [0, -0.0, 5e-324]]
+    rows += [[i, *v] for i, v in enumerate(np.random.default_rng(2).normal(size=(20, 2)).tolist(), start=1)]
+    (tmp_path / "a.csv").write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
+    (tmp_path / "a.cfg").write_text("[channel:a]\nfeatures = a.csv\nk1 = 5\nk2 = 4\n")
+    _index(tmp_path / "a.cfg", tmp_path / "idx")
+    assert parses == ["a.csv"]
+    [channel] = tierank.cli._assemble_channels(load_config(tmp_path / "a.cfg"), tmp_path / "idx", True)
+    assert parses == ["a.csv"]  # read from a.features, not parsed again
+    parsed = load_features(tmp_path / "a.csv", channel_name="a")
+    assert channel.features.ids.tobytes() == parsed.ids.tobytes()
+    assert channel.features.vectors.dtype == parsed.vectors.dtype
+    assert channel.features.vectors.tobytes() == parsed.vectors.tobytes()
+
+
+def test_rerank_output_is_the_same_with_the_features_file_present_missing_or_stale(tmp_path, parses):
+    rerank = _fused_inputs(tmp_path)
+    idx = tmp_path / "idx"
+    _index(tmp_path / "fused.cfg", idx)
+    parses.clear()
+    code, present, err = _ranked(rerank, idx)
+    assert code == 0 and err == "" and present and parses == []
+    good = (idx / "a.features").read_bytes()
+    (idx / "a.features").unlink()
+    assert _ranked(rerank, idx) == (0, present, "") and parses == ["a.csv"]
+    (idx / "a.features").write_bytes(good[:8] + struct.pack("<Q", 2) + good[16:])  # another version
+    assert _ranked(rerank, idx) == (0, present, "") and parses == ["a.csv"] * 2
+
+    # stale: the CSV edited to the same length, ids 10 and 20 swapped, and
+    # not re-indexed; the file's features would now be wrong
+    (idx / "a.features").write_bytes(good)
+    csv = tmp_path / "a.csv"
+    text = csv.read_text()
+    edited = re.sub(r"^(10|20),", lambda m: {"10": "20,", "20": "10,"}[m.group(1)], text, flags=re.M)
+    assert len(edited) == len(text) and edited != text
+    csv.write_text(edited)
+    parses.clear()
+    stale = _ranked(rerank, idx)
+    (idx / "a.features").unlink()
+    assert _ranked(rerank, idx) == stale and parses == ["a.csv"] * 2
+    assert stale[0] == 0 and stale[1] != present
+
+
+@pytest.mark.parametrize("case", ["another magic", "truncated", "a flipped body byte"])
+def test_rerank_on_a_malformed_features_file_exits_3(tmp_path, case):
+    rerank = _fused_inputs(tmp_path)
+    idx = tmp_path / "idx"
+    _index(tmp_path / "fused.cfg", idx)
+    path = idx / "b.features"
+    good = path.read_bytes()
+    path.write_bytes({
+        "another magic": b"TKFEAT\x00\x01" + good[8:],
+        "truncated": good[:-3],
+        "a flipped body byte": good[:200] + bytes([good[200] ^ 4]) + good[201:],
+    }[case])
+    code, out, err = _ranked(rerank, idx)
+    assert code == 3 and out == ""
+    assert err.startswith(f"error\tFormatError\t{path}: ") and len(err.splitlines()) == 1
+
+
+def test_a_missing_or_malformed_csv_keeps_its_error_beside_its_features_file(tmp_path, capsys):
+    rerank = _fused_inputs(tmp_path)
+    idx = tmp_path / "idx"
+    _index(tmp_path / "fused.cfg", idx)
+    csv = tmp_path / "a.csv"
+    text = csv.read_text()
+    csv.write_text(text.replace("\n", "\n1,2,x\n", 1))
+    code, _, err = _ranked(rerank, idx)
+    assert (code, err) == (3, f"error\tFormatError\t{csv}:2: malformed row\n")
+    csv.unlink()
+    code, _, err = _ranked(rerank, idx)
+    with pytest.raises(OSError) as exc:
+        csv.read_text()
+    assert (code, err) == (3, f"error\tFileAccessError\tchannel 'a': cannot read {csv}: {exc.value}\n")
+
+
+def test_index_removes_the_features_file_of_a_binary_channel(tmp_path):
+    rerank = _fused_inputs(tmp_path)
+    idx = tmp_path / "idx"
+    _index(tmp_path / "fused.cfg", idx)
+    code, want, _ = _ranked(rerank, idx)
+    write_features_binary(load_features(tmp_path / "a.csv", channel_name="a"), tmp_path / "a.bin")
+    cfg = (tmp_path / "fused.cfg").read_text().replace("features = a.csv", "features = a.bin\nformat = binary")
+    (tmp_path / "fused.cfg").write_text(cfg)
+    _index(tmp_path / "fused.cfg", idx)
+    assert sorted(p.name for p in idx.iterdir()) == ["a.9-6.tier3", "a.index", "b.9-6.tier3", "b.features",
+                                                     "b.index"]
+    assert code == 0 and _ranked(rerank, idx)[0] == 0
+
+
+@pytest.fixture(scope="module")
+def parsed_dirs(tmp_path_factory):
+    base = tmp_path_factory.mktemp("parsed")
+    rerank = _fused_inputs(base)
+    _index(base / "fused.cfg", base / "idx")
+    return base / "idx", rerank, (base / "idx" / "a.features").read_bytes(), _ranked(rerank, base / "idx")
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rerank_on_a_corrupted_features_file_ranks_the_same_or_exits_3(parsed_dirs, data):
+    # a flip in the header's version or CSV digest makes the file stale, and
+    # the CSV is parsed; any other flip or cut is refused
+    idx, rerank, good, want = parsed_dirs
+    raw = bytearray(good)
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        raw[data.draw(st.integers(0, len(raw) - 1), label="byte")] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+    (idx / "a.features").write_bytes(bytes(raw))
+    try:
+        code, out, err = _ranked(rerank, idx)
+    finally:
+        (idx / "a.features").write_bytes(good)
     if code == 0:
         assert (code, out, err) == want
     else:

@@ -604,6 +604,23 @@ def test_bad_ks_and_alpha_raise_the_same_error_alone_and_in_a_batch():
         assert _raised(call) == (ValueError, "k1 and k2 must be >= 1")
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+def test_a_non_finite_alpha_raises_the_same_error_alone_and_in_a_batch(alpha):
+    # NaN is neither above 0 nor below infinity; either would leave W's row
+    # without an order, and the selection without a ranking
+    rng = np.random.default_rng(25)
+    channels = random_channels(rng, 40, 2, 5)
+    bad = replace(channels[0], alpha=alpha)
+    message = f"alpha must be positive and finite, got {alpha!r}"
+    for chans in ([bad], [bad, channels[1]], [channels[1], bad]):
+        assert _raised(lambda: rerank_query(chans, 3)) == (ValueError, message)
+        assert _raised(lambda: batch_rerank(chans, [3, 4, 5])) == (ValueError, message)
+        vector = rng.normal(size=4)
+        assert _raised(lambda: rerank_vector_query(chans, vector, vid=virtual_query_id(chans))) == (
+            ValueError, message
+        )
+
+
 def test_a_vector_query_on_a_channel_without_features_is_a_format_error():
     rng = np.random.default_rng(24)
     channels = random_channels(rng, 30, 2, 5)

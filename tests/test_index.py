@@ -35,9 +35,11 @@ from tierank.index import (
     knn_candidates,
     load_features,
     load_index,
+    load_parsed_features,
     load_tier3,
     query_knn,
     save_index,
+    save_parsed_features,
     save_tier3,
     write_features_binary,
     write_features_csv,
@@ -973,6 +975,9 @@ def test_the_one_pass_parse_reads_numbers_as_int_and_float_do(tmp_path):
     ("0,1_0\n", "f.csv:1: malformed row"),
     ("\uff11,2.0\n", "f.csv:1: malformed row"),
     ("0,\u0663\n", "f.csv:1: malformed row"),
+    # numpy's int parser would read these ids as 2360 and 472
+    ("\u0968,2.0\n", "f.csv:1: malformed row"),
+    ("0,1.0\n1\u01fe,2.0\n", "f.csv:2: malformed row"),
 ])
 def test_a_feature_csv_error_names_its_first_bad_line(tmp_path, text, message):
     path = tmp_path / "f.csv"
@@ -1105,3 +1110,79 @@ def test_a_malformed_table_file_is_a_format_error(tmp_path, case, message):
         load_tier3(back, 8, 5, path)
     assert str(exc.value).startswith(f"{path}: ") and message in str(exc.value)
     assert back._tables == {}
+
+
+# --- the parsed features file ---------------------------------------------------
+
+
+def _exotic_csv(path):
+    """A feature CSV with a header, signed zeros, the smallest subnormal, the largest double and the largest id."""
+    rng = np.random.default_rng(8)
+    rows = [[9223372036854775807, -0.0, 5e-324, 1.7976931348623157e308], [0, 0.0, -5e-324, -1.7976931348623157e308]]
+    rows += [[i, *rng.normal(size=3).tolist()] for i in range(1, 40)]
+    path.write_text("id,x,y,z\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+    return hashlib.sha256(path.read_bytes()).digest()
+
+
+def test_parsed_features_read_back_bit_for_bit(tmp_path):
+    digest = _exotic_csv(tmp_path / "ch.csv")
+    parsed = load_features(tmp_path / "ch.csv", channel_name="ch")
+    save_parsed_features(parsed, digest, tmp_path / "ch.features")
+    body = parsed.ids.astype("<i8").tobytes() + parsed.vectors.astype("<f8").tobytes()
+    header = struct.pack("<QQQ", 1, 41, 3) + digest + hashlib.sha256(body).digest()
+    assert (tmp_path / "ch.features").read_bytes() == b"TKFEAT\x00\x00" + header + body
+    back = load_parsed_features(tmp_path / "ch.features", digest, "ch")
+    assert back.channel_name == "ch" and back.ids.dtype == parsed.ids.dtype == np.int64
+    assert back.vectors.dtype == parsed.vectors.dtype and back.vectors.shape == (41, 3)
+    assert back.ids.tobytes() == parsed.ids.tobytes() and back.vectors.tobytes() == parsed.vectors.tobytes()
+    assert back.ids[0] == 2**63 - 1 and np.signbit(back.vectors[0, 0]) and back.vectors[0, 1] == 5e-324
+    assert not back.ids.flags.writeable and not back.vectors.flags.writeable
+
+
+def test_a_missing_or_stale_parsed_features_file_is_none(tmp_path):
+    digest = _exotic_csv(tmp_path / "ch.csv")
+    save_parsed_features(load_features(tmp_path / "ch.csv"), digest, tmp_path / "ch.features")
+    good = (tmp_path / "ch.features").read_bytes()
+    (tmp_path / "v2.features").write_bytes(good[:8] + struct.pack("<Q", 2) + good[16:])
+    assert load_parsed_features(tmp_path / "ch.features", digest, "ch") is not None
+    assert load_parsed_features(tmp_path / "missing.features", digest, "ch") is None
+    assert load_parsed_features(tmp_path / "ch.features", hashlib.sha256(b"edited").digest(), "ch") is None
+    assert load_parsed_features(tmp_path / "v2.features", digest, "ch") is None
+
+
+@pytest.mark.parametrize("case, message", [
+    ("empty", "not a tierank parsed features file"),
+    ("cut in the header", "not a tierank parsed features file"),
+    ("another magic", "not a tierank parsed features file"),
+    ("cut in the body", "does not match its header"),
+    ("one byte more", "does not match its header"),
+    ("another n", "does not match its header"),
+    ("a flipped body byte", "the features do not match their digest"),
+    ("a flipped body digest", "the features do not match their digest"),
+    ("a duplicate id", "duplicate item ids in feature matrix"),
+    ("a NaN", "feature matrix contains NaN or Inf"),
+])
+def test_a_malformed_parsed_features_file_is_a_format_error(tmp_path, case, message):
+    # the last two pass the file's own checks and fail FeatureMatrix's
+    digest = _exotic_csv(tmp_path / "ch.csv")
+    path = tmp_path / "ch.features"
+    save_parsed_features(load_features(tmp_path / "ch.csv"), digest, path)
+    good = path.read_bytes()
+    dup, nan = bytearray(good[96:]), bytearray(good[96:])
+    dup[8:16] = dup[16:24]
+    nan[-8:] = struct.pack("<d", float("nan"))
+    path.write_bytes({
+        "empty": b"",
+        "cut in the header": good[:95],
+        "another magic": b"TKFEAT\x00\x01" + good[8:],
+        "cut in the body": good[:-1],
+        "one byte more": good + b"\x00",
+        "another n": good[:16] + struct.pack("<Q", 40) + good[24:],
+        "a flipped body byte": good[:-9] + bytes([good[-9] ^ 1]) + good[-8:],
+        "a flipped body digest": good[:70] + bytes([good[70] ^ 0x80]) + good[71:],
+        "a duplicate id": good[:64] + hashlib.sha256(bytes(dup)).digest() + bytes(dup),
+        "a NaN": good[:64] + hashlib.sha256(bytes(nan)).digest() + bytes(nan),
+    }[case])
+    with pytest.raises(FormatError) as exc:
+        load_parsed_features(path, digest, "ch")
+    assert str(exc.value).startswith(f"{path}: ") and message in str(exc.value)

@@ -12,9 +12,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import tierank.cli
 from conftest import random_channels
 from perfbench.tracing import Tracer
-from perfbench.workloads import traced_query
+from perfbench.workloads import CLI_SPANS, traced_query
 from tierank.pipeline import rerank_query, rerank_vector_query, virtual_query_id
 
 
@@ -37,3 +38,10 @@ def test_traced_query_equals_the_library(m):
 def test_traced_query_equals_the_library_below_k(m):
     rng = np.random.default_rng(40 + m)
     _check_traced(rng, random_channels(rng, 4, m, 5), 2)
+
+
+def test_the_cli_has_every_function_a_traced_run_wraps():
+    # a traced cli-mixed run swaps these module attributes of tierank.cli for
+    # spans, so the commands must call them through the module
+    missing = [name for name in CLI_SPANS if not callable(getattr(tierank.cli, name, None))]
+    assert missing == []
