@@ -25,7 +25,7 @@ from .index import (
     load_index,
     save_index,
 )
-from .pipeline import Channel, batch_rerank, rerank_query, rerank_vector_query
+from .pipeline import Channel, batch_rerank, batch_rerank_vectors, rerank_query, rerank_vector_query
 from .ranking import FinalRanking, RankedList, read_rankings_tsv, write_rankings_tsv
 from .rerank import (
     JaccardValue,
@@ -62,6 +62,7 @@ __all__ = [
     "UnknownItemError",
     "ZeroVectorError",
     "batch_rerank",
+    "batch_rerank_vectors",
     "build_index",
     "distance",
     "fuse_graphs",

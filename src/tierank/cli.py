@@ -18,15 +18,15 @@ import numpy as np
 from . import bench as bench_mod
 from .config import ChannelConfig, PipelineConfig, load_config, write_config
 from .errors import (
-    FileAccessError, FormatError, TierankError, make_dir, parse_number, read_bytes, read_text, remove_files,
-    write_text,
+    DimensionError, FileAccessError, FormatError, TierankError, make_dir, parse_number, read_bytes, read_text,
+    remove_files, write_text,
 )
 from .evaluation import load_ground_truth, ns_score, precision_at, recall_at, write_ground_truth
 from .index import (
     FeatureMatrix, Metric, build_index, load_features, load_index, load_parsed_features, load_tier3, save_index,
     save_parsed_features, save_tier3, write_features_csv,
 )
-from .pipeline import Channel, batch_rerank, rerank_vector_query, virtual_query_id
+from .pipeline import Channel, batch_rerank, batch_rerank_vectors
 from .ranking import RankedList, read_rankings_tsv, write_rankings_tsv
 from .scenarios import gen_outlier_scenario, gen_two_manifold_scenario
 
@@ -104,8 +104,14 @@ def _parse_query_ids(args: argparse.Namespace) -> list[int]:
     return ids
 
 
-def _parse_query_vectors(path: str) -> list[np.ndarray]:
-    vectors = []
+def _parse_query_vectors(path: str, channels: list[Channel]) -> list[np.ndarray]:
+    """The file's vectors: every line parsed, then every line's length checked.
+
+    A line whose length is not every channel's dim is a DimensionError
+    naming the line and the first such channel, so that vectors of
+    different lengths never meet in one matrix.
+    """
+    vectors, linenos = [], []
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
@@ -117,8 +123,15 @@ def _parse_query_vectors(path: str) -> list[np.ndarray]:
         if not np.isfinite(vector).all():
             raise FormatError(f"{path}:{lineno}: query vector contains NaN or Inf")
         vectors.append(vector)
+        linenos.append(lineno)
     if not vectors:
         raise FormatError(f"{path}: no query vectors")
+    for lineno, vector in zip(linenos, vectors):
+        for ch in channels:
+            if vector.shape[0] != ch.features.dim:
+                raise DimensionError(
+                    f"{path}:{lineno}: query dim {vector.shape[0]} != channel {ch.name!r} dim {ch.features.dim}"
+                )
     return vectors
 
 
@@ -135,10 +148,8 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     query_ids = _parse_query_ids(args)
     if query_ids:
         rankings.extend(batch_rerank(channels, query_ids, k_final=k_final))
-    if args.query_vectors:
-        base_vid = virtual_query_id(channels)
-        for offset, vec in enumerate(_parse_query_vectors(args.query_vectors)):
-            rankings.append(rerank_vector_query(channels, vec, k_final=k_final, vid=base_vid + offset))
+    if args.query_vectors:  # named one past the largest stored id, and up
+        rankings.extend(batch_rerank_vectors(channels, _parse_query_vectors(args.query_vectors, channels), k_final))
     if not rankings:
         raise FormatError("no queries given; use --query-ids, --queries-file or --query-vectors")
 
@@ -146,8 +157,7 @@ def cmd_rerank(args: argparse.Namespace) -> int:
         write_rankings_tsv(rankings, args.out)
     else:
         for ranking in rankings:
-            for line in ranking.tsv_lines():
-                print(line)
+            sys.stdout.write(ranking.tsv_text())
     return 0
 
 

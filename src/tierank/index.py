@@ -350,31 +350,32 @@ def _spare_row(n: int) -> tuple[np.ndarray, threading.Lock]:
 
 def knn_columns(
     features: FeatureMatrix,
-    query_vector: Iterable[float],
+    query_vectors: np.ndarray,
     k: int,
     metric: Metric = Metric.L1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact top-k (feature-row columns, distances) for an arbitrary query vector.
+    """Exact top-k (feature-row columns, distances) of a (B, d) block of query vectors, a row each.
 
-    One row of distances through the selection kernel the build uses, so no
-    column comes twice. A query vector with a NaN or Inf is a FormatError,
-    raised before the scan. Under the cosine metric the query is checked
-    for a zero vector on every call and the channel once
+    One (B, n) block of distances through the selection kernel the build
+    uses, so no column comes twice in a row, and a row is the one its vector
+    gets alone. A query vector with a NaN or Inf is a FormatError, raised
+    before the scan. Under the cosine metric the queries are checked for a
+    zero vector on every call and the channel once
     (:attr:`FeatureMatrix.has_zero_vector`).
     """
-    q = np.asarray(query_vector, dtype=np.float64)
-    if q.ndim != 1 or q.shape[0] != features.dim:
-        raise DimensionError(f"query has dim {q.shape}, collection has dim {features.dim}")
+    q = np.asarray(query_vectors, dtype=np.float64)
+    if q.ndim != 2 or q.shape[1] != features.dim:
+        raise DimensionError(f"query has dim {q.shape[1:]}, collection has dim {features.dim}")
     if not np.isfinite(q).all():
         raise FormatError("query vector contains NaN or Inf")
     if k < 1:
         raise ValueError("k must be >= 1")
     if metric == Metric.COSINE:
         features.check_nonzero()
-        _check_nonzero(q[None, :], "query")
-    dists = cdist(q[None, :], features.vectors, metric.cdist_name)
-    cols = _Selector(1, features.n).nearest(dists, features.ids, min(k, features.n))[0]
-    return cols, dists[0, cols]
+        _check_nonzero(q, "query")
+    dists = cdist(q, features.vectors, metric.cdist_name)
+    cols = _Selector(*dists.shape).nearest(dists, features.ids, min(k, features.n))
+    return cols, dists[np.arange(cols.shape[0])[:, None], cols]
 
 
 def knn_candidates(
@@ -384,8 +385,11 @@ def knn_candidates(
     metric: Metric = Metric.L1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k (ids, distances) for an arbitrary query vector: :func:`knn_columns` by id."""
-    cols, dists = knn_columns(features, query_vector, k, metric)
-    return features.ids[cols], dists
+    q = np.asarray(query_vector, dtype=np.float64)
+    if q.ndim != 1:
+        raise DimensionError(f"query has dim {q.shape}, collection has dim {features.dim}")
+    cols, dists = knn_columns(features, q[None, :], k, metric)
+    return features.ids[cols[0]], dists[0]
 
 
 def query_knn(
@@ -433,7 +437,7 @@ class NeighborhoodIndex:
     Position n, one past the stored rows, is an out-of-sample query's slot.
     The ranking kernels (:meth:`position_rows`, :meth:`overlap_counts`,
     :meth:`center_counts`) read its row from their ``query_row`` argument,
-    which :meth:`query_row` makes; the index is neither copied nor changed.
+    which :meth:`query_rows` makes; the index is neither copied nor changed.
     ``virtual`` is None, or an overlay's one extra row as (id, row
     positions, distances) (see :meth:`with_virtual`), which the kernels
     read in place of a missing ``query_row`` and every id accessor names.
@@ -551,21 +555,24 @@ class NeighborhoodIndex:
         """The first k neighbor positions of every row in ``positions``, as one int64 matrix.
 
         Row j belongs to ``positions[j]``; slot n's row is ``query_row`` (see
-        :meth:`_slot_row`). A row shorter than the matrix (when n < k, or for
-        slot n's) is right-padded with -1, which is no position; only slot
-        n's row can be wider than the stored ones, by one entry when n < k.
+        :meth:`_slot_row`), or for a (B, w) ``query_row`` of B out-of-sample
+        queries, its i-th row at the i-th slot n in ``positions``. A row
+        shorter than the matrix (when n < k, or for slot n's) is right-padded
+        with -1, which is no position; only slot n's row can be wider than
+        the stored ones, by one entry when n < k.
         """
         out = self.neighbor_table.take(positions, axis=0, mode="clip")[:, :k]
         row = self._slot_row(query_row)
         if row is None:
             return out
-        row = row[:k]
-        if row.shape[0] > out.shape[1]:
-            pad = np.full((out.shape[0], row.shape[0] - out.shape[1]), -1, dtype=np.int64)
+        row = row[..., :k]
+        width = row.shape[-1]
+        if width > out.shape[1]:
+            pad = np.full((out.shape[0], width - out.shape[1]), -1, dtype=np.int64)
             out = np.concatenate((out, pad), axis=1)
         hit = positions == self.item_ids.shape[0]
-        out[hit, : row.shape[0]] = row
-        out[hit, row.shape[0] :] = -1
+        out[hit, :width] = row
+        out[hit, width:] = -1
         return out
 
     def overlap_counts(
@@ -578,7 +585,8 @@ class NeighborhoodIndex:
         the k2 rows of its entries, shape (B, width, k2 width), and
         ``counts[b, c]`` is |N_k2(j) ∩ near[b]| for j = ``near[b, c]``: how
         many of j's k2 neighbors lie in row b. A -1 pad's count is
-        meaningless. Slot n's row, when ``near`` names it, is ``query_row``.
+        meaningless. Slot n's row, when ``near`` names it, is ``query_row``
+        (its i-th row at the i-th slot n of ``near``, in row-major order).
         Membership is a mark per (row, position) in ``marks``, a flat boolean
         scratch of at least B·:attr:`slots` entries, all False; the kernel
         leaves it so, which lets one buffer serve every block of a table
@@ -626,14 +634,15 @@ class NeighborhoodIndex:
         """The tier-3 counts of the rows in ``positions``, shaped as :meth:`position_rows` gives them.
 
         A stored row's are its row of :meth:`overlap_table`; slot n's row
-        (``query_row``, see :meth:`_slot_row`) is counted by
-        :meth:`overlap_counts`; a -1 pad's are 0.
+        (``query_row``, see :meth:`_slot_row`; of a (B, w) one, the i-th row
+        at the i-th slot n) is counted by :meth:`overlap_counts`; a -1 pad's
+        are 0.
         """
         counts = self.overlap_table(k1, k2).take(positions, axis=0, mode="clip")
         row = self._slot_row(query_row)
         if row is None:
             return counts
-        near = row[None, :k1]  # one entry wider than a stored row when n < k
+        near = np.atleast_2d(row)[:, :k1]  # one entry wider than a stored row when n < k
         wide = np.zeros((positions.shape[0], max(counts.shape[1], near.shape[1])), dtype=counts.dtype)
         wide[:, : counts.shape[1]] = counts
         hit = positions == self.item_ids.shape[0]
@@ -663,27 +672,39 @@ class NeighborhoodIndex:
         if item < 0:
             raise FormatError(f"virtual id {item} is negative")
 
-    def query_row(self, item: int, positions: np.ndarray, dists: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        """Slot n's row for the out-of-sample query ``item``: n, then ``positions``.
+    def query_rows(
+        self, items: Sequence[int], positions: np.ndarray, dists: np.ndarray, ids: np.ndarray
+    ) -> np.ndarray:
+        """Slot n's rows for the out-of-sample queries ``items``, as a (B, w) matrix: n, then ``positions``.
 
-        ``positions`` are the row positions of the query's nearest items
-        ``ids`` at ``dists``, as the kNN kernel gives them (in (distance, id)
-        order and none twice), -1 for an id with no row. The ranking kernels
-        take the row as their ``query_row``. It is refused as
-        :meth:`with_virtual` refuses a row: on an overlay, for an ``item``
-        that is stored, negative or no int64, for a non-finite distance, and
-        for an id with no row.
+        Row b of ``positions`` holds the row positions of query b's nearest
+        items, row b of ``ids``, at row b of ``dists``, as the kNN kernel
+        gives them (in (distance, id) order and none twice), -1 for an id
+        with no row. The ranking kernels take the rows as their
+        ``query_row``. Each is refused as :meth:`with_virtual` refuses a
+        row: on an overlay, for an item that is stored, negative or no
+        int64, for a non-finite distance, and for an id with no row. The
+        checks run in that order, each over every row, and the first row a
+        check refuses is named.
         """
-        row = np.concatenate(([item], positions)).astype(np.int64)
-        self._check_query_id(item)
-        if row[0] != item:
-            raise FormatError(f"virtual row {item} is not led by its owner at distance 0")
+        given = np.asarray(items)
+        rows = np.empty((given.shape[0], positions.shape[1] + 1), dtype=np.int64)
+        rows[:, 0] = given  # a float's fraction is dropped here, and refused below
+        rows[:, 1:] = positions
+        for item in items:
+            self._check_query_id(item)
+        if given.dtype.kind != "i":  # an int64 cast keeps every signed integer; a float may lose its fraction
+            led = rows[:, 0] == given
+            if not led.all():
+                raise FormatError(f"virtual row {items[led.argmin()]} is not led by its owner at distance 0")
         if not np.isfinite(dists).all():
-            raise FormatError(f"virtual row {item} has a non-finite distance")
-        if row.min() < 0:
-            raise FormatError(f"virtual row {item} names item {ids[positions < 0][0]}, which is not stored")
-        row[0] = self.item_ids.shape[0]
-        return row
+            b = np.isfinite(dists).all(axis=1).argmin()
+            raise FormatError(f"virtual row {items[b]} has a non-finite distance")
+        if positions.size and positions.min() < 0:
+            b = (positions < 0).any(axis=1).argmax()
+            raise FormatError(f"virtual row {items[b]} names item {ids[b][positions[b] < 0][0]}, which is not stored")
+        rows[:, 0] = self.item_ids.shape[0]
+        return rows
 
     def with_virtual(self, item: int, ids: np.ndarray, dists: np.ndarray) -> "NeighborhoodIndex":
         """This index plus the one synthetic row of an out-of-sample query ``item``, as an overlay.
@@ -691,11 +712,11 @@ class NeighborhoodIndex:
         The stored index is not modified, and nothing of size n is copied.
         The row, given in ids, must meet the identity every stored row
         meets: led by ``item`` at distance 0, finite distances, and every
-        later id stored and named once (:meth:`query_row` checks the rest).
+        later id stored and named once (:meth:`query_rows` checks the rest).
         ``item`` takes row position n, one past the stored rows. An index
         holds one virtual row at most, so overlaying an overlay is a
         FormatError. No ranking builds an overlay: it is an inspection view
-        of :meth:`query_row`.
+        of :meth:`query_rows`.
         """
         self._check_query_id(item)
         ids = np.array(ids, dtype=np.int64)
@@ -705,7 +726,7 @@ class NeighborhoodIndex:
         if ids.shape[0] == 0 or ids[0] != item or dists[0] != 0.0:
             raise FormatError(f"virtual row {item} is not led by its owner at distance 0")
         stored = _row_positions(self.item_ids, ids[1:])
-        row = self.query_row(item, stored, dists[1:], ids[1:])
+        row = self.query_rows([item], stored[None], dists[None, 1:], ids[None, 1:])[0]
         if np.unique(stored).shape[0] < stored.shape[0]:
             raise FormatError(f"virtual row {item} names an id twice")
         row.setflags(write=False)

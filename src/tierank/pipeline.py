@@ -7,18 +7,20 @@ the fused tier-3 weights that break ties are the matrix's query row, so no
 per-channel tiered graph is built. An out-of-sample query ranks as a stored
 one does, from its own row of row positions per channel: the slot one past
 the stored rows, then its nearest stored items by the kNN kernel
-(:meth:`Channel.query_row`). The ranking kernels read that row where a
+(:meth:`Channel.query_rows`). The ranking kernels read that row where a
 stored query's comes from the neighbor table, so no index is rebuilt,
-copied or changed. A batch runs in blocks: one union, one affinity-matrix
-build and one greedy selection in lockstep per block, on the single
-query's front end (:func:`_candidates`) and with its rankings.
+copied or changed. A batch of ids or of vectors runs in blocks: one union,
+one affinity-matrix build and one greedy selection in lockstep per block,
+on the single query's front end (:func:`_candidates`) and with its
+rankings. A block of vectors also gets its rows from one blocked kNN scan
+per channel, and each of its queries reads its own row at its own slot n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -51,29 +53,28 @@ class Channel:
         """The index row position of every feature row, -1 for an id the index does not hold."""
         return _row_positions(self.index.item_ids, self.features.ids)
 
-    def query_row(self, vector: np.ndarray, vid: int) -> np.ndarray:
-        """The row of the out-of-sample query ``vid`` at ``vector``: its slot, then its nearest stored items.
+    def query_rows(self, vectors: np.ndarray, vids: Sequence[int]) -> np.ndarray:
+        """The rows of the out-of-sample queries ``vids`` at the (B, d) ``vectors``: each its slot, then its nearest.
 
-        The nearest k - 1 feature rows come from the kNN kernel
-        (:func:`~tierank.index.knn_columns`) and become row positions by one
-        ``take`` through :attr:`_feature_rows`;
-        :meth:`NeighborhoodIndex.query_row` checks ``vid`` and the row. A
-        channel with no features, a vector of another dimension and one
-        with a NaN or Inf are refused first, the last also when k = 1 and
-        no scan runs.
+        Every query's nearest k - 1 feature rows come from one call of the
+        kNN kernel (:func:`~tierank.index.knn_columns`) and become row
+        positions by one ``take`` through :attr:`_feature_rows`;
+        :meth:`NeighborhoodIndex.query_rows` checks ``vids`` and the rows. A
+        channel with no features, vectors of another dimension and a NaN or
+        Inf are refused first, the last also when k = 1 and no scan runs.
         """
         if self.features is None:
             raise FormatError(f"channel {self.name!r} has no feature matrix for vector queries")
-        if vector.shape[0] != self.features.dim:
-            raise DimensionError(f"query dim {vector.shape[0]} != channel {self.name!r} dim {self.features.dim}")
-        if not np.isfinite(vector).all():
+        if vectors.shape[1] != self.features.dim:
+            raise DimensionError(f"query dim {vectors.shape[1]} != channel {self.name!r} dim {self.features.dim}")
+        if not np.isfinite(vectors).all():
             raise FormatError("query vector contains NaN or Inf")
         want = min(self.index.k - 1, self.features.n)
         if want > 0:
-            cols, dists = knn_columns(self.features, vector, want, self.index.metric)
+            cols, dists = knn_columns(self.features, vectors, want, self.index.metric)
         else:
-            cols, dists = np.empty(0, dtype=np.int64), np.empty(0)
-        return self.index.query_row(vid, self._feature_rows.take(cols), dists, self.features.ids.take(cols))
+            cols, dists = np.empty((len(vids), 0), dtype=np.int64), np.empty((len(vids), 0))
+        return self.index.query_rows(vids, self._feature_rows.take(cols), dists, self.features.ids.take(cols))
 
 
 def virtual_query_id(channels: Sequence[Channel]) -> int:
@@ -93,11 +94,11 @@ def rerank_query(
 def _rerank(
     channels: Sequence[Channel], query: int, k_final: int | None, query_rows: list[np.ndarray] | None
 ) -> RankedList:
-    """:func:`rerank_query`; with ``query_rows``, of the out-of-sample query ``query`` with these rows per channel."""
+    """:func:`rerank_query`; with ``query_rows``, of the out-of-sample query ``query`` with these (1, w) rows."""
     if len(channels) == 0:
         raise EmptyChannelListError("at least one channel required")
     if len(channels) == 1:
-        ch, row = channels[0], None if query_rows is None else query_rows[0]
+        ch, row = channels[0], None if query_rows is None else query_rows[0][0]
         return tiered_rerank(ch.index, query, alpha=ch.alpha, k1=ch.k1, k2=ch.k2, query_row=row)
     cand, _, rank, weights, own, lookups = _candidates(channels, [query], query_rows)
     k_final = max(ch.k1 for ch in channels) if k_final is None else k_final
@@ -120,7 +121,7 @@ def rerank_vector_query(
     """Re-rank an out-of-sample query given as a raw vector, named ``vid``.
 
     Every channel, in input order, gives the query's row
-    (:meth:`Channel.query_row`), and the ranking runs as
+    (:meth:`Channel.query_rows`), and the ranking runs as
     :func:`rerank_query`'s on those rows, so it equals the ranking of an
     index holding the query as an item. ``vid`` defaults to one past the
     largest stored id (:func:`virtual_query_id`).
@@ -128,7 +129,7 @@ def rerank_vector_query(
     if vid is None:
         vid = virtual_query_id(channels)
     vec = np.asarray(vector, dtype=np.float64)
-    return _rerank(channels, vid, k_final, [ch.query_row(vec, vid) for ch in channels])
+    return _rerank(channels, vid, k_final, [ch.query_rows(vec[None], [vid]) for ch in channels])
 
 
 def batch_rerank(
@@ -148,33 +149,103 @@ def batch_rerank(
     query a block take the loop over :func:`rerank_query`, whose 1-D greedy
     loop is the faster for one query. Both give the same rankings bit for
     bit, on overlays too, and the same error: a block whose lookups fail
-    is re-run through the loop.
+    is re-run through the loop. :func:`batch_rerank_vectors` runs vector
+    queries the same way.
     """
-    queries, k1s = list(queries), [ch.k1 for ch in channels]
-    n = max((ch.index.n for ch in channels), default=0)
-    per = _block_queries(k1s, n) if len(channels) > 1 else 1
+    queries = list(queries)
+    per = _block_queries([ch.k1 for ch in channels], _stored(channels)) if len(channels) > 1 else 1
     if len(queries) < 2 or per < 2:  # a block of one would be slower than rerank_query
         return [rerank_query(channels, q, k_final=k_final) for q in queries]
-    blocks = -(-len(queries) // per)
-    bounds = [len(queries) * b // blocks for b in range(blocks + 1)]
-    slots = max(ch.index.slots for ch in channels)
-    scratch = np.empty(-(-len(queries) // blocks) * slots, dtype=np.min_scalar_type(sum(k1s)))
     out: list[RankedList] = []
-    for start, stop in zip(bounds, bounds[1:]):
-        out += _rerank_block(channels, queries[start:stop], k_final, scratch)
+    for at, scratch in _blocks(channels, len(queries), per):
+        block = queries[at]
+        out += _rerank_block(channels, block, k_final, scratch) or [rerank_query(channels, q, k_final) for q in block]
     return out
 
 
-def _block_queries(k1s: Sequence[int], n: int) -> int:
+def batch_rerank_vectors(
+    channels: Sequence[Channel],
+    vectors: Sequence[Iterable[float]] | np.ndarray,
+    k_final: int | None = None,
+    vid: int | None = None,
+) -> list[RankedList]:
+    """Re-rank out-of-sample queries given as raw vectors, named ``vid``, ``vid`` + 1, ...; in input order.
+
+    Equals ``[rerank_vector_query(channels, v, k_final, vid + j) for j, v in
+    enumerate(vectors)]`` bit for bit, and raises its first error. The
+    vectors are cut into blocks as :func:`batch_rerank` cuts ids, where a
+    query also holds its n distances and marks in the kNN scan. Per block,
+    every channel gives all the block's rows from one blocked kNN
+    (:meth:`Channel.query_rows`); on one channel each row then ranks through
+    :func:`~tierank.rerank.tiered_rerank`, on two or more the block ranks
+    through :func:`_rerank_block`. Fewer than two vectors, vectors that do
+    not stack into one (B, d) matrix, and a block whose checks or lookups
+    fail take the loop, which raises the per-query error.
+    """
+    if vid is None:
+        vid = virtual_query_id(channels)
+    vectors = list(vectors)
+    vids = [vid + j for j in range(len(vectors))]
+
+    def loop(at: slice) -> list[RankedList]:
+        return [rerank_vector_query(channels, v, k_final, q) for v, q in zip(vectors[at], vids[at])]
+
+    try:
+        stacked = np.asarray(vectors, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        stacked = None
+    if len(vectors) < 2 or stacked is None or stacked.ndim != 2 or not channels:
+        return loop(slice(None))
+    scan = max((ch.features.n for ch in channels if ch.features is not None), default=0)
+    per = _block_queries([ch.k1 for ch in channels], _stored(channels), scan)
+    if per < 2:  # a block of one would be slower than the loop
+        return loop(slice(None))
+    out: list[RankedList] = []
+    for at, scratch in _blocks(channels, len(vectors), per):
+        try:
+            rows = [ch.query_rows(stacked[at], vids[at]) for ch in channels]
+        except (TierankError, OverflowError, TypeError, ValueError):  # what a query's vector or id can raise
+            out += loop(at)
+            continue
+        if len(channels) > 1:
+            out += _rerank_block(channels, vids[at], k_final, scratch, rows) or loop(at)
+            continue
+        ch = channels[0]  # whose checks, if they fail, fail on the first query as in the loop
+        out += [tiered_rerank(ch.index, q, ch.alpha, ch.k1, ch.k2, row) for q, row in zip(vids[at], rows[0])]
+    return out
+
+
+def _stored(channels: Sequence[Channel]) -> int:
+    """The most items any channel's index holds."""
+    return max((ch.index.n for ch in channels), default=0)
+
+
+def _blocks(channels: Sequence[Channel], count: int, per: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """``count`` queries cut into near-equal slices of at most ``per``, each with the scratch they share.
+
+    The scratch holds B·(n + 2) slots for the largest block, each the
+    smallest integer that holds a column of W.
+    """
+    blocks = -(-count // per)
+    bounds = [count * b // blocks for b in range(blocks + 1)]
+    slots = max(ch.index.slots for ch in channels)
+    scratch = np.empty(-(-count // blocks) * slots, dtype=np.min_scalar_type(sum(ch.k1 for ch in channels)))
+    for start, stop in zip(bounds, bounds[1:]):
+        yield slice(start, stop), scratch
+
+
+def _block_queries(k1s: Sequence[int], n: int, scan: int = 0) -> int:
     """Queries per block on channels of these k1 and at most n items: as many as fit the budget.
 
     A query has C ≤ S = Σk1 candidates, so it holds at most (S + 1)²
     float64 cells of W; per channel, C·max(k1) int64 cells, float64 values
-    and two byte gathers; a dozen int64 arrays of C; and n + 1 slots.
+    and two byte gathers; a dozen int64 arrays of C; and n + 1 slots. A
+    vector query also holds, in the kNN scan of a channel of ``scan``
+    feature rows, a float64 distance and a byte mark per row.
     """
     s, k = sum(k1s), max(k1s)
     slot = np.min_scalar_type(s).itemsize  # a slot holds a column, S at most
-    per_query = 8 * (s + 1) ** 2 + 18 * s * k + 8 * s * (len(k1s) + 10) + slot * (n + 1)
+    per_query = 8 * (s + 1) ** 2 + 18 * s * k + 8 * s * (len(k1s) + 10) + slot * (n + 1) + 9 * scan
     return max(1, min(_BLOCK_CAP, _BLOCK_BUDGET // per_query)) if min(k1s) > 0 else 1
 
 
@@ -185,9 +256,10 @@ def _candidates(
 
     Channels are checked and give their k1 rows in input order, then
     duplicate names are refused; the first fault raises. With
-    ``query_rows``, B is 1 and the query is out of sample: its row on every
-    channel, in input order, is given (:meth:`Channel.query_row`), led by
-    its slot. Returns, for every query's candidates side by side, by id:
+    ``query_rows``, the queries are out of sample: their rows on every
+    channel, in input order, are given as one (B, w) matrix a channel
+    (:meth:`Channel.query_rows`), each row led by its query's slot.
+    Returns, for every query's candidates side by side, by id:
     their ids, queries, distance ranks and fused weights (W's query row,
     the query's own counts summed in channel-name order); every query's own
     candidate; and per channel, in name order, (channel, the candidates'
@@ -197,7 +269,7 @@ def _candidates(
     qrows = []
     for ch, row in zip(channels, query_rows):
         resolve_k(ch.index, ch.alpha, ch.k1, ch.k2)
-        at = ch.index.positions(queries) if row is None else row[:1]  # a row is led by its owner
+        at = ch.index.positions(queries) if row is None else row[:, 0]  # a row is led by its owner
         qrows.append(ch.index.position_rows(at, ch.k1, row))
     names = [ch.name for ch in channels]
     if len(set(names)) != len(names):
@@ -207,7 +279,7 @@ def _candidates(
     ranks = np.concatenate([np.arange(r.shape[1]) for r in qrows])
     ids = np.concatenate([ch.index.ids_at(r) for ch, r in zip(by_name, qrows)], axis=1)
     if query_rows[0] is not None:  # the slot that leads each row names the query
-        ids[:, ranks == 0] = queries
+        ids[:, ranks == 0] = np.asarray(queries)[:, None]
     if rows.min() < 0:  # a -1 pad, in a row narrower than another channel's, stands for the query
         ids = np.where(rows < 0, ids[:, :1], ids)
     # each query's entries by id (``flat`` indexes the raveled rows): an
@@ -242,9 +314,13 @@ def _candidates(
 
 
 def _rerank_block(
-    channels: Sequence[Channel], queries: list[int], k_final: int | None, scratch: np.ndarray
-) -> list[RankedList]:
+    channels: Sequence[Channel], queries: list[int], k_final: int | None, scratch: np.ndarray,
+    query_rows: Sequence[np.ndarray] | None = None,
+) -> list[RankedList] | None:
     """:func:`rerank_query` for a block of B queries on two or more channels.
+
+    With ``query_rows`` the queries are out of sample, with these rows
+    (see :func:`_candidates`), as :func:`rerank_vector_query` ranks them.
 
     Steps, each over the whole block:
 
@@ -262,16 +338,16 @@ def _rerank_block(
        maximum, and query b stops after min(k_final, C_b - 1) picks, so
        every pick and score is the per-query one.
 
-    Falls back to the per-query loop, which raises the per-query error,
-    when step 1 fails or k_final is below 1.
+    Returns None when step 1 fails or k_final is below 1: the caller then
+    runs the per-query loop, which raises the per-query error.
     """
     k_final = max(ch.k1 for ch in channels) if k_final is None else k_final
+    if k_final < 1:
+        return None
     try:
-        cand, owner, rank, weights, own, lookups = _candidates(channels, queries)
+        cand, owner, rank, weights, own, lookups = _candidates(channels, queries, query_rows)
     except (TierankError, ValueError):
-        cand = None
-    if cand is None or k_final < 1:
-        return [rerank_query(channels, q, k_final=k_final) for q in queries]
+        return None
     b, total = len(queries), cand.shape[0]
     sizes = np.bincount(owner, minlength=b)
     levels, heavier = np.unique(-weights, return_inverse=True)
@@ -283,9 +359,9 @@ def _rerank_block(
     lane = owner * width + col  # a candidate's row of the stack, and its entry of acc
     starts = (lane * width)[:, None]
     matrix = np.zeros((b * width, width))
-    for ch, pos, counts, _ in lookups:
+    for ch, pos, counts, row in lookups:
         slots = (owner * ch.index.slots)[:, None]  # query b's slots of the scratch start at b·(n + 2)
-        add_counts(matrix, ch.index, pos, ch.k1, counts, float(ch.alpha), starts, slots, col, scratch)
+        add_counts(matrix, ch.index, pos, ch.k1, counts, float(ch.alpha), starts, slots, col, scratch, row)
 
     steps = [min(k_final, size - 1) for size in sizes.tolist()]
     acc = np.where(np.arange(width) < sizes[:, None], 0.0, -np.inf)

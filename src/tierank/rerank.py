@@ -161,8 +161,8 @@ def tiered_rerank(
     Candidates sort by descending tier-3 weight; ties fall back to the
     original distance rank. The query itself, named by its stored id, is
     always first, and the output is a permutation of the candidate set.
-    With ``query_row`` (:meth:`NeighborhoodIndex.query_row`), ``query`` is
-    an out-of-sample query with that row at slot n.
+    With ``query_row`` (a row of :meth:`NeighborhoodIndex.query_rows`),
+    ``query`` is an out-of-sample query with that row at slot n.
     """
     nearest, overlaps, _ = _overlaps(index, query, *resolve_k(index, alpha, k1, k2), query_row)
     # lexsort is stable and its last key decides first: the query, then

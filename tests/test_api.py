@@ -50,3 +50,11 @@ def test_removed_names_are_gone():
     # an export that no ranking used: the module keeps it, the package no longer exports it
     assert "query_knn" not in tierank.__all__ and not hasattr(tierank, "query_knn")
     assert hasattr(importlib.import_module("tierank.index"), "query_knn")
+
+
+def test_vector_batches_are_exported():
+    # the blocked form of rerank_vector_query; a query's row comes only in blocks, of one or more
+    assert "batch_rerank_vectors" in tierank.__all__
+    assert tierank.batch_rerank_vectors is importlib.import_module("tierank.pipeline").batch_rerank_vectors
+    assert hasattr(tierank.Channel, "query_rows") and not hasattr(tierank.Channel, "query_row")
+    assert hasattr(tierank.NeighborhoodIndex, "query_rows") and not hasattr(tierank.NeighborhoodIndex, "query_row")

@@ -25,7 +25,7 @@ from tierank.cli import main
 from tierank.config import load_config
 from tierank.errors import TierankError
 from tierank.index import Metric, load_features, load_index, write_features_binary, write_features_csv
-from tierank.ranking import read_rankings_tsv
+from tierank.ranking import read_rankings_tsv, write_rankings_tsv
 from tierank.rerank import tiered_rerank
 
 
@@ -668,6 +668,58 @@ def test_rerank_on_corrupted_index_exits_3(corruptible_dirs, data):
         # may still rank, or name an unknown query id
         assert code in (0, 3)
 
+
+
+# --- vector queries in blocks ------------------------------------------------------
+
+
+@pytest.mark.parametrize("names", ["a", "ab"])
+def test_rerank_query_vectors_output_is_the_loops_byte_for_byte(tmp_path, names):
+    # 70 vectors, so several blocks: repeats, stored rows and fresh points,
+    # after the ids; the TSV file and stdout are the per-query loop's bytes
+    rng = np.random.default_rng(31)
+    stored = {}
+    for name in names:
+        stored[name] = random_features(rng, 60, dim=3, channel=name)
+        write_features_csv(stored[name], tmp_path / f"{name}.csv")
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("".join(f"[channel:{n}]\nfeatures = {n}.csv\nk1 = 9\nk2 = 6\n" for n in names))
+    pool = np.vstack((stored["a"].vectors[:4], rng.normal(size=(6, 3))))
+    vectors = pool[rng.integers(0, len(pool), size=70)]
+    (tmp_path / "q.vec").write_text("".join(" ".join(map(repr, v)) + "\n" for v in vectors.tolist()))
+    _index(cfg, tmp_path / "idx")
+    rerank = ["rerank", "--config", str(cfg), "--query-ids", "0,7,7,59", "--query-vectors", str(tmp_path / "q.vec")]
+    assert main([*rerank, "--index-dir", str(tmp_path / "idx"), "--out", str(tmp_path / "got.tsv")]) == 0
+    channels = tierank.cli._assemble_channels(load_config(cfg), tmp_path / "idx", True)
+    want = tierank.batch_rerank(channels, [0, 7, 7, 59])
+    want += [tierank.rerank_vector_query(channels, v, vid=60 + j) for j, v in enumerate(vectors)]
+    write_rankings_tsv(want, tmp_path / "want.tsv")
+    assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
+    code, printed, err = _ranked(rerank, tmp_path / "idx")
+    assert code == 0 and err == "" and printed == (tmp_path / "want.tsv").read_text()
+
+
+@pytest.mark.parametrize(("text", "line", "dim"), [
+    ("0.1 0.2 0.3\n0.1 0.2\n0.1 0.2 0.3 0.4\n", 2, 2),  # ragged
+    ("\n0.1 0.2 0.3 0.4\n0.1 0.2 0.3 0.4\n", 2, 4),  # every line of another dim
+    ("0.1 0.2 0.3\n0.1,0.2,0.3,0.4\n", 2, 4),
+])
+def test_query_vectors_of_another_length_name_their_line(tmp_path, capsys, text, line, dim):
+    # vectors of different lengths never meet in one matrix: the first line
+    # whose length is not the channels' dim is a DimensionError (exit 3)
+    rng = np.random.default_rng(32)
+    for name in "ab":
+        write_features_csv(random_features(rng, 30, dim=3, channel=name), tmp_path / f"{name}.csv")
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("".join(f"[channel:{n}]\nfeatures = {n}.csv\nk1 = 5\n" for n in "ab"))
+    _index(cfg, tmp_path / "idx")
+    vectors = tmp_path / "q.vec"
+    vectors.write_text(text)
+    capsys.readouterr()
+    argv = ["rerank", "--config", str(cfg), "--index-dir", str(tmp_path / "idx"), "--query-vectors", str(vectors)]
+    assert main([*argv, "--out", str(tmp_path / "out.tsv")]) == 3
+    assert capsys.readouterr().err == f"error\tDimensionError\t{vectors}:{line}: query dim {dim} != channel 'a' dim 3\n"
+    assert not (tmp_path / "out.tsv").exists()
 
 
 # --- the tier-3 table files `tierank index` writes ------------------------------

@@ -7,6 +7,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FunctionPairwise, fused_instance, gen_correlated_trial, gen_trend_channels
 from tierank.errors import ClassSizeError, FormatError, SizeError, UnknownItemError
@@ -21,7 +23,8 @@ from tierank.evaluation import (
 from tierank.fusion import greedy_select
 from tierank.index import Metric, build_index
 from tierank.oracles import oracle_greedy_select, oracle_pairwise
-from tierank.ranking import RankedList
+from tierank import ranking
+from tierank.ranking import RankedList, read_rankings_tsv, write_rankings_tsv
 from tierank.rerank import tier1_rerank, tiered_graph
 from tierank.scenarios import gen_outlier_scenario, gen_two_manifold_scenario
 
@@ -331,3 +334,81 @@ def test_oracle_agrees_on_random_instances():
         got = greedy_select(fused, pw, k=5)
         want = oracle_greedy_select(fused, partial(oracle_pairwise, channels), k=5)
         assert got.items == want.items
+
+
+# --- the rankings TSV -----------------------------------------------------------------
+
+
+def _bits(rankings):
+    return [(r.query, r.tier, [(i, float(s).hex()) for i, s in r.entries]) for r in rankings]
+
+
+def test_the_rankings_tsv_round_trips_bit_for_bit(tmp_path):
+    # extreme scores and ids, a query ranked twice in a row, and an empty list
+    scores = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, float("inf"), -float("inf"), 0.1, 1 / 3]
+    rankings = [
+        RankedList(2**63 - 1, tuple((2**62 + j, s) for j, s in enumerate(scores)), "mfr"),
+        RankedList(0, ((0, 0.0), (5, 2.5)), "3"),
+        RankedList(0, ((0, 0.0), (6, 1.25)), "3"),
+        RankedList(7, (), "3"),
+        RankedList(-4, ((-4, 0.0),), "knn"),
+    ]
+    path = tmp_path / "r.tsv"
+    write_rankings_tsv(rankings, path)
+    rows = [f"{r.query}\t{rank}\t{item}\t{score!r}\t{r.tier}\n"
+            for r in rankings for rank, (item, score) in enumerate(r.entries, start=1)]
+    assert path.read_text() == "".join(rows)
+    assert _bits(read_rankings_tsv(path)) == _bits([r for r in rankings if r.entries])
+
+
+@pytest.mark.parametrize(("text", "message"), [
+    ("1\t1\t1\t0.0\tmfr\n1\t2\t4\t1.0\n", "2: expected 5 tab-separated fields"),
+    ("1\t1\t1\t0.0\tmfr\n\n1\t2\t4\t1.0\tmfr\tx\n", "3: expected 5 tab-separated fields"),
+    ("1\t1\t1\t0.0\tmfr\n1\t2\t4\t1_0\tmfr\n", "2: malformed ranking row"),
+    ("1\t1\t1\t0.0\tmfr\n1\t2\t\u0968\t1.0\tmfr\n", "2: malformed ranking row"),  # numpy reads 2360
+    ("1\t1\t1\t0.0\tmfr\n1\t2\t4\t0x1\tmfr\n", "2: malformed ranking row"),
+    ("\n\n1\t1\t1\t0.0\tmfr\n1\t3\t4\t1.0\tmfr\n", "4: rank column out of order"),
+    ("1\t1\t1\t0.0\tmfr\n2\t2\t4\t1.0\tmfr\n", "2: rank column out of order"),
+    ("1\t2\t1\t0.0\tmfr\n", "1: rank column out of order"),
+])
+def test_a_rankings_tsv_error_names_its_first_bad_line(tmp_path, text, message):
+    path = tmp_path / "r.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError) as exc:
+        read_rankings_tsv(path)
+    assert str(exc.value) == f"{path}:{message}"
+
+
+def test_a_rankings_tsv_reads_ids_no_int64_holds(tmp_path):
+    # the one pass refuses them; the line loop reads them as before
+    path = tmp_path / "r.tsv"
+    path.write_text(f"{2**64}\t1\t{2**64}\t0.0\tmfr\n{2**64}\t2\t-{2**70}\t1e400\tmfr\n")
+    [got] = read_rankings_tsv(path)
+    assert (got.query, got.entries, got.tier) == (2**64, ((2**64, 0.0), (-(2**70), float("inf"))), "mfr")
+
+
+_TSV_TOKENS = ["0", "1", "2", "7", "-3", "+4", " 5", "1.5", "-0.0", "1e3", "nan", "inf", "", "x", "1_0", "\u0968",
+               "99999999999999999999", "\t", "mfr", "3"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.just(""),
+    st.lists(st.sampled_from(_TSV_TOKENS), min_size=4, max_size=6).map("\t".join),
+    st.tuples(st.sampled_from([1, 2]), st.integers(1, 3), st.integers(0, 9), st.floats(allow_nan=False))
+    .map(lambda row: "\t".join(map(repr, row)) + "\tmfr"),
+), max_size=8))
+def test_a_rankings_tsv_reads_as_the_line_loop_does(tmp_path_factory, lines):
+    # the one pass and the loop it falls back on give the same rankings, or
+    # the same error, on any mix of good rows, bad tokens and blank lines
+    path = tmp_path_factory.mktemp("tsv") / "r.tsv"
+    text = "\n".join(lines) + "\n"
+    path.write_text(text, encoding="utf-8")
+
+    def outcome(read):
+        try:
+            return "ok", _bits(read())
+        except FormatError as exc:
+            return "error", str(exc)
+
+    assert outcome(lambda: read_rankings_tsv(path)) == outcome(lambda: ranking._read_rows(path))

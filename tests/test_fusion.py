@@ -33,6 +33,7 @@ from tierank.pipeline import (
     _block_queries,
     Channel,
     batch_rerank,
+    batch_rerank_vectors,
     rerank_query,
     rerank_vector_query,
     virtual_query_id,
@@ -1028,3 +1029,195 @@ def test_a_vector_query_keeps_every_error():
         got = rerank_vector_query(chans, vector)
         assert _exact([got]) == _exact([rerank_vector_query([a, b][: len(chans)], vector)])
         assert _exact([got]) == _exact([rerank_query(overlay_query(chans, vector, 30), 30)])
+
+
+# --- out-of-sample queries in blocks ------------------------------------------
+
+
+def _vector_block_size(channels):
+    """The vectors per block that batch_rerank_vectors takes on these channels."""
+    scan = max(ch.features.n for ch in channels)
+    return _block_queries([ch.k1 for ch in channels], max(ch.index.n for ch in channels), scan)
+
+
+def _loop(channels, vectors, k_final=None, vid=None):
+    """The per-query loop that batch_rerank_vectors equals."""
+    vid = virtual_query_id(channels) if vid is None else vid
+    return [rerank_vector_query(channels, v, k_final, vid + j) for j, v in enumerate(vectors)]
+
+
+@st.composite
+def _vector_batches(draw):
+    """Channels on shared sparse ids, and a batch of vectors with ties.
+
+    m is 1 to 3, n may be below k (the query's row is then one entry wider
+    than a stored row), the metric may be cosine, and vectors sit on a
+    small grid: the batch repeats vectors and takes stored rows as they
+    are, so distances tie at the k-th nearest. The batch holds 1, 2, a
+    block's worth or a block and one more vectors.
+    """
+    n = draw(st.integers(2, 12))
+    m = draw(st.integers(1, 3))
+    metric = draw(st.sampled_from(list(Metric)))
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
+    low = 1 if metric == Metric.COSINE else 0  # cosine refuses a zero vector
+    grid = st.lists(st.integers(low, 4), min_size=2, max_size=2)
+    channels = []
+    for name in draw(st.permutations([f"c{c}" for c in range(m)])):
+        fm = FeatureMatrix(name, ids, np.asarray(draw(st.lists(grid, min_size=n, max_size=n)), dtype=np.float64))
+        k = draw(st.integers(1, 16))
+        channels.append(Channel(name, build_index(fm, k=k, metric=metric), draw(st.integers(1, k)),
+                                draw(st.integers(1, k)), draw(st.sampled_from([1.0, 0.3, 1.7])), fm))
+    stored = channels[0].features.vectors.tolist()
+    pool = draw(st.lists(st.one_of(grid, st.sampled_from(stored)), min_size=1, max_size=4))
+    count = draw(st.sampled_from([1, 2, _vector_block_size(channels), _vector_block_size(channels) + 1]))
+    return channels, [draw(st.sampled_from(pool)) for _ in range(count)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_vector_batches(), st.sampled_from([None, 1, 3]), st.sampled_from([None, 0, 3]))
+def test_batch_rerank_vectors_matches_the_loop_property(instance, k_final, vid):
+    # bit for bit, or the loop's first error; a vid of 0 or 3 may name
+    # stored ids, which both refuse alike. Where the loop raises nothing,
+    # two or more vectors run in blocks, never through the loop
+    channels, vectors = instance
+    try:
+        want = _loop(channels, vectors, k_final, vid)
+    except Exception:  # noqa: BLE001 - any class, compared below
+        assert _raised(lambda: batch_rerank_vectors(channels, vectors, k_final, vid)) == _raised(
+            lambda: _loop(channels, vectors, k_final, vid))
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        if len(vectors) > 1:
+            patch.setattr(pipeline, "rerank_vector_query", lambda *args: pytest.fail("the loop ran"))
+        got = batch_rerank_vectors(channels, vectors, k_final, vid)
+    assert got == want and _exact(got) == _exact(want)
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_batch_rerank_vectors_matches_the_loop(metric, m):
+    # n < k (the query's row one entry wider than a stored row), k = 1 (no
+    # scan), repeated vectors and stored rows, across a block boundary
+    rng = np.random.default_rng(80 + m)
+    shapes = [(30, 6, (6, 3, 1), (6, 6, 2)), (5, 8, (8, 6, 8), (8, 3, 1)), (12, 1, (1, 1, 1), (1, 1, 1))]
+    for n, k, k1s, k2s in shapes:
+        channels, grid = _sparse_channels(rng, n, k, k1s[:m], k2s[:m], metric)
+        size = _vector_block_size(channels)
+        pool = np.vstack((grid[:3], grid[:3] + 0.5, rng.normal(size=(3, 3))))
+        for count in (1, 2, size, size + 1, 2 * size + 3):
+            vectors = pool[rng.integers(0, len(pool), size=count)]
+            for k_final in (None, 1, 4):
+                got = batch_rerank_vectors(channels, vectors, k_final)
+                assert _exact(got) == _exact(_loop(channels, vectors, k_final))
+
+
+def test_a_vector_block_ranks_each_query_from_its_own_slot(monkeypatch):
+    # one kNN scan per channel and block, whose rows every kernel reads at
+    # their own query's slot n: no per-query call of the loop or the scan
+    rng = np.random.default_rng(81)
+    channels = random_channels(rng, 60, 2, 6)
+    vectors = rng.normal(size=(9, 4))
+    want = _loop(channels, vectors)
+    scans = []
+    knn_columns = pipeline.knn_columns
+    monkeypatch.setattr(pipeline, "knn_columns", lambda fm, q, *args: scans.append(len(q)) or knn_columns(fm, q, *args))
+    monkeypatch.setattr(pipeline, "rerank_vector_query", lambda *args: pytest.fail("the loop ran"))
+    assert _exact(batch_rerank_vectors(channels, vectors)) == _exact(want)
+    assert scans == [9, 9]
+
+
+def test_batch_rerank_vectors_keeps_the_loops_first_error():
+    rng = np.random.default_rng(82)
+    a, b = random_channels(rng, 30, 2, 5)
+    vectors = rng.normal(size=(5, 4))
+    vectors[2] = 20.0  # far from every stored row, so no other vector's nearest is id 500 below
+    nan = vectors.copy()
+    nan[3, 1] = np.nan
+    near = _extra_features(a, [vectors[2] + 1e-9])  # id 500 is vector 2's nearest feature row
+    cases = [  # channels, vectors, vid, error
+        ([a, b], nan, None, (FormatError, "query vector contains NaN or Inf")),
+        ([a], nan, None, (FormatError, "query vector contains NaN or Inf")),
+        ([a, b], vectors[:, :3], None, (DimensionError, "query dim 3 != channel 'ch0' dim 4")),
+        ([a, b], [*vectors[:2], vectors[2, :3], *vectors[3:]], None,
+         (DimensionError, "query dim 3 != channel 'ch0' dim 4")),  # ragged: no (B, d) matrix
+        ([near, b], vectors, None, (FormatError, "virtual row 32 names item 500, which is not stored")),
+        ([near], vectors, None, (FormatError, "virtual row 32 names item 500, which is not stored")),
+        ([a, replace(b, features=None)], vectors, None,
+         (FormatError, "channel 'ch1' has no feature matrix for vector queries")),
+        ([a, b], vectors, 27, (FormatError, "virtual id 27 collides with an indexed item")),
+        ([a, b], vectors, -3, (FormatError, "virtual id -3 is negative")),
+        ([a, b], vectors, 30.5, (FormatError, "virtual row 30.5 is not led by its owner at distance 0")),
+        ([a, b], vectors, 10**23, (OverflowError, "Python int too large to convert to C long")),
+        ([a, b], vectors, None, None),
+        ([], vectors, None, (EmptyChannelListError, "at least one channel required")),
+    ]
+    for chans, vecs, vid, error in cases:
+        if error is None:  # k_final below one, raised after every check
+            error = (ValueError, "k must be >= 1")
+            assert _raised(lambda: batch_rerank_vectors(chans, vecs, 0, vid)) == error
+            assert _raised(lambda: _loop(chans, vecs, 0, vid)) == error
+            continue
+        assert _raised(lambda: _loop(chans, vecs, None, vid)) == error
+        assert _raised(lambda: batch_rerank_vectors(chans, vecs, None, vid)) == error
+
+
+def test_channel_query_rows_checks_every_row():
+    # the checks of one query's row, run over the block: each names the first row it refuses
+    rng = np.random.default_rng(83)
+    [a] = random_channels(rng, 30, 1, 5)
+    vectors = rng.normal(size=(4, 4))
+    vectors[2] = 20.0  # far from every stored row, so no other vector's nearest is id 500 below
+    near = _extra_features(a, [vectors[2] + 1e-9])
+    assert near.query_rows(vectors[:2], [40, 41]).shape == (2, 5)
+    cases = [
+        (a, vectors, [40, 41, 5, 43], (FormatError, "virtual id 5 collides with an indexed item")),
+        (a, vectors, [40, 41, 42.5, 43], (FormatError, "virtual row 42.5 is not led by its owner at distance 0")),
+        (near, vectors, [40, 41, 42, 43], (FormatError, "virtual row 42 names item 500, which is not stored")),
+        (a, np.vstack((vectors[:3], [np.inf] * 4)), [40, 41, 42, 43],
+         (FormatError, "query vector contains NaN or Inf")),
+    ]
+    for ch, vecs, vids, error in cases:
+        assert _raised(lambda: ch.query_rows(vecs, vids)) == error
+    rows = a.query_rows(vectors, [40, 41, 42, 43])
+    for j, vector in enumerate(vectors):
+        assert rows[j].tolist() == a.query_rows(vector[None], [40 + j])[0].tolist()
+
+
+def test_the_kernels_read_a_block_of_query_rows_at_their_own_slots():
+    # row i of a (B, w) query_row goes to the i-th slot n of the positions,
+    # as each row alone would; stored rows stay as they are
+    rng = np.random.default_rng(84)
+    for n, k in ((40, 6), (5, 8)):
+        [ch] = random_channels(rng, n, 1, k)
+        rows = ch.query_rows(rng.normal(size=(3, 4)), [100, 101, 102])
+        positions = np.array([n, 0, 1, n, n, 2])
+        for k1 in (1, 3, k):
+            near = ch.index.position_rows(positions, k1, rows)
+            counts = ch.index.center_counts(positions, k1, 4, rows)
+            for i, j in enumerate(np.flatnonzero(positions == n)):
+                alone = ch.index.position_rows(positions[j : j + 1], k1, rows[i])
+                assert near[j, : alone.shape[1]].tolist() == alone[0].tolist()
+                assert (near[j, alone.shape[1] :] == -1).all()
+                assert counts[j].tolist() == ch.index.center_counts(positions[j : j + 1], k1, 4, rows[i])[0].tolist()
+            stored = positions < n
+            assert near[stored, : min(k1, n)].tolist() == ch.index.position_rows(positions[stored], k1).tolist()
+
+
+def test_a_block_of_vectors_works_within_the_budget():
+    # the cli-mixed shape at a smaller n: a block's kNN scans hold a
+    # distance and a mark per feature row a query, which the rule counts
+    rng = np.random.default_rng(85)
+    channels = random_channels(rng, 2000, 2, 50)
+    batch_rerank(channels, [0, 1])  # builds the tables
+    size = _vector_block_size(channels)
+    assert 2 <= size < _block_size(channels)
+    vectors = rng.normal(size=(size, 4))
+    tracemalloc.start()
+    try:
+        kept = batch_rerank_vectors(channels, vectors)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == size
+    assert peak - current <= _BLOCK_BUDGET
