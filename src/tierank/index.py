@@ -54,7 +54,6 @@ from .errors import (
     write_bytes,
     write_text,
 )
-from .ranking import RankedList
 
 _INDEX_MAGIC = b"TKINDEX\x00"
 _INDEX_VERSION = 2
@@ -390,18 +389,6 @@ def knn_candidates(
         raise DimensionError(f"query has dim {q.shape}, collection has dim {features.dim}")
     cols, dists = knn_columns(features, q[None, :], k, metric)
     return features.ids[cols[0]], dists[0]
-
-
-def query_knn(
-    features: FeatureMatrix,
-    query_vector: Iterable[float],
-    k: int,
-    metric: Metric = Metric.L1,
-) -> RankedList:
-    """Rank the k nearest stored items to an out-of-sample query vector."""
-    sel_ids, sel_dists = knn_candidates(features, query_vector, k, metric)
-    entries = tuple((int(i), float(d)) for i, d in zip(sel_ids, sel_dists))
-    return RankedList(query=-1, entries=entries, tier="knn", channel=features.channel_name)
 
 
 def _row_positions(item_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:

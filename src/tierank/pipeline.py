@@ -9,11 +9,12 @@ one does, from its own row of row positions per channel: the slot one past
 the stored rows, then its nearest stored items by the kNN kernel
 (:meth:`Channel.query_rows`). The ranking kernels read that row where a
 stored query's comes from the neighbor table, so no index is rebuilt,
-copied or changed. A batch of ids or of vectors runs in blocks: one union,
-one affinity-matrix build and one greedy selection in lockstep per block,
-on the single query's front end (:func:`_candidates`) and with its
-rankings. A block of vectors also gets its rows from one blocked kNN scan
-per channel, and each of its queries reads its own row at its own slot n.
+copied or changed. A batch of ids or of vectors runs through one driver
+(:func:`_batch`) in blocks. A block of vectors first gets its rows from one
+blocked kNN scan per channel, and each of its queries reads its own row at
+its own slot n. On two or more channels a block then runs one union, one
+affinity-matrix build and one greedy selection in lockstep, on the single
+query's front end (:func:`_candidates`) and with its rankings.
 """
 
 from __future__ import annotations
@@ -87,20 +88,19 @@ def rerank_query(
     query: int,
     k_final: int | None = None,
 ) -> RankedList:
-    """Re-rank one query; fuses channels when more than one is configured."""
+    """Re-rank one query, fusing channels when more than one is configured; :func:`_batch`'s per-query path."""
     return _rerank(channels, query, k_final, None)
 
 
-def _rerank(
-    channels: Sequence[Channel], query: int, k_final: int | None, query_rows: list[np.ndarray] | None
-) -> RankedList:
-    """:func:`rerank_query`; with ``query_rows``, of the out-of-sample query ``query`` with these (1, w) rows."""
+def _rerank(channels: Sequence[Channel], query: int, k_final: int | None, vector: np.ndarray | None) -> RankedList:
+    """:func:`rerank_query`; with the (1, d) ``vector``, of the out-of-sample query ``query`` at that vector."""
     if len(channels) == 0:
         raise EmptyChannelListError("at least one channel required")
+    rows = None if vector is None else [ch.query_rows(vector, [query]) for ch in channels]
     if len(channels) == 1:
-        ch, row = channels[0], None if query_rows is None else query_rows[0][0]
+        ch, row = channels[0], None if rows is None else rows[0][0]
         return tiered_rerank(ch.index, query, alpha=ch.alpha, k1=ch.k1, k2=ch.k2, query_row=row)
-    cand, _, rank, weights, own, lookups = _candidates(channels, [query], query_rows)
+    cand, _, rank, weights, own, lookups = _candidates(channels, [query], rows)
     k_final = max(ch.k1 for ch in channels) if k_final is None else k_final
     if k_final < 1:
         raise ValueError("k must be >= 1")
@@ -122,14 +122,13 @@ def rerank_vector_query(
 
     Every channel, in input order, gives the query's row
     (:meth:`Channel.query_rows`), and the ranking runs as
-    :func:`rerank_query`'s on those rows, so it equals the ranking of an
-    index holding the query as an item. ``vid`` defaults to one past the
-    largest stored id (:func:`virtual_query_id`).
+    :func:`rerank_query`'s on those rows (:func:`_rerank`, the per-query
+    path of the batch driver :func:`_batch`), so it equals the ranking of
+    an index holding the query as an item. ``vid`` defaults to one past
+    the largest stored id (:func:`virtual_query_id`).
     """
-    if vid is None:
-        vid = virtual_query_id(channels)
-    vec = np.asarray(vector, dtype=np.float64)
-    return _rerank(channels, vid, k_final, [ch.query_rows(vec[None], [vid]) for ch in channels])
+    vid = virtual_query_id(channels) if vid is None else vid
+    return _rerank(channels, vid, k_final, np.asarray(vector, dtype=np.float64)[None])
 
 
 def batch_rerank(
@@ -139,28 +138,10 @@ def batch_rerank(
 ) -> list[RankedList]:
     """Re-rank many query ids; results come back in input order.
 
-    On two or more channels, a batch is cut into near-equal blocks of at
-    most :func:`_block_queries`, as many as fit 4.5 MiB of working memory
-    by its estimate (32 at most), and each block runs through one kernel:
-    one candidate union, one affinity-matrix build and one greedy selection
-    in lockstep for all its queries (:func:`_rerank_block`). The blocks
-    share one scratch of B·(n + 2) slots, each the smallest integer that
-    holds a column. A single query, a single channel and a rule of one
-    query a block take the loop over :func:`rerank_query`, whose 1-D greedy
-    loop is the faster for one query. Both give the same rankings bit for
-    bit, on overlays too, and the same error: a block whose lookups fail
-    is re-run through the loop. :func:`batch_rerank_vectors` runs vector
-    queries the same way.
+    Equals ``[rerank_query(channels, q, k_final) for q in queries]`` bit for
+    bit, and raises its first error; the batch runs in blocks (:func:`_batch`).
     """
-    queries = list(queries)
-    per = _block_queries([ch.k1 for ch in channels], _stored(channels)) if len(channels) > 1 else 1
-    if len(queries) < 2 or per < 2:  # a block of one would be slower than rerank_query
-        return [rerank_query(channels, q, k_final=k_final) for q in queries]
-    out: list[RankedList] = []
-    for at, scratch in _blocks(channels, len(queries), per):
-        block = queries[at]
-        out += _rerank_block(channels, block, k_final, scratch) or [rerank_query(channels, q, k_final) for q in block]
-    return out
+    return _batch(channels, list(queries), k_final, None)
 
 
 def batch_rerank_vectors(
@@ -172,52 +153,59 @@ def batch_rerank_vectors(
     """Re-rank out-of-sample queries given as raw vectors, named ``vid``, ``vid`` + 1, ...; in input order.
 
     Equals ``[rerank_vector_query(channels, v, k_final, vid + j) for j, v in
-    enumerate(vectors)]`` bit for bit, and raises its first error. The
-    vectors are cut into blocks as :func:`batch_rerank` cuts ids, where a
-    query also holds its n distances and marks in the kNN scan. Per block,
-    every channel gives all the block's rows from one blocked kNN
-    (:meth:`Channel.query_rows`); on one channel each row then ranks through
-    :func:`~tierank.rerank.tiered_rerank`, on two or more the block ranks
-    through :func:`_rerank_block`. Fewer than two vectors, vectors that do
-    not stack into one (B, d) matrix, and a block whose checks or lookups
-    fail take the loop, which raises the per-query error.
+    enumerate(vectors)]`` bit for bit, and raises its first error; the batch
+    runs in blocks (:func:`_batch`).
     """
-    if vid is None:
-        vid = virtual_query_id(channels)
+    vid = virtual_query_id(channels) if vid is None else vid
     vectors = list(vectors)
-    vids = [vid + j for j in range(len(vectors))]
+    return _batch(channels, [vid + j for j in range(len(vectors))], k_final, vectors)
+
+
+def _batch(
+    channels: Sequence[Channel], queries: list[int], k_final: int | None, vectors: list | None
+) -> list[RankedList]:
+    """The queries ``queries``, out of sample at ``vectors`` when given, ranked in blocks.
+
+    A batch is cut into near-equal blocks of at most :func:`_block_queries`,
+    as many as fit 4.5 MiB of working memory by its estimate (32 at most).
+    A block of vectors first gets its rows from one blocked kNN scan per
+    channel (:meth:`Channel.query_rows`). On one channel each query then
+    ranks through :func:`~tierank.rerank.tiered_rerank`; on two or more
+    the block runs through one kernel (:func:`_rerank_block`) in a scratch
+    the blocks share. Fewer than two queries, a rule of one query a block,
+    and a block whose checks or lookups fail rank one query at a time
+    through :func:`_rerank`, whose 1-D greedy loop is the faster for one
+    query and whose error is the per-query one.
+    """
 
     def loop(at: slice) -> list[RankedList]:
-        return [rerank_vector_query(channels, v, k_final, q) for v, q in zip(vectors[at], vids[at])]
+        if vectors is None:
+            return [_rerank(channels, q, k_final, None) for q in queries[at]]
+        return [_rerank(channels, q, k_final, np.asarray(v, dtype=np.float64)[None])
+                for q, v in zip(queries[at], vectors[at])]
 
-    try:
-        stacked = np.asarray(vectors, dtype=np.float64)
-    except (TypeError, ValueError):  # ragged, or not numbers
-        stacked = None
-    if len(vectors) < 2 or stacked is None or stacked.ndim != 2 or not channels:
+    if len(queries) < 2 or not channels:
         return loop(slice(None))
-    scan = max((ch.features.n for ch in channels if ch.features is not None), default=0)
-    per = _block_queries([ch.k1 for ch in channels], _stored(channels), scan)
+    scan = 0 if vectors is None else max((ch.features.n for ch in channels if ch.features is not None), default=0)
+    per = _block_queries([ch.k1 for ch in channels], max(ch.index.n for ch in channels), scan)
     if per < 2:  # a block of one would be slower than the loop
         return loop(slice(None))
     out: list[RankedList] = []
-    for at, scratch in _blocks(channels, len(vectors), per):
-        try:
-            rows = [ch.query_rows(stacked[at], vids[at]) for ch in channels]
-        except (TierankError, OverflowError, TypeError, ValueError):  # what a query's vector or id can raise
+    for at, scratch in _blocks(channels, len(queries), per):
+        block = queries[at]
+        try:  # what a query's vector or id can raise; a vector of another rank fails query_rows's shape check
+            stacked = None if vectors is None else np.asarray(vectors[at], dtype=np.float64)
+            rows = None if stacked is None else [ch.query_rows(stacked, block) for ch in channels]
+        except (TierankError, IndexError, OverflowError, TypeError, ValueError):
             out += loop(at)
             continue
         if len(channels) > 1:
-            out += _rerank_block(channels, vids[at], k_final, scratch, rows) or loop(at)
+            out += _rerank_block(channels, block, k_final, scratch, rows) or loop(at)
             continue
         ch = channels[0]  # whose checks, if they fail, fail on the first query as in the loop
-        out += [tiered_rerank(ch.index, q, ch.alpha, ch.k1, ch.k2, row) for q, row in zip(vids[at], rows[0])]
+        qrows = [None] * len(block) if rows is None else rows[0]
+        out += [tiered_rerank(ch.index, q, ch.alpha, ch.k1, ch.k2, row) for q, row in zip(block, qrows)]
     return out
-
-
-def _stored(channels: Sequence[Channel]) -> int:
-    """The most items any channel's index holds."""
-    return max((ch.index.n for ch in channels), default=0)
 
 
 def _blocks(channels: Sequence[Channel], count: int, per: int) -> Iterator[tuple[slice, np.ndarray]]:
@@ -320,7 +308,7 @@ def _rerank_block(
     """:func:`rerank_query` for a block of B queries on two or more channels.
 
     With ``query_rows`` the queries are out of sample, with these rows
-    (see :func:`_candidates`), as :func:`rerank_vector_query` ranks them.
+    (see :func:`_candidates`), as :func:`_rerank` ranks them.
 
     Steps, each over the whole block:
 

@@ -47,9 +47,9 @@ def test_removed_names_are_gone():
     assert "alpha" not in tierank.QueryGraph.__dataclass_fields__
     fields = importlib.import_module("tierank.config").PipelineConfig.__dataclass_fields__
     assert "tier3_mode" not in fields and "variant" not in fields
-    # an export that no ranking used: the module keeps it, the package no longer exports it
+    # an export that no ranking used, gone from the package and then from its module
     assert "query_knn" not in tierank.__all__ and not hasattr(tierank, "query_knn")
-    assert hasattr(importlib.import_module("tierank.index"), "query_knn")
+    assert not hasattr(importlib.import_module("tierank.index"), "query_knn")
 
 
 def test_vector_batches_are_exported():

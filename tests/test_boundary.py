@@ -125,6 +125,12 @@ def test_the_oracles_import_nothing_they_check():
     assert _uses((SRC / "oracles.py").read_text(encoding="utf-8"))[0].isdisjoint({"fusion", "rerank"})
 
 
+def test_the_index_imports_nothing_from_the_package_but_errors():
+    # the layer under every ranking: the rankings, fusion and the pipeline read the index, and it reads none of them
+    modules = _uses((SRC / "index.py").read_text(encoding="utf-8"))[0]
+    assert modules & {path.stem for path in SRC.glob("*.py")} == {"errors"}
+
+
 # --- every writer: an OSError is a FileAccessError ---------------------------
 
 def _writers():

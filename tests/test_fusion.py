@@ -524,6 +524,8 @@ def test_batch_errors_match_the_per_query_loop():
         (channels, list(range(12)), 0),
         ([replace(channels[0], alpha=0.0), *channels[1:]], [0, 1, 2], None),
         ([channels[0], channels[0], channels[1]], [0, 1, 2], None),  # one channel twice
+        (channels[:1], list(range(10)) + [1000] + list(range(10, 20)), None),  # one channel: in blocks too
+        ([replace(channels[0], alpha=0.0)], [0, 1, 2], None),
         ([], [0, 1, 2], None),
     ]
     assert near
@@ -531,6 +533,14 @@ def test_batch_errors_match_the_per_query_loop():
         want = _raised(lambda: [rerank_query(chans, q, k_final) for q in queries])
         assert _raised(lambda: batch_rerank(chans, queries, k_final)) == want
     assert want == (EmptyChannelListError, "at least one channel required")
+
+
+def test_an_empty_batch_ranks_nothing():
+    # on no channels too, where any query would raise EmptyChannelListError
+    channels = random_channels(np.random.default_rng(22), 30, 2, 5)
+    for chans in ([], channels[:1], channels):
+        assert batch_rerank(chans, []) == [] and batch_rerank(chans, iter([]), 3) == []
+        assert batch_rerank_vectors(chans, []) == [] and batch_rerank_vectors(chans, np.empty((0, 4)), 3, 40) == []
 
 
 def test_an_id_beyond_int64_in_a_batch_is_an_unknown_item():
@@ -1089,7 +1099,7 @@ def test_batch_rerank_vectors_matches_the_loop_property(instance, k_final, vid):
         return
     with pytest.MonkeyPatch.context() as patch:
         if len(vectors) > 1:
-            patch.setattr(pipeline, "rerank_vector_query", lambda *args: pytest.fail("the loop ran"))
+            patch.setattr(pipeline, "_rerank", lambda *args: pytest.fail("the loop ran"))
         got = batch_rerank_vectors(channels, vectors, k_final, vid)
     assert got == want and _exact(got) == _exact(want)
 
@@ -1122,7 +1132,7 @@ def test_a_vector_block_ranks_each_query_from_its_own_slot(monkeypatch):
     scans = []
     knn_columns = pipeline.knn_columns
     monkeypatch.setattr(pipeline, "knn_columns", lambda fm, q, *args: scans.append(len(q)) or knn_columns(fm, q, *args))
-    monkeypatch.setattr(pipeline, "rerank_vector_query", lambda *args: pytest.fail("the loop ran"))
+    monkeypatch.setattr(pipeline, "_rerank", lambda *args: pytest.fail("the loop ran"))
     assert _exact(batch_rerank_vectors(channels, vectors)) == _exact(want)
     assert scans == [9, 9]
 

@@ -37,7 +37,6 @@ from tierank.index import (
     load_index,
     load_parsed_features,
     load_tier3,
-    query_knn,
     save_index,
     save_parsed_features,
     save_tier3,
@@ -643,44 +642,43 @@ def test_corrupted_index_raises_only_tierank_errors(data):
             pass
 
 
-# --- query_knn --------------------------------------------------------------
+# --- knn_candidates ---------------------------------------------------------
 
 
-def test_query_knn_exact_match_first():
+def test_knn_candidates_exact_match_first():
     rng = np.random.default_rng(8)
     fm = random_features(rng, 12, dim=3)
-    hit = query_knn(fm, fm.vectors[4], k=3)
-    assert hit.entries[0] == (4, 0.0)
+    ids, dists = knn_candidates(fm, fm.vectors[4], k=3)
+    assert (ids[0], dists[0]) == (4, 0.0)
 
 
-def test_query_knn_k1_global_nearest():
+def test_knn_candidates_k1_global_nearest():
     fm = _line_features([0.0, 5.0, 6.0])
-    res = query_knn(fm, [5.4], k=1)
-    assert res.ids() == (1,)
+    ids, _ = knn_candidates(fm, [5.4], k=1)
+    assert tuple(ids.tolist()) == (1,)
 
 
-def test_query_knn_matches_bruteforce():
+def test_knn_candidates_matches_bruteforce():
     rng = np.random.default_rng(9)
     fm = random_features(rng, 30, dim=4)
     q = rng.normal(0.0, 1.0, size=4)
-    got = query_knn(fm, q, k=7)
+    ids, dists = knn_candidates(fm, q, k=7)
     want = brute_force_knn(fm, q, 7)
-    assert list(got.entries) == want
+    assert list(zip(ids.tolist(), dists.tolist())) == want
 
 
-def test_query_knn_dimension_error():
+def test_knn_candidates_dimension_error():
     rng = np.random.default_rng(10)
     fm = random_features(rng, 5, dim=3)
     with pytest.raises(DimensionError):
-        query_knn(fm, [1.0, 2.0], k=2)
+        knn_candidates(fm, [1.0, 2.0], k=2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_query_vector_is_a_format_error(bad):
     fm = random_features(np.random.default_rng(12), 8, dim=3)
-    for search in (knn_candidates, query_knn):
-        with pytest.raises(FormatError, match="query vector contains NaN or Inf"):
-            search(fm, [bad, 0.0, 0.0], k=3)
+    with pytest.raises(FormatError, match="query vector contains NaN or Inf"):
+        knn_candidates(fm, [bad, 0.0, 0.0], k=3)
 
 
 # --- persistence ------------------------------------------------------------
