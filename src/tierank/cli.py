@@ -18,7 +18,7 @@ import numpy as np
 from . import bench as bench_mod
 from .config import ChannelConfig, PipelineConfig, load_config, write_config
 from .errors import (
-    DimensionError, FileAccessError, FormatError, TierankError, make_dir, parse_number, read_bytes, read_text,
+    DimensionError, FileAccessError, FormatError, TierankError, make_dir, parse_number, read_bytes, read_table,
     remove_files, write_text,
 )
 from .evaluation import load_ground_truth, ns_score, precision_at, recall_at, write_ground_truth
@@ -93,44 +93,29 @@ def _parse_query_ids(args: argparse.Namespace) -> list[int]:
             ids.extend(parse_number(tok, int) for tok in args.query_ids.split(",") if tok.strip())
         except ValueError:
             raise FormatError(f"bad --query-ids value {args.query_ids!r}")
-    if args.queries_file:
-        for lineno, line in enumerate(read_text(args.queries_file).splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                ids.append(parse_number(line, int))
-            except ValueError:
-                raise FormatError(f"{args.queries_file}:{lineno}: bad query id")
+    if args.queries_file:  # one id a line
+        ids += read_table(args.queries_file, "i", "bad query id")[0][0].tolist()
     return ids
 
 
-def _parse_query_vectors(path: str, channels: list[Channel]) -> list[np.ndarray]:
-    """The file's vectors: every line parsed, then every line's length checked.
+def _parse_query_vectors(path: str, channels: list[Channel]) -> np.ndarray | list[list[float]]:
+    """The file's vectors, values split at commas or whitespace: every line read, then checked.
 
-    A line whose length is not every channel's dim is a DimensionError
-    naming the line and the first such channel, so that vectors of
-    different lengths never meet in one matrix.
+    A NaN or Inf is refused. Then a line whose length is not every
+    channel's dim is a DimensionError naming the line and the first such
+    channel, so that vectors of different lengths never meet in one matrix.
     """
-    vectors, linenos = [], []
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
-        if not line.strip():
-            continue
-        toks = line.replace(",", " ").split()
-        try:
-            vector = np.asarray([parse_number(t) for t in toks], dtype=np.float64)
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: bad vector line")
-        if not np.isfinite(vector).all():
-            raise FormatError(f"{path}:{lineno}: query vector contains NaN or Inf")
-        vectors.append(vector)
-        linenos.append(lineno)
-    if not vectors:
+    (vectors,), linenos = read_table(path, "f+", "bad vector line", sep=None)
+    if not len(vectors):
         raise FormatError(f"{path}: no query vectors")
     for lineno, vector in zip(linenos, vectors):
+        if not np.isfinite(vector).all():
+            raise FormatError(f"{path}:{lineno}: query vector contains NaN or Inf")
+    for lineno, vector in zip(linenos, vectors):
         for ch in channels:
-            if vector.shape[0] != ch.features.dim:
+            if len(vector) != ch.features.dim:
                 raise DimensionError(
-                    f"{path}:{lineno}: query dim {vector.shape[0]} != channel {ch.name!r} dim {ch.features.dim}"
+                    f"{path}:{lineno}: query dim {len(vector)} != channel {ch.name!r} dim {ch.features.dim}"
                 )
     return vectors
 

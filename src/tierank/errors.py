@@ -1,14 +1,16 @@
-"""Exception hierarchy shared by the whole package, the file boundary that raises it, and the number grammar.
+"""Exception hierarchy shared by the whole package, the file boundary that raises it, and the text-table reader.
 
 Every file read, written or removed and every directory made goes through
 here, so a path that cannot be used is a FileAccessError, never a traceback.
-Every id and number a text input holds is read by one ASCII grammar
-(:func:`parse_number`).
+Every text table is read by :func:`read_table`: one ``np.loadtxt`` pass,
+and, where the pass refuses, one scan in the ASCII grammar that every id and
+number of a text input is read by (:func:`parse_number`).
 """
 
 from __future__ import annotations
 
 import re
+from contextlib import suppress
 from pathlib import Path
 from typing import Container, Iterable
 
@@ -119,27 +121,61 @@ def remove_files(directory: str | Path, pattern: re.Pattern, keep: Container[str
         raise FileAccessError(f"cannot remove files in {directory}: {exc}") from exc
 
 
-def csv_lines(path: str | Path) -> list[tuple[int, str]]:
-    """The non-blank lines of a CSV text input, with their line numbers, less a header.
+def read_table(
+    path: str | Path, kinds: str, bad: str, count: str | None = None, width: str | None = None, *,
+    sep: str | None = ",", header: bool = False,
+) -> tuple[list, np.ndarray]:
+    """The columns of a text table's non-blank lines, and the lines' numbers.
 
-    The first non-blank line is a header only when none of its fields is a
-    number. A first line with a numeric field is data, so a malformed first
-    row is an error like any later one instead of being dropped.
+    ``kinds`` has a letter a field: ``i`` an id, ``f`` a real, ``s`` text; a
+    last ``+`` repeats the letter before it once or more, as one column of
+    rows. ``sep`` None splits at commas and whitespace. ``header`` drops a
+    first line none of whose fields ``float()`` reads (``1_0`` is data).
+
+    ASCII lines are parsed in one ``np.loadtxt`` pass. Else, or if the pass
+    refuses, one scan in :func:`parse_number`'s grammar raises
+    ``FormatError("path:lineno: message")`` at the first line with a field
+    count outside ``kinds`` (``count``, else ``bad``), a bad token (``bad``)
+    or, given ``width``, another length than the first line's (``width``
+    formatted with both). With none, the columns hold the scan's Python
+    values, so an id no int64 holds reads: object arrays, and rows as lists.
     """
-    lines = [(lineno, line) for lineno, line in enumerate(read_text(path).splitlines(), start=1) if line.strip()]
-    if lines and not any(_is_number(text) for text in lines[0][1].split(",")):
-        return lines[1:]
-    return lines
-
-
-def _is_number(text: str) -> bool:
-    # float() also takes underscores and non-ASCII digits: a first row of
-    # them is data, which parse_number then refuses, rather than a header
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
+    text = read_text(path)
+    lines = text.splitlines()
+    linenos = np.flatnonzero(np.fromiter(map(bool, map(str.strip, lines)), dtype=bool, count=len(lines))) + 1
+    if linenos.shape[0] < len(lines) or sep is None:  # a line of commas is no blank line
+        lines = [lines[n - 1] if sep else lines[n - 1].replace(",", " ") for n in linenos.tolist()]
+    if header and lines:
+        for field in lines[0].split(sep):
+            with suppress(ValueError):
+                float(field)
+                break
+        else:
+            lines, linenos = lines[1:], linenos[1:]
+    rows = kinds.endswith("+")
+    kinds = kinds.rstrip("+")
+    fixed = len(kinds) - rows  # the fields before a column of rows
+    first = len(lines[0].split(sep)) if lines else 0
+    if first >= len(kinds) and (text.isascii() or all(map(str.isascii, lines))):
+        fields = [(f"f{j}", _DTYPES[kind]) for j, kind in enumerate(kinds[:fixed])]
+        fields += [("rows", _DTYPES[kinds[-1]], (first - fixed,))] if rows else []
+        with suppress(ValueError):  # a refusal leaves the table to the scan
+            parsed = np.loadtxt(lines, dtype=fields, delimiter=sep, comments=None, ndmin=1)
+            if parsed.shape[0] == len(lines):  # numpy skips a line of only commas
+                return [parsed[name] for name in parsed.dtype.names], linenos
+    values = []
+    for lineno, line in zip(linenos, lines):
+        texts = line.split(sep)
+        if len(texts) < len(kinds) or len(texts) > len(kinds) and not rows:
+            raise FormatError(f"{path}:{lineno}: {count or bad}")
+        try:
+            values.append([_PARSERS[kinds[min(j, len(kinds) - 1)]](text) for j, text in enumerate(texts)])
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: {bad}") from None
+        if width and len(texts) != first:
+            raise FormatError(f"{path}:{lineno}: {width.format(first - fixed, len(texts) - fixed)}")
+    columns = [np.array([row[j] for row in values], dtype=object) for j in range(fixed)]
+    return columns + ([[row[fixed:] for row in values]] if rows else []), linenos
 
 
 # ids are an optional sign and ASCII digits; reals are decimal or exponent
@@ -156,9 +192,13 @@ def parse_number(text: str, kind: type = float) -> int | float:
     """``text`` as an int or a float (``kind``) in the one ASCII grammar of every text input.
 
     Surrounding whitespace is ignored; anything else outside the grammar is a ValueError. It is
-    the grammar ``np.loadtxt`` reads a feature CSV by, but for some non-ASCII characters in an id.
+    the grammar :func:`read_table`'s ``np.loadtxt`` pass reads by, but for some non-ASCII characters.
     """
     token = text.strip()
     if not (_INTEGER if kind is int else _REAL).fullmatch(token):
         raise ValueError(f"not an ASCII {kind.__name__}: {text!r}")
     return kind(token)
+
+
+_DTYPES = {"i": "<i8", "f": "<f8", "s": "O"}
+_PARSERS = {"i": lambda text: parse_number(text, int), "f": parse_number, "s": str}

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .errors import ClassSizeError, FormatError, UnknownItemError, csv_lines, parse_number, write_text
+from .errors import ClassSizeError, FormatError, UnknownItemError, read_table, write_text
 from .ranking import RankedList
 
 
@@ -55,16 +55,12 @@ class MetricReport:
 
 
 def load_ground_truth(path: str | Path) -> GroundTruth:
-    """Read `<id>,<class_id>` CSV labels."""
+    """Read `<id>,<class_id>` CSV labels, a table :func:`errors.read_table` reads; an id may be labeled once."""
+    (items, classes), linenos = read_table(
+        path, "ii", "non-integer id or class", "expected `<id>,<class_id>`", header=True
+    )
     labels: dict[int, int] = {}
-    for lineno, line in csv_lines(path):
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 2:
-            raise FormatError(f"{path}:{lineno}: expected `<id>,<class_id>`")
-        try:
-            item, cls = parse_number(parts[0], int), parse_number(parts[1], int)
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: non-integer id or class")
+    for lineno, item, cls in zip(linenos, items.tolist(), classes.tolist()):
         if item in labels:
             raise FormatError(f"{path}:{lineno}: duplicate item id {item}")
         labels[item] = cls

@@ -20,7 +20,7 @@ back without parsing, are validated as a whole, and have their ids turned
 into positions in place. A tier-3 overlap table is saved beside its index
 (tier-3 table file v1), keyed by a digest of the neighbor table it was
 counted from, and read back in place of a build while that digest holds.
-A feature CSV is parsed in one ``np.loadtxt`` pass; what it parsed to is
+A feature CSV is read by :func:`errors.read_table`; what it parsed to is
 saved the same way (parsed features file v1), keyed by a digest of the
 CSV's bytes, and read back in place of the parse.
 """
@@ -47,9 +47,8 @@ from .errors import (
     TierankError,
     UnknownItemError,
     ZeroVectorError,
-    csv_lines,
-    parse_number,
     read_bytes,
+    read_table,
     read_text,
     write_bytes,
     write_text,
@@ -167,45 +166,14 @@ def load_features(path: str | Path, fmt: str = "csv", channel_name: str | None =
 
 
 def _load_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """The ids and vectors of a feature CSV, every row parsed in one ``np.loadtxt`` pass.
-
-    The width is the first row's. Ids are read as int64, never through a
-    float, and values as float64, both in the grammar of
-    :func:`errors.parse_number`. A file the pass refuses is scanned again
-    for its first bad row, which the error names.
-    """
-    lines = csv_lines(path)
-    if not lines:
+    """A feature CSV's ids, which :class:`FeatureMatrix` holds to int64, and its rows, as wide as the first."""
+    (ids, vectors), _ = read_table(
+        path, "if+", "malformed row", "need an id and at least one feature", "expected {} features, got {}",
+        header=True,
+    )
+    if not len(ids):
         raise FormatError(f"{path}: no feature rows")
-    dim = lines[0][1].count(",")
-    record = np.dtype([("id", "<i8"), ("v", "<f8", (dim,))])
-    try:
-        rows = np.loadtxt([line for _, line in lines], dtype=record, delimiter=",", comments=None, ndmin=1)
-    except ValueError:
-        rows = None
-    # numpy reads some non-ASCII characters in an int field as digits (U+0968 as 2360), so such rows are scanned too
-    failed = rows is None or dim == 0
-    error = _first_bad_row(path, lines if failed else [row for row in lines if not row[1].isascii()], dim)
-    if error or failed:  # with no bad row, the pass refused an id no int64 holds
-        raise error or FormatError(f"{path}: item ids must be 64-bit integers")
-    return rows["id"], np.ascontiguousarray(rows["v"])
-
-
-def _first_bad_row(path: str | Path, lines: list[tuple[int, str]], dim: int) -> FormatError | None:
-    """The error for the first of ``lines`` that is not an id and ``dim`` values, checks in that order; None if none."""
-    for lineno, line in lines:
-        fields = line.split(",")
-        if len(fields) < 2:
-            return FormatError(f"{path}:{lineno}: need an id and at least one feature")
-        try:
-            parse_number(fields[0], int)
-            for field in fields[1:]:
-                parse_number(field)
-        except ValueError:
-            return FormatError(f"{path}:{lineno}: malformed row")
-        if len(fields) - 1 != dim:
-            return FormatError(f"{path}:{lineno}: expected {dim} features, got {len(fields) - 1}")
-    return None
+    return ids, np.ascontiguousarray(vectors, dtype=np.float64)
 
 
 def _load_binary(path: str | Path) -> tuple[np.ndarray, np.ndarray]:

@@ -61,11 +61,14 @@ class Channel:
         kNN kernel (:func:`~tierank.index.knn_columns`) and become row
         positions by one ``take`` through :attr:`_feature_rows`;
         :meth:`NeighborhoodIndex.query_rows` checks ``vids`` and the rows. A
-        channel with no features, vectors of another dimension and a NaN or
-        Inf are refused first, the last also when k = 1 and no scan runs.
+        channel with no features, vectors that are no (B, d) matrix or of
+        another dimension, and a NaN or Inf are refused first, the last also
+        when k = 1 and no scan runs.
         """
         if self.features is None:
             raise FormatError(f"channel {self.name!r} has no feature matrix for vector queries")
+        if vectors.ndim != 2:
+            raise DimensionError(f"a query vector must be 1-D, got {vectors.ndim - 1}-D")
         if vectors.shape[1] != self.features.dim:
             raise DimensionError(f"query dim {vectors.shape[1]} != channel {self.name!r} dim {self.features.dim}")
         if not np.isfinite(vectors).all():
@@ -172,7 +175,8 @@ def _batch(
     channel (:meth:`Channel.query_rows`). On one channel each query then
     ranks through :func:`~tierank.rerank.tiered_rerank`; on two or more
     the block runs through one kernel (:func:`_rerank_block`) in a scratch
-    the blocks share. Fewer than two queries, a rule of one query a block,
+    the blocks share. Fewer than two queries, a channel whose alpha or k
+    :func:`~tierank.rerank.resolve_k` refuses, a rule of one query a block,
     and a block whose checks or lookups fail rank one query at a time
     through :func:`_rerank`, whose 1-D greedy loop is the faster for one
     query and whose error is the per-query one.
@@ -185,6 +189,11 @@ def _batch(
                 for q, v in zip(queries[at], vectors[at])]
 
     if len(queries) < 2 or not channels:
+        return loop(slice(None))
+    try:  # a k that is no integer would size no block
+        for ch in channels:
+            resolve_k(ch.index, ch.alpha, ch.k1, ch.k2)
+    except ValueError:
         return loop(slice(None))
     scan = 0 if vectors is None else max((ch.features.n for ch in channels if ch.features is not None), default=0)
     per = _block_queries([ch.k1 for ch in channels], max(ch.index.n for ch in channels), scan)
@@ -234,7 +243,7 @@ def _block_queries(k1s: Sequence[int], n: int, scan: int = 0) -> int:
     s, k = sum(k1s), max(k1s)
     slot = np.min_scalar_type(s).itemsize  # a slot holds a column, S at most
     per_query = 8 * (s + 1) ** 2 + 18 * s * k + 8 * s * (len(k1s) + 10) + slot * (n + 1) + 9 * scan
-    return max(1, min(_BLOCK_CAP, _BLOCK_BUDGET // per_query)) if min(k1s) > 0 else 1
+    return max(1, min(_BLOCK_CAP, _BLOCK_BUDGET // per_query))
 
 
 def _candidates(

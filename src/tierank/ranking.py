@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import FormatError, parse_number, read_text, write_text
+from .errors import FormatError, read_table, write_text
 
 
 @dataclass(frozen=True)
@@ -63,86 +63,25 @@ def write_rankings_tsv(rankings: Iterable[RankedList], path: str | Path) -> None
     write_text(path, (ranking.tsv_text() for ranking in rankings))
 
 
-# a row's five fields; the tier is kept one character wide, as a ranking's tier is read from its first line
-_TSV_ROW = np.dtype([("query", "<i8"), ("rank", "<i8"), ("item", "<i8"), ("score", "<f8"), ("tier", "U1")])
-
-
 def read_rankings_tsv(path: str | Path) -> list[RankedList]:
-    """Read rankings back, grouped by query in file order; numbers in :func:`errors.parse_number`'s grammar.
+    """Read rankings back, grouped by query in file order, from the table :func:`errors.read_table` reads.
 
-    An ASCII file is parsed in one ``np.loadtxt`` pass (:func:`_one_pass`).
-    A file the pass refuses, or one with a non-ASCII character (numpy reads
-    some as digits), is read again line by line (:func:`_read_rows`), which
-    names the first bad line and reads an id no int64 holds.
+    A ranking starts at every row of another query or of rank 1, takes its
+    tier from that row, and its ranks count up from 1.
     """
-    parsed = _one_pass(path)
-    if parsed is None:
-        return _read_rows(path)
-    rows, starts, tiers = parsed
-    items, scores = rows["item"].tolist(), rows["score"].tolist()
+    (query, rank, item, score, tier), linenos = read_table(
+        path, "iiifs", "malformed ranking row", "expected 5 tab-separated fields", sep="\t"
+    )
+    first = np.ones(rank.shape[0], dtype=bool)  # the rows that start a ranking
+    first[1:] = (query[1:] != query[:-1]) | (rank[1:] == 1)
+    starts = np.flatnonzero(first)
+    sizes = np.diff(np.append(starts, rank.shape[0]))
+    bad = np.flatnonzero(rank != np.arange(rank.shape[0]) - np.repeat(starts, sizes) + 1)
+    if bad.size:
+        raise FormatError(f"{path}:{linenos[bad[0]]}: rank column out of order")
+    items, scores = item.tolist(), score.tolist()
     bounds = zip(starts.tolist(), [*starts[1:].tolist(), len(items)])
     return [
-        RankedList(query=q, entries=tuple(zip(items[start:stop], scores[start:stop])), tier=tier)
-        for q, (start, stop), tier in zip(rows["query"][starts].tolist(), bounds, tiers)
+        RankedList(query=q, entries=tuple(zip(items[start:stop], scores[start:stop])), tier=t)
+        for q, (start, stop), t in zip(query[starts].tolist(), bounds, tier[starts].tolist())
     ]
-
-
-def _one_pass(path: str | Path) -> tuple[np.ndarray, np.ndarray, list[str]] | None:
-    """An ASCII rankings TSV's rows, where each ranking starts, and its tier; None if the line loop is to read it.
-
-    A ranking starts at every row of another query or of rank 1, and its
-    ranks count up from 1; a file whose rows do not is left to the loop,
-    which names the first that does not.
-    """
-    text = read_text(path)
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or not text.isascii():
-        return None
-    try:
-        rows = np.loadtxt(lines, dtype=_TSV_ROW, delimiter="\t", comments=None, ndmin=1)
-    except ValueError:
-        return None
-    query, rank = rows["query"], rows["rank"]
-    starts = np.flatnonzero(np.concatenate(([True], (query[1:] != query[:-1]) | (rank[1:] == 1))))
-    sizes = np.diff(np.append(starts, rank.shape[0]))
-    if (rank != np.arange(rank.shape[0]) - np.repeat(starts, sizes) + 1).any():
-        return None
-    return rows, starts, [lines[start].rsplit("\t", 1)[1] for start in starts.tolist()]
-
-
-def _read_rows(path: str | Path) -> list[RankedList]:
-    """:func:`read_rankings_tsv`, one line at a time."""
-    lines = read_text(path).splitlines()
-    rankings: list[RankedList] = []
-    current_query: int | None = None
-    current_tier = ""
-    entries: list[tuple[int, float]] = []
-
-    def flush() -> None:
-        if current_query is not None:
-            rankings.append(
-                RankedList(query=current_query, entries=tuple(entries), tier=current_tier)
-            )
-
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise FormatError(f"{path}:{lineno}: expected 5 tab-separated fields")
-        try:
-            query, rank, item = (parse_number(text, int) for text in parts[:3])
-            score = parse_number(parts[3])
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: malformed ranking row") from exc
-        tier = parts[4]
-        if query != current_query or rank == 1:
-            flush()
-            current_query = query
-            current_tier = tier
-            entries = []
-        if rank != len(entries) + 1:
-            raise FormatError(f"{path}:{lineno}: rank column out of order")
-        entries.append((item, score))
-    flush()
-    return rankings

@@ -69,6 +69,8 @@ def resolve_k(index: NeighborhoodIndex, alpha: float, k1: int | None, k2: int | 
         raise ValueError("alpha must be positive" + ("" if alpha <= 0 else f" and finite, got {alpha!r}"))
     k1 = index.k if k1 is None else k1
     k2 = index.k if k2 is None else k2
+    if not (isinstance(k1, (int, np.integer)) and isinstance(k2, (int, np.integer))) or bool in (type(k1), type(k2)):
+        raise ValueError(f"k1 and k2 must be integers, got {k1!r} and {k2!r}")
     if k1 < 1 or k2 < 1:
         raise ValueError("k1 and k2 must be >= 1")
     if k1 > index.k or k2 > index.k:

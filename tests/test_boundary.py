@@ -131,6 +131,37 @@ def test_the_index_imports_nothing_from_the_package_but_errors():
     assert modules & {path.stem for path in SRC.glob("*.py")} == {"errors"}
 
 
+def _number_readers_of_lines(source):
+    """The functions in ``source`` that call parse_number and also read a text file or split one into lines."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            calls = {getattr(call.func, "attr", getattr(call.func, "id", None))
+                     for call in ast.walk(node) if isinstance(call, ast.Call)}
+            if "parse_number" in calls and calls & {"read_text", "splitlines", "readlines", "open"}:
+                found.append(node.name)
+    return found
+
+
+@pytest.mark.parametrize("source", [
+    "def f(path):\n    for line in read_text(path).splitlines():\n        parse_number(line, int)\n",
+    "def f(path):\n    text = errors.read_text(path)\n    return [errors.parse_number(t) for t in text.split()]\n",
+    "def f(lines):\n    def g():\n        return [parse_number(line) for line in lines.splitlines()]\n",
+])
+def test_the_table_lint_sees_a_reader_of_its_own(source):
+    assert "f" in _number_readers_of_lines(source)
+
+
+def test_every_text_table_is_read_by_errors_read_table():
+    # one np.loadtxt pass and one scan, in errors.py: every other module reads
+    # a table through read_table and parses numbers only of flags and config values
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert {name: source.count("loadtxt(") for name, source in sources.items() if "loadtxt(" in source} == {
+        "errors.py": 1}
+    assert {name: _number_readers_of_lines(source) for name, source in sources.items()
+            if name != "errors.py" and _number_readers_of_lines(source)} == {}
+
+
 # --- every writer: an OSError is a FileAccessError ---------------------------
 
 def _writers():

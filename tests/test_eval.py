@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
+from argparse import Namespace
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FunctionPairwise, fused_instance, gen_correlated_trial, gen_trend_channels
-from tierank.errors import ClassSizeError, FormatError, SizeError, UnknownItemError
+from tierank.cli import _parse_query_ids, _parse_query_vectors
+from tierank.errors import (
+    ClassSizeError, DimensionError, FormatError, SizeError, TierankError, UnknownItemError, parse_number,
+)
 from tierank.evaluation import (
     GroundTruth,
     load_ground_truth,
@@ -23,7 +29,7 @@ from tierank.evaluation import (
 from tierank.fusion import greedy_select
 from tierank.index import Metric, build_index
 from tierank.oracles import oracle_greedy_select, oracle_pairwise
-from tierank import ranking
+from tierank import index
 from tierank.ranking import RankedList, read_rankings_tsv, write_rankings_tsv
 from tierank.rerank import tier1_rerank, tiered_graph
 from tierank.scenarios import gen_outlier_scenario, gen_two_manifold_scenario
@@ -380,35 +386,183 @@ def test_a_rankings_tsv_error_names_its_first_bad_line(tmp_path, text, message):
 
 
 def test_a_rankings_tsv_reads_ids_no_int64_holds(tmp_path):
-    # the one pass refuses them; the line loop reads them as before
+    # the one pass refuses them; the scan reads them as before
     path = tmp_path / "r.tsv"
     path.write_text(f"{2**64}\t1\t{2**64}\t0.0\tmfr\n{2**64}\t2\t-{2**70}\t1e400\tmfr\n")
     [got] = read_rankings_tsv(path)
     assert (got.query, got.entries, got.tier) == (2**64, ((2**64, 0.0), (-(2**70), float("inf"))), "mfr")
 
 
-_TSV_TOKENS = ["0", "1", "2", "7", "-3", "+4", " 5", "1.5", "-0.0", "1e3", "nan", "inf", "", "x", "1_0", "\u0968",
-               "99999999999999999999", "\t", "mfr", "3"]
+# --- every text table against a plain line loop --------------------------------
 
 
+def _table_lines(path, header=False):
+    """A table's non-blank lines and their numbers; with ``header``, less a first line with no number in it."""
+    lines = [(n, line) for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1) if line.strip()]
+    if header and lines and not any(_is_float(text) for text in lines[0][1].split(",")):
+        del lines[0]
+    return lines
+
+
+def _is_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+# each reference reads every line first, naming the first whose field count,
+# token or width is wrong, and only then checks what the rows mean
+
+
+def _features_by_loop(path):
+    ids, vectors = [], []
+    for lineno, line in _table_lines(path, header=True):
+        fields = line.split(",")
+        if len(fields) < 2:
+            raise FormatError(f"{path}:{lineno}: need an id and at least one feature")
+        try:
+            item, vector = parse_number(fields[0], int), [parse_number(field) for field in fields[1:]]
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: malformed row") from None
+        if vectors and len(vector) != len(vectors[0]):
+            raise FormatError(f"{path}:{lineno}: expected {len(vectors[0])} features, got {len(vector)}")
+        ids.append(item)
+        vectors.append(vector)
+    if not ids:
+        raise FormatError(f"{path}: no feature rows")
+    return ids, vectors
+
+
+def _rankings_by_loop(path):
+    rows = []
+    for lineno, line in _table_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 5:
+            raise FormatError(f"{path}:{lineno}: expected 5 tab-separated fields")
+        try:
+            numbers = [parse_number(part, int) for part in parts[:3]] + [parse_number(parts[3])]
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: malformed ranking row") from None
+        rows.append((lineno, *numbers, parts[4]))
+    rankings = []
+    for lineno, query, rank, item, score, tier in rows:
+        if not rankings or query != rankings[-1].query or rank == 1:
+            rankings.append(RankedList(query, (), tier))
+        if rank != len(rankings[-1]) + 1:
+            raise FormatError(f"{path}:{lineno}: rank column out of order")
+        last = rankings[-1]
+        rankings[-1] = RankedList(last.query, (*last.entries, (item, score)), last.tier)
+    return rankings
+
+
+def _truth_by_loop(path):
+    rows = []
+    for lineno, line in _table_lines(path, header=True):
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise FormatError(f"{path}:{lineno}: expected `<id>,<class_id>`")
+        try:
+            rows.append((lineno, parse_number(parts[0], int), parse_number(parts[1], int)))
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: non-integer id or class") from None
+    labels = {}
+    for lineno, item, cls in rows:
+        if item in labels:
+            raise FormatError(f"{path}:{lineno}: duplicate item id {item}")
+        labels[item] = cls
+    if not labels:
+        raise FormatError(f"{path}: no labels")
+    return labels
+
+
+def _query_ids_by_loop(path):
+    ids = []
+    for lineno, line in _table_lines(path):
+        try:
+            ids.append(parse_number(line, int))
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: bad query id") from None
+    return ids
+
+
+_CHANNEL = SimpleNamespace(name="a", features=SimpleNamespace(dim=2))
+
+
+def _query_vectors_by_loop(path):
+    vectors = []
+    for lineno, line in _table_lines(path):
+        try:
+            vector = [parse_number(token) for token in line.replace(",", " ").split()]
+        except ValueError:
+            vector = []
+        if not vector:
+            raise FormatError(f"{path}:{lineno}: bad vector line")
+        vectors.append((lineno, vector))
+    if not vectors:
+        raise FormatError(f"{path}: no query vectors")
+    for lineno, vector in vectors:
+        if not all(math.isfinite(value) for value in vector):
+            raise FormatError(f"{path}:{lineno}: query vector contains NaN or Inf")
+    for lineno, vector in vectors:
+        if len(vector) != _CHANNEL.features.dim:
+            raise DimensionError(f"{path}:{lineno}: query dim {len(vector)} != channel 'a' dim 2")
+    return [vector for _, vector in vectors]
+
+
+def _read_features(path):
+    ids, vectors = index._load_csv(path)
+    return ids.tolist(), vectors.tolist()
+
+
+_HUGE = st.sampled_from([2**63, 2**64, -(2**63) - 1, 10**30])
+_ID = st.integers(0, 9) | _HUGE
+_REAL = st.floats().map(repr)
+_TABLES = {  # reader, reference, field separator, a good line
+    "feature csv": (_read_features, _features_by_loop, ",", st.tuples(_ID.map(str), _REAL, _REAL).map(",".join)),
+    "rankings tsv": (
+        lambda path: _bits(read_rankings_tsv(path)), lambda path: _bits(_rankings_by_loop(path)), "\t",
+        st.tuples(st.sampled_from(["1", "2", str(2**64)]), st.integers(1, 3).map(str), _ID.map(str), _REAL)
+        .map(lambda row: "\t".join(row) + "\tmfr"),
+    ),
+    "truth csv": (
+        lambda path: load_ground_truth(path).labels, _truth_by_loop, ",",
+        st.tuples(_ID.map(str), _ID.map(str)).map(",".join),
+    ),
+    "queries file": (
+        lambda path: _parse_query_ids(Namespace(query_ids=None, queries_file=path)), _query_ids_by_loop, ",",
+        _ID.map(str),
+    ),
+    "query vectors": (
+        lambda path: [list(map(float, vector)) for vector in _parse_query_vectors(path, [_CHANNEL])],
+        _query_vectors_by_loop, st.sampled_from([",", " ", ", ", "\t"]),
+        st.lists(_REAL, min_size=1, max_size=3).map(" ".join),
+    ),
+}
+_TOKENS = ["0", "1", "2", "7", "-3", "+4", " 5", "1.5", "-0.0", "1e3", "nan", "inf", "", "x", "1_0", "\u0968",
+           "\u01fe", "99999999999999999999", "\t", "mfr", "3", "id"]
+
+
+@pytest.mark.parametrize("table", sorted(_TABLES))
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.one_of(
-    st.just(""),
-    st.lists(st.sampled_from(_TSV_TOKENS), min_size=4, max_size=6).map("\t".join),
-    st.tuples(st.sampled_from([1, 2]), st.integers(1, 3), st.integers(0, 9), st.floats(allow_nan=False))
-    .map(lambda row: "\t".join(map(repr, row)) + "\tmfr"),
-), max_size=8))
-def test_a_rankings_tsv_reads_as_the_line_loop_does(tmp_path_factory, lines):
-    # the one pass and the loop it falls back on give the same rankings, or
-    # the same error, on any mix of good rows, bad tokens and blank lines
-    path = tmp_path_factory.mktemp("tsv") / "r.tsv"
-    text = "\n".join(lines) + "\n"
-    path.write_text(text, encoding="utf-8")
+@given(data=st.data())
+def test_a_text_table_reads_as_its_line_loop_does(tmp_path_factory, table, data):
+    # the one pass and the scan it falls back on give what a plain line loop
+    # gives, rows or error, on any mix of good rows, bad tokens, blank lines
+    # and ids that no int64 holds
+    read, reference, sep, good = _TABLES[table]
+    sep = data.draw(sep) if isinstance(sep, st.SearchStrategy) else sep
+    lines = data.draw(st.lists(st.one_of(
+        st.just(""), st.just(" "), good, st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=6).map(sep.join),
+    ), max_size=8))
+    path = tmp_path_factory.mktemp("table") / "t.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     def outcome(read):
         try:
-            return "ok", _bits(read())
-        except FormatError as exc:
-            return "error", str(exc)
+            return "ok", repr(read(path))
+        except TierankError as exc:
+            return type(exc).__name__, str(exc)
 
-    assert outcome(lambda: read_rankings_tsv(path)) == outcome(lambda: ranking._read_rows(path))
+    assert outcome(read) == outcome(reference)

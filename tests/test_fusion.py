@@ -604,6 +604,10 @@ def test_bad_ks_and_alpha_raise_the_same_error_alone_and_in_a_batch():
         (replace(channels[0], k2=0), "k1 and k2 must be >= 1"),
         (replace(channels[0], k1=0), "k1 and k2 must be >= 1"),
         (replace(channels[0], alpha=0.0), "alpha must be positive"),
+        # a k that is no integer, which a slice would refuse with a TypeError
+        (replace(channels[0], k1=2.0), "k1 and k2 must be integers, got 2.0 and 5"),
+        (replace(channels[0], k2=np.float64(3)), "k1 and k2 must be integers, got 5 and np.float64(3.0)"),
+        (replace(channels[0], k2=True), "k1 and k2 must be integers, got 5 and True"),
     ]
     for bad, message in cases:
         for chans in ([bad], [bad, channels[1]], [channels[1], bad]):
@@ -1018,6 +1022,8 @@ def test_a_vector_query_keeps_every_error():
         ([a, replace(b, features=None)], vector, None,
          (FormatError, "channel 'ch1' has no feature matrix for vector queries")),
         ([a, b], [0.0] * 3, None, (DimensionError, "query dim 3 != channel 'ch0' dim 4")),
+        ([a, b], 1.0, None, (DimensionError, "a query vector must be 1-D, got 0-D")),
+        ([a], [vector], None, (DimensionError, "a query vector must be 1-D, got 2-D")),
         (random_channels(rng, 30, 2, 1), [0.0, np.inf, 0.0, 0.0], None,
          (FormatError, "query vector contains NaN or Inf")),
         ([cos[0], b], [0.0] * 4, None, (ZeroVectorError, "cosine distance undefined for zero vector in query")),
@@ -1151,6 +1157,8 @@ def test_batch_rerank_vectors_keeps_the_loops_first_error():
         ([a, b], vectors[:, :3], None, (DimensionError, "query dim 3 != channel 'ch0' dim 4")),
         ([a, b], [*vectors[:2], vectors[2, :3], *vectors[3:]], None,
          (DimensionError, "query dim 3 != channel 'ch0' dim 4")),  # ragged: no (B, d) matrix
+        ([a, b], [1.0, 2.0], None, (DimensionError, "a query vector must be 1-D, got 0-D")),
+        ([a], [1.0, 2.0], None, (DimensionError, "a query vector must be 1-D, got 0-D")),
         ([near, b], vectors, None, (FormatError, "virtual row 32 names item 500, which is not stored")),
         ([near], vectors, None, (FormatError, "virtual row 32 names item 500, which is not stored")),
         ([a, replace(b, features=None)], vectors, None,
