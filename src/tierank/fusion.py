@@ -4,10 +4,10 @@ Fusion takes one tier-3 graph per feature channel and merges them by node
 union, edge union, and edge-weight summation. The final list is then grown
 greedily: at every step the candidate with the largest summed affinity to
 all already-selected items is appended. The affinities between a query's
-candidates form one C×C matrix W, built by :func:`add_counts` by treating
-each candidate as a temporary ranking center (for one query, inside
-:func:`query_matrix`), and :func:`greedy_loop` reads one of its rows per
-step. The pipeline builds W in tie-break order with tie-break weights
+candidates form one C×C matrix W, built by treating each candidate as a
+temporary ranking center (for one query by :func:`query_matrix`, for a
+block by :func:`add_counts`), and :func:`greedy_loop` reads one of its rows
+per step. The pipeline builds W in tie-break order with tie-break weights
 from its query row, so no ranking uses :class:`FusedGraph`,
 :func:`fuse_graphs`, :class:`TieredPairwise` or :func:`greedy_select`:
 they are an inspection view of the same arithmetic, which only the tests
@@ -97,27 +97,29 @@ def fuse_graphs(
 
 def add_counts(
     matrix: np.ndarray, index: NeighborhoodIndex, pos: np.ndarray, k1: int, counts: np.ndarray, scale: float,
-    starts: np.ndarray, slots: np.ndarray | None, col: np.ndarray, scratch: np.ndarray,
-    query_row: np.ndarray | None = None,
+    starts: np.ndarray, slots: np.ndarray, col: np.ndarray, scratch: np.ndarray, query_row: np.ndarray | None = None,
 ) -> None:
-    """Add one channel's scaled tier-3 counts into ``matrix``, a stack of per-query W blocks.
+    """Add one channel's scaled tier-3 counts into ``matrix``, a stack of per-query W blocks, at the hits only.
 
     Candidate j (row position ``pos[j]``) centers the row of flat cell
     ``starts[j, 0]``, has column ``col[j]`` and its row's ``counts[j]``
     (``center_counts``). Its query's scratch slots, a slot per row position
-    and a pad slot, start at ``slots[j, 0]`` (0 if None); a neighbor's
-    column read there is a candidate's own, else the spare last one, as for
-    a -1 pad. A candidate at slot n, an out-of-sample query, centers
-    ``query_row``. One ``np.add.at`` adds the scaled counts, so a call per
-    channel sums W in channel order.
+    and a pad slot, start at ``slots[j, 0]`` and hold "no column", the
+    dtype's max, except while a call writes, gathers and resets its
+    candidates' columns. A candidate at slot n, an out-of-sample query, centers
+    ``query_row``. A row names each position once, so the hits are distinct
+    cells, and one buffered add a channel sums W in channel order.
     """
     cells = index.position_rows(pos, k1, query_row)
-    if slots is not None:
-        cells += slots
-    scratch[cells] = matrix.shape[1] - 1
-    scratch[pos if slots is None else pos + slots[:, 0]] = col
-    np.add(starts, scratch[cells], out=cells)
-    np.add.at(matrix.reshape(-1), cells.ravel(), np.multiply(counts, scale).ravel())
+    cells += slots
+    mine, none = pos + slots[:, 0], np.iinfo(scratch.dtype).max
+    scratch[mine] = col
+    got = scratch.take(cells, mode="wrap")  # row 0's pads, at -1, read the last slot, a pad slot
+    scratch[mine] = none
+    hits = np.flatnonzero(got != none)
+    cells = starts.take(hits // got.shape[1])  # the hits' cells of W; rebinding frees the rows' first
+    cells += got.take(hits)
+    matrix.reshape(-1)[cells] += counts.take(hits) * scale
 
 
 def query_matrix(parts: Sequence[tuple], col: np.ndarray) -> np.ndarray:
@@ -125,15 +127,21 @@ def query_matrix(parts: Sequence[tuple], col: np.ndarray) -> np.ndarray:
 
     ``parts`` holds, per channel in summing order, (index, the candidates'
     row positions, k1, their counts, scale, slot n's query row or None).
-    :func:`add_counts` fills a (C, C + 1) block, the spare column dropped
-    after, with one int64 scratch of the largest channel's slots.
+    One ``np.add.at`` a channel fills a (C, C + 1) block through one int64
+    scratch of the largest channel's slots, a non-candidate or pad in the
+    spare column, dropped after: on one query's few cells, faster than
+    :func:`add_counts`' hits-only build and its extra calls.
     """
     c = col.shape[0]
     starts = (col * (c + 1))[:, None]  # flat cell (col, 0) of the (C, C + 1) block
     scratch = np.empty(max((index.slots for index, *_ in parts), default=0), dtype=np.int64)
     matrix = np.zeros((c, c + 1))
     for index, pos, k1, counts, scale, row in parts:
-        add_counts(matrix, index, pos, k1, counts, float(scale), starts, None, col, scratch, row)
+        cells = index.position_rows(pos, k1, row)
+        scratch[cells] = c
+        scratch[pos] = col
+        np.add(starts, scratch[cells], out=cells)
+        np.add.at(matrix.reshape(-1), cells.ravel(), np.multiply(counts, float(scale)).ravel())
     return matrix[:, :c]
 
 

@@ -478,7 +478,10 @@ class NeighborhoodIndex:
         return pos
 
     def ids_at(self, positions: np.ndarray) -> np.ndarray:
-        """The item id at every row position."""
+        """The item id at every row position: a stored row's, or slot n's on an overlay; a -1 pad names none."""
+        if positions.size and (positions.min() < 0 or positions.max() >= self.n):
+            bad = positions[(positions < 0) | (positions >= self.n)][0]
+            raise UnknownItemError(f"row position {bad} names no item of channel {self.channel_name!r}")
         ids = self.item_ids.take(positions, mode="clip")
         if self.virtual is not None:
             ids[positions == self.item_ids.shape[0]] = self.virtual[0]

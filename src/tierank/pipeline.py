@@ -220,13 +220,14 @@ def _batch(
 def _blocks(channels: Sequence[Channel], count: int, per: int) -> Iterator[tuple[slice, np.ndarray]]:
     """``count`` queries cut into near-equal slices of at most ``per``, each with the scratch they share.
 
-    The scratch holds B·(n + 2) slots for the largest block, each the
-    smallest integer that holds a column of W.
+    The scratch holds B·(n + 2) slots for the largest block, each the smallest unsigned
+    integer that holds Σk1, above every column, and all at its max, "no column".
     """
     blocks = -(-count // per)
     bounds = [count * b // blocks for b in range(blocks + 1)]
     slots = max(ch.index.slots for ch in channels)
-    scratch = np.empty(-(-count // blocks) * slots, dtype=np.min_scalar_type(sum(ch.k1 for ch in channels)))
+    dtype = np.min_scalar_type(sum(ch.k1 for ch in channels))
+    scratch = np.full(-(-count // blocks) * slots, np.iinfo(dtype).max, dtype=dtype)
     for start, stop in zip(bounds, bounds[1:]):
         yield slice(start, stop), scratch
 
@@ -234,11 +235,11 @@ def _blocks(channels: Sequence[Channel], count: int, per: int) -> Iterator[tuple
 def _block_queries(k1s: Sequence[int], n: int, scan: int = 0) -> int:
     """Queries per block on channels of these k1 and at most n items: as many as fit the budget.
 
-    A query has C ≤ S = Σk1 candidates, so it holds at most (S + 1)²
-    float64 cells of W; per channel, C·max(k1) int64 cells, float64 values
-    and two byte gathers; a dozen int64 arrays of C; and n + 1 slots. A
-    vector query also holds, in the kNN scan of a channel of ``scan``
-    feature rows, a float64 distance and a byte mark per row.
+    A query has C ≤ S = Σk1 candidates, so it holds under (S + 1)² float64
+    cells of W; per channel, C·max(k1) int64 cells, a byte gather and mask,
+    and its hits' cells and values; a dozen int64 arrays of C; and n + 1
+    slots. A vector query also holds, in the kNN scan of a channel of
+    ``scan`` feature rows, a float64 distance and a byte mark per row.
     """
     s, k = sum(k1s), max(k1s)
     slot = np.min_scalar_type(s).itemsize  # a slot holds a column, S at most
@@ -274,9 +275,11 @@ def _candidates(
     by_name, qrows, query_rows = zip(*sorted(zip(channels, qrows, query_rows), key=lambda t: t[0].name))
     rows = np.concatenate(qrows, axis=1)
     ranks = np.concatenate([np.arange(r.shape[1]) for r in qrows])
-    ids = np.concatenate([ch.index.ids_at(r) for ch, r in zip(by_name, qrows)], axis=1)
-    if query_rows[0] is not None:  # the slot that leads each row names the query
+    ids = np.concatenate([ch.index.item_ids.take(r, mode="clip") for ch, r in zip(by_name, qrows)], axis=1)
+    if query_rows[0] is not None:  # the slot n that leads each row names the query
         ids[:, ranks == 0] = np.asarray(queries)[:, None]
+    elif any(ch.index.n > ch.index.item_ids.shape[0] for ch in by_name):  # so does an overlay's slot n
+        ids[:, ranks == 0] = by_name[0].index.ids_at(qrows[0][:, 0])[:, None]
     if rows.min() < 0:  # a -1 pad, in a row narrower than another channel's, stands for the query
         ids = np.where(rows < 0, ids[:, :1], ids)
     # each query's entries by id (``flat`` indexes the raveled rows): an
@@ -326,7 +329,7 @@ def _rerank_block(
        then puts each query's candidates, which come by id, in tie-break
        order (higher weight, lower distance rank, smaller id);
     2. every query's W, rows and columns in tie-break order, as one stack
-       of B padded (Cmax + 1, Cmax + 1) blocks: one call of the W builder
+       of B padded (Cmax, Cmax) blocks, its hits only: one call of
        :func:`~tierank.fusion.add_counts` a channel, in name order, query
        b's slots of ``scratch`` starting at b·(n + 2);
     3. the loop of :func:`~tierank.fusion.greedy_loop` for every query at
@@ -352,7 +355,7 @@ def _rerank_block(
     col = np.empty(total, dtype=np.int64)  # every candidate's place in its query's order
     col[order] = np.arange(total) - np.repeat(np.cumsum(sizes) - sizes, sizes)
 
-    width = int(sizes.max()) + 1  # a column per candidate, then the spare one
+    width = int(sizes.max())  # a column per candidate
     lane = owner * width + col  # a candidate's row of the stack, and its entry of acc
     starts = (lane * width)[:, None]
     matrix = np.zeros((b * width, width))

@@ -92,8 +92,8 @@ def _overlaps(
     """
     nearest = index.neighbor_positions(query, k1) if query_row is None else query_row[:k1]
     rows, counts = index.overlap_counts(nearest[None, :], k2, query_row=query_row)
-    ids = index.ids_at(nearest)
-    if query_row is not None:
+    ids = index.ids_at(nearest) if query_row is None else index.item_ids.take(nearest, mode="clip")
+    if query_row is not None:  # slot n, which leads the row, names the query and no row of the index
         ids[0] = query
     return ids, counts[0].astype(np.int64), rows[0]
 

@@ -61,7 +61,7 @@ def test_only_errors_py_touches_files():
 def test_only_the_index_reads_its_overlap_tables():
     # a center's tier-3 counts come through NeighborhoodIndex.center_counts,
     # which alone reads the tables and the overlay's virtual row: fusion's
-    # one W builder names neither
+    # two W builders name neither
     offenders = [
         f"{path.name}:{lineno}: {line.strip()}"
         for path in sorted(SRC.glob("*.py")) if path.name != "index.py"
@@ -129,6 +129,40 @@ def test_the_index_imports_nothing_from_the_package_but_errors():
     # the layer under every ranking: the rankings, fusion and the pipeline read the index, and it reads none of them
     modules = _uses((SRC / "index.py").read_text(encoding="utf-8"))[0]
     assert modules & {path.stem for path in SRC.glob("*.py")} == {"errors"}
+
+
+def _add_at_users(source):
+    """The innermost functions of ``source`` (or ``<module>``) that read ``add.at``, numpy's unbuffered add."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "at" and (
+                getattr(child.value, "attr", None) == "add" or getattr(child.value, "id", None) == "add"
+            ):
+                found.add(owner)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+@pytest.mark.parametrize(("source", "users"), [
+    ("def f(m, c, v):\n    np.add.at(m, c, v)\n", {"f"}),
+    ("import numpy\ndef f(m):\n    def g(c):\n        numpy.add.at(m, c, 1)\n    return g\n", {"g"}),
+    ("from numpy import add\nscatter = add.at\n", {"<module>"}),
+    ("def f(m, c, v):\n    m[c] += v\n", set()),
+])
+def test_the_add_at_lint_sees_each_kind_of_use(source, users):
+    assert _add_at_users(source) == users
+
+
+def test_only_the_one_query_w_build_uses_add_at():
+    # a block's W adds only its hits, which are distinct cells, with one
+    # buffered add; the one-query W keeps np.add.at and its spare column
+    users = {(path.name, name) for path in sorted(SRC.glob("*.py"))
+             for name in _add_at_users(path.read_text(encoding="utf-8"))}
+    assert users == {("fusion.py", "query_matrix")}
 
 
 def _number_readers_of_lines(source):

@@ -710,6 +710,83 @@ def test_batch_memory_is_bounded_by_the_block():
     assert working_peak(queries) <= 1.1 * max(working_peak(block) for block in blocks)
 
 
+@pytest.mark.parametrize("k1s", [(85, 85, 85), (255,), (128, 128), (127, 129)])
+def test_a_batch_at_the_scratch_dtypes_edge_equals_the_loop(k1s):
+    # Σk1 = 255 holds every column and "no column" (255) in one byte, and
+    # 256 takes two; unions near Σk1 put W's columns next to that max. One
+    # channel's alpha is no power of two
+    rng = np.random.default_rng(sum(k1s) + len(k1s))
+    channels = [replace(ch, k1=k1, k2=5) for ch, k1 in zip(random_channels(rng, 1500, len(k1s), max(k1s)), k1s)]
+    channels[0] = replace(channels[0], alpha=0.7)
+    assert np.min_scalar_type(sum(k1s)) == (np.uint8 if sum(k1s) == 255 else np.uint16)
+    queries = rng.choice(1500, size=2 * _block_size(channels) + 1).tolist()
+    got = batch_rerank(channels, queries, 300)
+    assert _exact(got) == _exact([rerank_query(channels, q, 300) for q in queries])
+    assert max(len(r) for r in got) > 0.9 * sum(k1s) - len(k1s)  # k_final 300 ranks every candidate
+    vectors = rng.normal(size=(2 * _vector_block_size(channels) + 1, 4))
+    assert _exact(batch_rerank_vectors(channels, vectors, 300)) == _exact(_loop(channels, vectors, 300))
+
+
+def _kernel_cases(rng):
+    """Fused channels at (n, k): n < k pads stored rows with -1 beside an out-of-sample query's wider row."""
+    for n, k in ((5, 8), (40, 6)):
+        channels = random_channels(rng, n, 3, k)
+        yield [replace(ch, k1=k1, alpha=a) for ch, k1, a in zip(channels, (k, 3, k - 1), (1.0, 0.3, 1.7))]
+
+
+def test_a_blocks_w_is_each_querys_own_w(monkeypatch):
+    # query b's W in a block's stack, on its real rows and columns, is the
+    # one-query build's W bit for bit, for ids and for vectors; its padding
+    # holds nothing
+    rng = np.random.default_rng(86)
+    stacks, alone = [], []
+    add_counts, query_matrix = pipeline.add_counts, pipeline.query_matrix
+
+    def watched_add(matrix, *args):
+        if not stacks or stacks[-1] is not matrix:
+            stacks.append(matrix)
+        add_counts(matrix, *args)
+
+    monkeypatch.setattr(pipeline, "add_counts", watched_add)
+    monkeypatch.setattr(pipeline, "query_matrix", lambda *args: alone.append(query_matrix(*args)) or alone[-1])
+    for channels in _kernel_cases(rng):
+        queries = rng.choice(channels[0].index.n, size=2 * _block_size(channels) + 3).tolist()
+        vectors = rng.normal(size=(2 * _vector_block_size(channels) + 3, 4))
+        for batch, loop in ((lambda: batch_rerank(channels, queries), lambda: [rerank_query(channels, q) for q in queries]),
+                            (lambda: batch_rerank_vectors(channels, vectors), lambda: _loop(channels, vectors))):
+            stacks.clear(), alone.clear()
+            batch()
+            assert alone == [] and len(stacks) > 1
+            loop()
+            blocks = [w for stack in stacks for w in np.split(stack, stack.shape[0] // stack.shape[1])]
+            assert len(blocks) == len(alone)
+            for block, w in zip(blocks, alone):
+                c = w.shape[0]
+                assert np.ascontiguousarray(block[:c, :c]).tobytes() == np.ascontiguousarray(w).tobytes()
+                assert not block[c:].any() and not block[:, c:].any()
+
+
+def test_every_block_leaves_its_scratch_at_no_column(monkeypatch):
+    # the block kernel writes its candidates' columns and resets them: after
+    # every block of ids or of vectors, every slot of the batch's scratch
+    # holds its dtype's max again
+    rng = np.random.default_rng(87)
+    blocks, seen = pipeline._blocks, []
+
+    def watched(channels, count, per):
+        for at, scratch in blocks(channels, count, per):
+            yield at, scratch
+            seen.append((scratch.dtype, (scratch == np.iinfo(scratch.dtype).max).all()))
+
+    monkeypatch.setattr(pipeline, "_blocks", watched)
+    for channels in _kernel_cases(rng):
+        dtype = np.min_scalar_type(sum(ch.k1 for ch in channels))
+        seen.clear()
+        batch_rerank(channels, rng.choice(channels[0].index.n, size=2 * _block_size(channels) + 3).tolist())
+        batch_rerank_vectors(channels, rng.normal(size=(2 * _vector_block_size(channels) + 3, 4)))
+        assert len(seen) == 6 and seen == [(dtype, True)] * 6
+
+
 # --- overlap table ---------------------------------------------------------------
 
 

@@ -813,6 +813,23 @@ def test_round_trip_preserves_rerank_output(tmp_path):
         assert tiered_rerank(index, query).entries == tiered_rerank(back, query).entries
 
 
+def test_ids_at_refuses_a_pad_and_a_position_past_the_rows():
+    # on 40 stored items a -1 pad, position 99 and slot 40 name no item; slot 40
+    # names the virtual one on an overlay, and 41 still none
+    rng = np.random.default_rng(13)
+    index = build_index(random_features(rng, 40, dim=4), k=5)
+    assert index.ids_at(np.asarray([0, 39, 7])).tolist() == [0, 39, 7]
+    for bad, first in (([-1, 99], -1), ([99, -1], 99), ([40], 40), ([3, 41], 41)):
+        with pytest.raises(UnknownItemError, match=f"row position {first} names no item of channel 'ch0'"):
+            index.ids_at(np.asarray(bad))
+    overlay = index.with_virtual(50, [50, 3], [0.0, 1.0])
+    assert overlay.ids_at(np.asarray([40, 3, 40])).tolist() == [50, 3, 50]
+    for bad in ([41], [-1, 40]):
+        with pytest.raises(UnknownItemError, match="names no item"):
+            overlay.ids_at(np.asarray(bad))
+    assert index.ids_at(np.empty(0, dtype=np.int64)).tolist() == []
+
+
 def test_with_virtual_is_a_one_row_overlay():
     index = build_index(_line_features([0.0, 1.0, 3.0]), k=5)  # n < k: stored rows hold 3 ids
     overlay = index.with_virtual(9, np.asarray([9, 1, 0, 2]), np.asarray([0.0, 0.5, 0.5, 1.5]))
