@@ -231,19 +231,20 @@ class _Selector:
 
     For up to ``rows`` rows of ``n`` entries it holds a bool mark per entry.
     A row whose bound marks too many entries is chosen on its own in
-    ``spare``, one uint64 row of scratch and the lock that guards it, which
-    the selectors of one build share: only degenerate input reaches it, so
-    on other input no worker waits for it. Beyond them a call takes
-    O(rows·k) memory, so a worker thread handed a selector allocates nothing
-    of size n.
+    ``spare``, one uint64 row of scratch and the lock that guards it. The
+    selectors of one build share one: only degenerate input reaches it, so
+    on other input no worker waits for it. A selector given none makes one
+    on first need, so a query scan under the cap makes none. Beyond them a
+    call takes O(rows·k) memory, so a worker thread handed a selector
+    allocates nothing of size n.
     """
 
     def __init__(self, rows: int, n: int, spare: tuple[np.ndarray, threading.Lock] | None = None) -> None:
         self.marks = np.empty((rows, n), dtype=bool)
-        self.spare = spare or _spare_row(n)
+        self.spare = spare
 
-    def nearest(self, dist: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
-        """Per row of ``dist``, the columns of the k nearest entries, by (distance, id).
+    def nearest(self, dist: np.ndarray, ids: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per row of ``dist``, the (columns, distances) of the k nearest entries, by (distance, id).
 
         Column j belongs to item ``ids[j]`` (non-negative); ties at the k-th
         distance go to the smallest ids. Each row is cut into c >= k chunks
@@ -252,7 +253,8 @@ class _Selector:
         most tau hold k entries at most tau. The entries at most tau, about
         1.4·k a row on unordered distances, are marked, gathered and put in
         (row, distance, id) order by one sort on id and one ``np.lexsort``
-        on (row, distance); the first k of each row are the answer.
+        on (row, distance); the first k of each row are the answer. One row
+        needs no row keys: one ``np.lexsort`` on (distance, id).
         When a block marks more than ``_SELECT_CAP``·k entries a row on
         average, every row over that is chosen on its own
         (:meth:`_choose_alone`), which keeps the gathered entries O(rows·k).
@@ -263,7 +265,7 @@ class _Selector:
         marks = self.marks[:rows]
         width = max(1, n // (2 * k))
         chunks = n // width
-        minima = dist[:, : chunks * width].reshape(rows, chunks, width).min(axis=2)
+        minima = np.minimum.reduce(dist[:, : chunks * width].reshape(rows, chunks, width), axis=2)
         minima.partition(k - 1, axis=1)
         np.less_equal(dist, minima[:, k - 1 : k], out=marks)
         del minima  # before the gather, the call's other peak
@@ -271,16 +273,20 @@ class _Selector:
         if np.count_nonzero(marks) > cap * rows:
             for full in np.flatnonzero(np.count_nonzero(marks, axis=1) > cap):
                 self._choose_alone(dist[full], ids, k, marks[full])
-        # the marked entries in row order, and where each row begins among them
-        flat = np.flatnonzero(marks)
-        first = np.searchsorted(flat, np.arange(rows) * n)
+        flat = marks.ravel().nonzero()[0]  # the marked entries in row order
+        if rows == 1:
+            near = dist.take(flat)
+            at = np.lexsort((ids.take(flat), near))[None, :k]
+            return flat[at], near[at]
+        first = np.searchsorted(flat, np.arange(rows) * n)  # where each row begins among them
         # by id, then stably by (row, distance): each row's entries end in
         # (distance, id) order. The first sort need not be stable, since an
         # id appears once a row; the row key fits the smallest unsigned
         # type, which numpy sorts by radix.
         flat = flat[np.argsort(ids.take(flat % n))]
-        flat = flat[np.lexsort((dist.take(flat), (flat // n).astype(np.min_scalar_type(rows))))]
-        return flat[first[:, None] + np.arange(k)] % n
+        near = dist.take(flat)
+        at = np.lexsort((near, (flat // n).astype(np.min_scalar_type(rows))))[first[:, None] + np.arange(k)]
+        return flat[at] % n, near[at]
 
     def _choose_alone(self, dist: np.ndarray, ids: np.ndarray, k: int, marks: np.ndarray) -> None:
         """Marks exactly the k nearest entries of one row, in the spare uint64 row.
@@ -292,6 +298,8 @@ class _Selector:
         again for the k-th rank: the entries below, and the tied ones whose
         id is below that rank, are the k nearest.
         """
+        if self.spare is None:
+            self.spare = _spare_row(dist.shape[0])
         scratch, lock = self.spare
         ids = ids.view(np.uint64)
         with lock:
@@ -324,25 +332,20 @@ def knn_columns(
     """Exact top-k (feature-row columns, distances) of a (B, d) block of query vectors, a row each.
 
     One (B, n) block of distances through the selection kernel the build
-    uses, so no column comes twice in a row, and a row is the one its vector
-    gets alone. A query vector with a NaN or Inf is a FormatError, raised
-    before the scan. Under the cosine metric the queries are checked for a
-    zero vector on every call and the channel once
-    (:attr:`FeatureMatrix.has_zero_vector`).
+    uses (one row takes its one-row form), so no column comes twice in a
+    row, and a row is the one its vector gets alone. The vectors come
+    checked, a (B, d) matrix with no NaN or Inf, by the callers where they
+    enter (:meth:`~tierank.pipeline.Channel.query_rows`, :func:`knn_candidates`).
+    Under the cosine metric the queries are checked for a zero vector on
+    every call and the channel once (:attr:`FeatureMatrix.has_zero_vector`).
     """
-    q = np.asarray(query_vectors, dtype=np.float64)
-    if q.ndim != 2 or q.shape[1] != features.dim:
-        raise DimensionError(f"query has dim {q.shape[1:]}, collection has dim {features.dim}")
-    if not np.isfinite(q).all():
-        raise FormatError("query vector contains NaN or Inf")
     if k < 1:
         raise ValueError("k must be >= 1")
     if metric == Metric.COSINE:
         features.check_nonzero()
-        _check_nonzero(q, "query")
-    dists = cdist(q, features.vectors, metric.cdist_name)
-    cols = _Selector(*dists.shape).nearest(dists, features.ids, min(k, features.n))
-    return cols, dists[np.arange(cols.shape[0])[:, None], cols]
+        _check_nonzero(query_vectors, "query")
+    dists = cdist(query_vectors, features.vectors, metric.cdist_name)
+    return _Selector(*dists.shape).nearest(dists, features.ids, min(k, features.n))
 
 
 def knn_candidates(
@@ -351,10 +354,12 @@ def knn_candidates(
     k: int,
     metric: Metric = Metric.L1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact top-k (ids, distances) for an arbitrary query vector: :func:`knn_columns` by id."""
+    """Exact top-k (ids, distances) for an arbitrary query vector, checked here: :func:`knn_columns` by id."""
     q = np.asarray(query_vector, dtype=np.float64)
-    if q.ndim != 1:
+    if q.ndim != 1 or q.shape[0] != features.dim:
         raise DimensionError(f"query has dim {q.shape}, collection has dim {features.dim}")
+    if not np.isfinite(q).all():
+        raise FormatError("query vector contains NaN or Inf")
     cols, dists = knn_columns(features, q[None, :], k, metric)
     return features.ids[cols[0]], dists[0]
 
@@ -452,7 +457,7 @@ class NeighborhoodIndex:
     def _position(self, item: int) -> int:
         """Row position of a stored or virtual item, or -1."""
         stored = self.item_ids.shape[0]
-        pos = int(np.searchsorted(self.item_ids, item))
+        pos = int(self.item_ids.searchsorted(item))
         if pos < stored and self.item_ids[pos] == item:
             return pos
         if self.virtual is not None and item == self.virtual[0]:
@@ -530,7 +535,8 @@ class NeighborhoodIndex:
             out = np.concatenate((out, pad), axis=1)
         hit = positions == self.item_ids.shape[0]
         out[hit, :width] = row
-        out[hit, width:] = -1
+        if width < out.shape[1]:
+            out[hit, width:] = -1
         return out
 
     def overlap_counts(
@@ -548,25 +554,28 @@ class NeighborhoodIndex:
         Membership is a mark per (row, position) in ``marks``, a flat boolean
         scratch of at least B·:attr:`slots` entries, all False; the kernel
         leaves it so, which lets one buffer serve every block of a table
-        build. Without one, a scratch is allocated.
+        build. Without one, a scratch is allocated. One row marks its
+        positions as they are, with no per-row slot offsets.
         """
         rows = self.position_rows(near.ravel(), k2, query_row)
         rows = rows.reshape(*near.shape, rows.shape[1])
         stride = self.slots
-        if marks is None:
-            marks = np.zeros(near.shape[0] * stride, dtype=bool)
-        marks = marks[: near.shape[0] * stride]
+        shared = marks is not None
+        marks = marks[: near.shape[0] * stride] if shared else np.zeros(near.shape[0] * stride, dtype=bool)
         # row b's slots start at b·stride, so a -1 pad lands on the slot
         # before, the pad slot of row b - 1 (of the last row for b = 0),
         # which stays False
-        start = np.arange(0, marks.size, stride)[:, None]
-        marked = start + near
+        marked, counted = near, rows
+        if near.shape[0] > 1:
+            start = np.arange(0, marks.size, stride)[:, None]
+            marked, counted = start + near, start[:, :, None] + rows
         marks[marked] = True
         marks[stride - 1 :: stride] = False
         # a count never exceeds either row's length, so the sum's dtype holds it
         dtype = np.min_scalar_type(min(near.shape[1], rows.shape[2]))
-        counts = marks[start[:, :, None] + rows].sum(axis=2, dtype=dtype)
-        marks[marked] = False
+        counts = marks[counted].sum(axis=2, dtype=dtype)
+        if shared:
+            marks[marked] = False
         return rows, counts
 
     def overlap_table(self, k1: int, k2: int) -> np.ndarray:
@@ -622,46 +631,52 @@ class NeighborhoodIndex:
         return table
 
     def _check_query_id(self, item: int) -> None:
-        """Refuse ``item`` as slot n's id: on an overlay, and when it is stored or negative."""
+        """Refuse ``item`` as slot n's id: on an overlay, and when it is stored, negative or 2**63 or more."""
         if self.virtual is not None:
             raise FormatError(f"virtual id {item}: the index already holds virtual row {self.virtual[0]}")
-        if item in self:
+        if self._position(item) >= 0:
             raise FormatError(f"virtual id {item} collides with an indexed item")
         if item < 0:
             raise FormatError(f"virtual id {item} is negative")
+        if item >= 2**63:
+            raise FormatError(f"virtual id {item} does not fit in an int64")
 
     def query_rows(
-        self, items: Sequence[int], positions: np.ndarray, dists: np.ndarray, ids: np.ndarray
+        self, items: Sequence[int], positions: np.ndarray, dists: np.ndarray, ids: Callable[[int], np.ndarray]
     ) -> np.ndarray:
         """Slot n's rows for the out-of-sample queries ``items``, as a (B, w) matrix: n, then ``positions``.
 
         Row b of ``positions`` holds the row positions of query b's nearest
-        items, row b of ``ids``, at row b of ``dists``, as the kNN kernel
-        gives them (in (distance, id) order and none twice), -1 for an id
-        with no row. The ranking kernels take the rows as their
-        ``query_row``. Each is refused as :meth:`with_virtual` refuses a
-        row: on an overlay, for an item that is stored, negative or no
-        int64, for a non-finite distance, and for an id with no row. The
-        checks run in that order, each over every row, and the first row a
-        check refuses is named.
+        items, at row b of ``dists``, as the kNN kernel gives them (in
+        (distance, id) order and none twice), -1 for an id with no row;
+        ``ids(b)`` gives row b's ids, and is called only to name such an
+        id. The ranking kernels take the rows as their ``query_row``. Each
+        is refused as :meth:`with_virtual` refuses a row: on an overlay, for
+        an item that is stored, negative or no int64 (2**63 or more, NaN or
+        a fraction), for a non-finite distance, and for an id with no row.
+        The id checks come first and run row by row: each item in turn is
+        refused on an overlay, then if stored, negative or 2**63 or more, so
+        the first row with any of these faults is named. Each later check
+        runs over every row and names the first row it refuses: a NaN or a
+        fraction, then a non-finite distance, then an id with no row.
         """
-        given = np.asarray(items)
-        rows = np.empty((given.shape[0], positions.shape[1] + 1), dtype=np.int64)
-        rows[:, 0] = given  # a float's fraction is dropped here, and refused below
-        rows[:, 1:] = positions
         for item in items:
             self._check_query_id(item)
-        if given.dtype.kind != "i":  # an int64 cast keeps every signed integer; a float may lose its fraction
-            led = rows[:, 0] == given
+        given = np.asarray(items)
+        if given.dtype.kind != "i":  # a fraction, or a NaN, does not survive an int64 cast
+            with np.errstate(invalid="ignore"):
+                led = given.astype(np.int64) == given
             if not led.all():
                 raise FormatError(f"virtual row {items[led.argmin()]} is not led by its owner at distance 0")
         if not np.isfinite(dists).all():
             b = np.isfinite(dists).all(axis=1).argmin()
             raise FormatError(f"virtual row {items[b]} has a non-finite distance")
-        if positions.size and positions.min() < 0:
+        if positions.min(initial=0) < 0:
             b = (positions < 0).any(axis=1).argmax()
-            raise FormatError(f"virtual row {items[b]} names item {ids[b][positions[b] < 0][0]}, which is not stored")
+            raise FormatError(f"virtual row {items[b]} names item {ids(b)[positions[b] < 0][0]}, which is not stored")
+        rows = np.empty((given.shape[0], positions.shape[1] + 1), dtype=np.int64)
         rows[:, 0] = self.item_ids.shape[0]
+        rows[:, 1:] = positions
         return rows
 
     def with_virtual(self, item: int, ids: np.ndarray, dists: np.ndarray) -> "NeighborhoodIndex":
@@ -684,7 +699,7 @@ class NeighborhoodIndex:
         if ids.shape[0] == 0 or ids[0] != item or dists[0] != 0.0:
             raise FormatError(f"virtual row {item} is not led by its owner at distance 0")
         stored = _row_positions(self.item_ids, ids[1:])
-        row = self.query_rows([item], stored[None], dists[None, 1:], ids[None, 1:])[0]
+        row = self.query_rows([item], stored[None], dists[None, 1:], lambda b: ids[1:])[0]
         if np.unique(stored).shape[0] < stored.shape[0]:
             raise FormatError(f"virtual row {item} names an id twice")
         row.setflags(write=False)
@@ -775,10 +790,10 @@ def build_index(features: FeatureMatrix, k: int, metric: Metric = Metric.L1) -> 
         # the owner sorts first, ahead of any zero-distance duplicate (a
         # cosine self-distance can come out a rounding error above zero)
         block[np.arange(rows), owners] = -1.0
-        cols = selector.nearest(block, features.ids, k_eff)
+        cols, near = selector.nearest(block, features.ids, k_eff)
         done = slice(start, start + rows)
         table[done] = position[cols]
-        dists[done] = np.take_along_axis(block, cols, axis=1)
+        dists[done] = near
 
     starts = range(0, features.n, block_rows)
     _spread(starts, workers, lambda: (np.empty(shape), _Selector(*shape, spare)), work)

@@ -63,7 +63,8 @@ class Channel:
         :meth:`NeighborhoodIndex.query_rows` checks ``vids`` and the rows. A
         channel with no features, vectors that are no (B, d) matrix or of
         another dimension, and a NaN or Inf are refused first, the last also
-        when k = 1 and no scan runs.
+        when k = 1 and no scan runs: these are the vectors' only checks, as
+        the kernel takes them checked.
         """
         if self.features is None:
             raise FormatError(f"channel {self.name!r} has no feature matrix for vector queries")
@@ -78,7 +79,8 @@ class Channel:
             cols, dists = knn_columns(self.features, vectors, want, self.index.metric)
         else:
             cols, dists = np.empty((len(vids), 0), dtype=np.int64), np.empty((len(vids), 0))
-        return self.index.query_rows(vids, self._feature_rows.take(cols), dists, self.features.ids.take(cols))
+        ids = self.features.ids
+        return self.index.query_rows(vids, self._feature_rows.take(cols), dists, lambda b: ids.take(cols[b]))
 
 
 def virtual_query_id(channels: Sequence[Channel]) -> int:

@@ -165,6 +165,37 @@ def test_only_the_one_query_w_build_uses_add_at():
     assert users == {("fusion.py", "query_matrix")}
 
 
+def _names_read_in(source, function):
+    """The names and attributes that any function called ``function`` in ``source`` reads, nested ones included."""
+    return {
+        node.attr if isinstance(node, ast.Attribute) else node.id
+        for tree in ast.walk(ast.parse(source))
+        if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef)) and tree.name == function
+        for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name))
+    }
+
+
+@pytest.mark.parametrize(("source", "reads"), [
+    ("def knn_columns(q):\n    if not np.isfinite(q).all():\n        raise ValueError\n", True),
+    ("def knn_columns(q):\n    return numpy.all(numpy.isfinite(q))\n", True),
+    ("from numpy import isfinite\ndef knn_columns(q):\n    return isfinite(q).all()\n", True),
+    ("def knn_columns(q):\n    check = np.isfinite\n    return check(q)\n", True),
+    ("def knn_columns(q):\n    def rows():\n        return np.isfinite(q).all(axis=1)\n    return rows\n", True),
+    ("def knn_candidates(q):\n    return np.isfinite(q).all()\ndef knn_columns(q):\n    return q\n", False),
+])
+def test_the_finiteness_lint_sees_each_kind_of_use(source, reads):
+    assert ("isfinite" in _names_read_in(source, "knn_columns")) == reads
+
+
+def test_a_query_vector_is_checked_for_nan_and_inf_where_it_enters():
+    # once a query: Channel.query_rows and knn_candidates refuse a NaN or
+    # Inf, and the kernel both call, knn_columns, takes the vectors checked
+    sources = {name: (SRC / name).read_text(encoding="utf-8") for name in ("index.py", "pipeline.py")}
+    assert "isfinite" not in _names_read_in(sources["index.py"], "knn_columns")
+    assert "isfinite" in _names_read_in(sources["index.py"], "knn_candidates")
+    assert "isfinite" in _names_read_in(sources["pipeline.py"], "query_rows")
+
+
 def _number_readers_of_lines(source):
     """The functions in ``source`` that call parse_number and also read a text file or split one into lines."""
     found = []

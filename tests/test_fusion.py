@@ -12,6 +12,7 @@ import io
 import sys
 import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 from functools import partial
 from types import SimpleNamespace
@@ -1243,7 +1244,7 @@ def test_batch_rerank_vectors_keeps_the_loops_first_error():
         ([a, b], vectors, 27, (FormatError, "virtual id 27 collides with an indexed item")),
         ([a, b], vectors, -3, (FormatError, "virtual id -3 is negative")),
         ([a, b], vectors, 30.5, (FormatError, "virtual row 30.5 is not led by its owner at distance 0")),
-        ([a, b], vectors, 10**23, (OverflowError, "Python int too large to convert to C long")),
+        ([a, b], vectors, 10**23, (FormatError, "virtual id 100000000000000000000000 does not fit in an int64")),
         ([a, b], vectors, None, None),
         ([], vectors, None, (EmptyChannelListError, "at least one channel required")),
     ]
@@ -1257,15 +1258,41 @@ def test_batch_rerank_vectors_keeps_the_loops_first_error():
         assert _raised(lambda: batch_rerank_vectors(chans, vecs, None, vid)) == error
 
 
+@pytest.mark.parametrize(("vid", "message"), [
+    (2**64, "virtual id 18446744073709551616 does not fit in an int64"),
+    (2**63, "virtual id 9223372036854775808 does not fit in an int64"),
+    (float("inf"), "virtual id inf does not fit in an int64"),
+    (-(2**63) - 1, "virtual id -9223372036854775809 is negative"),
+    (float("nan"), "virtual row nan is not led by its owner at distance 0"),
+])
+def test_an_id_no_int64_holds_is_a_format_error_that_names_it(vid, message):
+    rng = np.random.default_rng(87)
+    a, b = random_channels(rng, 30, 2, 5)
+    vectors = rng.normal(size=(3, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy warning on the way
+        for chans in ([a], [a, b]):
+            assert _raised(lambda: rerank_vector_query(chans, vectors[0], None, vid)) == (FormatError, message)
+            assert _raised(lambda: batch_rerank_vectors(chans, vectors, None, vid)) == (FormatError, message)
+
+
 def test_channel_query_rows_checks_every_row():
-    # the checks of one query's row, run over the block: each names the first row it refuses
+    # the checks of one query's row, run over the block: each names the first
+    # row it refuses, and the id checks run row by row, each row's all before
+    # the next row's, so [-5, 3] names -5 and [3, -5] names 3
     rng = np.random.default_rng(83)
     [a] = random_channels(rng, 30, 1, 5)
     vectors = rng.normal(size=(4, 4))
     vectors[2] = 20.0  # far from every stored row, so no other vector's nearest is id 500 below
     near = _extra_features(a, [vectors[2] + 1e-9])
     assert near.query_rows(vectors[:2], [40, 41]).shape == (2, 5)
+    negative = (FormatError, "virtual id -5 is negative")
+    stored = (FormatError, "virtual id 3 collides with an indexed item")
     cases = [
+        (a, vectors, [40, -5, 3, 43], negative),
+        (a, vectors, [40, 3, -5, 43], stored),
+        (a, vectors[:1], [-5], negative),
+        (a, vectors[:1], [3], stored),
         (a, vectors, [40, 41, 5, 43], (FormatError, "virtual id 5 collides with an indexed item")),
         (a, vectors, [40, 41, 42.5, 43], (FormatError, "virtual row 42.5 is not led by its owner at distance 0")),
         (near, vectors, [40, 41, 42, 43], (FormatError, "virtual row 42 names item 500, which is not stored")),

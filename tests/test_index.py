@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_features
+from conftest import random_channels, random_features
 from tierank import index as index_module
 from tierank.errors import (
     DimensionError,
@@ -43,7 +43,7 @@ from tierank.index import (
     write_features_binary,
     write_features_csv,
 )
-from tierank.oracles import brute_force_knn, brute_force_neighborhood
+from tierank.oracles import brute_force_knn, brute_force_neighborhood, oracle_tier3
 from tierank.rerank import tiered_rerank
 
 
@@ -392,9 +392,10 @@ def _same_tables(a, b):
 
 # one worker builds in 128-row blocks, two in 64-row ones, three in 42-row
 # ones and eight (the most, whatever the core count) in 16-row ones. The sizes
-# give one block, ragged and full, several blocks with a ragged last one, and
-# one size in the thousands; k > n where the tables stay small.
-@pytest.mark.parametrize("n, k", [(63, 70), (64, 100), (3 * 64 + 5, 9), (3 * 64 + 5, 200), (2500, 20)])
+# give one block, ragged and full, several blocks with a ragged last one, a
+# last block of one row for one, two and eight workers (129), and one size in
+# the thousands; k > n where the tables stay small.
+@pytest.mark.parametrize("n, k", [(63, 70), (64, 100), (129, 12), (3 * 64 + 5, 9), (3 * 64 + 5, 200), (2500, 20)])
 @pytest.mark.parametrize("metric", list(Metric))
 def test_build_across_blocks_and_workers(monkeypatch, n, k, metric):
     rng = np.random.default_rng(n + k)
@@ -404,7 +405,8 @@ def test_build_across_blocks_and_workers(monkeypatch, n, k, metric):
     for cores in (2, 3, 64):
         monkeypatch.setattr(index_module, "_usable_cores", lambda: cores)
         assert _same_tables(build_index(fm, k=k, metric=metric), index)
-    for item in rng.choice(fm.ids, size=6, replace=False):
+    # and the largest id, whose row, in id order, is the last block's
+    for item in [*rng.choice(fm.ids, size=6, replace=False), fm.ids.max()]:
         assert index.neighbors(item) == brute_force_neighborhood(fm, item, k, metric)
 
 
@@ -435,6 +437,39 @@ def test_overlap_table_does_not_depend_on_the_worker_count(monkeypatch, n):
             assert tables[0].shape == (n, min(k1, n))
     finally:
         sys.setswitchinterval(interval)
+
+
+# 16-row blocks, the last one of one row
+@pytest.mark.parametrize("n", [17, 33])
+def test_a_tier3_table_whose_last_block_is_one_row_equals_its_rows_counted_alone(n):
+    index = build_index(random_features(np.random.default_rng(n), n), k=8)
+    for k1, k2 in ((8, 8), (3, 8), (8, 3)):
+        table = index.overlap_table(k1, k2)
+        for u in range(n):
+            alone = index.overlap_counts(index.neighbor_table[u : u + 1, :k1], k2)[1][0]
+            assert table[u].tolist() == alone.tolist()
+            assert table[u].tolist() == list(oracle_tier3(index, int(index.item_ids[u]), k1, k2).values())
+
+
+def test_a_one_row_count_equals_its_row_of_a_block():
+    # n < k: a stored row is one entry narrower than the query's, so the k2
+    # rows of the block carry -1 pads, and slot n's row is the query row
+    rng = np.random.default_rng(85)
+    [ch] = random_channels(rng, 5, 1, 8)
+    index, row = ch.index, ch.query_rows(rng.normal(size=(1, 4)), [100])[0]
+    near = index.position_rows(np.array([5, 0, 3, 5, 4]), 8, row)
+    assert (near == -1).any()
+    for k2 in (2, 6, 8):
+        marks = np.zeros(near.shape[0] * index.slots, dtype=bool)
+        rows, counts = index.overlap_counts(near, k2, marks, row)
+        for b in range(near.shape[0]):
+            one_rows, one = index.overlap_counts(near[b : b + 1], k2, marks, row)
+            assert one_rows[0].tolist() == rows[b].tolist() and one[0].tolist() == counts[b].tolist()
+            assert one.tolist() == index.overlap_counts(near[b : b + 1], k2, query_row=row)[1].tolist()
+            members = set(near[b].tolist()) - {-1}  # a pad is no member, and its count is not read
+            for c in np.flatnonzero(near[b] >= 0):
+                assert one[0, c] == len(members & set(rows[b, c].tolist()))
+        assert not marks.any()  # a shared scratch is left all False
 
 
 def _traced_peak(build):
@@ -479,8 +514,9 @@ def test_nearest_matches_a_full_sort(data):
     # the largest id a FeatureMatrix allows is the selector's sentinel too
     id_values = st.integers(0, 10**6) | st.just(np.iinfo(np.int64).max)
     ids = np.asarray(data.draw(st.lists(id_values, min_size=n, max_size=n, unique=True)), dtype=np.int64)
-    got = index_module._Selector(rows, n).nearest(dist, ids, k)
-    assert got.tolist() == [np.lexsort((ids, row))[:k].tolist() for row in dist]
+    cols, near = index_module._Selector(rows, n).nearest(dist, ids, k)
+    assert cols.tolist() == [np.lexsort((ids, row))[:k].tolist() for row in dist]
+    assert np.array_equal(near, np.take_along_axis(dist, cols, axis=1))
 
 
 def test_build_holds_nine_bytes_per_buffered_distance(monkeypatch):
@@ -510,14 +546,15 @@ _LAYOUTS = ("random", "ascending", "descending", "run of k", "tail", "all equal"
 
 
 @st.composite
-def _selection_cases(draw):
+def _selection_cases(draw, layouts=st.sampled_from(_LAYOUTS)):
     """(dist, ids, k) whose rows defeat the chunk bound in every way the kernel meets.
 
     Sorted rows put the chunk minima in order; a run of k small entries puts
     the k nearest in one chunk (in as few as the chunk width allows), and
     the tail ones in the columns past the last whole chunk; equal and
-    few-valued rows tie across the bound. Each row draws its own layout, so
-    a block mixes rows over and under the cap.
+    few-valued rows tie across the bound. Each row draws its own layout from
+    ``layouts``, so a block mixes rows over and under the cap; a block of
+    one row takes the kernel's one-row form.
     """
     n = draw(st.integers(1, 2000))
     k = draw(st.sampled_from([1, n, max(1, n // 2), n // 2 + 1]) | st.integers(1, min(n, 60)))
@@ -525,7 +562,7 @@ def _selection_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dist = np.empty((rows, n))
     for row in dist:
-        layout = draw(st.sampled_from(_LAYOUTS))
+        layout = draw(layouts)
         row[:] = rng.random(n) + 1.0
         if layout in ("ascending", "descending"):
             row.sort()
@@ -550,8 +587,80 @@ def _selection_cases(draw):
 @given(_selection_cases())
 def test_nearest_matches_a_full_sort_on_every_layout(case):
     dist, ids, k = case
-    got = index_module._Selector(*dist.shape).nearest(dist, ids, k)
-    assert got.tolist() == [np.lexsort((ids, row))[:k].tolist() for row in dist]
+    cols, near = index_module._Selector(*dist.shape).nearest(dist, ids, k)
+    assert cols.tolist() == [np.lexsort((ids, row))[:k].tolist() for row in dist]
+    assert np.array_equal(near, np.take_along_axis(dist, cols, axis=1))
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_the_one_row_selection_matches_a_full_sort_on_every_layout(layout, data):
+    # one row of each layout, the all-equal one over the cap whenever n > 4k
+    dist, ids, k = data.draw(_selection_cases(layouts=st.just(layout)))
+    dist = dist[:1]
+    cols, near = index_module._Selector(*dist.shape).nearest(dist, ids, k)
+    assert cols.tolist() == [np.lexsort((ids, dist[0]))[:k].tolist()]
+    assert near.tolist() == [dist[0, cols[0]].tolist()]
+
+
+def test_a_query_selector_makes_its_spare_row_on_first_need():
+    # a row under the cap never touches the spare; an all-equal row, over
+    # the cap, is chosen on its own in a spare the selector makes then
+    n, k = 1000, 5
+    ids = np.random.default_rng(77).permutation(n)
+    for dist, made in ((np.random.default_rng(77).random((1, n)), False), (np.full((1, n), 2.0), True)):
+        selector = index_module._Selector(1, n)
+        cols, _ = selector.nearest(dist, ids, k)
+        assert cols.tolist() == [np.lexsort((ids, dist[0]))[:k].tolist()]
+        assert (selector.spare is not None) == made
+
+
+def test_a_one_vector_scan_makes_no_spare_row():
+    # the (1, n) distances and their marks, 9 bytes an item; a uint64 spare
+    # row made up front would add 8 more
+    n = 20_000
+    fm = random_features(np.random.default_rng(78), n, dim=4)
+    query = np.random.default_rng(79).normal(size=(1, 4))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        index_module.knn_columns(fm, query, 50)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak / n < 12
+
+
+# n = 16,385 is one past a multiple of both block sizes, 128 rows for one
+# worker and 64 for two, so the last block is one row; n bytes is also above
+# the 8 KiB buffer np.lexsort takes whatever its input's size
+@pytest.mark.parametrize("cores", [1, 2])
+def test_a_builds_one_row_last_block_allocates_nothing_of_size_n(monkeypatch, cores):
+    n, k = 16_385, 5
+    fm = random_features(np.random.default_rng(80), n, dim=3)
+    nearest, lock, grown = index_module._Selector.nearest, threading.Lock(), []
+
+    def traced(selector, dist, ids, k):
+        with lock:  # one call at a time, so the peak is this call's
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = nearest(selector, dist, ids, k)
+            if dist.shape[0] == 1:
+                grown.append(tracemalloc.get_traced_memory()[1] - before)
+            return out
+
+    monkeypatch.setattr(index_module, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(index_module._Selector, "nearest", traced)
+    tracemalloc.start()
+    try:
+        index = build_index(fm, k=k)
+    finally:
+        tracemalloc.stop()
+    assert len(grown) == 1 and grown[0] < n
+    last = int(index.item_ids[-1])  # the owner of the one-row block, which takes the rows in id order
+    for item in (0, n // 2, last):
+        assert index.neighbors(item) == brute_force_neighborhood(fm, item, k, Metric.L1)
 
 
 @pytest.mark.parametrize("cpu_max, cores", [
