@@ -4,7 +4,8 @@ Index construction is offline and excluded; what is timed is the online
 step per query, :func:`rerank_query`: with several channels, the candidate
 union of their neighbor rows, the fused affinity matrix and greedy
 selection; with one, the tiered re-ranking of the query's row. Times are
-per query in milliseconds, from warmed caches, over at least 100 samples.
+per query in milliseconds, from warmed caches, over at least 100 samples:
+their mean, median, 90th and 99th percentiles.
 """
 
 from __future__ import annotations
@@ -29,11 +30,13 @@ class BenchResult:
     samples: int
     mean_ms: float
     median_ms: float
+    p90_ms: float
+    p99_ms: float
 
     def row(self) -> str:
         return (
             f"{self.label}\t{self.n}\t{self.m}\t{self.k}\t"
-            f"{self.mean_ms:.4f}\t{self.median_ms:.4f}\t{self.samples}"
+            f"{self.mean_ms:.4f}\t{self.median_ms:.4f}\t{self.samples}\t{self.p90_ms:.4f}\t{self.p99_ms:.4f}"
         )
 
 
@@ -96,6 +99,7 @@ def bench_rerank(
             times_ms.append((time.perf_counter() - start) * 1e3)
 
     any_channel = channels[0]
+    p90, p99 = np.percentile(times_ms, [90, 99]).tolist()
     return BenchResult(
         label=label,
         n=any_channel.index.n,
@@ -104,6 +108,7 @@ def bench_rerank(
         samples=len(times_ms),
         mean_ms=statistics.fmean(times_ms),
         median_ms=statistics.median(times_ms),
+        p90_ms=p90, p99_ms=p99,
     )
 
 

@@ -9,11 +9,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import platform
 import re
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import bench as bench_mod
 from .config import ChannelConfig, PipelineConfig, load_config, write_config
@@ -24,7 +26,7 @@ from .errors import (
 from .evaluation import load_ground_truth, ns_score, precision_at, recall_at, write_ground_truth
 from .index import (
     FeatureMatrix, Metric, build_index, load_features, load_index, load_parsed_features, load_tier3, save_index,
-    save_parsed_features, save_tier3, write_features_csv,
+    _usable_cores, save_parsed_features, save_tier3, write_features_csv,
 )
 from .pipeline import Channel, batch_rerank, batch_rerank_vectors
 from .ranking import RankedList, read_rankings_tsv, write_rankings_tsv
@@ -243,7 +245,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.dim < 1:
         raise FormatError(f"bad --dim value {args.dim}: must be >= 1")
     _check_seed(args.seed)
-    print("label\tn\tm\tk\tmean_ms\tmedian_ms\tsamples")
+    print(f"machine: usable_cores={_usable_cores()} python={platform.python_version()} numpy={np.__version__} "
+          f"scipy={scipy.__version__}", file=sys.stderr)  # stdout holds the table alone
+    print("label\tn\tm\tk\tmean_ms\tmedian_ms\tsamples\tp90_ms\tp99_ms")
     rng = np.random.default_rng(args.seed)
     for n in n_values:
         k_cap = max(k_values)

@@ -206,31 +206,33 @@ def greedy_select(fused: FusedGraph, pairwise: TieredPairwise, k: int) -> FinalR
     weights = np.array([fused.edges.get(item, 0.0) for item in cand], dtype=np.float64)
     ranks = np.array([fused.rank_of(item) for item in cand], dtype=np.int64)
     order = np.lexsort((ids, ranks, -weights))
-    items = ids[order].tolist()
+    items = ids[order]
     try:
-        pos = items.index(fused.query)
+        pos = items.tolist().index(fused.query)
     except ValueError:
         raise UnknownItemError(f"center {fused.query} is not a candidate") from None
     return greedy_loop(pairwise.matrix[np.ix_(order, order)], items, pos, k)
 
 
-def greedy_loop(matrix: np.ndarray, items: list, pos: int, k: int) -> FinalRanking:
+def greedy_loop(matrix: np.ndarray, items: np.ndarray, pos: int, k: int) -> FinalRanking:
     """The greedy selection loop on W, a C×C matrix whose row and column j are ``items[j]``'s.
 
     W comes in tie-break order (higher fused weight, lower distance rank,
     smaller id), so argmax, which returns the first maximum, picks the
     winner of a tie. From the query's row ``pos``, each step adds a row to
-    the running sums and masks the taken entries with -inf. The ranking
-    names the query ``items[pos]``.
+    the running sums and masks the taken entries with -inf. The loop keeps
+    the picks' positions and scores as Python numbers, and the positions
+    become ids, ``items`` being an int64 array, in one ``take`` at the end.
+    The ranking names the query ``items[pos]``.
     """
     acc = np.zeros(len(items))
-    query = items[pos]
-    selected = [query]
-    scores = [0.0]
+    argmax = acc.argmax
+    picks, scores = [pos], [0.0]
     for _ in range(min(k, len(items) - 1)):
         acc += matrix[pos]
         acc[pos] = -np.inf  # taken, and it stays so: every weight is finite
-        pos = int(acc.argmax())
-        selected.append(items[pos])
-        scores.append(float(acc[pos]))
-    return FinalRanking(query=query, items=tuple(selected), scores=tuple(scores))
+        pos = int(argmax())
+        picks.append(pos)
+        scores.append(acc.item(pos))
+    selected = items.take(picks).tolist()
+    return FinalRanking(query=selected[0], items=tuple(selected), scores=tuple(scores))

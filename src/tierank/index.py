@@ -631,9 +631,11 @@ class NeighborhoodIndex:
         return table
 
     def _check_query_id(self, item: int) -> None:
-        """Refuse ``item`` as slot n's id: on an overlay, and when it is stored, negative or 2**63 or more."""
+        """Refuse ``item`` as slot n's id: on an overlay, and when it is a string, stored, negative or 2**63 or more."""
         if self.virtual is not None:
             raise FormatError(f"virtual id {item}: the index already holds virtual row {self.virtual[0]}")
+        if isinstance(item, (str, bytes)):
+            raise FormatError(f"virtual id {item!r} is not a number")
         if self._position(item) >= 0:
             raise FormatError(f"virtual id {item} collides with an indexed item")
         if item < 0:

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, EmptyChannelListError, FormatError, TierankError
+from .errors import DimensionError, EmptyChannelListError, FormatError, TierankError, UnknownItemError
 from .fusion import add_counts, greedy_loop, query_matrix
 from .index import FeatureMatrix, NeighborhoodIndex, _row_positions, knn_columns
 from .ranking import FinalRanking, RankedList
@@ -107,13 +107,15 @@ def _rerank(channels: Sequence[Channel], query: int, k_final: int | None, vector
         return tiered_rerank(ch.index, query, alpha=ch.alpha, k1=ch.k1, k2=ch.k2, query_row=row)
     cand, _, rank, weights, own, lookups = _candidates(channels, [query], rows)
     k_final = max(ch.k1 for ch in channels) if k_final is None else k_final
+    if isinstance(k_final, bool) or not isinstance(k_final, (int, np.integer)):  # as resolve_k refuses k1
+        raise ValueError(f"k_final must be an integer, got {k_final!r}")
     if k_final < 1:
         raise ValueError("k must be >= 1")
     # W in tie-break order (higher weight, lower distance rank, then smaller id, as candidates come by id)
     order = np.lexsort((rank, -weights))
     col = np.argsort(order)  # every candidate's row and column of W
     matrix = query_matrix([(ch.index, pos, ch.k1, counts, ch.alpha, row) for ch, pos, counts, row in lookups], col)
-    final = greedy_loop(matrix, cand[order].tolist(), int(col[own[0]]), k_final)
+    final = greedy_loop(matrix, cand[order], int(col[own]), k_final)
     return final.to_ranked_list(tier="mfr")
 
 
@@ -163,7 +165,8 @@ def batch_rerank_vectors(
     """
     vid = virtual_query_id(channels) if vid is None else vid
     vectors = list(vectors)
-    return _batch(channels, [vid + j for j in range(len(vectors))], k_final, vectors)
+    named = isinstance(vid, (str, bytes))  # no number: the first query, by that name, raises its error
+    return _batch(channels, [vid if named else vid + j for j in range(len(vectors))], k_final, vectors)
 
 
 def _batch(
@@ -264,54 +267,68 @@ def _candidates(
     the query's own counts summed in channel-name order); every query's own
     candidate; and per channel, in name order, (channel, the candidates'
     row positions, their counts, the given query row or None).
+
+    One query runs the same steps in one-row forms, with the same outputs:
+    a stored query's k1 row is a view of the neighbor table, found by one
+    scalar lookup a channel (where slot n has a row, :meth:`position_rows`
+    pads it and the query's to one width); its entries are deduplicated in
+    1-D with no row offsets; and its query and own candidate are scalars.
     """
     query_rows = [None] * len(channels) if query_rows is None else query_rows
+    one = len(queries) == 1
     qrows = []
     for ch, row in zip(channels, query_rows):
         resolve_k(ch.index, ch.alpha, ch.k1, ch.k2)
+        if one and ch.index._slot_row(row) is None:  # a stored query, with no slot n beside it
+            at = ch.index._position(queries[0])
+            if at < 0:
+                raise UnknownItemError(f"item {queries[0]} not in index for channel {ch.index.channel_name!r}")
+            qrows.append(ch.index.neighbor_table[at, : ch.k1])
+            continue
         at = ch.index.positions(queries) if row is None else row[:, 0]  # a row is led by its owner
-        qrows.append(ch.index.position_rows(at, ch.k1, row))
+        near = ch.index.position_rows(at, ch.k1, row)  # slot n's row and a stored one -1-pad each other to one width
+        qrows.append(near[0] if one else near)
     names = [ch.name for ch in channels]
     if len(set(names)) != len(names):
         raise FormatError(f"duplicate channel names in fusion: {names}")
     by_name, qrows, query_rows = zip(*sorted(zip(channels, qrows, query_rows), key=lambda t: t[0].name))
-    rows = np.concatenate(qrows, axis=1)
-    ranks = np.concatenate([np.arange(r.shape[1]) for r in qrows])
-    ids = np.concatenate([ch.index.item_ids.take(r, mode="clip") for ch, r in zip(by_name, qrows)], axis=1)
+    rows = np.concatenate(qrows, axis=-1)
+    ranks = np.concatenate([np.arange(r.shape[-1]) for r in qrows])
+    ids = np.concatenate([ch.index.item_ids.take(r, mode="clip") for ch, r in zip(by_name, qrows)], axis=-1)
     if query_rows[0] is not None:  # the slot n that leads each row names the query
-        ids[:, ranks == 0] = np.asarray(queries)[:, None]
+        ids[..., ranks == 0] = np.reshape(queries, (*ids.shape[:-1], 1))
     elif any(ch.index.n > ch.index.item_ids.shape[0] for ch in by_name):  # so does an overlay's slot n
-        ids[:, ranks == 0] = by_name[0].index.ids_at(qrows[0][:, 0])[:, None]
+        ids[..., ranks == 0] = by_name[0].index.ids_at(qrows[0][..., :1])
     if rows.min() < 0:  # a -1 pad, in a row narrower than another channel's, stands for the query
-        ids = np.where(rows < 0, ids[:, :1], ids)
+        ids = np.where(rows < 0, ids[..., :1], ids)
     # each query's entries by id (``flat`` indexes the raveled rows): an
     # id's first entry, never a pad, is its candidate
-    order = ids.argsort(axis=1, kind="stable")
-    flat = (order + np.arange(0, ids.size, ids.shape[1])[:, None]).ravel()
+    order = ids.argsort(axis=-1, kind="stable")
+    flat = order if one else (order + np.arange(0, ids.size, ids.shape[1])[:, None]).ravel()
     ranked = ids.take(flat).reshape(ids.shape)
     first = np.ones(ids.shape, dtype=bool)
-    first[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-    starts = np.flatnonzero(first)
+    np.not_equal(ranked[..., 1:], ranked[..., :-1], out=first[..., 1:])
+    starts = first.ravel().nonzero()[0]
     cand = ranked.ravel()[starts]
-    owner = np.repeat(np.arange(len(queries)), first.sum(axis=1))
+    owner = 0 if one else np.repeat(np.arange(len(queries)), first.sum(axis=1))
     rank = np.minimum.reduceat(ranks[order].ravel(), starts)
     entry = np.empty(ids.size, dtype=np.int64)  # the candidate behind every entry
-    entry[flat] = np.cumsum(first) - 1
+    entry[flat] = first.cumsum() - 1
     # a candidate's position in the row that named it, searched for where a channel's ids differ
     known = rows.take(flat[starts])
-    own = entry[:: ids.shape[1]]
+    own = entry[0] if one else entry[:: ids.shape[1]]
     lookups = []
     for ch, r, row in zip(by_name, qrows, query_rows):
         pos = np.minimum(known, ch.index.item_ids.shape[0] - 1)
-        miss = ch.index.item_ids[pos] != cand
+        miss = ch.index.item_ids.take(pos) != cand
         if row is not None:  # the query's candidate is its slot, on every channel
             miss[own] = False
-            pos[own] = r[:, 0]
+            pos[own] = r[..., 0]
         if miss.any():
             pos[miss] = ch.index.positions(cand[miss])
         lookups.append((ch, pos, ch.index.center_counts(pos, ch.k1, ch.k2, row), row))
     scaled = [np.multiply(counts[own], float(ch.alpha), dtype=np.float64) for ch, _, counts, _ in lookups]
-    weights = np.bincount(entry, np.concatenate(scaled, axis=1).ravel(), minlength=cand.shape[0])
+    weights = np.bincount(entry, np.concatenate(scaled, axis=-1).ravel(), minlength=cand.shape[0])
     return cand, owner, rank, weights, own, lookups
 
 
@@ -340,11 +357,11 @@ def _rerank_block(
        maximum, and query b stops after min(k_final, C_b - 1) picks, so
        every pick and score is the per-query one.
 
-    Returns None when step 1 fails or k_final is below 1: the caller then
-    runs the per-query loop, which raises the per-query error.
+    Returns None when step 1 fails or k_final is no integer or below 1: the
+    caller then runs the per-query loop, which raises the per-query error.
     """
     k_final = max(ch.k1 for ch in channels) if k_final is None else k_final
-    if k_final < 1:
+    if isinstance(k_final, bool) or not isinstance(k_final, (int, np.integer)) or k_final < 1:
         return None
     try:
         cand, owner, rank, weights, own, lookups = _candidates(channels, queries, query_rows)

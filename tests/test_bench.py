@@ -29,3 +29,8 @@ def test_bench_reports_sample_count():
     assert result.samples == 120
     assert result.mean_ms > 0 and result.median_ms > 0
     assert result.row().startswith("tiny\t150\t1\t4\t")
+    # p90 and p99 come after the sample count, so the first seven columns keep their places
+    fields = result.row().split("\t")
+    assert len(fields) == 9 and fields[6] == "120"
+    assert [float(f) for f in fields[7:]] == [round(result.p90_ms, 4), round(result.p99_ms, 4)]
+    assert result.median_ms <= result.p90_ms <= result.p99_ms

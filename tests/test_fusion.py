@@ -24,7 +24,7 @@ from tierank.cli import main
 from tierank.errors import (
     DimensionError, EmptyChannelListError, FormatError, QueryMismatchError, UnknownItemError, ZeroVectorError,
 )
-from tierank.fusion import TieredPairwise, fuse_graphs, greedy_select
+from tierank.fusion import TieredPairwise, fuse_graphs, greedy_loop, greedy_select
 from tierank.index import FeatureMatrix, Metric, NeighborhoodIndex, build_index, knn_candidates, write_features_csv
 from tierank.oracles import brute_force_knn, oracle_greedy_select, oracle_pairwise, oracle_tier3
 from tierank.index import _row_positions
@@ -433,6 +433,134 @@ def test_batch_rerank_matches_rerank_query_property(instance, k_final, data):
     assert got == want and _exact(got) == _exact(want)
 
 
+
+def _bits(array):
+    """An array as (dtype, shape, bytes): equal only bit for bit."""
+    array = np.asarray(array)
+    return array.dtype.str, array.shape, array.tobytes()
+
+
+def _assert_one_is_its_slice(channels, block, rows=None):
+    """``_candidates(channels, [q])`` equals q's slice of ``_candidates(channels, block)``, q = block[1], bit for bit.
+
+    ``rows`` are the block's vector rows, or None; q's are row 1 of each.
+    Also q's candidates are the ids its k1 rows name, each at its least
+    rank. Returns the one-query result.
+    """
+    q = block[1]
+    single_rows = None if rows is None else [r[1:2] for r in rows]
+    cand, owner, rank, weights, own, lookups = pipeline._candidates(channels, block, rows)
+    one = pipeline._candidates(channels, [q], single_rows)
+    mine = owner == 1
+    offset = int(np.argmax(mine))
+    assert _bits(one[0]) == _bits(cand[mine]) and _bits(one[2]) == _bits(rank[mine])
+    assert _bits(one[3]) == _bits(weights[mine])
+    assert np.ndim(one[4]) == 0 and int(one[4]) == int(own[1]) - offset and one[1] == 0
+    for (ch1, pos1, counts1, row1), (ch, pos, counts, row) in zip(one[5], lookups):
+        assert ch1 is ch and _bits(pos1) == _bits(pos[mine]) and _bits(counts1) == _bits(counts[mine])
+        assert (row1 is None) == (row is None) and (row is None or _bits(row1) == _bits(row[1:2]))
+    least = {}
+    for ch, r in zip(channels, single_rows or [None] * len(channels)):
+        near = None if r is None else r[0, 1 : ch.k1]
+        named = ch.index.neighbor_ids(q, ch.k1) if r is None else [q, *ch.index.item_ids[near[near >= 0]]]
+        for at, item in enumerate(np.asarray(named).tolist()):
+            least[item] = min(least.get(item, at), at)
+    assert one[0].tolist() == sorted(least) and one[2].tolist() == [least[i] for i in sorted(least)]
+    return one
+
+
+@settings(max_examples=150, deadline=None)
+@given(_query_instances(), st.data())
+def test_one_querys_front_end_is_its_slice_of_a_blocks_property(instance, data):
+    # the one-row forms of _candidates give what a block [p, q, r] gives q,
+    # bit for bit: candidates, distance ranks, fused weights, own candidate,
+    # and per channel the positions and counts. Stored ids, vector rows and
+    # an overlay's virtual row; n < k, so that -1 pads occur beside a wider
+    # slot n row; alphas other than 1; and a channel that stores ids the
+    # others lack, so that candidates' row positions differ and are looked up
+    channels, vid, vector = instance
+    rows = None
+    kind = "ids" if vector is None else data.draw(st.sampled_from(["vectors", "overlay"]))
+    if kind == "vectors":
+        top = virtual_query_id(channels)
+        stack = np.asarray([vector, data.draw(st.sampled_from([vector, [9, 9]])), vector], dtype=np.float64)
+        block = [top + 1, vid, top + 2]
+        rows = [ch.query_rows(stack, block) for ch in channels]
+    elif kind == "overlay":
+        channels = overlay_query(channels, vector, vid)
+        ids = channels[0].index.item_ids.tolist() + [vid]
+        block = [data.draw(st.sampled_from(ids)) for _ in range(3)]
+    else:
+        ids = channels[0].index.item_ids.tolist()
+        if data.draw(st.booleans()):
+            extra = sorted({i + 1 for i in ids} - set(ids))[:3]
+            channels = [*channels[:-1], _with_extra_ids(channels[-1], extra)]
+        block = [data.draw(st.sampled_from(ids)) for _ in range(3)]
+    _assert_one_is_its_slice(channels, block, rows)
+
+
+@pytest.mark.parametrize(("n", "k"), [(5, 8), (40, 6)])
+def test_one_querys_front_end_is_its_slice_of_a_block_on_the_edges(n, k):
+    # every case the property draws, each made sure of: on an overlay with
+    # n < k a stored query's rows are -1-padded to the virtual row's width;
+    # vector rows; a channel that stores odd ids the others lack, so that a
+    # candidate's position is looked up; and alphas other than 1
+    rng = np.random.default_rng(31)
+    channels = []
+    for ch, alpha in zip(random_channels(rng, n, 3, k), (1.0, 0.3, 2.5)):
+        fm = FeatureMatrix(ch.name, 2 * ch.features.ids, ch.features.vectors)
+        channels.append(replace(ch, index=build_index(fm, k=k), alpha=alpha, features=fm))
+    overlaid = overlay_query(channels, rng.normal(size=4), 3)
+    for q in (0, 2 * n - 2):
+        rows = overlaid[0].index.position_rows(np.array([overlaid[0].index._position(q)]), k)
+        assert (rows < 0).any() == (n < k)  # the pad the one-row form must name as the query
+        _assert_one_is_its_slice(overlaid, [3, q, 3])
+    _assert_one_is_its_slice(overlaid, [0, 3, 2])
+    vectors, vids = rng.normal(size=(3, 4)), [2 * n + 1, 3, 2 * n + 3]
+    _assert_one_is_its_slice(channels, vids, [ch.query_rows(vectors, vids) for ch in channels])
+    # features that lack ids 0 and 2: with n < k the query rows are
+    # narrower than a stored row, and their -1 pads must not read as id 0
+    few = [replace(ch, features=FeatureMatrix(ch.name, ch.features.ids[2:], ch.features.vectors[2:]))
+           for ch in channels]
+    rows = [ch.query_rows(vectors, vids) for ch in few]
+    assert (few[0].index.position_rows(rows[0][:, 0], k, rows[0]) < 0).any() == (n < k)
+    assert 0 not in _assert_one_is_its_slice(few, vids, rows)[0].tolist()
+    shifted = [channels[0], _with_extra_ids(channels[1], [1, 5]), channels[2]]
+    one = _assert_one_is_its_slice(shifted, [0, 2, 4])
+    assert not np.array_equal(one[5][0][1], one[5][1][1])  # the channels' positions differ
+
+
+def _greedy_reference(matrix, items, pos, k):
+    """The greedy loop as plain Python: sum the picks' rows, take the first largest sum among the rest."""
+    sums, picks, scores = [0.0] * len(items), [pos], [0.0]
+    for _ in range(min(k, len(items) - 1)):
+        sums = [total + float(weight) for total, weight in zip(sums, matrix[picks[-1]])]
+        best = None
+        for j, total in enumerate(sums):
+            if j not in picks and (best is None or total > sums[best]):
+                best = j
+        picks.append(best)
+        scores.append(sums[best])
+    return [int(items[j]) for j in picks], scores
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_greedy_loop_matches_a_plain_python_loop_property(data):
+    # on few distinct weights (ties are common) and on fractions whose sums
+    # round, with any query row and k beyond the pool
+    c = data.draw(st.integers(1, 12))
+    values = data.draw(st.sampled_from([[0.0, 1.0, 2.0], [0.0, 0.3, 1.7, 2.5, 0.1]]))
+    matrix = np.asarray(data.draw(st.lists(st.lists(st.sampled_from(values), min_size=c, max_size=c),
+                                           min_size=c, max_size=c)))
+    items = np.asarray(data.draw(st.lists(st.integers(0, 10**6), min_size=c, max_size=c, unique=True)))
+    pos, k = data.draw(st.integers(0, c - 1)), data.draw(st.integers(1, 15))
+    got = greedy_loop(matrix, items, pos, k)
+    want_items, want_scores = _greedy_reference(matrix, items, pos, k)
+    assert got.query == want_items[0] and list(got.items) == want_items
+    assert [s.hex() for s in got.scores] == [s.hex() for s in want_scores]
+    assert all(type(i) is int for i in got.items) and all(type(s) is float for s in got.scores)
+
 def test_batch_rerank_matches_rerank_query_on_the_edges():
     # a block boundary crossed by 2·B + 3 queries with repeats, a pool of
     # one candidate (k1 = 1 on every channel), pools smaller than k_final,
@@ -523,6 +651,10 @@ def test_batch_errors_match_the_per_query_loop():
         (channels, list(range(10)) + [1000] + list(range(10, 20)), None),  # unknown id mid-batch
         (lacking, list(range(10)) + near[:1] + [0], None),  # a candidate another channel lacks
         (channels, list(range(12)), 0),
+        (channels, list(range(12)), 2.5),  # a k_final that is no integer
+        (channels, list(range(12)), float("nan")),
+        (channels, list(range(12)), "3"),
+        (channels, list(range(12)), True),
         ([replace(channels[0], alpha=0.0), *channels[1:]], [0, 1, 2], None),
         ([channels[0], channels[0], channels[1]], [0, 1, 2], None),  # one channel twice
         (channels[:1], list(range(10)) + [1000] + list(range(10, 20)), None),  # one channel: in blocks too
@@ -534,6 +666,23 @@ def test_batch_errors_match_the_per_query_loop():
         want = _raised(lambda: [rerank_query(chans, q, k_final) for q in queries])
         assert _raised(lambda: batch_rerank(chans, queries, k_final)) == want
     assert want == (EmptyChannelListError, "at least one channel required")
+
+
+@pytest.mark.parametrize("k_final", [2.5, float("nan"), "3", True, 3.0])
+def test_a_k_final_that_is_no_integer_is_a_value_error_that_names_it(k_final):
+    # on two or more channels, alone and in a batch, for ids and vectors;
+    # one channel takes no k_final and ranks as it did
+    rng = np.random.default_rng(29)
+    channels = random_channels(rng, 30, 2, 5)
+    vectors = rng.normal(size=(3, 4))
+    error = (ValueError, f"k_final must be an integer, got {k_final!r}")
+    assert _raised(lambda: rerank_query(channels, 3, k_final)) == error
+    assert _raised(lambda: batch_rerank(channels, [3, 4, 5], k_final)) == error
+    assert _raised(lambda: rerank_vector_query(channels, vectors[0], k_final)) == error
+    assert _raised(lambda: batch_rerank_vectors(channels, vectors, k_final)) == error
+    assert _exact([rerank_query(channels[:1], 3, k_final)]) == _exact([rerank_query(channels[:1], 3)])
+    assert _exact(batch_rerank(channels[:1], [3, 4, 5], k_final)) == _exact(batch_rerank(channels[:1], [3, 4, 5]))
+    assert _exact(batch_rerank(channels, [3, 4], np.int64(2))) == _exact(batch_rerank(channels, [3, 4], 2))
 
 
 def test_an_empty_batch_ranks_nothing():
@@ -665,8 +814,9 @@ def test_a_rule_of_one_query_a_block_takes_the_per_query_loop(monkeypatch):
 def test_a_block_gathers_rows_a_fixed_number_of_times_per_channel(monkeypatch, size):
     # one gather of the queries' rows and one of their candidates' rows per
     # channel, and one read of the candidates' counts, whatever the block's
-    # size; a single query (size 1, which runs rerank_query) makes as many.
-    # The per-channel tiered graphs and fuse_graphs stay off both paths
+    # size; a single query (size 1, which runs rerank_query) takes its own
+    # row as a view, so it gathers only its candidates' rows. The
+    # per-channel tiered graphs and fuse_graphs stay off both paths
     rng = np.random.default_rng(17)
     channels = random_channels(rng, 80, 3, 6)
     batch_rerank(channels, [0, 1])  # builds the tables
@@ -684,7 +834,8 @@ def test_a_block_gathers_rows_a_fixed_number_of_times_per_channel(monkeypatch, s
     monkeypatch.setattr(NeighborhoodIndex, "position_rows", counting_rows)
     monkeypatch.setattr(NeighborhoodIndex, "center_counts", counting_counts)
     batch_rerank(channels, rng.choice(80, size=size).tolist())
-    assert sorted(rows) == ["ch0", "ch0", "ch1", "ch1", "ch2", "ch2"]
+    gathers = 1 if size == 1 else 2
+    assert sorted(rows) == sorted(["ch0", "ch1", "ch2"] * gathers)
     assert sorted(counts) == ["ch0", "ch1", "ch2"]
 
 
@@ -1264,6 +1415,9 @@ def test_batch_rerank_vectors_keeps_the_loops_first_error():
     (float("inf"), "virtual id inf does not fit in an int64"),
     (-(2**63) - 1, "virtual id -9223372036854775809 is negative"),
     (float("nan"), "virtual row nan is not led by its owner at distance 0"),
+    ("a", "virtual id 'a' is not a number"),  # a string, which no int64 holds either
+    ("5", "virtual id '5' is not a number"),
+    (b"5", "virtual id b'5' is not a number"),
 ])
 def test_an_id_no_int64_holds_is_a_format_error_that_names_it(vid, message):
     rng = np.random.default_rng(87)
