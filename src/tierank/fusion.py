@@ -128,21 +128,22 @@ def query_matrix(parts: Sequence[tuple], col: np.ndarray) -> np.ndarray:
     ``parts`` holds, per channel in summing order, (index, the candidates'
     row positions, k1, their counts, scale, slot n's query row or None).
     One ``np.add.at`` a channel fills a (C, C + 1) block through one int64
-    scratch of the largest channel's slots, a non-candidate or pad in the
-    spare column, dropped after: on one query's few cells, faster than
+    scratch of the largest channel's slots, -1 but in a channel's C
+    candidates' slots while it gathers, so a non-candidate or pad lands in
+    the spare column 0: on one query's few cells, faster than
     :func:`add_counts`' hits-only build and its extra calls.
     """
     c = col.shape[0]
-    starts = (col * (c + 1))[:, None]  # flat cell (col, 0) of the (C, C + 1) block
-    scratch = np.empty(max((index.slots for index, *_ in parts), default=0), dtype=np.int64)
+    starts = (col * (c + 1) + 1)[:, None]  # flat cell (col, 1) of the (C, C + 1) block
+    scratch = np.full(max((index.slots for index, *_ in parts), default=0), -1, dtype=np.int64)
     matrix = np.zeros((c, c + 1))
     for index, pos, k1, counts, scale, row in parts:
         cells = index.position_rows(pos, k1, row)
-        scratch[cells] = c
         scratch[pos] = col
         np.add(starts, scratch[cells], out=cells)
+        scratch[pos] = -1
         np.add.at(matrix.reshape(-1), cells.ravel(), np.multiply(counts, float(scale)).ravel())
-    return matrix[:, :c]
+    return matrix[:, 1:]
 
 
 class TieredPairwise:
@@ -195,6 +196,7 @@ def greedy_select(fused: FusedGraph, pairwise: TieredPairwise, k: int) -> FinalR
     pool is exhausted. ``pairwise`` is anything with ``candidate_ids`` and
     the C×C ``matrix`` of affinities in that order, such as
     :class:`TieredPairwise`; its candidates must be the fused graph's nodes.
+    The loop runs on a float64 copy, so an integer matrix works too.
     """
     cand = pairwise.candidate_ids
     if fused.nodes != frozenset(cand):
@@ -211,26 +213,27 @@ def greedy_select(fused: FusedGraph, pairwise: TieredPairwise, k: int) -> FinalR
         pos = items.tolist().index(fused.query)
     except ValueError:
         raise UnknownItemError(f"center {fused.query} is not a candidate") from None
-    return greedy_loop(pairwise.matrix[np.ix_(order, order)], items, pos, k)
+    return greedy_loop(np.asarray(pairwise.matrix, dtype=np.float64)[np.ix_(order, order)], items, pos, k)
 
 
 def greedy_loop(matrix: np.ndarray, items: np.ndarray, pos: int, k: int) -> FinalRanking:
-    """The greedy selection loop on W, a C×C matrix whose row and column j are ``items[j]``'s.
+    """The greedy selection loop on W, a C×C float64 matrix whose row and column j are ``items[j]``'s.
 
     W comes in tie-break order (higher fused weight, lower distance rank,
     smaller id), so argmax, which returns the first maximum, picks the
-    winner of a tie. From the query's row ``pos``, each step adds a row to
-    the running sums and masks the taken entries with -inf. The loop keeps
-    the picks' positions and scores as Python numbers, and the positions
-    become ids, ``items`` being an int64 array, in one ``take`` at the end.
-    The ranking names the query ``items[pos]``.
+    winner of a tie. It writes -inf on W's diagonal first, in the caller's
+    W: from the query's row ``pos``, each step adds a row to the running
+    sums, which masks the row's pick for good, every weight being finite.
+    The loop keeps the picks' positions and scores as Python numbers, and
+    the positions become ids, ``items`` being an int64 array, in one
+    ``take`` at the end. The ranking names the query ``items[pos]``.
     """
+    matrix.flat[:: len(items) + 1] = -np.inf  # W's diagonal
     acc = np.zeros(len(items))
     argmax = acc.argmax
     picks, scores = [pos], [0.0]
     for _ in range(min(k, len(items) - 1)):
         acc += matrix[pos]
-        acc[pos] = -np.inf  # taken, and it stays so: every weight is finite
         pos = int(argmax())
         picks.append(pos)
         scores.append(acc.item(pos))

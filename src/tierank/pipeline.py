@@ -270,13 +270,13 @@ def _candidates(
 
     One query runs the same steps in one-row forms, with the same outputs:
     a stored query's k1 row is a view of the neighbor table, found by one
-    scalar lookup a channel (where slot n has a row, :meth:`position_rows`
-    pads it and the query's to one width); its entries are deduplicated in
-    1-D with no row offsets; and its query and own candidate are scalars.
+    scalar lookup a channel; its entries are deduplicated in 1-D with no
+    row offsets; and its query and own candidate are scalars. Only where
+    slot n has a row does :meth:`position_rows` pad, and pads are sought.
     """
     query_rows = [None] * len(channels) if query_rows is None else query_rows
     one = len(queries) == 1
-    qrows = []
+    qrows, padded = [], False
     for ch, row in zip(channels, query_rows):
         resolve_k(ch.index, ch.alpha, ch.k1, ch.k2)
         if one and ch.index._slot_row(row) is None:  # a stored query, with no slot n beside it
@@ -285,6 +285,7 @@ def _candidates(
                 raise UnknownItemError(f"item {queries[0]} not in index for channel {ch.index.channel_name!r}")
             qrows.append(ch.index.neighbor_table[at, : ch.k1])
             continue
+        padded |= ch.index._slot_row(row) is not None  # only slot n's row brings -1 pads
         at = ch.index.positions(queries) if row is None else row[:, 0]  # a row is led by its owner
         near = ch.index.position_rows(at, ch.k1, row)  # slot n's row and a stored one -1-pad each other to one width
         qrows.append(near[0] if one else near)
@@ -299,7 +300,7 @@ def _candidates(
         ids[..., ranks == 0] = np.reshape(queries, (*ids.shape[:-1], 1))
     elif any(ch.index.n > ch.index.item_ids.shape[0] for ch in by_name):  # so does an overlay's slot n
         ids[..., ranks == 0] = by_name[0].index.ids_at(qrows[0][..., :1])
-    if rows.min() < 0:  # a -1 pad, in a row narrower than another channel's, stands for the query
+    if padded and rows.min() < 0:  # a -1 pad, in a row narrower than another channel's, stands for the query
         ids = np.where(rows < 0, ids[..., :1], ids)
     # each query's entries by id (``flat`` indexes the raveled rows): an
     # id's first entry, never a pad, is its candidate
@@ -352,7 +353,8 @@ def _rerank_block(
        :func:`~tierank.fusion.add_counts` a channel, in name order, query
        b's slots of ``scratch`` starting at b·(n + 2);
     3. the loop of :func:`~tierank.fusion.greedy_loop` for every query at
-       once: per step a row gather, the taken entry masked and a row-wise
+       once: -inf first on W's diagonal, each candidate's own cell, so a
+       pick's row masks the pick; per step a row gather and a row-wise
        ``argmax``. Padding starts at -inf, argmax returns the first
        maximum, and query b stops after min(k_final, C_b - 1) picks, so
        every pick and score is the per-query one.
@@ -382,6 +384,7 @@ def _rerank_block(
         slots = (owner * ch.index.slots)[:, None]  # query b's slots of the scratch start at b·(n + 2)
         add_counts(matrix, ch.index, pos, ch.k1, counts, float(ch.alpha), starts, slots, col, scratch, row)
 
+    matrix.reshape(-1)[starts[:, 0] + col] = -np.inf  # W's diagonal: a pick's row masks the pick
     steps = [min(k_final, size - 1) for size in sizes.tolist()]
     acc = np.where(np.arange(width) < sizes[:, None], 0.0, -np.inf)
     flat = acc.ravel()
@@ -391,7 +394,6 @@ def _rerank_block(
     scores = np.empty((max(steps), b))
     for step in range(max(steps)):
         acc += matrix.take(at, axis=0)
-        flat[at] = -np.inf
         at = lanes + acc.argmax(axis=1)
         picks[step] = at
         scores[step] = flat[at]

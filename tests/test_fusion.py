@@ -555,7 +555,8 @@ def test_greedy_loop_matches_a_plain_python_loop_property(data):
                                            min_size=c, max_size=c)))
     items = np.asarray(data.draw(st.lists(st.integers(0, 10**6), min_size=c, max_size=c, unique=True)))
     pos, k = data.draw(st.integers(0, c - 1)), data.draw(st.integers(1, 15))
-    got = greedy_loop(matrix, items, pos, k)
+    got = greedy_loop(written := matrix.copy(), items, pos, k)
+    assert (np.isneginf(written) == np.eye(c, dtype=bool)).all()  # the loop writes W's diagonal, and no more
     want_items, want_scores = _greedy_reference(matrix, items, pos, k)
     assert got.query == want_items[0] and list(got.items) == want_items
     assert [s.hex() for s in got.scores] == [s.hex() for s in want_scores]
@@ -581,6 +582,29 @@ def test_batch_rerank_matches_rerank_query_on_the_edges():
         got = batch_rerank(chans, batch, k_final)
         assert _exact(got) == _exact([rerank_query(chans, q, k_final) for q in batch])
     assert [len(r) for r in batch_rerank(narrow, queries[:3])] == [1, 1, 1]
+
+
+def test_a_block_whose_queries_all_run_out_of_candidates_equals_the_loop(monkeypatch):
+    # k_final above every pool: each query's ranking ends at C_b - 1 picks,
+    # its whole pool, while its block runs on in lockstep to the largest
+    # pool, its finished queries' sums all -inf. Ids and vectors, with
+    # n < k and k1 < k, and blocks that really run
+    rng = np.random.default_rng(89)
+    ran, sizes, block = [], set(), pipeline._rerank_block
+    monkeypatch.setattr(pipeline, "_rerank_block", lambda *args: ran.append(block(*args)) or ran[-1])
+    for channels in _kernel_cases(rng):
+        k_final = sum(ch.k1 for ch in channels) + 1  # a pool is at most Σk1
+        queries = rng.choice(channels[0].index.n, size=2 * _block_size(channels) + 3).tolist()
+        ran.clear()
+        got = batch_rerank(channels, queries, k_final)
+        assert _exact(got) == _exact([rerank_query(channels, q, k_final) for q in queries])
+        pools = [pipeline._candidates(channels, [q])[0].shape[0] for q in queries]
+        assert [len(r.entries) for r in got] == pools
+        sizes.update(pools)
+        vectors = rng.normal(size=(2 * _vector_block_size(channels) + 3, 4))
+        assert _exact(batch_rerank_vectors(channels, vectors, k_final)) == _exact(_loop(channels, vectors, k_final))
+        assert len(ran) >= 4 and None not in ran
+    assert len(sizes) > 2  # pools of many sizes run out at different steps of a block
 
 
 @pytest.mark.parametrize(("n", "k"), [(5, 8), (40, 6)])
@@ -889,18 +913,25 @@ def _kernel_cases(rng):
 def test_a_blocks_w_is_each_querys_own_w(monkeypatch):
     # query b's W in a block's stack, on its real rows and columns, is the
     # one-query build's W bit for bit, for ids and for vectors; its padding
-    # holds nothing
+    # holds nothing. Each W is compared as built: both loops then write -inf
+    # on its diagonal, and on nothing else
     rng = np.random.default_rng(86)
     stacks, alone = [], []
     add_counts, query_matrix = pipeline.add_counts, pipeline.query_matrix
 
-    def watched_add(matrix, *args):
-        if not stacks or stacks[-1] is not matrix:
-            stacks.append(matrix)
+    def watched_add(matrix, *args):  # (the stack, a copy as built after its last channel)
         add_counts(matrix, *args)
+        if stacks and stacks[-1][0] is matrix:
+            stacks.pop()
+        stacks.append((matrix, matrix.copy()))
+
+    def watched_matrix(*args):
+        w = query_matrix(*args)
+        alone.append((w, w.copy()))
+        return w
 
     monkeypatch.setattr(pipeline, "add_counts", watched_add)
-    monkeypatch.setattr(pipeline, "query_matrix", lambda *args: alone.append(query_matrix(*args)) or alone[-1])
+    monkeypatch.setattr(pipeline, "query_matrix", watched_matrix)
     for channels in _kernel_cases(rng):
         queries = rng.choice(channels[0].index.n, size=2 * _block_size(channels) + 3).tolist()
         vectors = rng.normal(size=(2 * _vector_block_size(channels) + 3, 4))
@@ -910,12 +941,76 @@ def test_a_blocks_w_is_each_querys_own_w(monkeypatch):
             batch()
             assert alone == [] and len(stacks) > 1
             loop()
-            blocks = [w for stack in stacks for w in np.split(stack, stack.shape[0] // stack.shape[1])]
+            blocks = [(masked, w) for stack, built in stacks
+                      for masked, w in zip(*(np.split(m, m.shape[0] // m.shape[1]) for m in (stack, built)))]
             assert len(blocks) == len(alone)
-            for block, w in zip(blocks, alone):
+            for (masked, block), (used, w) in zip(blocks, alone):
                 c = w.shape[0]
                 assert np.ascontiguousarray(block[:c, :c]).tobytes() == np.ascontiguousarray(w).tobytes()
                 assert not block[c:].any() and not block[:, c:].any()
+                assert np.isfinite(w).all() and (w >= 0).all()
+                for final, built in ((masked[:c, :c], block[:c, :c]), (used, w)):
+                    assert (np.isneginf(final) == np.eye(c, dtype=bool)).all()
+                    assert (final[~np.eye(c, dtype=bool)] == built[~np.eye(c, dtype=bool)]).all()
+
+
+def _w_by_sums(channels, cand):
+    """W of the candidate ids ``cand`` as a plain dict of sums, {(center, candidate): weight}.
+
+    Per channel in the given order, each candidate u centers its k1 row
+    (``neighbor_positions``), and each entry there that names a candidate j
+    adds alpha times its count: the entry's cell of ``overlap_table`` for a
+    stored center, and for slot n's the size of the overlap of j's k2 row
+    with u's k1 row, counted on sets of row positions.
+    """
+    sums = {}
+    for ch in channels:
+        index, table = ch.index, ch.index.overlap_table(ch.k1, ch.k2)
+        for u in cand:
+            at, near = index._position(u), index.neighbor_positions(u, ch.k1).tolist()
+            for c, j in enumerate(index.ids_at(np.array(near, dtype=np.int64)).tolist()):
+                if j not in cand:
+                    continue
+                if at < index.item_ids.shape[0]:
+                    count = int(table[at, c])
+                else:
+                    count = len(set(index.neighbor_positions(j, ch.k2).tolist()) & set(near))
+                sums[u, j] = sums.get((u, j), 0.0) + float(ch.alpha) * count
+    return sums
+
+
+def test_one_querys_w_is_a_plain_dict_of_sums():
+    # query_matrix, the one-query W, byte for byte against plain loops over
+    # each center's row (_w_by_sums), its rows and columns in a shuffled
+    # order: stored ids; a channel that stores ids the others lack, so that
+    # candidates' row positions differ; slot n's row, both on an overlay and
+    # given as a query row; with k1 < k, n < k (-1 pads beside a wider slot
+    # n row) and alphas of 0.3 and 1.7
+    rng = np.random.default_rng(88)
+    for kernel_case in _kernel_cases(rng):
+        channels = []
+        for ch in kernel_case:  # even ids, so that odd ones can sit between them
+            fm = FeatureMatrix(ch.name, 2 * ch.features.ids, ch.features.vectors)
+            channels.append(replace(ch, index=build_index(fm, k=ch.index.k), features=fm))
+        ids = channels[0].index.item_ids.tolist()
+        shifted = [*channels[:-1], _with_extra_ids(channels[-1], [1, 3, 5])]
+        assert (shifted[-1].index.positions(ids[3:]) != channels[-1].index.positions(ids[3:])).all()
+        vector, vid = rng.normal(size=4), virtual_query_id(shifted)
+        overlaid = overlay_query(channels, vector, vid)
+        cases = [(chans, q, None, chans) for chans in (channels, shifted) for q in rng.choice(ids, 4).tolist()]
+        cases += [(overlaid, q, None, overlaid) for q in (vid, *rng.choice(ids, 2).tolist())]
+        cases.append((channels, vid, [ch.query_rows(vector[None], [vid]) for ch in channels], overlaid))
+        for chans, q, rows, reference in cases:
+            cand, _, _, _, _, lookups = pipeline._candidates(chans, [q], rows)
+            col = rng.permutation(cand.shape[0])
+            parts = [(ch.index, pos, ch.k1, counts, ch.alpha, row) for ch, pos, counts, row in lookups]
+            want, at = np.zeros((cand.shape[0], cand.shape[0])), dict(zip(cand.tolist(), col.tolist()))
+            for (u, j), weight in _w_by_sums(reference, set(at)).items():
+                want[at[u], at[j]] = weight
+            got = pipeline.query_matrix(parts, col)
+            assert got.dtype == np.float64 and np.ascontiguousarray(got).tobytes() == want.tobytes()
+        n = channels[0].index.n  # with n < k, a stored center's row is padded beside slot n's
+        assert any((ch.index.position_rows(np.array([0, n]), ch.k1) < 0).any() for ch in overlaid) == (n < channels[0].index.k)
 
 
 def test_every_block_leaves_its_scratch_at_no_column(monkeypatch):
@@ -1105,6 +1200,21 @@ def test_greedy_rejects_candidates_other_than_the_fused_nodes(candidates):
     pairwise.candidate_ids = candidates
     with pytest.raises(UnknownItemError):
         greedy_select(fused, pairwise, k=5)
+
+
+def test_greedy_select_takes_an_integer_matrix_and_writes_none():
+    # greedy_loop writes -inf on its W's diagonal, so greedy_select hands it
+    # a float64 copy: an integer matrix ranks as its float64 twin, and
+    # neither matrix is written
+    rng = np.random.default_rng(10)
+    _, fused, pw = fused_instance(rng, 30, 2, 5)
+    ints = SimpleNamespace(candidate_ids=pw.candidate_ids, matrix=pw.matrix.astype(np.int64))
+    kept = ints.matrix.copy(), pw.matrix.copy()
+    assert (kept[0] == kept[1]).all()
+    got, want = greedy_select(fused, ints, k=12), greedy_select(fused, pw, k=12)
+    assert got.items == want.items and [s.hex() for s in got.scores] == [s.hex() for s in want.scores]
+    assert len(got.items) == len(pw.candidate_ids) and all(type(s) is float for s in got.scores)
+    assert _bits(ints.matrix) == _bits(kept[0]) and _bits(pw.matrix) == _bits(kept[1])
 
 
 def test_greedy_no_duplicates_query_first():
