@@ -5,7 +5,8 @@ step per query, :func:`rerank_query`: with several channels, the candidate
 union of their neighbor rows, the fused affinity matrix and greedy
 selection; with one, the tiered re-ranking of the query's row. Times are
 per query in milliseconds, from warmed caches, over at least 100 samples:
-their mean, median, 90th and 99th percentiles.
+their mean, median, 90th and 99th percentiles; and the untimed warm-up
+pass, in which the channels' fused table is built, as a whole.
 """
 
 from __future__ import annotations
@@ -32,11 +33,12 @@ class BenchResult:
     median_ms: float
     p90_ms: float
     p99_ms: float
+    warmup_ms: float
 
     def row(self) -> str:
         return (
-            f"{self.label}\t{self.n}\t{self.m}\t{self.k}\t"
-            f"{self.mean_ms:.4f}\t{self.median_ms:.4f}\t{self.samples}\t{self.p90_ms:.4f}\t{self.p99_ms:.4f}"
+            f"{self.label}\t{self.n}\t{self.m}\t{self.k}\t{self.mean_ms:.4f}\t{self.median_ms:.4f}\t"
+            f"{self.samples}\t{self.p90_ms:.4f}\t{self.p99_ms:.4f}\t{self.warmup_ms:.4f}"
         )
 
 
@@ -82,14 +84,16 @@ def bench_rerank(
 ) -> BenchResult:
     """Per-query wall time of the online rerank+fusion step.
 
-    Runs one untimed warmup pass over all queries, then times each query
-    `repetitions` times. Requires at least 100 timed samples.
+    Runs one warmup pass over all queries, timed as a whole, then times
+    each query `repetitions` times. Requires at least 100 timed samples.
     """
     samples = len(queries) * repetitions
     if samples < 100:
         raise ValueError(f"need >= 100 timed samples, got {samples}")
+    start = time.perf_counter()
     for q in queries:
         rerank_query(channels, q, k_final=k_final)
+    warmup_ms = (time.perf_counter() - start) * 1e3
 
     times_ms = []
     for _ in range(repetitions):
@@ -108,7 +112,7 @@ def bench_rerank(
         samples=len(times_ms),
         mean_ms=statistics.fmean(times_ms),
         median_ms=statistics.median(times_ms),
-        p90_ms=p90, p99_ms=p99,
+        p90_ms=p90, p99_ms=p99, warmup_ms=warmup_ms,
     )
 
 

@@ -247,7 +247,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     _check_seed(args.seed)
     print(f"machine: usable_cores={_usable_cores()} python={platform.python_version()} numpy={np.__version__} "
           f"scipy={scipy.__version__}", file=sys.stderr)  # stdout holds the table alone
-    print("label\tn\tm\tk\tmean_ms\tmedian_ms\tsamples\tp90_ms\tp99_ms")
+    print("label\tn\tm\tk\tmean_ms\tmedian_ms\tsamples\tp90_ms\tp99_ms\twarmup_ms")
     rng = np.random.default_rng(args.seed)
     for n in n_values:
         k_cap = max(k_values)

@@ -5,28 +5,37 @@ union, edge union, and edge-weight summation. The final list is then grown
 greedily: at every step the candidate with the largest summed affinity to
 all already-selected items is appended. The affinities between a query's
 candidates form one C×C matrix W, built by treating each candidate as a
-temporary ranking center (for one query by :func:`query_matrix`, for a
-block by :func:`add_counts`), and :func:`greedy_loop` reads one of its rows
-per step. The pipeline builds W in tie-break order with tie-break weights
-from its query row, so no ranking uses :class:`FusedGraph`,
-:func:`fuse_graphs`, :class:`TieredPairwise` or :func:`greedy_select`:
-they are an inspection view of the same arithmetic, which only the tests
-and the benchmark harness use.
+temporary ranking center, and :func:`greedy_loop` reads one of its rows per
+step. A single query reads W off the channels' :class:`FusedTable`, every
+stored row's fused neighbor row and counts, built once per channel set
+(:func:`fused_table`, :func:`table_matrix`); a block of queries builds it
+with :func:`add_counts`. The pipeline builds W in tie-break order with
+tie-break weights from its query row, so no ranking uses
+:class:`FusedGraph`, :func:`fuse_graphs`, :class:`TieredPairwise` (whose W
+:func:`query_matrix` lays out) or :func:`greedy_select`: they are an
+inspection view of the same arithmetic, which only the tests and the
+benchmark harness use.
 """
 
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import EmptyChannelListError, FormatError, QueryMismatchError, UnknownItemError
-from .index import NeighborhoodIndex
+from .index import NeighborhoodIndex, _row_positions
 from .ranking import FinalRanking
 from .rerank import QueryGraph
 
 _NO_RANK = 1 << 40
+# a fused table's build counts as many rows at once as keep their entries' gathered neighbor rows
+# (int64) under glibc's default mmap threshold, 128 KiB: larger temporaries raise it, and the heap
+# then keeps them resident (0.6 MiB after a build in blocks of 16 rows at n = 5,000 and k = 50)
+_TABLE_BLOCK_BYTES = 120_000
 
 
 @dataclass(frozen=True)
@@ -130,8 +139,7 @@ def query_matrix(parts: Sequence[tuple], col: np.ndarray) -> np.ndarray:
     One ``np.add.at`` a channel fills a (C, C + 1) block through one int64
     scratch of the largest channel's slots, -1 but in a channel's C
     candidates' slots while it gathers, so a non-candidate or pad lands in
-    the spare column 0: on one query's few cells, faster than
-    :func:`add_counts`' hits-only build and its extra calls.
+    the spare column 0. :class:`TieredPairwise` alone calls it.
     """
     c = col.shape[0]
     starts = (col * (c + 1) + 1)[:, None]  # flat cell (col, 1) of the (C, C + 1) block
@@ -144,6 +152,113 @@ def query_matrix(parts: Sequence[tuple], col: np.ndarray) -> np.ndarray:
         scratch[pos] = -1
         np.add.at(matrix.reshape(-1), cells.ravel(), np.multiply(counts, float(scale)).ravel())
     return matrix[:, 1:]
+
+
+def fuse_rows(rows: Sequence[np.ndarray], counts: Sequence[np.ndarray], pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """Channels' (B, w_c) rows of row positions, each naming a position once, fused: (positions, planes).
+
+    Row b of ``positions`` is the union of the rows b, ascending and padded
+    with ``pad`` to Σw_c; ``planes[c]`` holds channel c's ``counts`` at its
+    entries and 0 at the others.
+    """
+    block = np.concatenate(rows, axis=1)
+    order = block.argsort(axis=1, kind="stable")
+    ranked = np.take_along_axis(block, order, axis=1)
+    first = np.ones(block.shape, dtype=bool)
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=first[:, 1:])
+    slot, lane = first.cumsum(axis=1) - 1, np.arange(block.shape[0])[:, None]  # each sorted entry's fused column
+    positions = np.full(block.shape, pad, dtype=block.dtype)
+    positions[lane, slot] = ranked
+    planes = np.zeros((len(rows), *block.shape), dtype=np.result_type(*counts))
+    channel = np.repeat(np.arange(len(rows)), [r.shape[1] for r in rows])
+    planes[channel[order], lane, slot] = np.take_along_axis(np.concatenate(counts, axis=1), order, axis=1)
+    return positions, planes
+
+
+class FusedTable:
+    """The fused neighbor table of channels ``parts``, (index, k1, k2) in name order.
+
+    Common position p is item ``ids[p]`` of the channels' id union, N = len(ids)
+    is an out-of-sample query's slot and N + 1 the pad. Row p of ``positions``
+    fuses the channels' k1 rows of item p (:func:`fuse_rows`), with their
+    counts (:meth:`NeighborhoodIndex.overlap_counts`, so no overlap table is
+    kept) in ``planes``; ``maps[c]`` takes channel c's positions, slot n
+    included, to common ones. Positions are the smallest unsigned dtype that
+    holds N + 1. It is built in the calling thread, a block of rows at a time.
+    :func:`table_matrix` writes a query's columns into ``scratch``, a slot a
+    position, under ``lock``, and resets them to 0.
+    """
+
+    def __init__(self, parts: Sequence[tuple[NeighborhoodIndex, int, int]]) -> None:
+        self.ids = functools.reduce(np.union1d, [index.item_ids for index, _, _ in parts])
+        n = self.ids.shape[0]
+        self.pad, self.shared = n + 1, all(index.item_ids.shape[0] == n for index, _, _ in parts)
+        dtype = np.min_scalar_type(n + 1)
+        self.maps = [np.append(_row_positions(self.ids, index.item_ids), n).astype(dtype) for index, _, _ in parts]
+        width = sum(min(k1, index.neighbor_table.shape[1]) for index, k1, _ in parts)
+        self.positions = np.empty((n, width), dtype=dtype)
+        top = max(min(k1, k2) for _, k1, k2 in parts)  # no count exceeds min(k1, k2)
+        self.planes = np.empty((len(parts), n, width), dtype=np.min_scalar_type(top))
+        self.pinned = [(index.neighbor_table, index.item_ids) for index, _, _ in parts]  # alive while their ids key it
+        held = [_row_positions(index.item_ids, self.ids) for index, _, _ in parts]  # -1 where a channel lacks the id
+        step = max(1, _TABLE_BLOCK_BYTES // max(8 * k1 * index.neighbor_table.shape[1] for index, k1, _ in parts))
+        marks = np.zeros(step * max(index.slots for index, _, _ in parts), dtype=bool)
+        for start in range(0, n, step):
+            block, rows, counts = slice(start, start + step), [], []
+            for (index, k1, k2), to, at in zip(parts, self.maps, held):
+                near, lacks = index.neighbor_table.take(at[block], axis=0, mode="clip")[:, :k1], at[block, None] < 0
+                rows.append(np.where(lacks, self.pad, to.take(near)))
+                counts.append(np.where(lacks, 0, index.overlap_counts(near, k2, marks)[1]))
+            self.positions[block], self.planes[:, block] = fuse_rows(rows, counts, self.pad)
+        self.scratch, self.lock = np.zeros(n + 2, dtype=np.min_scalar_type(width + len(parts) + 1)), threading.Lock()
+
+
+def fused_table(parts: Sequence[tuple[NeighborhoodIndex, int, int]], build: bool = True) -> FusedTable | None:
+    """The :class:`FusedTable` of ``parts``, cached on the first index and built on a miss if ``build``.
+
+    The key is every channel's name, neighbor table, ids and (k1, k2), so
+    an alpha and an overlay (which shares its index's arrays and caches) do
+    not change it. Two threads that both miss build equal tables and keep one.
+    """
+    cache = parts[0][0]._fused
+    key = tuple((index.channel_name, id(index.neighbor_table), id(index.item_ids), k1, k2) for index, k1, k2 in parts)
+    table = cache.get(key)
+    if table is None and build:
+        table = cache.setdefault(key, FusedTable(parts))
+    return table
+
+
+def scaled_sum(planes: np.ndarray, scales: Sequence[float]) -> np.ndarray:
+    """Σ scale·plane in order; an absent count adds +0.0, so this is bit for bit the present counts' sum."""
+    total = np.multiply(planes[0], scales[0], dtype=np.float64)
+    for plane, scale in zip(planes[1:], scales[1:]):
+        total += np.multiply(plane, scale, dtype=np.float64)
+    return total
+
+
+def table_matrix(table: FusedTable, cand: np.ndarray, col: np.ndarray, scales: Sequence[float],
+                 query_row: np.ndarray | None = None) -> np.ndarray:
+    """One query's W off ``table``: candidate j, common position ``cand[j]`` (ascending), is row and column ``col[j]``.
+
+    One gather of the stored candidates' rows through the scratch (each
+    candidate's column + 1, else 0) finds the hits, and one write puts
+    their summed counts; a row names each position once. A query at slot
+    N, last, has its weights ``query_row`` as its row.
+    """
+    c = cand.shape[0]
+    held = cand[: c - (query_row is not None)]
+    rows = table.positions.take(held, axis=0)
+    with table.lock:
+        table.scratch[cand] = col + 1
+        cells = table.scratch.take(rows)
+        table.scratch[cand] = 0
+    hits = (cells != 0).ravel().nonzero()[0]
+    planes = table.planes.take(held, axis=1).reshape(len(scales), -1).take(hits, axis=1)
+    matrix = np.zeros((c, c))
+    matrix.reshape(-1)[col.take(hits // rows.shape[1]) * c + cells.ravel().take(hits) - 1] = scaled_sum(planes, scales)
+    if query_row is not None:
+        matrix[col[-1], col] = query_row
+    return matrix
 
 
 class TieredPairwise:

@@ -407,12 +407,13 @@ class NeighborhoodIndex:
     not is a FormatError.
 
     The index is immutable after construction; all read accessors are safe
-    to call concurrently. The one derived state is the cache of tier-3
-    overlap tables (:meth:`overlap_table`), one per (k1, k2), shared with
-    every overlay. A table is read from the file ``tierank index`` wrote
-    (:func:`save_tier3`, :func:`load_tier3`) or else built on first use.
-    Building is idempotent: two threads that both miss the cache build
-    equal tables and keep one.
+    to call concurrently. The derived state is two caches that every
+    overlay shares: the tier-3 overlap tables (:meth:`overlap_table`), one
+    per (k1, k2), read from the file ``tierank index`` wrote (:func:`save_tier3`,
+    :func:`load_tier3`) or else built on first use; and ``_fused``, the fused
+    neighbor tables of the channel sets this index leads by name
+    (``fusion.fused_table``). Building is idempotent: two threads that both
+    miss a cache build equal tables and keep one.
     """
 
     channel_name: str
@@ -423,6 +424,7 @@ class NeighborhoodIndex:
     distance_table: np.ndarray
     virtual: tuple[int, np.ndarray, np.ndarray] | None = None
     _tables: dict[tuple[int, int], np.ndarray] = field(default_factory=dict, init=False, repr=False)
+    _fused: dict[tuple, Any] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         for array in (self.item_ids, self.neighbor_table, self.distance_table):

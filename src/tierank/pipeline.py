@@ -4,17 +4,21 @@ Single-channel runs emit the tiered re-ranked candidate list directly.
 Multi-channel runs take the union of the query's per-channel candidates,
 build their fused affinity matrix once, and grow the final list greedily;
 the fused tier-3 weights that break ties are the matrix's query row, so no
-per-channel tiered graph is built. An out-of-sample query ranks as a stored
-one does, from its own row of row positions per channel: the slot one past
-the stored rows, then its nearest stored items by the kNN kernel
-(:meth:`Channel.query_rows`). The ranking kernels read that row where a
-stored query's comes from the neighbor table, so no index is rebuilt,
-copied or changed. A batch of ids or of vectors runs through one driver
-(:func:`_batch`) in blocks. A block of vectors first gets its rows from one
-blocked kNN scan per channel, and each of its queries reads its own row at
-its own slot n. On two or more channels a block then runs one union, one
-affinity-matrix build and one greedy selection in lockstep, on the single
-query's front end (:func:`_candidates`) and with its rankings.
+per-channel tiered graph is built. A single query fuses the channels'
+neighborhood graphs once per channel set: it ranks off their fused
+neighbor table (:func:`~tierank.fusion.fused_table`), which the first
+single query that passes its checks builds. An out-of-sample query ranks
+as a stored one does, from its own row of row positions per channel: the
+slot one past the stored rows, then its nearest stored items by the kNN
+kernel (:meth:`Channel.query_rows`). The ranking kernels read that row
+where a stored query's comes from the neighbor table, so no index is
+rebuilt, copied or changed. A batch of ids or of vectors runs through one
+driver (:func:`_batch`) in blocks, a batch of one included, and builds no
+fused table. A block of vectors first gets its rows from one blocked kNN
+scan per channel, and each of its queries reads its own row at its own
+slot n. On two or more channels a block then runs one union
+(:func:`_candidates`), one affinity-matrix build and one greedy selection
+in lockstep, with the single query's rankings.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionError, EmptyChannelListError, FormatError, TierankError, UnknownItemError
-from .fusion import add_counts, greedy_loop, query_matrix
+from .fusion import add_counts, fuse_rows, fused_table, greedy_loop, scaled_sum, table_matrix
 from .index import FeatureMatrix, NeighborhoodIndex, _row_positions, knn_columns
 from .ranking import FinalRanking, RankedList
 from .rerank import resolve_k, tiered_rerank
@@ -97,25 +101,68 @@ def rerank_query(
     return _rerank(channels, query, k_final, None)
 
 
-def _rerank(channels: Sequence[Channel], query: int, k_final: int | None, vector: np.ndarray | None) -> RankedList:
-    """:func:`rerank_query`; with the (1, d) ``vector``, of the out-of-sample query ``query`` at that vector."""
+def _rerank(
+    channels: Sequence[Channel], query: int, k_final: int | None, vector: np.ndarray | None, rank: bool = True
+) -> RankedList | None:
+    """:func:`rerank_query`; with the (1, d) ``vector``, of the out-of-sample query ``query`` at that vector.
+
+    Two or more channels rank off their fused table (:func:`~tierank.fusion.fused_table`),
+    built once the first query passes its checks: a stored query's candidates
+    and counts are its row of it, and a query at slot n fuses its own rows.
+    With ``rank`` False it only runs the checks, and builds nothing.
+    """
     if len(channels) == 0:
         raise EmptyChannelListError("at least one channel required")
     rows = None if vector is None else [ch.query_rows(vector, [query]) for ch in channels]
     if len(channels) == 1:
         ch, row = channels[0], None if rows is None else rows[0][0]
         return tiered_rerank(ch.index, query, alpha=ch.alpha, k1=ch.k1, k2=ch.k2, query_row=row)
-    cand, _, rank, weights, own, lookups = _candidates(channels, [query], rows)
+    near = []  # per channel: the query's k1 row, in its row positions, and slot n's whole row or None
+    for ch, row in zip(channels, rows or [None] * len(channels)):
+        resolve_k(ch.index, ch.alpha, ch.k1, ch.k2)
+        stored = ch.index.item_ids.shape[0]
+        at = stored if row is not None else ch.index._position(query)
+        if at < 0:
+            raise UnknownItemError(f"item {query} not in index for channel {ch.index.channel_name!r}")
+        row = ch.index._slot_row(row) if at == stored else None
+        near.append((ch.index.neighbor_table[at, : ch.k1] if row is None else np.reshape(row, -1)[: ch.k1], row))
+    names = [ch.name for ch in channels]
+    if len(set(names)) != len(names):
+        raise FormatError(f"duplicate channel names in fusion: {names}")
+    by_name = sorted(zip(channels, near), key=lambda t: t[0].name)
+    parts = [(ch.index, ch.k1, ch.k2) for ch, _ in by_name]
+    table = fused_table(parts, build=False)
+    if table is None or not table.shared:  # before a build: a candidate that a channel lacks is its lookup error
+        named = [ch.index.item_ids.take(r[r < ch.index.item_ids.shape[0]]) for ch, (r, _) in by_name]
+        for ch, _ in by_name:
+            ch.index.positions(np.unique(np.concatenate(named)))
     k_final = max(ch.k1 for ch in channels) if k_final is None else k_final
     if isinstance(k_final, bool) or not isinstance(k_final, (int, np.integer)):  # as resolve_k refuses k1
         raise ValueError(f"k_final must be an integer, got {k_final!r}")
     if k_final < 1:
         raise ValueError("k must be >= 1")
+    if not rank:
+        return None
+    table = table or fused_table(parts)
+    mine = [to.take(r) for to, (_, (r, _)) in zip(table.maps, by_name)]  # the rows in common positions
+    scales, slot = [float(ch.alpha) for ch, _ in by_name], any(row is not None for _, (_, row) in by_name)
+    if slot:
+        counts = [ch.index.overlap_counts(r[None], ch.k2, query_row=row)[1] for ch, (r, row) in by_name]
+        cand, planes = (a[..., 0, :] for a in fuse_rows([r[None] for r in mine], counts, table.pad))
+    else:
+        cand, planes = table.positions[mine[0][0]], table.planes[:, mine[0][0]]
+    c = int(cand.searchsorted(table.pad))
+    cand, weights, least = cand[:c], scaled_sum(planes[:, :c], scales), np.full(c, c)
+    for r in mine:  # a candidate's distance rank is its lowest place in the query's rows
+        at = cand.searchsorted(r)
+        least[at] = np.minimum(least[at], np.arange(r.shape[0]))
     # W in tie-break order (higher weight, lower distance rank, then smaller id, as candidates come by id)
-    order = np.lexsort((rank, -weights))
+    order = np.lexsort((least, -weights))
     col = np.argsort(order)  # every candidate's row and column of W
-    matrix = query_matrix([(ch.index, pos, ch.k1, counts, ch.alpha, row) for ch, pos, counts, row in lookups], col)
-    final = greedy_loop(matrix, cand[order], int(col[own]), k_final)
+    own = int(col[cand.searchsorted(mine[0][0])])
+    items = table.ids.take(cand[order], mode="clip")
+    items[own] = query  # slot N, past the ids, is the query's
+    final = greedy_loop(table_matrix(table, cand, col, scales, weights if slot else None), items, own, k_final)
     return final.to_ranked_list(tier="mfr")
 
 
@@ -180,20 +227,21 @@ def _batch(
     channel (:meth:`Channel.query_rows`). On one channel each query then
     ranks through :func:`~tierank.rerank.tiered_rerank`; on two or more
     the block runs through one kernel (:func:`_rerank_block`) in a scratch
-    the blocks share. Fewer than two queries, a channel whose alpha or k
-    :func:`~tierank.rerank.resolve_k` refuses, a rule of one query a block,
-    and a block whose checks or lookups fail rank one query at a time
-    through :func:`_rerank`, whose 1-D greedy loop is the faster for one
-    query and whose error is the per-query one.
+    the blocks share, a batch of one and a rule of one query a block too,
+    so that no batch builds a fused table. A channel whose alpha or k
+    :func:`~tierank.rerank.resolve_k` refuses, and a block whose checks or
+    lookups fail, run :func:`_rerank` on each query in turn, checks only,
+    which raises the per-query error and builds nothing.
     """
 
     def loop(at: slice) -> list[RankedList]:
-        if vectors is None:
-            return [_rerank(channels, q, k_final, None) for q in queries[at]]
-        return [_rerank(channels, q, k_final, np.asarray(v, dtype=np.float64)[None])
-                for q, v in zip(queries[at], vectors[at])]
+        given = [None] * len(queries[at]) if vectors is None else vectors[at]
+        for rank in (False, True):  # every query's checks first: the first error raises before a table is built
+            out = [_rerank(channels, q, k_final, v if vectors is None else np.asarray(v, dtype=np.float64)[None], rank)
+                   for q, v in zip(queries[at], given)]
+        return out
 
-    if len(queries) < 2 or not channels:
+    if not queries or not channels:
         return loop(slice(None))
     try:  # a k that is no integer would size no block
         for ch in channels:
@@ -202,8 +250,6 @@ def _batch(
         return loop(slice(None))
     scan = 0 if vectors is None else max((ch.features.n for ch in channels if ch.features is not None), default=0)
     per = _block_queries([ch.k1 for ch in channels], max(ch.index.n for ch in channels), scan)
-    if per < 2:  # a block of one would be slower than the loop
-        return loop(slice(None))
     out: list[RankedList] = []
     for at, scratch in _blocks(channels, len(queries), per):
         block = queries[at]
@@ -267,69 +313,55 @@ def _candidates(
     the query's own counts summed in channel-name order); every query's own
     candidate; and per channel, in name order, (channel, the candidates'
     row positions, their counts, the given query row or None).
-
-    One query runs the same steps in one-row forms, with the same outputs:
-    a stored query's k1 row is a view of the neighbor table, found by one
-    scalar lookup a channel; its entries are deduplicated in 1-D with no
-    row offsets; and its query and own candidate are scalars. Only where
-    slot n has a row does :meth:`position_rows` pad, and pads are sought.
     """
     query_rows = [None] * len(channels) if query_rows is None else query_rows
-    one = len(queries) == 1
     qrows, padded = [], False
     for ch, row in zip(channels, query_rows):
         resolve_k(ch.index, ch.alpha, ch.k1, ch.k2)
-        if one and ch.index._slot_row(row) is None:  # a stored query, with no slot n beside it
-            at = ch.index._position(queries[0])
-            if at < 0:
-                raise UnknownItemError(f"item {queries[0]} not in index for channel {ch.index.channel_name!r}")
-            qrows.append(ch.index.neighbor_table[at, : ch.k1])
-            continue
         padded |= ch.index._slot_row(row) is not None  # only slot n's row brings -1 pads
         at = ch.index.positions(queries) if row is None else row[:, 0]  # a row is led by its owner
-        near = ch.index.position_rows(at, ch.k1, row)  # slot n's row and a stored one -1-pad each other to one width
-        qrows.append(near[0] if one else near)
+        qrows.append(ch.index.position_rows(at, ch.k1, row))  # slot n's row and a stored one -1-pad to one width
     names = [ch.name for ch in channels]
     if len(set(names)) != len(names):
         raise FormatError(f"duplicate channel names in fusion: {names}")
     by_name, qrows, query_rows = zip(*sorted(zip(channels, qrows, query_rows), key=lambda t: t[0].name))
-    rows = np.concatenate(qrows, axis=-1)
-    ranks = np.concatenate([np.arange(r.shape[-1]) for r in qrows])
-    ids = np.concatenate([ch.index.item_ids.take(r, mode="clip") for ch, r in zip(by_name, qrows)], axis=-1)
+    rows = np.concatenate(qrows, axis=1)
+    ranks = np.concatenate([np.arange(r.shape[1]) for r in qrows])
+    ids = np.concatenate([ch.index.item_ids.take(r, mode="clip") for ch, r in zip(by_name, qrows)], axis=1)
     if query_rows[0] is not None:  # the slot n that leads each row names the query
-        ids[..., ranks == 0] = np.reshape(queries, (*ids.shape[:-1], 1))
+        ids[:, ranks == 0] = np.reshape(queries, (-1, 1))
     elif any(ch.index.n > ch.index.item_ids.shape[0] for ch in by_name):  # so does an overlay's slot n
-        ids[..., ranks == 0] = by_name[0].index.ids_at(qrows[0][..., :1])
+        ids[:, ranks == 0] = by_name[0].index.ids_at(qrows[0][:, :1])
     if padded and rows.min() < 0:  # a -1 pad, in a row narrower than another channel's, stands for the query
-        ids = np.where(rows < 0, ids[..., :1], ids)
+        ids = np.where(rows < 0, ids[:, :1], ids)
     # each query's entries by id (``flat`` indexes the raveled rows): an
     # id's first entry, never a pad, is its candidate
-    order = ids.argsort(axis=-1, kind="stable")
-    flat = order if one else (order + np.arange(0, ids.size, ids.shape[1])[:, None]).ravel()
+    order = ids.argsort(axis=1, kind="stable")
+    flat = (order + np.arange(0, ids.size, ids.shape[1])[:, None]).ravel()
     ranked = ids.take(flat).reshape(ids.shape)
     first = np.ones(ids.shape, dtype=bool)
-    np.not_equal(ranked[..., 1:], ranked[..., :-1], out=first[..., 1:])
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=first[:, 1:])
     starts = first.ravel().nonzero()[0]
     cand = ranked.ravel()[starts]
-    owner = 0 if one else np.repeat(np.arange(len(queries)), first.sum(axis=1))
+    owner = np.repeat(np.arange(len(queries)), first.sum(axis=1))
     rank = np.minimum.reduceat(ranks[order].ravel(), starts)
     entry = np.empty(ids.size, dtype=np.int64)  # the candidate behind every entry
     entry[flat] = first.cumsum() - 1
     # a candidate's position in the row that named it, searched for where a channel's ids differ
     known = rows.take(flat[starts])
-    own = entry[0] if one else entry[:: ids.shape[1]]
+    own = entry[:: ids.shape[1]]
     lookups = []
     for ch, r, row in zip(by_name, qrows, query_rows):
         pos = np.minimum(known, ch.index.item_ids.shape[0] - 1)
         miss = ch.index.item_ids.take(pos) != cand
         if row is not None:  # the query's candidate is its slot, on every channel
             miss[own] = False
-            pos[own] = r[..., 0]
+            pos[own] = r[:, 0]
         if miss.any():
             pos[miss] = ch.index.positions(cand[miss])
         lookups.append((ch, pos, ch.index.center_counts(pos, ch.k1, ch.k2, row), row))
     scaled = [np.multiply(counts[own], float(ch.alpha), dtype=np.float64) for ch, _, counts, _ in lookups]
-    weights = np.bincount(entry, np.concatenate(scaled, axis=-1).ravel(), minlength=cand.shape[0])
+    weights = np.bincount(entry, np.concatenate(scaled, axis=1).ravel(), minlength=cand.shape[0])
     return cand, owner, rank, weights, own, lookups
 
 

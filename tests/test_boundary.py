@@ -175,6 +175,44 @@ def _names_read_in(source, function):
     }
 
 
+def _callers(source, name):
+    """The qualified names of the innermost classes and functions of ``source`` (or ``<module>``) that call ``name``."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            func = child.func if isinstance(child, ast.Call) else None
+            if name in {getattr(func, "id", None), getattr(func, "attr", None)}:
+                found.add(scope or "<module>")
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}".lstrip(".") if named else scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+@pytest.mark.parametrize(("source", "callers"), [
+    ("class T:\n    def __init__(self, p, c):\n        self.m = query_matrix(p, c)\n", {"T.__init__"}),
+    ("def f(p, c):\n    return fusion.query_matrix(p, c)\n", {"f"}),
+    ("def f(p, c):\n    def g():\n        return query_matrix(p, c)\n    return g\n", {"f.g"}),
+    ("w = query_matrix(parts, col)\n", {"<module>"}),
+    ("def query_matrix(p, c):\n    return p\n", set()),
+])
+def test_the_caller_lint_sees_each_kind_of_call(source, callers):
+    assert _callers(source, "query_matrix") == callers
+
+
+def test_a_single_query_ranks_off_the_fused_table():
+    # _rerank, the one-query path, reads neither a block's front end nor
+    # query_matrix, the W builder that TieredPairwise, the inspection view,
+    # alone calls
+    pipeline = (SRC / "pipeline.py").read_text(encoding="utf-8")
+    assert {"_candidates", "query_matrix"}.isdisjoint(_names_read_in(pipeline, "_rerank"))
+    callers = {(path.name, caller) for path in sorted(SRC.glob("*.py"))
+               for caller in _callers(path.read_text(encoding="utf-8"), "query_matrix")}
+    assert callers == {("fusion.py", "TieredPairwise.__init__")}
+
+
 @pytest.mark.parametrize(("source", "reads"), [
     ("def knn_columns(q):\n    if not np.isfinite(q).all():\n        raise ValueError\n", True),
     ("def knn_columns(q):\n    return numpy.all(numpy.isfinite(q))\n", True),

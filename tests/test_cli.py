@@ -560,8 +560,8 @@ def test_bench_smoke(capsys):
     lines = [ln for ln in captured.out.splitlines() if ln.strip()]
     assert lines[0].startswith("label\t")
     assert len(lines) == 2
-    assert lines[0].split("\t")[4:] == ["mean_ms", "median_ms", "samples", "p90_ms", "p99_ms"]
-    assert len(lines[1].split("\t")) == 9
+    assert lines[0].split("\t")[4:] == ["mean_ms", "median_ms", "samples", "p90_ms", "p99_ms", "warmup_ms"]
+    assert len(lines[1].split("\t")) == 10 and float(lines[1].split("\t")[-1]) > 0
     # the machine goes to stderr, so stdout holds the table alone
     assert re.fullmatch(r"machine: usable_cores=\d+ python=\S+ numpy=\S+ scipy=\S+\n", captured.err)
 

@@ -18,14 +18,16 @@ from functools import partial
 from types import SimpleNamespace
 
 from conftest import FunctionPairwise, fused_instance, overlay_query, random_channels
-from tierank import pipeline
+from tierank import fusion, pipeline
 from tierank.bench import restricted_channels
 from tierank.cli import main
 from tierank.errors import (
     DimensionError, EmptyChannelListError, FormatError, QueryMismatchError, UnknownItemError, ZeroVectorError,
 )
 from tierank.fusion import TieredPairwise, fuse_graphs, greedy_loop, greedy_select
-from tierank.index import FeatureMatrix, Metric, NeighborhoodIndex, build_index, knn_candidates, write_features_csv
+from tierank.index import (
+    FeatureMatrix, Metric, NeighborhoodIndex, build_index, knn_candidates, load_index, write_features_csv,
+)
 from tierank.oracles import brute_force_knn, oracle_greedy_select, oracle_pairwise, oracle_tier3
 from tierank.index import _row_positions
 from tierank.pipeline import (
@@ -441,7 +443,7 @@ def _bits(array):
 
 
 def _assert_one_is_its_slice(channels, block, rows=None):
-    """``_candidates(channels, [q])`` equals q's slice of ``_candidates(channels, block)``, q = block[1], bit for bit.
+    """``_candidates(channels, [q])``, a block of one, is q's slice of ``_candidates(channels, block)``, q = block[1].
 
     ``rows`` are the block's vector rows, or None; q's are row 1 of each.
     Also q's candidates are the ids its k1 rows name, each at its least
@@ -455,7 +457,7 @@ def _assert_one_is_its_slice(channels, block, rows=None):
     offset = int(np.argmax(mine))
     assert _bits(one[0]) == _bits(cand[mine]) and _bits(one[2]) == _bits(rank[mine])
     assert _bits(one[3]) == _bits(weights[mine])
-    assert np.ndim(one[4]) == 0 and int(one[4]) == int(own[1]) - offset and one[1] == 0
+    assert one[4].tolist() == [int(own[1]) - offset] and not one[1].any()
     for (ch1, pos1, counts1, row1), (ch, pos, counts, row) in zip(one[5], lookups):
         assert ch1 is ch and _bits(pos1) == _bits(pos[mine]) and _bits(counts1) == _bits(counts[mine])
         assert (row1 is None) == (row is None) and (row is None or _bits(row1) == _bits(row[1:2]))
@@ -472,8 +474,8 @@ def _assert_one_is_its_slice(channels, block, rows=None):
 @settings(max_examples=150, deadline=None)
 @given(_query_instances(), st.data())
 def test_one_querys_front_end_is_its_slice_of_a_blocks_property(instance, data):
-    # the one-row forms of _candidates give what a block [p, q, r] gives q,
-    # bit for bit: candidates, distance ranks, fused weights, own candidate,
+    # a block of one, as a batch of one runs, gives what a block [p, q, r]
+    # gives q, bit for bit: candidates, distance ranks, fused weights, own candidate,
     # and per channel the positions and counts. Stored ids, vector rows and
     # an overlay's virtual row; n < k, so that -1 pads occur beside a wider
     # slot n row; alphas other than 1; and a channel that stores ids the
@@ -513,7 +515,7 @@ def test_one_querys_front_end_is_its_slice_of_a_block_on_the_edges(n, k):
     overlaid = overlay_query(channels, rng.normal(size=4), 3)
     for q in (0, 2 * n - 2):
         rows = overlaid[0].index.position_rows(np.array([overlaid[0].index._position(q)]), k)
-        assert (rows < 0).any() == (n < k)  # the pad the one-row form must name as the query
+        assert (rows < 0).any() == (n < k)  # the pad a block of one must name as the query
         _assert_one_is_its_slice(overlaid, [3, q, 3])
     _assert_one_is_its_slice(overlaid, [0, 3, 2])
     vectors, vids = rng.normal(size=(3, 4)), [2 * n + 1, 3, 2 * n + 3]
@@ -819,28 +821,31 @@ def test_a_vector_query_on_a_channel_without_features_is_a_format_error():
     )
 
 
-def test_a_rule_of_one_query_a_block_takes_the_per_query_loop(monkeypatch):
-    # when one query's estimate fills the budget, a block would hold one
-    # query, and the block kernel is the slower for one: the batch runs the
-    # per-query loop instead. Two channels of k1 = 200 over 10,000 items do
+def test_a_rule_of_one_query_a_block_runs_blocks_of_one(monkeypatch):
+    # when one query's estimate fills the budget, a block holds one query:
+    # the batch runs blocks of one, not the per-query loop, which would
+    # build the channels' fused table. Two channels of k1 = 200 over
+    # 10,000 items do
     assert _block_queries([200, 200], 10_000) == 1
     rng = np.random.default_rng(21)
     channels = random_channels(rng, 60, 2, 6)
     assert _block_size(channels) > 1
+    want = [rerank_query(random_channels(np.random.default_rng(21), 60, 2, 6), q) for q in [3, 7, 7, 40, 12]]
     monkeypatch.setattr(pipeline, "_BLOCK_BUDGET", 1)
     assert _block_size(channels) == 1
-    monkeypatch.setattr(pipeline, "_rerank_block", lambda *args: pytest.fail("a block of one ran"))
-    queries = [3, 7, 7, 40, 12]
-    assert _exact(batch_rerank(channels, queries)) == _exact([rerank_query(channels, q) for q in queries])
+    sizes, block = [], pipeline._rerank_block
+    monkeypatch.setattr(pipeline, "_rerank_block", lambda chs, qs, *rest: sizes.append(len(qs)) or block(chs, qs, *rest))
+    monkeypatch.setattr(pipeline, "_rerank", lambda *args: pytest.fail("the per-query loop ran"))
+    assert _exact(batch_rerank(channels, [3, 7, 7, 40, 12])) == _exact(want)
+    assert sizes == [1] * 5 and all(ch.index._fused == {} for ch in channels)
 
 
 @pytest.mark.parametrize("size", [1, 2, 5, 8, _block_queries([6] * 3, 80)])
 def test_a_block_gathers_rows_a_fixed_number_of_times_per_channel(monkeypatch, size):
     # one gather of the queries' rows and one of their candidates' rows per
     # channel, and one read of the candidates' counts, whatever the block's
-    # size; a single query (size 1, which runs rerank_query) takes its own
-    # row as a view, so it gathers only its candidates' rows. The
-    # per-channel tiered graphs and fuse_graphs stay off both paths
+    # size, a batch of one included. The per-channel tiered graphs and
+    # fuse_graphs stay off the path
     rng = np.random.default_rng(17)
     channels = random_channels(rng, 80, 3, 6)
     batch_rerank(channels, [0, 1])  # builds the tables
@@ -858,8 +863,7 @@ def test_a_block_gathers_rows_a_fixed_number_of_times_per_channel(monkeypatch, s
     monkeypatch.setattr(NeighborhoodIndex, "position_rows", counting_rows)
     monkeypatch.setattr(NeighborhoodIndex, "center_counts", counting_counts)
     batch_rerank(channels, rng.choice(80, size=size).tolist())
-    gathers = 1 if size == 1 else 2
-    assert sorted(rows) == sorted(["ch0", "ch1", "ch2"] * gathers)
+    assert sorted(rows) == sorted(["ch0", "ch1", "ch2"] * 2)
     assert sorted(counts) == ["ch0", "ch1", "ch2"]
 
 
@@ -912,12 +916,12 @@ def _kernel_cases(rng):
 
 def test_a_blocks_w_is_each_querys_own_w(monkeypatch):
     # query b's W in a block's stack, on its real rows and columns, is the
-    # one-query build's W bit for bit, for ids and for vectors; its padding
-    # holds nothing. Each W is compared as built: both loops then write -inf
-    # on its diagonal, and on nothing else
+    # W that one query builds off the fused table bit for bit, for ids and
+    # for vectors; its padding holds nothing. Each W is compared as built:
+    # both loops then write -inf on its diagonal, and on nothing else
     rng = np.random.default_rng(86)
     stacks, alone = [], []
-    add_counts, query_matrix = pipeline.add_counts, pipeline.query_matrix
+    add_counts, greedy = pipeline.add_counts, pipeline.greedy_loop
 
     def watched_add(matrix, *args):  # (the stack, a copy as built after its last channel)
         add_counts(matrix, *args)
@@ -925,13 +929,12 @@ def test_a_blocks_w_is_each_querys_own_w(monkeypatch):
             stacks.pop()
         stacks.append((matrix, matrix.copy()))
 
-    def watched_matrix(*args):
-        w = query_matrix(*args)
+    def watched_loop(w, *args):
         alone.append((w, w.copy()))
-        return w
+        return greedy(w, *args)
 
     monkeypatch.setattr(pipeline, "add_counts", watched_add)
-    monkeypatch.setattr(pipeline, "query_matrix", watched_matrix)
+    monkeypatch.setattr(pipeline, "greedy_loop", watched_loop)
     for channels in _kernel_cases(rng):
         queries = rng.choice(channels[0].index.n, size=2 * _block_size(channels) + 3).tolist()
         vectors = rng.normal(size=(2 * _vector_block_size(channels) + 3, 4))
@@ -979,14 +982,17 @@ def _w_by_sums(channels, cand):
     return sums
 
 
-def test_one_querys_w_is_a_plain_dict_of_sums():
-    # query_matrix, the one-query W, byte for byte against plain loops over
-    # each center's row (_w_by_sums), its rows and columns in a shuffled
-    # order: stored ids; a channel that stores ids the others lack, so that
-    # candidates' row positions differ; slot n's row, both on an overlay and
-    # given as a query row; with k1 < k, n < k (-1 pads beside a wider slot
-    # n row) and alphas of 0.3 and 1.7
+def test_one_querys_w_is_a_plain_dict_of_sums(monkeypatch):
+    # query_matrix (TieredPairwise's W), its rows and columns in a shuffled
+    # order, and the W a single query builds off the fused table, in
+    # tie-break order, byte for byte against plain loops over each center's
+    # row (_w_by_sums): stored ids; a channel that stores ids the others
+    # lack, so that candidates' row positions differ; slot n's row, both on
+    # an overlay and given as a query row; with k1 < k, n < k (-1 pads
+    # beside a wider slot n row) and alphas of 0.3 and 1.7
     rng = np.random.default_rng(88)
+    built, greedy = [], pipeline.greedy_loop
+    monkeypatch.setattr(pipeline, "greedy_loop", lambda w, items, *rest: built.append((w.copy(), items)) or greedy(w, items, *rest))
     for kernel_case in _kernel_cases(rng):
         channels = []
         for ch in kernel_case:  # even ids, so that odd ones can sit between them
@@ -1007,8 +1013,17 @@ def test_one_querys_w_is_a_plain_dict_of_sums():
             want, at = np.zeros((cand.shape[0], cand.shape[0])), dict(zip(cand.tolist(), col.tolist()))
             for (u, j), weight in _w_by_sums(reference, set(at)).items():
                 want[at[u], at[j]] = weight
-            got = pipeline.query_matrix(parts, col)
+            got = fusion.query_matrix(parts, col)
             assert got.dtype == np.float64 and np.ascontiguousarray(got).tobytes() == want.tobytes()
+            built.clear()
+            if rows is None:
+                rerank_query(chans, q)
+            else:
+                rerank_vector_query(chans, vector, vid=q)
+            (w, items), = built
+            sums = _w_by_sums(reference, set(items.tolist()))
+            want = np.array([[sums.get((u, j), 0.0) for j in items.tolist()] for u in items.tolist()])
+            assert w.dtype == np.float64 and w.tobytes() == want.tobytes()
         n = channels[0].index.n  # with n < k, a stored center's row is padded beside slot n's
         assert any((ch.index.position_rows(np.array([0, n]), ch.k1) < 0).any() for ch in overlaid) == (n < channels[0].index.k)
 
@@ -1093,7 +1108,9 @@ def test_overlap_table_matches_oracle_property(instance):
 
 
 def test_restricted_channels_get_their_own_table(table_builds):
-    # one table per (k1, k2): restricting k, or k2 alone, ranks as a fresh index does
+    # one overlap table per (k1, k2), and one fused table per channel set
+    # and (k1, k2): restricting k, or k2 alone, ranks as a fresh index does.
+    # Single queries build no overlap table
     rng = np.random.default_rng(52)
     channels = random_channels(rng, 150, 2, 10)
     vector = rng.normal(size=4)
@@ -1104,10 +1121,11 @@ def test_restricted_channels_get_their_own_table(table_builds):
             rerank_query(channels, query)
             assert rerank_query(narrow, query) == rerank_query(fresh, query)
         assert rerank_vector_query(narrow, vector) == rerank_vector_query(fresh, vector)
+        assert len(_fused_tables(narrow)) == (2 if k2 == 4 else 3) and len(_fused_tables(fresh)) == 1
         for ch, other in zip(channels, fresh):
             assert np.array_equal(ch.index.overlap_table(k1, k2), other.index.overlap_table(k1, k2))
     assert channels[0].index.overlap_table(10, 10).shape == (150, 10)
-    built = [("ch0", 10, 10), ("ch1", 10, 10)] + [("ch0", 4, 4), ("ch1", 4, 4), ("ch0", 4, 10), ("ch1", 4, 10)] * 2
+    built = [("ch0", 10, 10)] + [("ch0", 4, 4), ("ch1", 4, 4), ("ch0", 4, 10), ("ch1", 4, 10)] * 2
     assert sorted(table_builds) == sorted(built)
 
 
@@ -1127,8 +1145,9 @@ def test_single_channel_and_vector_only_runs_build_no_table(table_builds):
 
 def test_threads_racing_on_a_cold_table_cache_agree():
     # six threads (more than the cores) start fused queries on cold
-    # indexes; whichever builds first, every thread reads one table per
-    # channel and ranks as a serial run does
+    # indexes; whichever builds first, every thread reads one fused table,
+    # whose one scratch each query writes and resets under its lock, and
+    # one overlap table per channel, and ranks as a serial run does
     rng = np.random.default_rng(54)
     channels = random_channels(rng, 200, 3, 8)
     queries = list(range(0, 200, 9))
@@ -1137,7 +1156,7 @@ def test_threads_racing_on_a_cold_table_cache_agree():
 
     def work(worker):
         got[worker] = [rerank_query(channels, q) for q in queries]
-        tables[worker] = [ch.index.overlap_table(8, 8) for ch in channels]
+        tables[worker] = [ch.index.overlap_table(8, 8) for ch in channels] + _fused_tables(channels)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1151,7 +1170,7 @@ def test_threads_racing_on_a_cold_table_cache_agree():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert all(got[w] == want for w in range(6))
-    assert all(a is b for w in range(6) for a, b in zip(tables[w], tables[0]))
+    assert len(tables[0]) == 4 and all(a is b for w in range(6) for a, b in zip(tables[w], tables[0]))
 
 
 @pytest.mark.parametrize(("k1", "k2", "dtype"), [
@@ -1169,6 +1188,146 @@ def test_overlap_counts_never_wrap(k1, k2, dtype):
     assert table.dtype == dtype and (table == min(k1, k2)).all()
     weights = pipeline._candidates(channels, [0])[3]
     assert weights.shape == (k1,) and (weights == 2.0 * min(k1, k2)).all()
+
+
+# --- fused table -----------------------------------------------------------------
+
+
+def _fused_tables(channels):
+    """Every fused table cached on the channels' indexes."""
+    return [table for ch in channels for table in ch.index._fused.values()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_query_instances(), st.sampled_from([None, 1, 2, 5]), st.data())
+def test_single_queries_off_the_fused_table_match_the_oracles_property(instance, k_final, data):
+    # rerank_query and rerank_vector_query against oracles.py alone: stored
+    # ids and vectors, n < k, k1 ≠ k2, alphas other than 1, channel names
+    # permuted against input order and the input order shuffled, and a
+    # channel that stores ids the others lack. The first query builds one
+    # table; a second query, and one with another alpha, read it
+    channels, query, vector = instance
+    channels = data.draw(st.permutations(channels))
+    ids = channels[0].index.item_ids.tolist()
+    if vector is None and data.draw(st.booleans()):
+        extra = sorted({i + 1 for i in ids} - set(ids))[:3]
+        where = data.draw(st.integers(0, len(channels) - 1))
+        channels[where] = _with_extra_ids(channels[where], extra)
+
+    def check(chans, q, v):
+        if v is None:
+            got, want = rerank_query(chans, q, k_final), _oracle_rerank(chans, q, k_final)
+        else:
+            got = rerank_vector_query(chans, v, k_final=k_final, vid=q)
+            want = _oracle_rerank(_oracle_overlay(chans, v, q), q, k_final)
+        assert got.entries == want
+
+    check(channels, query, vector)
+    tables = _fused_tables(channels)
+    assert len(tables) == 1
+    check(channels, data.draw(st.sampled_from(ids)), None)
+    changed = [replace(channels[0], alpha=data.draw(st.sampled_from([0.3, 1.7]))), *channels[1:]]
+    check(changed, data.draw(st.sampled_from(ids)), None)
+    assert _fused_tables(changed) == tables
+
+
+def test_single_query_errors_keep_their_class_message_and_order():
+    # an id no channel stores is named on the first channel in input
+    # order; a candidate that one channel does not store is that channel's
+    # lookup error, ahead of a bad k_final, alone and in a batch, before
+    # and after the table is built. A query that fails builds no table
+    rng = np.random.default_rng(32)
+    a, b = [replace(ch, index=build_index(fm, k=5), features=fm) for ch in random_channels(rng, 20, 2, 5)
+            for fm in [FeatureMatrix(ch.name, ch.features.ids + 10, ch.features.vectors)]]  # ids 10..29
+    for chans in ([a, b], [b, a]):
+        assert _raised(lambda: rerank_query(chans, 99)) == (
+            UnknownItemError, f"item 99 not in index for channel {chans[0].name!r}"
+        )
+    # ch1 also stores ids 0 and 1 at items 10's and 11's vectors: its row of item 10 names 0, and
+    # each id it shares with ch0 sits two row positions further on
+    both = FeatureMatrix("ch1", [*range(10, 30), 0, 1], np.concatenate((b.features.vectors, b.features.vectors[:2])))
+    wide = replace(b, index=build_index(both, k=5), features=both)
+    assert 0 in wide.index.neighbor_ids(10, 5).tolist()
+    fine = next(q for q in range(10, 30) if {0, 1}.isdisjoint(wide.index.neighbor_ids(q, 5).tolist()))
+    missing = (UnknownItemError, "item 0 not in index for channel 'ch0'")
+    for chans, built in (([a, wide], 0), ([a, wide], 1), ([wide, a], 1)):  # ch0's index holds the table
+        assert _raised(lambda: rerank_query(chans, 10)) == missing
+        assert _raised(lambda: rerank_query(chans, 10, k_final=0)) == missing
+        assert _raised(lambda: batch_rerank(chans, [fine, 10])) == missing
+        assert _raised(lambda: rerank_query(chans, 0)) == missing
+        assert _raised(lambda: rerank_query(chans, fine, k_final=0)) == (ValueError, "k must be >= 1")
+        assert len(_fused_tables(chans)) == built
+        assert rerank_query(chans, fine).entries == _oracle_rerank(chans, fine, None)
+    # vectors map each channel's rows into the id union: one at item 10 names 0 on ch1, one beside
+    # item ``fine`` does not; each ranks, or fails, as its batch of one does
+    near, far = b.features.vectors[0], b.features.vectors[fine - 10] + 0.01
+    for chans in ([a, wide], [wide, a]):
+        assert _raised(lambda: rerank_vector_query(chans, near, vid=500)) == missing
+        assert _raised(lambda: batch_rerank_vectors(chans, [near], vid=500)) == missing
+        got = rerank_vector_query(chans, far, vid=500)
+        assert _exact([got]) == _exact(batch_rerank_vectors(chans, [far], vid=500))
+        assert got.entries == _oracle_rerank(_oracle_overlay(chans, far, 500), 500, None)
+
+
+def test_no_batch_or_command_builds_a_fused_table(monkeypatch, tmp_path):
+    # batches of one and of many, of ids and of vectors, rank in blocks and
+    # build no fused table, and neither does a one-id `tierank rerank`;
+    # their rankings equal the single queries', which build one, bit for bit
+    def fresh():
+        return random_channels(np.random.default_rng(33), 60, 3, 6)
+
+    channels, vectors = fresh(), np.random.default_rng(34).normal(size=(5, 4))
+    for queries in ([7], [3, 9, 9, 40]):
+        assert _exact(batch_rerank(channels, queries)) == _exact([rerank_query(fresh(), q) for q in queries])
+    for batch in (vectors[:1], vectors):
+        assert _exact(batch_rerank_vectors(channels, batch)) == _exact(_loop(fresh(), batch))
+    assert _fused_tables(channels) == []
+    rerank_query(channels, 7)
+    assert len(_fused_tables(channels)) == 1
+    for ch in channels:
+        write_features_csv(ch.features, tmp_path / f"{ch.name}.csv")
+    sections = "".join(f"[channel:{ch.name}]\nfeatures = {ch.name}.csv\nk1 = 6\nk2 = 4\n" for ch in channels)
+    (tmp_path / "p.cfg").write_text(sections + "[rerank]\nk_final = 5\n")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["index", "--config", str(tmp_path / "p.cfg"), "--out-dir", str(tmp_path / "idx")]) == 0
+        out.truncate(0), out.seek(0)
+        builds = []
+        monkeypatch.setattr(fusion, "FusedTable", lambda parts: builds.append(parts))
+        assert main(["rerank", "--config", str(tmp_path / "p.cfg"), "--index-dir", str(tmp_path / "idx"),
+                     "--query-ids", "7"]) == 0
+    assert builds == []
+    monkeypatch.undo()
+    loaded = [Channel(ch.name, load_index(tmp_path / "idx" / f"{ch.name}.index"), 6, 4) for ch in channels]
+    assert out.getvalue() == rerank_query(loaded, 7, 5).tsv_text()
+
+
+def test_two_threads_that_miss_the_fused_cache_keep_one_table(monkeypatch):
+    # both threads build, each waiting for the other to finish before it
+    # keeps its table: one of the two equal tables is cached, and both
+    # threads rank off it as a serial run does
+    channels = random_channels(np.random.default_rng(35), 120, 3, 6)
+    want = [rerank_query(random_channels(np.random.default_rng(35), 120, 3, 6), q) for q in (3, 50)]
+    barrier, init, built, got = threading.Barrier(2, timeout=30), fusion.FusedTable.__init__, [], {}
+
+    def racing_init(self, parts):
+        init(self, parts)
+        built.append(self)
+        barrier.wait()
+
+    monkeypatch.setattr(fusion.FusedTable, "__init__", racing_init)
+    threads = [threading.Thread(target=lambda w=w, q=q: got.__setitem__(w, rerank_query(channels, q)))
+               for w, q in enumerate((3, 50))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads) and [got.get(0), got.get(1)] == want
+    (kept,) = _fused_tables(channels)
+    assert len(built) == 2 and any(kept is table for table in built)
+    for name in ("ids", "positions", "planes", "scratch"):
+        assert _bits(getattr(built[0], name)) == _bits(getattr(built[1], name))
+    assert all(_bits(x) == _bits(y) for x, y in zip(built[0].maps, built[1].maps))
 
 
 # --- greedy selection ----------------------------------------------------------
