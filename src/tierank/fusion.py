@@ -9,12 +9,12 @@ temporary ranking center, and :func:`greedy_loop` reads one of its rows per
 step. A single query reads W off the channels' :class:`FusedTable`, every
 stored row's fused neighbor row and counts, built once per channel set
 (:func:`fused_table`, :func:`table_matrix`); a block of queries builds it
-with :func:`add_counts`. The pipeline builds W in tie-break order with
-tie-break weights from its query row, so no ranking uses
-:class:`FusedGraph`, :func:`fuse_graphs`, :class:`TieredPairwise` (whose W
-:func:`query_matrix` lays out) or :func:`greedy_select`: they are an
-inspection view of the same arithmetic, which only the tests and the
-benchmark harness use.
+with :func:`add_counts`, and so does :class:`TieredPairwise`, as a block of
+one. The pipeline builds W in tie-break order with tie-break weights from
+its query row, so no ranking uses :class:`FusedGraph`, :func:`fuse_graphs`,
+:class:`TieredPairwise` or :func:`greedy_select`: they are an inspection
+view of the same arithmetic, which only the tests and the benchmark harness
+use.
 """
 
 from __future__ import annotations
@@ -129,29 +129,6 @@ def add_counts(
     cells = starts.take(hits // got.shape[1])  # the hits' cells of W; rebinding frees the rows' first
     cells += got.take(hits)
     matrix.reshape(-1)[cells] += counts.take(hits) * scale
-
-
-def query_matrix(parts: Sequence[tuple], col: np.ndarray) -> np.ndarray:
-    """One query's C×C W: candidate j's row and column are ``col[j]``.
-
-    ``parts`` holds, per channel in summing order, (index, the candidates'
-    row positions, k1, their counts, scale, slot n's query row or None).
-    One ``np.add.at`` a channel fills a (C, C + 1) block through one int64
-    scratch of the largest channel's slots, -1 but in a channel's C
-    candidates' slots while it gathers, so a non-candidate or pad lands in
-    the spare column 0. :class:`TieredPairwise` alone calls it.
-    """
-    c = col.shape[0]
-    starts = (col * (c + 1) + 1)[:, None]  # flat cell (col, 1) of the (C, C + 1) block
-    scratch = np.full(max((index.slots for index, *_ in parts), default=0), -1, dtype=np.int64)
-    matrix = np.zeros((c, c + 1))
-    for index, pos, k1, counts, scale, row in parts:
-        cells = index.position_rows(pos, k1, row)
-        scratch[pos] = col
-        np.add(starts, scratch[cells], out=cells)
-        scratch[pos] = -1
-        np.add.at(matrix.reshape(-1), cells.ravel(), np.multiply(counts, float(scale)).ravel())
-    return matrix[:, 1:]
 
 
 def fuse_rows(rows: Sequence[np.ndarray], counts: Sequence[np.ndarray], pad: int) -> tuple[np.ndarray, np.ndarray]:
@@ -271,9 +248,10 @@ class TieredPairwise:
     absent-channel rule. The query's row therefore equals the fused
     graph's edge weights bit for bit when channels come in name order.
 
-    ``matrix`` is :func:`query_matrix` with rows and columns in
-    candidate_ids order, the channels summed in the caller's order from
-    the counts the index gives (an out-of-sample query's are counted).
+    ``matrix`` is laid out by :func:`add_counts` as a block of one, rows
+    and columns in candidate_ids order, the channels summed in the caller's
+    order from the counts the index gives (an out-of-sample query's are
+    counted).
     """
 
     def __init__(
@@ -293,11 +271,15 @@ class TieredPairwise:
             raise FormatError("candidate ids must be 64-bit integers")
         cand = np.unique(cand)
         self.candidate_ids: tuple[int, ...] = tuple(cand.tolist())
-        parts = []
+        c = cand.shape[0]
+        col, dtype = np.arange(c), np.min_scalar_type(c)  # the dtype's max, "no column", is above every column
+        starts, slots = (col * c)[:, None], np.zeros((c, 1), dtype=np.int64)  # a block of one: its slots start at 0
+        scratch = np.full(max((idx.slots for idx, _, _ in channels), default=0), np.iinfo(dtype).max, dtype=dtype)
+        self.matrix = np.zeros((c, c))
         for (idx, k1, k2), scale in zip(channels, scales):
             pos = idx.positions(cand)
-            parts.append((idx, pos, k1, idx.center_counts(pos, k1, k2), scale, None))
-        self.matrix = query_matrix(parts, np.arange(cand.shape[0]))
+            add_counts(self.matrix, idx, pos, k1, idx.center_counts(pos, k1, k2), float(scale), starts, slots, col,
+                       scratch)
         self.matrix.setflags(write=False)
 
 

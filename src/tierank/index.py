@@ -457,9 +457,12 @@ class NeighborhoodIndex:
         return iter(self.item_ids.tolist() + ([] if self.virtual is None else [self.virtual[0]]))
 
     def _position(self, item: int) -> int:
-        """Row position of a stored or virtual item, or -1."""
+        """Row position of a stored or virtual item, or -1, also for None, a sequence or an object that is no number."""
         stored = self.item_ids.shape[0]
-        pos = int(self.item_ids.searchsorted(item))
+        try:
+            pos = int(self.item_ids.searchsorted(item))
+        except TypeError:  # no order against the ids, or no scalar position
+            return -1
         if pos < stored and self.item_ids[pos] == item:
             return pos
         if self.virtual is not None and item == self.virtual[0]:

@@ -18,7 +18,8 @@ fused table. A block of vectors first gets its rows from one blocked kNN
 scan per channel, and each of its queries reads its own row at its own
 slot n. On two or more channels a block then runs one union
 (:func:`_candidates`), one affinity-matrix build and one greedy selection
-in lockstep, with the single query's rankings.
+in lockstep, with the single query's rankings. A batch that meets a fault
+raises the first failing query's error, or else the fault itself.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, EmptyChannelListError, FormatError, TierankError, UnknownItemError
+from .errors import DimensionError, EmptyChannelListError, FormatError, UnknownItemError
 from .fusion import add_counts, fuse_rows, fused_table, greedy_loop, scaled_sum, table_matrix
 from .index import FeatureMatrix, NeighborhoodIndex, _row_positions, knn_columns
 from .ranking import FinalRanking, RankedList
@@ -40,7 +41,10 @@ _BLOCK_BUDGET, _BLOCK_CAP = 9 * 2**19, 32  # the bytes and queries of a fused ba
 
 @dataclass(frozen=True)
 class Channel:
-    """One feature channel ready for re-ranking; its name is its index's channel name."""
+    """One feature channel ready for re-ranking; its name is its index's channel name.
+
+    Made or replaced, it checks k1, k2 and alpha once (:func:`~tierank.rerank.resolve_k`); an unset k is the index's.
+    """
 
     name: str
     index: NeighborhoodIndex
@@ -52,6 +56,9 @@ class Channel:
     def __post_init__(self) -> None:
         if self.name != self.index.channel_name:
             raise FormatError(f"channel {self.name!r} holds the index of channel {self.index.channel_name!r}")
+        k1, k2 = resolve_k(self.index, self.alpha, self.k1, self.k2)
+        object.__setattr__(self, "k1", k1)
+        object.__setattr__(self, "k2", k2)
 
     @cached_property
     def _feature_rows(self) -> np.ndarray:
@@ -109,7 +116,7 @@ def _rerank(
     Two or more channels rank off their fused table (:func:`~tierank.fusion.fused_table`),
     built once the first query passes its checks: a stored query's candidates
     and counts are its row of it, and a query at slot n fuses its own rows.
-    With ``rank`` False it only runs the checks, and builds nothing.
+    With ``rank`` False it only runs the checks (on one channel, the ranking), and builds nothing.
     """
     if len(channels) == 0:
         raise EmptyChannelListError("at least one channel required")
@@ -119,7 +126,6 @@ def _rerank(
         return tiered_rerank(ch.index, query, alpha=ch.alpha, k1=ch.k1, k2=ch.k2, query_row=row)
     near = []  # per channel: the query's k1 row, in its row positions, and slot n's whole row or None
     for ch, row in zip(channels, rows or [None] * len(channels)):
-        resolve_k(ch.index, ch.alpha, ch.k1, ch.k2)
         stored = ch.index.item_ids.shape[0]
         at = stored if row is not None else ch.index._position(query)
         if at < 0:
@@ -136,11 +142,7 @@ def _rerank(
         named = [ch.index.item_ids.take(r[r < ch.index.item_ids.shape[0]]) for ch, (r, _) in by_name]
         for ch, _ in by_name:
             ch.index.positions(np.unique(np.concatenate(named)))
-    k_final = max(ch.k1 for ch in channels) if k_final is None else k_final
-    if isinstance(k_final, bool) or not isinstance(k_final, (int, np.integer)):  # as resolve_k refuses k1
-        raise ValueError(f"k_final must be an integer, got {k_final!r}")
-    if k_final < 1:
-        raise ValueError("k must be >= 1")
+    k_final = _k_final(channels, k_final)
     if not rank:
         return None
     table = table or fused_table(parts)
@@ -164,6 +166,16 @@ def _rerank(
     items[own] = query  # slot N, past the ids, is the query's
     final = greedy_loop(table_matrix(table, cand, col, scales, weights if slot else None), items, own, k_final)
     return final.to_ranked_list(tier="mfr")
+
+
+def _k_final(channels: Sequence[Channel], k_final: int | None) -> int:
+    """The final list's length: ``k_final``, by default the largest k1; refused unless an integer of at least 1."""
+    k_final = max(ch.k1 for ch in channels) if k_final is None else k_final
+    if isinstance(k_final, bool) or not isinstance(k_final, (int, np.integer)):  # as resolve_k refuses k1
+        raise ValueError(f"k_final must be an integer, got {k_final!r}")
+    if k_final < 1:
+        raise ValueError("k must be >= 1")
+    return k_final
 
 
 def rerank_vector_query(
@@ -207,8 +219,8 @@ def batch_rerank_vectors(
     """Re-rank out-of-sample queries given as raw vectors, named ``vid``, ``vid`` + 1, ...; in input order.
 
     Equals ``[rerank_vector_query(channels, v, k_final, vid + j) for j, v in
-    enumerate(vectors)]`` bit for bit, and raises its first error; the batch
-    runs in blocks (:func:`_batch`).
+    enumerate(vectors)]`` bit for bit (a string or bytes ``vid`` names every
+    query), and raises its first error; the batch runs in blocks (:func:`_batch`).
     """
     vid = virtual_query_id(channels) if vid is None else vid
     vectors = list(vectors)
@@ -228,43 +240,31 @@ def _batch(
     ranks through :func:`~tierank.rerank.tiered_rerank`; on two or more
     the block runs through one kernel (:func:`_rerank_block`) in a scratch
     the blocks share, a batch of one and a rule of one query a block too,
-    so that no batch builds a fused table. A channel whose alpha or k
-    :func:`~tierank.rerank.resolve_k` refuses, and a block whose checks or
-    lookups fail, run :func:`_rerank` on each query in turn, checks only,
-    which raises the per-query error and builds nothing.
+    so that no batch builds a fused table. On any fault, every query's
+    checks run in input order (:func:`_rerank`, checks only, each vector
+    converted as :func:`rerank_vector_query` converts it) and raise the
+    first failing query's error; if none fails, the fault is raised again.
     """
-
-    def loop(at: slice) -> list[RankedList]:
-        given = [None] * len(queries[at]) if vectors is None else vectors[at]
-        for rank in (False, True):  # every query's checks first: the first error raises before a table is built
-            out = [_rerank(channels, q, k_final, v if vectors is None else np.asarray(v, dtype=np.float64)[None], rank)
-                   for q, v in zip(queries[at], given)]
-        return out
-
-    if not queries or not channels:
-        return loop(slice(None))
-    try:  # a k that is no integer would size no block
-        for ch in channels:
-            resolve_k(ch.index, ch.alpha, ch.k1, ch.k2)
-    except ValueError:
-        return loop(slice(None))
-    scan = 0 if vectors is None else max((ch.features.n for ch in channels if ch.features is not None), default=0)
-    per = _block_queries([ch.k1 for ch in channels], max(ch.index.n for ch in channels), scan)
+    if not queries:
+        return []
     out: list[RankedList] = []
-    for at, scratch in _blocks(channels, len(queries), per):
-        block = queries[at]
-        try:  # what a query's vector or id can raise; a vector of another rank fails query_rows's shape check
+    try:  # no channels fail the block rule, and the first query's checks name the fault
+        scan = 0 if vectors is None else max((ch.features.n for ch in channels if ch.features is not None), default=0)
+        per = _block_queries([ch.k1 for ch in channels], max(ch.index.n for ch in channels), scan)
+        for at, scratch in _blocks(channels, len(queries), per):
+            block = queries[at]
             stacked = None if vectors is None else np.asarray(vectors[at], dtype=np.float64)
             rows = None if stacked is None else [ch.query_rows(stacked, block) for ch in channels]
-        except (TierankError, IndexError, OverflowError, TypeError, ValueError):
-            out += loop(at)
-            continue
-        if len(channels) > 1:
-            out += _rerank_block(channels, block, k_final, scratch, rows) or loop(at)
-            continue
-        ch = channels[0]  # whose checks, if they fail, fail on the first query as in the loop
-        qrows = [None] * len(block) if rows is None else rows[0]
-        out += [tiered_rerank(ch.index, q, ch.alpha, ch.k1, ch.k2, row) for q, row in zip(block, qrows)]
+            if len(channels) > 1:
+                out += _rerank_block(channels, block, k_final, scratch, rows)
+            else:
+                ch, qrows = channels[0], [None] * len(block) if rows is None else rows[0]
+                out += [tiered_rerank(ch.index, q, ch.alpha, ch.k1, ch.k2, row) for q, row in zip(block, qrows)]
+    except Exception:
+        for j, q in enumerate(queries):
+            vector = None if vectors is None else np.asarray(vectors[j], dtype=np.float64)[None]
+            _rerank(channels, q, k_final, vector, rank=False)
+        raise
     return out
 
 
@@ -303,11 +303,11 @@ def _candidates(
 ) -> tuple:
     """The front end of fused ranking, for B queries: their candidates and all that ranks them.
 
-    Channels are checked and give their k1 rows in input order, then
-    duplicate names are refused; the first fault raises. With
-    ``query_rows``, the queries are out of sample: their rows on every
-    channel, in input order, are given as one (B, w) matrix a channel
-    (:meth:`Channel.query_rows`), each row led by its query's slot.
+    Channels give their k1 rows in input order, then duplicate names are
+    refused; the first fault raises. With ``query_rows``, the queries are
+    out of sample: their rows on every channel, in input order, are given
+    as one (B, w) matrix a channel (:meth:`Channel.query_rows`), each row
+    led by its query's slot.
     Returns, for every query's candidates side by side, by id:
     their ids, queries, distance ranks and fused weights (W's query row,
     the query's own counts summed in channel-name order); every query's own
@@ -317,7 +317,6 @@ def _candidates(
     query_rows = [None] * len(channels) if query_rows is None else query_rows
     qrows, padded = [], False
     for ch, row in zip(channels, query_rows):
-        resolve_k(ch.index, ch.alpha, ch.k1, ch.k2)
         padded |= ch.index._slot_row(row) is not None  # only slot n's row brings -1 pads
         at = ch.index.positions(queries) if row is None else row[:, 0]  # a row is led by its owner
         qrows.append(ch.index.position_rows(at, ch.k1, row))  # slot n's row and a stored one -1-pad to one width
@@ -368,7 +367,7 @@ def _candidates(
 def _rerank_block(
     channels: Sequence[Channel], queries: list[int], k_final: int | None, scratch: np.ndarray,
     query_rows: Sequence[np.ndarray] | None = None,
-) -> list[RankedList] | None:
+) -> list[RankedList]:
     """:func:`rerank_query` for a block of B queries on two or more channels.
 
     With ``query_rows`` the queries are out of sample, with these rows
@@ -391,16 +390,11 @@ def _rerank_block(
        maximum, and query b stops after min(k_final, C_b - 1) picks, so
        every pick and score is the per-query one.
 
-    Returns None when step 1 fails or k_final is no integer or below 1: the
-    caller then runs the per-query loop, which raises the per-query error.
+    ``k_final`` is checked as :func:`_rerank` checks it; the caller,
+    :func:`_batch`, turns any fault into the per-query error.
     """
-    k_final = max(ch.k1 for ch in channels) if k_final is None else k_final
-    if isinstance(k_final, bool) or not isinstance(k_final, (int, np.integer)) or k_final < 1:
-        return None
-    try:
-        cand, owner, rank, weights, own, lookups = _candidates(channels, queries, query_rows)
-    except (TierankError, ValueError):
-        return None
+    k_final = _k_final(channels, k_final)
+    cand, owner, rank, weights, own, lookups = _candidates(channels, queries, query_rows)
     b, total = len(queries), cand.shape[0]
     sizes = np.bincount(owner, minlength=b)
     levels, heavier = np.unique(-weights, return_inverse=True)

@@ -157,12 +157,13 @@ def test_the_add_at_lint_sees_each_kind_of_use(source, users):
     assert _add_at_users(source) == users
 
 
-def test_only_the_one_query_w_build_uses_add_at():
-    # a block's W adds only its hits, which are distinct cells, with one
-    # buffered add; the one-query W keeps np.add.at and its spare column
+def test_no_w_build_uses_add_at():
+    # every W adds only its hits, which are distinct cells, with one
+    # buffered add: a block's, TieredPairwise's (a block of one) and the
+    # fused table's
     users = {(path.name, name) for path in sorted(SRC.glob("*.py"))
              for name in _add_at_users(path.read_text(encoding="utf-8"))}
-    assert users == {("fusion.py", "query_matrix")}
+    assert users == set()
 
 
 def _names_read_in(source, function):
@@ -204,13 +205,52 @@ def test_the_caller_lint_sees_each_kind_of_call(source, callers):
 
 def test_a_single_query_ranks_off_the_fused_table():
     # _rerank, the one-query path, reads neither a block's front end nor
-    # query_matrix, the W builder that TieredPairwise, the inspection view,
-    # alone calls
+    # add_counts, the W builder of a block and of TieredPairwise, the
+    # inspection view, which lays out its W as a block of one
     pipeline = (SRC / "pipeline.py").read_text(encoding="utf-8")
-    assert {"_candidates", "query_matrix"}.isdisjoint(_names_read_in(pipeline, "_rerank"))
+    assert {"_candidates", "add_counts"}.isdisjoint(_names_read_in(pipeline, "_rerank"))
     callers = {(path.name, caller) for path in sorted(SRC.glob("*.py"))
-               for caller in _callers(path.read_text(encoding="utf-8"), "query_matrix")}
-    assert callers == {("fusion.py", "TieredPairwise.__init__")}
+               for caller in _callers(path.read_text(encoding="utf-8"), "add_counts")}
+    assert callers == {("fusion.py", "TieredPairwise.__init__"), ("pipeline.py", "_rerank_block")}
+
+
+def test_a_channel_is_checked_once_where_it_is_made():
+    # k1, k2 and alpha: in the pipeline, Channel.__post_init__ alone calls resolve_k
+    callers = _callers((SRC / "pipeline.py").read_text(encoding="utf-8"), "resolve_k")
+    assert callers == {"Channel.__post_init__"}
+
+
+def _handlers(source):
+    """(innermost function, the handler's last statement ends in a bare raise) of every except handler."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ExceptHandler):
+                last = child.body[-1]
+                found.append((owner, isinstance(last, ast.Raise) and last.exc is None))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+@pytest.mark.parametrize(("source", "handlers"), [
+    ("def f():\n    try:\n        g()\n    except Exception:\n        h()\n        raise\n", [("f", True)]),
+    ("def f():\n    try:\n        g()\n    except ValueError:\n        return None\n", [("f", False)]),
+    ("def f():\n    try:\n        g()\n    except ValueError as e:\n        raise e\n", [("f", False)]),
+    ("try:\n    g()\nexcept (TypeError, ValueError):\n    raise\nexcept KeyError:\n    pass\n",
+     [("<module>", True), ("<module>", False)]),
+])
+def test_the_handler_lint_sees_each_kind_of_handler(source, handlers):
+    assert _handlers(source) == handlers
+
+
+def test_the_pipeline_has_one_error_path_that_raises_again():
+    # the batch driver, on any fault, re-runs every query's checks and
+    # raises the fault itself again when none fails: no handler falls back
+    # to another ranking
+    assert _handlers((SRC / "pipeline.py").read_text(encoding="utf-8")) == [("_batch", True)]
 
 
 @pytest.mark.parametrize(("source", "reads"), [

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import contextlib
+import functools
 import io
 import sys
 import threading
@@ -681,10 +682,8 @@ def test_batch_errors_match_the_per_query_loop():
         (channels, list(range(12)), float("nan")),
         (channels, list(range(12)), "3"),
         (channels, list(range(12)), True),
-        ([replace(channels[0], alpha=0.0), *channels[1:]], [0, 1, 2], None),
         ([channels[0], channels[0], channels[1]], [0, 1, 2], None),  # one channel twice
         (channels[:1], list(range(10)) + [1000] + list(range(10, 20)), None),  # one channel: in blocks too
-        ([replace(channels[0], alpha=0.0)], [0, 1, 2], None),
         ([], [0, 1, 2], None),
     ]
     assert near
@@ -692,6 +691,82 @@ def test_batch_errors_match_the_per_query_loop():
         want = _raised(lambda: [rerank_query(chans, q, k_final) for q in queries])
         assert _raised(lambda: batch_rerank(chans, queries, k_final)) == want
     assert want == (EmptyChannelListError, "at least one channel required")
+
+
+@pytest.mark.parametrize("target", ["_candidates", "add_counts"])
+@pytest.mark.parametrize("fault", [ValueError, IndexError])
+def test_a_fault_in_the_block_kernel_propagates_unchanged(monkeypatch, target, fault):
+    # every query's checks pass, so the batch raises the kernel's own error
+    # again: it ranks no query one at a time and builds no fused table
+    channels = random_channels(np.random.default_rng(36), 40, 3, 5)
+    vectors = np.random.default_rng(37).normal(size=(4, 4))
+    error = fault("injected")
+
+    def broken(*args):
+        raise error
+
+    monkeypatch.setattr(pipeline, target, broken)
+    for batch in (lambda: batch_rerank(channels, [3, 7, 7, 12]), lambda: batch_rerank_vectors(channels, vectors)):
+        with pytest.raises(fault) as info:
+            batch()
+        assert info.value is error
+    assert _fused_tables(channels) == []
+
+
+@functools.cache
+def _junk_pool():
+    """Channels for junk batches: three over ids 0..29 at k = 5, and the second again without features."""
+    channels = random_channels(np.random.default_rng(39), 30, 3, 5)
+    return (*channels, replace(channels[1], k1=3, features=None))
+
+
+def _outcome(call):
+    """The exact rankings ``call`` returns, or the (class, message) of its error."""
+    try:
+        return _exact(call())
+    except Exception as exc:  # noqa: BLE001 - any class, compared below
+        return type(exc), str(exc)
+
+
+_JUNK_IDS = st.one_of(
+    st.integers(0, 29),  # stored
+    st.integers(-2, 32),
+    st.sampled_from([None, 3.0, 3.5, float("nan"), float("inf"), "4", b"4", True, (), [1], np.array([3]),
+                     np.array(3), np.int64(7), 10**23, 2**63, -(2**63) - 1, object()]),
+)
+_GRID_VECTORS = st.lists(st.sampled_from([0.0, 1.0, -2.5, 0.5]), min_size=4, max_size=4)
+_JUNK_VECTORS = st.one_of(
+    _GRID_VECTORS,  # twice: about half the vectors are well formed
+    _GRID_VECTORS,
+    st.lists(st.sampled_from([0.0, 1.0, float("nan"), float("inf"), -1e308]), min_size=0, max_size=5),
+    st.sampled_from([1.0, None, "abcd", ["a"] * 4, [[0.0] * 4], [[1.0] * 4] * 2, np.zeros(4), np.ones((1, 4))]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 3), max_size=3),  # empty, duplicated and featureless channel lists too
+    st.lists(_JUNK_IDS, max_size=6),
+    st.lists(_JUNK_VECTORS, max_size=5),
+    st.sampled_from([None, 0, 3, 29, 30, 40, -1, 30.5, float("nan"), "a", b"5", 2**63, 10**23]),
+    st.sampled_from([None, 0, 1, 3, -1, 2.5, float("nan"), "3", True, np.int64(2)]),
+)
+def test_a_junk_batch_fails_or_ranks_as_its_loop_property(picks, ids, vectors, vid, k_final):
+    # batch_rerank and batch_rerank_vectors raise the per-query loop's
+    # first error, class and message, or return its rankings bit for bit,
+    # and neither caches a fused table, failing or not
+    pool = _junk_pool()
+    chans = [pool[i] for i in picks]
+    cases = [
+        (lambda: batch_rerank(chans, ids, k_final), lambda: [rerank_query(chans, q, k_final) for q in ids]),
+        (lambda: batch_rerank_vectors(chans, vectors, k_final, vid), lambda: _loop(chans, vectors, k_final, vid)),
+    ]
+    for batch, loop in cases:
+        for ch in pool:
+            ch.index._fused.clear()
+        got = _outcome(batch)
+        assert _fused_tables(pool) == []
+        assert got == _outcome(loop)
 
 
 @pytest.mark.parametrize("k_final", [2.5, float("nan"), "3", True, 3.0])
@@ -736,13 +811,19 @@ def test_an_id_beyond_int64_in_a_batch_is_an_unknown_item():
 
 def test_an_id_equal_to_no_stored_id_is_an_unknown_item():
     # an int64 cast would make 3.5 item 3 and '4' item 4; only an id equal
-    # to a stored one is found, as 3.0 is item 3
+    # to a stored one is found, as 3.0 is item 3. An id that is no number
+    # (None, a sequence, a plain object) has no order against the ids and
+    # is none either, on one channel and on two
     rng = np.random.default_rng(25)
     channels = random_channels(rng, 30, 2, 5)
-    for queries, bad in (([3.5, 4], 3.5), ([4, "4"], "4")):
-        want = _raised(lambda: [rerank_query(channels, q) for q in queries])
-        assert want == (UnknownItemError, f"item {bad} not in index for channel 'ch0'")
-        assert _raised(lambda: batch_rerank(channels, queries)) == want
+    thing = object()
+    for chans in (channels, channels[:1]):
+        for bad in (3.5, "4", None, [1], np.array([3]), (), thing):
+            for queries in ([bad, 4], [4, bad]):
+                want = _raised(lambda: [rerank_query(chans, q) for q in queries])
+                assert want == (UnknownItemError, f"item {bad} not in index for channel 'ch0'")
+                assert _raised(lambda: batch_rerank(chans, queries)) == want
+    for queries, bad in (([3.5, 4], 3.5), ([4, "4"], "4"), ([4, None], None), ([thing, 4], thing)):
         assert _raised(lambda: channels[1].index.positions(queries)) == (
             UnknownItemError, f"item {bad} not in index for channel 'ch1'"
         )
@@ -769,47 +850,32 @@ def test_a_query_id_of_another_type_is_named_by_its_stored_id(tmp_path, m):
     assert (tmp_path / "want.tsv").read_text().startswith("3\t1\t3\t")
 
 
-def test_bad_ks_and_alpha_raise_the_same_error_alone_and_in_a_batch():
-    # resolve_k's checks, reached by a single query and by a batch's blocks,
-    # on one channel and on two
-    rng = np.random.default_rng(23)
-    channels = random_channels(rng, 40, 2, 5)
+def test_a_channel_refuses_bad_ks_and_alpha_when_made():
+    # resolve_k's checks, run where a channel is made and again by
+    # dataclasses.replace, so that no ranking meets a bad k or alpha. A NaN
+    # alpha is neither above 0 nor below infinity; either would leave W's
+    # row without an order, and the selection without a ranking
+    ch = random_channels(np.random.default_rng(23), 40, 1, 5)[0]
     cases = [
-        (replace(channels[0], k1=6), "k1/k2 cannot exceed the index k=5"),
-        (replace(channels[0], k2=6), "k1/k2 cannot exceed the index k=5"),
-        (replace(channels[0], k2=0), "k1 and k2 must be >= 1"),
-        (replace(channels[0], k1=0), "k1 and k2 must be >= 1"),
-        (replace(channels[0], alpha=0.0), "alpha must be positive"),
+        ({"k1": 6}, "k1/k2 cannot exceed the index k=5"),
+        ({"k2": 6}, "k1/k2 cannot exceed the index k=5"),
+        ({"k2": 0}, "k1 and k2 must be >= 1"),
+        ({"k1": 0}, "k1 and k2 must be >= 1"),
+        ({"k1": -1}, "k1 and k2 must be >= 1"),
+        ({"alpha": 0.0}, "alpha must be positive"),
         # a k that is no integer, which a slice would refuse with a TypeError
-        (replace(channels[0], k1=2.0), "k1 and k2 must be integers, got 2.0 and 5"),
-        (replace(channels[0], k2=np.float64(3)), "k1 and k2 must be integers, got 5 and np.float64(3.0)"),
-        (replace(channels[0], k2=True), "k1 and k2 must be integers, got 5 and True"),
+        ({"k1": 2.0}, "k1 and k2 must be integers, got 2.0 and 5"),
+        ({"k2": np.float64(3)}, "k1 and k2 must be integers, got 5 and np.float64(3.0)"),
+        ({"k2": True}, "k1 and k2 must be integers, got 5 and True"),
+        ({"alpha": float("nan")}, "alpha must be positive and finite, got nan"),
+        ({"alpha": float("inf")}, "alpha must be positive and finite, got inf"),
     ]
-    for bad, message in cases:
-        for chans in ([bad], [bad, channels[1]], [channels[1], bad]):
-            assert _raised(lambda: rerank_query(chans, 3)) == (ValueError, message)
-            assert _raised(lambda: batch_rerank(chans, [3, 4, 5])) == (ValueError, message)
-    # k1 of 0 and -1 over 95 items make the block rule's estimate 0 bytes a query
-    chans = [replace(ch, k1=k1) for ch, k1 in zip(random_channels(rng, 95, 2, 5), (0, -1))]
-    for call in (lambda: rerank_query(chans, 3), lambda: batch_rerank(chans, [3, 4, 5])):
-        assert _raised(call) == (ValueError, "k1 and k2 must be >= 1")
-
-
-@pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
-def test_a_non_finite_alpha_raises_the_same_error_alone_and_in_a_batch(alpha):
-    # NaN is neither above 0 nor below infinity; either would leave W's row
-    # without an order, and the selection without a ranking
-    rng = np.random.default_rng(25)
-    channels = random_channels(rng, 40, 2, 5)
-    bad = replace(channels[0], alpha=alpha)
-    message = f"alpha must be positive and finite, got {alpha!r}"
-    for chans in ([bad], [bad, channels[1]], [channels[1], bad]):
-        assert _raised(lambda: rerank_query(chans, 3)) == (ValueError, message)
-        assert _raised(lambda: batch_rerank(chans, [3, 4, 5])) == (ValueError, message)
-        vector = rng.normal(size=4)
-        assert _raised(lambda: rerank_vector_query(chans, vector, vid=virtual_query_id(chans))) == (
-            ValueError, message
-        )
+    fields = {"name": ch.name, "index": ch.index, "k1": ch.k1, "k2": ch.k2, "alpha": ch.alpha, "features": ch.features}
+    for change, message in cases:
+        assert _raised(lambda: Channel(**{**fields, **change})) == (ValueError, message)
+        assert _raised(lambda: replace(ch, **change)) == (ValueError, message)
+    unset = replace(ch, k1=None, k2=None)  # an unset k is the index's
+    assert (unset.k1, unset.k2) == (5, 5) and _exact([rerank_query([unset], 3)]) == _exact([rerank_query([ch], 3)])
 
 
 def test_a_vector_query_on_a_channel_without_features_is_a_format_error():
@@ -983,13 +1049,14 @@ def _w_by_sums(channels, cand):
 
 
 def test_one_querys_w_is_a_plain_dict_of_sums(monkeypatch):
-    # query_matrix (TieredPairwise's W), its rows and columns in a shuffled
-    # order, and the W a single query builds off the fused table, in
-    # tie-break order, byte for byte against plain loops over each center's
-    # row (_w_by_sums): stored ids; a channel that stores ids the others
-    # lack, so that candidates' row positions differ; slot n's row, both on
-    # an overlay and given as a query row; with k1 < k, n < k (-1 pads
-    # beside a wider slot n row) and alphas of 0.3 and 1.7
+    # add_counts' W as a block of one (TieredPairwise's, in candidate
+    # order, and one of given query rows, its rows and columns in a
+    # shuffled order), and the W a single query builds off the fused
+    # table, in tie-break order, byte for byte against plain loops over
+    # each center's row (_w_by_sums): stored ids; a channel that stores ids
+    # the others lack, so that candidates' row positions differ; slot n's
+    # row, both on an overlay and given as a query row; with k1 < k, n < k
+    # (-1 pads beside a wider slot n row) and alphas of 0.3 and 1.7
     rng = np.random.default_rng(88)
     built, greedy = [], pipeline.greedy_loop
     monkeypatch.setattr(pipeline, "greedy_loop", lambda w, items, *rest: built.append((w.copy(), items)) or greedy(w, items, *rest))
@@ -1008,12 +1075,20 @@ def test_one_querys_w_is_a_plain_dict_of_sums(monkeypatch):
         cases.append((channels, vid, [ch.query_rows(vector[None], [vid]) for ch in channels], overlaid))
         for chans, q, rows, reference in cases:
             cand, _, _, _, _, lookups = pipeline._candidates(chans, [q], rows)
-            col = rng.permutation(cand.shape[0])
-            parts = [(ch.index, pos, ch.k1, counts, ch.alpha, row) for ch, pos, counts, row in lookups]
-            want, at = np.zeros((cand.shape[0], cand.shape[0])), dict(zip(cand.tolist(), col.tolist()))
+            c = cand.shape[0]
+            if rows is None:
+                col = np.arange(c)
+                parts = [(ch.index, ch.k1, ch.k2) for ch in chans]
+                got = TieredPairwise(parts, cand, [ch.alpha for ch in chans]).matrix
+            else:
+                col, got, dtype = rng.permutation(c), np.zeros((c, c)), np.min_scalar_type(c)
+                scratch = np.full(max(ch.index.slots for ch in chans), np.iinfo(dtype).max, dtype=dtype)
+                for ch, pos, counts, row in lookups:
+                    fusion.add_counts(got, ch.index, pos, ch.k1, counts, float(ch.alpha), (col * c)[:, None],
+                                      np.zeros((c, 1), dtype=np.int64), col, scratch, row)
+            want, at = np.zeros((c, c)), dict(zip(cand.tolist(), col.tolist()))
             for (u, j), weight in _w_by_sums(reference, set(at)).items():
                 want[at[u], at[j]] = weight
-            got = fusion.query_matrix(parts, col)
             assert got.dtype == np.float64 and np.ascontiguousarray(got).tobytes() == want.tobytes()
             built.clear()
             if rows is None:
@@ -1555,9 +1630,10 @@ def _vector_block_size(channels):
 
 
 def _loop(channels, vectors, k_final=None, vid=None):
-    """The per-query loop that batch_rerank_vectors equals."""
+    """The per-query loop that batch_rerank_vectors equals; a string or bytes vid names every query."""
     vid = virtual_query_id(channels) if vid is None else vid
-    return [rerank_vector_query(channels, v, k_final, vid + j) for j, v in enumerate(vectors)]
+    named = isinstance(vid, (str, bytes))
+    return [rerank_vector_query(channels, v, k_final, vid if named else vid + j) for j, v in enumerate(vectors)]
 
 
 @st.composite
