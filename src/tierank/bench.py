@@ -6,7 +6,7 @@ union of their neighbor rows, the fused affinity matrix and greedy
 selection; with one, the tiered re-ranking of the query's row. Times are
 per query in milliseconds, from warmed caches, over at least 100 samples:
 their mean, median, 90th and 99th percentiles; and the untimed warm-up
-pass, in which the channels' fused table is built, as a whole.
+pass, in which the channels' overlap and fused tables are built, as a whole.
 """
 
 from __future__ import annotations

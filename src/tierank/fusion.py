@@ -7,14 +7,14 @@ all already-selected items is appended. The affinities between a query's
 candidates form one C×C matrix W, built by treating each candidate as a
 temporary ranking center, and :func:`greedy_loop` reads one of its rows per
 step. A single query reads W off the channels' :class:`FusedTable`, every
-stored row's fused neighbor row and counts, built once per channel set
-(:func:`fused_table`, :func:`table_matrix`); a block of queries builds it
-with :func:`add_counts`, and so does :class:`TieredPairwise`, as a block of
-one. The pipeline builds W in tie-break order with tie-break weights from
-its query row, so no ranking uses :class:`FusedGraph`, :func:`fuse_graphs`,
-:class:`TieredPairwise` or :func:`greedy_select`: they are an inspection
-view of the same arithmetic, which only the tests and the benchmark harness
-use.
+stored row's fused neighbor row and counts, fused once per channel set from
+the channels' overlap tables (:func:`fused_table`, :func:`table_matrix`); a
+block of queries builds it with :func:`add_counts`, and so does
+:class:`TieredPairwise`, as a block of one. The pipeline builds W in
+tie-break order with tie-break weights from its query row, so no ranking
+uses :class:`FusedGraph`, :func:`fuse_graphs`, :class:`TieredPairwise` or
+:func:`greedy_select`: they are an inspection view of the same arithmetic,
+which only the tests and the benchmark harness use.
 """
 
 from __future__ import annotations
@@ -27,15 +27,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyChannelListError, FormatError, QueryMismatchError, UnknownItemError
-from .index import NeighborhoodIndex, _row_positions
+from .index import _TABLE_BLOCK_BYTES, NeighborhoodIndex, _row_positions
 from .ranking import FinalRanking
 from .rerank import QueryGraph
 
 _NO_RANK = 1 << 40
-# a fused table's build counts as many rows at once as keep their entries' gathered neighbor rows
-# (int64) under glibc's default mmap threshold, 128 KiB: larger temporaries raise it, and the heap
-# then keeps them resident (0.6 MiB after a build in blocks of 16 rows at n = 5,000 and k = 50)
-_TABLE_BLOCK_BYTES = 120_000
 
 
 @dataclass(frozen=True)
@@ -158,9 +154,10 @@ class FusedTable:
     Common position p is item ``ids[p]`` of the channels' id union, N = len(ids)
     is an out-of-sample query's slot and N + 1 the pad. Row p of ``positions``
     fuses the channels' k1 rows of item p (:func:`fuse_rows`), with their
-    counts (:meth:`NeighborhoodIndex.overlap_counts`, so no overlap table is
-    kept) in ``planes``; ``maps[c]`` takes channel c's positions, slot n
-    included, to common ones. Positions are the smallest unsigned dtype that
+    counts in ``planes``: each channel's rows of its overlap table
+    (:meth:`NeighborhoodIndex.stored_counts`, 0 for an item it does not
+    store), so no stored row is counted here; ``maps[c]`` takes channel c's
+    positions, slot n included, to common ones. Positions are the smallest unsigned dtype that
     holds N + 1. It is built in the calling thread, a block of rows at a time.
     :func:`table_matrix` writes a query's columns into ``scratch``, a slot a
     position, under ``lock``, and resets them to 0.
@@ -178,14 +175,13 @@ class FusedTable:
         self.planes = np.empty((len(parts), n, width), dtype=np.min_scalar_type(top))
         self.pinned = [(index.neighbor_table, index.item_ids) for index, _, _ in parts]  # alive while their ids key it
         held = [_row_positions(index.item_ids, self.ids) for index, _, _ in parts]  # -1 where a channel lacks the id
-        step = max(1, _TABLE_BLOCK_BYTES // max(8 * k1 * index.neighbor_table.shape[1] for index, k1, _ in parts))
-        marks = np.zeros(step * max(index.slots for index, _, _ in parts), dtype=bool)
+        step = max(1, _TABLE_BLOCK_BYTES // (8 * width))  # fuse_rows' int64 temporaries of a block
         for start in range(0, n, step):
             block, rows, counts = slice(start, start + step), [], []
             for (index, k1, k2), to, at in zip(parts, self.maps, held):
-                near, lacks = index.neighbor_table.take(at[block], axis=0, mode="clip")[:, :k1], at[block, None] < 0
-                rows.append(np.where(lacks, self.pad, to.take(near)))
-                counts.append(np.where(lacks, 0, index.overlap_counts(near, k2, marks)[1]))
+                near = index.neighbor_table.take(at[block], axis=0, mode="clip")[:, :k1]
+                rows.append(np.where(at[block, None] < 0, self.pad, to.take(near)))
+                counts.append(index.stored_counts(at[block], k1, k2))
             self.positions[block], self.planes[:, block] = fuse_rows(rows, counts, self.pad)
         self.scratch, self.lock = np.zeros(n + 2, dtype=np.min_scalar_type(width + len(parts) + 1)), threading.Lock()
 

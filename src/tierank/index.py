@@ -17,9 +17,10 @@ k-th distance by chunk minima and sorts only the entries under the bound;
 out-of-sample queries use the same kernel. An index is saved as a fixed
 header followed by the raw little-endian arrays (index file v2), which load
 back without parsing, are validated as a whole, and have their ids turned
-into positions in place. A tier-3 overlap table is saved beside its index
-(tier-3 table file v1), keyed by a digest of the neighbor table it was
-counted from, and read back in place of a build while that digest holds.
+into positions in place. A tier-3 overlap table, the one count of the
+stored rows, built in the calling thread, is saved beside its index (tier-3
+table file v1), keyed by a digest of the neighbor table it was counted
+from, and read back in place of a build while that digest holds.
 A feature CSV is read by :func:`errors.read_table`; what it parsed to is
 saved the same way (parsed features file v1), keyed by a digest of the
 CSV's bytes, and read back in place of the parse.
@@ -72,7 +73,10 @@ _PARSED_MAGIC = b"TKFEAT\x00\x00"  # words: version 1, n, d; keyed by the CSV's 
 _PARSED_VERSION = 1
 _BUILD_BUFFER_ROWS = 128  # distance rows a build holds at once, over all its workers
 _BUILD_MIN_BLOCK_ROWS = 16
-_TABLE_BLOCK_ROWS = 16
+# a table build (an overlap table, a fused one) takes as many rows at once as keep its largest int64
+# temporary under glibc's default mmap threshold, 128 KiB: larger temporaries raise it, and the heap
+# then keeps them resident (0.6 MiB after a build in blocks of 16 rows at n = 5,000 and k = 50)
+_TABLE_BLOCK_BYTES = 120_000
 # entries a row's bound may mark, in units of k, once a block's bounds mark
 # more than that a row on average; a row over it is chosen on its own
 _SELECT_CAP = 4
@@ -411,9 +415,9 @@ class NeighborhoodIndex:
     overlay shares: the tier-3 overlap tables (:meth:`overlap_table`), one
     per (k1, k2), read from the file ``tierank index`` wrote (:func:`save_tier3`,
     :func:`load_tier3`) or else built on first use; and ``_fused``, the fused
-    neighbor tables of the channel sets this index leads by name
-    (``fusion.fused_table``). Building is idempotent: two threads that both
-    miss a cache build equal tables and keep one.
+    tables of the channel sets this index leads by name (``fusion.fused_table``),
+    which fuse those. Building is idempotent: two threads that both miss a
+    cache build equal tables and keep one.
     """
 
     channel_name: str
@@ -476,8 +480,11 @@ class NeighborhoodIndex:
         :meth:`_position` (3.0 is item 3; 3.5 and '3' are none), which looks
         up any item that is not in a 1-D signed integer array.
         """
-        ids = np.asarray(items)
-        if ids.dtype.kind == "i" and ids.ndim == 1:
+        try:
+            ids = np.asarray(items)
+        except ValueError:  # ragged, as [4, [1]] with a sequence id: each item is looked up alone
+            ids = None
+        if ids is not None and ids.dtype.kind == "i" and ids.ndim == 1:
             pos = _row_positions(self.item_ids, ids)
             if self.virtual is not None:
                 pos[ids == self.virtual[0]] = self.item_ids.shape[0]
@@ -589,28 +596,34 @@ class NeighborhoodIndex:
         Entry (u, c), of shape (stored n, min(k1, width)), is
         :meth:`overlap_counts`' count for stored row u's c-th neighbor. A
         stored row never names a virtual item, so an overlay's table is its
-        stored index's, and the two share the cache. The table is built a
-        block of rows at a time, the blocks spread over the usable cores,
-        each worker with its own scratch, in the smallest unsigned dtype
-        that holds min(k1, k2), unless :func:`load_tier3` put the table that
-        :func:`save_tier3` wrote in the cache first.
+        stored index's, and the two share the cache. The table is built in
+        the calling thread, a block of rows at a time in one mark scratch,
+        in the smallest unsigned dtype that holds min(k1, k2), unless
+        :func:`load_tier3` put the table that :func:`save_tier3` wrote in
+        the cache first.
         """
         table = self._tables.get((k1, k2))
         if table is None:
             table = self._tables.setdefault((k1, k2), self._build_overlap_table(k1, k2))
         return table
 
+    def stored_counts(self, positions: np.ndarray, k1: int, k2: int) -> np.ndarray:
+        """The rows ``positions`` of :meth:`overlap_table`, which holds stored rows only; a -1 position's are 0."""
+        counts = self.overlap_table(k1, k2).take(positions, axis=0, mode="clip")
+        counts[positions < 0] = 0
+        return counts
+
     def center_counts(
         self, positions: np.ndarray, k1: int, k2: int, query_row: np.ndarray | None = None
     ) -> np.ndarray:
         """The tier-3 counts of the rows in ``positions``, shaped as :meth:`position_rows` gives them.
 
-        A stored row's are its row of :meth:`overlap_table`; slot n's row
-        (``query_row``, see :meth:`_slot_row`; of a (B, w) one, the i-th row
-        at the i-th slot n) is counted by :meth:`overlap_counts`; a -1 pad's
-        are 0.
+        A stored row's, and a -1 pad's, are :meth:`stored_counts`; slot n's
+        row (``query_row``, see :meth:`_slot_row`; of a (B, w) one, the i-th
+        row at the i-th slot n) is counted by :meth:`overlap_counts`, and
+        can be one entry wider than a stored row.
         """
-        counts = self.overlap_table(k1, k2).take(positions, axis=0, mode="clip")
+        counts = self.stored_counts(positions, k1, k2)
         row = self._slot_row(query_row)
         if row is None:
             return counts
@@ -625,13 +638,11 @@ class NeighborhoodIndex:
     def _build_overlap_table(self, k1: int, k2: int) -> np.ndarray:
         stored, width = self.neighbor_table.shape
         table = np.empty((stored, min(k1, width)), dtype=np.min_scalar_type(min(k1, k2)))
-
-        def work(start: int, marks: np.ndarray) -> None:
-            block = slice(start, start + _TABLE_BLOCK_ROWS)
+        step = max(1, _TABLE_BLOCK_BYTES // (8 * table.shape[1] * width))  # the int64 rows a block's entries gather
+        marks = np.zeros(step * self.slots, dtype=bool)  # one flat mark scratch, all False
+        for start in range(0, stored, step):
+            block = slice(start, start + step)
             table[block] = self.overlap_counts(self.neighbor_table[block, :k1], k2, marks)[1]
-
-        marks = _TABLE_BLOCK_ROWS * self.slots  # a worker's flat mark scratch, all False
-        _spread(range(0, stored, _TABLE_BLOCK_ROWS), _usable_cores(), lambda: np.zeros(marks, dtype=bool), work)
         table.setflags(write=False)
         return table
 
@@ -730,31 +741,6 @@ def _usable_cores() -> int:
         return cores
 
 
-def _spread(starts: range, workers: int, make: Callable[[], Any], work: Callable[[int, Any], None]) -> None:
-    """Call ``work(start, scratch)`` for every start, over at most ``workers`` threads.
-
-    Worker w takes every w-th start and reuses one scratch from ``make``,
-    called here, in the calling thread: glibc keeps what a thread frees in
-    that thread's own malloc arena, where the caller's later allocations
-    cannot reuse it, so scratch a worker made would add to peak memory. An
-    exception in a worker is raised here unchanged, once every worker has
-    stopped.
-    """
-    workers = max(1, min(workers, len(starts)))
-    scratches = [make() for _ in range(workers)]
-
-    def run(first: int) -> None:
-        for start in starts[first::workers]:
-            work(start, scratches[first])
-
-    if workers == 1:
-        return run(0)
-    with ThreadPoolExecutor(workers - 1) as pool:  # the calling thread is worker 0
-        rest = pool.map(run, range(1, workers))
-        run(0)
-        list(rest)
-
-
 def build_index(features: FeatureMatrix, k: int, metric: Metric = Metric.L1) -> NeighborhoodIndex:
     """Build the exact self-inclusive KNN index for one channel.
 
@@ -787,23 +773,32 @@ def build_index(features: FeatureMatrix, k: int, metric: Metric = Metric.L1) -> 
     block_rows = _BUILD_BUFFER_ROWS // workers
     shape = (min(block_rows, features.n), features.n)
     spare = _spare_row(features.n)  # the workers allocate nothing of size n
-
-    def work(start: int, buffers: tuple[np.ndarray, _Selector]) -> None:
-        buffer, selector = buffers
-        owners = order[start : start + block_rows]
-        rows = owners.shape[0]
-        block = buffer[:rows]
-        cdist(features.vectors[owners], features.vectors, metric.cdist_name, out=block)
-        # the owner sorts first, ahead of any zero-distance duplicate (a
-        # cosine self-distance can come out a rounding error above zero)
-        block[np.arange(rows), owners] = -1.0
-        cols, near = selector.nearest(block, features.ids, k_eff)
-        done = slice(start, start + rows)
-        table[done] = position[cols]
-        dists[done] = near
-
     starts = range(0, features.n, block_rows)
-    _spread(starts, workers, lambda: (np.empty(shape), _Selector(*shape, spare)), work)
+    workers = min(workers, len(starts))
+    # every worker's buffers are made here, in the calling thread: glibc keeps what a thread frees in that
+    # thread's own malloc arena, where the caller's later allocations cannot reuse it, so buffers a worker
+    # made would add to peak memory
+    buffers = [(np.empty(shape), _Selector(*shape, spare)) for _ in range(workers)]
+
+    def run(worker: int) -> None:
+        buffer, selector = buffers[worker]
+        for start in starts[worker::workers]:
+            owners = order[start : start + block_rows]
+            rows = owners.shape[0]
+            block = buffer[:rows]
+            cdist(features.vectors[owners], features.vectors, metric.cdist_name, out=block)
+            # the owner sorts first, ahead of any zero-distance duplicate (a
+            # cosine self-distance can come out a rounding error above zero)
+            block[np.arange(rows), owners] = -1.0
+            cols, near = selector.nearest(block, features.ids, k_eff)
+            done = slice(start, start + rows)
+            table[done] = position[cols]
+            dists[done] = near
+
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:  # the calling thread is worker 0; one worker starts none
+        rest = pool.map(run, range(1, workers))
+        run(0)
+        list(rest)
     dists[:, 0] = 0.0
     return NeighborhoodIndex(features.channel_name, k, metric, features.ids[order], table, dists)
 

@@ -209,9 +209,29 @@ def test_a_single_query_ranks_off_the_fused_table():
     # inspection view, which lays out its W as a block of one
     pipeline = (SRC / "pipeline.py").read_text(encoding="utf-8")
     assert {"_candidates", "add_counts"}.isdisjoint(_names_read_in(pipeline, "_rerank"))
-    callers = {(path.name, caller) for path in sorted(SRC.glob("*.py"))
-               for caller in _callers(path.read_text(encoding="utf-8"), "add_counts")}
-    assert callers == {("fusion.py", "TieredPairwise.__init__"), ("pipeline.py", "_rerank_block")}
+    assert _callers_in_package("add_counts") == {("fusion.py", "TieredPairwise.__init__"),
+                                                 ("pipeline.py", "_rerank_block")}
+
+
+def _callers_in_package(name):
+    """(file, qualified caller) of every call of ``name`` in the package."""
+    return {(path.name, caller) for path in sorted(SRC.glob("*.py"))
+            for caller in _callers(path.read_text(encoding="utf-8"), name)}
+
+
+def test_a_stored_row_is_counted_in_one_place():
+    # the overlap table is the one count of the stored rows, and the fused
+    # table fuses it; the other callers count a query's own row (one
+    # channel's tiers, slot n's row in a block and in a single fused query)
+    callers = _callers_in_package("overlap_counts")
+    assert ("fusion.py", "FusedTable.__init__") not in callers
+    assert callers == {("rerank.py", "_overlaps"), ("index.py", "NeighborhoodIndex.center_counts"),
+                       ("index.py", "NeighborhoodIndex._build_overlap_table"), ("pipeline.py", "_rerank")}
+
+
+def test_only_the_index_build_starts_threads():
+    assert _callers_in_package("ThreadPoolExecutor") == {("index.py", "build_index")}
+    assert _callers_in_package("Thread") == set()
 
 
 def test_a_channel_is_checked_once_where_it_is_made():

@@ -27,7 +27,8 @@ from tierank.errors import (
 )
 from tierank.fusion import TieredPairwise, fuse_graphs, greedy_loop, greedy_select
 from tierank.index import (
-    FeatureMatrix, Metric, NeighborhoodIndex, build_index, knn_candidates, load_index, write_features_csv,
+    FeatureMatrix, Metric, NeighborhoodIndex, build_index, knn_candidates, load_index, load_tier3, save_index,
+    save_tier3, write_features_csv,
 )
 from tierank.oracles import brute_force_knn, oracle_greedy_select, oracle_pairwise, oracle_tier3
 from tierank.index import _row_positions
@@ -823,7 +824,8 @@ def test_an_id_equal_to_no_stored_id_is_an_unknown_item():
                 want = _raised(lambda: [rerank_query(chans, q) for q in queries])
                 assert want == (UnknownItemError, f"item {bad} not in index for channel 'ch0'")
                 assert _raised(lambda: batch_rerank(chans, queries)) == want
-    for queries, bad in (([3.5, 4], 3.5), ([4, "4"], "4"), ([4, None], None), ([thing, 4], thing)):
+    for queries, bad in (([3.5, 4], 3.5), ([4, "4"], "4"), ([4, None], None), ([thing, 4], thing), ([4, [1]], [1]),
+                         ([4, ()], ()), ([4, np.array([3])], np.array([3]))):
         assert _raised(lambda: channels[1].index.positions(queries)) == (
             UnknownItemError, f"item {bad} not in index for channel 'ch1'"
         )
@@ -1184,8 +1186,7 @@ def test_overlap_table_matches_oracle_property(instance):
 
 def test_restricted_channels_get_their_own_table(table_builds):
     # one overlap table per (k1, k2), and one fused table per channel set
-    # and (k1, k2): restricting k, or k2 alone, ranks as a fresh index does.
-    # Single queries build no overlap table
+    # and (k1, k2): restricting k, or k2 alone, ranks as a fresh index does
     rng = np.random.default_rng(52)
     channels = random_channels(rng, 150, 2, 10)
     vector = rng.normal(size=4)
@@ -1200,7 +1201,7 @@ def test_restricted_channels_get_their_own_table(table_builds):
         for ch, other in zip(channels, fresh):
             assert np.array_equal(ch.index.overlap_table(k1, k2), other.index.overlap_table(k1, k2))
     assert channels[0].index.overlap_table(10, 10).shape == (150, 10)
-    built = [("ch0", 10, 10)] + [("ch0", 4, 4), ("ch1", 4, 4), ("ch0", 4, 10), ("ch1", 4, 10)] * 2
+    built = [("ch0", 10, 10), ("ch1", 10, 10)] + [("ch0", 4, 4), ("ch1", 4, 4), ("ch0", 4, 10), ("ch1", 4, 10)] * 2
     assert sorted(table_builds) == sorted(built)
 
 
@@ -1403,6 +1404,89 @@ def test_two_threads_that_miss_the_fused_cache_keep_one_table(monkeypatch):
     for name in ("ids", "positions", "planes", "scratch"):
         assert _bits(getattr(built[0], name)) == _bits(getattr(built[1], name))
     assert all(_bits(x) == _bits(y) for x, y in zip(built[0].maps, built[1].maps))
+
+
+def _placed_counts(table, parts):
+    """Each channel's overlap-table rows, put by plain loops at their entries' columns of the fused rows."""
+    want = np.zeros(table.planes.shape, dtype=np.int64)
+    for c, (index, k1, k2) in enumerate(parts):
+        counts = index.overlap_table(k1, k2)
+        for p, item in enumerate(table.ids.tolist()):
+            if item not in index.item_ids:
+                continue
+            r = int(np.searchsorted(index.item_ids, item))
+            row = table.positions[p].tolist()
+            for j, entry in enumerate(index.neighbor_table[r, :k1].tolist()):
+                want[c, p, row.index(int(table.maps[c][entry]))] = counts[r, j]
+    return want
+
+
+@pytest.mark.parametrize("case", ["shared ids", "extra ids", "overlay, n < k"])
+def test_the_fused_table_fuses_the_channels_overlap_tables(case):
+    # its planes are the overlap tables' rows, placed in the fused layout: a
+    # channel's row of an item it lacks is all 0, and a table built through
+    # overlays whose virtual row is wider than a stored one (n = 5 < k = 8)
+    # is the stored indexes' table
+    rng = np.random.default_rng(36)
+    n, k = (5, 8) if case == "overlay, n < k" else (40, 6)
+    channels = random_channels(rng, n, 3, k)
+    channels = [replace(channels[0], k1=3), replace(channels[1], k2=2), channels[2]]
+    if case == "extra ids":
+        channels[1] = _with_extra_ids(channels[1], [10**6, 10**6 + 2])
+    if case == "overlay, n < k":
+        channels = overlay_query(channels, rng.normal(size=4), 100)
+        assert channels[0].index.virtual[1].shape[0] > channels[0].index.neighbor_table.shape[1]
+    parts = [(ch.index, ch.k1, ch.k2) for ch in channels]
+    table = fusion.FusedTable(parts)
+    assert table.planes.tolist() == _placed_counts(table, parts).tolist()
+    for p in range(table.ids.shape[0]):
+        union = {int(to[e]) for (index, k1, _), to in zip(parts, table.maps) if table.ids[p] in index.item_ids
+                 for e in index.neighbor_table[np.searchsorted(index.item_ids, table.ids[p]), :k1].tolist()}
+        assert table.positions[p].tolist() == sorted(union) + [table.pad] * (table.positions.shape[1] - len(union))
+    if case == "overlay, n < k":
+        stored = fusion.FusedTable([(replace(index, virtual=None), k1, k2) for index, k1, k2 in parts])
+        for name in ("ids", "positions", "planes"):
+            assert _bits(getattr(table, name)) == _bits(getattr(stored, name))
+
+
+def test_a_tier3_file_feeds_the_fused_table_with_no_count(tmp_path, monkeypatch, table_builds):
+    # the overlap tables that load_tier3 reads are all a fused table needs:
+    # the first single query builds it off them and counts no stored row
+    channels = random_channels(np.random.default_rng(37), 60, 3, 6)
+    count, counted = NeighborhoodIndex.overlap_counts, []
+    monkeypatch.setattr(NeighborhoodIndex, "overlap_counts", lambda *a, **kw: counted.append(1) or count(*a, **kw))
+    loaded = []
+    for ch in channels:
+        save_index(ch.index, tmp_path / f"{ch.name}.index")
+        save_tier3(ch.index, ch.k1, ch.k2, tmp_path / f"{ch.name}.tier3")
+        index = load_index(tmp_path / f"{ch.name}.index")
+        load_tier3(index, ch.k1, ch.k2, tmp_path / f"{ch.name}.tier3")
+        loaded.append(replace(ch, index=index))
+    want = [rerank_query(channels, q) for q in (4, 31)]
+    table_builds.clear(), counted.clear()
+    assert _exact([rerank_query(loaded, q) for q in (4, 31)]) == _exact(want)
+    assert table_builds == [] and counted == [] and len(_fused_tables(loaded)) == 1
+    for name in ("ids", "positions", "planes"):
+        assert _bits(getattr(_fused_tables(loaded)[0], name)) == _bits(getattr(_fused_tables(channels)[0], name))
+
+
+@pytest.mark.parametrize("first", ["single", "batch", "vector"])
+def test_each_overlap_table_is_built_once_whichever_query_runs_first(table_builds, first):
+    # one (index, k1, k2) table, built by whichever query needs it first,
+    # serves the fused table, the batches and the vector queries after it
+    channels = random_channels(np.random.default_rng(38), 80, 3, 6)
+    runs = {
+        "single": lambda: rerank_query(channels, 5),
+        "batch": lambda: batch_rerank(channels, [1, 2, 3]),
+        "vector": lambda: batch_rerank_vectors(channels, np.ones((2, 4))),
+    }
+    runs[first]()
+    assert sorted(table_builds) == [("ch0", 6, 6), ("ch1", 6, 6), ("ch2", 6, 6)]
+    for run in runs.values():
+        run()
+    rerank_vector_query(channels, np.ones(4))
+    assert sorted(table_builds) == [("ch0", 6, 6), ("ch1", 6, 6), ("ch2", 6, 6)]
+    assert len(_fused_tables(channels)) == 1
 
 
 # --- greedy selection ----------------------------------------------------------

@@ -410,45 +410,37 @@ def test_build_across_blocks_and_workers(monkeypatch, n, k, metric):
         assert index.neighbors(item) == brute_force_neighborhood(fm, item, k, metric)
 
 
-# 16-row blocks: one ragged block, one full one, a full and a ragged one, seven
-@pytest.mark.parametrize("n", [7, 16, 17, 100])
-def test_overlap_table_does_not_depend_on_the_worker_count(monkeypatch, n):
-    fm = random_features(np.random.default_rng(n), n)
-    spread = index_module._spread
-    workers = []
+# k = 50: blocks of 6 rows at k1 = 50 and of 100 at k1 = 3; a ragged last
+# block, full ones only, a last block of one row, and one after ten blocks
+@pytest.mark.parametrize("n", [50, 54, 55, 61])
+def test_overlap_table_is_built_on_the_calling_thread_equal_to_its_rows_counted_one_at_a_time(monkeypatch, n):
+    index = build_index(random_features(np.random.default_rng(n), n), k=50)
+    count, calls = NeighborhoodIndex.overlap_counts, []
 
-    def counting_spread(starts, count, make, work):
-        workers.append(count)
-        return spread(starts, count, make, work)
+    def recording_count(self, near, k2, marks=None, query_row=None):
+        calls.append((threading.get_ident(), near.shape[0]))
+        return count(self, near, k2, marks, query_row)
 
-    monkeypatch.setattr(index_module, "_spread", counting_spread)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # the four workers (more than the cores) interleave finely
-    try:
-        for k1, k2 in ((8, 8), (3, 8), (8, 3)):
-            tables = []
-            for cores in (1, 4):
-                monkeypatch.setattr(index_module, "_usable_cores", lambda: cores)
-                index = build_index(fm, k=8)
-                workers.clear()
-                tables.append(index.overlap_table(k1, k2))
-                assert workers == [cores]
-            assert tables[0].dtype == tables[1].dtype and np.array_equal(tables[0], tables[1])
-            assert tables[0].shape == (n, min(k1, n))
-    finally:
-        sys.setswitchinterval(interval)
-
-
-# 16-row blocks, the last one of one row
-@pytest.mark.parametrize("n", [17, 33])
-def test_a_tier3_table_whose_last_block_is_one_row_equals_its_rows_counted_alone(n):
-    index = build_index(random_features(np.random.default_rng(n), n), k=8)
-    for k1, k2 in ((8, 8), (3, 8), (8, 3)):
+    monkeypatch.setattr(NeighborhoodIndex, "overlap_counts", recording_count)
+    for k1, k2, step in ((50, 50, 6), (3, 50, 100), (50, 3, 6)):
+        calls.clear()
         table = index.overlap_table(k1, k2)
+        assert {ident for ident, _ in calls} == {threading.get_ident()}
+        assert [rows for _, rows in calls] == [step] * (n // step) + [n % step] * (n % step > 0)
+        assert table.dtype == np.min_scalar_type(min(k1, k2)) and table.shape == (n, min(k1, n))
         for u in range(n):
-            alone = index.overlap_counts(index.neighbor_table[u : u + 1, :k1], k2)[1][0]
-            assert table[u].tolist() == alone.tolist()
-            assert table[u].tolist() == list(oracle_tier3(index, int(index.item_ids[u]), k1, k2).values())
+            assert table[u].tolist() == count(index, index.neighbor_table[u : u + 1, :k1], k2)[1][0].tolist()
+
+
+# k = 50: blocks of 6 rows at k1 = 50 and of 100 at k1 = 3, the last one of one row
+@pytest.mark.parametrize(("n", "k1", "k2"), [(55, 50, 50), (61, 50, 3), (101, 3, 50)])
+def test_a_tier3_table_whose_last_block_is_one_row_equals_its_rows_counted_alone(n, k1, k2):
+    index = build_index(random_features(np.random.default_rng(n), n), k=50)
+    table = index.overlap_table(k1, k2)
+    for u in range(n):
+        alone = index.overlap_counts(index.neighbor_table[u : u + 1, :k1], k2)[1][0]
+        assert table[u].tolist() == alone.tolist()
+        assert table[u].tolist() == list(oracle_tier3(index, int(index.item_ids[u]), k1, k2).values())
 
 
 def test_a_one_row_count_equals_its_row_of_a_block():
