@@ -10,7 +10,6 @@ import argparse
 import hashlib
 import json
 import platform
-import re
 import sys
 from pathlib import Path
 
@@ -21,34 +20,26 @@ from . import bench as bench_mod
 from .config import ChannelConfig, PipelineConfig, load_config, write_config
 from .errors import (
     DimensionError, FileAccessError, FormatError, TierankError, make_dir, parse_number, read_bytes, read_table,
-    remove_files, write_text,
+    write_text,
 )
 from .evaluation import load_ground_truth, ns_score, precision_at, recall_at, write_ground_truth
 from .index import (
-    FeatureMatrix, Metric, build_index, load_features, load_index, load_parsed_features, load_tier3, save_index,
-    _usable_cores, save_parsed_features, save_tier3, write_features_csv,
+    FeatureMatrix, Metric, build_index, load_features, load_index, load_index_features, save_index, _usable_cores,
+    write_features_csv,
 )
 from .pipeline import Channel, batch_rerank, batch_rerank_vectors
 from .ranking import RankedList, read_rankings_tsv, write_rankings_tsv
 from .scenarios import gen_outlier_scenario, gen_two_manifold_scenario
 
 
-def _load_channel_features(cfg: ChannelConfig, parsed: Path | None = None) -> tuple[FeatureMatrix, bytes | None]:
-    """A channel's features and, for a CSV, its bytes' SHA-256, taken before the parse that ``parsed`` may spare."""
+def _load_channel_features(cfg: ChannelConfig, index_file: Path | None = None) -> tuple[FeatureMatrix, bytes | None]:
+    """A channel's features and, for a CSV, its bytes' SHA-256, taken before the parse that ``index_file`` may spare."""
     try:
         digest = hashlib.sha256(read_bytes(cfg.feature_path)).digest() if cfg.fmt == "csv" else None
-        features = load_parsed_features(parsed, digest, cfg.name) if parsed and digest else None
+        features = load_index_features(index_file, digest, cfg.name) if index_file and digest else None
         return features or load_features(cfg.feature_path, fmt=cfg.fmt, channel_name=cfg.name), digest
     except FileAccessError as exc:
         raise FileAccessError(f"channel {cfg.name!r}: {exc}") from exc
-
-
-def _index_path(index_dir: Path, name: str) -> Path:
-    return index_dir / f"{name}.index"
-
-
-def _tier3_path(index_dir: Path, name: str, k1: int, k2: int) -> Path:
-    return index_dir / f"{name}.{k1}-{k2}.tier3"
 
 
 def cmd_index(args: argparse.Namespace) -> int:
@@ -59,14 +50,8 @@ def cmd_index(args: argparse.Namespace) -> int:
         features, digest = _load_channel_features(cfg)
         k1, k2 = cfg.ks(features.n)
         index = build_index(features, k=max(k1, k2), metric=cfg.metric)
-        save_index(index, _index_path(out_dir, cfg.name))
-        table, parsed = _tier3_path(out_dir, cfg.name, k1, k2), out_dir / f"{cfg.name}.features"
-        if fused:
-            save_tier3(index, k1, k2, table)
-        if digest is not None:
-            save_parsed_features(features, digest, parsed)
-        stale = re.compile(re.escape(cfg.name) + r"\.([0-9]+-[0-9]+\.tier3|features)")  # its tables and features
-        remove_files(out_dir, stale, keep={table.name if fused else "", parsed.name if digest else ""})
+        save_index(index, out_dir / f"{cfg.name}.index", tier3=(k1, k2) if fused else None,
+                   parsed=(features, digest) if digest else None)
         print(f"indexed channel {cfg.name}: n={index.n} k={index.k} metric={cfg.metric.value}")
     return 0
 
@@ -74,17 +59,13 @@ def cmd_index(args: argparse.Namespace) -> int:
 def _assemble_channels(config: PipelineConfig, index_dir: Path, need_features: bool) -> list[Channel]:
     channels = []
     for cfg in config.channels:
-        index = load_index(_index_path(index_dir, cfg.name))
-        features = _load_channel_features(cfg, index_dir / f"{cfg.name}.features")[0] if need_features else None
+        path = index_dir / f"{cfg.name}.index"
+        index = load_index(path)
+        features = _load_channel_features(cfg, path)[0] if need_features else None
         k1, k2 = cfg.ks(index.n)
         if k1 > index.k or k2 > index.k:
-            raise FormatError(
-                f"channel {cfg.name!r}: k1/k2 exceed the stored index k={index.k}; re-run index"
-            )
-        load_tier3(index, k1, k2, _tier3_path(index_dir, cfg.name, k1, k2))
-        channels.append(
-            Channel(name=cfg.name, index=index, k1=k1, k2=k2, alpha=cfg.alpha, features=features)
-        )
+            raise FormatError(f"channel {cfg.name!r}: k1/k2 exceed the stored index k={index.k}; re-run index")
+        channels.append(Channel(name=cfg.name, index=index, k1=k1, k2=k2, alpha=cfg.alpha, features=features))
     return channels
 
 
@@ -276,9 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_index = sub.add_parser("index", help="build and persist per-channel KNN indexes", description=(
-        "Build and persist each channel's KNN index (<name>.index); on two or more channels, its tier-3 overlap "
-        "table (<name>.<k1>-<k2>.tier3); and for a CSV channel, the features it parsed to (<name>.features), "
-        "which rerank reads instead of the CSV while the CSV's SHA-256 is the one they were parsed from."))
+        "Build and persist each channel's KNN index as one file, <name>.index, which holds, on two or more "
+        "channels, its tier-3 overlap table, and for a CSV channel, the features it parsed to, which rerank reads "
+        "instead of the CSV while the CSV's SHA-256 is the one they were parsed from."))
     p_index.add_argument("--config", required=True)
     p_index.add_argument("--out-dir", required=True)
     p_index.set_defaults(func=cmd_index)

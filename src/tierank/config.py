@@ -133,12 +133,15 @@ def load_config(path: str | Path) -> PipelineConfig:
             metric = Metric(sec.get("metric", "l1").lower())
         except ValueError:
             raise FormatError(f"{path}: [{section}] has unknown metric {sec.get('metric')!r}")
+        fmt = sec.get("format", "csv").lower()
+        if fmt not in ("csv", "binary"):
+            raise FormatError(f"{path}: [{section}] has unknown format {sec.get('format')!r}")
         try:
             channels.append(
                 ChannelConfig(
                     name=name,
                     feature_path=feature_path,
-                    fmt=sec.get("format", "csv"),
+                    fmt=fmt,
                     metric=metric,
                     k1=_number(sec, "k1", int),
                     k2=_number(sec, "k2", int),

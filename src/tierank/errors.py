@@ -1,6 +1,6 @@
 """Exception hierarchy shared by the whole package, the file boundary that raises it, and the text-table reader.
 
-Every file read, written or removed and every directory made goes through
+Every file read or written and every directory made goes through
 here, so a path that cannot be used is a FileAccessError, never a traceback.
 Every text table is read by :func:`read_table`: one ``np.loadtxt`` pass,
 and, where the pass refuses, one scan in the ASCII grammar that every id and
@@ -9,10 +9,11 @@ number of a text input is read by (:func:`parse_number`).
 
 from __future__ import annotations
 
+import os
 import re
 from contextlib import suppress
 from pathlib import Path
-from typing import Container, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -61,16 +62,18 @@ class ScenarioError(TierankError):
     """A synthetic scenario failed to realize its planted relations."""
 
 
-def read_bytes(path: str | Path, missing_ok: bool = False) -> np.ndarray | None:
-    """A binary file's contents as a writable uint8 array, which a reader may reuse in place.
+def read_bytes(path: str | Path, offset: int = 0, count: int = -1) -> np.ndarray:
+    """``count`` bytes of a binary file from ``offset`` on (-1: to its end), or fewer where it ends first.
 
-    With ``missing_ok``, a file that does not exist is None.
+    They come as a writable uint8 array, which a reader may reuse in place; a size read from a file allocates
+    no more than the file holds.
     """
     try:
-        return np.fromfile(path, dtype=np.uint8)
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            left = size - fh.seek(min(offset, size))
+            return np.fromfile(fh, dtype=np.uint8, count=left if count < 0 else min(count, left))
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-        if missing_ok and isinstance(exc, FileNotFoundError):
-            return None
         raise FileAccessError(f"cannot read {path}: {exc}") from exc
 
 
@@ -109,16 +112,6 @@ def make_dir(path: str | Path) -> Path:
     except OSError as exc:
         raise FileAccessError(f"cannot make directory {path}: {exc}") from exc
     return Path(path)
-
-
-def remove_files(directory: str | Path, pattern: re.Pattern, keep: Container[str] = ()) -> None:
-    """Delete every file in ``directory`` whose name ``pattern`` fully matches, but those named in ``keep``."""
-    try:
-        for path in Path(directory).iterdir():
-            if path.name not in keep and pattern.fullmatch(path.name) and path.is_file():
-                path.unlink()
-    except OSError as exc:
-        raise FileAccessError(f"cannot remove files in {directory}: {exc}") from exc
 
 
 def read_table(

@@ -15,15 +15,14 @@ of rows at a time, the blocks spread over one worker thread per usable core
 block's k nearest per row come from one selection kernel, which bounds the
 k-th distance by chunk minima and sorts only the entries under the bound;
 out-of-sample queries use the same kernel. An index is saved as a fixed
-header followed by the raw little-endian arrays (index file v2), which load
+header followed by the raw little-endian arrays (index file v3), which load
 back without parsing, are validated as a whole, and have their ids turned
-into positions in place. A tier-3 overlap table, the one count of the
-stored rows, built in the calling thread, is saved beside its index (tier-3
-table file v1), keyed by a digest of the neighbor table it was counted
-from, and read back in place of a build while that digest holds.
-A feature CSV is read by :func:`errors.read_table`; what it parsed to is
-saved the same way (parsed features file v1), keyed by a digest of the
-CSV's bytes, and read back in place of the parse.
+into positions in place. The file holds two optional sections after them,
+each with its own digest: the tier-3 overlap table at the channel's
+(k1, k2), the one count of the stored rows, built in the calling thread,
+which loads into the index's cache in place of a build; and what a feature
+CSV parsed to (by :func:`errors.read_table`), keyed by a digest of the CSV's
+bytes, which is read only when asked for, in place of the parse.
 """
 
 from __future__ import annotations
@@ -56,21 +55,18 @@ from .errors import (
 )
 
 _INDEX_MAGIC = b"TKINDEX\x00"
-_INDEX_VERSION = 2
-# follows the magic; the channel name comes next, zero-padded so that the
-# item ids, the neighbor table and the distance table all start on 8-byte
-# boundaries
-_INDEX_HEADER = np.dtype(
-    [("version", "<u8"), ("metric", "S8"), ("k", "<u8"), ("n", "<u8"), ("width", "<u8"), ("name_bytes", "<u8")]
-)
+_INDEX_VERSION = 3
+# follows the magic; the channel name comes next, zero-padded so that the item ids, the neighbor table, the
+# distance table and the two optional sections all start on 8-byte boundaries. The tier-3 section holds the
+# counts at (k1, k2), both 0 without it; the features section `rows` ids and vectors of `dim` values, both 0
+# without it, keyed by `source_sha`. Each section's digest covers its two header words and its bytes
+_INDEX_HEADER = np.dtype([
+    ("version", "<u8"), ("metric", "S8"), ("k", "<u8"), ("n", "<u8"), ("width", "<u8"), ("name_bytes", "<u8"),
+    ("k1", "<u8"), ("k2", "<u8"), ("counts_sha", "V32"),
+    ("rows", "<u8"), ("dim", "<u8"), ("source_sha", "V32"), ("parsed_sha", "V32"),
+])
+_INDEX_HEAD = len(_INDEX_MAGIC) + _INDEX_HEADER.itemsize
 _BINARY_MAGIC = b"TKF1"
-# a keyed file is an 8-byte magic, three little-endian uint64 words (a version first), the
-# SHA-256 of what its body was derived from, the SHA-256 of the body, and the body
-_KEYED_HEADER_BYTES = 8 + 3 * 8 + 2 * 32
-_TIER3_MAGIC = b"TKTIER3\x00"  # words: version 1, k1, k2; keyed by the neighbor table
-_TIER3_VERSION = 1
-_PARSED_MAGIC = b"TKFEAT\x00\x00"  # words: version 1, n, d; keyed by the CSV's bytes
-_PARSED_VERSION = 1
 _BUILD_BUFFER_ROWS = 128  # distance rows a build holds at once, over all its workers
 _BUILD_MIN_BLOCK_ROWS = 16
 # a table build (an overlap table, a fused one) takes as many rows at once as keep its largest int64
@@ -413,11 +409,11 @@ class NeighborhoodIndex:
     The index is immutable after construction; all read accessors are safe
     to call concurrently. The derived state is two caches that every
     overlay shares: the tier-3 overlap tables (:meth:`overlap_table`), one
-    per (k1, k2), read from the file ``tierank index`` wrote (:func:`save_tier3`,
-    :func:`load_tier3`) or else built on first use; and ``_fused``, the fused
-    tables of the channel sets this index leads by name (``fusion.fused_table``),
-    which fuse those. Building is idempotent: two threads that both miss a
-    cache build equal tables and keep one.
+    per (k1, k2), read with the index (:func:`load_index`) or else built on
+    first use; and ``_fused``, the fused tables of the channel sets this
+    index leads by name (``fusion.fused_table``), which fuse those. Building
+    is idempotent: two threads that both miss a cache build equal tables and
+    keep one.
     """
 
     channel_name: str
@@ -599,7 +595,7 @@ class NeighborhoodIndex:
         stored index's, and the two share the cache. The table is built in
         the calling thread, a block of rows at a time in one mark scratch,
         in the smallest unsigned dtype that holds min(k1, k2), unless
-        :func:`load_tier3` put the table that :func:`save_tier3` wrote in
+        :func:`load_index` put the table that :func:`save_index` wrote in
         the cache first.
         """
         table = self._tables.get((k1, k2))
@@ -803,52 +799,95 @@ def build_index(features: FeatureMatrix, k: int, metric: Metric = Metric.L1) -> 
     return NeighborhoodIndex(features.channel_name, k, metric, features.ids[order], table, dists)
 
 
-def save_index(index: NeighborhoodIndex, path: str | Path) -> None:
-    """Persist an index as index file v2: a fixed header, then the raw tables, neighbors as ids."""
+def save_index(
+    index: NeighborhoodIndex, path: str | Path, tier3: tuple[int, int] | None = None,
+    parsed: tuple[FeatureMatrix, bytes] | None = None,
+) -> None:
+    """Persist an index as index file v3: a fixed header, the raw tables (neighbors as ids), two optional sections.
+
+    ``tier3`` (k1, k2) adds the tier-3 counts, counted now unless cached; ``parsed`` (features, key) adds
+    features as a file parsed to, ids and then vectors, keyed by ``key``, the SHA-256 of the file's bytes.
+    """
     if index.virtual is not None:
         raise FormatError("an index with a virtual row cannot be saved")
     name = index.channel_name.encode("utf-8")
-    header = np.array(
-        [(_INDEX_VERSION, index.metric.value, index.k, index.n, index.neighbor_table.shape[1], len(name))],
-        dtype=_INDEX_HEADER,
-    )
+    k1, k2 = tier3 or (0, 0)
+    counts = index.overlap_table(k1, k2) if tier3 else np.empty(0, dtype=np.uint8)
+    counts = np.ascontiguousarray(counts, dtype=counts.dtype.newbyteorder("<"))
+    features, key = parsed or (None, bytes(32))
+    ids = np.ascontiguousarray(features.ids if features else [], dtype="<i8")
+    vectors = np.ascontiguousarray(features.vectors if features else np.empty((0, 0)), dtype="<f8")
+    header = np.array([(
+        _INDEX_VERSION, index.metric.value, index.k, index.n, index.neighbor_table.shape[1], len(name),
+        k1, k2, _digest([k1, k2], counts), *vectors.shape, key, _digest(vectors.shape, ids, vectors),
+    )], dtype=_INDEX_HEADER)
     parts = [_INDEX_MAGIC, header.tobytes(), name, bytes(-len(name) % 8)]
     neighbor_ids = index.item_ids.take(index.neighbor_table)
     parts += [index.item_ids.astype("<i8").tobytes(), neighbor_ids.astype("<i8", copy=False).tobytes()]
     parts.append(index.distance_table.astype("<f8").tobytes())
-    write_bytes(path, parts)
+    write_bytes(path, parts + [counts, bytes(-counts.nbytes % 8), ids, vectors])
+
+
+def _digest(words: Sequence[int], *parts: np.ndarray) -> bytes:
+    """A section's SHA-256: of its two header words as little-endian uint64, then of its parts."""
+    digest = hashlib.sha256(np.array(words, dtype="<u8"))
+    for part in parts:
+        digest.update(part)
+    return digest.digest()
+
+
+def _index_layout(path: str | Path) -> tuple[np.void, int, slice, int, int]:
+    """An index file's header, and where its item ids start, its tier-3 counts lie, its features start and it ends.
+
+    The one reader of the header: its magic, version and fields are checked,
+    and that no byte follows the end they give, before any part is read.
+    Each reader checks that its part is there in full.
+    """
+    head = read_bytes(path, count=_INDEX_HEAD)
+    if head[:1].tobytes() == b"{":
+        raise FormatError(f"{path}: index file v1 (JSON) is no longer supported; re-run `tierank index`")
+    if len(head) < 16 or head[:8].tobytes() != _INDEX_MAGIC:
+        raise FormatError(f"{path}: not a tierank index file")
+    version = int(np.frombuffer(head, dtype="<u8", count=1, offset=8)[0])
+    if version == 2:
+        raise FormatError(f"{path}: index file v2 is no longer supported; re-run `tierank index`")
+    if version != _INDEX_VERSION:
+        raise FormatError(f"{path}: unsupported index version {version}")
+    if len(head) < _INDEX_HEAD:
+        raise FormatError(f"{path}: file size does not match its header")
+    header = np.frombuffer(head, dtype=_INDEX_HEADER, count=1, offset=len(_INDEX_MAGIC))[0]
+    k, n, width, name_bytes, k1, k2, rows, dim = (
+        int(header[f]) for f in ("k", "n", "width", "name_bytes", "k1", "k2", "rows", "dim"))
+    if n < 1 or k < 1 or width != min(k, n) or (k1 == 0) != (k2 == 0) or (rows == 0) != (dim == 0):
+        raise FormatError(f"{path}: malformed index header")
+    ids_at = _INDEX_HEAD + name_bytes + (-name_bytes % 8)
+    counts_at = ids_at + 8 * n * (1 + 2 * width)
+    size = n * min(k1, width) * np.min_scalar_type(min(k1, k2)).itemsize if k1 else 0  # of the counts
+    parsed_at = counts_at + size + (-size % 8)
+    end = parsed_at + 8 * rows * (1 + dim)
+    if read_bytes(path, end, 1).size:
+        raise FormatError(f"{path}: file size does not match its header")
+    return header, ids_at, slice(counts_at, counts_at + size), parsed_at, end
 
 
 def load_index(path: str | Path) -> NeighborhoodIndex:
-    """Load an index saved by :func:`save_index`; round-trip is exact.
+    """Load an index saved by :func:`save_index`, and its tier-3 counts, but not its features; round-trip is exact.
 
-    The whole file is checked before use: its size against its header, the
-    item ids (sorted, unique, non-negative) and every row (led by its owner
-    at distance 0, then in (distance, id) order, naming indexed items only
-    and none twice). The neighbor ids then become row positions in place, in
-    the buffer the file was read into.
+    The file up to its features is checked before use: the item ids (sorted, unique, non-negative), every row
+    (led by its owner at distance 0, then in (distance, id) order, naming indexed items only and none twice)
+    and the counts (their digest, none over min(k1, k2)). The neighbor ids then become row positions in place,
+    in the buffer the file was read into, and the counts go, read-only, in the index's overlap-table cache.
     """
-    raw = read_bytes(path)
-    start = len(_INDEX_MAGIC) + _INDEX_HEADER.itemsize
-    head = raw[:start].tobytes()
-    if head.startswith(b"{"):
-        raise FormatError(f"{path}: index file v1 (JSON) is no longer supported; re-run `tierank index`")
-    if not head.startswith(_INDEX_MAGIC) or len(head) < start:
-        raise FormatError(f"{path}: not a tierank index file")
-    header = np.frombuffer(head, dtype=_INDEX_HEADER, count=1, offset=len(_INDEX_MAGIC))[0]
-    if header["version"] != _INDEX_VERSION:
-        raise FormatError(f"{path}: unsupported index version {int(header['version'])}")
-    k, n, width, name_bytes = (int(header[f]) for f in ("k", "n", "width", "name_bytes"))
-    ids_at = start + name_bytes + (-name_bytes % 8)
-    if len(raw) != ids_at + 8 * n + 16 * n * width:
-        raise FormatError(f"{path}: file size {len(raw)} does not match its header")
+    header, ids_at, counts, parsed_at, _ = _index_layout(path)
+    k, n, width, name_bytes, k1, k2 = (int(header[f]) for f in ("k", "n", "width", "name_bytes", "k1", "k2"))
+    raw = read_bytes(path, count=parsed_at)
+    if raw.size != parsed_at:
+        raise FormatError(f"{path}: file size does not match its header")
     try:
         metric = Metric(header["metric"].decode("ascii"))
-        channel = raw[start : start + name_bytes].tobytes().decode("utf-8")
+        channel = raw[_INDEX_HEAD : _INDEX_HEAD + name_bytes].tobytes().decode("utf-8")
     except ValueError as exc:
         raise FormatError(f"{path}: malformed index header") from exc
-    if n < 1 or k < 1 or width != min(k, n):
-        raise FormatError(f"{path}: malformed index header")
 
     ids = np.frombuffer(raw, dtype="<i8", count=n, offset=ids_at)
     table = np.frombuffer(raw, dtype="<i8", count=n * width, offset=ids_at + 8 * n).reshape(n, width)
@@ -871,94 +910,36 @@ def load_index(path: str | Path) -> NeighborhoodIndex:
     if (ranked[:, 1:] == ranked[:, :-1]).any():
         raise FormatError(f"{path}: a row names an item twice")
     table[...] = positions
-    return NeighborhoodIndex(channel, k, metric, ids, table, dists)
+    index = NeighborhoodIndex(channel, k, metric, ids, table, dists)
+    if k1:
+        counts = raw[counts]
+        if _digest([k1, k2], counts) != header["counts_sha"].tobytes():
+            raise FormatError(f"{path}: the tier-3 counts do not match their digest")
+        counts = counts.view(np.min_scalar_type(min(k1, k2)).newbyteorder("<")).reshape(n, -1)
+        if counts.max(initial=0) > min(k1, k2):
+            raise FormatError(f"{path}: a count exceeds min(k1, k2) = {min(k1, k2)}")
+        counts.setflags(write=False)
+        index._tables[(k1, k2)] = counts
+    return index
 
 
-def _save_keyed(path: str | Path, magic: bytes, words: Sequence[int], key: bytes, body: bytes) -> None:
-    write_bytes(path, [magic, np.array(words, dtype="<u8").tobytes(), key, hashlib.sha256(body).digest(), body])
+def load_index_features(path: str | Path, source_digest: bytes, channel_name: str) -> FeatureMatrix | None:
+    """An index file's features, bit for bit; None without them, or if their key is not ``source_digest``.
 
-
-def _load_keyed(
-    path: str | Path, magic: bytes, what: tuple[str, str], words: list[int], key: Callable[[], bytes],
-    size: Callable[[list], int],
-) -> tuple[list[int], np.ndarray] | None:
-    """The header words and body of a keyed file; None if it is missing, or stale by its leading words or ``key()``.
-
-    A file too short for its header or without ``magic``, or a current one whose body is not
-    ``size(words)`` bytes or fails its digest, is a FormatError naming ``what``: the file's kind and its body's.
+    Another key is stale: the feature file changed and is to be parsed again. Only the header and the features
+    are read. Features that fail their digest are a FormatError, and they pass every FeatureMatrix check.
     """
-    raw = read_bytes(path, missing_ok=True)
-    if raw is None:
+    header, _, _, parsed_at, end = _index_layout(path)
+    rows, dim = int(header["rows"]), int(header["dim"])
+    if not rows or header["source_sha"].tobytes() != source_digest:
         return None
-    if len(raw) < _KEYED_HEADER_BYTES or raw[: len(magic)].tobytes() != magic:
-        raise FormatError(f"{path}: not a tierank {what[0]} file")
-    header = np.frombuffer(raw, dtype="<u8", count=3, offset=len(magic)).tolist()
-    digests = raw[_KEYED_HEADER_BYTES - 64 : _KEYED_HEADER_BYTES].tobytes()
-    if header[: len(words)] != words or digests[:32] != key():
-        return None
-    body = raw[_KEYED_HEADER_BYTES:]
-    if body.size != size(header):
-        raise FormatError(f"{path}: file size {len(raw)} does not match its header")
-    if hashlib.sha256(body).digest() != digests[32:]:
-        raise FormatError(f"{path}: the {what[1]} do not match their digest")
-    return header, body
-
-
-def save_parsed_features(features: FeatureMatrix, source_digest: bytes, path: str | Path) -> None:
-    """Write a feature file's parse, keyed by its bytes' SHA-256: ids as int64, then vectors as float64."""
-    body = features.ids.astype("<i8").tobytes() + features.vectors.astype("<f8").tobytes()
-    _save_keyed(path, _PARSED_MAGIC, [_PARSED_VERSION, features.n, features.dim], source_digest, body)
-
-
-def load_parsed_features(path: str | Path, source_digest: bytes, channel_name: str) -> FeatureMatrix | None:
-    """The features :func:`save_parsed_features` wrote, bit for bit; None if missing or stale.
-
-    Another version or ``source_digest`` is stale: the feature file changed
-    and is to be parsed again. A malformed file is a FormatError, and the
-    features pass every :class:`FeatureMatrix` check.
-    """
-    found = _load_keyed(path, _PARSED_MAGIC, ("parsed features", "features"), [_PARSED_VERSION],
-                        lambda: source_digest, lambda words: 8 * words[1] * (1 + words[2]))
-    if found is None:
-        return None
-    (_, n, dim), body = found
+    body = read_bytes(path, parsed_at, end - parsed_at)
+    if body.size != end - parsed_at:
+        raise FormatError(f"{path}: file size does not match its header")
+    if _digest([rows, dim], body) != header["parsed_sha"].tobytes():
+        raise FormatError(f"{path}: the features do not match their digest")
+    ids, vectors = body[: 8 * rows].view("<i8"), body[8 * rows :].view("<f8").reshape(rows, dim)
     try:
-        return FeatureMatrix(channel_name, body[: 8 * n].view("<i8"), body[8 * n :].view("<f8").reshape(n, dim))
+        return FeatureMatrix(channel_name, ids, vectors)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from None
-
-
-def _neighbor_digest(index: NeighborhoodIndex) -> bytes:
-    """SHA-256 of the neighbor table as little-endian int64 row positions, all a tier-3 table is counted from."""
-    return hashlib.sha256(np.ascontiguousarray(index.neighbor_table, dtype="<i8")).digest()
-
-
-def save_tier3(index: NeighborhoodIndex, k1: int, k2: int, path: str | Path) -> None:
-    """Write the index's tier-3 table at (k1, k2), counted now unless cached, for :func:`load_tier3`.
-
-    Its body is the raw counts, row-major, in the table's dtype, little-endian.
-    """
-    table = index.overlap_table(k1, k2)
-    body = table.astype(table.dtype.newbyteorder("<"), copy=False).tobytes()
-    _save_keyed(path, _TIER3_MAGIC, [_TIER3_VERSION, k1, k2], _neighbor_digest(index), body)
-
-
-def load_tier3(index: NeighborhoodIndex, k1: int, k2: int, path: str | Path) -> None:
-    """Cache the index's tier-3 table at (k1, k2) from the file :func:`save_tier3` wrote, if it is current.
-
-    A missing or stale file (another version, (k1, k2) or neighbor table) is
-    left alone: the table is then built on first use. A malformed file, or a
-    count over min(k1, k2), is a FormatError. The table read is read-only.
-    """
-    stored, width = index.neighbor_table.shape
-    shape = (stored, min(k1, width))
-    dtype = np.dtype(np.min_scalar_type(min(k1, k2))).newbyteorder("<")
-    found = _load_keyed(path, _TIER3_MAGIC, ("tier-3 table", "counts"), [_TIER3_VERSION, k1, k2],
-                        lambda: _neighbor_digest(index), lambda _: shape[0] * shape[1] * dtype.itemsize)
-    if found is None:
-        return
-    table = found[1].view(dtype).reshape(shape)
-    if table.max(initial=0) > min(k1, k2):
-        raise FormatError(f"{path}: a count exceeds min(k1, k2) = {min(k1, k2)}")
-    table.setflags(write=False)
-    index._tables.setdefault((k1, k2), table)

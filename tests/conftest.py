@@ -5,12 +5,27 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+import pytest
 
 from tierank.evaluation import GroundTruth
 from tierank.fusion import TieredPairwise, fuse_graphs
 from tierank.index import FeatureMatrix, Metric, NeighborhoodIndex, build_index, knn_candidates
 from tierank.pipeline import Channel
 from tierank.rerank import tiered_graph
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """(channel name, k1, k2) of every overlap table built while the test runs."""
+    builds = []
+    build = NeighborhoodIndex._build_overlap_table
+
+    def counting_build(self, k1, k2):
+        builds.append((self.channel_name, k1, k2))
+        return build(self, k1, k2)
+
+    monkeypatch.setattr(NeighborhoodIndex, "_build_overlap_table", counting_build)
+    return builds
 
 
 def random_features(rng, n, dim=4, channel="ch0", spread=1.0):

@@ -229,6 +229,49 @@ def test_a_stored_row_is_counted_in_one_place():
                        ("index.py", "NeighborhoodIndex._build_overlap_table"), ("pipeline.py", "_rerank")}
 
 
+def _functions_naming(source, name):
+    """The functions of ``source`` that read ``name``, as a name or an attribute, nested ones included."""
+    functions = {tree.name for tree in ast.walk(ast.parse(source))
+                 if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    return {function for function in functions if name in _names_read_in(source, function)}
+
+
+# the per-channel files and their readers and writers before one index file held them
+_RETIRED_FILE_NAMES = [
+    "save_tier3", "load_tier3", "save_parsed_features", "load_parsed_features", "_save_keyed", "_load_keyed",
+    "_neighbor_digest", "_TIER3_MAGIC", "_TIER3_VERSION", "_PARSED_MAGIC", "_PARSED_VERSION",
+    "_KEYED_HEADER_BYTES", "_tier3_path", "remove_files", "missing_ok",
+]
+
+
+def test_one_file_per_channel_leaves_no_name_of_the_older_files():
+    offenders = [
+        f"{path.name}:{lineno}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        for name in _RETIRED_FILE_NAMES if re.search(rf"\b{name}\b", line)
+    ]
+    assert offenders == []
+
+
+def test_one_function_reads_an_index_files_header():
+    # _index_layout checks the header and the file's size; the two readers take the layout from it
+    index = (SRC / "index.py").read_text(encoding="utf-8")
+    assert _functions_naming(index, "_INDEX_HEADER") == {"save_index", "_index_layout"}
+    assert _functions_naming(index, "_INDEX_MAGIC") == {"save_index", "_index_layout"}
+    assert _callers(index, "_index_layout") == {"load_index", "load_index_features"}
+
+
+def test_the_cli_saves_and_loads_indexes_by_their_module_names():
+    # a traced run wraps the save_index and load_index attributes of tierank.cli, so the CLI calls those
+    # bare names, which it looks up in its own module on every call
+    cli = (SRC / "cli.py").read_text(encoding="utf-8")
+    calls = [node.func for node in ast.walk(ast.parse(cli)) if isinstance(node, ast.Call)
+             and {getattr(node.func, "id", None), getattr(node.func, "attr", None)} & {"load_index", "save_index"}]
+    assert len(calls) == 2 and all(isinstance(func, ast.Name) for func in calls)
+    assert (_callers(cli, "save_index"), _callers(cli, "load_index")) == ({"cmd_index"}, {"_assemble_channels"})
+
+
 def test_only_the_index_build_starts_threads():
     assert _callers_in_package("ThreadPoolExecutor") == {("index.py", "build_index")}
     assert _callers_in_package("Thread") == set()

@@ -24,7 +24,9 @@ from conftest import random_features
 from tierank.cli import main
 from tierank.config import load_config
 from tierank.errors import TierankError
-from tierank.index import Metric, load_features, load_index, write_features_binary, write_features_csv
+from tierank.index import (
+    Metric, load_features, load_index, save_index, write_features_binary, write_features_csv,
+)
 from tierank.ranking import read_rankings_tsv, write_rankings_tsv
 from tierank.rerank import tiered_rerank
 
@@ -371,6 +373,8 @@ def test_unknown_config_keys_are_data_errors(outlier_dirs, capsys, section, line
     ("[channel:plane]", "[channel: ]", "empty channel name in [channel: ]"),
     ("features = plane.csv\n", "", "[channel:plane] is missing `features`"),
     ("metric = l1", "metric = l3", "[channel:plane] has unknown metric 'l3'"),
+    ("format = csv", "format = bogus", "[channel:plane] has unknown format 'bogus'"),
+    ("format = csv", "format =", "[channel:plane] has unknown format ''"),
 ])
 def test_a_malformed_channel_section_is_a_data_error(outlier_dirs, capsys, old, new, message):
     out, idx = outlier_dirs
@@ -383,6 +387,18 @@ def test_a_malformed_channel_section_is_a_data_error(outlier_dirs, capsys, old, 
         assert main([argv[0], "--config", str(cfg), *argv[1:]]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error\tFormatError\t") and message in err and len(err.splitlines()) == 1
+
+
+def test_format_is_read_case_folded(tmp_path):
+    # as metric is: `format = CSV` is a CSV channel, whose index file holds its features
+    rerank = _fused_inputs(tmp_path)
+    cfg = tmp_path / "fused.cfg"
+    _index(cfg, tmp_path / "lower")
+    cfg.write_text(cfg.read_text().replace("features = a.csv", "features = a.csv\nformat = CSV"))
+    assert load_config(cfg).channels[0].fmt == "csv"
+    _index(cfg, tmp_path / "upper")
+    assert (tmp_path / "upper" / "a.index").read_bytes() == (tmp_path / "lower" / "a.index").read_bytes()
+    assert _ranked(rerank, tmp_path / "upper") == _ranked(rerank, tmp_path / "lower")
 
 
 @pytest.mark.parametrize("scenario", ["two-manifold", "outlier"])
@@ -726,7 +742,7 @@ def test_query_vectors_of_another_length_name_their_line(tmp_path, capsys, text,
     assert not (tmp_path / "out.tsv").exists()
 
 
-# --- the tier-3 table files `tierank index` writes ------------------------------
+# --- the one file per channel `tierank index` writes -----------------------------
 
 
 def _fused_inputs(base):
@@ -753,126 +769,166 @@ def _ranked(rerank, idx):
     return code, out.getvalue(), err.getvalue()
 
 
-def test_index_writes_one_table_file_per_fused_channel_byte_identically(outlier_dirs, tmp_path):
+def _layout(path):
+    """An index file's header, and where its tier-3 counts lie (a slice), its features start and the file ends."""
+    header, _, *parts = tierank.index._index_layout(path)
+    return header, parts
+
+
+@pytest.mark.parametrize("config", ["one channel", "several channels", "a binary channel"])
+def test_index_writes_one_file_per_channel_byte_identically(tmp_path, config):
+    # the tier-3 counts on two or more channels, the features of a CSV channel
     rerank = _fused_inputs(tmp_path)
-    idx = tmp_path / "fused"
-    _index(tmp_path / "fused.cfg", idx)
-    names = ["a.9-6.tier3", "a.features", "a.index", "b.9-6.tier3", "b.features", "b.index"]
+    cfg, idx = tmp_path / "fused.cfg", tmp_path / "idx"
+    if config == "one channel":
+        cfg.write_text("[channel:a]\nfeatures = a.csv\nk1 = 9\nk2 = 6\n")
+    if config == "a binary channel":
+        write_features_binary(load_features(tmp_path / "a.csv", channel_name="a"), tmp_path / "a.bin")
+        cfg.write_text(cfg.read_text().replace("features = a.csv", "features = a.bin\nformat = binary"))
+    _index(cfg, idx)
+    names = ["a.index"] if config == "one channel" else ["a.index", "b.index"]
     assert sorted(p.name for p in idx.iterdir()) == names
     first = {name: (idx / name).read_bytes() for name in names}
-    _index(tmp_path / "fused.cfg", idx)
+    _index(cfg, idx)
     assert {name: (idx / name).read_bytes() for name in names} == first
+    for name in names:
+        header = _layout(idx / name)[0]
+        assert [int(header[f]) for f in ("k1", "k2")] == ([0, 0] if config == "one channel" else [9, 6])
+        assert int(header["rows"]) == (0 if config == "a binary channel" and name == "a.index" else 60)
     assert _ranked(rerank, idx)[0] == 0
-    # a single channel ranks by its own counts: it neither writes nor needs a table
-    assert sorted(p.name for p in outlier_dirs[1].iterdir()) == ["plane.features", "plane.index"]
 
 
-def test_rerank_output_is_the_same_with_the_table_file_present_missing_or_stale(tmp_path):
+def test_rerank_output_is_the_same_with_the_tier3_section_present_absent_or_at_another_k(tmp_path, table_builds):
     rerank = _fused_inputs(tmp_path)
-    idx = tmp_path / "idx"
+    idx, bare, wide = tmp_path / "idx", tmp_path / "bare", tmp_path / "wide"
     _index(tmp_path / "fused.cfg", idx)
-    tables = {name: (idx / f"{name}.9-6.tier3").read_bytes() for name in "ab"}
+    table_builds.clear()
     code, present, err = _ranked(rerank, idx)
-    assert code == 0 and err == "" and present
-    for name in "ab":
-        (idx / f"{name}.9-6.tier3").unlink()
-    assert _ranked(rerank, idx) == (0, present, "")
-
-    # stale: the index rebuilt at another k, its old tables left beside it
-    wide = tmp_path / "wide"
+    assert code == 0 and err == "" and present and table_builds == []
+    bare.mkdir()
+    for name in "ab":  # the same indexes with neither section
+        save_index(load_index(idx / f"{name}.index"), bare / f"{name}.index")
+    assert _ranked(rerank, bare) == (0, present, "") and table_builds == [("a", 9, 6), ("b", 9, 6)]
+    # a config whose k1 changed: the index at k1 = 12 holds the counts at (12, 6), which a rerank at k1 = 9 leaves
     (tmp_path / "wide.cfg").write_text((tmp_path / "fused.cfg").read_text().replace("k1 = 9", "k1 = 12"))
     _index(tmp_path / "wide.cfg", wide)
-    missing = _ranked(rerank, wide)
-    for name, data in tables.items():
-        (wide / f"{name}.9-6.tier3").write_bytes(data)
-    assert _ranked(rerank, wide) == missing
+    table_builds.clear()
+    assert _ranked(rerank, wide) == (0, present, "") and table_builds == [("a", 9, 6), ("b", 9, 6)]
 
-    # stale: the features edited and re-indexed at the same k, the old
-    # tables put back; their header matches in all but the index digest
-    csv = tmp_path / "a.csv"
-    rows = csv.read_text().splitlines()
-    csv.write_text("\n".join(rows[:1] + [row.split(",")[0] + ",0.0,0.0,0.0" for row in rows[1:12]] + rows[12:]))
+
+def test_index_leaves_leftover_table_and_features_files_unread(tmp_path):
+    # the files of the format before one file per channel are neither read nor removed
+    rerank = _fused_inputs(tmp_path)
+    idx, clean = tmp_path / "idx", tmp_path / "clean"
+    idx.mkdir()
+    leftovers = {"a.9-6.tier3": b"TKTIER3\x00stale", "a.features": b"TKFEAT\x00\x00stale", "b.12-6.tier3": b"junk"}
+    for name, data in leftovers.items():
+        (idx / name).write_bytes(data)
     _index(tmp_path / "fused.cfg", idx)
-    fresh = (idx / "a.9-6.tier3").read_bytes()
-    assert fresh[:32] == tables["a"][:32] and fresh[96:] != tables["a"][96:]
-    code, edited, _ = _ranked(rerank, idx)
-    assert code == 0 and edited != present
-    (idx / "a.9-6.tier3").write_bytes(tables["a"])
-    assert _ranked(rerank, idx) == (0, edited, "")
+    _index(tmp_path / "fused.cfg", clean)
+    assert sorted(p.name for p in idx.iterdir()) == sorted([*leftovers, "a.index", "b.index"])
+    assert {name: (idx / name).read_bytes() for name in leftovers} == leftovers
+    assert _ranked(rerank, idx) == _ranked(rerank, clean) and _ranked(rerank, idx)[0] == 0
 
 
-def test_index_removes_the_tables_of_another_k(tmp_path):
-    # indexing at k1 = 9 and then at k1 = 12 into one directory leaves one
-    # table per channel, the current one; a single-channel config then
-    # removes its channel's table, and no other channel's file is touched
+def test_rerank_on_a_v2_index_asks_for_a_reindex(tmp_path):
     rerank = _fused_inputs(tmp_path)
     idx = tmp_path / "idx"
     _index(tmp_path / "fused.cfg", idx)
-    (idx / "a.b.9-6.tier3").write_bytes(b"another channel's")  # channel "a.b", not "a"
-    (tmp_path / "wide.cfg").write_text((tmp_path / "fused.cfg").read_text().replace("k1 = 9", "k1 = 12"))
-    _index(tmp_path / "wide.cfg", idx)
-    assert sorted(p.name for p in idx.iterdir()) == ["a.12-6.tier3", "a.b.9-6.tier3", "a.features", "a.index",
-                                                     "b.12-6.tier3", "b.features", "b.index"]
-    code, ranked, _ = _ranked([*rerank[:2], str(tmp_path / "wide.cfg"), *rerank[3:]], idx)
-    assert code == 0 and ranked
-    (tmp_path / "single.cfg").write_text("[channel:a]\nfeatures = a.csv\nk1 = 12\nk2 = 6\n")
-    _index(tmp_path / "single.cfg", idx)
-    assert sorted(p.name for p in idx.iterdir()) == ["a.b.9-6.tier3", "a.features", "a.index", "b.12-6.tier3",
-                                                     "b.features", "b.index"]
+    raw = bytearray((idx / "b.index").read_bytes())
+    raw[8:16] = struct.pack("<Q", 2)
+    (idx / "b.index").write_bytes(bytes(raw))
+    message = "index file v2 is no longer supported; re-run `tierank index`"
+    assert _ranked(rerank, idx) == (3, "", f"error\tFormatError\t{idx / 'b.index'}: {message}\n")
 
 
-@pytest.mark.parametrize("case", ["truncated", "a flipped count", "a count above min(k1, k2)"])
-def test_rerank_on_a_malformed_table_file_exits_3(tmp_path, case):
+@pytest.mark.parametrize("case, message", [
+    ("truncated", "file size does not match its header"),
+    ("another magic", "not a tierank index file"),
+    ("a flipped count", "the tier-3 counts do not match their digest"),
+    ("a count above min(k1, k2)", "a count exceeds min(k1, k2) = 6"),
+    ("a flipped feature byte", "the features do not match their digest"),
+])
+def test_rerank_on_a_malformed_index_file_exits_3(tmp_path, case, message):
     rerank = _fused_inputs(tmp_path)
     idx = tmp_path / "idx"
     _index(tmp_path / "fused.cfg", idx)
-    path = idx / "b.9-6.tier3"
-    good = path.read_bytes()
-    body = bytearray(good[96:])
-    body[5] ^= 1
-    if case == "a count above min(k1, k2)":
-        body[5] = 7
-    path.write_bytes({
-        "truncated": good[:-3],
-        "a flipped count": good[:96] + bytes(body),
-        "a count above min(k1, k2)": good[:64] + hashlib.sha256(bytes(body)).digest() + bytes(body),
-    }[case])
-    code, out, err = _ranked(rerank, idx)
-    assert code == 3 and out == ""
-    assert err.startswith(f"error\tFormatError\t{path}: ") and len(err.splitlines()) == 1
+    path = idx / "b.index"
+    raw = bytearray(path.read_bytes())
+    counts, parsed_at, _ = _layout(path)[1]
+    if case == "truncated":  # in the features, which the vector queries read
+        del raw[-3:]
+    elif case == "another magic":
+        raw[7] = 1
+    elif case == "a flipped count":
+        raw[counts.start + 5] ^= 1
+    elif case == "a count above min(k1, k2)":
+        raw[counts.start + 5] = 7
+        raw[72:104] = hashlib.sha256(bytes(raw[56:72] + raw[counts])).digest()
+    else:
+        raw[parsed_at + 200] ^= 4
+    path.write_bytes(bytes(raw))
+    assert _ranked(rerank, idx) == (3, "", f"error\tFormatError\t{path}: {message}\n")
 
 
 @pytest.fixture(scope="module")
 def fused_dirs(tmp_path_factory):
-    base = tmp_path_factory.mktemp("tier3")
+    base = tmp_path_factory.mktemp("sections")
     rerank = _fused_inputs(base)
     _index(base / "fused.cfg", base / "idx")
-    return base / "idx", rerank, (base / "idx" / "a.9-6.tier3").read_bytes(), _ranked(rerank, base / "idx")
+    path = base / "idx" / "a.index"
+    return path, rerank, path.read_bytes(), _layout(path)[1], _ranked(rerank, base / "idx")
 
 
+@pytest.mark.parametrize("section", ["tier-3 counts", "features"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_rerank_on_a_corrupted_table_file_ranks_the_same_or_exits_3(fused_dirs, data):
-    # a flip in the header's version, k1, k2 or index digest makes the file
-    # stale; any other flip or cut is refused
-    idx, rerank, good, want = fused_dirs
+def test_rerank_on_a_corrupted_section_ranks_the_same_or_exits_3(fused_dirs, section, data):
+    # a flip in a section's header fields or bytes, or a cut in the section: a flip in the features' key makes
+    # them stale, and the CSV is parsed, and one in the counts' zero padding changes nothing; any other is refused
+    path, rerank, good, (counts, parsed_at, end), want = fused_dirs
+    fields, part = {"tier-3 counts": ((56, 104), (counts.start, parsed_at)),
+                    "features": ((104, 184), (parsed_at, end))}[section]
     raw = bytearray(good)
     if data.draw(st.booleans(), label="truncate"):
-        raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+        raw = raw[: data.draw(st.integers(part[0], part[1] - 1), label="length")]
     else:
-        raw[data.draw(st.integers(0, len(raw) - 1), label="byte")] ^= 1 << data.draw(st.integers(0, 7), label="bit")
-    (idx / "a.9-6.tier3").write_bytes(bytes(raw))
+        at = data.draw(st.integers(fields[0], fields[1] - 1) | st.integers(part[0], part[1] - 1), label="byte")
+        raw[at] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+    path.write_bytes(bytes(raw))
     try:
-        code, out, err = _ranked(rerank, idx)
+        code, out, err = _ranked(rerank, path.parent)
     finally:
-        (idx / "a.9-6.tier3").write_bytes(good)
+        path.write_bytes(good)
     if code == 0:
         assert (code, out, err) == want
     else:
         assert code == 3 and out == "" and err.startswith("error\tFormatError\t") and len(err.splitlines()) == 1
 
 
-# --- the parsed features files `tierank index` writes ----------------------------
+def test_an_id_only_rerank_reads_no_feature_bytes(tmp_path, monkeypatch):
+    rerank = _fused_inputs(tmp_path)
+    idx = tmp_path / "idx"
+    _index(tmp_path / "fused.cfg", idx)
+    extents, read = [], tierank.index.read_bytes
+
+    def spy(path, offset=0, count=-1):
+        extents.append((Path(path).name, offset, offset + count if count >= 0 else float("inf")))
+        return read(path, offset, count)
+
+    monkeypatch.setattr(tierank.index, "read_bytes", spy)
+    features = {name: _layout(idx / name)[1][1:] for name in ("a.index", "b.index")}
+    extents.clear()
+    assert _ranked(rerank[:5], idx)[0] == 0  # ids alone
+    assert {name for name, *_ in extents} == set(features)
+    assert all(stop <= features[name][0] or start >= features[name][1] for name, start, stop in extents)
+    extents.clear()
+    assert _ranked(rerank, idx)[0] == 0
+    assert all(any(start <= at and stop >= end for name, start, stop in extents if name == file)
+               for file, (at, end) in features.items())
+
+
+# --- the parsed features in the index file ----------------------------------------
 
 
 @pytest.fixture()
@@ -897,29 +953,31 @@ def test_rerank_reads_the_parsed_features_bit_for_bit(tmp_path, parses):
     _index(tmp_path / "a.cfg", tmp_path / "idx")
     assert parses == ["a.csv"]
     [channel] = tierank.cli._assemble_channels(load_config(tmp_path / "a.cfg"), tmp_path / "idx", True)
-    assert parses == ["a.csv"]  # read from a.features, not parsed again
+    assert parses == ["a.csv"]  # read from a.index, not parsed again
     parsed = load_features(tmp_path / "a.csv", channel_name="a")
     assert channel.features.ids.tobytes() == parsed.ids.tobytes()
     assert channel.features.vectors.dtype == parsed.vectors.dtype
     assert channel.features.vectors.tobytes() == parsed.vectors.tobytes()
 
 
-def test_rerank_output_is_the_same_with_the_features_file_present_missing_or_stale(tmp_path, parses):
+def test_rerank_output_is_the_same_with_the_features_section_present_absent_or_stale(tmp_path, parses):
     rerank = _fused_inputs(tmp_path)
     idx = tmp_path / "idx"
     _index(tmp_path / "fused.cfg", idx)
     parses.clear()
     code, present, err = _ranked(rerank, idx)
     assert code == 0 and err == "" and present and parses == []
-    good = (idx / "a.features").read_bytes()
-    (idx / "a.features").unlink()
+    good = (idx / "a.index").read_bytes()
+
+    def drop_features():
+        save_index(load_index(idx / "a.index"), idx / "a.index", tier3=(9, 6))
+
+    drop_features()
     assert _ranked(rerank, idx) == (0, present, "") and parses == ["a.csv"]
-    (idx / "a.features").write_bytes(good[:8] + struct.pack("<Q", 2) + good[16:])  # another version
-    assert _ranked(rerank, idx) == (0, present, "") and parses == ["a.csv"] * 2
 
     # stale: the CSV edited to the same length, ids 10 and 20 swapped, and
-    # not re-indexed; the file's features would now be wrong
-    (idx / "a.features").write_bytes(good)
+    # not re-indexed; the section's features would now be wrong
+    (idx / "a.index").write_bytes(good)
     csv = tmp_path / "a.csv"
     text = csv.read_text()
     edited = re.sub(r"^(10|20),", lambda m: {"10": "20,", "20": "10,"}[m.group(1)], text, flags=re.M)
@@ -927,29 +985,12 @@ def test_rerank_output_is_the_same_with_the_features_file_present_missing_or_sta
     csv.write_text(edited)
     parses.clear()
     stale = _ranked(rerank, idx)
-    (idx / "a.features").unlink()
+    drop_features()
     assert _ranked(rerank, idx) == stale and parses == ["a.csv"] * 2
     assert stale[0] == 0 and stale[1] != present
 
 
-@pytest.mark.parametrize("case", ["another magic", "truncated", "a flipped body byte"])
-def test_rerank_on_a_malformed_features_file_exits_3(tmp_path, case):
-    rerank = _fused_inputs(tmp_path)
-    idx = tmp_path / "idx"
-    _index(tmp_path / "fused.cfg", idx)
-    path = idx / "b.features"
-    good = path.read_bytes()
-    path.write_bytes({
-        "another magic": b"TKFEAT\x00\x01" + good[8:],
-        "truncated": good[:-3],
-        "a flipped body byte": good[:200] + bytes([good[200] ^ 4]) + good[201:],
-    }[case])
-    code, out, err = _ranked(rerank, idx)
-    assert code == 3 and out == ""
-    assert err.startswith(f"error\tFormatError\t{path}: ") and len(err.splitlines()) == 1
-
-
-def test_a_missing_or_malformed_csv_keeps_its_error_beside_its_features_file(tmp_path, capsys):
+def test_a_missing_or_malformed_csv_keeps_its_error_beside_its_features_section(tmp_path, capsys):
     rerank = _fused_inputs(tmp_path)
     idx = tmp_path / "idx"
     _index(tmp_path / "fused.cfg", idx)
@@ -963,47 +1004,3 @@ def test_a_missing_or_malformed_csv_keeps_its_error_beside_its_features_file(tmp
     with pytest.raises(OSError) as exc:
         csv.read_text()
     assert (code, err) == (3, f"error\tFileAccessError\tchannel 'a': cannot read {csv}: {exc.value}\n")
-
-
-def test_index_removes_the_features_file_of_a_binary_channel(tmp_path):
-    rerank = _fused_inputs(tmp_path)
-    idx = tmp_path / "idx"
-    _index(tmp_path / "fused.cfg", idx)
-    code, want, _ = _ranked(rerank, idx)
-    write_features_binary(load_features(tmp_path / "a.csv", channel_name="a"), tmp_path / "a.bin")
-    cfg = (tmp_path / "fused.cfg").read_text().replace("features = a.csv", "features = a.bin\nformat = binary")
-    (tmp_path / "fused.cfg").write_text(cfg)
-    _index(tmp_path / "fused.cfg", idx)
-    assert sorted(p.name for p in idx.iterdir()) == ["a.9-6.tier3", "a.index", "b.9-6.tier3", "b.features",
-                                                     "b.index"]
-    assert code == 0 and _ranked(rerank, idx)[0] == 0
-
-
-@pytest.fixture(scope="module")
-def parsed_dirs(tmp_path_factory):
-    base = tmp_path_factory.mktemp("parsed")
-    rerank = _fused_inputs(base)
-    _index(base / "fused.cfg", base / "idx")
-    return base / "idx", rerank, (base / "idx" / "a.features").read_bytes(), _ranked(rerank, base / "idx")
-
-
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_rerank_on_a_corrupted_features_file_ranks_the_same_or_exits_3(parsed_dirs, data):
-    # a flip in the header's version or CSV digest makes the file stale, and
-    # the CSV is parsed; any other flip or cut is refused
-    idx, rerank, good, want = parsed_dirs
-    raw = bytearray(good)
-    if data.draw(st.booleans(), label="truncate"):
-        raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
-    else:
-        raw[data.draw(st.integers(0, len(raw) - 1), label="byte")] ^= 1 << data.draw(st.integers(0, 7), label="bit")
-    (idx / "a.features").write_bytes(bytes(raw))
-    try:
-        code, out, err = _ranked(rerank, idx)
-    finally:
-        (idx / "a.features").write_bytes(good)
-    if code == 0:
-        assert (code, out, err) == want
-    else:
-        assert code == 3 and out == "" and err.startswith("error\tFormatError\t") and len(err.splitlines()) == 1

@@ -27,8 +27,8 @@ from tierank.errors import (
 )
 from tierank.fusion import TieredPairwise, fuse_graphs, greedy_loop, greedy_select
 from tierank.index import (
-    FeatureMatrix, Metric, NeighborhoodIndex, build_index, knn_candidates, load_index, load_tier3, save_index,
-    save_tier3, write_features_csv,
+    FeatureMatrix, Metric, NeighborhoodIndex, build_index, knn_candidates, load_index, save_index,
+    write_features_csv,
 )
 from tierank.oracles import brute_force_knn, oracle_greedy_select, oracle_pairwise, oracle_tier3
 from tierank.index import _row_positions
@@ -1129,20 +1129,6 @@ def test_every_block_leaves_its_scratch_at_no_column(monkeypatch):
 # --- overlap table ---------------------------------------------------------------
 
 
-@pytest.fixture
-def table_builds(monkeypatch):
-    """(channel name, k1, k2) of every overlap table built while the test runs."""
-    builds = []
-    build = NeighborhoodIndex._build_overlap_table
-
-    def counting_build(self, k1, k2):
-        builds.append((self.channel_name, k1, k2))
-        return build(self, k1, k2)
-
-    monkeypatch.setattr(NeighborhoodIndex, "_build_overlap_table", counting_build)
-    return builds
-
-
 def test_overlap_table_is_built_once_per_index_and_k(table_builds):
     # the first fused query, here a vector query on overlays, builds each
     # channel's table; every later query, overlay or batch reads it
@@ -1449,19 +1435,16 @@ def test_the_fused_table_fuses_the_channels_overlap_tables(case):
             assert _bits(getattr(table, name)) == _bits(getattr(stored, name))
 
 
-def test_a_tier3_file_feeds_the_fused_table_with_no_count(tmp_path, monkeypatch, table_builds):
-    # the overlap tables that load_tier3 reads are all a fused table needs:
+def test_a_tier3_section_feeds_the_fused_table_with_no_count(tmp_path, monkeypatch, table_builds):
+    # the overlap tables that load_index reads are all a fused table needs:
     # the first single query builds it off them and counts no stored row
     channels = random_channels(np.random.default_rng(37), 60, 3, 6)
     count, counted = NeighborhoodIndex.overlap_counts, []
     monkeypatch.setattr(NeighborhoodIndex, "overlap_counts", lambda *a, **kw: counted.append(1) or count(*a, **kw))
     loaded = []
     for ch in channels:
-        save_index(ch.index, tmp_path / f"{ch.name}.index")
-        save_tier3(ch.index, ch.k1, ch.k2, tmp_path / f"{ch.name}.tier3")
-        index = load_index(tmp_path / f"{ch.name}.index")
-        load_tier3(index, ch.k1, ch.k2, tmp_path / f"{ch.name}.tier3")
-        loaded.append(replace(ch, index=index))
+        save_index(ch.index, tmp_path / f"{ch.name}.index", tier3=(ch.k1, ch.k2))
+        loaded.append(replace(ch, index=load_index(tmp_path / f"{ch.name}.index")))
     want = [rerank_query(channels, q) for q in (4, 31)]
     table_builds.clear(), counted.clear()
     assert _exact([rerank_query(loaded, q) for q in (4, 31)]) == _exact(want)

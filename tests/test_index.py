@@ -35,11 +35,8 @@ from tierank.index import (
     knn_candidates,
     load_features,
     load_index,
-    load_parsed_features,
-    load_tier3,
+    load_index_features,
     save_index,
-    save_parsed_features,
-    save_tier3,
     write_features_binary,
     write_features_csv,
 )
@@ -798,13 +795,21 @@ def test_save_load_round_trip(tmp_path):
         assert back.neighbors(item) == index.neighbors(item)
 
 
-def _index_bytes(ids, rows, dists, version=2, magic=b"TKINDEX\x00", name=b"x"):
-    """An index file v2 written field by field: magic, header, padded name, arrays."""
+def _index_bytes(ids, rows, dists, version=3, magic=b"TKINDEX\x00", name=b"x", tier3=(0, 0, b""),
+                 parsed=(0, 0, bytes(32), b"")):
+    """An index file v3 written field by field: magic, header, padded name, arrays, the two sections.
+
+    ``tier3`` is (k1, k2, the counts' bytes) and ``parsed`` (rows, dim, key,
+    the features' bytes); each section's digest covers its two header words.
+    """
     rows = np.asarray(rows, dtype="<i8")
     n, width = rows.shape
-    header = struct.pack("<Q8sQQQQ", version, b"l1", width, n, width, len(name))
-    arrays = np.asarray(ids, dtype="<i8").tobytes() + rows.tobytes()
-    return magic + header + name + bytes(-len(name) % 8) + arrays + np.asarray(dists, dtype="<f8").tobytes()
+    (k1, k2, counts), (count, dim, key, body) = tier3, parsed
+    header = struct.pack("<Q8sQQQQQQ", version, b"l1", width, n, width, len(name), k1, k2)
+    header += hashlib.sha256(struct.pack("<QQ", k1, k2) + counts).digest() + struct.pack("<QQ", count, dim)
+    header += key + hashlib.sha256(struct.pack("<QQ", count, dim) + body).digest()
+    arrays = np.asarray(ids, dtype="<i8").tobytes() + rows.tobytes() + np.asarray(dists, dtype="<f8").tobytes()
+    return magic + header + name + bytes(-len(name) % 8) + arrays + counts + bytes(-len(counts) % 8) + body
 
 
 # item 0 at 0.0, item 1 at 1.0 and item 2 at 3.0 on a line, k = 2
@@ -845,6 +850,15 @@ def test_load_index_wrong_version(tmp_path):
     data = _index_bytes(_LINE_IDS, _LINE_ROWS, _LINE_DISTS, version=99)
     with pytest.raises(FormatError, match="version"):
         load_index(_write_index(tmp_path, data))
+
+
+def test_load_index_v2_asks_for_reindex(tmp_path):
+    # index file v2, the format before the sections: a 48-byte header, then the name and the arrays
+    v2 = b"TKINDEX\x00" + struct.pack("<Q8sQQQQ", 2, b"l1", 2, 3, 2, 1) + b"x" + bytes(7)
+    v2 += b"".join(np.asarray(a, dtype=t).tobytes() for a, t in ((_LINE_IDS, "<i8"), (_LINE_ROWS, "<i8"),
+                                                                 (_LINE_DISTS, "<f8")))
+    with pytest.raises(FormatError, match="index file v2 is no longer supported; re-run `tierank index`"):
+        load_index(_write_index(tmp_path, v2))
 
 
 def test_load_index_v1_json_asks_for_reindex(tmp_path):
@@ -1131,104 +1145,114 @@ def test_parse_number_reads_what_the_one_pass_parse_reads(text):
             assert type(got) is kind and np.array_equal(np.float64(got), np.float64(want), equal_nan=True)
 
 
-# --- the tier-3 table file ------------------------------------------------------
+# --- the index file's sections -------------------------------------------------
 
 
-def _tier3_bytes(index, k1, k2, body, version=1):
-    """A tier-3 table file written field by field: magic, version, k1, k2, the two digests, the counts."""
-    positions = hashlib.sha256(np.ascontiguousarray(index.neighbor_table, dtype="<i8")).digest()
-    header = struct.pack("<QQQ", version, k1, k2) + positions + hashlib.sha256(body).digest()
-    return b"TKTIER3\x00" + header + body
+def _no_build(*args):
+    raise AssertionError("the table was built, not read")
+
+
+@pytest.mark.parametrize("sections", ["none", "tier-3 counts", "features", "both"])
+def test_each_combination_of_sections_round_trips_byte_for_byte(tmp_path, monkeypatch, sections):
+    fm = _line_features([0.0, 1.0, 3.0])
+    index, key = build_index(fm, k=2), hashlib.sha256(b"line.csv").digest()
+    tier3 = (2, 1) if sections in ("tier-3 counts", "both") else None
+    parsed = (fm, key) if sections in ("features", "both") else None
+    path = tmp_path / "line.index"
+    save_index(index, path, tier3=tier3, parsed=parsed)
+    counts = index._build_overlap_table(2, 1) if tier3 else None
+    body = fm.ids.astype("<i8").tobytes() + fm.vectors.astype("<f8").tobytes()
+    assert path.read_bytes() == _index_bytes(
+        _LINE_IDS, _LINE_ROWS, _LINE_DISTS, name=b"line", tier3=(2, 1, counts.tobytes()) if tier3 else (0, 0, b""),
+        parsed=(3, 1, key, body) if parsed else (0, 0, bytes(32), b""))
+    monkeypatch.setattr(NeighborhoodIndex, "_build_overlap_table", _no_build)
+    back = load_index(path)
+    assert [back.neighbors(i) for i in _LINE_IDS] == [index.neighbors(i) for i in _LINE_IDS]
+    assert list(back._tables) == ([tier3] if tier3 else [])
+    if tier3:
+        assert np.array_equal(back.overlap_table(*tier3), counts)
+    features = load_index_features(path, key, "line")
+    if parsed:
+        assert features.ids.tobytes() == fm.ids.tobytes() and features.vectors.tobytes() == fm.vectors.tobytes()
+    else:
+        assert features is None
 
 
 @pytest.mark.parametrize("n, k, k1, k2", [
     (60, 9, 9, 6), (60, 9, 6, 9), (60, 9, 3, 3), (5, 9, 9, 6), (300, 260, 260, 257),
 ])
-def test_a_table_read_from_its_file_equals_the_built_one(tmp_path, monkeypatch, n, k, k1, k2):
+def test_a_table_read_from_its_section_equals_the_built_one(tmp_path, monkeypatch, n, k, k1, k2):
     # a count above 255 takes two bytes, little-endian on disk
     index = build_index(random_features(np.random.default_rng(n), n, dim=3), k=k)
-    save_index(index, tmp_path / "ch.index")
-    save_tier3(index, k1, k2, tmp_path / "ch.tier3")
+    save_index(index, tmp_path / "ch.index", tier3=(k1, k2))
     built = index._build_overlap_table(k1, k2)
     body = built.astype(built.dtype.newbyteorder("<")).tobytes()
-    assert (tmp_path / "ch.tier3").read_bytes() == _tier3_bytes(index, k1, k2, body)
-    back = load_index(tmp_path / "ch.index")
-    load_tier3(back, k1, k2, tmp_path / "ch.tier3")
-
-    def no_build(*args):
-        raise AssertionError("the table was built, not read")
-
-    monkeypatch.setattr(NeighborhoodIndex, "_build_overlap_table", no_build)
-    table = back.overlap_table(k1, k2)
+    _, _, counts, parsed_at, _ = index_module._index_layout(tmp_path / "ch.index")
+    assert (tmp_path / "ch.index").read_bytes()[counts.start : parsed_at] == body + bytes(-len(body) % 8)
+    monkeypatch.setattr(NeighborhoodIndex, "_build_overlap_table", _no_build)
+    table = load_index(tmp_path / "ch.index").overlap_table(k1, k2)
     assert not table.flags.writeable
     assert table.dtype == built.dtype and table.shape == built.shape and np.array_equal(table, built)
 
 
-def test_a_missing_or_stale_table_file_is_left_alone(tmp_path):
-    rng = np.random.default_rng(5)
-    index = build_index(random_features(rng, 40, dim=3), k=8)
-    other = build_index(random_features(rng, 40, dim=3), k=8)
-    save_index(index, tmp_path / "ch.index")
-    save_tier3(index, 8, 5, tmp_path / "ch.tier3")
-    good = (tmp_path / "ch.tier3").read_bytes()
-    stale = {
-        "another index": _tier3_bytes(other, 8, 5, good[96:]),
-        "another version": _tier3_bytes(index, 8, 5, good[96:], version=2),
-    }
-    cases = [("missing", 8, 5, None), ("another k1", 7, 5, good), ("another k2", 8, 4, good)]
-    cases += [(name, 8, 5, data) for name, data in stale.items()]
-    for name, k1, k2, data in cases:
-        path = tmp_path / f"{name}.tier3"
-        if data is not None:
-            path.write_bytes(data)
-        back = load_index(tmp_path / "ch.index")
-        load_tier3(back, k1, k2, path)
-        assert back._tables == {}, name
+def test_a_section_at_another_k_is_left_unused_and_the_table_built_on_first_use(tmp_path, table_builds):
+    index = build_index(random_features(np.random.default_rng(5), 40, dim=3), k=8)
+    save_index(index, tmp_path / "ch.index", tier3=(8, 5))
+    table_builds.clear()
     back = load_index(tmp_path / "ch.index")
-    load_tier3(back, 8, 5, tmp_path / "ch.tier3")
-    assert list(back._tables) == [(8, 5)]
+    assert list(back._tables) == [(8, 5)] and table_builds == []
+    for k1, k2 in [(7, 5), (8, 4)]:
+        assert np.array_equal(back.overlap_table(k1, k2), index.overlap_table(k1, k2))
+    # the loaded index's table, then the built one's
+    assert table_builds == [("ch0", 7, 5), ("ch0", 7, 5), ("ch0", 8, 4), ("ch0", 8, 4)]
 
 
-def _recount(data, body):
-    """``data`` with its counts replaced by ``body`` and their digest made to match."""
-    return data[:64] + hashlib.sha256(body).digest() + body
+def _section_bytes(path):
+    """The file's bytes, and where its tier-3 counts lie (a slice), its features start and the file ends."""
+    return bytearray(path.read_bytes()), index_module._index_layout(path)[2:]
+
+
+def _with_digest(raw, at, words, part):
+    """``raw`` with the section digest at ``at`` made to match ``words`` and ``part``."""
+    raw[at : at + 32] = hashlib.sha256(words + bytes(part)).digest()
+    return raw
 
 
 @pytest.mark.parametrize("case, message", [
-    ("empty", "not a tierank tier-3 table file"),
-    ("cut in the header", "not a tierank tier-3 table file"),
-    ("another magic", "not a tierank tier-3 table file"),
     ("cut in the counts", "does not match its header"),
     ("one byte more", "does not match its header"),
-    ("a flipped count", "the counts do not match their digest"),
-    ("a flipped count digest", "the counts do not match their digest"),
+    ("k1 without k2", "malformed index header"),
+    ("a flipped count", "the tier-3 counts do not match their digest"),
+    ("a flipped count digest", "the tier-3 counts do not match their digest"),
+    ("k1 of the same size", "the tier-3 counts do not match their digest"),
     ("a count above min(k1, k2)", "a count exceeds min(k1, k2) = 5"),
 ])
-def test_a_malformed_table_file_is_a_format_error(tmp_path, case, message):
+def test_a_malformed_tier3_section_is_a_format_error(tmp_path, case, message):
+    # k1 of the same size: 8 -> 9 at width 8 reads as many counts, of another (k1, k2)
     index = build_index(random_features(np.random.default_rng(3), 40, dim=3), k=8)
-    path = tmp_path / "ch.tier3"
-    save_tier3(index, 8, 5, path)
-    good = path.read_bytes()
-    above = bytearray(good[96:])
-    above[17] = 6
-    path.write_bytes({
-        "empty": b"",
-        "cut in the header": good[:95],
-        "another magic": b"TKTIER4\x00" + good[8:],
-        "cut in the counts": good[:-1],
-        "one byte more": good + b"\x00",
-        "a flipped count": good[:-7] + bytes([good[-7] ^ 1]) + good[-6:],
-        "a flipped count digest": good[:70] + bytes([good[70] ^ 0x80]) + good[71:],
-        "a count above min(k1, k2)": _recount(good, bytes(above)),
-    }[case])
-    back = build_index(random_features(np.random.default_rng(3), 40, dim=3), k=8)
+    path = tmp_path / "ch.index"
+    save_index(index, path, tier3=(8, 5))
+    raw, (counts, parsed_at, end) = _section_bytes(path)
+    assert parsed_at == end  # the counts are the last section
+    if case == "cut in the counts":
+        del raw[-1]
+    elif case == "one byte more":
+        raw.append(0)
+    elif case == "k1 without k2":
+        raw[64:72] = bytes(8)
+    elif case == "a flipped count":
+        raw[counts.start + 17] ^= 1
+    elif case == "a flipped count digest":
+        raw[72] ^= 0x80
+    elif case == "k1 of the same size":
+        raw[56] = 9
+    else:
+        raw[counts.start + 17] = 6
+        _with_digest(raw, 72, raw[56:72], raw[counts])
+    path.write_bytes(bytes(raw))
     with pytest.raises(FormatError) as exc:
-        load_tier3(back, 8, 5, path)
+        load_index(path)
     assert str(exc.value).startswith(f"{path}: ") and message in str(exc.value)
-    assert back._tables == {}
-
-
-# --- the parsed features file ---------------------------------------------------
 
 
 def _exotic_csv(path):
@@ -1240,14 +1264,21 @@ def _exotic_csv(path):
     return hashlib.sha256(path.read_bytes()).digest()
 
 
-def test_parsed_features_read_back_bit_for_bit(tmp_path):
-    digest = _exotic_csv(tmp_path / "ch.csv")
+def _featured_index(tmp_path, tier3=None):
+    """An index file of the exotic CSV's channel with its features section: its path, the key and the features."""
+    key = _exotic_csv(tmp_path / "ch.csv")
     parsed = load_features(tmp_path / "ch.csv", channel_name="ch")
-    save_parsed_features(parsed, digest, tmp_path / "ch.features")
+    save_index(build_index(parsed, k=2), tmp_path / "ch.index", tier3=tier3, parsed=(parsed, key))
+    return tmp_path / "ch.index", key, parsed
+
+
+@pytest.mark.parametrize("tier3", [None, (2, 2)])
+def test_the_features_section_reads_back_bit_for_bit(tmp_path, tier3):
+    path, key, parsed = _featured_index(tmp_path, tier3)
+    raw, (_, parsed_at, end) = _section_bytes(path)
     body = parsed.ids.astype("<i8").tobytes() + parsed.vectors.astype("<f8").tobytes()
-    header = struct.pack("<QQQ", 1, 41, 3) + digest + hashlib.sha256(body).digest()
-    assert (tmp_path / "ch.features").read_bytes() == b"TKFEAT\x00\x00" + header + body
-    back = load_parsed_features(tmp_path / "ch.features", digest, "ch")
+    assert raw[104:120] == struct.pack("<QQ", 41, 3) and raw[120:152] == key and raw[parsed_at:end] == body
+    back = load_index_features(path, key, "ch")
     assert back.channel_name == "ch" and back.ids.dtype == parsed.ids.dtype == np.int64
     assert back.vectors.dtype == parsed.vectors.dtype and back.vectors.shape == (41, 3)
     assert back.ids.tobytes() == parsed.ids.tobytes() and back.vectors.tobytes() == parsed.vectors.tobytes()
@@ -1255,50 +1286,51 @@ def test_parsed_features_read_back_bit_for_bit(tmp_path):
     assert not back.ids.flags.writeable and not back.vectors.flags.writeable
 
 
-def test_a_missing_or_stale_parsed_features_file_is_none(tmp_path):
-    digest = _exotic_csv(tmp_path / "ch.csv")
-    save_parsed_features(load_features(tmp_path / "ch.csv"), digest, tmp_path / "ch.features")
-    good = (tmp_path / "ch.features").read_bytes()
-    (tmp_path / "v2.features").write_bytes(good[:8] + struct.pack("<Q", 2) + good[16:])
-    assert load_parsed_features(tmp_path / "ch.features", digest, "ch") is not None
-    assert load_parsed_features(tmp_path / "missing.features", digest, "ch") is None
-    assert load_parsed_features(tmp_path / "ch.features", hashlib.sha256(b"edited").digest(), "ch") is None
-    assert load_parsed_features(tmp_path / "v2.features", digest, "ch") is None
+def test_a_stale_or_absent_features_section_is_none(tmp_path):
+    path, key, parsed = _featured_index(tmp_path)
+    assert load_index_features(path, key, "ch") is not None
+    assert load_index_features(path, hashlib.sha256(b"edited").digest(), "ch") is None
+    save_index(load_index(path), tmp_path / "bare.index")
+    assert load_index_features(tmp_path / "bare.index", key, "ch") is None
 
 
 @pytest.mark.parametrize("case, message", [
-    ("empty", "not a tierank parsed features file"),
-    ("cut in the header", "not a tierank parsed features file"),
-    ("another magic", "not a tierank parsed features file"),
-    ("cut in the body", "does not match its header"),
+    ("cut in the features", "does not match its header"),
     ("one byte more", "does not match its header"),
-    ("another n", "does not match its header"),
-    ("a flipped body byte", "the features do not match their digest"),
-    ("a flipped body digest", "the features do not match their digest"),
+    ("another row count", "does not match its header"),
+    ("rows without dim", "malformed index header"),
+    ("a flipped feature byte", "the features do not match their digest"),
+    ("a flipped features digest", "the features do not match their digest"),
     ("a duplicate id", "duplicate item ids in feature matrix"),
     ("a NaN", "feature matrix contains NaN or Inf"),
 ])
-def test_a_malformed_parsed_features_file_is_a_format_error(tmp_path, case, message):
-    # the last two pass the file's own checks and fail FeatureMatrix's
-    digest = _exotic_csv(tmp_path / "ch.csv")
-    path = tmp_path / "ch.features"
-    save_parsed_features(load_features(tmp_path / "ch.csv"), digest, path)
-    good = path.read_bytes()
-    dup, nan = bytearray(good[96:]), bytearray(good[96:])
-    dup[8:16] = dup[16:24]
-    nan[-8:] = struct.pack("<d", float("nan"))
-    path.write_bytes({
-        "empty": b"",
-        "cut in the header": good[:95],
-        "another magic": b"TKFEAT\x00\x01" + good[8:],
-        "cut in the body": good[:-1],
-        "one byte more": good + b"\x00",
-        "another n": good[:16] + struct.pack("<Q", 40) + good[24:],
-        "a flipped body byte": good[:-9] + bytes([good[-9] ^ 1]) + good[-8:],
-        "a flipped body digest": good[:70] + bytes([good[70] ^ 0x80]) + good[71:],
-        "a duplicate id": good[:64] + hashlib.sha256(bytes(dup)).digest() + bytes(dup),
-        "a NaN": good[:64] + hashlib.sha256(bytes(nan)).digest() + bytes(nan),
-    }[case])
+def test_a_malformed_features_section_is_a_format_error(tmp_path, case, message):
+    # a cut in the features leaves the index readable, which reads none of them; the last two pass the
+    # section's digest and fail FeatureMatrix's checks
+    path, key, _ = _featured_index(tmp_path)
+    raw, (_, parsed_at, end) = _section_bytes(path)
+    if case == "cut in the features":
+        del raw[-1]
+    elif case == "one byte more":
+        raw.append(0)
+    elif case == "another row count":
+        raw[104] = 40
+    elif case == "rows without dim":
+        raw[112:120] = bytes(8)
+    elif case == "a flipped feature byte":
+        raw[-9] ^= 1
+    elif case == "a flipped features digest":
+        raw[152] ^= 0x80
+    else:
+        if case == "a duplicate id":
+            raw[parsed_at + 8 : parsed_at + 16] = raw[parsed_at + 16 : parsed_at + 24]
+        else:
+            raw[-8:] = struct.pack("<d", float("nan"))
+        _with_digest(raw, 152, raw[104:120], raw[parsed_at:end])
+    path.write_bytes(bytes(raw))
+    if case in ("cut in the features", "a flipped feature byte", "a flipped features digest", "a duplicate id",
+                "a NaN"):
+        load_index(path)
     with pytest.raises(FormatError) as exc:
-        load_parsed_features(path, digest, "ch")
+        load_index_features(path, key, "ch")
     assert str(exc.value).startswith(f"{path}: ") and message in str(exc.value)
