@@ -7,7 +7,6 @@ print one machine-parsable line to stderr: ``error\t<Class>\t<message>``.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import platform
 import sys
@@ -19,13 +18,12 @@ import scipy
 from . import bench as bench_mod
 from .config import ChannelConfig, PipelineConfig, load_config, write_config
 from .errors import (
-    DimensionError, FileAccessError, FormatError, TierankError, make_dir, parse_number, read_bytes, read_table,
-    write_text,
+    DimensionError, FileAccessError, FormatError, TierankError, make_dir, parse_number, read_table, write_text,
 )
 from .evaluation import load_ground_truth, ns_score, precision_at, recall_at, write_ground_truth
 from .index import (
-    FeatureMatrix, Metric, build_index, load_features, load_index, load_index_features, save_index, _usable_cores,
-    write_features_csv,
+    FeatureMatrix, Metric, build_index, load_features, load_index, load_index_features, save_index, source_key,
+    _usable_cores, write_features_csv,
 )
 from .pipeline import Channel, batch_rerank, batch_rerank_vectors
 from .ranking import RankedList, read_rankings_tsv, write_rankings_tsv
@@ -33,11 +31,12 @@ from .scenarios import gen_outlier_scenario, gen_two_manifold_scenario
 
 
 def _load_channel_features(cfg: ChannelConfig, index_file: Path | None = None) -> tuple[FeatureMatrix, bytes | None]:
-    """A channel's features and, for a CSV, its bytes' SHA-256, taken before the parse that ``index_file`` may spare."""
+    """A channel's features, fresh from ``index_file`` or parsed; with none, a CSV's key too, taken before the parse."""
+    csv = cfg.fmt == "csv"
     try:
-        digest = hashlib.sha256(read_bytes(cfg.feature_path)).digest() if cfg.fmt == "csv" else None
-        features = load_index_features(index_file, digest, cfg.name) if index_file and digest else None
-        return features or load_features(cfg.feature_path, fmt=cfg.fmt, channel_name=cfg.name), digest
+        key = source_key(cfg.feature_path) if csv and index_file is None else None
+        features = load_index_features(index_file, cfg.feature_path, cfg.name) if csv and index_file else None
+        return features or load_features(cfg.feature_path, fmt=cfg.fmt, channel_name=cfg.name), key
     except FileAccessError as exc:
         raise FileAccessError(f"channel {cfg.name!r}: {exc}") from exc
 
@@ -47,11 +46,11 @@ def cmd_index(args: argparse.Namespace) -> int:
     out_dir = make_dir(args.out_dir)
     fused = len(config.channels) > 1  # one channel ranks by its own counts and reads no table
     for cfg in config.channels:
-        features, digest = _load_channel_features(cfg)
+        features, key = _load_channel_features(cfg)
         k1, k2 = cfg.ks(features.n)
         index = build_index(features, k=max(k1, k2), metric=cfg.metric)
         save_index(index, out_dir / f"{cfg.name}.index", tier3=(k1, k2) if fused else None,
-                   parsed=(features, digest) if digest else None)
+                   parsed=(features, key) if key else None)
         print(f"indexed channel {cfg.name}: n={index.n} k={index.k} metric={cfg.metric.value}")
     return 0
 

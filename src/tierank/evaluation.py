@@ -20,17 +20,13 @@ class GroundTruth:
     """Item-to-class labels plus derived class sizes."""
 
     labels: dict[int, int]
-    class_sizes: dict[int, int] = field(default_factory=dict)
+    class_sizes: dict[int, int] = field(init=False)
 
     def __post_init__(self) -> None:
         sizes: dict[int, int] = {}
         for cls in self.labels.values():
             sizes[cls] = sizes.get(cls, 0) + 1
-        if self.class_sizes:
-            if self.class_sizes != sizes:
-                raise FormatError("class_sizes inconsistent with labels")
-        else:
-            object.__setattr__(self, "class_sizes", sizes)
+        object.__setattr__(self, "class_sizes", sizes)
 
     def label_of(self, item: int) -> int:
         try:

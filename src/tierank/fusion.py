@@ -20,7 +20,6 @@ which only the tests and the benchmark harness use.
 from __future__ import annotations
 
 import functools
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -158,9 +157,8 @@ class FusedTable:
     (:meth:`NeighborhoodIndex.stored_counts`, 0 for an item it does not
     store), so no stored row is counted here; ``maps[c]`` takes channel c's
     positions, slot n included, to common ones. Positions are the smallest unsigned dtype that
-    holds N + 1. It is built in the calling thread, a block of rows at a time.
-    :func:`table_matrix` writes a query's columns into ``scratch``, a slot a
-    position, under ``lock``, and resets them to 0.
+    holds N + 1. It is built in the calling thread, a block of rows at a time,
+    and is read-only after, so queries read it concurrently with no lock.
     """
 
     def __init__(self, parts: Sequence[tuple[NeighborhoodIndex, int, int]]) -> None:
@@ -183,7 +181,8 @@ class FusedTable:
                 rows.append(np.where(at[block, None] < 0, self.pad, to.take(near)))
                 counts.append(index.stored_counts(at[block], k1, k2))
             self.positions[block], self.planes[:, block] = fuse_rows(rows, counts, self.pad)
-        self.scratch, self.lock = np.zeros(n + 2, dtype=np.min_scalar_type(width + len(parts) + 1)), threading.Lock()
+        self.positions.setflags(write=False)
+        self.planes.setflags(write=False)
 
 
 def fused_table(parts: Sequence[tuple[NeighborhoodIndex, int, int]], build: bool = True) -> FusedTable | None:
@@ -213,18 +212,16 @@ def table_matrix(table: FusedTable, cand: np.ndarray, col: np.ndarray, scales: S
                  query_row: np.ndarray | None = None) -> np.ndarray:
     """One query's W off ``table``: candidate j, common position ``cand[j]`` (ascending), is row and column ``col[j]``.
 
-    One gather of the stored candidates' rows through the scratch (each
-    candidate's column + 1, else 0) finds the hits, and one write puts
-    their summed counts; a row names each position once. A query at slot
-    N, last, has its weights ``query_row`` as its row.
+    One gather of the stored candidates' rows through a scratch of the call's own, a slot a common position
+    (each candidate's column + 1, else 0), finds the hits, and one write puts their summed counts; a row
+    names each position once. A query at slot N, last, has its weights ``query_row`` as its row.
     """
     c = cand.shape[0]
     held = cand[: c - (query_row is not None)]
     rows = table.positions.take(held, axis=0)
-    with table.lock:
-        table.scratch[cand] = col + 1
-        cells = table.scratch.take(rows)
-        table.scratch[cand] = 0
+    scratch = np.zeros(table.pad + 1, dtype=np.min_scalar_type(c))
+    scratch[cand] = col + 1
+    cells = scratch.take(rows)
     hits = (cells != 0).ravel().nonzero()[0]
     planes = table.planes.take(held, axis=1).reshape(len(scales), -1).take(hits, axis=1)
     matrix = np.zeros((c, c))

@@ -6,18 +6,18 @@ k-1 nearest others". Ordering is by (distance, id) with the owner promoted
 to the front, which makes index construction fully deterministic.
 
 An index is three dense arrays: the sorted item ids, an (n, min(k, n))
-neighbor table and the matching distance table, one row per item. In
-memory the neighbor table holds row positions into the sorted ids, so the
-query kernels count neighborhood overlaps as marks over positions instead
-of set operations on ids; on disk it holds ids. An index is built a block
+neighbor table and the matching distance table, one row per item. The
+neighbor table holds row positions into the sorted ids, in memory and on
+disk, so the query kernels count neighborhood overlaps as marks over
+positions instead of set operations on ids. An index is built a block
 of rows at a time, the blocks spread over one worker thread per usable core
 (there is no option for it, and the result does not depend on it). Each
 block's k nearest per row come from one selection kernel, which bounds the
 k-th distance by chunk minima and sorts only the entries under the bound;
 out-of-sample queries use the same kernel. An index is saved as a fixed
-header followed by the raw little-endian arrays (index file v3), which load
-back without parsing, are validated as a whole, and have their ids turned
-into positions in place. The file holds two optional sections after them,
+header followed by the raw little-endian arrays (index file v4), which load
+back as they are, with no parse and no conversion, and are validated as a
+whole. The file holds two optional sections after them,
 each with its own digest: the tier-3 overlap table at the channel's
 (k1, k2), the one count of the stored rows, built in the calling thread,
 which loads into the index's cache in place of a build; and what a feature
@@ -55,13 +55,13 @@ from .errors import (
 )
 
 _INDEX_MAGIC = b"TKINDEX\x00"
-_INDEX_VERSION = 3
+_INDEX_VERSION = 4
 # follows the magic; the channel name comes next, zero-padded so that the item ids, the neighbor table, the
 # distance table and the two optional sections all start on 8-byte boundaries. The tier-3 section holds the
 # counts at (k1, k2), both 0 without it; the features section `rows` ids and vectors of `dim` values, both 0
 # without it, keyed by `source_sha`. Each section's digest covers its two header words and its bytes
 _INDEX_HEADER = np.dtype([
-    ("version", "<u8"), ("metric", "S8"), ("k", "<u8"), ("n", "<u8"), ("width", "<u8"), ("name_bytes", "<u8"),
+    ("version", "<u8"), ("metric", "S8"), ("k", "<u8"), ("n", "<u8"), ("name_bytes", "<u8"),
     ("k1", "<u8"), ("k2", "<u8"), ("counts_sha", "V32"),
     ("rows", "<u8"), ("dim", "<u8"), ("source_sha", "V32"), ("parsed_sha", "V32"),
 ])
@@ -368,9 +368,9 @@ def _row_positions(item_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """The row of every id in the sorted ``item_ids``, or -1 for an id with no row.
 
     When the stored ids span fewer values than there are lookups, one
-    lookup table over the span answers them all (as when a whole neighbor
-    table is loaded); otherwise each id takes a binary search, so that a
-    handful of lookups never pays for a table of size n.
+    lookup table over the span answers them all (as when the fused table
+    maps a channel's ids); otherwise each id takes a binary search, so that
+    a handful of lookups never pays for a table of size n.
     """
     lo, hi = int(item_ids[0]), int(item_ids[-1])
     if hi - lo < ids.size:
@@ -392,8 +392,8 @@ class NeighborhoodIndex:
     Row r of ``neighbor_table`` lists item ``item_ids[r]`` and its nearest
     items, min(k, n) in all, sorted by (distance, id) with the item itself
     first, each given by its row position; ``distance_table`` holds the
-    matching distances. An entry that is no row position (an id with no row
-    of its own, when the tables are built by hand) is a FormatError.
+    matching distances. An entry that is no row position (below 0, or n or
+    more), in tables built by hand or read from a file, is a FormatError.
     Position n, one past the stored rows, is an out-of-sample query's slot.
     The ranking kernels (:meth:`position_rows`, :meth:`overlap_counts`,
     :meth:`center_counts`) read its row from their ``query_row`` argument,
@@ -404,7 +404,7 @@ class NeighborhoodIndex:
     The kernels read positions (:meth:`positions`,
     :meth:`neighbor_positions`, :meth:`position_rows`); every other accessor
     takes and returns ids. Every row must be led by its owner; one that is
-    not is a FormatError.
+    not is a FormatError (:func:`load_index` leaves both checks to this).
 
     The index is immutable after construction; all read accessors are safe
     to call concurrently. The derived state is two caches that every
@@ -803,7 +803,7 @@ def save_index(
     index: NeighborhoodIndex, path: str | Path, tier3: tuple[int, int] | None = None,
     parsed: tuple[FeatureMatrix, bytes] | None = None,
 ) -> None:
-    """Persist an index as index file v3: a fixed header, the raw tables (neighbors as ids), two optional sections.
+    """Persist an index as index file v4: a fixed header, the raw tables as the index holds them, two sections.
 
     ``tier3`` (k1, k2) adds the tier-3 counts, counted now unless cached; ``parsed`` (features, key) adds
     features as a file parsed to, ids and then vectors, keyed by ``key``, the SHA-256 of the file's bytes.
@@ -818,14 +818,13 @@ def save_index(
     ids = np.ascontiguousarray(features.ids if features else [], dtype="<i8")
     vectors = np.ascontiguousarray(features.vectors if features else np.empty((0, 0)), dtype="<f8")
     header = np.array([(
-        _INDEX_VERSION, index.metric.value, index.k, index.n, index.neighbor_table.shape[1], len(name),
+        _INDEX_VERSION, index.metric.value, index.k, index.n, len(name),
         k1, k2, _digest([k1, k2], counts), *vectors.shape, key, _digest(vectors.shape, ids, vectors),
     )], dtype=_INDEX_HEADER)
-    parts = [_INDEX_MAGIC, header.tobytes(), name, bytes(-len(name) % 8)]
-    neighbor_ids = index.item_ids.take(index.neighbor_table)
-    parts += [index.item_ids.astype("<i8").tobytes(), neighbor_ids.astype("<i8", copy=False).tobytes()]
-    parts.append(index.distance_table.astype("<f8").tobytes())
-    write_bytes(path, parts + [counts, bytes(-counts.nbytes % 8), ids, vectors])
+    tables = [np.ascontiguousarray(a, dtype=t) for a, t in ((index.item_ids, "<i8"), (index.neighbor_table, "<i8"),
+                                                            (index.distance_table, "<f8"))]
+    write_bytes(path, [_INDEX_MAGIC, header.tobytes(), name, bytes(-len(name) % 8), *tables, counts,
+                       bytes(-counts.nbytes % 8), ids, vectors])
 
 
 def _digest(words: Sequence[int], *parts: np.ndarray) -> bytes:
@@ -839,9 +838,8 @@ def _digest(words: Sequence[int], *parts: np.ndarray) -> bytes:
 def _index_layout(path: str | Path) -> tuple[np.void, int, slice, int, int]:
     """An index file's header, and where its item ids start, its tier-3 counts lie, its features start and it ends.
 
-    The one reader of the header: its magic, version and fields are checked,
-    and that no byte follows the end they give, before any part is read.
-    Each reader checks that its part is there in full.
+    The one reader of the header: its magic, version and fields are checked, and that no byte follows the
+    end they give, before any part is read. The tables are min(k, n) wide. Each reader checks its part is whole.
     """
     head = read_bytes(path, count=_INDEX_HEAD)
     if head[:1].tobytes() == b"{":
@@ -849,17 +847,18 @@ def _index_layout(path: str | Path) -> tuple[np.void, int, slice, int, int]:
     if len(head) < 16 or head[:8].tobytes() != _INDEX_MAGIC:
         raise FormatError(f"{path}: not a tierank index file")
     version = int(np.frombuffer(head, dtype="<u8", count=1, offset=8)[0])
-    if version == 2:
-        raise FormatError(f"{path}: index file v2 is no longer supported; re-run `tierank index`")
+    if version in (2, 3):
+        raise FormatError(f"{path}: index file v{version} is no longer supported; re-run `tierank index`")
     if version != _INDEX_VERSION:
         raise FormatError(f"{path}: unsupported index version {version}")
     if len(head) < _INDEX_HEAD:
         raise FormatError(f"{path}: file size does not match its header")
     header = np.frombuffer(head, dtype=_INDEX_HEADER, count=1, offset=len(_INDEX_MAGIC))[0]
-    k, n, width, name_bytes, k1, k2, rows, dim = (
-        int(header[f]) for f in ("k", "n", "width", "name_bytes", "k1", "k2", "rows", "dim"))
-    if n < 1 or k < 1 or width != min(k, n) or (k1 == 0) != (k2 == 0) or (rows == 0) != (dim == 0):
+    k, n, name_bytes, k1, k2, rows, dim = (
+        int(header[f]) for f in ("k", "n", "name_bytes", "k1", "k2", "rows", "dim"))
+    if n < 1 or k < 1 or (k1 == 0) != (k2 == 0) or (rows == 0) != (dim == 0):
         raise FormatError(f"{path}: malformed index header")
+    width = min(k, n)
     ids_at = _INDEX_HEAD + name_bytes + (-name_bytes % 8)
     counts_at = ids_at + 8 * n * (1 + 2 * width)
     size = n * min(k1, width) * np.min_scalar_type(min(k1, k2)).itemsize if k1 else 0  # of the counts
@@ -873,13 +872,15 @@ def _index_layout(path: str | Path) -> tuple[np.void, int, slice, int, int]:
 def load_index(path: str | Path) -> NeighborhoodIndex:
     """Load an index saved by :func:`save_index`, and its tier-3 counts, but not its features; round-trip is exact.
 
-    The file up to its features is checked before use: the item ids (sorted, unique, non-negative), every row
-    (led by its owner at distance 0, then in (distance, id) order, naming indexed items only and none twice)
-    and the counts (their digest, none over min(k1, k2)). The neighbor ids then become row positions in place,
-    in the buffer the file was read into, and the counts go, read-only, in the index's overlap-table cache.
+    The tables are read as the index holds them, in the buffer the file was read into, and the file up to its
+    features is checked: the item ids (sorted, unique, non-negative), every row (distance 0 first, then in
+    (distance, position) order, which over sorted ids is (distance, id) order, no position twice) and the
+    counts (their digest, none over min(k1, k2)), which go, read-only, in the index's overlap-table cache.
+    :class:`NeighborhoodIndex` checks the rest, entries and owners, as for any index; its error names the path.
     """
     header, ids_at, counts, parsed_at, _ = _index_layout(path)
-    k, n, width, name_bytes, k1, k2 = (int(header[f]) for f in ("k", "n", "width", "name_bytes", "k1", "k2"))
+    k, n, name_bytes, k1, k2 = (int(header[f]) for f in ("k", "n", "name_bytes", "k1", "k2"))
+    width = min(k, n)
     raw = read_bytes(path, count=parsed_at)
     if raw.size != parsed_at:
         raise FormatError(f"{path}: file size does not match its header")
@@ -891,26 +892,24 @@ def load_index(path: str | Path) -> NeighborhoodIndex:
 
     ids = np.frombuffer(raw, dtype="<i8", count=n, offset=ids_at)
     table = np.frombuffer(raw, dtype="<i8", count=n * width, offset=ids_at + 8 * n).reshape(n, width)
-    dists = np.frombuffer(raw, dtype="<f8", count=n * width, offset=ids_at + 8 * n * (1 + width))
-    dists = dists.reshape(n, width)
+    dists = np.frombuffer(raw, dtype="<f8", count=n * width, offset=ids_at + 8 * n * (1 + width)).reshape(n, width)
     if (ids < 0).any():
         raise FormatError(f"{path}: negative item id")
     if not (ids[1:] > ids[:-1]).all():
         raise FormatError(f"{path}: item ids are not sorted and unique")
-    if not ((table[:, 0] == ids).all() and (dists[:, 0] == 0.0).all()):
+    if not (dists[:, 0] == 0.0).all():
         raise FormatError(f"{path}: a row is not led by its owner at distance 0")
     d, t = dists[:, 1:], table[:, 1:]
     ordered = (d[:, :-1] < d[:, 1:]) | ((d[:, :-1] == d[:, 1:]) & (t[:, :-1] < t[:, 1:]))
     if not (np.isfinite(d).all() and ordered.all()):
         raise FormatError(f"{path}: a row is not in (distance, id) order")
-    positions = _row_positions(ids, table)
-    if (positions < 0).any():
-        raise FormatError(f"{path}: a row names an item that is not indexed")
-    ranked = np.sort(positions, axis=1)
+    ranked = np.sort(table, axis=1)
     if (ranked[:, 1:] == ranked[:, :-1]).any():
         raise FormatError(f"{path}: a row names an item twice")
-    table[...] = positions
-    index = NeighborhoodIndex(channel, k, metric, ids, table, dists)
+    try:
+        index = NeighborhoodIndex(channel, k, metric, ids, table, dists)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     if k1:
         counts = raw[counts]
         if _digest([k1, k2], counts) != header["counts_sha"].tobytes():
@@ -923,15 +922,21 @@ def load_index(path: str | Path) -> NeighborhoodIndex:
     return index
 
 
-def load_index_features(path: str | Path, source_digest: bytes, channel_name: str) -> FeatureMatrix | None:
-    """An index file's features, bit for bit; None without them, or if their key is not ``source_digest``.
+def source_key(path: str | Path) -> bytes:
+    """The key of the features parsed from a file: the SHA-256 of its bytes."""
+    return hashlib.sha256(read_bytes(path)).digest()
 
-    Another key is stale: the feature file changed and is to be parsed again. Only the header and the features
-    are read. Features that fail their digest are a FormatError, and they pass every FeatureMatrix check.
+
+def load_index_features(path: str | Path, source: str | Path, channel_name: str) -> FeatureMatrix | None:
+    """An index file's features, bit for bit, while their key is the feature file ``source``'s; else None.
+
+    ``source`` is read, for its :func:`source_key`, only if the index file has features, and of that file only
+    the header and the features. Another key is stale: the feature file changed and is to be parsed again.
+    Features that fail their digest are a FormatError, and they pass every FeatureMatrix check.
     """
     header, _, _, parsed_at, end = _index_layout(path)
     rows, dim = int(header["rows"]), int(header["dim"])
-    if not rows or header["source_sha"].tobytes() != source_digest:
+    if not rows or header["source_sha"].tobytes() != source_key(source):
         return None
     body = read_bytes(path, parsed_at, end - parsed_at)
     if body.size != end - parsed_at:

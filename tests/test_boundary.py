@@ -262,6 +262,43 @@ def test_one_function_reads_an_index_files_header():
     assert _callers(index, "_index_layout") == {"load_index", "load_index_features"}
 
 
+def _id_passes(source, function):
+    """The parts of an id -> position pass that the functions ``function`` of ``source`` name, in walk order.
+
+    A pass is ``_row_positions``, called or not, or a ``take`` from ``item_ids``.
+    """
+    found = []
+    for tree in ast.walk(ast.parse(source)):
+        if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef)) and tree.name == function:
+            for node in ast.walk(tree):
+                if "_row_positions" in {getattr(node, "id", None), getattr(node, "attr", None)}:
+                    found.append("_row_positions")
+                func = node.func if isinstance(node, ast.Call) else None
+                owner = getattr(func, "value", None)
+                if getattr(func, "attr", None) == "take" and "item_ids" in {getattr(owner, "id", None),
+                                                                             getattr(owner, "attr", None)}:
+                    found.append("item_ids.take(")
+    return found
+
+
+@pytest.mark.parametrize(("line", "passes"), [
+    ("positions = _row_positions(ids, table)", ["_row_positions"]),
+    ("positions = index_module._row_positions(ids, table)", ["_row_positions"]),
+    ("lookup = _row_positions", ["_row_positions"]),
+    ("ids = index.item_ids.take(table)", ["item_ids.take("]),
+    ("ids = item_ids.take(table, mode='clip')", ["item_ids.take("]),
+    ("rows = index.neighbor_table.take(ids, axis=0)", []),
+])
+def test_the_id_pass_lint_sees_each_kind_of_use(line, passes):
+    assert _id_passes(f"def f(index, item_ids, ids, table):\n    {line}\n", "f") == passes
+
+
+def test_an_index_file_holds_the_neighbor_table_as_the_index_does():
+    # in row positions: neither the save nor the load turns them into ids or back
+    index = (SRC / "index.py").read_text(encoding="utf-8")
+    assert (_id_passes(index, "save_index"), _id_passes(index, "load_index")) == ([], [])
+
+
 def test_the_cli_saves_and_loads_indexes_by_their_module_names():
     # a traced run wraps the save_index and load_index attributes of tierank.cli, so the CLI calls those
     # bare names, which it looks up in its own module on every call

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import contextlib
 import hashlib
 import io
@@ -831,15 +832,27 @@ def test_index_leaves_leftover_table_and_features_files_unread(tmp_path):
     assert _ranked(rerank, idx) == _ranked(rerank, clean) and _ranked(rerank, idx)[0] == 0
 
 
-def test_rerank_on_a_v2_index_asks_for_a_reindex(tmp_path):
+def _reindex_asked(tmp_path, version):
+    """What a rerank whose b.index says ``version`` gives, and the exit 3 with the message to re-run `tierank index`."""
     rerank = _fused_inputs(tmp_path)
     idx = tmp_path / "idx"
     _index(tmp_path / "fused.cfg", idx)
     raw = bytearray((idx / "b.index").read_bytes())
-    raw[8:16] = struct.pack("<Q", 2)
+    raw[8:16] = struct.pack("<Q", version)
     (idx / "b.index").write_bytes(bytes(raw))
-    message = "index file v2 is no longer supported; re-run `tierank index`"
-    assert _ranked(rerank, idx) == (3, "", f"error\tFormatError\t{idx / 'b.index'}: {message}\n")
+    message = f"index file v{version} is no longer supported; re-run `tierank index`"
+    return _ranked(rerank, idx), (3, "", f"error\tFormatError\t{idx / 'b.index'}: {message}\n")
+
+
+def test_rerank_on_a_v2_index_asks_for_a_reindex(tmp_path):
+    got, want = _reindex_asked(tmp_path, 2)
+    assert got == want
+
+
+def test_rerank_on_a_v3_index_asks_for_a_reindex(tmp_path):
+    # v3 held the rows in ids
+    got, want = _reindex_asked(tmp_path, 3)
+    assert got == want
 
 
 @pytest.mark.parametrize("case, message", [
@@ -848,14 +861,18 @@ def test_rerank_on_a_v2_index_asks_for_a_reindex(tmp_path):
     ("a flipped count", "the tier-3 counts do not match their digest"),
     ("a count above min(k1, k2)", "a count exceeds min(k1, k2) = 6"),
     ("a flipped feature byte", "the features do not match their digest"),
+    ("an entry past the rows", "channel 'b': a row names an item with no row of its own"),
+    ("a row not led by its owner", "channel 'b': a row is not led by its owner"),
 ])
 def test_rerank_on_a_malformed_index_file_exits_3(tmp_path, case, message):
+    # the last two pass the file's own checks and fail NeighborhoodIndex's
     rerank = _fused_inputs(tmp_path)
     idx = tmp_path / "idx"
     _index(tmp_path / "fused.cfg", idx)
     path = idx / "b.index"
     raw = bytearray(path.read_bytes())
     counts, parsed_at, _ = _layout(path)[1]
+    table = tierank.index._index_layout(path)[1] + 8 * 60  # row r's entry c at table + 8 * (9 * r + c)
     if case == "truncated":  # in the features, which the vector queries read
         del raw[-3:]
     elif case == "another magic":
@@ -864,9 +881,14 @@ def test_rerank_on_a_malformed_index_file_exits_3(tmp_path, case, message):
         raw[counts.start + 5] ^= 1
     elif case == "a count above min(k1, k2)":
         raw[counts.start + 5] = 7
-        raw[72:104] = hashlib.sha256(bytes(raw[56:72] + raw[counts])).digest()
-    else:
+        raw[64:96] = hashlib.sha256(bytes(raw[48:64] + raw[counts])).digest()
+    elif case == "a flipped feature byte":
         raw[parsed_at + 200] ^= 4
+    elif case == "an entry past the rows":  # row 0's last: position n, the slot of a query
+        raw[table + 64 : table + 72] = struct.pack("<q", 60)
+    else:  # row 0 led by a position it does not name
+        row = struct.unpack("<9q", raw[table : table + 72])
+        raw[table : table + 8] = struct.pack("<q", min(set(range(60)) - set(row)))
     path.write_bytes(bytes(raw))
     assert _ranked(rerank, idx) == (3, "", f"error\tFormatError\t{path}: {message}\n")
 
@@ -887,8 +909,8 @@ def test_rerank_on_a_corrupted_section_ranks_the_same_or_exits_3(fused_dirs, sec
     # a flip in a section's header fields or bytes, or a cut in the section: a flip in the features' key makes
     # them stale, and the CSV is parsed, and one in the counts' zero padding changes nothing; any other is refused
     path, rerank, good, (counts, parsed_at, end), want = fused_dirs
-    fields, part = {"tier-3 counts": ((56, 104), (counts.start, parsed_at)),
-                    "features": ((104, 184), (parsed_at, end))}[section]
+    fields, part = {"tier-3 counts": ((48, 96), (counts.start, parsed_at)),
+                    "features": ((96, 176), (parsed_at, end))}[section]
     raw = bytearray(good)
     if data.draw(st.booleans(), label="truncate"):
         raw = raw[: data.draw(st.integers(part[0], part[1] - 1), label="length")]
@@ -926,6 +948,28 @@ def test_an_id_only_rerank_reads_no_feature_bytes(tmp_path, monkeypatch):
     assert _ranked(rerank, idx)[0] == 0
     assert all(any(start <= at and stop >= end for name, start, stop in extents if name == file)
                for file, (at, end) in features.items())
+
+
+def test_a_vector_rerank_reads_each_csv_once(tmp_path, monkeypatch):
+    # in bytes for its key, beside fresh features in its index file, and in text for the parse, beside none
+    rerank = _fused_inputs(tmp_path)
+    idx = tmp_path / "idx"
+    _index(tmp_path / "fused.cfg", idx)
+    opens, real = [], builtins.open
+
+    def spy(file, mode="r", *args, **kwargs):
+        if str(file).endswith(".csv"):
+            opens.append((Path(file).name, {"rb": "key", "r": "parse"}[mode]))
+        return real(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
+    monkeypatch.setattr(io, "open", spy)  # which Path.read_text calls
+    assert _ranked(rerank, idx)[0] == 0
+    assert opens == [("a.csv", "key"), ("b.csv", "key")]
+    save_index(load_index(idx / "a.index"), idx / "a.index", tier3=(9, 6))  # a.index without its features
+    opens.clear()
+    assert _ranked(rerank, idx)[0] == 0
+    assert opens == [("a.csv", "parse"), ("b.csv", "key")]
 
 
 # --- the parsed features in the index file ----------------------------------------

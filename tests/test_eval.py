@@ -178,7 +178,12 @@ def test_ground_truth_round_trip(tmp_path):
     write_ground_truth(truth, path)
     back = load_ground_truth(path)
     assert back.labels == truth.labels
-    assert back.class_sizes == truth.class_sizes
+    assert back.class_sizes == truth.class_sizes == {3: 2, 5: 1}
+
+
+def test_ground_truth_works_out_its_class_sizes_and_takes_none():
+    with pytest.raises(TypeError, match="class_sizes"):
+        GroundTruth(labels={0: 3}, class_sizes={3: 1})
 
 
 @pytest.mark.parametrize("first", ["5,x", "x7,1", "5,1.5"])

@@ -1387,7 +1387,7 @@ def test_two_threads_that_miss_the_fused_cache_keep_one_table(monkeypatch):
     assert not any(t.is_alive() for t in threads) and [got.get(0), got.get(1)] == want
     (kept,) = _fused_tables(channels)
     assert len(built) == 2 and any(kept is table for table in built)
-    for name in ("ids", "positions", "planes", "scratch"):
+    for name in ("ids", "positions", "planes"):
         assert _bits(getattr(built[0], name)) == _bits(getattr(built[1], name))
     assert all(_bits(x) == _bits(y) for x, y in zip(built[0].maps, built[1].maps))
 
@@ -1451,6 +1451,17 @@ def test_a_tier3_section_feeds_the_fused_table_with_no_count(tmp_path, monkeypat
     assert table_builds == [] and counted == [] and len(_fused_tables(loaded)) == 1
     for name in ("ids", "positions", "planes"):
         assert _bits(getattr(_fused_tables(loaded)[0], name)) == _bits(getattr(_fused_tables(channels)[0], name))
+
+
+def test_the_fused_table_is_read_only():
+    # queries read it at once, with no lock; none can write it
+    channels = random_channels(np.random.default_rng(39), 40, 2, 6)
+    rerank_query(channels, 3)
+    (table,) = _fused_tables(channels)
+    for array in (table.positions, table.planes):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 @pytest.mark.parametrize("first", ["single", "batch", "vector"])

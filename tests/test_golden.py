@@ -11,7 +11,7 @@ out-of-sample vectors from --query-vectors.
 The index files `tierank index` writes are checked against the SHA-256
 digests in ``golden/index.sha256``, so the on-disk format stays byte for
 byte what it was whatever the in-memory representation of an index. They
-pin index file v3: every channel's file holds its features section, and the
+pin index file v4: every channel's file holds its features section, and the
 three-channel config's files their tier-3 sections too.
 
 An intended change of rankings or index files regenerates the golden files

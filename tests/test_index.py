@@ -795,17 +795,18 @@ def test_save_load_round_trip(tmp_path):
         assert back.neighbors(item) == index.neighbors(item)
 
 
-def _index_bytes(ids, rows, dists, version=3, magic=b"TKINDEX\x00", name=b"x", tier3=(0, 0, b""),
+def _index_bytes(ids, rows, dists, version=4, magic=b"TKINDEX\x00", name=b"x", tier3=(0, 0, b""),
                  parsed=(0, 0, bytes(32), b"")):
-    """An index file v3 written field by field: magic, header, padded name, arrays, the two sections.
+    """An index file v4 written field by field: magic, header, padded name, arrays, the two sections.
 
-    ``tier3`` is (k1, k2, the counts' bytes) and ``parsed`` (rows, dim, key,
-    the features' bytes); each section's digest covers its two header words.
+    ``rows`` holds row positions, and k is their width. ``tier3`` is (k1,
+    k2, the counts' bytes) and ``parsed`` (rows, dim, key, the features'
+    bytes); each section's digest covers its two header words.
     """
     rows = np.asarray(rows, dtype="<i8")
     n, width = rows.shape
     (k1, k2, counts), (count, dim, key, body) = tier3, parsed
-    header = struct.pack("<Q8sQQQQQQ", version, b"l1", width, n, width, len(name), k1, k2)
+    header = struct.pack("<Q8sQQQQQ", version, b"l1", width, n, len(name), k1, k2)
     header += hashlib.sha256(struct.pack("<QQ", k1, k2) + counts).digest() + struct.pack("<QQ", count, dim)
     header += key + hashlib.sha256(struct.pack("<QQ", count, dim) + body).digest()
     arrays = np.asarray(ids, dtype="<i8").tobytes() + rows.tobytes() + np.asarray(dists, dtype="<f8").tobytes()
@@ -825,12 +826,15 @@ def _write_index(tmp_path, data):
 
 
 def test_index_file_layout(tmp_path):
-    index = build_index(_line_features([0.0, 1.0, 3.0]), k=2)
+    # ids 20, 30 and 10 at 0.0, 1.0 and 3.0: the rows hold positions into the sorted ids 10, 20, 30, not ids
+    index = build_index(FeatureMatrix("line", [20, 30, 10], np.asarray([[0.0], [1.0], [3.0]])), k=2)
     path = tmp_path / "line.index"
     save_index(index, path)
-    assert path.read_bytes() == _index_bytes(_LINE_IDS, _LINE_ROWS, _LINE_DISTS, name=b"line")
+    want = _index_bytes([10, 20, 30], [[0, 2], [1, 2], [2, 1]], [[0.0, 2.0], [0.0, 1.0], [0.0, 1.0]], name=b"line")
+    assert path.read_bytes() == want
+    assert len(want) == 8 + 168 + 8 + 8 * 3 * (1 + 2 + 2)
     back = load_index(path)
-    assert [back.neighbors(i) for i in _LINE_IDS] == [index.neighbors(i) for i in _LINE_IDS]
+    assert [back.neighbors(i) for i in (10, 20, 30)] == [index.neighbors(i) for i in (10, 20, 30)]
 
 
 def test_load_index_wrong_schema(tmp_path):
@@ -861,6 +865,17 @@ def test_load_index_v2_asks_for_reindex(tmp_path):
         load_index(_write_index(tmp_path, v2))
 
 
+def test_load_index_v3_asks_for_reindex(tmp_path):
+    # index file v3, the format before the rows held positions: a 176-byte header with the width, the rows in ids
+    ids, rows = [10, 20, 30], [[10, 20], [20, 10], [30, 20]]
+    header = struct.pack("<Q8sQQQQQQ", 3, b"l1", 2, 3, 2, 1, 0, 0) + hashlib.sha256(bytes(16)).digest()
+    header += bytes(16) + bytes(32) + hashlib.sha256(bytes(16)).digest()
+    v3 = b"TKINDEX\x00" + header + b"x" + bytes(7)
+    v3 += b"".join(np.asarray(a, dtype=t).tobytes() for a, t in ((ids, "<i8"), (rows, "<i8"), (_LINE_DISTS, "<f8")))
+    with pytest.raises(FormatError, match="index file v3 is no longer supported; re-run `tierank index`"):
+        load_index(_write_index(tmp_path, v3))
+
+
 def test_load_index_v1_json_asks_for_reindex(tmp_path):
     path = tmp_path / "old.index"
     path.write_text(
@@ -887,11 +902,15 @@ def test_load_index_unsorted_or_duplicate_ids(tmp_path):
 
 
 def test_load_index_row_not_led_by_owner(tmp_path):
+    # the owner check is NeighborhoodIndex's, the distance check the file's
     wrong_owner = _index_bytes(_LINE_IDS, [[0, 1], [0, 1], [2, 1]], _LINE_DISTS)
     nonzero_self = _index_bytes(_LINE_IDS, _LINE_ROWS, [[0.0, 1.0], [0.5, 1.0], [0.0, 2.0]])
-    for data in (wrong_owner, nonzero_self):
-        with pytest.raises(FormatError, match="owner"):
-            load_index(_write_index(tmp_path, data))
+    for data, message in ((wrong_owner, "channel 'x': a row is not led by its owner"),
+                          (nonzero_self, "a row is not led by its owner at distance 0")):
+        path = _write_index(tmp_path, data)
+        with pytest.raises(FormatError) as exc:
+            load_index(path)
+        assert str(exc.value) == f"{path}: {message}"
 
 
 def test_load_index_row_out_of_order(tmp_path):
@@ -905,9 +924,12 @@ def test_load_index_row_out_of_order(tmp_path):
 
 
 def test_load_index_neighbor_not_indexed(tmp_path):
-    data = _index_bytes(_LINE_IDS, [[0, 1], [1, 0], [2, 7]], _LINE_DISTS)
-    with pytest.raises(FormatError, match="not indexed"):
-        load_index(_write_index(tmp_path, data))
+    # an entry below 0 or at n or past it is no row position; NeighborhoodIndex refuses it
+    for entry in (-1, 3, 7):
+        path = _write_index(tmp_path, _index_bytes(_LINE_IDS, [[0, 1], [1, 0], [2, entry]], _LINE_DISTS))
+        with pytest.raises(FormatError) as exc:
+            load_index(path)
+        assert str(exc.value) == f"{path}: channel 'x': a row names an item with no row of its own"
 
 
 def test_load_index_neighbor_named_twice(tmp_path):
@@ -915,6 +937,26 @@ def test_load_index_neighbor_named_twice(tmp_path):
     data = _index_bytes(_LINE_IDS, rows, [[0.0, 1.0, 3.0], [0.0, 1.0, 2.0], [0.0, 2.0, 3.0]])
     with pytest.raises(FormatError, match="twice"):
         load_index(_write_index(tmp_path, data))
+
+
+def test_a_load_holds_the_files_bytes_and_one_table_sized_temporary(tmp_path):
+    # the index's arrays are views of the bytes read, rows in positions; past them a load holds at most the
+    # duplicate check's sorted copy of the neighbor table (8 bytes an entry) and the checks' bool temporaries
+    # (under 4 bytes an entry), where an id -> position pass would hold another n×width int64 array
+    rng = np.random.default_rng(14)
+    fm = FeatureMatrix("ch", rng.permutation(20_000)[:5_000], rng.normal(size=(5_000, 4)))
+    index = build_index(fm, k=50)
+    path = tmp_path / "ch.index"
+    save_index(index, path, tier3=(50, 30))
+    loaded = []
+    peak = _traced_peak(lambda: loaded.append(load_index(path)))
+    entries = index.neighbor_table.size
+    assert peak < path.stat().st_size + 8 * entries + 4 * entries
+    (back,) = loaded
+    for name in ("item_ids", "neighbor_table", "distance_table"):
+        got, want = getattr(back, name), getattr(index, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(back._tables[(50, 30)], index.overlap_table(50, 30))
 
 
 def test_round_trip_preserves_rerank_output(tmp_path):
@@ -1155,6 +1197,7 @@ def _no_build(*args):
 @pytest.mark.parametrize("sections", ["none", "tier-3 counts", "features", "both"])
 def test_each_combination_of_sections_round_trips_byte_for_byte(tmp_path, monkeypatch, sections):
     fm = _line_features([0.0, 1.0, 3.0])
+    (tmp_path / "line.csv").write_bytes(b"line.csv")  # the source, which only its key stands for
     index, key = build_index(fm, k=2), hashlib.sha256(b"line.csv").digest()
     tier3 = (2, 1) if sections in ("tier-3 counts", "both") else None
     parsed = (fm, key) if sections in ("features", "both") else None
@@ -1171,7 +1214,7 @@ def test_each_combination_of_sections_round_trips_byte_for_byte(tmp_path, monkey
     assert list(back._tables) == ([tier3] if tier3 else [])
     if tier3:
         assert np.array_equal(back.overlap_table(*tier3), counts)
-    features = load_index_features(path, key, "line")
+    features = load_index_features(path, tmp_path / "line.csv", "line")
     if parsed:
         assert features.ids.tobytes() == fm.ids.tobytes() and features.vectors.tobytes() == fm.vectors.tobytes()
     else:
@@ -1239,16 +1282,16 @@ def test_a_malformed_tier3_section_is_a_format_error(tmp_path, case, message):
     elif case == "one byte more":
         raw.append(0)
     elif case == "k1 without k2":
-        raw[64:72] = bytes(8)
+        raw[56:64] = bytes(8)
     elif case == "a flipped count":
         raw[counts.start + 17] ^= 1
     elif case == "a flipped count digest":
-        raw[72] ^= 0x80
+        raw[64] ^= 0x80
     elif case == "k1 of the same size":
-        raw[56] = 9
+        raw[48] = 9
     else:
         raw[counts.start + 17] = 6
-        _with_digest(raw, 72, raw[56:72], raw[counts])
+        _with_digest(raw, 64, raw[48:64], raw[counts])
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError) as exc:
         load_index(path)
@@ -1277,8 +1320,8 @@ def test_the_features_section_reads_back_bit_for_bit(tmp_path, tier3):
     path, key, parsed = _featured_index(tmp_path, tier3)
     raw, (_, parsed_at, end) = _section_bytes(path)
     body = parsed.ids.astype("<i8").tobytes() + parsed.vectors.astype("<f8").tobytes()
-    assert raw[104:120] == struct.pack("<QQ", 41, 3) and raw[120:152] == key and raw[parsed_at:end] == body
-    back = load_index_features(path, key, "ch")
+    assert raw[96:112] == struct.pack("<QQ", 41, 3) and raw[112:144] == key and raw[parsed_at:end] == body
+    back = load_index_features(path, tmp_path / "ch.csv", "ch")
     assert back.channel_name == "ch" and back.ids.dtype == parsed.ids.dtype == np.int64
     assert back.vectors.dtype == parsed.vectors.dtype and back.vectors.shape == (41, 3)
     assert back.ids.tobytes() == parsed.ids.tobytes() and back.vectors.tobytes() == parsed.vectors.tobytes()
@@ -1287,11 +1330,12 @@ def test_the_features_section_reads_back_bit_for_bit(tmp_path, tier3):
 
 
 def test_a_stale_or_absent_features_section_is_none(tmp_path):
-    path, key, parsed = _featured_index(tmp_path)
-    assert load_index_features(path, key, "ch") is not None
-    assert load_index_features(path, hashlib.sha256(b"edited").digest(), "ch") is None
+    path, _, parsed = _featured_index(tmp_path)
+    assert load_index_features(path, tmp_path / "ch.csv", "ch") is not None
+    (tmp_path / "edited.csv").write_bytes(b"edited")
+    assert load_index_features(path, tmp_path / "edited.csv", "ch") is None
     save_index(load_index(path), tmp_path / "bare.index")
-    assert load_index_features(tmp_path / "bare.index", key, "ch") is None
+    assert load_index_features(tmp_path / "bare.index", tmp_path / "ch.csv", "ch") is None
 
 
 @pytest.mark.parametrize("case, message", [
@@ -1307,30 +1351,30 @@ def test_a_stale_or_absent_features_section_is_none(tmp_path):
 def test_a_malformed_features_section_is_a_format_error(tmp_path, case, message):
     # a cut in the features leaves the index readable, which reads none of them; the last two pass the
     # section's digest and fail FeatureMatrix's checks
-    path, key, _ = _featured_index(tmp_path)
+    path, _, _ = _featured_index(tmp_path)
     raw, (_, parsed_at, end) = _section_bytes(path)
     if case == "cut in the features":
         del raw[-1]
     elif case == "one byte more":
         raw.append(0)
     elif case == "another row count":
-        raw[104] = 40
+        raw[96] = 40
     elif case == "rows without dim":
-        raw[112:120] = bytes(8)
+        raw[104:112] = bytes(8)
     elif case == "a flipped feature byte":
         raw[-9] ^= 1
     elif case == "a flipped features digest":
-        raw[152] ^= 0x80
+        raw[144] ^= 0x80
     else:
         if case == "a duplicate id":
             raw[parsed_at + 8 : parsed_at + 16] = raw[parsed_at + 16 : parsed_at + 24]
         else:
             raw[-8:] = struct.pack("<d", float("nan"))
-        _with_digest(raw, 152, raw[104:120], raw[parsed_at:end])
+        _with_digest(raw, 144, raw[96:112], raw[parsed_at:end])
     path.write_bytes(bytes(raw))
     if case in ("cut in the features", "a flipped feature byte", "a flipped features digest", "a duplicate id",
                 "a NaN"):
         load_index(path)
     with pytest.raises(FormatError) as exc:
-        load_index_features(path, key, "ch")
+        load_index_features(path, tmp_path / "ch.csv", "ch")
     assert str(exc.value).startswith(f"{path}: ") and message in str(exc.value)
