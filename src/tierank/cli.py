@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import bench as bench_mod
 from .config import ChannelConfig, PipelineConfig, load_config, write_config
@@ -225,6 +224,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.dim < 1:
         raise FormatError(f"bad --dim value {args.dim}: must be >= 1")
     _check_seed(args.seed)
+    import scipy  # the bench builds indexes, which import it anyway
+
     print(f"machine: usable_cores={_usable_cores()} python={platform.python_version()} numpy={np.__version__} "
           f"scipy={scipy.__version__}", file=sys.stderr)  # stdout holds the table alone
     print("label\tn\tm\tk\tmean_ms\tmedian_ms\tsamples\tp90_ms\tp99_ms\twarmup_ms")

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyChannelListError, FormatError, QueryMismatchError, UnknownItemError
-from .index import _TABLE_BLOCK_BYTES, NeighborhoodIndex, _row_positions
+from .index import NeighborhoodIndex, _block_rows, _row_positions
 from .ranking import FinalRanking
 from .rerank import QueryGraph
 
@@ -131,7 +131,8 @@ def fuse_rows(rows: Sequence[np.ndarray], counts: Sequence[np.ndarray], pad: int
 
     Row b of ``positions`` is the union of the rows b, ascending and padded
     with ``pad`` to Σw_c; ``planes[c]`` holds channel c's ``counts`` at its
-    entries and 0 at the others.
+    entries and 0 at the others. It fuses the :class:`FusedTable`'s blocks
+    of stored rows; a single query at slot n takes its own union instead.
     """
     block = np.concatenate(rows, axis=1)
     order = block.argsort(axis=1, kind="stable")
@@ -173,7 +174,7 @@ class FusedTable:
         self.planes = np.empty((len(parts), n, width), dtype=np.min_scalar_type(top))
         self.pinned = [(index.neighbor_table, index.item_ids) for index, _, _ in parts]  # alive while their ids key it
         held = [_row_positions(index.item_ids, self.ids) for index, _, _ in parts]  # -1 where a channel lacks the id
-        step = max(1, _TABLE_BLOCK_BYTES // (8 * width))  # fuse_rows' int64 temporaries of a block
+        step = _block_rows(width)  # fuse_rows' int64 temporaries of a block
         for start in range(0, n, step):
             block, rows, counts = slice(start, start + step), [], []
             for (index, k1, k2), to, at in zip(parts, self.maps, held):

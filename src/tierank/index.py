@@ -34,12 +34,11 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import (
     DimensionError,
@@ -69,9 +68,9 @@ _INDEX_HEAD = len(_INDEX_MAGIC) + _INDEX_HEADER.itemsize
 _BINARY_MAGIC = b"TKF1"
 _BUILD_BUFFER_ROWS = 128  # distance rows a build holds at once, over all its workers
 _BUILD_MIN_BLOCK_ROWS = 16
-# a table build (an overlap table, a fused one) takes as many rows at once as keep its largest int64
-# temporary under glibc's default mmap threshold, 128 KiB: larger temporaries raise it, and the heap
-# then keeps them resident (0.6 MiB after a build in blocks of 16 rows at n = 5,000 and k = 50)
+# a table build (an overlap table, a fused one) and a load's row checks take as many rows at once as keep
+# their largest int64 temporary under glibc's default mmap threshold, 128 KiB: larger temporaries raise it,
+# and the heap then keeps them resident (0.6 MiB after a build in blocks of 16 rows at n = 5,000 and k = 50)
 _TABLE_BLOCK_BYTES = 120_000
 # entries a row's bound may mark, in units of k, once a block's bounds mark
 # more than that a row on average; a row over it is chosen on its own
@@ -205,6 +204,19 @@ def write_features_binary(features: FeatureMatrix, path: str | Path) -> None:
     write_bytes(path, [_BINARY_MAGIC, np.asarray([features.dim], dtype="<u4").tobytes(), out.tobytes()])
 
 
+@cache
+def _cdist() -> Callable[..., np.ndarray]:
+    """scipy's ``cdist``, imported on the first distance a process computes: the index's one import of scipy.
+
+    The import is most of a fresh process's start (about 0.4 s and 32 MiB
+    on a 2-core VM), which a command that computes no distance, such as an
+    id-only rerank or an eval, then never pays.
+    """
+    from scipy.spatial.distance import cdist
+
+    return cdist
+
+
 def distance(a: Iterable[float], b: Iterable[float], metric: Metric = Metric.L1) -> float:
     """Distance between two equal-dimension finite vectors."""
     va = np.atleast_2d(np.asarray(a, dtype=np.float64))
@@ -214,7 +226,7 @@ def distance(a: Iterable[float], b: Iterable[float], metric: Metric = Metric.L1)
     if metric == Metric.COSINE:
         _check_nonzero(va, "first argument")
         _check_nonzero(vb, "second argument")
-    return float(cdist(va, vb, metric.cdist_name)[0, 0])
+    return float(_cdist()(va, vb, metric.cdist_name)[0, 0])
 
 
 def _has_zero_row(block: np.ndarray) -> bool:
@@ -247,13 +259,15 @@ class _Selector:
         """Per row of ``dist``, the (columns, distances) of the k nearest entries, by (distance, id).
 
         Column j belongs to item ``ids[j]`` (non-negative); ties at the k-th
-        distance go to the smallest ids. Each row is cut into c >= k chunks
-        of w = max(1, n // 2k) columns, and tau, the k-th smallest chunk
-        minimum, bounds the k-th distance: the k chunks whose minima are at
-        most tau hold k entries at most tau. The entries at most tau, about
-        1.4·k a row on unordered distances, are marked, gathered and put in
-        (row, distance, id) order by one sort on id and one ``np.lexsort``
-        on (row, distance); the first k of each row are the answer. One row
+        distance go to the smallest ids. Each row is cut into c = n // w >= k
+        chunks of w = max(1, n // 2k) columns, the last taking the n mod w
+        left over, and one ``np.minimum.reduceat`` takes their minima; tau,
+        the k-th smallest chunk minimum, bounds the k-th distance: the k
+        chunks whose minima are at most tau hold k entries at most tau, and
+        the tail can only lower tau. The entries at most tau, about 1.4·k a
+        row on unordered distances, are marked, gathered and put in (row,
+        distance, id) order by one sort on id and one ``np.lexsort`` on
+        (row, distance); the first k of each row are the answer. One row
         needs no row keys: one ``np.lexsort`` on (distance, id).
         When a block marks more than ``_SELECT_CAP``·k entries a row on
         average, every row over that is chosen on its own
@@ -264,8 +278,7 @@ class _Selector:
         rows, n = dist.shape
         marks = self.marks[:rows]
         width = max(1, n // (2 * k))
-        chunks = n // width
-        minima = np.minimum.reduce(dist[:, : chunks * width].reshape(rows, chunks, width), axis=2)
+        minima = np.minimum.reduceat(dist, np.arange(n // width) * width, axis=1)
         minima.partition(k - 1, axis=1)
         np.less_equal(dist, minima[:, k - 1 : k], out=marks)
         del minima  # before the gather, the call's other peak
@@ -319,6 +332,11 @@ class _Selector:
             np.less(ids, rank, out=marks, where=tied)
 
 
+def _block_rows(entries: int) -> int:
+    """The rows of a table block, ``entries`` int64 temporaries a row: as many as fit ``_TABLE_BLOCK_BYTES``."""
+    return max(1, _TABLE_BLOCK_BYTES // (8 * entries))
+
+
 def _spare_row(n: int) -> tuple[np.ndarray, threading.Lock]:
     return np.empty(n, dtype=np.uint64), threading.Lock()
 
@@ -344,7 +362,7 @@ def knn_columns(
     if metric == Metric.COSINE:
         features.check_nonzero()
         _check_nonzero(query_vectors, "query")
-    dists = cdist(query_vectors, features.vectors, metric.cdist_name)
+    dists = _cdist()(query_vectors, features.vectors, metric.cdist_name)
     return _Selector(*dists.shape).nearest(dists, features.ids, min(k, features.n))
 
 
@@ -634,7 +652,7 @@ class NeighborhoodIndex:
     def _build_overlap_table(self, k1: int, k2: int) -> np.ndarray:
         stored, width = self.neighbor_table.shape
         table = np.empty((stored, min(k1, width)), dtype=np.min_scalar_type(min(k1, k2)))
-        step = max(1, _TABLE_BLOCK_BYTES // (8 * table.shape[1] * width))  # the int64 rows a block's entries gather
+        step = _block_rows(table.shape[1] * width)  # the int64 rows a block's entries gather
         marks = np.zeros(step * self.slots, dtype=bool)  # one flat mark scratch, all False
         for start in range(0, stored, step):
             block = slice(start, start + step)
@@ -775,6 +793,7 @@ def build_index(features: FeatureMatrix, k: int, metric: Metric = Metric.L1) -> 
     # thread's own malloc arena, where the caller's later allocations cannot reuse it, so buffers a worker
     # made would add to peak memory
     buffers = [(np.empty(shape), _Selector(*shape, spare)) for _ in range(workers)]
+    cdist = _cdist()  # imported here, before any worker starts
 
     def run(worker: int) -> None:
         buffer, selector = buffers[worker]
@@ -874,8 +893,9 @@ def load_index(path: str | Path) -> NeighborhoodIndex:
 
     The tables are read as the index holds them, in the buffer the file was read into, and the file up to its
     features is checked: the item ids (sorted, unique, non-negative), every row (distance 0 first, then in
-    (distance, position) order, which over sorted ids is (distance, id) order, no position twice) and the
-    counts (their digest, none over min(k1, k2)), which go, read-only, in the index's overlap-table cache.
+    (distance, position) order, which over sorted ids is (distance, id) order, no position twice; both over
+    blocks of rows, every block's order first) and the counts (their digest, none over min(k1, k2)), which go,
+    read-only, in the index's overlap-table cache.
     :class:`NeighborhoodIndex` checks the rest, entries and owners, as for any index; its error names the path.
     """
     header, ids_at, counts, parsed_at, _ = _index_layout(path)
@@ -899,13 +919,27 @@ def load_index(path: str | Path) -> NeighborhoodIndex:
         raise FormatError(f"{path}: item ids are not sorted and unique")
     if not (dists[:, 0] == 0.0).all():
         raise FormatError(f"{path}: a row is not led by its owner at distance 0")
-    d, t = dists[:, 1:], table[:, 1:]
-    ordered = (d[:, :-1] < d[:, 1:]) | ((d[:, :-1] == d[:, 1:]) & (t[:, :-1] < t[:, 1:]))
-    if not (np.isfinite(d).all() and ordered.all()):
-        raise FormatError(f"{path}: a row is not in (distance, id) order")
-    ranked = np.sort(table, axis=1)
-    if (ranked[:, 1:] == ranked[:, :-1]).any():
-        raise FormatError(f"{path}: a row names an item twice")
+    # over blocks of rows, each raveled: a 1-D compare takes no ufunc buffer (a 2-D one of a block about 140 KB),
+    # and the pairs that span two rows are set aside. Every block's order comes before any block's duplicates,
+    # so that a file with both faults is named for its order
+    step = _block_rows(width)
+    blocks = [slice(start, start + step) for start in range(0, n, step)]
+    for block in blocks:
+        d, t = dists[block].ravel(), table[block].ravel()
+        ordered = (d[:-1] < d[1:]) | ((d[:-1] == d[1:]) & (t[:-1] < t[1:]))  # entry j against entry j + 1
+        ordered[::width] = ordered[width - 1 :: width] = True  # from a row's owner, or into the next row
+        if not (np.isfinite(d).all() and ordered.all()):
+            raise FormatError(f"{path}: a row is not in (distance, id) order")
+    ranked = np.empty((min(step, n), width), dtype=np.int64)  # one block's rows, sorted in place
+    for block in blocks:
+        rows = ranked[: table[block].shape[0]]
+        rows[...] = table[block]
+        rows.sort(axis=1)
+        flat = rows.ravel()
+        same = flat[1:] == flat[:-1]
+        same[width - 1 :: width] = False  # into the next row
+        if same.any():
+            raise FormatError(f"{path}: a row names an item twice")
     try:
         index = NeighborhoodIndex(channel, k, metric, ids, table, dists)
     except FormatError as exc:

@@ -12,9 +12,11 @@ as a stored one does, from its own row of row positions per channel: the
 slot one past the stored rows, then its nearest stored items by the kNN
 kernel (:meth:`Channel.query_rows`). The ranking kernels read that row
 where a stored query's comes from the neighbor table, so no index is
-rebuilt, copied or changed. A batch of ids or of vectors runs through one
-driver (:func:`_batch`) in blocks, a batch of one included, and builds no
-fused table. A block of vectors first gets its rows from one blocked kNN
+rebuilt, copied or changed; on two or more channels a single such query
+takes one union of its own rows where a stored one reads its row of the
+fused table. A batch of ids or of vectors runs through one driver
+(:func:`_batch`) in blocks, a batch of one included, and builds no fused
+table. A block of vectors first gets its rows from one blocked kNN
 scan per channel, and each of its queries reads its own row at its own
 slot n. On two or more channels a block then runs one union
 (:func:`_candidates`), one affinity-matrix build and one greedy selection
@@ -31,7 +33,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionError, EmptyChannelListError, FormatError, UnknownItemError
-from .fusion import add_counts, fuse_rows, fused_table, greedy_loop, scaled_sum, table_matrix
+from .fusion import add_counts, fused_table, greedy_loop, scaled_sum, table_matrix
 from .index import FeatureMatrix, NeighborhoodIndex, _row_positions, knn_columns
 from .ranking import FinalRanking, RankedList
 from .rerank import resolve_k, tiered_rerank
@@ -115,7 +117,10 @@ def _rerank(
 
     Two or more channels rank off their fused table (:func:`~tierank.fusion.fused_table`),
     built once the first query passes its checks: a stored query's candidates
-    and counts are its row of it, and a query at slot n fuses its own rows.
+    and counts are its row of it. A query at slot n takes one union of its
+    own rows, slot N last, and each channel in name order adds alpha·count
+    at its entries into weights that start at 0.0: bit for bit the table's
+    :func:`~tierank.fusion.scaled_sum`, which adds only +0.0 besides.
     With ``rank`` False it only runs the checks (on one channel, the ranking), and builds nothing.
     """
     if len(channels) == 0:
@@ -148,16 +153,19 @@ def _rerank(
     table = table or fused_table(parts)
     mine = [to.take(r) for to, (_, (r, _)) in zip(table.maps, by_name)]  # the rows in common positions
     scales, slot = [float(ch.alpha) for ch, _ in by_name], any(row is not None for _, (_, row) in by_name)
-    if slot:
-        counts = [ch.index.overlap_counts(r[None], ch.k2, query_row=row)[1] for ch, (r, row) in by_name]
-        cand, planes = (a[..., 0, :] for a in fuse_rows([r[None] for r in mine], counts, table.pad))
-    else:
+    if slot:  # the union of the query's own rows, slot N last; each channel adds its counts below
+        cand = np.unique(np.concatenate(mine))
+        weights = np.zeros(cand.shape[0])
+    else:  # a stored query's row of the table, up to its pad
         cand, planes = table.positions[mine[0][0]], table.planes[:, mine[0][0]]
-    c = int(cand.searchsorted(table.pad))
-    cand, weights, least = cand[:c], scaled_sum(planes[:, :c], scales), np.full(c, c)
-    for r in mine:  # a candidate's distance rank is its lowest place in the query's rows
-        at = cand.searchsorted(r)
-        least[at] = np.minimum(least[at], np.arange(r.shape[0]))
+        c = int(cand.searchsorted(table.pad))
+        cand, weights = cand[:c], scaled_sum(planes[:, :c], scales)
+    least = np.full(cand.shape[0], cand.shape[0])
+    for (ch, (r, row)), m, scale in zip(by_name, mine, scales):  # a distance rank: the lowest place in the rows
+        at = cand.searchsorted(m)
+        if slot:  # in name order, as scaled_sum adds
+            weights[at] += np.multiply(ch.index.overlap_counts(r[None], ch.k2, query_row=row)[1][0], scale)
+        least[at] = np.minimum(least[at], np.arange(m.shape[0]))
     # W in tie-break order (higher weight, lower distance rank, then smaller id, as candidates come by id)
     order = np.lexsort((least, -weights))
     col = np.argsort(order)  # every candidate's row and column of W

@@ -229,6 +229,71 @@ def test_a_stored_row_is_counted_in_one_place():
                        ("index.py", "NeighborhoodIndex._build_overlap_table"), ("pipeline.py", "_rerank")}
 
 
+def _row_fuser_users(sources):
+    """(file, caller) of every call of ``fuse_rows`` in ``sources``, a file name -> source map.
+
+    Every file but fusion.py that imports or reads the name adds (file, "import").
+    """
+    found = {(name, caller) for name, source in sources.items() for caller in _callers(source, "fuse_rows")}
+    return found | {(name, "import") for name, source in sources.items()
+                    if name != "fusion.py" and "fuse_rows" in _uses(source)[1]}
+
+
+def _package_sources():
+    return {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+
+
+def test_the_row_fuser_lint_sees_a_second_caller():
+    # a second fuser of one row in fusion.py, and the pipeline importing the table's
+    sources = _package_sources()
+    sources["fusion.py"] += "\n\ndef fused_row(rows, counts, pad):\n    return fuse_rows(rows, counts, pad)\n"
+    sources["pipeline.py"] += "\n\nfrom .fusion import fuse_rows\n"
+    assert _row_fuser_users(sources) == {("fusion.py", "FusedTable.__init__"), ("fusion.py", "fused_row"),
+                                         ("pipeline.py", "import")}
+
+
+def test_a_query_at_slot_n_fuses_its_rows_without_the_tables_row_fuser():
+    # the fused table fuses every stored row with fuse_rows; a query at slot n
+    # takes one union of its own rows in _rerank, and the pipeline imports none
+    assert _row_fuser_users(_package_sources()) == {("fusion.py", "FusedTable.__init__")}
+
+
+def _scipy_imports(source):
+    """The innermost function of ``source`` (or ``<module>``) of every import of scipy or of a module of it."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                found.extend(owner for alias in child.names if alias.name.partition(".")[0] == "scipy")
+            elif isinstance(child, ast.ImportFrom) and (child.module or "").partition(".")[0] == "scipy":
+                found.append(owner)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+@pytest.mark.parametrize(("source", "sites"), [
+    ("import scipy\n", ["<module>"]),
+    ("from scipy.spatial.distance import cdist\n", ["<module>"]),
+    ("def f():\n    import numpy, scipy.spatial as sp\n    return sp\n", ["f"]),
+    ("def f():\n    def g():\n        from scipy import spatial\n    from scipy.spatial import distance\n",
+     ["g", "f"]),
+    ("import scipyx\nfrom numpy import scipy\n", []),
+])
+def test_the_scipy_lint_sees_each_kind_of_import(source, sites):
+    assert _scipy_imports(source) == sites
+
+
+def test_scipy_is_imported_where_a_distance_is_computed():
+    # a fresh process imports scipy on its first distance: the index imports
+    # cdist at one site, which its three distances share, and tierank bench
+    # reads scipy's version where it prints it
+    found = {name: _scipy_imports(source) for name, source in _package_sources().items()}
+    assert {name: sites for name, sites in found.items() if sites} == {"cli.py": ["cmd_bench"], "index.py": ["_cdist"]}
+
+
 def _functions_naming(source, name):
     """The functions of ``source`` that read ``name``, as a name or an attribute, nested ones included."""
     functions = {tree.name for tree in ast.walk(ast.parse(source))

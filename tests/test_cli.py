@@ -650,6 +650,30 @@ def test_python_dash_m_runs_the_cli():
     assert done.stdout.startswith("usage: tierank") and "rerank" in done.stdout
 
 
+def test_a_fresh_process_imports_scipy_on_its_first_distance(tmp_path):
+    # in a process of its own, so that the suite's imports do not mask it: importing the package and the CLI,
+    # an id-only rerank and an eval compute no distance and leave scipy.spatial unimported; a vector rerank
+    # scans the features, and imports it
+    rerank = _fused_inputs(tmp_path)
+    _index(tmp_path / "fused.cfg", tmp_path / "idx")
+    (tmp_path / "truth.csv").write_text("".join(f"{i},{i % 3}\n" for i in range(60)))
+    ids, ranked = [*rerank[:-2], "--index-dir", str(tmp_path / "idx")], str(tmp_path / "ids.tsv")
+    steps = [
+        "import tierank", "import tierank.cli",
+        f"tierank.cli.main({[*ids, '--out', ranked]!r})",
+        f"tierank.cli.main({['eval', '--rankings', ranked, '--truth', str(tmp_path / 'truth.csv')]!r})",
+        f"tierank.cli.main({[*ids, *rerank[-2:], '--out', str(tmp_path / 'all.tsv')]!r})",
+    ]
+    script = "import sys\nseen = []\n" + "".join(f"{step}\nseen.append('scipy.spatial' in sys.modules)\n"
+                                                  for step in steps) + "print(seen)\n"
+    src = Path(tierank.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[False, False, False, False, True]"
+    assert (tmp_path / "all.tsv").read_text().startswith((tmp_path / "ids.tsv").read_text())
+
+
 @pytest.fixture(scope="module")
 def corruptible_dirs(tmp_path_factory):
     base = tmp_path_factory.mktemp("corrupt")

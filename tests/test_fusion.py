@@ -1263,18 +1263,23 @@ def _fused_tables(channels):
 @settings(max_examples=150, deadline=None)
 @given(_query_instances(), st.sampled_from([None, 1, 2, 5]), st.data())
 def test_single_queries_off_the_fused_table_match_the_oracles_property(instance, k_final, data):
-    # rerank_query and rerank_vector_query against oracles.py alone: stored
-    # ids and vectors, n < k, k1 ≠ k2, alphas other than 1, channel names
-    # permuted against input order and the input order shuffled, and a
-    # channel that stores ids the others lack. The first query builds one
-    # table; a second query, and one with another alpha, read it
+    # rerank_query and rerank_vector_query against oracles.py alone, and a
+    # vector query against its batch of one: stored ids and vectors, n < k,
+    # k1 ≠ k2, alphas other than 1, channel names permuted against input
+    # order and the input order shuffled, and a channel that stores ids the
+    # others lack, so that the table is not shared. Alphas of 0.1, 0.2 and
+    # 0.7 sum to another float in another order, so that W's query row must
+    # add its channels in name order. The first query builds one table; a
+    # second query, and one with another alpha, read it
     channels, query, vector = instance
     channels = data.draw(st.permutations(channels))
+    if data.draw(st.booleans()):
+        channels = [replace(ch, alpha=a) for ch, a in zip(channels, data.draw(st.permutations([0.1, 0.2, 0.7])))]
     ids = channels[0].index.item_ids.tolist()
-    if vector is None and data.draw(st.booleans()):
-        extra = sorted({i + 1 for i in ids} - set(ids))[:3]
-        where = data.draw(st.integers(0, len(channels) - 1))
-        channels[where] = _with_extra_ids(channels[where], extra)
+    extra = data.draw(st.booleans())
+    if extra:
+        where, free = data.draw(st.integers(0, len(channels) - 1)), {i + 1 for i in ids} - {*ids, query}
+        channels[where] = _with_extra_ids(channels[where], sorted(free | {ids[-1] + 2})[:3])  # never the vid
 
     def check(chans, q, v):
         if v is None:
@@ -1282,11 +1287,12 @@ def test_single_queries_off_the_fused_table_match_the_oracles_property(instance,
         else:
             got = rerank_vector_query(chans, v, k_final=k_final, vid=q)
             want = _oracle_rerank(_oracle_overlay(chans, v, q), q, k_final)
+            assert batch_rerank_vectors(chans, [v], k_final, vid=q)[0].entries == got.entries
         assert got.entries == want
 
     check(channels, query, vector)
     tables = _fused_tables(channels)
-    assert len(tables) == 1
+    assert len(tables) == 1 and tables[0].shared is not extra
     check(channels, data.draw(st.sampled_from(ids)), None)
     changed = [replace(channels[0], alpha=data.draw(st.sampled_from([0.3, 1.7]))), *channels[1:]]
     check(changed, data.draw(st.sampled_from(ids)), None)

@@ -701,7 +701,7 @@ def test_worker_exception_propagates_and_every_worker_ends(monkeypatch):
     class Boom(Exception):
         pass
 
-    real_cdist = index_module.cdist
+    real_cdist = index_module._cdist()
 
     def cdist(xa, xb, metric, **kwargs):
         if xa.shape[0] == 29:  # three workers: 42-row blocks, and only the ragged last one fails
@@ -709,7 +709,7 @@ def test_worker_exception_propagates_and_every_worker_ends(monkeypatch):
         return real_cdist(xa, xb, metric, **kwargs)
 
     fm = _grid_channel(np.random.default_rng(72), 3 * 64 + 5, Metric.L1)
-    monkeypatch.setattr(index_module, "cdist", cdist)
+    monkeypatch.setattr(index_module, "_cdist", lambda: cdist)
     monkeypatch.setattr(index_module, "_usable_cores", lambda: 3)
     threads = threading.active_count()
     with pytest.raises(Boom, match="ragged block"):
@@ -939,10 +939,20 @@ def test_load_index_neighbor_named_twice(tmp_path):
         load_index(_write_index(tmp_path, data))
 
 
+def test_a_load_checks_every_blocks_order_before_any_duplicate(tmp_path, monkeypatch):
+    # in blocks of one row, row 0 names item 1 twice in (distance, id) order and row 2 is out of order:
+    # the file is named for its order, as a check of the whole table names it
+    monkeypatch.setattr(index_module, "_TABLE_BLOCK_BYTES", 8)
+    rows = [[0, 1, 1], [1, 0, 2], [2, 1, 0]]
+    data = _index_bytes(_LINE_IDS, rows, [[0.0, 1.0, 3.0], [0.0, 1.0, 2.0], [0.0, 3.0, 2.0]])
+    with pytest.raises(FormatError, match="order"):
+        load_index(_write_index(tmp_path, data))
+
+
 def test_a_load_holds_the_files_bytes_and_one_table_sized_temporary(tmp_path):
-    # the index's arrays are views of the bytes read, rows in positions; past them a load holds at most the
-    # duplicate check's sorted copy of the neighbor table (8 bytes an entry) and the checks' bool temporaries
-    # (under 4 bytes an entry), where an id -> position pass would hold another n×width int64 array
+    # the index's arrays are views of the bytes read, rows in positions; past them a load holds at most a
+    # block's temporaries: the duplicate check's sorted copy (at most _TABLE_BLOCK_BYTES) and the checks'
+    # bool temporaries, where a check of the whole table would hold an n×width int64 copy of it
     rng = np.random.default_rng(14)
     fm = FeatureMatrix("ch", rng.permutation(20_000)[:5_000], rng.normal(size=(5_000, 4)))
     index = build_index(fm, k=50)
@@ -950,8 +960,7 @@ def test_a_load_holds_the_files_bytes_and_one_table_sized_temporary(tmp_path):
     save_index(index, path, tier3=(50, 30))
     loaded = []
     peak = _traced_peak(lambda: loaded.append(load_index(path)))
-    entries = index.neighbor_table.size
-    assert peak < path.stat().st_size + 8 * entries + 4 * entries
+    assert peak < path.stat().st_size + 2 * index_module._TABLE_BLOCK_BYTES
     (back,) = loaded
     for name in ("item_ids", "neighbor_table", "distance_table"):
         got, want = getattr(back, name), getattr(index, name)
