@@ -14,7 +14,6 @@ from .errors import (
     ZeroVectorError,
 )
 from .evaluation import GroundTruth, MetricReport, ns_score, precision_at, recall_at
-from .fusion import FusedGraph, TieredPairwise, fuse_graphs, greedy_select
 from .index import (
     FeatureMatrix,
     Metric,
@@ -27,13 +26,7 @@ from .index import (
 )
 from .pipeline import Channel, batch_rerank, batch_rerank_vectors, rerank_query, rerank_vector_query
 from .ranking import FinalRanking, RankedList, read_rankings_tsv, write_rankings_tsv
-from .rerank import (
-    JaccardValue,
-    QueryGraph,
-    tier1_rerank,
-    tiered_graph,
-    tiered_rerank,
-)
+from .rerank import tier1_rerank, tiered_rerank
 
 __version__ = "0.1.0"
 
@@ -46,27 +39,21 @@ __all__ = [
     "FileAccessError",
     "FinalRanking",
     "FormatError",
-    "FusedGraph",
     "GroundTruth",
-    "JaccardValue",
     "Metric",
     "MetricReport",
     "NeighborhoodIndex",
-    "QueryGraph",
     "QueryMismatchError",
     "RankedList",
     "ScenarioError",
     "SizeError",
     "TierankError",
-    "TieredPairwise",
     "UnknownItemError",
     "ZeroVectorError",
     "batch_rerank",
     "batch_rerank_vectors",
     "build_index",
     "distance",
-    "fuse_graphs",
-    "greedy_select",
     "load_features",
     "load_index",
     "ns_score",
@@ -77,7 +64,6 @@ __all__ = [
     "rerank_vector_query",
     "save_index",
     "tier1_rerank",
-    "tiered_graph",
     "tiered_rerank",
     "write_rankings_tsv",
 ]

@@ -11,10 +11,11 @@ stored row's fused neighbor row and counts, fused once per channel set from
 the channels' overlap tables (:func:`fused_table`, :func:`table_matrix`); a
 block of queries builds it with :func:`add_counts`, and so does
 :class:`TieredPairwise`, as a block of one. The pipeline builds W in
-tie-break order with tie-break weights from its query row, so no ranking
+tie-break order with tie-break weights from its query row. No ranking
 uses :class:`FusedGraph`, :func:`fuse_graphs`, :class:`TieredPairwise` or
-:func:`greedy_select`: they are an inspection view of the same arithmetic,
-which only the tests and the benchmark harness use.
+:func:`greedy_select`, which are no public names of the package: the
+benchmark harness and the tests of the layer itself read them, and the
+rankings are checked against :func:`tierank.oracles.oracle_rerank`.
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ counts, for each candidate, how many of its neighbors are tier-2-connected
 to the query. Every neighbor row starts with its owner, so tier 2 keeps
 every candidate and tier 3 is tier 1's overlap count: the index's counting
 kernel, run on the query's row, gives each candidate's overlap with the
-query's set (and, for tier 1, their union size), the rankings sort those
-arrays, and :func:`tiered_graph` builds the tier-1
-and tier-3 :class:`QueryGraph` views from them for inspection only. Sorting
+query's set (and, for tier 1, their union size), and the rankings sort
+those arrays. :func:`tiered_graph`'s tier-1 and tier-3 :class:`QueryGraph`
+views, which no ranking builds, are no public names of the package. Sorting
 by tier 3 demotes candidates whose own neighborhoods point away from the
 query's, which makes the scheme robust to outliers sitting next to the
 query.

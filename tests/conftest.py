@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from tierank.evaluation import GroundTruth
-from tierank.fusion import TieredPairwise, fuse_graphs
 from tierank.index import FeatureMatrix, Metric, NeighborhoodIndex, build_index, knn_candidates
 from tierank.pipeline import Channel
-from tierank.rerank import tiered_graph
+from tierank.rerank import _jaccard, _overlaps, resolve_k
 
 
 @pytest.fixture
@@ -56,25 +55,11 @@ def overlay_query(channels, vector, vid):
     return out
 
 
-def fused_instance(rng, n, m, k, dim=4):
-    """(channels, fused graph, pairwise) for a random query."""
-    channels = random_channels(rng, n, m, k, dim=dim)
-    query = int(rng.integers(0, n))
-    graphs = [tiered_graph(ch.index, query, k1=ch.k1, k2=ch.k2)[1] for ch in channels]
-    fused = fuse_graphs(graphs)
-    pairwise = TieredPairwise(
-        [(ch.index, ch.k1, ch.k2) for ch in channels],
-        candidates=sorted(fused.nodes),
-    )
-    return channels, fused, pairwise
-
-
-class FunctionPairwise:
-    """A plain ``pairwise(u, i)`` function behind the candidate_ids/matrix interface."""
-
-    def __init__(self, fn, fused):
-        ids = self.candidate_ids = tuple(sorted(fused.nodes))
-        self.matrix = np.array([[fn(u, i) for i in ids] for u in ids], dtype=np.float64)
+def tier1_overlaps(index, query, k1=None, k2=None):
+    """{candidate: (|N_k2(x) ∩ N_k1(q)|, |N_k2(x) ∪ N_k1(q)|)} of one query, read off the tier-1 ranking's arrays."""
+    ids, overlaps, rows = _overlaps(index, query, *resolve_k(index, 1.0, k1, k2))
+    unions, _ = _jaccard(overlaps, rows)
+    return {item: (num, den) for item, num, den in zip(ids.tolist(), overlaps.tolist(), unions.tolist())}
 
 
 # --- statistical fixtures ------------------------------------------------------

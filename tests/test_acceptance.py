@@ -11,20 +11,18 @@ import statistics
 import time
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 import pytest
 
-from conftest import fused_instance, gen_correlated_trial, gen_trend_channels, random_channels
+from conftest import gen_correlated_trial, gen_trend_channels, random_channels, tier1_overlaps
 from tierank.bench import bench_rerank, build_bench_channels, restricted_channels
 from tierank.evaluation import GroundTruth, ns_score, precision_at
-from tierank.fusion import TieredPairwise, fuse_graphs, greedy_select
 from tierank.index import Metric, build_index, load_index, save_index
-from tierank.oracles import oracle_greedy_select, oracle_pairwise
+from tierank.oracles import oracle_rerank
 from tierank.pipeline import Channel, batch_rerank, rerank_query
 from tierank.ranking import RankedList
-from tierank.rerank import tier1_rerank, tiered_graph, tiered_rerank
+from tierank.rerank import tier1_rerank, tiered_rerank
 from tierank.scenarios import gen_outlier_scenario, gen_two_manifold_scenario
 
 
@@ -32,12 +30,12 @@ def test_criterion_1_planted_overlap_arithmetic():
     """Exact rational overlap values on the generated outlier scenario."""
     scenario = gen_outlier_scenario(seed=0)
     index = build_index(scenario.features, k=scenario.k1, metric=Metric.L1)
-    t1 = tiered_graph(index, scenario.query, k1=5, k2=5)[0]
+    t1 = tier1_overlaps(index, scenario.query, k1=5, k2=5)
     expected = {"O": (3, 7), "B": (3, 7), "C": (2, 8), "D": (3, 7)}
     for name, (num, den) in expected.items():
-        jv = t1.overlap[scenario.ids[name]]
-        assert (jv.numerator, jv.denominator) == (num, den)
-        assert jv.value == Fraction(num, den)
+        overlap, union = t1[scenario.ids[name]]
+        assert (overlap, union) == (num, den)
+        assert Fraction(overlap, union) == Fraction(num, den)
     print("[PASS] criterion 1: outlier-scenario overlap values 3/7, 3/7, 2/8, 3/7 exact")
 
 
@@ -52,8 +50,8 @@ def test_criterion_2_outlier_demotion_vs_single_tier():
     for name in ("B", "C", "D"):
         assert pos[o] > pos[scenario.ids[name]]
 
-    t1 = tiered_graph(index, scenario.query, k1=5, k2=5)[0]
-    assert t1.overlap[o].value == t1.overlap[scenario.ids["B"]].value
+    t1 = tier1_overlaps(index, scenario.query, k1=5, k2=5)
+    assert Fraction(*t1[o]) == Fraction(*t1[scenario.ids["B"]])
     single = tier1_rerank(index, scenario.query, k1=5, k2=5)
     spos = {item: p for p, item in enumerate(single.ids())}
     assert spos[o] < spos[scenario.ids["C"]]
@@ -76,7 +74,7 @@ def test_criterion_3_two_cluster_resolution():
 
 
 def test_criterion_4_selection_matches_oracle():
-    """Greedy selection equals exhaustive re-enumeration on 200+ random instances."""
+    """rerank_query and batch_rerank equal oracle_rerank's exhaustive re-enumeration on 200+ random instances."""
     start = time.perf_counter()
     rng = np.random.default_rng(2024)
     checked = 0
@@ -84,11 +82,12 @@ def test_criterion_4_selection_matches_oracle():
         n = int(rng.integers(10, 51))
         m = int(rng.integers(1, 4))
         k = int(rng.choice([3, 5, 8]))
-        channels, fused, pairwise = fused_instance(rng, n, m, k)
-        got = greedy_select(fused, pairwise, k=k)
-        want = oracle_greedy_select(fused, partial(oracle_pairwise, channels), k=k)
-        assert got.items == want.items, f"trial {trial}: {got.items} != {want.items}"
-        assert got.scores == pytest.approx(want.scores)
+        channels = random_channels(rng, n, m, k)
+        queries = rng.integers(0, n, size=2).tolist()
+        want = [oracle_rerank(channels, q, k) for q in queries]
+        got = [rerank_query(channels, q, k) for q in queries]
+        assert got == want, f"trial {trial}: {got} != {want}"
+        assert batch_rerank(channels, queries, k) == want, f"trial {trial}"
         checked += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
@@ -98,23 +97,17 @@ def test_criterion_4_selection_matches_oracle():
 def test_criterion_5_scale_invariance():
     """Positive rescaling of all weights never changes the selected sequence."""
     rng = np.random.default_rng(77)
-    from tierank.rerank import tiered_graph
-
     for trial in range(100):
         n = int(rng.integers(10, 41))
         m = int(rng.integers(1, 4))
-        channels, fused, pairwise = fused_instance(rng, n, m, 5)
+        channels = random_channels(rng, n, m, 5)
+        query = int(rng.integers(0, n))
         factor = float(2.0 ** rng.integers(-12, 20))  # spans (0, 1e6)
-        graphs = [tiered_graph(ch.index, fused.query)[1] for ch in channels]
-        fused_scaled = fuse_graphs(graphs, scales=[factor] * len(graphs))
-        base = greedy_select(fused, pairwise, k=6)
-        pairwise_scaled = TieredPairwise(
-            [(ch.index, ch.k1, ch.k2) for ch in channels],
-            sorted(fused_scaled.nodes),
-            scales=[factor] * m,
-        )
-        scaled = greedy_select(fused_scaled, pairwise_scaled, k=6)
-        assert base.items == scaled.items, f"trial {trial}, factor {factor}"
+        scaled_channels = [replace(ch, alpha=factor) for ch in channels]
+        base = rerank_query(channels, query, k_final=6)
+        scaled = rerank_query(scaled_channels, query, k_final=6)
+        assert base == oracle_rerank(channels, query, 6) and scaled == oracle_rerank(scaled_channels, query, 6)
+        assert base.ids() == scaled.ids(), f"trial {trial}, factor {factor}"
     print("[PASS] criterion 5: 100 instances invariant under weight rescaling, exact")
 
 
@@ -144,11 +137,11 @@ def test_criterion_6_expectation_of_tier3_weight():
     w_means, p_fracs = [], []
     for _ in range(1000):
         t = gen_correlated_trial(rng, k=k, p=p)
-        t3 = tiered_graph(t.index, t.query)[1]
+        t3 = dict(tiered_rerank(t.index, t.query).entries)
         members_in = [m for m in t.members if m in t.in_class]
         p_fracs.append((1 + len(members_in)) / k)
         if members_in:
-            w_means.append(float(np.mean([t3.edges[m] / k for m in members_in])))
+            w_means.append(float(np.mean([t3[m] / k for m in members_in])))
     w = np.asarray(w_means)
     pe = np.asarray(p_fracs)
     se = np.sqrt(w.var(ddof=1) / len(w) + pe.var(ddof=1) / len(pe))

@@ -30,10 +30,40 @@ REMOVED = [
 ]
 
 
+# the package's public names: the pipeline, its inputs and outputs, the
+# single-channel tiers and the errors
+PUBLIC = [
+    "Channel", "ClassSizeError", "DimensionError", "EmptyChannelListError", "FeatureMatrix", "FileAccessError",
+    "FinalRanking", "FormatError", "GroundTruth", "Metric", "MetricReport", "NeighborhoodIndex",
+    "QueryMismatchError", "RankedList", "ScenarioError", "SizeError", "TierankError", "UnknownItemError",
+    "ZeroVectorError", "batch_rerank", "batch_rerank_vectors", "build_index", "distance", "load_features",
+    "load_index", "ns_score", "precision_at", "read_rankings_tsv", "recall_at", "rerank_query",
+    "rerank_vector_query", "save_index", "tier1_rerank", "tiered_rerank", "write_rankings_tsv",
+]
+
+# the graph-object inspection layer, which no ranking runs: out of the
+# package's names, still in its modules until it is deleted
+INSPECTION_LAYER = [
+    ("tierank.fusion", "FusedGraph"),
+    ("tierank.fusion", "TieredPairwise"),
+    ("tierank.fusion", "fuse_graphs"),
+    ("tierank.fusion", "greedy_select"),
+    ("tierank.rerank", "JaccardValue"),
+    ("tierank.rerank", "QueryGraph"),
+    ("tierank.rerank", "tiered_graph"),
+]
+
+
 def test_every_public_name_resolves():
-    assert len(set(tierank.__all__)) == len(tierank.__all__)
+    assert tierank.__all__ == PUBLIC
     for name in tierank.__all__:
         getattr(tierank, name)  # raises AttributeError on a dangling entry
+
+
+def test_the_inspection_layer_is_no_public_name():
+    for module, name in INSPECTION_LAYER:
+        assert name not in tierank.__all__ and not hasattr(tierank, name), name
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
 
 
 def test_removed_names_are_gone():
@@ -41,10 +71,11 @@ def test_removed_names_are_gone():
         assert name not in tierank.__all__
         assert not hasattr(tierank, name)
         assert not hasattr(importlib.import_module(module), name), f"{module}.{name}"
-    assert not hasattr(tierank.FusedGraph, "weight_ceiling")
+    fusion, rerank = importlib.import_module("tierank.fusion"), importlib.import_module("tierank.rerank")
+    assert not hasattr(fusion.FusedGraph, "weight_ceiling")
     # members of the inspection layer that nothing read
-    assert not hasattr(tierank.FusedGraph, "m") and not hasattr(tierank.TieredPairwise, "batch")
-    assert "alpha" not in tierank.QueryGraph.__dataclass_fields__
+    assert not hasattr(fusion.FusedGraph, "m") and not hasattr(fusion.TieredPairwise, "batch")
+    assert "alpha" not in rerank.QueryGraph.__dataclass_fields__
     fields = importlib.import_module("tierank.config").PipelineConfig.__dataclass_fields__
     assert "tier3_mode" not in fields and "variant" not in fields
     # an export that no ranking used, gone from the package and then from its module

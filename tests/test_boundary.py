@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import importlib
 import io
 import re
 from pathlib import Path
@@ -32,7 +33,8 @@ from tierank.index import (
 )
 from tierank.ranking import RankedList, read_rankings_tsv, write_rankings_tsv
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "tierank"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "tierank"
 # opening a file, reading or writing one whole, or making a directory; a
 # call through the errors module itself is the boundary, not a way round it
 _FILE_ACCESS = re.compile(
@@ -107,11 +109,11 @@ def test_the_layer_lint_sees_each_kind_of_use(source, module, name):
 
 def test_only_the_layer_uses_the_graph_objects():
     # rankings, scenarios and oracles run on arrays and plain sets: outside
-    # fusion.py and rerank.py, which define the inspection layer, and the
-    # package's exports, no module names it
+    # fusion.py and rerank.py, which define the inspection layer, no module
+    # names it, the package's exports included
     offenders = {
         path.name: sorted(names & _GRAPH_OBJECTS)
-        for path in sorted(SRC.glob("*.py")) if path.name not in {"fusion.py", "rerank.py", "__init__.py"}
+        for path in sorted(SRC.glob("*.py")) if path.name not in {"fusion.py", "rerank.py"}
         for names in [_uses(path.read_text(encoding="utf-8"))[1]] if names & _GRAPH_OBJECTS
     }
     assert offenders == {}
@@ -121,8 +123,139 @@ def test_the_pipeline_leaves_the_virtual_row_to_the_index():
     assert "virtual" not in _uses((SRC / "pipeline.py").read_text(encoding="utf-8"))[1]
 
 
+# The tests that may name the inspection layer or the overlay, by file and
+# function, helpers included: each is about the layer or the overlay
+# itself, and goes with it. Every other test checks rankings against
+# oracles.oracle_rerank and reads tier-1 overlaps off the rankings' arrays.
+_LAYER_TESTS = {
+    "test_api.py": {"test_removed_names_are_gone"},
+    "test_eval.py": {"test_two_manifold_fusion_linearity"},
+    "test_fusion.py": {
+        "_tier3", "_fused_graph", "test_fuse_single_channel_identity", "test_fuse_disjoint_channels",
+        "test_fuse_weights_match_per_channel_sums", "test_fuse_channel_permutation_invariant", "test_fuse_errors",
+        "test_fuse_scales_apply_per_channel", "test_pairwise_matches_tiered_route",
+        "test_pairwise_from_query_reproduces_fused_edges", "test_pairwise_batch_equals_scalar",
+        "test_pairwise_symmetric_for_mutual_neighbors", "test_pairwise_refuses_a_candidate_that_is_no_integer",
+        "test_pairwise_on_a_hand_cut_virtual_row", "test_pairwise_matches_oracle_property",
+        "test_fused_weights_and_ranks_match_fused_graph_property", "test_one_querys_w_is_a_plain_dict_of_sums",
+        "test_greedy_pool_of_one", "test_greedy_rejects_candidates_other_than_the_fused_nodes",
+        "test_greedy_select_takes_an_integer_matrix_and_writes_none",
+        "test_single_channel_first_pick_consistent_with_tiered_list",
+    },
+    "test_rerank.py": {"test_jaccard_keeps_raw_counts"},
+}
+_OVERLAY_TESTS = {
+    "conftest.py": {"overlay_query"},
+    "test_fusion.py": {
+        "_pairwise_instances", "test_batch_rerank_matches_rerank_query_property",
+        "test_one_querys_front_end_is_its_slice_of_a_blocks_property",
+        "test_one_querys_front_end_is_its_slice_of_a_block_on_the_edges",
+        "test_batch_rerank_on_overlays_matches_rerank_query", "test_overlays_share_the_table",
+        "test_the_fused_table_fuses_the_channels_overlap_tables", "test_a_vector_query_ranks_as_its_overlay_does",
+        "test_a_vector_query_ranks_as_its_overlay_does_property", "test_a_vector_query_keeps_every_error",
+    },
+    "test_index.py": {
+        "test_ids_at_refuses_a_pad_and_a_position_past_the_rows", "test_with_virtual_is_a_one_row_overlay",
+        "test_center_counts_come_in_the_shape_of_position_rows", "test_an_overlay_cannot_be_saved",
+        "test_with_virtual_rejects_a_malformed_row", "test_positions_find_every_row_whichever_the_id_spread",
+    },
+    "test_rerank.py": {
+        "_tier3_instances", "test_tier3_matches_set_oracle_property",
+        "test_a_vector_query_ranks_as_its_overlay_does_on_one_channel",
+    },
+}
+
+
+def _layer_users(sources):
+    """{file: functions} of every top-level function or class of ``sources`` (file name -> source) that names
+    a graph object or ``with_virtual``, itself or through a function of ``sources`` that does."""
+    reads = {}
+    for name, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                reads[name, node.name] = _uses(ast.unparse(node))[1] | {
+                    n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+    banned, users = _GRAPH_OBJECTS | {"with_virtual"}, {}
+    while found := {key for key, names in reads.items() if names & banned and key[1] not in users.get(key[0], ())}:
+        for name, function in found:
+            users.setdefault(name, set()).add(function)
+            banned.add(function)
+    return users
+
+
+def _test_sources():
+    return {path.name: path.read_text(encoding="utf-8") for path in sorted(TESTS.glob("*.py"))}
+
+
+def test_only_the_listed_tests_name_the_inspection_layer():
+    # item by item, the list empties as the layer and the overlay go
+    allowed = {name: _LAYER_TESTS.get(name, set()) | _OVERLAY_TESTS.get(name, set())
+               for name in {*_LAYER_TESTS, *_OVERLAY_TESTS}}
+    assert _layer_users(_test_sources()) == allowed
+
+
+def test_the_test_layer_lint_sees_a_test_outside_the_list():
+    # a direct use, and one through a helper that is itself on the list
+    sources = _test_sources()
+    sources["test_eval.py"] += "\n\ndef test_late(channels):\n    return tiered_graph(channels[0].index, 0)\n"
+    sources["test_cli.py"] += (
+        "\n\nfrom conftest import overlay_query\n\n\ndef test_later(channels):\n"
+        "    return overlay_query(channels, [0.0], 99)\n"
+    )
+    users = _layer_users(sources)
+    assert "test_late" in users["test_eval.py"] and users["test_cli.py"] == {"test_later"}
+
+
+# what the oracles may not run: the index's kernels and the kNN scan, which the rankings share
+_KERNELS = {"overlap_counts", "center_counts", "stored_counts", "overlap_table", "position_rows", "query_rows",
+            "with_virtual", "knn_columns", "knn_candidates"}
+
+
+def _oracle_offenses(source):
+    """(the checked modules, the kernels) that ``source`` imports or reads."""
+    modules, names = _uses(source)
+    return modules & {"fusion", "rerank"}, names & _KERNELS
+
+
 def test_the_oracles_import_nothing_they_check():
-    assert _uses((SRC / "oracles.py").read_text(encoding="utf-8"))[0].isdisjoint({"fusion", "rerank"})
+    # plain loops over neighbor_ids and the one-pair distance, no shared fast path
+    assert _oracle_offenses((SRC / "oracles.py").read_text(encoding="utf-8")) == (set(), set())
+
+
+@pytest.mark.parametrize(("extra", "offenses"), [
+    ("def f(index, rows):\n    return index.overlap_counts(rows, 3)\n", (set(), {"overlap_counts"})),
+    ("from .index import knn_columns\n", (set(), {"knn_columns"})),
+    ("from .rerank import tiered_rerank\n", ({"rerank"}, set())),
+], ids=["a kernel call", "a kNN import", "a checked module"])
+def test_the_oracle_lint_sees_a_kernel_call(extra, offenses):
+    assert _oracle_offenses((SRC / "oracles.py").read_text(encoding="utf-8") + "\n\n" + extra) == offenses
+
+
+_README = TESTS.parent / "README.md"
+# a backticked file name reads as module.suffix: index.py, pipeline.cfg
+_FILE_SUFFIXES = {"py", "cfg"}
+
+
+def _readme_names(text):
+    """Every backticked ``module.name`` of ``text`` whose module is one of the package's, but file names."""
+    modules = {path.stem for path in SRC.glob("*.py")}
+    return [(module, name) for module, name in re.findall(r"`(\w+)\.(\w+)`", text)
+            if module in modules and name not in _FILE_SUFFIXES]
+
+
+def _missing_names(text):
+    return sorted({f"{module}.{name}" for module, name in _readme_names(text)
+                   if not hasattr(importlib.import_module(f"tierank.{module}"), name)})
+
+
+def test_every_module_name_readme_names_exists():
+    text = _README.read_text(encoding="utf-8")
+    assert _readme_names(text) and _missing_names(text) == []
+
+
+def test_the_readme_lint_sees_a_missing_name():
+    text = _README.read_text(encoding="utf-8") + "\nSee `fusion.fuse_graph`, `index.py` and `pipeline.cfg`.\n"
+    assert _missing_names(text) == ["fusion.fuse_graph"]
 
 
 def test_the_index_imports_nothing_from_the_package_but_errors():

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from argparse import Namespace
 from fractions import Fraction
-from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FunctionPairwise, fused_instance, gen_correlated_trial, gen_trend_channels
+from conftest import gen_correlated_trial, gen_trend_channels, random_channels, tier1_overlaps
 from tierank.cli import _parse_query_ids, _parse_query_vectors
 from tierank.errors import (
     ClassSizeError, DimensionError, FormatError, SizeError, TierankError, UnknownItemError, parse_number,
@@ -26,12 +25,12 @@ from tierank.evaluation import (
     recall_at,
     write_ground_truth,
 )
-from tierank.fusion import greedy_select
 from tierank.index import Metric, build_index
-from tierank.oracles import oracle_greedy_select, oracle_pairwise
+from tierank.oracles import oracle_greedy_select, oracle_rerank
+from tierank.pipeline import rerank_query
 from tierank import index
 from tierank.ranking import RankedList, read_rankings_tsv, write_rankings_tsv
-from tierank.rerank import tier1_rerank, tiered_graph
+from tierank.rerank import tier1_rerank, tiered_graph, tiered_rerank
 from tierank.scenarios import gen_outlier_scenario, gen_two_manifold_scenario
 
 
@@ -226,13 +225,13 @@ def test_outlier_scenario_deterministic_per_seed():
 def test_outlier_scenario_relations():
     s = gen_outlier_scenario(seed=0)
     index = build_index(s.features, k=s.k1, metric=Metric.L1)
-    t1 = tiered_graph(index, s.query)[0]
-    assert t1.overlap[s.ids["O"]].value == Fraction(3, 7)
-    assert t1.overlap[s.ids["C"]].value == Fraction(2, 8)
+    t1 = tier1_overlaps(index, s.query)
+    assert Fraction(*t1[s.ids["O"]]) == Fraction(3, 7)
+    assert Fraction(*t1[s.ids["C"]]) == Fraction(2, 8)
     single = tier1_rerank(index, s.query)
     pos = {item: p for p, item in enumerate(single.ids())}
     # first-tier ranking keeps the outlier level with B, above C
-    assert t1.overlap[s.ids["O"]].value == t1.overlap[s.ids["B"]].value
+    assert Fraction(*t1[s.ids["O"]]) == Fraction(*t1[s.ids["B"]])
     assert pos[s.ids["O"]] < pos[s.ids["C"]]
 
 
@@ -268,11 +267,11 @@ def test_correlated_trial_expectation_small():
     w_means, p_fracs = [], []
     for _ in range(300):
         t = gen_correlated_trial(rng, k=k, p=p)
-        t3 = tiered_graph(t.index, t.query)[1]
+        t3 = dict(tiered_rerank(t.index, t.query).entries)
         members_in = [m for m in t.members if m in t.in_class]
         p_fracs.append((1 + len(members_in)) / k)
         if members_in:
-            w_means.append(float(np.mean([t3.edges[m] / k for m in members_in])))
+            w_means.append(float(np.mean([t3[m] / k for m in members_in])))
     w = np.asarray(w_means)
     pe = np.asarray(p_fracs)
     se = np.sqrt(w.var(ddof=1) / len(w) + pe.var(ddof=1) / len(pe))
@@ -280,7 +279,7 @@ def test_correlated_trial_expectation_small():
 
 
 def test_trend_channels_fusion_helps_small():
-    from tierank.pipeline import Channel, rerank_query
+    from tierank.pipeline import Channel
 
     deltas = []
     for trial in range(25):
@@ -302,38 +301,30 @@ def test_trend_channels_fusion_helps_small():
 # --- selection oracle -----------------------------------------------------------
 
 
-def test_oracle_pool_of_two():
-    from tierank.fusion import fuse_graphs
-    from tierank.rerank import QueryGraph
+def _fused(query, edges, order):
+    """What oracle_greedy_select reads of a query: its candidates, their fused weights and distance ranks."""
+    rank = {item: pos for pos, item in enumerate(order)}
+    return SimpleNamespace(query=query, nodes=frozenset(order), edges=edges, rank_of=rank.__getitem__)
 
-    g = QueryGraph(query=0, tier=3, edges={0: 3.0, 1: 2.0, 2: 1.0}, order=(0, 1, 2), k1=3, k2=3)
-    fused = fuse_graphs([g])
+
+def test_oracle_pool_of_two():
+    fused = _fused(0, {0: 3.0, 1: 2.0, 2: 1.0}, (0, 1, 2))
     final = oracle_greedy_select(fused, lambda u, i: fused.edges.get(i, 0.0), k=2)
     assert final.items == (0, 1, 2)
 
 
 def test_oracle_size_cap():
-    rng = np.random.default_rng(4)
-    _, fused, pw = fused_instance(rng, 80, 2, 30)
-    if len(fused.nodes) > 50:
-        with pytest.raises(SizeError):
-            oracle_greedy_select(fused, pw, k=3)
+    # two channels' 40-rows on 80 items: their union holds more than 50 candidates
+    channels = random_channels(np.random.default_rng(4), 80, 2, 40)
+    with pytest.raises(SizeError, match="oracle limited to 50 nodes"):
+        oracle_rerank(channels, 0, 3)
 
 
 def test_oracle_degenerate_all_zero_weights_falls_back_to_ordering():
-    from tierank.fusion import fuse_graphs
-    from tierank.rerank import QueryGraph
-
-    g = QueryGraph(
-        query=0, tier=3, edges={0: 0.0, 3: 0.0, 1: 0.0, 2: 0.0}, order=(0, 3, 1, 2), k1=4, k2=4
-    )
-    fused = fuse_graphs([g])
-    zero = lambda u, i: 0.0  # noqa: E731
-    got = greedy_select(fused, FunctionPairwise(zero, fused), k=3)
-    want = oracle_greedy_select(fused, zero, k=3)
-    assert got.items == want.items
+    fused = _fused(0, {0: 0.0, 3: 0.0, 1: 0.0, 2: 0.0}, (0, 3, 1, 2))
+    final = oracle_greedy_select(fused, lambda u, i: 0.0, k=3)
     # all scores tie at zero: order falls back to distance rank, then id
-    assert got.items == (0, 3, 1, 2)
+    assert final.items == (0, 3, 1, 2) and final.scores == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_oracle_agrees_on_random_instances():
@@ -341,10 +332,9 @@ def test_oracle_agrees_on_random_instances():
     for _ in range(20):
         n = int(rng.integers(8, 45))
         m = int(rng.integers(1, 4))
-        channels, fused, pw = fused_instance(rng, n, m, 5)
-        got = greedy_select(fused, pw, k=5)
-        want = oracle_greedy_select(fused, partial(oracle_pairwise, channels), k=5)
-        assert got.items == want.items
+        channels = random_channels(rng, n, m, 5)
+        query = int(rng.integers(0, n))
+        assert rerank_query(channels, query, 5) == oracle_rerank(channels, query, 5)
 
 
 # --- the rankings TSV -----------------------------------------------------------------

@@ -15,10 +15,9 @@ import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
-from functools import partial
 from types import SimpleNamespace
 
-from conftest import FunctionPairwise, fused_instance, overlay_query, random_channels
+from conftest import overlay_query, random_channels
 from tierank import fusion, pipeline
 from tierank.bench import restricted_channels
 from tierank.cli import main
@@ -30,7 +29,7 @@ from tierank.index import (
     FeatureMatrix, Metric, NeighborhoodIndex, build_index, knn_candidates, load_index, save_index,
     write_features_csv,
 )
-from tierank.oracles import brute_force_knn, oracle_greedy_select, oracle_pairwise, oracle_tier3
+from tierank.oracles import oracle_pairwise, oracle_rerank, oracle_tier3
 from tierank.index import _row_positions
 from tierank.pipeline import (
     _BLOCK_BUDGET,
@@ -119,20 +118,16 @@ def test_correlation_separates_classes_monte_carlo():
         prototypes = rng.normal(0.0, 1.0, size=(2, 4))
         labels = {i: i % 2 for i in range(30)}
         vectors = np.stack([prototypes[labels[i]] + rng.normal(0, 0.7, 4) for i in range(30)])
-        from tierank.index import FeatureMatrix, build_index
-
         channels = []
         for c in range(2):
             noisy = vectors + rng.normal(0, 0.3, vectors.shape)
             fm = FeatureMatrix(channel_name=f"c{c}", ids=tuple(range(30)), vectors=noisy)
-            channels.append(build_index(fm, k=6))
+            channels.append(Channel(f"c{c}", build_index(fm, k=6), 6, 6))
         query = int(rng.integers(0, 30))
-        graphs = [tiered_graph(ix, query)[1] for ix in channels]
-        fused = fuse_graphs(graphs)
-        for node in fused.nodes:
+        cand, _, _, weights, _, _ = pipeline._candidates(channels, [query])  # W's query row
+        for node, weight in zip(cand.tolist(), weights.tolist()):
             if node == query:
                 continue
-            weight = fused.edges[node]
             (in_class if labels[node] == labels[query] else out_class).append(weight)
     assert np.mean(in_class) > np.mean(out_class)
 
@@ -212,18 +207,19 @@ def test_pairwise_refuses_a_candidate_that_is_no_integer():
 
 
 @st.composite
-def _query_instances(draw):
+def _query_instances(draw, channels=st.integers(2, 3)):
     """Channels on shared sparse ids (k1, k2, alpha per channel) and a query.
 
-    Channel names are permuted against input order, n may be below k, and
-    vectors sit on a small integer grid, so duplicates are common. Returns
+    The channel count is drawn from ``channels``. Channel names are
+    permuted against input order, n may be below k, and vectors sit on a
+    small integer grid, so duplicates are common. Returns
     (channels, query, vector): for a stored-id query the vector is None;
     otherwise ``query`` is a free virtual id for the vector, above every
     stored id as the CLI numbers them or below the largest, where its row
     position and its id sort differently.
     """
     n = draw(st.integers(2, 12))
-    m = draw(st.integers(2, 3))
+    m = draw(channels)
     ids = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
     names = draw(st.permutations([f"c{c}" for c in range(m)]))
     channels = []
@@ -237,7 +233,7 @@ def _query_instances(draw):
                 index=build_index(fm, k=k),
                 k1=draw(st.integers(1, k)),
                 k2=draw(st.integers(1, k)),
-                alpha=draw(st.sampled_from([1.0, 0.3, 1.7, 2.5])),
+                alpha=draw(st.sampled_from([1.0, 0.3, 1.7, 2.5, 0.1, 0.2, 0.7])),
                 features=fm,
             )
         )
@@ -290,7 +286,7 @@ def test_pairwise_on_a_hand_cut_virtual_row(length, with_virtual):
     queries = [9, 0, 9, 4] if with_virtual else [0, 4]
     got = batch_rerank(overlaid, queries)
     assert _exact(got) == _exact([rerank_query(overlaid, q) for q in queries])
-    assert [r.entries for r in got] == [_oracle_rerank(overlaid, q, None) for q in queries]
+    assert got == [oracle_rerank(overlaid, q) for q in queries]
 
 
 @settings(max_examples=150, deadline=None)
@@ -322,44 +318,27 @@ def test_fused_weights_and_ranks_match_fused_graph_property(instance):
     assert ranks.tolist() == [fused.distance_rank[item] for item in cand]
 
 
-def _oracle_rerank(channels, query, k_final):
-    """The fused ranking composed from oracles.py alone: weights, ranks and selection."""
-    by_name = sorted(channels, key=lambda ch: ch.name)
-    edges, rank = {}, {}
-    for ch in by_name:
-        for item, count in oracle_tier3(ch.index, query, ch.k1, ch.k2).items():
-            edges[item] = edges.get(item, 0.0) + ch.alpha * count
-        for pos, item in enumerate(ch.index.neighbor_ids(query, ch.k1).tolist()):
-            rank[item] = min(rank.get(item, pos), pos)
-    fused = SimpleNamespace(query=query, nodes=frozenset(edges), edges=edges, rank_of=rank.__getitem__)
-    k = k_final if k_final is not None else max(ch.k1 for ch in channels)
-    final = oracle_greedy_select(fused, partial(oracle_pairwise, by_name), k)
-    return tuple(zip(final.items, final.scores))
-
-
-def _oracle_overlay(channels, vector, vid):
-    """Channels with the query vector's row, found by brute force, overlaid."""
-    out = []
-    for ch in channels:
-        want = min(ch.index.k - 1, ch.features.n)
-        nearest = brute_force_knn(ch.features, vector, want, ch.index.metric) if want > 0 else []
-        ids = [vid] + [item for item, _ in nearest]
-        dists = [0.0] + [d for _, d in nearest]
-        out.append(replace(ch, index=ch.index.with_virtual(vid, ids, dists)))
-    return out
-
-
 @settings(max_examples=150, deadline=None)
-@given(_query_instances(), st.sampled_from([None, 1, 2, 5]))
-def test_rerank_query_matches_oracle_composition_property(instance, k_final):
+@given(_query_instances(st.integers(1, 3)), st.sampled_from([None, 1, 2, 5]), st.data())
+def test_rerank_query_matches_oracle_composition_property(instance, k_final, data):
+    # every entry point against oracles.py alone, entry for entry and bit
+    # for bit: one to three channels, stored ids and vectors, n < k, unequal
+    # alphas; a batch of one to three queries, with repeats
     channels, query, vector = instance
+    ids = channels[0].index.item_ids.tolist()
     if vector is None:
         got = rerank_query(channels, query, k_final=k_final)
-        want = _oracle_rerank(channels, query, k_final)
+        queries = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3))
+        batch, wants = batch_rerank(channels, queries, k_final), [oracle_rerank(channels, q, k_final) for q in queries]
     else:
         got = rerank_vector_query(channels, vector, k_final=k_final, vid=query)
-        want = _oracle_rerank(_oracle_overlay(channels, vector, query), query, k_final)
-    assert got.entries == want
+        vectors = [vector, *data.draw(st.lists(st.lists(st.integers(0, 4), min_size=2, max_size=2), max_size=2))]
+        assume(not {query + j for j in range(len(vectors))} & set(ids))
+        batch = batch_rerank_vectors(channels, vectors, k_final, vid=query)
+        wants = [oracle_rerank(channels, query + j, k_final, v) for j, v in enumerate(vectors)]
+    want = oracle_rerank(channels, query, k_final, vector)
+    assert got == want and _exact([got]) == _exact([want])
+    assert batch == wants and _exact(batch) == _exact(wants)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -376,16 +355,15 @@ def test_non_finite_query_vector_is_named_before_the_scan(bad, m):
 def test_a_channel_is_named_after_its_index():
     # a channel has one name: one index under two names used to fail only at
     # query time as "duplicate channel names", and names listed out of their
-    # indexes' order summed W's query row in another order than fuse_graphs
+    # indexes' order summed W's query row out of channel-name order
     rng = np.random.default_rng(14)
     a, b, c = random_channels(rng, 20, 3, 4)
     with pytest.raises(FormatError, match="channel 'x' holds the index of channel 'ch0'"):
         Channel("x", a.index, 4, 4)
     with pytest.raises(FormatError):
         [Channel(name, ch.index, 4, 4) for name, ch in zip(("ch2", "ch0", "ch1"), (a, b, c))]
-    overlay = overlay_query([a], rng.normal(size=4), 99)[0]  # replace() checks again
     with pytest.raises(FormatError):
-        replace(overlay, name="ch1")
+        replace(a, name="ch1")  # replace() checks again
 
 
 # --- batches ----------------------------------------------------------------
@@ -1197,7 +1175,6 @@ def test_single_channel_and_vector_only_runs_build_no_table(table_builds):
     index = channels[0].index
     for query in range(0, 60, 5):
         rerank_query(channels, query)
-        tiered_graph(index, query)
         tier1_rerank(index, query)
     for _ in range(10):
         rerank_vector_query(channels, rng.normal(size=4))
@@ -1283,12 +1260,11 @@ def test_single_queries_off_the_fused_table_match_the_oracles_property(instance,
 
     def check(chans, q, v):
         if v is None:
-            got, want = rerank_query(chans, q, k_final), _oracle_rerank(chans, q, k_final)
+            got = rerank_query(chans, q, k_final)
         else:
             got = rerank_vector_query(chans, v, k_final=k_final, vid=q)
-            want = _oracle_rerank(_oracle_overlay(chans, v, q), q, k_final)
             assert batch_rerank_vectors(chans, [v], k_final, vid=q)[0].entries == got.entries
-        assert got.entries == want
+        assert got == oracle_rerank(chans, q, k_final, v)
 
     check(channels, query, vector)
     tables = _fused_tables(channels)
@@ -1325,7 +1301,7 @@ def test_single_query_errors_keep_their_class_message_and_order():
         assert _raised(lambda: rerank_query(chans, 0)) == missing
         assert _raised(lambda: rerank_query(chans, fine, k_final=0)) == (ValueError, "k must be >= 1")
         assert len(_fused_tables(chans)) == built
-        assert rerank_query(chans, fine).entries == _oracle_rerank(chans, fine, None)
+        assert rerank_query(chans, fine) == oracle_rerank(chans, fine)
     # vectors map each channel's rows into the id union: one at item 10 names 0 on ch1, one beside
     # item ``fine`` does not; each ranks, or fails, as its batch of one does
     near, far = b.features.vectors[0], b.features.vectors[fine - 10] + 0.01
@@ -1334,7 +1310,7 @@ def test_single_query_errors_keep_their_class_message_and_order():
         assert _raised(lambda: batch_rerank_vectors(chans, [near], vid=500)) == missing
         got = rerank_vector_query(chans, far, vid=500)
         assert _exact([got]) == _exact(batch_rerank_vectors(chans, [far], vid=500))
-        assert got.entries == _oracle_rerank(_oracle_overlay(chans, far, 500), 500, None)
+        assert got == oracle_rerank(chans, 500, vector=far)
 
 
 def test_no_batch_or_command_builds_a_fused_table(monkeypatch, tmp_path):
@@ -1493,20 +1469,26 @@ def test_each_overlap_table_is_built_once_whichever_query_runs_first(table_build
 
 
 def test_greedy_first_pick_is_top_fused_candidate():
+    # the first pick's sum is its affinity to the query alone: the fused
+    # weight, alpha times its tier-3 count summed over the channels
     rng = np.random.default_rng(7)
-    channels, fused, pw = fused_instance(rng, 40, 2, 5)
-    final = greedy_select(fused, pw, k=1)
-    best = max(
-        (i for i in fused.nodes if i != fused.query),
-        key=lambda i: (fused.edges.get(i, 0.0), -fused.rank_of(i), -i),
-    )
-    assert final.items == (fused.query, best)
+    channels = random_channels(rng, 40, 2, 5)
+    for query in (3, 17, 29):
+        weight, rank = {}, {}
+        for ch in channels:
+            for item, count in oracle_tier3(ch.index, query, ch.k1, ch.k2).items():
+                weight[item] = weight.get(item, 0.0) + ch.alpha * count
+            for pos, item in enumerate(ch.index.neighbor_ids(query, ch.k1).tolist()):
+                rank[item] = min(rank.get(item, pos), pos)
+        best = max((i for i in weight if i != query), key=lambda i: (weight[i], -rank[i], -i))
+        final = rerank_query(channels, query, k_final=1)
+        assert final.ids() == (query, best) and final == oracle_rerank(channels, query, 1)
 
 
 def test_greedy_pool_of_one():
     g = _tier3(0, {0: 4.0, 9: 2.0}, (0, 9))
     fused = fuse_graphs([g])
-    final = greedy_select(fused, FunctionPairwise(lambda u, i: fused.edges.get(i, 0.0), fused), k=5)
+    final = greedy_select(fused, SimpleNamespace(candidate_ids=(0, 9), matrix=np.array([[4.0, 2.0], [2.0, 4.0]])), k=5)
     assert final.items == (0, 9)
 
 
@@ -1514,8 +1496,7 @@ def test_greedy_pool_of_one():
 def test_greedy_rejects_candidates_other_than_the_fused_nodes(candidates):
     # an extra candidate (5), or a fused node (9) the pairwise lacks
     fused = fuse_graphs([_tier3(0, {0: 4.0, 9: 2.0}, (0, 9))])
-    pairwise = FunctionPairwise(lambda u, i: 1.0, fused)
-    pairwise.candidate_ids = candidates
+    pairwise = SimpleNamespace(candidate_ids=candidates, matrix=np.ones((len(candidates),) * 2))
     with pytest.raises(UnknownItemError):
         greedy_select(fused, pairwise, k=5)
 
@@ -1524,8 +1505,9 @@ def test_greedy_select_takes_an_integer_matrix_and_writes_none():
     # greedy_loop writes -inf on its W's diagonal, so greedy_select hands it
     # a float64 copy: an integer matrix ranks as its float64 twin, and
     # neither matrix is written
-    rng = np.random.default_rng(10)
-    _, fused, pw = fused_instance(rng, 30, 2, 5)
+    channels = random_channels(np.random.default_rng(10), 30, 2, 5)
+    fused = _fused_graph(channels, 11)
+    pw = TieredPairwise([(ch.index, ch.k1, ch.k2) for ch in channels], sorted(fused.nodes))
     ints = SimpleNamespace(candidate_ids=pw.candidate_ids, matrix=pw.matrix.astype(np.int64))
     kept = ints.matrix.copy(), pw.matrix.copy()
     assert (kept[0] == kept[1]).all()
@@ -1538,37 +1520,33 @@ def test_greedy_select_takes_an_integer_matrix_and_writes_none():
 def test_greedy_no_duplicates_query_first():
     rng = np.random.default_rng(8)
     for _ in range(10):
-        _, fused, pw = fused_instance(rng, 30, 2, 5)
-        final = greedy_select(fused, pw, k=8)
-        assert final.items[0] == fused.query
-        assert len(set(final.items)) == len(final.items)
+        channels = random_channels(rng, 30, 2, 5)
+        query = int(rng.integers(0, 30))
+        final = rerank_query(channels, query, k_final=8)
+        assert final.ids()[0] == query and len(set(final.ids())) == len(final)
+        assert final == oracle_rerank(channels, query, 8)
 
 
 def test_greedy_matches_oracle_small():
     rng = np.random.default_rng(9)
     for _ in range(15):
-        channels, fused, pw = fused_instance(rng, int(rng.integers(10, 40)), 2, 5)
-        got = greedy_select(fused, pw, k=6)
-        want = oracle_greedy_select(fused, partial(oracle_pairwise, channels), k=6)
-        assert got.items == want.items
-        assert got.scores == pytest.approx(want.scores)
+        n = int(rng.integers(10, 40))
+        channels = random_channels(rng, n, 2, 5)
+        queries = rng.choice(n, size=2).tolist()
+        want = [oracle_rerank(channels, q, 6) for q in queries]
+        assert [rerank_query(channels, q, 6) for q in queries] == want == batch_rerank(channels, queries, 6)
 
 
 def test_greedy_scale_invariance_quick():
     rng = np.random.default_rng(11)
     for _ in range(10):
-        channels, fused, pw = fused_instance(rng, 25, 2, 5)
+        channels = random_channels(rng, 25, 2, 5)
+        query = int(rng.integers(0, 25))
         factor = float(2.0 ** rng.integers(-8, 12))
-        graphs = [tiered_graph(ch.index, fused.query)[1] for ch in channels]
-        scaled_fused = fuse_graphs(graphs, scales=[factor] * len(graphs))
-        base = greedy_select(fused, pw, k=7)
-        scaled_pw = TieredPairwise(
-            [(ch.index, ch.k1, ch.k2) for ch in channels],
-            sorted(scaled_fused.nodes),
-            scales=[factor] * len(channels),
-        )
-        scaled = greedy_select(scaled_fused, scaled_pw, k=7)
-        assert base.items == scaled.items
+        scaled = [replace(ch, alpha=ch.alpha * factor) for ch in channels]
+        base, rescaled = rerank_query(channels, query, 7), rerank_query(scaled, query, 7)
+        assert base.ids() == rescaled.ids()
+        assert rescaled == oracle_rerank(scaled, query, 7)
 
 
 def test_single_channel_first_pick_consistent_with_tiered_list():

@@ -6,7 +6,9 @@ small and tie-heavy, so the tie-break rules decide many positions. One config
 has a single channel with k2 < k1; the other has three channels with alphas
 0.3, 1.7 and 2.5 whose sections are not in name order, run at the default
 k_final and at --k-final 2. Queries are stored ids from --queries-file plus
-out-of-sample vectors from --query-vectors.
+out-of-sample vectors from --query-vectors. The plain-loop reference,
+``oracles.oracle_rerank``, ranks every golden query on channels built in
+process from the same inputs, byte for byte as the files hold them.
 
 The index files `tierank index` writes are checked against the SHA-256
 digests in ``golden/index.sha256``, so the on-disk format stays byte for
@@ -25,9 +27,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tierank.cli import main
+from tierank.index import FeatureMatrix, Metric, build_index
+from tierank.oracles import oracle_rerank
+from tierank.pipeline import Channel, batch_rerank, batch_rerank_vectors, virtual_query_id
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DIGESTS = GOLDEN / "index.sha256"
@@ -118,6 +124,30 @@ def test_cli_rankings_match_golden_files(outputs, name):
 
 def test_index_files_match_golden_digests(outputs, work):
     assert index_digests(work) == DIGESTS.read_text()
+
+
+def _channels(specs):
+    """The channels of a config's (name, metric, k1, k2, alpha, salt) sections, built in process."""
+    channels = []
+    for name, metric, k1, k2, alpha, salt in specs:
+        rows = np.array([[float(v) for v in line.split(",")] for line in _feature_csv(salt).splitlines()])
+        features = FeatureMatrix(name, rows[:, 0].astype(np.int64), rows[:, 1:])
+        index = build_index(features, k=max(k1, k2), metric=Metric(metric))
+        channels.append(Channel(name, index, k1, k2, alpha, features))
+    return channels
+
+
+@pytest.mark.parametrize("name", sorted(_RUNS))
+def test_the_oracle_ranks_every_golden_query_as_the_pipeline(name):
+    cfg, extra = _RUNS[name]
+    channels = _channels(_SINGLE if cfg == "single.cfg" else _MULTI)
+    k_final = int(extra[1]) if extra else None
+    vectors = [[float(v) for v in line.split()] for line in _QUERY_VECTORS]
+    vid = virtual_query_id(channels)
+    want = [oracle_rerank(channels, q, k_final) for q in _QUERY_IDS]
+    want += [oracle_rerank(channels, vid + j, k_final, vector) for j, vector in enumerate(vectors)]
+    assert batch_rerank(channels, _QUERY_IDS, k_final) + batch_rerank_vectors(channels, vectors, k_final) == want
+    assert "".join(ranking.tsv_text() for ranking in want).encode() == (GOLDEN / name).read_bytes()
 
 
 if __name__ == "__main__":

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import overlay_query, random_features
+from conftest import overlay_query, random_features, tier1_overlaps
 from tierank.errors import FormatError, UnknownItemError
 from tierank.index import FeatureMatrix, Metric, NeighborhoodIndex, build_index, knn_candidates
-from tierank.oracles import oracle_tier3
+from tierank.oracles import oracle_rerank, oracle_tier3
 from tierank.pipeline import Channel, rerank_query, rerank_vector_query, virtual_query_id
-from tierank.rerank import JaccardValue, tier1_rerank, tiered_graph, tiered_rerank
+from tierank.rerank import JaccardValue, tier1_rerank, tiered_rerank
 from tierank.scenarios import gen_outlier_scenario
 
 
@@ -34,9 +34,9 @@ def test_jaccard_planted_outlier_sets():
     }
     table = np.asarray([rows.get(x, [x, *[y for y in range(12) if y != x][:4]]) for x in range(12)])
     index = NeighborhoodIndex("plane", 5, Metric.L1, np.arange(12), table, np.zeros((12, 5)))
-    overlap = tiered_graph(index, A)[0].overlap
-    assert overlap[O] == overlap[B] == overlap[D] == JaccardValue(3, 7)
-    assert overlap[C] == JaccardValue(2, 8)
+    overlap = tier1_overlaps(index, A)
+    assert overlap[O] == overlap[B] == overlap[D] == (3, 7)
+    assert overlap[C] == (2, 8)
 
 
 def test_jaccard_keeps_raw_counts():
@@ -53,8 +53,7 @@ def test_tier1_query_edge_is_one():
     rng = np.random.default_rng(0)
     fm = random_features(rng, 15, dim=3)
     index = build_index(fm, k=4)
-    t1 = tiered_graph(index, 7, alpha=1.0)[0]
-    assert t1.edges[7] == 1.0
+    assert dict(tier1_rerank(index, 7, alpha=1.0).entries)[7] == 1.0
 
 
 def test_tier1_matches_set_arithmetic_oracle():
@@ -63,13 +62,14 @@ def test_tier1_matches_set_arithmetic_oracle():
     index = build_index(fm, k=6)
     alpha = 0.9
     for query in (0, 11, 39):
-        t1 = tiered_graph(index, query, alpha=alpha)[0]
+        t1 = dict(tier1_rerank(index, query, alpha=alpha).entries)
         members = set(index.neighbor_ids(query, 6).tolist())
-        for item in t1.order:
+        assert set(t1) == members
+        for item in t1:
             own = set(index.neighbor_ids(item, 6).tolist())
             inter = len(own & members)
             union = len(own | members)
-            assert t1.edges[item] == alpha * (inter / union)
+            assert t1[item] == alpha * (inter / union)
 
 
 def test_tier1_alpha_never_changes_ordering():
@@ -85,8 +85,9 @@ def test_tier1_unknown_query():
     rng = np.random.default_rng(3)
     fm = random_features(rng, 10, dim=2)
     index = build_index(fm, k=3)
-    with pytest.raises(UnknownItemError):
-        tiered_graph(index, 999)
+    for rerank in (tier1_rerank, tiered_rerank):
+        with pytest.raises(UnknownItemError):
+            rerank(index, 999)
 
 
 # --- tier 2 -----------------------------------------------------------------
@@ -97,8 +98,7 @@ def test_tier2_all_candidates_connected():
     rng = np.random.default_rng(4)
     fm = random_features(rng, 25, dim=3)
     index = build_index(fm, k=5)
-    t1 = tiered_graph(index, 6)[0]
-    assert all(jv.numerator > 0 for jv in t1.overlap.values())
+    assert all(num > 0 for num, _ in tier1_overlaps(index, 6).values())
 
 
 # --- tier 3 -----------------------------------------------------------------
@@ -109,21 +109,21 @@ def test_tier3_saturated_candidate_scores_k2():
     fm = random_features(rng, 20, dim=3)
     index = build_index(fm, k=4)
     for query in range(20):
-        _, t3 = tiered_graph(index, query)
+        t3 = dict(tiered_rerank(index, query).entries)
         # the query's own neighborhood lies fully inside the support
-        assert t3.edges[query] == 4.0
-        for item, w in t3.edges.items():
+        assert t3[query] == 4.0
+        for item, w in t3.items():
             assert w == int(w) and 0 <= w <= 4
 
 
 def test_tier3_outlier_weight_bounded():
     scenario = gen_outlier_scenario(seed=0)
     index = build_index(scenario.features, k=scenario.k1, metric=Metric.L1)
-    _, t3 = tiered_graph(index, scenario.query, k1=5, k2=3)
+    t3 = dict(tiered_rerank(index, scenario.query, k1=5, k2=3).entries)
     outlier = scenario.ids["O"]
     on_cluster = [scenario.ids[n] for n in ("B", "C", "D")]
-    assert t3.edges[outlier] <= 2
-    assert all(t3.edges[item] > t3.edges[outlier] for item in on_cluster)
+    assert t3[outlier] <= 2
+    assert all(t3[item] > t3[outlier] for item in on_cluster)
 
 
 def test_tier3_matches_double_loop_oracle():
@@ -131,14 +131,15 @@ def test_tier3_matches_double_loop_oracle():
     fm = random_features(rng, 35, dim=4)
     index = build_index(fm, k=5)
     for query in (2, 17, 30):
-        t1, t3 = tiered_graph(index, query)
+        t3 = dict(tiered_rerank(index, query).entries)
         # tier 2 binarizes tier 1
-        tier2 = {item: float(jv.numerator > 0) for item, jv in t1.overlap.items()}
-        for item in t3.order:
+        tier2 = {item: float(num > 0) for item, (num, _) in tier1_overlaps(index, query).items()}
+        assert set(t3) == set(tier2)
+        for item in t3:
             total = 0.0
             for nbr in index.neighbor_ids(item, 5).tolist():
                 total += tier2.get(nbr, 0.0)
-            assert t3.edges[item] == total
+            assert t3[item] == total
 
 
 @st.composite
@@ -172,11 +173,7 @@ def _tier3_instances(draw):
 @given(_tier3_instances())
 def test_tier3_matches_set_oracle_property(instance):
     index, query, k1, k2 = instance
-    t1, t3 = tiered_graph(index, query, k1=k1, k2=k2)
     want = oracle_tier3(index, query, k1, k2)
-    assert t3.order == t1.order == tuple(want)
-    assert t3.edges == {x: float(count) for x, count in want.items()}
-
     # both rankings, rebuilt from the oracle's counts, plain-set Fractions
     # and row positions alone; the tiered one keeps tier-1 Jaccard as a key
     # between tier 3 and the rank, which tiered_rerank drops because it can
@@ -311,8 +308,15 @@ def test_a_vector_query_ranks_as_its_overlay_does_on_one_channel(instance):
     got = rerank_vector_query([channel], vector, vid=vid)
     overlay = overlay_query([channel], vector, vid)
     assert _exact(got) == _exact(rerank_query(overlay, vid))
-    # and the counts are the plain-set oracle's, which shares no kernel with either
-    counts = oracle_tier3(overlay[0].index, vid, channel.k1, channel.k2)
-    assert dict(got.entries) == {x: float(c) for x, c in counts.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_vector_instances())
+def test_a_vector_query_on_one_channel_matches_the_oracle_property(instance):
+    # the plain-loop ranking, which shares no kernel with the pipeline and
+    # builds no overlay: the query's row by brute force, counts from sets
+    channel, vector, vid = instance
+    got = rerank_vector_query([channel], vector, vid=vid)
+    assert _exact(got) == _exact(oracle_rerank([channel], vid, vector=vector))
     assert got.query == vid and got.entries[0][0] == vid
     assert len(got) == min(channel.k1, channel.index.k, channel.features.n + 1)
